@@ -51,10 +51,6 @@ class BraidWord:
         return f"BraidWord({self.strands}, {word_text(self)!r})"
 
 
-def writhe(w: BraidWord) -> int:
-    return w.writhe
-
-
 def parse(text: str, strands: int | None = None) -> BraidWord:
     """Read a word from signed integers ("1 -2 1") or powers ("s1 s2^-1")."""
     letters: list[tuple[int, int]] = []
@@ -78,7 +74,7 @@ def parse(text: str, strands: int | None = None) -> BraidWord:
     if strands is None:
         strands = max(needed, 1)
     elif strands < needed:
-        raise ValueError(f"word uses s{needed - 1} but only {strands} strands were given")
+        raise ValueError(f"too few strands: the word needs {needed}, got {strands}")
     return BraidWord(strands, tuple(letters))
 
 

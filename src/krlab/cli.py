@@ -2,7 +2,8 @@
 
 Exit codes separate the failure families: 1 for input that does not parse
 (including windows the pipelines refuse), 2 for search-budget exhaustion,
-3 for a failed cross-check.  JSON documents carry a stable "schema":
+3 for a failed cross-check, 4 for a broken internal invariant.  Each failure
+prints one line on stderr.  JSON documents carry a stable "schema":
 "krlab/1" tag, slices sorted by (eps, i, x), so output is reproducible and
 round-trips through module_from_json.
 """
@@ -17,7 +18,8 @@ import click
 
 from .braid import BraidWord, parse
 from .cube import build_complex
-from .moy import builtin_graph, builtin_graph_names, graph_gdim, parse_graph
+from .moy import BUILTIN_GRAPHS, builtin_graph, graph_gdim, parse_graph
+from .poly import InvariantError
 from .qamod import (
     GradedQaModule,
     SliceModule,
@@ -40,9 +42,10 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        _fail(1, "n must be at least 1")
+def _check_positive(**values: int) -> None:
+    for name, value in values.items():
+        if value < 1:
+            _fail(1, f"{name} must be at least 1")
 
 
 def _braid(text: str, strands: int | None) -> BraidWord:
@@ -132,7 +135,15 @@ def _print_skein(v: SkeinValue, alpha_max: int, xi_max: int) -> None:
         click.echo(f"  alpha^{a} xi^{x}: {c1} + {ct} tau")
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InvariantError as exc:
+            _fail(4, f"internal invariant violated: {exc}")
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Transverse link homology and its skein-recursion shadow."""
 
@@ -145,7 +156,7 @@ def main() -> None:
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def homology(braid_text, strands, n, xwindow, fmt):
     """Two-stage homology of a closed braid, as slices plus tails."""
-    _check_n(n)
+    _check_positive(n=n)
     word = _braid(braid_text, strands)
     mod = _homology(word, n, xwindow)
     doc = json.dumps(module_json(mod))
@@ -166,7 +177,7 @@ def homology(braid_text, strands, n, xwindow, fmt):
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def skein(braid_text, strands, n, alpha_max, xi_max, budget, fmt):
     """Skein-recursion value of a closed braid, exact plus truncated series."""
-    _check_n(n)
+    _check_positive(n=n, budget=budget)
     word = _braid(braid_text, strands)
     value = _skein(word, n, budget)
     if fmt == "table":
@@ -186,7 +197,7 @@ def skein(braid_text, strands, n, alpha_max, xi_max, budget, fmt):
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def both(braid_text, strands, n, xwindow, alpha_max, xi_max, budget, fmt):
     """Run both pipelines and report whether they agree."""
-    _check_n(n)
+    _check_positive(n=n, budget=budget)
     word = _braid(braid_text, strands)
     mod = _homology(word, n, xwindow)
     value = _skein(word, n, budget)
@@ -217,8 +228,8 @@ def both(braid_text, strands, n, xwindow, alpha_max, xi_max, budget, fmt):
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def gdim(graph_spec, n, xwindow, fmt):
     """Graded dimension series of a trivalent graph's factorization."""
-    _check_n(n)
-    if graph_spec in builtin_graph_names():
+    _check_positive(n=n)
+    if graph_spec in BUILTIN_GRAPHS:
         graph = builtin_graph(graph_spec)
     else:
         path = Path(graph_spec)
@@ -226,6 +237,8 @@ def gdim(graph_spec, n, xwindow, fmt):
             _fail(1, f"no builtin graph or file named {graph_spec!r}")
         try:
             graph = parse_graph(path.read_text())
+        except OSError as exc:
+            _fail(1, f"cannot read graph file {graph_spec!r}: {exc.strerror}")
         except ValueError as exc:
             _fail(1, f"graph parse error: {exc}")
     series = graph_gdim(graph, n, xwindow)
@@ -301,7 +314,7 @@ def _verify_checks(n: int, xwindow: int, budget: int):
 @click.option("--budget", type=int, default=10**4, show_default=True)
 def verify(n, xwindow, budget):
     """Run the built-in consistency sweep and report one line per check."""
-    _check_n(n)
+    _check_positive(n=n, budget=budget)
     failures = 0
     for name, check in _verify_checks(n, xwindow, budget):
         try:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .braid import BraidWord
 from .mf import (
@@ -43,13 +42,13 @@ from .mf import (
     find_exclusion,
     koszul,
     koszul_masks,
-    split_contractibles_with_maps,
 )
 from .moy import _difference_quotient
 from .poly import (
     KIND_A,
     KIND_MARK,
     BigradedPoly,
+    InvariantError,
     VariableTable,
     substitute,
 )
@@ -98,12 +97,12 @@ def check_even_morphism(
             ta, tx = tbasis[ti]
             want = (da + sa - ta, dx + sx - tx)
             if deg != want:
-                raise AssertionError(f"morphism entry degree {deg}, expected {want}")
+                raise InvariantError(f"morphism entry degree {deg}, expected {want}")
     for par in (0, 1):
         left = compose(tgt.differential(par), mats[par])
         right = compose(mats[(par + 1) % 2], src.differential(par))
         if left != right:
-            raise AssertionError("morphism does not commute with the differentials")
+            raise InvariantError("morphism does not commute with the differentials")
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,8 @@ def crossing_model(
         v = BigradedPoly.variable(table, nm)
         w = w + (v ** (n + 1) if sign > 0 else -(v ** (n + 1)))
     w = a * w
-    assert gamma0.potential == w and gamma1.potential == w, "crossing potential"
+    if gamma0.potential != w or gamma1.potential != w:
+        raise InvariantError("crossing potential")
 
     chi1 = _chi_pair(table, s, on_set=True)
     chi0 = _chi_pair(table, s, on_set=False)
@@ -173,8 +173,10 @@ def crossing_model(
     check_even_morphism(gamma0, gamma1, chi0, 0, 1)
     s_id = {(i, i): s for i in range(2)}
     for par in (0, 1):
-        assert compose(chi1[par], chi0[par]) == s_id, "chi^1 chi^0 != s Id"
-        assert compose(chi0[par], chi1[par]) == s_id, "chi^0 chi^1 != s Id"
+        if compose(chi1[par], chi0[par]) != s_id:
+            raise InvariantError("chi^1 chi^0 != s Id")
+        if compose(chi0[par], chi1[par]) != s_id:
+            raise InvariantError("chi^0 chi^1 != s Id")
     return CrossingModel(
         kind, n, table, marks, f_row, g0_row, g1_row, s, gamma0, gamma1, chi0, chi1
     )
@@ -316,7 +318,7 @@ class ChainComplexOfMF:
                 if potential is None:
                     potential = mf.potential
                 elif mf.potential != potential:
-                    raise AssertionError("summand potentials differ")
+                    raise InvariantError("summand potentials differ")
                 basis0.extend(mf.basis0)
                 basis1.extend(mf.basis1)
                 for (ti, si), p in mf.d0.items():
@@ -342,19 +344,19 @@ class ChainComplexOfMF:
         for i, term in self.terms.items():
             term.verify()
             if not term.potential.is_zero():
-                raise AssertionError(f"term {i} has nonzero potential")
+                raise InvariantError(f"term {i} has nonzero potential")
         for i, mats in self.d_chi.items():
             tgt = self.terms.get(i + 1)
             if tgt is None:
                 if mats[0] or mats[1]:
-                    raise AssertionError(f"d_chi out of degree {i} has no target")
+                    raise InvariantError(f"d_chi out of degree {i} has no target")
                 continue
             check_even_morphism(self.terms[i], tgt, mats, 0, 0)
             nxt = self.d_chi.get(i + 1)
             if nxt is not None:
                 for par in (0, 1):
                     if compose(nxt[par], mats[par]):
-                        raise AssertionError(f"d_chi^2 != 0 out of degree {i}")
+                        raise InvariantError(f"d_chi^2 != 0 out of degree {i}")
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +461,12 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
         rows = list(shared) + [cr["g"][b] for cr, b in zip(crossings, state)]
         spec = KoszulSpec(table, n, tuple(rows))
         if not spec.potential().is_zero():
-            raise AssertionError("closed diagram with nonzero potential")
+            raise InvariantError("closed diagram with nonzero potential")
         dx = sum(cr["dx"][b] for cr, b in zip(crossings, state))
         mf = koszul(spec).shifted(writhe, dx, c)
         # left entries carry a, right entries carry marks: nothing contractible
-        assert find_constant_entry(mf) is None
+        if find_constant_entry(mf) is not None:
+            raise InvariantError("contractible summand in a cube vertex")
         part = Summand(state, mf)
         vertices[state] = part
         deg = sum(base + b for base, b in zip(bases, state))
@@ -500,193 +503,3 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
             _, ti = positions[target]
             blocks[(i, ti, si)] = mats
     return ChainComplexOfMF(table, n, summands, blocks)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian elimination of isomorphism blocks
-
-
-def _apply_even(mats: MatPair, vec):
-    out = {}
-    for (par, idx), coeff in vec.items():
-        for (ti, si), p in mats[par].items():
-            if si != idx:
-                continue
-            key = (par, ti)
-            cur = out.get(key)
-            s = p * coeff if cur is None else cur + p * coeff
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
-
-
-def _transport_block(mats: MatPair, src_reds, tgt_reds, src_after) -> MatPair:
-    """pi_tgt . mats . iota_src through chains of tracked reductions."""
-    out: MatPair = ({}, {})
-    table = src_after.table
-    for par in (0, 1):
-        for j in range(len(src_after.basis(par))):
-            vec = {(par, j): BigradedPoly.one(table)}
-            for red in reversed(src_reds):
-                vec = red.iota(vec)
-            vec = _apply_even(mats, vec)
-            for red in tgt_reds:
-                vec = red.pi(vec)
-            for (par2, ti), p in vec.items():
-                assert par2 == par  # even maps preserve parity
-                out[par][(ti, j)] = p
-    return out
-
-
-def _invert_constant(mat: Matrix, size: int):
-    """Inverse of a constant square matrix, or None if singular."""
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for (i, j), p in mat.items():
-        if not p.is_constant():
-            return None
-        rows[i][j] = p.constant_value()
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(size)] for i in range(size)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col]), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = rows[col][col]
-        rows[col] = [v / scale for v in rows[col]]
-        inv[col] = [v / scale for v in inv[col]]
-        for r in range(size):
-            if r == col or not rows[r][col]:
-                continue
-            factor = rows[r][col]
-            rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
-            inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
-    return inv
-
-
-def _iso_block(src: Summand, tgt: Summand, mats: MatPair):
-    """Constant-invertible block test; returns per-parity inverses or None."""
-    invs = []
-    for par in (0, 1):
-        ssize = len(src.mf.basis(par))
-        tsize = len(tgt.mf.basis(par))
-        if ssize != tsize:
-            return None
-        inv = _invert_constant(mats[par], ssize)
-        if inv is None:
-            return None
-        invs.append(inv)
-    return invs
-
-
-def _correct(eps: Matrix, gamma: Matrix, phi_inv, delta: Matrix) -> Matrix:
-    """eps - gamma phi^{-1} delta with phi^{-1} a dense constant matrix."""
-    out = dict(eps)
-    cols: dict[int, list[tuple[int, BigradedPoly]]] = {}
-    for (l, j), p in delta.items():
-        cols.setdefault(j, []).append((l, p))
-    for (i, k), g in gamma.items():
-        for j, col in cols.items():
-            for l, d in col:
-                coeff = phi_inv[k][l]
-                if not coeff:
-                    continue
-                corr = g * d * (-coeff)
-                key = (i, j)
-                cur = out.get(key)
-                s = corr if cur is None else cur + corr
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return out
-
-
-def gaussian_eliminate(C: ChainComplexOfMF) -> ChainComplexOfMF:
-    """Remove summand pairs joined by an isomorphism block of d_chi.
-
-    First splits contractible summands inside each term (transporting the
-    blocks through the tracked reductions), then repeatedly cancels a source
-    and a target summand whose connecting block is constant-invertible,
-    correcting the parallel blocks by eps' = eps - gamma phi^{-1} delta.
-    """
-    summands = {i: list(parts) for i, parts in C.summands.items()}
-    blocks = dict(C.blocks)
-
-    reductions: dict[tuple[int, int], list] = {}
-    for i, parts in summands.items():
-        for pos, part in enumerate(parts):
-            reds = split_contractibles_with_maps(part.mf)
-            if reds:
-                reductions[(i, pos)] = reds
-                summands[i][pos] = Summand(part.state, reds[-1].after)
-    if reductions:
-        moved = {}
-        for (i, ti, si), mats in blocks.items():
-            src_reds = reductions.get((i, si), [])
-            tgt_reds = reductions.get((i + 1, ti), [])
-            if src_reds or tgt_reds:
-                mats = _transport_block(mats, src_reds, tgt_reds, summands[i][si].mf)
-            moved[(i, ti, si)] = mats
-        blocks = moved
-
-    while True:
-        found = None
-        for (i, ti, si), mats in blocks.items():
-            invs = _iso_block(summands[i][si], summands[i + 1][ti], mats)
-            if invs is not None:
-                found = (i, ti, si, invs)
-                break
-        if found is None:
-            break
-        i, ti, si, invs = found
-        eps_keys = [
-            (uj, vi)
-            for uj in range(len(summands[i]))
-            if uj != si
-            for vi in range(len(summands[i + 1]))
-            if vi != ti
-        ]
-        corrected = {}
-        for uj, vi in eps_keys:
-            eps = blocks.get((i, vi, uj), ({}, {}))
-            gamma = blocks.get((i, vi, si), ({}, {}))
-            delta = blocks.get((i, ti, uj), ({}, {}))
-            mats = tuple(
-                _correct(eps[par], gamma[par], invs[par], delta[par]) for par in (0, 1)
-            )
-            corrected[(uj, vi)] = mats
-
-        src_map = {}
-        for pos in range(len(summands[i])):
-            if pos != si:
-                src_map[pos] = len(src_map)
-        tgt_map = {}
-        for pos in range(len(summands[i + 1])):
-            if pos != ti:
-                tgt_map[pos] = len(tgt_map)
-        summands[i] = [p for pos, p in enumerate(summands[i]) if pos != si]
-        summands[i + 1] = [p for pos, p in enumerate(summands[i + 1]) if pos != ti]
-
-        rebuilt = {}
-        for (j, tj, sj), mats in blocks.items():
-            if j == i:
-                continue  # replaced by the corrected family below
-            if j == i - 1:
-                if tj == si:
-                    continue  # maps into the cancelled source are dropped
-                rebuilt[(j, src_map[tj], sj)] = mats
-            elif j == i + 1:
-                if sj == ti:
-                    continue  # maps out of the cancelled target are dropped
-                rebuilt[(j, tj, tgt_map[sj])] = mats
-            else:
-                rebuilt[(j, tj, sj)] = mats
-        for (uj, vi), mats in corrected.items():
-            if mats[0] or mats[1]:
-                rebuilt[(i, tgt_map[vi], src_map[uj])] = mats
-        blocks = rebuilt
-
-    return ChainComplexOfMF(C.table, C.n, summands, blocks)

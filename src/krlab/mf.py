@@ -8,9 +8,10 @@ factorizations here are Koszul: tensor products of rank-2 pieces
     (left, right):   R --left--> R{1 - deg_a left, N+1 - deg_x left} --right--> R
 
 one per row of a KoszulSpec, with the signed Leibniz rule governing the
-tensor differential.  The module also provides the simplification moves
-(row operations, twists, variable exclusion, splitting of contractible
-summands) and the graded dimension of the killed complex.
+tensor differential.  The module also provides the two simplifications the
+pipelines use (exclusion of a variable through a unit-linear row, splitting
+of contractible summands), the exact kernel of a sparse rational matrix, and
+the graded dimension of the killed complex.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .poly import BigradedPoly, VariableTable, divide_exact, substitute
+from .poly import BigradedPoly, InvariantError, VariableTable, substitute
 
 Entry = tuple[int, int]  # (row, col)
 Matrix = dict[Entry, BigradedPoly]
-ChainVector = dict[tuple[int, int], BigradedPoly]  # (parity, index) -> coefficient
 
 
 def cast(p: BigradedPoly, table: VariableTable) -> BigradedPoly:
@@ -81,9 +81,6 @@ class KoszulSpec:
             w = w + left * right
         return w
 
-    def replaced(self, rows: Sequence[tuple[BigradedPoly, BigradedPoly]]) -> "KoszulSpec":
-        return KoszulSpec(self.table, self.n, tuple(rows))
-
 
 def koszul_row_shift(n: int, left: BigradedPoly, right: BigradedPoly) -> tuple[int, int]:
     """Degree of the odd generator of a single-row factorization.
@@ -94,68 +91,10 @@ def koszul_row_shift(n: int, left: BigradedPoly, right: BigradedPoly) -> tuple[i
     dl = left.bidegree()
     if dl is None:
         dr = right.bidegree()
-        assert dr is not None
+        if dr is None:
+            raise InvariantError("zero row (both entries vanish)")
         dl = (2 - dr[0], 2 * n + 2 - dr[1])
     return (1 - dl[0], n + 1 - dl[1])
-
-
-def row_operation(spec: KoszulSpec, i: int, j: int, c: BigradedPoly) -> KoszulSpec:
-    """[left_i + c left_j | right_i], [left_j | right_j - c right_i].
-
-    c must be homogeneous of bidegree deg left_i - deg left_j; the total
-    potential is unchanged.
-    """
-    if i == j:
-        raise ValueError("row_operation needs distinct rows")
-    li, ri = spec.rows[i]
-    lj, rj = spec.rows[j]
-    if not c.is_zero():
-        want = _deg_difference(li, ri, lj, rj, spec.n)
-        if c.bidegree() != want:
-            raise ValueError(f"coefficient degree {c.bidegree()} != {want}")
-    rows = list(spec.rows)
-    rows[i] = (li + c * lj, ri)
-    rows[j] = (lj, rj - c * ri)
-    out = spec.replaced(rows)
-    assert out.potential() == spec.potential()
-    return out
-
-
-def twist(spec: KoszulSpec, i: int, j: int, k: BigradedPoly) -> KoszulSpec:
-    """[left_i + k right_j | right_i], [left_j - k right_i | right_j].
-
-    k must be homogeneous of bidegree deg left_i + deg left_j - (2, 2N+2).
-    """
-    if i == j:
-        raise ValueError("twist needs distinct rows")
-    li, ri = spec.rows[i]
-    lj, rj = spec.rows[j]
-    if not k.is_zero():
-        di = _left_degree(li, ri, spec.n)
-        dj = _left_degree(lj, rj, spec.n)
-        want = (di[0] + dj[0] - 2, di[1] + dj[1] - (2 * spec.n + 2))
-        if k.bidegree() != want:
-            raise ValueError(f"twist degree {k.bidegree()} != {want}")
-    rows = list(spec.rows)
-    rows[i] = (li + k * rj, ri)
-    rows[j] = (lj - k * ri, rj)
-    out = spec.replaced(rows)
-    assert out.potential() == spec.potential()
-    return out
-
-
-def _left_degree(left, right, n):
-    d = left.bidegree()
-    if d is None:
-        dr = right.bidegree()
-        d = (2 - dr[0], 2 * n + 2 - dr[1])
-    return d
-
-
-def _deg_difference(li, ri, lj, rj, n):
-    di = _left_degree(li, ri, n)
-    dj = _left_degree(lj, rj, n)
-    return (di[0] - dj[0], di[1] - dj[1])
 
 
 @dataclass(frozen=True)
@@ -167,11 +106,8 @@ class ExclusionStep:
     equivalence over the smaller ring.
     """
 
-    spec_before: KoszulSpec
     spec_after: KoszulSpec
-    row: int
     var: str
-    unit: Fraction
     image: BigradedPoly  # over spec_after.table
 
 
@@ -196,7 +132,7 @@ def exclude_variable(spec: KoszulSpec, row: int, var: str) -> ExclusionStep:
     solved = linear_unit_solve(right, var)
     if solved is None:
         raise ValueError(f"row {row} right entry is not unit-linear in {var}")
-    u, p = solved
+    p = solved[1]
     if p.degree_in(var):
         raise ValueError("variable appears in its own image")
     new_table = spec.table.without([var])
@@ -211,8 +147,9 @@ def exclude_variable(spec: KoszulSpec, row: int, var: str) -> ExclusionStep:
         )
     after = KoszulSpec(new_table, spec.n, tuple(rows))
     # potential of the dropped row dies under the substitution
-    assert after.potential() == substitute(spec.potential(), sub, new_table)
-    return ExclusionStep(spec, after, row, var, u, image)
+    if after.potential() != substitute(spec.potential(), sub, new_table):
+        raise InvariantError("exclusion changed the potential")
+    return ExclusionStep(after, var, image)
 
 
 def find_exclusion(spec: KoszulSpec, allowed: Iterable[str]) -> tuple[int, str] | None:
@@ -271,11 +208,11 @@ class MatrixFactorization:
         return self.d0 if parity % 2 == 0 else self.d1
 
     def verify(self) -> None:
-        """Assert the defining identities; raise AssertionError on violation."""
+        """Check the defining identities; raise InvariantError on violation."""
         w = self.potential
         wdeg = w.bidegree()
         if wdeg is not None and wdeg != (2, 2 * self.n + 2):
-            raise AssertionError(f"potential degree {wdeg}")
+            raise InvariantError(f"potential degree {wdeg}")
         self._verify_entry_degrees(self.d0, self.basis0, self.basis1)
         self._verify_entry_degrees(self.d1, self.basis1, self.basis0)
         self._verify_square(self.d1, self.d0, len(self.basis0))
@@ -288,17 +225,17 @@ class MatrixFactorization:
             want = (1 + sj - tj, self.n + 1 + sx - tx)
             got = p.bidegree()
             if got is not None and got != want:
-                raise AssertionError(f"entry degree {got}, expected {want}")
+                raise InvariantError(f"entry degree {got}, expected {want}")
 
     def _verify_square(self, second: Matrix, first: Matrix, size: int) -> None:
         prod = compose(second, first)
         for j in range(size):
             diag = prod.pop((j, j), BigradedPoly.zero(self.table))
             if diag != self.potential:
-                raise AssertionError("d^2 diagonal differs from potential")
+                raise InvariantError("d^2 diagonal differs from potential")
         for entry, p in prod.items():
             if not p.is_zero():
-                raise AssertionError(f"d^2 off-diagonal at {entry}")
+                raise InvariantError(f"d^2 off-diagonal at {entry}")
 
     def shifted(self, da: int, dx: int, flip: int = 0) -> "MatrixFactorization":
         b0 = [(a + da, x + dx) for a, x in self.basis0]
@@ -322,8 +259,10 @@ def compose(second: Matrix, first: Matrix) -> Matrix:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def shift(M: MatrixFactorization, da: int, dx: int, flip: int = 0) -> MatrixFactorization:
-    return M.shifted(da, dx, flip)
+def koszul_masks(nrows: int) -> tuple[list[int], list[int]]:
+    masks0 = sorted(m for m in range(1 << nrows) if bin(m).count("1") % 2 == 0)
+    masks1 = sorted(m for m in range(1 << nrows) if bin(m).count("1") % 2 == 1)
+    return masks0, masks1
 
 
 def koszul(spec: KoszulSpec) -> MatrixFactorization:
@@ -335,8 +274,7 @@ def koszul(spec: KoszulSpec) -> MatrixFactorization:
     nrows = len(spec.rows)
     table = spec.table
     shifts = [koszul_row_shift(spec.n, l, r) for l, r in spec.rows]
-    masks0 = sorted(m for m in range(1 << nrows) if bin(m).count("1") % 2 == 0)
-    masks1 = sorted(m for m in range(1 << nrows) if bin(m).count("1") % 2 == 1)
+    masks0, masks1 = koszul_masks(nrows)
     index0 = {m: i for i, m in enumerate(masks0)}
     index1 = {m: i for i, m in enumerate(masks1)}
 
@@ -371,12 +309,6 @@ def koszul(spec: KoszulSpec) -> MatrixFactorization:
     return MatrixFactorization(table, spec.n, spec.potential(), basis0, basis1, d0, d1)
 
 
-def koszul_masks(nrows: int) -> tuple[list[int], list[int]]:
-    masks0 = sorted(m for m in range(1 << nrows) if bin(m).count("1") % 2 == 0)
-    masks1 = sorted(m for m in range(1 << nrows) if bin(m).count("1") % 2 == 1)
-    return masks0, masks1
-
-
 def tensor(M: MatrixFactorization, M2: MatrixFactorization) -> MatrixFactorization:
     """Tensor product with the signed Leibniz rule; potentials add."""
     if M.table != M2.table or M.n != M2.n:
@@ -407,7 +339,8 @@ def tensor(M: MatrixFactorization, M2: MatrixFactorization) -> MatrixFactorizati
     def add(src_key, tgt_key, p):
         se, si = loc[src_key]
         te, ti = loc[tgt_key]
-        assert te == (se + 1) % 2
+        if te != (se + 1) % 2:
+            raise InvariantError("tensor differential preserves parity")
         mat = d0 if se == 0 else d1
         cur = mat.get((ti, si))
         mat[(ti, si)] = p if cur is None else cur + p
@@ -424,143 +357,9 @@ def tensor(M: MatrixFactorization, M2: MatrixFactorization) -> MatrixFactorizati
     return MatrixFactorization(table, M.n, M.potential + M2.potential, basis0, basis1, d0, d1)
 
 
-# ---------------------------------------------------------------------------
-# Reductions with tracked chain maps
-
-
-@dataclass
-class Reduction:
-    """Homotopy equivalence M_before ~ M_after with explicit chain maps.
-
-    pi: vectors over M_before -> vectors over M_after
-    iota: vectors over M_after -> vectors over M_before
-    Vectors are {(parity, index): coefficient} sparse maps.
-    """
-
-    before: MatrixFactorization
-    after: MatrixFactorization
-    pi: Callable[[ChainVector], ChainVector]
-    iota: Callable[[ChainVector], ChainVector]
-
-
-def _vec_add(acc: ChainVector, key, p: BigradedPoly) -> None:
-    cur = acc.get(key)
-    s = p if cur is None else cur + p
-    if s.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = s
-
-
-def apply_matrix(M: MatrixFactorization, vec: ChainVector) -> ChainVector:
-    """Apply the total differential d0 + d1 to a chain vector."""
-    out: ChainVector = {}
-    for (par, idx), coeff in vec.items():
-        for (ti, si), p in M.differential(par).items():
-            if si == idx:
-                _vec_add(out, ((par + 1) % 2, ti), p * coeff)
-    return out
-
-
-def exclusion_reduction(step: ExclusionStep) -> Reduction:
-    """Chain maps for one variable exclusion on the Koszul basis.
-
-    pi substitutes var := image and keeps the generators with the excluded
-    row's bit unset; iota lifts and adds the division-remainder correction
-    on the bit-set generators.
-    """
-    spec, after_spec = step.spec_before, step.spec_after
-    nrows = len(spec.rows)
-    row, var, u = step.row, step.var, step.unit
-    if spec.potential().degree_in(var):
-        # a strict section onto the substituted factorization only exists
-        # when the total potential does not involve the excluded variable
-        raise ValueError(f"potential involves excluded variable {var}")
-    big, small = spec.table, after_spec.table
-    vpoly = BigradedPoly.variable(big, var)
-    image_big = cast(step.image, big)
-    v_minus_p = vpoly - image_big
-    sub = {var: step.image}
-
-    masks0, masks1 = koszul_masks(nrows)
-    index = {}
-    for i, m in enumerate(masks0):
-        index[m] = (0, i)
-    for i, m in enumerate(masks1):
-        index[m] = (1, i)
-    # reduced basis: masks with the excluded bit unset, re-indexed after bit removal
-    red0, red1 = koszul_masks(nrows - 1)
-    red_index = {}
-    for i, m in enumerate(red0):
-        red_index[m] = (0, i)
-    for i, m in enumerate(red1):
-        red_index[m] = (1, i)
-
-    def drop_bit(mask: int) -> int:
-        low = mask & ((1 << row) - 1)
-        high = mask >> (row + 1)
-        return low | (high << row)
-
-    def lift_mask(mask: int) -> int:
-        low = mask & ((1 << row) - 1)
-        high = mask >> row
-        return low | (high << (row + 1))
-
-    before_mf = koszul(spec)
-    after_mf = koszul(after_spec)
-
-    def pi(vec: ChainVector) -> ChainVector:
-        out: ChainVector = {}
-        for (par, idx), coeff in vec.items():
-            mask = (masks0 if par == 0 else masks1)[idx]
-            if mask >> row & 1:
-                continue
-            img = substitute(coeff, sub, small)
-            if not img.is_zero():
-                _vec_add(out, red_index[drop_bit(mask)], img)
-        return out
-
-    def slot_sign(mask: int) -> int:
-        return 1 if bin(mask & ((1 << row) - 1)).count("1") % 2 == 0 else -1
-
-    corrections: dict[int, list[tuple[int, BigradedPoly]]] = {}
-
-    def mask_corrections(big_mask: int) -> list[tuple[int, BigradedPoly]]:
-        got = corrections.get(big_mask)
-        if got is not None:
-            return got
-        # divide the excluded-variable dependence of d(e_b) by (v - p)
-        found: list[tuple[int, BigradedPoly]] = []
-        image = apply_matrix(before_mf, {index[big_mask]: BigradedPoly.one(big)})
-        for (par2, idx2), q in image.items():
-            mask2 = (masks0 if par2 == 0 else masks1)[idx2]
-            if mask2 >> row & 1:
-                continue
-            diff = q - cast(substitute(q, sub, small), big)
-            if diff.is_zero():
-                continue
-            rho = divide_exact(diff, v_minus_p)
-            found.append((mask2 | (1 << row), rho * (Fraction(-1) / u) * slot_sign(mask2)))
-        corrections[big_mask] = found
-        return found
-
-    def iota(vec: ChainVector) -> ChainVector:
-        out: ChainVector = {}
-        for (par, idx), coeff in vec.items():
-            mask = (red0 if par == 0 else red1)[idx]
-            big_mask = lift_mask(mask)
-            lifted = cast(coeff, big)
-            _vec_add(out, index[big_mask], lifted)
-            for tgt_mask, rho in mask_corrections(big_mask):
-                _vec_add(out, index[tgt_mask], rho * lifted)
-        return out
-
-    return Reduction(before_mf, after_mf, pi, iota)
-
-
 def _eliminate_pair(
     M: MatrixFactorization, par: int, i_tgt: int, i_src: int
-) -> Reduction:
+) -> MatrixFactorization:
     """Gaussian elimination of one constant entry of the differential.
 
     par is the parity of the source generator; the entry sits in d_par at
@@ -603,39 +402,8 @@ def _eliminate_pair(
     nb_src = [M.basis(par)[k] for k in src_keep]
     nb_tgt = [M.basis((par + 1) % 2)[k] for k in tgt_keep]
     if par == 0:
-        after = MatrixFactorization(table, M.n, M.potential, nb_src, nb_tgt, d_same, d_other)
-    else:
-        after = MatrixFactorization(table, M.n, M.potential, nb_tgt, nb_src, d_other, d_same)
-
-    def pi(vec: ChainVector) -> ChainVector:
-        out: ChainVector = {}
-        for (p_, idx), coeff in vec.items():
-            if p_ == par:
-                if idx == i_src:
-                    continue
-                _vec_add(out, (par, src_pos[idx]), coeff)
-            else:
-                if idx == i_tgt:
-                    for i, g in gamma.items():
-                        _vec_add(out, ((par + 1) % 2, tgt_pos[i]), -cinv * g * coeff)
-                    continue
-                _vec_add(out, ((par + 1) % 2, tgt_pos[idx]), coeff)
-        return out
-
-    def iota(vec: ChainVector) -> ChainVector:
-        out: ChainVector = {}
-        for (p_, idx), coeff in vec.items():
-            if p_ == par:
-                k = src_keep[idx]
-                _vec_add(out, (par, k), coeff)
-                dl = delta.get(k)
-                if dl is not None:
-                    _vec_add(out, (par, i_src), -cinv * dl * coeff)
-            else:
-                _vec_add(out, ((par + 1) % 2, tgt_keep[idx]), coeff)
-        return out
-
-    return Reduction(M, after, pi, iota)
+        return MatrixFactorization(table, M.n, M.potential, nb_src, nb_tgt, d_same, d_other)
+    return MatrixFactorization(table, M.n, M.potential, nb_tgt, nb_src, d_other, d_same)
 
 
 def find_constant_entry(M: MatrixFactorization) -> tuple[int, int, int] | None:
@@ -653,19 +421,7 @@ def split_contractibles(M: MatrixFactorization) -> MatrixFactorization:
         if found is None:
             return M
         par, i, j = found
-        M = _eliminate_pair(M, par, i, j).after
-
-
-def split_contractibles_with_maps(M: MatrixFactorization) -> list[Reduction]:
-    steps: list[Reduction] = []
-    while True:
-        found = find_constant_entry(M)
-        if found is None:
-            return steps
-        par, i, j = found
-        red = _eliminate_pair(M, par, i, j)
-        steps.append(red)
-        M = red.after
+        M = _eliminate_pair(M, par, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -748,28 +504,41 @@ def _monomials_of_degree(names: Sequence[str], degrees: Sequence[int], total: in
             yield tail
 
 
-def _rank_of_rows(rows: list[dict[int, Fraction]]) -> int:
-    """Row rank by exact Gaussian elimination on sparse rows."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            if lead in pivots:
-                piv = pivots[lead]
-                factor = row[lead] / piv[lead]
-                for c, v in piv.items():
-                    s = row.get(c, Fraction(0)) - factor * v
-                    if s:
-                        row[c] = s
-                    else:
-                        row.pop(c, None)
-            else:
-                pivots[lead] = row
-                rank += 1
+def kernel(cols: Sequence[Mapping[int, Fraction | int]]) -> list[dict[int, Fraction]]:
+    """Kernel of a rational matrix given as sparse columns {row: entry}.
+
+    Exact Gaussian elimination with the least row index as pivot.  Each
+    returned combination {column index: coefficient} sends the columns to
+    zero, and the combinations are independent, so the rank of the matrix
+    is len(cols) - len(kernel(cols)).  Entries may be int or Fraction.
+    """
+    pivots: dict[int, tuple[dict, dict]] = {}
+    out: list[dict[int, Fraction]] = []
+    for idx, col in enumerate(cols):
+        col = dict(col)
+        combo: dict[int, Fraction] = {idx: Fraction(1)}
+        while col:
+            lead = min(col)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = (col, combo)
                 break
-    return rank
+            pcol, pcombo = piv
+            factor = Fraction(col[lead]) / pcol[lead]
+            for target, source in ((col, pcol), (combo, pcombo)):
+                for key, v in source.items():
+                    s = target.get(key, 0) - factor * v
+                    if s:
+                        target[key] = s
+                    else:
+                        target.pop(key, None)
+        if not col:
+            out.append(combo)
+    return out
+
+
+def rank(cols: Sequence[Mapping[int, Fraction | int]]) -> int:
+    return len(cols) - len(kernel(cols))
 
 
 def gdim(
@@ -837,13 +606,12 @@ def gdim(
                 prod = poly * mp
                 for e, c in prod.terms.items():
                     m2 = {}
-                    ok = True
                     for pos_i, nm in zip(surv_idx, surv_names):
                         if e[pos_i]:
                             m2[nm] = e[pos_i]
                     tkey = (ti, tuple(sorted(m2.items())))
                     if tkey not in tgt_pos:
-                        raise AssertionError("image outside enumerated slice")
+                        raise InvariantError("image outside enumerated slice")
                     idx = tgt_pos[tkey]
                     col[idx] = col.get(idx, Fraction(0)) + c
             cols.append({k2: v for k2, v in col.items() if v})
@@ -868,13 +636,13 @@ def gdim(
                     continue
                 out_tgt = get_basis((par + 1) % 2, j + 1, k + M.n + 1)
                 in_src = get_basis((par + 1) % 2, j - 1, k - M.n - 1)
-                rank_out = _rank_of_rows(slice_matrix(par, j, k, src, out_tgt))
-                rank_in = _rank_of_rows(
+                rank_out = rank(slice_matrix(par, j, k, src, out_tgt))
+                rank_in = rank(
                     slice_matrix((par + 1) % 2, j - 1, k - M.n - 1, in_src, src)
                 ) if in_src else 0
                 dim = len(src) - rank_out - rank_in
                 if dim < 0:
-                    raise AssertionError("negative slice dimension")
+                    raise InvariantError("negative slice dimension")
                 if dim:
                     terms[(par, j, k)] = dim
     return GdimSeries(terms, x_truncation)

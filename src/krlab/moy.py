@@ -27,6 +27,7 @@ from .poly import (
     KIND_MARK,
     KIND_SYM,
     BigradedPoly,
+    InvariantError,
     Variable,
     VariableTable,
     divide_exact,
@@ -42,7 +43,6 @@ from .mf import (
     find_exclusion,
     gdim,
     koszul,
-    shift,
     split_contractibles,
 )
 
@@ -295,7 +295,8 @@ def vertex_factorization(v: MoyVertex, n: int, table: VariableTable) -> KoszulSp
     for left, right in spec.rows:
         total = total + left * right
     want = a * (power_sum_in_elementary(xs, n + 1) - power_sum_in_elementary(ys, n + 1))
-    assert total == want, "vertex potential mismatch"
+    if total != want:
+        raise InvariantError("vertex potential mismatch")
     return spec
 
 
@@ -303,7 +304,8 @@ def _difference_quotient(table, xs, ys, j, m, n) -> BigradedPoly:
     """[p(Y1..Y_{j-1}, X_j..X_m) - p(Y1..Y_j, X_{j+1}..X_m)] / (X_j - Y_j),
     computed through a fresh symbol so that X_j = Y_j is allowed."""
     fresh = "tQuot"
-    assert fresh not in table
+    if fresh in table:
+        raise InvariantError(f"reserved symbol {fresh} already in the ring")
     big = VariableTable(list(table.variables) + [Variable(fresh, KIND_SYM, (0, 2 * j))])
     t = BigradedPoly.variable(big, fresh)
     up = [cast(p, big) for p in xs]
@@ -356,9 +358,10 @@ def reduced_graph_spec(graph: MoyGraph, n: int) -> tuple[KoszulSpec, tuple[int, 
 
 def graph_factorization(graph: MoyGraph, n: int) -> MatrixFactorization:
     spec, (sa, sx) = reduced_graph_spec(graph, n)
-    M = split_contractibles(shift(koszul(spec), sa, sx))
+    M = split_contractibles(koszul(spec).shifted(sa, sx))
     want = cast(graph_potential(graph, n, graph.table()), spec.table)
-    assert M.potential == want, "boundary potential mismatch"
+    if M.potential != want:
+        raise InvariantError("boundary potential mismatch")
     return M
 
 
@@ -391,32 +394,10 @@ def with_extra_mark(graph: MoyGraph, edge_id: str, alph: str) -> MoyGraph:
 
 
 def builtin_graph(name: str) -> MoyGraph:
-    builders = {
-        "circle": _circle,
-        "wide-edge": _wide_edge,
-        "theta-split": _theta_split,
-        "r3-gamma": _r3_gamma,
-        "r3-gamma0": _r3_gamma0,
-        "r3-gamma1": _r3_gamma1,
-        "crossing-gamma0": _crossing_gamma0,
-        "crossing-gamma1": _crossing_gamma1,
-    }
-    if name not in builders:
-        raise ValueError(f"unknown builtin graph {name!r} (known: {', '.join(sorted(builders))})")
-    return builders[name]()
-
-
-def builtin_graph_names() -> list[str]:
-    return [
-        "circle",
-        "wide-edge",
-        "theta-split",
-        "r3-gamma",
-        "r3-gamma0",
-        "r3-gamma1",
-        "crossing-gamma0",
-        "crossing-gamma1",
-    ]
+    if name not in BUILTIN_GRAPHS:
+        known = ", ".join(sorted(BUILTIN_GRAPHS))
+        raise ValueError(f"unknown builtin graph {name!r} (known: {known})")
+    return BUILTIN_GRAPHS[name]()
 
 
 def _circle() -> MoyGraph:
@@ -499,3 +480,15 @@ def _crossing_gamma1() -> MoyGraph:
     ]
     marks = [("bl", "y2"), ("br", "x2"), ("mid", "W"), ("tl", "x1"), ("tr", "y1")]
     return build_graph(edges, marks)
+
+
+BUILTIN_GRAPHS = {
+    "circle": _circle,
+    "wide-edge": _wide_edge,
+    "theta-split": _theta_split,
+    "r3-gamma": _r3_gamma,
+    "r3-gamma0": _r3_gamma0,
+    "r3-gamma1": _r3_gamma1,
+    "crossing-gamma0": _crossing_gamma0,
+    "crossing-gamma1": _crossing_gamma1,
+}

@@ -16,13 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 KIND_A = "a"
 KIND_MARK = "mark"
 KIND_SYM = "elementary-symmetric"
 
 _KIND_DEGREES = {KIND_A: (2, 0), KIND_MARK: (0, 2)}
+
+
+class InvariantError(AssertionError):
+    """An internal consistency check failed; unlike assert, never stripped by -O."""
 
 
 @dataclass(frozen=True)
@@ -281,17 +285,6 @@ class BigradedPoly:
                     factors.append(f"{name}^{k}")
             parts.append("*".join(factors))
         return " + ".join(parts)
-
-
-def arith(p: BigradedPoly, q: BigradedPoly, op: str) -> BigradedPoly:
-    """Dispatch form of +, *, - used by callers that take the op as data."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")
 
 
 def divide_exact(p: BigradedPoly, d: BigradedPoly) -> BigradedPoly:

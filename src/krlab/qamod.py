@@ -35,11 +35,12 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .cube import ChainComplexOfMF
-from .poly import KIND_A, KIND_MARK
-from .skein import ATOM_ALPHA, Laurent, RationalFunction, SkeinValue, atom_xi1
+from .mf import kernel, rank
+from .poly import KIND_A, KIND_MARK, InvariantError
+from .skein import ATOM_ALPHA, Laurent, SkeinValue, atom_xi1
 
 Mono = tuple[Fraction, int]  # coefficient, a-exponent
 Vec = dict[int, Mono]
@@ -56,7 +57,7 @@ def _vec_accumulate(vec: Vec, idx: int, coeff: Fraction, exp: int) -> None:
         return
     c0, e0 = cur
     if e0 != exp:
-        raise AssertionError("inhomogeneous accumulation")
+        raise InvariantError("inhomogeneous accumulation")
     s = c0 + coeff
     if s:
         vec[idx] = (s, exp)
@@ -227,7 +228,7 @@ class SmithResult:
         out: Vec = {}
         for c, mono in w.items():
             if c not in pos:
-                raise AssertionError("vector is not in the kernel")
+                raise InvariantError("vector is not in the kernel")
             out[pos[c]] = mono
         return out
 
@@ -243,10 +244,10 @@ class SmithResult:
                 continue
             coeff, exp = got
             if exp < e:
-                raise AssertionError("vector is not in the image")
+                raise InvariantError("vector is not in the image")
             out[t] = (coeff, exp - e)
         if w:
-            raise AssertionError("vector is not in the image")
+            raise InvariantError("vector is not in the image")
         return out
 
     def reconstruct(self) -> dict:
@@ -260,7 +261,7 @@ class SmithResult:
                         out[(r, c)] = (uc * vc, ue + ve + e)
                         continue
                     if cur[1] != ue + ve + e:
-                        raise AssertionError("graded collision in reconstruct")
+                        raise InvariantError("graded collision in reconstruct")
                     s = cur[0] + uc * vc
                     if s:
                         out[(r, c)] = (s, cur[1])
@@ -307,7 +308,7 @@ def smith(M: SliceMatrix) -> SmithResult:
             heapq.heappush(heap, (exp, r, c))
             return
         if cur[1] != exp:
-            raise AssertionError("graded collision in smith")
+            raise InvariantError("graded collision in smith")
         s = cur[0] + coeff
         if s:
             mono = (s, exp)
@@ -360,7 +361,7 @@ def smith(M: SliceMatrix) -> SmithResult:
         col = by_col.pop(c0)
         del col[r0]
         if row or col:
-            raise AssertionError("pivot row or column not cleared")
+            raise InvariantError("pivot row or column not cleared")
         pivots.append((r0, c0, pe))
     return SmithResult(M, pivots, row_t, row_t_inv, col_t, col_t_inv)
 
@@ -545,7 +546,7 @@ def _reduce_complex(C: ChainComplexOfMF, top: int, kill_a: bool = False) -> _Red
             return
         c0, e0 = cur
         if e0 != exp:
-            raise AssertionError("graded collision in reduction")
+            raise InvariantError("graded collision in reduction")
         c = c0 + coeff
         if c:
             out[s][t] = (c, exp)
@@ -659,16 +660,16 @@ def _reduce_complex(C: ChainComplexOfMF, top: int, kill_a: bool = False) -> _Red
             di = tkey[1] - i
             if di == 0:
                 if mono[1] == 0:
-                    raise AssertionError("unit entry survived the reduction")
+                    raise InvariantError("unit entry survived the reduction")
                 if tkey != ((eps + 1) % 2, i, k + n + 1):
-                    raise AssertionError("slice slope broken")
+                    raise InvariantError("slice slope broken")
                 d0.setdefault(key, {})[(tpos, pos)] = mono
             elif di == 1:
                 if tkey != (eps, i + 1, k):
-                    raise AssertionError("slice slope broken")
+                    raise InvariantError("slice slope broken")
                 d1.setdefault(key, {})[(tpos, pos)] = mono
             elif di < 0:
-                raise AssertionError("backwards correction")
+                raise InvariantError("backwards correction")
             # di >= 2 corrections are dropped: not part of the two-stage answer
     return _Reduced(n, labels, d0, d1)
 
@@ -832,7 +833,7 @@ def two_stage_homology(C: ChainComplexOfMF, x_window=None) -> GradedQaModule:
             if not w:
                 continue
             if tgt is None:
-                raise AssertionError("induced map into an empty slice")
+                raise InvariantError("induced map into an empty slice")
             for r, mono in tgt.out_smith.kernel_coords(w).items():
                 cells[(r, c)] = mono
         return SliceMatrix(st.labels, tgt_labels, 0, cells)
@@ -916,23 +917,6 @@ def specialize(M: GradedQaModule, at: str) -> dict:
     return out
 
 
-def _alpha_geometric(n: int) -> SkeinValue:
-    den = Counter({ATOM_ALPHA: 1})
-    return SkeinValue(
-        n,
-        RationalFunction(1, Laurent.one(), den),
-        RationalFunction(-1, Laurent.one(), Counter(den)),
-    )
-
-
-def _pair(n: int, num: Laurent, den: Counter) -> SkeinValue:
-    return SkeinValue(
-        n,
-        RationalFunction(1, num, Counter(den)),
-        RationalFunction(-1, num, Counter(den)),
-    )
-
-
 def euler_characteristic(M: GradedQaModule) -> SkeinValue:
     """Alternating sum of graded dimensions, as an exact rational function.
 
@@ -958,20 +942,21 @@ def euler_characteristic(M: GradedQaModule) -> SkeinValue:
                     "widen the window to decategorify exactly"
                 )
     total = SkeinValue.zero(n)
+    geometric = SkeinValue.tau_free(n, Laurent.one(), Counter({ATOM_ALPHA: 1}))
     for (eps, i, k), sm in sorted(M.slices.items()):
         start = covered.get((eps, i, k % 2))
         if start is not None and k >= start:
             continue
         sign = 1 if i % 2 == 0 else -1
         for s in sm.free:
-            term = SkeinValue.from_monomial(n, sign, s, k) * _alpha_geometric(n)
+            term = SkeinValue.from_monomial(n, sign, s, k) * geometric
             total = total + (term.times_tau() if eps else term)
         if sm.torsion:
             num = Laurent.zero()
             for l, t in sm.torsion:
                 for e in range(l):
                     num = num + Laurent.monomial(sign, t + 2 * e, k)
-            term = _pair(n, num, Counter())
+            term = SkeinValue.tau_free(n, num)
             total = total + (term.times_tau() if eps else term)
     for tail in M.tails:
         sign = 1 if tail.i % 2 == 0 else -1
@@ -984,36 +969,13 @@ def euler_characteristic(M: GradedQaModule) -> SkeinValue:
                     num = num + Laurent.monomial(
                         sign * cj, t + 2 * e, tail.start + j - 1
                     )
-                term = _pair(n, num, Counter({atom_xi1(): j + 1}))
+                term = SkeinValue.tau_free(n, num, Counter({atom_xi1(): j + 1}))
                 total = total + (term.times_tau() if tail.eps else term)
     return total.stripped()
 
 
 # ---------------------------------------------------------------------------
 # Homology with the a-action killed
-
-
-def _q_rank(cols: list[dict[int, Fraction]]) -> int:
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
-    for col in cols:
-        col = dict(col)
-        while col:
-            lead = min(col)
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = col
-                rank += 1
-                break
-            factor = Fraction(col[lead]) / piv[lead]
-            for r, v in piv.items():
-                s = col.get(r, 0) - factor * v
-                if s:
-                    col[r] = s
-                else:
-                    col.pop(r, None)
-        # an emptied column is dependent
-    return rank
 
 
 def mod_a_homology(C: ChainComplexOfMF, x_window=None) -> dict:
@@ -1031,7 +993,7 @@ def mod_a_homology(C: ChainComplexOfMF, x_window=None) -> dict:
     red = _reduce_complex(C, hi + n + 1, kill_a=True)
     for key, cells in red.d0.items():
         if cells:
-            raise AssertionError("first-stage differential survives modulo a")
+            raise InvariantError("first-stage differential survives modulo a")
 
     # regroup each slice by the generator a-degree
     bases: dict[tuple[int, int, int, int], int] = {}
@@ -1061,14 +1023,14 @@ def mod_a_homology(C: ChainComplexOfMF, x_window=None) -> dict:
             sub[pos] = len(sub)
         for (r, c), (coeff, exp) in cells.items():
             if exp:
-                raise AssertionError("a-power survives modulo a")
+                raise InvariantError("a-power survives modulo a")
             ja = labels[c]
             if tgt_labels[r] != ja:
-                raise AssertionError("a-degree drift modulo a")
+                raise InvariantError("a-degree drift modulo a")
             by_j.setdefault(ja, {}).setdefault(c, {})[tgt_index[ja][r]] = coeff
         for ja, cols in by_j.items():
             mat = [cols.get(c, {}) for c in sorted(cols)]
-            ranks[(eps, i, ja, k)] = _q_rank(mat)
+            ranks[(eps, i, ja, k)] = rank(mat)
 
     out: dict[tuple[int, int, int, int], int] = {}
     for (eps, i, ja, k), count in bases.items():
@@ -1076,42 +1038,10 @@ def mod_a_homology(C: ChainComplexOfMF, x_window=None) -> dict:
             continue
         dim = count - ranks.get((eps, i, ja, k), 0) - ranks.get((eps, i - 1, ja, k), 0)
         if dim < 0:
-            raise AssertionError("negative slice dimension")
+            raise InvariantError("negative slice dimension")
         if dim:
             out[(eps, i, ja, k)] = dim
     return out
-
-
-def _q_kernel_basis(cols: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
-    """Kernel basis of a rational matrix given as columns, in column coords."""
-    pivots: dict[int, tuple[dict, dict]] = {}
-    kernel: list[dict[int, Fraction]] = []
-    for idx, col in enumerate(cols):
-        col = dict(col)
-        combo: dict[int, Fraction] = {idx: Fraction(1)}
-        while col:
-            lead = min(col)
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = (col, combo)
-                break
-            pcol, pcombo = piv
-            factor = Fraction(col[lead]) / pcol[lead]
-            for r, v in pcol.items():
-                s = col.get(r, 0) - factor * v
-                if s:
-                    col[r] = s
-                else:
-                    col.pop(r, None)
-            for c, v in pcombo.items():
-                s = combo.get(c, 0) - factor * v
-                if s:
-                    combo[c] = s
-                else:
-                    combo.pop(c, None)
-        if not col:
-            kernel.append(combo)
-    return kernel
 
 
 def a_one_dimensions(C: ChainComplexOfMF, x_window=None) -> dict:
@@ -1168,9 +1098,9 @@ def a_one_dimensions(C: ChainComplexOfMF, x_window=None) -> dict:
     for key in red.slices:
         if key[2] > hi:
             continue
-        kernels[key] = _q_kernel_basis(out_cols(key))
+        kernels[key] = kernel(out_cols(key))
         images[key] = image_cols(key)
-    rank_ib = {key: _q_rank(ib) for key, ib in images.items()}
+    rank_ib = {key: rank(ib) for key, ib in images.items()}
 
     phibar = {}
     for key, kb in kernels.items():
@@ -1178,7 +1108,7 @@ def a_one_dimensions(C: ChainComplexOfMF, x_window=None) -> dict:
         nxt = (eps, i + 1, k)
         moved = push(key, kb)
         if moved:
-            phibar[key] = _q_rank(moved + images.get(nxt, [])) - rank_ib.get(nxt, 0)
+            phibar[key] = rank(moved + images.get(nxt, [])) - rank_ib.get(nxt, 0)
 
     out: dict[tuple[int, int, int], int] = {}
     for key, kb in kernels.items():
@@ -1188,7 +1118,7 @@ def a_one_dimensions(C: ChainComplexOfMF, x_window=None) -> dict:
         h1 = len(kb) - rank_ib.get(key, 0)
         dim = h1 - phibar.get(key, 0) - phibar.get((eps, i - 1, k), 0)
         if dim < 0:
-            raise AssertionError("negative slice dimension")
+            raise InvariantError("negative slice dimension")
         if dim:
             out[key] = dim
     return out

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .braid import BraidWord, markov_search, simplify, word_text
+from .braid import BraidWord, _order_key, markov_search, simplify, word_text
 
 MAX_BUDGET = 10**6
 
@@ -250,10 +250,6 @@ class RationalFunction:
         if self.num.is_zero and self.den:
             object.__setattr__(self, "den", Counter())
 
-    @staticmethod
-    def from_laurent(tau: int, num: Laurent) -> "RationalFunction":
-        return RationalFunction(tau, num, Counter())
-
     def stripped(self) -> "RationalFunction":
         """Cancel denominator atoms that divide the numerator exactly."""
         num, den = self.num, Counter(self.den)
@@ -396,21 +392,21 @@ class SkeinValue:
             raise ValueError("components assigned to the wrong tau evaluation")
 
     @staticmethod
-    def zero(n: int) -> "SkeinValue":
+    def tau_free(n: int, num: Laurent, den: Counter | None = None) -> "SkeinValue":
+        """The value num / den, with the same fraction at tau = +1 and -1."""
         return SkeinValue(
             n,
-            RationalFunction.from_laurent(1, Laurent.zero()),
-            RationalFunction.from_laurent(-1, Laurent.zero()),
+            RationalFunction(1, num, Counter(den)),
+            RationalFunction(-1, num, Counter(den)),
         )
 
     @staticmethod
+    def zero(n: int) -> "SkeinValue":
+        return SkeinValue.tau_free(n, Laurent.zero())
+
+    @staticmethod
     def from_monomial(n: int, coeff, da: int = 0, dx: int = 0) -> "SkeinValue":
-        mono = Laurent.monomial(coeff, da, dx)
-        return SkeinValue(
-            n,
-            RationalFunction.from_laurent(1, mono),
-            RationalFunction.from_laurent(-1, mono),
-        )
+        return SkeinValue.tau_free(n, Laurent.monomial(coeff, da, dx))
 
     def __add__(self, other: "SkeinValue") -> "SkeinValue":
         return SkeinValue(self.n, self.plus + other.plus, self.minus + other.minus)
@@ -508,6 +504,7 @@ def unlink_value(m: int, n: int) -> SkeinValue:
 
 
 _memo: dict[tuple, SkeinValue] = {}
+_SMOOTHING = atom_poly(atom_xi1(), 1)  # the smoothing coefficient xi^-1 - xi
 
 
 def _cyclic_square(w: BraidWord) -> tuple[BraidWord, BraidWord] | None:
@@ -524,10 +521,6 @@ def _cyclic_square(w: BraidWord) -> tuple[BraidWord, BraidWord] | None:
                 BraidWord(w.strands, base[1:]),
             )
     return None
-
-
-def _order_key(w: BraidWord) -> tuple:
-    return (w.strands, len(w.letters), w.letters)
 
 
 def _positive_split(w: BraidWord, budget: int) -> tuple[BraidWord, BraidWord] | BraidWord:
@@ -577,6 +570,7 @@ def _evaluate(w: BraidWord, n: int, budget: int) -> SkeinValue:
     if not letters:
         value = unlink_value(w.strands, n)
     else:
+        smoothing_factor = SkeinValue.tau_free(n, _SMOOTHING)
         neg = next((p for p, (_, s) in enumerate(letters) if s < 0), None)
         if neg is not None:
             i, _ = letters[neg]
@@ -584,7 +578,7 @@ def _evaluate(w: BraidWord, n: int, budget: int) -> SkeinValue:
                 w.strands, letters[:neg] + ((i, 1),) + letters[neg + 1 :]
             )
             deleted = BraidWord(w.strands, letters[:neg] + letters[neg + 1 :])
-            smoothing = _evaluate(deleted, n, budget).scaled(1, -1, -n) * _xi_skein(n)
+            smoothing = _evaluate(deleted, n, budget).scaled(1, -1, -n) * smoothing_factor
             value = _evaluate(flipped, n, budget).scaled(1, -2, -2 * n) - smoothing.times_tau()
         else:
             found = _positive_split(w, budget)
@@ -592,20 +586,10 @@ def _evaluate(w: BraidWord, n: int, budget: int) -> SkeinValue:
                 value = _evaluate(found, n, budget)
             else:
                 uv, usv = found
-                smoothing = _evaluate(usv, n, budget).scaled(1, 1, n) * _xi_skein(n)
+                smoothing = _evaluate(usv, n, budget).scaled(1, 1, n) * smoothing_factor
                 value = _evaluate(uv, n, budget).scaled(1, 2, 2 * n) + smoothing.times_tau()
     _memo[key] = value
     return value
-
-
-def _xi_skein(n: int) -> SkeinValue:
-    # the smoothing coefficient xi^-1 - xi
-    poly = atom_poly(atom_xi1(), 1)
-    return SkeinValue(
-        n,
-        RationalFunction.from_laurent(1, poly),
-        RationalFunction.from_laurent(-1, poly),
-    )
 
 
 def skein_residual(w: BraidWord, p: int, n: int, budget: int = 10**4) -> SkeinValue:
@@ -621,5 +605,5 @@ def skein_residual(w: BraidWord, p: int, n: int, budget: int = 10**4) -> SkeinVa
     return (
         evaluate(pos, n, budget).scaled(1, -1, -n)
         - evaluate(neg, n, budget).scaled(1, 1, n)
-        - (evaluate(smooth, n, budget) * _xi_skein(n)).times_tau()
+        - (evaluate(smooth, n, budget) * SkeinValue.tau_free(n, _SMOOTHING)).times_tau()
     )

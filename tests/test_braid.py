@@ -17,7 +17,6 @@ from krlab.braid import (
     simplify,
     simplify_with_log,
     word_text,
-    writhe,
 )
 
 
@@ -50,13 +49,19 @@ class TestParse:
         with pytest.raises(ValueError, match="strands"):
             parse("3", strands=3)
 
+    def test_too_few_strands_reports_the_strands_needed(self):
+        with pytest.raises(ValueError, match="the word needs 1, got 0$"):
+            parse("", strands=0)
+        with pytest.raises(ValueError, match="the word needs 4, got 3$"):
+            parse("3", strands=3)
+
     def test_round_trip(self):
         for text in ["", "1", "1 -2 1", "-1 -1 2 3"]:
             w = parse(text)
             assert parse(word_text(w), strands=w.strands) == w
 
     def test_writhe(self):
-        assert writhe(parse("1 -2 1")) == 1
+        assert parse("1 -2 1").writhe == 1
         assert parse("-1 -2", strands=3).writhe == -2
 
 

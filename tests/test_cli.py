@@ -7,7 +7,8 @@ from click.testing import CliRunner
 
 from krlab import cli
 from krlab.braid import BraidWord, parse
-from krlab.cube import build_complex
+from krlab.cube import ChainComplexOfMF, build_complex
+from krlab.poly import InvariantError
 from krlab.qamod import two_stage_homology
 from krlab.skein import SkeinBudgetError, unlink_value
 
@@ -19,6 +20,13 @@ def runner():
 
 def run(runner, *args):
     return runner.invoke(cli.main, list(args))
+
+
+def assert_one_line_failure(res, code):
+    """Exit with the given code and one line on stderr, not a traceback."""
+    assert res.exit_code == code
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.stderr.splitlines()) == 1
 
 
 class TestHomologyCommand:
@@ -135,6 +143,32 @@ class TestParseErrors:
     def test_strand_count_too_small(self, runner):
         res = run(runner, "skein", "--braid", "2", "--strands", "2")
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("command", [
+        ["skein", "--braid", "1 1"],
+        ["both", "--braid", "1 1"],
+        ["verify"],
+    ])
+    def test_budget_below_one(self, runner, command):
+        res = run(runner, *command, "--budget", "0")
+        assert_one_line_failure(res, 1)
+        assert "budget must be at least 1" in res.stderr
+
+    def test_graph_path_is_a_directory(self, runner, tmp_path):
+        res = run(runner, "gdim", "--graph", str(tmp_path))
+        assert_one_line_failure(res, 1)
+        assert "cannot read graph file" in res.stderr
+
+
+class TestInvariantFailure:
+    def test_broken_invariant_exits_four(self, runner, monkeypatch):
+        def broken(self):
+            raise InvariantError("d_chi^2 != 0 out of degree 0")
+
+        monkeypatch.setattr(ChainComplexOfMF, "verify", broken)
+        res = run(runner, "homology", "--braid", "1", "--strands", "2")
+        assert_one_line_failure(res, 4)
+        assert "d_chi^2 != 0" in res.stderr
 
 
 class TestVerifyCommand:

@@ -5,13 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from krlab.braid import BraidWord, parse
 from krlab.cube import (
-    ChainComplexOfMF,
-    Summand,
     _crossing_rows,
     build_complex,
     check_even_morphism,
     crossing_model,
-    gaussian_eliminate,
 )
 from krlab.mf import KoszulSpec, MatrixFactorization, gdim, koszul
 from krlab.poly import KIND_A, KIND_MARK, BigradedPoly, VariableTable
@@ -196,82 +193,6 @@ class TestCubeShape:
     def test_rejects_unknown_extra_mark_point(self):
         with pytest.raises(ValueError):
             build_complex(parse("1", 2), 1, extra_marks=[(7, 1)])
-
-
-def toy_circle(table) -> MatrixFactorization:
-    a, x = var(table, "a"), var(table, "x")
-    spec = KoszulSpec(table, 1, ((2 * a * x, BigradedPoly.zero(table)),))
-    return koszul(spec)
-
-
-class TestGaussianEliminate:
-    def test_identity_block_cancels_everything(self):
-        table = marks_table("x")
-        K = toy_circle(table)
-        one = BigradedPoly.one(table)
-        C = ChainComplexOfMF(
-            table,
-            1,
-            {0: [Summand(None, K)], 1: [Summand(None, K)]},
-            {(0, 0, 0): ({(0, 0): one}, {(0, 0): one})},
-        )
-        R = gaussian_eliminate(C)
-        assert R.degrees() == []
-
-    def test_zero_delta_leaves_parallel_block_unchanged(self):
-        table = marks_table("x")
-        K = toy_circle(table)
-        one = BigradedPoly.one(table)
-        x = var(table, "x")
-        xid = ({(0, 0): x}, {(0, 0): x})
-        C = ChainComplexOfMF(
-            table,
-            1,
-            {
-                0: [Summand(None, K), Summand(None, K)],
-                1: [Summand(None, K), Summand(None, K.shifted(0, -2))],
-            },
-            {
-                (0, 0, 0): ({(0, 0): one}, {(0, 0): one}),
-                (0, 1, 0): xid,
-                (0, 1, 1): xid,
-            },
-        )
-        R = gaussian_eliminate(C)
-        assert R.degrees() == [0, 1]
-        assert [len(R.summands[i]) for i in (0, 1)] == [1, 1]
-        assert R.blocks == {(0, 0, 0): xid}
-
-    def test_contractible_summand_split_before_cancelling(self):
-        table = marks_table("x")
-        K = toy_circle(table)
-        a, x = var(table, "a"), var(table, "x")
-        one = BigradedPoly.one(table)
-        # direct sum of a contractible pair and a circle factorization
-        D = MatrixFactorization(
-            table,
-            1,
-            BigradedPoly.zero(table),
-            [(0, 0), (0, 0)],
-            [(1, 2), (-1, 0)],
-            {(0, 0): one, (1, 1): 2 * a * x},
-            {},
-        )
-        C = ChainComplexOfMF(
-            table,
-            1,
-            {0: [Summand(None, D)], 1: [Summand(None, K)]},
-            {(0, 0, 0): ({(0, 1): one}, {(0, 1): one})},
-        )
-        R = gaussian_eliminate(C)
-        assert R.degrees() == []
-
-    def test_polynomial_blocks_are_not_cancelled(self):
-        C = build_complex(parse("1 -1", 2), 1)
-        R = gaussian_eliminate(C)
-        assert [R.terms[i].rank() for i in R.degrees()] == [
-            C.terms[i].rank() for i in C.degrees()
-        ]
 
 
 class TestMarkingIndependence:

@@ -1,4 +1,4 @@
-"""Matrix factorization layer: Koszul builds, moves, reductions, gdim."""
+"""Matrix factorization layer: Koszul builds, exclusion, splitting, kernel, gdim."""
 
 from fractions import Fraction
 
@@ -14,24 +14,19 @@ from krlab.poly import (
     substitute,
 )
 from krlab.mf import (
-    ChainVector,
     GdimSeries,
     KoszulSpec,
     MatrixFactorization,
-    apply_matrix,
     exclude_variable,
-    exclusion_reduction,
     find_constant_entry,
     find_exclusion,
     gdim,
+    kernel,
     koszul,
     koszul_row_shift,
-    row_operation,
-    shift,
+    rank,
     split_contractibles,
-    split_contractibles_with_maps,
     tensor,
-    twist,
 )
 
 
@@ -136,59 +131,8 @@ class TestKoszulConstruction:
         right = x - y
         swapped = koszul(KoszulSpec(table, n, ((right, left),)))
         # (a1, a0) is (a0, a1)<1>{1 - dega a1, n + 1 - degx a1}
-        shifted = shift(koszul(KoszulSpec(table, n, ((left, right),))), 1, n - 1, flip=1)
+        shifted = koszul(KoszulSpec(table, n, ((left, right),))).shifted(1, n - 1, flip=1)
         assert mf_equal(swapped, shifted)
-
-
-class TestMoves:
-    def _pair_spec(self, n=1):
-        table = marks_table("x", "y")
-        a, x, y = (var(table, nm) for nm in "axy")
-        rows = (
-            (a * h_two_vars(table, "x", "y", n), x - y),
-            (a * (x + y), y - x),
-        )
-        return KoszulSpec(table, n, rows)
-
-    def test_row_operation_updates_both_rows(self):
-        spec = self._pair_spec()
-        c = BigradedPoly.constant(spec.table, Fraction(3))
-        out = row_operation(spec, 0, 1, c)
-        assert out.rows[0][1] == spec.rows[0][1]
-        assert out.rows[1][0] == spec.rows[1][0]
-        assert out.rows[0][0] == spec.rows[0][0] + c * spec.rows[1][0]
-        assert out.rows[1][1] == spec.rows[1][1] - c * spec.rows[0][1]
-        assert out.potential() == spec.potential()
-
-    def test_row_operation_degree_guard(self):
-        spec = self._pair_spec()
-        bad = var(spec.table, "x")
-        with pytest.raises(ValueError):
-            row_operation(spec, 0, 1, bad)
-
-    def test_twist_updates_left_entries(self):
-        n = 1
-        spec = self._pair_spec(n)
-        a = var(spec.table, "a")
-        out = twist(spec, 0, 1, a)
-        assert out.rows[0][0] == spec.rows[0][0] + a * spec.rows[1][1]
-        assert out.rows[1][0] == spec.rows[1][0] - a * spec.rows[0][1]
-        assert out.potential() == spec.potential()
-
-    def test_crossing_row_operation_produces_wide_row(self):
-        # the two-row presentation of a crossing turns into the wide-edge
-        # Koszul form after one row operation in the x-marks
-        n = 2
-        table = marks_table("x1", "y1", "x2", "y2")
-        a = var(table, "a")
-        x1, y1, x2, y2 = (var(table, nm) for nm in ("x1", "y1", "x2", "y2"))
-        # generic rows with the standard right entries
-        r0 = (a * (x1 + y1 + x2 + y2) ** n, x1 + y1 - x2 - y2)
-        u2 = a * h_two_vars(table, "x2", "y2", n - 1)
-        r1 = (u2 * (x2 - x1), x1 - y2)
-        spec = KoszulSpec(table, n, (r0, r1))
-        moved = row_operation(spec, 1, 0, BigradedPoly.zero(table))
-        assert moved.rows == spec.rows
 
 
 class TestExclusion:
@@ -232,66 +176,6 @@ class TestExclusion:
         )
         assert find_exclusion(spec, ["x", "y"]) == (1, "x")
 
-    def test_exclusion_reduction_chain_maps(self):
-        # two arcs composing to one; total potential is free of y
-        n = 1
-        table = marks_table("x", "y")
-        a, x, y = (var(table, nm) for nm in "axy")
-        rows = (
-            (a * (x + y), x - y),
-            (a * (x + y), y - x),
-        )
-        spec = KoszulSpec(table, n, rows)
-        assert spec.potential().is_zero()
-        step = exclude_variable(spec, 1, "y")
-        self._check_reduction(exclusion_reduction(step))
-
-    def test_exclusion_reduction_middle_slot(self):
-        n = 1
-        table = marks_table("x", "y", "z", "t")
-        a, x, y, z, t = (var(table, nm) for nm in "axyzt")
-        rows = (
-            (a * (x + y), x - y),
-            (a * (y + z), y - z),
-            (Fraction(2) * a * t, BigradedPoly.zero(table)),
-        )
-        spec = KoszulSpec(table, n, rows)
-        assert spec.potential().degree_in("y") == 0
-        step = exclude_variable(spec, 1, "y")
-        red = exclusion_reduction(step)
-        small_table = red.after.table
-        xs, zs = var(small_table, "x"), var(small_table, "z")
-        assert red.after.potential == var(small_table, "a") * (xs * xs - zs * zs)
-        self._check_reduction(red)
-
-    def test_exclusion_rejects_potential_in_variable(self):
-        n = 1
-        table = marks_table("x", "y")
-        a, x, y = (var(table, nm) for nm in "axy")
-        rows = (
-            (a * (x + y), x - y),
-            (a * (x + y), y - Fraction(2) * x),
-        )
-        spec = KoszulSpec(table, n, rows)
-        step = exclude_variable(spec, 1, "y")
-        with pytest.raises(ValueError):
-            exclusion_reduction(step)
-
-    @staticmethod
-    def _check_reduction(red):
-        small, big = red.after, red.before
-        one = BigradedPoly.one(small.table)
-        for par, basis in ((0, small.basis0), (1, small.basis1)):
-            for idx in range(len(basis)):
-                v: ChainVector = {(par, idx): one}
-                assert apply_matrix(big, red.iota(v)) == red.iota(apply_matrix(small, v))
-                assert red.pi(red.iota(v)) == v
-        big_one = BigradedPoly.one(big.table)
-        for par, basis in ((0, big.basis0), (1, big.basis1)):
-            for idx in range(len(basis)):
-                v = {(par, idx): big_one}
-                assert red.pi(apply_matrix(big, v)) == apply_matrix(small, red.pi(v))
-
 
 class TestSplitting:
     def test_unit_row_contracts_to_zero(self):
@@ -330,27 +214,36 @@ class TestSplitting:
         reduced = split_contractibles(summed)
         assert mf_equal(reduced, arc)
 
-    def test_split_chain_maps(self):
-        n = 1
-        table = marks_table("x", "y")
-        a, x, y = (var(table, nm) for nm in "axy")
-        keep = KoszulSpec(table, n, ((a * (x + y), x - y),))
-        kill = KoszulSpec(table, n, ((a * y * y, BigradedPoly.one(table)),))
-        M = tensor(koszul(keep), koszul(kill))
-        steps = split_contractibles_with_maps(M)
-        assert steps
-        one = BigradedPoly.one(table)
-        for red in steps:
-            small, big = red.after, red.before
-            for par, basis in ((0, small.basis0), (1, small.basis1)):
-                for idx in range(len(basis)):
-                    v: ChainVector = {(par, idx): one}
-                    assert apply_matrix(big, red.iota(v)) == red.iota(apply_matrix(small, v))
-                    assert red.pi(red.iota(v)) == v
-            for par, basis in ((0, big.basis0), (1, big.basis1)):
-                for idx in range(len(basis)):
-                    v = {(par, idx): one}
-                    assert red.pi(apply_matrix(big, v)) == apply_matrix(small, red.pi(v))
+
+class TestKernel:
+    # rank 4 by construction: c3 = 0, c4 = c0 + c1 and c6 = 3 c2 - c5; the
+    # int pivots 2 and 3 make the first elimination factor 3/2
+    COLS = [
+        {0: 2, 1: 1},
+        {0: 3, 1: 1},
+        {0: Fraction(1, 3), 2: 1},
+        {},
+        {0: 5, 1: 2},
+        {1: 3, 2: Fraction(1, 2), 3: 7},
+        {0: 1, 1: -3, 2: Fraction(5, 2), 3: -7},
+    ]
+
+    def test_combinations_send_the_columns_to_zero(self):
+        combos = kernel(self.COLS)
+        assert combos
+        for combo in combos:
+            image: dict[int, Fraction] = {}
+            for j, c in combo.items():
+                assert isinstance(c, Fraction)
+                for r, v in self.COLS[j].items():
+                    image[r] = image.get(r, 0) + c * v
+            assert not any(image.values())
+
+    def test_kernel_size_plus_rank_is_the_column_count(self):
+        before = [dict(col) for col in self.COLS]
+        assert len(kernel(self.COLS)) + 4 == len(self.COLS)
+        assert rank(self.COLS) == 4
+        assert self.COLS == before
 
 
 class TestGdim:
@@ -441,7 +334,7 @@ class TestProperties:
     @given(random_koszul_spec(), st.integers(-2, 2), st.integers(-3, 3), st.integers(0, 1))
     def test_shift_verifies(self, spec, da, dx, flip):
         M = koszul(spec)
-        S = shift(M, 2 * da, 2 * dx, flip)
+        S = M.shifted(2 * da, 2 * dx, flip)
         S.verify()
         assert S.potential == M.potential
 

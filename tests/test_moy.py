@@ -4,10 +4,10 @@ import pytest
 
 from krlab.mf import cast, gdim
 from krlab.moy import (
+    BUILTIN_GRAPHS,
     MoyVertex,
     build_graph,
     builtin_graph,
-    builtin_graph_names,
     graph_factorization,
     graph_gdim,
     parse_graph,
@@ -237,7 +237,7 @@ class TestCrossingResolutions:
 
 
 class TestMarkingIndependence:
-    @pytest.mark.parametrize("name", builtin_graph_names())
+    @pytest.mark.parametrize("name", BUILTIN_GRAPHS)
     def test_extra_mark_on_each_edge(self, name):
         g = builtin_graph(name)
         base = graph_gdim(g, 1, 8)
@@ -323,7 +323,7 @@ class TestParser:
 
 class TestBuiltinCatalog:
     def test_names_all_load(self):
-        for name in builtin_graph_names():
+        for name in BUILTIN_GRAPHS:
             g = builtin_graph(name)
             g.validate()
 

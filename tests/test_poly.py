@@ -1,10 +1,13 @@
 """Bigraded polynomial layer: ring identities, symmetric functions, division."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import krlab
 from krlab.poly import (
     BigradedPoly,
     VariableTable,
@@ -232,3 +235,17 @@ class TestHomogeneity:
             return
         q = divide_exact(p * r, r)
         assert q == p
+
+
+class TestInvariantChecks:
+    def test_package_has_no_assert_statements(self):
+        # assert is stripped under python -O; checks raise InvariantError
+        paths = sorted(Path(krlab.__file__).parent.glob("*.py"))
+        assert len(paths) > 1
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in paths
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krlab.braid import parse
-from krlab.cube import build_complex, gaussian_eliminate
+from krlab.cube import build_complex
 from krlab.qamod import (
     GradedQaModule,
     SliceMatrix,
@@ -218,14 +218,6 @@ class TestInvariance:
         marked = homology("", 1, 1, extra_marks=[(0, 1)])
         assert marked.slices == base.slices
         assert marked.tails == base.tails
-
-    def test_gaussian_elimination_of_the_cube_is_invisible(self):
-        c = build_complex(parse("1 2", 3), 1)
-        before = two_stage_homology(c)
-        after = two_stage_homology(gaussian_eliminate(c))
-        assert before.slices == after.slices
-        assert before.tails == after.tails
-
 
 class TestHopfLink:
     def test_torsion_multiplicity_grows_linearly(self):
