@@ -63,6 +63,13 @@ def _homology(word: BraidWord, n: int, width: int) -> GradedQaModule:
         _fail(1, str(exc))
 
 
+def _euler(mod: GradedQaModule) -> SkeinValue:
+    try:
+        return euler_characteristic(mod)
+    except ValueError as exc:
+        _fail(1, str(exc))
+
+
 def _skein(word: BraidWord, n: int, budget: int) -> SkeinValue:
     try:
         return evaluate(word, n, budget)
@@ -201,11 +208,7 @@ def both(braid_text, strands, n, xwindow, alpha_max, xi_max, budget, fmt):
     word = _braid(braid_text, strands)
     mod = _homology(word, n, xwindow)
     value = _skein(word, n, budget)
-    try:
-        euler = euler_characteristic(mod)
-    except ValueError as exc:
-        _fail(1, str(exc))
-    verdict = "MATCH" if euler == value else "MISMATCH"
+    verdict = "MATCH" if _euler(mod) == value else "MISMATCH"
     if fmt == "table":
         click.echo(mod.pretty())
         click.echo(json.dumps(module_json(mod)))
@@ -294,7 +297,7 @@ def _verify_checks(n: int, xwindow: int, budget: int):
     def euler_cross_check():
         for text, strands in [("", 1), ("1", 2), ("-1", 2)]:
             mod = _homology(parse(text, strands), n, xwindow)
-            if euler_characteristic(mod) != evaluate(parse(text, strands), n, budget):
+            if _euler(mod) != evaluate(parse(text, strands), n, budget):
                 return False, f"euler characteristic disagrees with the skein value on {text!r}"
         return True, ""
 

@@ -128,12 +128,25 @@ class CrossingModel:
     chi1: MatPair
 
 
-def _chi_pair(table: VariableTable, s: BigradedPoly, on_set: bool) -> MatPair:
-    # two-row masks: parity 0 holds {00, 11}, parity 1 holds {01, 10};
-    # the G row is bit 1, set exactly in the second mask of each list
-    one = BigradedPoly.one(table)
-    lo, hi = (one, s) if on_set else (s, one)
-    return ({(0, 0): lo, (1, 1): hi}, {(0, 0): lo, (1, 1): hi})
+def chi_diagonal(
+    masks_by_parity, flip: int, gbit: int, s: BigradedPoly, s_bit: int, sign: int = 1
+) -> MatPair:
+    """Diagonal chi map on a Koszul subset basis, one matrix per parity.
+
+    The entry of a mask is s when its G-row bit gbit equals s_bit and 1
+    otherwise (s_bit = 1 for chi^1, 0 for chi^0); an odd flip swaps which
+    mask list underlies basis(par), and every entry is multiplied by sign.
+    """
+    one = BigradedPoly.one(s.table)
+    mats: MatPair = ({}, {})
+    for par in (0, 1):
+        for idx, mask in enumerate(masks_by_parity[(par + flip) % 2]):
+            entry = s if (mask >> gbit & 1) == s_bit else one
+            if sign < 0:
+                entry = -entry
+            if not entry.is_zero():
+                mats[par][(idx, idx)] = entry
+    return mats
 
 
 def crossing_model(
@@ -167,8 +180,10 @@ def crossing_model(
     if gamma0.potential != w or gamma1.potential != w:
         raise InvariantError("crossing potential")
 
-    chi1 = _chi_pair(table, s, on_set=True)
-    chi0 = _chi_pair(table, s, on_set=False)
+    # rows (F, G): the G row is bit 1 of the two-row masks
+    masks = koszul_masks(2)
+    chi1 = chi_diagonal(masks, 0, 1, s, 1)
+    chi0 = chi_diagonal(masks, 0, 1, s, 0)
     check_even_morphism(gamma1, gamma0, chi1, 0, 1)
     check_even_morphism(gamma0, gamma1, chi0, 0, 1)
     s_id = {(i, i): s for i in range(2)}
@@ -271,92 +286,80 @@ def _closure_arcs(word: BraidWord, extra_marks) -> tuple[list[_Arc], dict]:
 
 @dataclass
 class Summand:
-    """One cube vertex inside a term: its factorization and basis offsets."""
+    """One cube vertex inside a term: its state and its factorization."""
 
     state: tuple[int, ...] | None
     mf: MatrixFactorization
-    off0: int = 0
-    off1: int = 0
 
 
 class ChainComplexOfMF:
     """Finite complex of matrix factorizations with an even differential d_chi.
 
-    terms maps homological degree to the direct sum of its summands; d_chi
-    maps degree i to the (mat0, mat1) pair of the map into degree i+1.  blocks
-    holds the same data per summand pair, keyed (i, target index, source
-    index) with indices local to the summand lists.
+    summands maps homological degree to its cube vertices; blocks maps
+    (i, target index, source index) to the (mat0, mat1) pair of d_chi from a
+    vertex of degree i to one of degree i+1, with indices local to the
+    summand lists.  Each vertex factorization already carries its own checks
+    of d^2 = w and of its entry degrees, made where it was built; verify()
+    checks what joins the vertices: zero potential at every vertex, each
+    block an even morphism of degree 0, and d_chi^2 = 0.  terms holds each
+    degree's vertices as one block-diagonal factorization, assembled without
+    a further check.
     """
 
-    def __init__(self, table, n, summands, blocks, check: bool = True):
+    def __init__(self, table, n, summands, blocks):
         self.table = table
         self.n = n
         self.summands: dict[int, list[Summand]] = {
             i: list(parts) for i, parts in sorted(summands.items()) if parts
         }
         self.blocks: dict[tuple[int, int, int], MatPair] = dict(blocks)
-        self.terms: dict[int, MatrixFactorization] = {}
-        self.d_chi: dict[int, MatPair] = {}
-        self._assemble()
-        if check:
-            self.verify()
+        self.terms: dict[int, MatrixFactorization] = {
+            i: self._direct_sum(parts) for i, parts in self.summands.items()
+        }
+        self.verify()
 
     def degrees(self) -> list[int]:
         return sorted(self.summands)
 
-    def _assemble(self) -> None:
-        for i, parts in self.summands.items():
-            off0 = off1 = 0
-            basis0: list[tuple[int, int]] = []
-            basis1: list[tuple[int, int]] = []
-            d0: Matrix = {}
-            d1: Matrix = {}
-            potential = None
-            for part in parts:
-                part.off0, part.off1 = off0, off1
-                mf = part.mf
-                if potential is None:
-                    potential = mf.potential
-                elif mf.potential != potential:
-                    raise InvariantError("summand potentials differ")
-                basis0.extend(mf.basis0)
-                basis1.extend(mf.basis1)
-                for (ti, si), p in mf.d0.items():
-                    d0[(ti + off1, si + off0)] = p
-                for (ti, si), p in mf.d1.items():
-                    d1[(ti + off0, si + off1)] = p
-                off0 += len(mf.basis0)
-                off1 += len(mf.basis1)
-            self.terms[i] = MatrixFactorization(
-                self.table, self.n, potential, basis0, basis1, d0, d1, check=False
-            )
-        for (i, ti, si), mats in self.blocks.items():
-            src = self.summands[i][si]
-            tgt = self.summands[i + 1][ti]
-            acc = self.d_chi.setdefault(i, ({}, {}))
-            for par, offs in ((0, (src.off0, tgt.off0)), (1, (src.off1, tgt.off1))):
-                soff, toff = offs
-                for (bi, bj), p in mats[par].items():
-                    acc[par][(bi + toff, bj + soff)] = p
+    def _direct_sum(self, parts: list[Summand]) -> MatrixFactorization:
+        basis0: list[tuple[int, int]] = []
+        basis1: list[tuple[int, int]] = []
+        d0: Matrix = {}
+        d1: Matrix = {}
+        for part in parts:
+            mf = part.mf
+            off0, off1 = len(basis0), len(basis1)
+            for (ti, si), p in mf.d0.items():
+                d0[(ti + off1, si + off0)] = p
+            for (ti, si), p in mf.d1.items():
+                d1[(ti + off0, si + off1)] = p
+            basis0.extend(mf.basis0)
+            basis1.extend(mf.basis1)
+        return MatrixFactorization(
+            self.table, self.n, parts[0].mf.potential, basis0, basis1, d0, d1, check=False
+        )
 
     def verify(self) -> None:
-        """Assert every defining identity of a complex of factorizations."""
-        for i, term in self.terms.items():
-            term.verify()
-            if not term.potential.is_zero():
-                raise InvariantError(f"term {i} has nonzero potential")
-        for i, mats in self.d_chi.items():
-            tgt = self.terms.get(i + 1)
-            if tgt is None:
-                if mats[0] or mats[1]:
-                    raise InvariantError(f"d_chi out of degree {i} has no target")
-                continue
-            check_even_morphism(self.terms[i], tgt, mats, 0, 0)
-            nxt = self.d_chi.get(i + 1)
-            if nxt is not None:
-                for par in (0, 1):
-                    if compose(nxt[par], mats[par]):
-                        raise InvariantError(f"d_chi^2 != 0 out of degree {i}")
+        """Assert the identities that join the vertex factorizations."""
+        for i, parts in self.summands.items():
+            for part in parts:
+                if not part.mf.potential.is_zero():
+                    raise InvariantError(f"term {i} has nonzero potential")
+        out_of: dict[tuple[int, int], list[tuple[int, MatPair]]] = {}
+        for (i, ti, si), mats in self.blocks.items():
+            src, tgt = self.summands[i][si].mf, self.summands[i + 1][ti].mf
+            check_even_morphism(src, tgt, mats, 0, 0)
+            out_of.setdefault((i, si), []).append((ti, mats))
+        for (i, si), firsts in out_of.items():
+            for par in (0, 1):
+                total: dict[tuple, BigradedPoly] = {}
+                for mid, first in firsts:
+                    for ti, second in out_of.get((i + 1, mid), ()):
+                        for key, p in compose(second[par], first[par]).items():
+                            key = (ti, key)
+                            total[key] = total[key] + p if key in total else p
+                if any(not p.is_zero() for p in total.values()):
+                    raise InvariantError(f"d_chi^2 != 0 out of degree {i}")
 
 
 # ---------------------------------------------------------------------------
@@ -454,52 +457,39 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
     nrows = len(shared) + c
     masks_by_parity = koszul_masks(nrows)
 
-    vertices: dict[tuple[int, ...], Summand] = {}
     summands: dict[int, list[Summand]] = {}
     positions: dict[tuple[int, ...], tuple[int, int]] = {}
     for state in itertools.product((0, 1), repeat=c):
         rows = list(shared) + [cr["g"][b] for cr, b in zip(crossings, state)]
-        spec = KoszulSpec(table, n, tuple(rows))
-        if not spec.potential().is_zero():
-            raise InvariantError("closed diagram with nonzero potential")
         dx = sum(cr["dx"][b] for cr, b in zip(crossings, state))
-        mf = koszul(spec).shifted(writhe, dx, c)
+        mf = koszul(KoszulSpec(table, n, tuple(rows))).shifted(writhe, dx, c)
         # left entries carry a, right entries carry marks: nothing contractible
         if find_constant_entry(mf) is not None:
             raise InvariantError("contractible summand in a cube vertex")
-        part = Summand(state, mf)
-        vertices[state] = part
         deg = sum(base + b for base, b in zip(bases, state))
-        summands.setdefault(deg, []).append(part)
+        summands.setdefault(deg, []).append(Summand(state, mf))
     for deg in summands:
         summands[deg].sort(key=lambda part: part.state)
         for pos, part in enumerate(summands[deg]):
             positions[part.state] = (deg, pos)
 
-    one = BigradedPoly.one(table)
     blocks: dict[tuple[int, int, int], MatPair] = {}
-    for state in vertices:
+    for state in itertools.product((0, 1), repeat=c):
         for t in range(c):
             if state[t]:
                 continue
             target = tuple(b if k != t else 1 for k, b in enumerate(state))
-            sign = -1 if sum(state[:t]) % 2 else 1
-            gbit = len(shared) + t
-            s = crossings[t]["s"]
-            # the jumping factor s sits on the G-set masks for chi^1 (wide to
-            # oriented, positive crossings) and on the G-unset masks for chi^0
-            want_bit = 1 if crossings[t]["sign"] > 0 else 0
-            mats: MatPair = ({}, {})
-            for par in (0, 1):
-                # the c parity flips swap which mask list underlies basis(par)
-                masks = masks_by_parity[(par + c) % 2]
-                for idx, mask in enumerate(masks):
-                    entry = s if (mask >> gbit & 1) == want_bit else one
-                    if sign < 0:
-                        entry = -entry
-                    if not entry.is_zero():
-                        mats[par][(idx, idx)] = entry
+            # s sits on the G-set masks for chi^1 (wide to oriented, positive
+            # crossings) and on the G-unset masks for chi^0; the c parity
+            # flips swap the mask lists
             i, si = positions[state]
             _, ti = positions[target]
-            blocks[(i, ti, si)] = mats
+            blocks[(i, ti, si)] = chi_diagonal(
+                masks_by_parity,
+                c,
+                len(shared) + t,
+                crossings[t]["s"],
+                1 if crossings[t]["sign"] > 0 else 0,
+                -1 if sum(state[:t]) % 2 else 1,
+            )
     return ChainComplexOfMF(table, n, summands, blocks)

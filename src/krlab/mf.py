@@ -238,11 +238,16 @@ class MatrixFactorization:
                 raise InvariantError(f"d^2 off-diagonal at {entry}")
 
     def shifted(self, da: int, dx: int, flip: int = 0) -> "MatrixFactorization":
+        """Shift all generators by (da, dx); an odd flip swaps the parities.
+
+        Nothing is checked again: neither move can break d^2 = w or an entry degree.
+        """
         b0 = [(a + da, x + dx) for a, x in self.basis0]
         b1 = [(a + da, x + dx) for a, x in self.basis1]
-        if flip % 2 == 0:
-            return MatrixFactorization(self.table, self.n, self.potential, b0, b1, self.d0, self.d1)
-        return MatrixFactorization(self.table, self.n, self.potential, b1, b0, self.d1, self.d0)
+        d0, d1 = self.d0, self.d1
+        if flip % 2:
+            b0, b1, d0, d1 = b1, b0, d1, d0
+        return MatrixFactorization(self.table, self.n, self.potential, b0, b1, d0, d1, check=False)
 
 
 def compose(second: Matrix, first: Matrix) -> Matrix:

@@ -115,12 +115,6 @@ class MoyGraph:
 
     # ring structure -------------------------------------------------------
 
-    def mark_color(self, alph: str) -> int:
-        for mid, name in self.marks:
-            if name == alph:
-                return self.edge(mid)[1]
-        raise KeyError(alph)
-
     def table(self) -> VariableTable:
         entries: list = [("a", KIND_A)]
         for mid, alph in self.marks:

@@ -181,13 +181,6 @@ class BigradedPoly:
                 raise ValueError(f"inhomogeneous polynomial: degrees {deg} and {d}")
         return deg
 
-    def is_homogeneous(self) -> bool:
-        try:
-            self.bidegree()
-        except ValueError:
-            return False
-        return True
-
     def degree_in(self, name: str) -> int:
         i = self.table.index(name)
         return max((e[i] for e in self.terms), default=0)

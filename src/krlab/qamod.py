@@ -128,30 +128,6 @@ class SliceMatrix:
             clean[(r, c)] = (coeff, exp)
         object.__setattr__(self, "entries", clean)
 
-    @staticmethod
-    def from_terms(source, target, shift, cells) -> "SliceMatrix":
-        """Build from cells mapping (row, col) to an iterable of (coeff, exp).
-
-        Terms with equal exponent are combined; a cell left with terms of two
-        different exponents is rejected (only monomial entries make sense for
-        a homogeneous map).
-        """
-        entries = {}
-        for key, terms in cells.items():
-            combined: dict = {}
-            for coeff, exp in terms:
-                s = combined.get(exp, 0) + _num(coeff)
-                if s:
-                    combined[exp] = s
-                else:
-                    combined.pop(exp, None)
-            if len(combined) > 1:
-                raise ValueError(f"non-monomial entry at {key}")
-            if combined:
-                exp, coeff = next(iter(combined.items()))
-                entries[key] = (coeff, exp)
-        return SliceMatrix(tuple(source), tuple(target), shift, entries)
-
     def column(self, c: int) -> Vec:
         return {r: mono for (r, cc), mono in self.entries.items() if cc == c}
 

@@ -170,26 +170,30 @@ def _leading(p: Laurent) -> tuple[tuple[int, int], Fraction]:
 def divide_exact(num: Laurent, den: Laurent) -> Laurent | None:
     """num / den when the division is exact, else None.
 
-    Greedy reduction in lexicographic term order; exponents may go negative,
-    so non-divisibility shows up as a runaway loop rather than a stuck
-    leading term.  The step bound turns that into a clean failure.
+    Both are first shifted to least exponent 0 in alpha and in xi.  The
+    shifted den then has no monomial factor, so Laurent divisibility is
+    polynomial divisibility, decided by greedy reduction in lexicographic
+    term order: a leading term that den's leading term does not divide
+    shows that den does not divide num.
     """
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero:
         return Laurent.zero()
-    quotient = Laurent.zero()
-    rest = num
+    na, nx = num.min_alpha(), num.min_xi()
+    da, dx = den.min_alpha(), den.min_xi()
+    rest = num.scaled(1, -na, -nx)
+    den = den.scaled(1, -da, -dx)
     (ga, gx), gc = _leading(den)
-    limit = 16 + 4 * len(num.terms) * max(1, len(den.terms))
-    for _ in range(limit):
-        if rest.is_zero:
-            return quotient
+    quotient = Laurent.zero()
+    while not rest.is_zero:
         (fa, fx), fc = _leading(rest)
+        if fa < ga or fx < gx:
+            return None
         t = Laurent.monomial(fc / gc, fa - ga, fx - gx)
         quotient = quotient + t
         rest = rest - t * den
-    return None
+    return quotient.scaled(1, na - da, nx - dx)
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +472,6 @@ def series_expand(v: SkeinValue, alpha_max: int, xi_max: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # Closed form for crossingless closures
-
-
-def _quantum_bracket(n: int, tau: int) -> RationalFunction:
-    # [n] = (xi^-n - xi^n) / (xi^-1 - xi)
-    return RationalFunction(tau, atom_poly(atom_xin(n), tau), Counter([atom_xi1()]))
 
 
 def unlink_value(m: int, n: int) -> SkeinValue:

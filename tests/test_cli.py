@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from krlab import cli
-from krlab.braid import BraidWord, parse
+from krlab.braid import parse
 from krlab.cube import ChainComplexOfMF, build_complex
 from krlab.poly import InvariantError
 from krlab.qamod import two_stage_homology
@@ -179,3 +179,8 @@ class TestVerifyCommand:
         lines = [l for l in res.output.splitlines() if l]
         assert len(lines) == 6
         assert all(l.startswith("ok") for l in lines)
+
+    def test_narrow_window_is_refused_in_one_line(self, runner):
+        res = run(runner, "verify", "--xwindow", "2")
+        assert_one_line_failure(res, 1)
+        assert "widen the window" in res.stderr

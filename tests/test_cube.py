@@ -11,7 +11,7 @@ from krlab.cube import (
     crossing_model,
 )
 from krlab.mf import KoszulSpec, MatrixFactorization, gdim, koszul
-from krlab.poly import KIND_A, KIND_MARK, BigradedPoly, VariableTable
+from krlab.poly import KIND_A, KIND_MARK, BigradedPoly, InvariantError, VariableTable
 
 
 def marks_table(*names: str) -> VariableTable:
@@ -95,7 +95,7 @@ class TestUnknotComplex:
         assert term.basis0 == [(0, 0)]
         assert term.d0 == {(0, 0): (n + 1) * a * x**n}
         assert term.d1 == {}
-        assert C.d_chi == {}
+        assert C.blocks == {}
 
     def test_two_strand_closure_is_two_circles(self):
         C = build_complex(parse("", 2), 1)
@@ -134,7 +134,7 @@ class TestSingleCrossing:
         table = C.table
         one = BigradedPoly.one(table)
         s = var(table, "x1") - var(table, "x0")
-        mat0, mat1 = C.d_chi[-1]
+        mat0, mat1 = C.blocks[(-1, 0, 0)]
         assert mat0 == {(0, 0): one, (1, 1): s}
         assert mat1 == {(0, 0): one, (1, 1): s}
 
@@ -143,7 +143,7 @@ class TestSingleCrossing:
         table = C.table
         one = BigradedPoly.one(table)
         s = var(table, "x1") - var(table, "x0")
-        mat0, mat1 = C.d_chi[0]
+        mat0, mat1 = C.blocks[(0, 0, 0)]
         assert mat0 == {(0, 0): s, (1, 1): one}
         assert mat1 == {(0, 0): s, (1, 1): one}
 
@@ -193,6 +193,35 @@ class TestCubeShape:
     def test_rejects_unknown_extra_mark_point(self):
         with pytest.raises(ValueError):
             build_complex(parse("1", 2), 1, extra_marks=[(7, 1)])
+
+
+class TestVerify:
+    def test_each_vertex_is_verified_once(self, monkeypatch):
+        calls = []
+        original = MatrixFactorization.verify
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(MatrixFactorization, "verify", counting)
+        build_complex(parse("1 1"), 1)
+        assert len(calls) == 4
+
+    def test_negated_block_breaks_the_square(self):
+        C = build_complex(parse("1 1"), 1)
+        key = next(k for k in C.blocks if k[0] == -2)
+        C.blocks[key] = tuple({e: -p for e, p in m.items()} for m in C.blocks[key])
+        with pytest.raises(InvariantError, match=r"d_chi\^2"):
+            C.verify()
+
+    def test_scaled_parity_does_not_commute(self):
+        C = build_complex(parse("1 1"), 1)
+        key = next(iter(C.blocks))
+        mat0, mat1 = C.blocks[key]
+        C.blocks[key] = ({e: 2 * p for e, p in mat0.items()}, mat1)
+        with pytest.raises(InvariantError, match="does not commute"):
+            C.verify()
 
 
 class TestMarkingIndependence:

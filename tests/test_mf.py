@@ -11,7 +11,6 @@ from krlab.poly import (
     BigradedPoly,
     VariableTable,
     complete_symmetric_in_elementary,
-    substitute,
 )
 from krlab.mf import (
     GdimSeries,
@@ -23,7 +22,6 @@ from krlab.mf import (
     gdim,
     kernel,
     koszul,
-    koszul_row_shift,
     rank,
     split_contractibles,
     tensor,

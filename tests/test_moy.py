@@ -2,7 +2,6 @@
 
 import pytest
 
-from krlab.mf import cast, gdim
 from krlab.moy import (
     BUILTIN_GRAPHS,
     MoyVertex,

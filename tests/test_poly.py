@@ -249,3 +249,21 @@ class TestInvariantChecks:
             if isinstance(node, ast.Assert)
         ]
         assert found == []
+
+    def test_no_unused_imports(self):
+        # every name an import binds in the package and its tests is read
+        root = Path(krlab.__file__).parent
+        paths = sorted(root.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+        found = []
+        for path in paths:
+            tree = ast.parse(path.read_text(), filename=str(path))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound = [alias.asname or alias.name for alias in node.names]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
+        assert found == []

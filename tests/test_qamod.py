@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from krlab.braid import parse
 from krlab.cube import build_complex
 from krlab.qamod import (
-    GradedQaModule,
     SliceMatrix,
     SliceModule,
     Tail,
@@ -66,18 +65,6 @@ class TestSliceMatrix:
     def test_out_of_range_entry_is_rejected(self):
         with pytest.raises(ValueError, match="outside the matrix"):
             SliceMatrix((0,), (0,), 0, {(1, 0): (Fraction(1), 0)})
-
-    def test_from_terms_combines_and_cancels(self):
-        m = SliceMatrix.from_terms(
-            (2,), (0,), 0, {(0, 0): [(1, 1), (2, 1)], }
-        )
-        assert m.entries == {(0, 0): (3, 1)}
-        z = SliceMatrix.from_terms((2,), (0,), 0, {(0, 0): [(1, 1), (-1, 1)]})
-        assert z.is_zero()
-
-    def test_from_terms_rejects_mixed_exponents(self):
-        with pytest.raises(ValueError, match="non-monomial"):
-            SliceMatrix.from_terms((0,), (0,), 0, {(0, 0): [(1, 0), (2, 1)]})
 
 
 class TestSmith:

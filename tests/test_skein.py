@@ -12,7 +12,6 @@ from krlab.skein import (
     ATOM_ALPHA,
     Laurent,
     RationalFunction,
-    SkeinBudgetError,
     SkeinValue,
     atom_poly,
     atom_unit,
@@ -82,9 +81,20 @@ class TestLaurent:
         q = Laurent({(0, 0): 1, (2, 0): 1})
         assert divide_exact(d * q, d) == q
         assert divide_exact(Laurent.monomial(1), d) is None
+        assert divide_exact(d.scaled(1, -1, 0) + Laurent.monomial(1, 0, 1), d) is None
+        assert divide_exact(Laurent({(0, 0): 1, (0, 2): 1}), Laurent({(0, 0): 1, (0, 1): 1})) is None
         assert divide_exact(Laurent.zero(), d) == Laurent.zero()
         with pytest.raises(ZeroDivisionError):
             divide_exact(q, Laurent.zero())
+
+    def test_divide_exact_long_quotient(self):
+        # 1 - q^80 = (1 - q^2)(1 + q^2 + ... + q^78), a quotient of 40 terms
+        num = Laurent({(0, 0): 1, (0, 80): -1})
+        den = Laurent({(0, 0): 1, (0, 2): -1})
+        q = Laurent({(0, 2 * k): 1 for k in range(40)})
+        assert divide_exact(num, den) == q
+        # monomial factors on either side only shift the quotient
+        assert divide_exact(num.scaled(1, -3, 5), den.scaled(1, 2, -1)) == q.scaled(1, -5, 6)
 
 
 class TestRationalFunction:
