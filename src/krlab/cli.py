@@ -1,11 +1,12 @@
 """Command-line surface: homology tables, skein values, graph dimensions.
 
 Exit codes separate the failure families: 1 for input that does not parse
-(including windows the pipelines refuse), 2 for search-budget exhaustion,
-3 for a failed cross-check, 4 for a broken internal invariant.  Each failure
-prints one line on stderr.  JSON documents carry a stable "schema":
-"krlab/1" tag, slices sorted by (eps, i, x), so output is reproducible and
-round-trips through module_from_json.
+(including windows the pipelines refuse), 2 for search-budget exhaustion
+(the skein recursion's budget, or the x-window search of `both` and `verify`
+passing qamod.AUTO_MAX_WIDTH), 3 for a failed cross-check, 4 for a broken
+internal invariant.  Each failure prints one line on stderr.  JSON documents
+carry a stable "schema": "krlab/1" tag, slices sorted by (eps, i, x), so
+output is reproducible and round-trips through module_from_json.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .qamod import (
     GradedQaModule,
     SliceModule,
     Tail,
+    WindowBudgetError,
+    adaptive_homology,
     euler_characteristic,
     two_stage_homology,
 )
@@ -63,11 +66,23 @@ def _homology(word: BraidWord, n: int, width: int) -> GradedQaModule:
         _fail(1, str(exc))
 
 
-def _euler(mod: GradedQaModule) -> SkeinValue:
+def _decategorified(
+    word: BraidWord, n: int, width: int | None
+) -> tuple[GradedQaModule, SkeinValue]:
+    """The module at the given width, or at the least confirmed width when
+    width is None, with its Euler characteristic."""
+    if width is not None:
+        mod = _homology(word, n, width)
+        try:
+            return mod, euler_characteristic(mod)
+        except ValueError as exc:
+            _fail(1, str(exc))
     try:
-        return euler_characteristic(mod)
-    except ValueError as exc:
-        _fail(1, str(exc))
+        return adaptive_homology(
+            build_complex(word, n), two_stage_homology, euler_characteristic
+        )
+    except WindowBudgetError as exc:
+        _fail(2, str(exc))
 
 
 def _skein(word: BraidWord, n: int, budget: int) -> SkeinValue:
@@ -142,6 +157,12 @@ def _print_skein(v: SkeinValue, alpha_max: int, xi_max: int) -> None:
         click.echo(f"  alpha^{a} xi^{x}: {c1} + {ct} tau")
 
 
+_AUTO_WINDOW_HELP = (
+    "x-degree window width (default: search widths 2, 4, 6, ... for the least "
+    "one whose euler characteristic is confirmed at the next width)"
+)
+
+
 class _Main(click.Group):
     def invoke(self, ctx):
         try:
@@ -197,7 +218,7 @@ def skein(braid_text, strands, n, alpha_max, xi_max, budget, fmt):
 @click.option("--braid", "braid_text", required=True)
 @click.option("--strands", type=int, default=None)
 @click.option("--n", "n", type=int, default=1, show_default=True)
-@click.option("--xwindow", type=int, default=20, show_default=True)
+@click.option("--xwindow", type=int, default=None, help=_AUTO_WINDOW_HELP)
 @click.option("--alpha-max", type=int, default=12, show_default=True)
 @click.option("--xi-max", type=int, default=12, show_default=True)
 @click.option("--budget", type=int, default=10**4, show_default=True)
@@ -206,9 +227,9 @@ def both(braid_text, strands, n, xwindow, alpha_max, xi_max, budget, fmt):
     """Run both pipelines and report whether they agree."""
     _check_positive(n=n, budget=budget)
     word = _braid(braid_text, strands)
-    mod = _homology(word, n, xwindow)
+    mod, chi = _decategorified(word, n, xwindow)
     value = _skein(word, n, budget)
-    verdict = "MATCH" if _euler(mod) == value else "MISMATCH"
+    verdict = "MATCH" if chi == value else "MISMATCH"
     if fmt == "table":
         click.echo(mod.pretty())
         click.echo(json.dumps(module_json(mod)))
@@ -257,9 +278,9 @@ def gdim(graph_spec, n, xwindow, fmt):
         }))
 
 
-def _verify_checks(n: int, xwindow: int, budget: int):
+def _verify_checks(n: int, xwindow: int | None, budget: int):
     def unknot_table():
-        mod = _homology(parse("", 1), n, xwindow)
+        mod, _ = _decategorified(parse("", 1), n, xwindow)
         lo, hi = mod.window
         expect = {(1, 0, -n + 1 + 2 * l): SliceModule((-1,), ()) for l in range(n)}
         k = n + 1
@@ -296,8 +317,8 @@ def _verify_checks(n: int, xwindow: int, budget: int):
 
     def euler_cross_check():
         for text, strands in [("", 1), ("1", 2), ("-1", 2)]:
-            mod = _homology(parse(text, strands), n, xwindow)
-            if _euler(mod) != evaluate(parse(text, strands), n, budget):
+            _, chi = _decategorified(parse(text, strands), n, xwindow)
+            if chi != evaluate(parse(text, strands), n, budget):
                 return False, f"euler characteristic disagrees with the skein value on {text!r}"
         return True, ""
 
@@ -313,7 +334,7 @@ def _verify_checks(n: int, xwindow: int, budget: int):
 
 @main.command()
 @click.option("--n", "n", type=int, default=1, show_default=True)
-@click.option("--xwindow", type=int, default=20, show_default=True)
+@click.option("--xwindow", type=int, default=None, help=_AUTO_WINDOW_HELP)
 @click.option("--budget", type=int, default=10**4, show_default=True)
 def verify(n, xwindow, budget):
     """Run the built-in consistency sweep and report one line per check."""

@@ -128,8 +128,12 @@ class SliceMatrix:
             clean[(r, c)] = (coeff, exp)
         object.__setattr__(self, "entries", clean)
 
-    def column(self, c: int) -> Vec:
-        return {r: mono for (r, cc), mono in self.entries.items() if cc == c}
+    def columns(self) -> list[tuple[Vec, int]]:
+        """Each column as a vector over the target, with its source a-degree."""
+        cols: list[Vec] = [{} for _ in self.source]
+        for (r, c), mono in self.entries.items():
+            cols[c][r] = mono
+        return list(zip(cols, self.source))
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -758,7 +762,8 @@ def two_stage_homology(C: ChainComplexOfMF, x_window=None) -> GradedQaModule:
     The window defaults to [x_min, x_min + 20] where x_min is the least
     generator x-degree; an integer window is a width anchored at x_min, and
     an explicit (lo, hi) whose bottom lies above x_min is rejected as
-    inconsistent rather than silently truncated.
+    inconsistent rather than silently truncated.  The search for the least
+    width that decategorifies is adaptive_homology, below.
     """
     if not isinstance(C, ChainComplexOfMF):
         raise TypeError("two_stage_homology expects a complex of factorizations")
@@ -848,10 +853,8 @@ def two_stage_homology(C: ChainComplexOfMF, x_window=None) -> GradedQaModule:
         rel_cols: list[tuple[Vec, int]] = []
         prev = phis.get((eps, i - 1, k))
         if prev is not None and prev.target == st.labels:
-            for c in range(len(prev.source)):
-                rel_cols.append((prev.column(c), prev.source[c]))
-        for c in range(len(st.presentation.source)):
-            rel_cols.append((st.presentation.column(c), st.presentation.source[c]))
+            rel_cols += prev.columns()
+        rel_cols += st.presentation.columns()
         rcells = {}
         rlabels = []
         for vec, lab in rel_cols:
@@ -899,11 +902,15 @@ def euler_characteristic(M: GradedQaModule) -> SkeinValue:
     Free summands contribute a geometric series in the a-variable, torsion a
     finite one; the slices covered by a detected tail are replaced by the
     closed form of the period-2 geometric sum.  Raises if content reaches
-    the top of the window without a detected tail, since then no exact
-    series can be reported.
+    the top of the window without a detected tail, or if the window holds no
+    content at all, since then no exact series can be reported.
     """
     n = M.n
     lo, hi = M.window
+    if not M.slices:
+        raise ValueError(
+            "window holds no homology; widen the window to decategorify exactly"
+        )
     covered = {(t.eps, t.i, t.start % 2): t.start for t in M.tails}
     classes = {(e, i) for e, i, _ in M.slices}
     for eps, i in classes:
@@ -948,6 +955,61 @@ def euler_characteristic(M: GradedQaModule) -> SkeinValue:
                 term = SkeinValue.tau_free(n, num, Counter({atom_xi1(): j + 1}))
                 total = total + (term.times_tau() if tail.eps else term)
     return total.stripped()
+
+
+# ---------------------------------------------------------------------------
+# The least window that decategorifies
+
+AUTO_MAX_WIDTH = 40
+
+
+class WindowBudgetError(RuntimeError):
+    """No x-window width up to AUTO_MAX_WIDTH decategorifies with confirmation."""
+
+
+def adaptive_homology(
+    C: ChainComplexOfMF,
+    homology=two_stage_homology,
+    euler=euler_characteristic,
+) -> tuple[GradedQaModule, SkeinValue]:
+    """Two-stage homology at the least even width that decategorifies, and its
+    Euler characteristic.
+
+    Width w is accepted when euler accepts the modules at w and at w + 2 with
+    equal values, their tails are equal, and the slices of the wider module
+    up to the narrower top are those of the narrower one.  The confirmation
+    guards against a window that decategorifies to the wrong value: one with
+    no content, or one whose tail fit holds only by coincidence.  Widths run
+    2, 4, 6, ..., each computed afresh from C; past AUTO_MAX_WIDTH the search
+    raises WindowBudgetError.  homology and euler are the two functions it
+    calls, so a caller may pass in its own references to them.
+    """
+    prev = None
+    for width in range(2, AUTO_MAX_WIDTH + 1, 2):
+        mod = homology(C, width)
+        try:
+            value = euler(mod)
+        except ValueError:
+            prev = None
+            continue
+        if prev is not None and _confirms(*prev, mod, value):
+            return prev
+        prev = (mod, value)
+    raise WindowBudgetError(
+        f"x-window search exhausted: no width up to {AUTO_MAX_WIDTH} has an "
+        "euler characteristic confirmed at the next width"
+    )
+
+
+def _confirms(
+    narrow: GradedQaModule, value: SkeinValue, wide: GradedQaModule, wide_value: SkeinValue
+) -> bool:
+    top = narrow.window[1]
+    return (
+        value == wide_value
+        and narrow.tails == wide.tails
+        and {key: sm for key, sm in wide.slices.items() if key[2] <= top} == narrow.slices
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from krlab import cli
+from krlab import cli, qamod
 from krlab.braid import parse
 from krlab.cube import ChainComplexOfMF, build_complex
 from krlab.poly import InvariantError
 from krlab.qamod import two_stage_homology
-from krlab.skein import SkeinBudgetError, unlink_value
+from krlab.skein import SkeinBudgetError, evaluate, unlink_value
 
 
 @pytest.fixture()
@@ -103,6 +103,36 @@ class TestBothCommand:
         assert doc["cross_check"] == "MATCH"
         assert doc["skein"]["schema"] == "krlab/1"
 
+    def test_default_window_is_the_least_confirmed_width(self, runner):
+        res = run(runner, "both", "--braid", "1 1", "--format", "json")
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        assert doc["window"] == [0, 8]
+        assert doc["cross_check"] == "MATCH"
+
+    def test_explicit_window_keeps_its_meaning(self, runner):
+        res = run(runner, "both", "--braid", "", "--strands", "1",
+                  "--xwindow", "20", "--format", "json")
+        assert res.exit_code == 0
+        word = parse("", 1)
+        expected = cli.module_json(two_stage_homology(build_complex(word, 1), x_window=20))
+        expected["skein"] = cli._skein_json(evaluate(word, 1), 1, 12, 12)
+        expected["cross_check"] = "MATCH"
+        assert json.loads(res.output) == expected
+        assert expected["window"] == [0, 20]
+
+    def test_empty_window_is_refused_in_one_line(self, runner):
+        res = run(runner, "both", "--braid", "-1", "--strands", "2",
+                  "--n", "2", "--xwindow", "2")
+        assert_one_line_failure(res, 1)
+        assert "widen the window" in res.stderr
+
+    def test_window_search_exhaustion_exits_two(self, runner, monkeypatch):
+        monkeypatch.setattr(qamod, "AUTO_MAX_WIDTH", 4)
+        res = run(runner, "both", "--braid", "1 1")
+        assert_one_line_failure(res, 2)
+        assert "x-window search exhausted" in res.stderr
+
     def test_mismatch_exits_three(self, runner, monkeypatch):
         monkeypatch.setattr(
             cli, "evaluate", lambda word, n, budget: unlink_value(2, n)
@@ -184,3 +214,9 @@ class TestVerifyCommand:
         res = run(runner, "verify", "--xwindow", "2")
         assert_one_line_failure(res, 1)
         assert "widen the window" in res.stderr
+
+    def test_narrow_window_is_refused_before_any_check_fails(self, runner):
+        res = run(runner, "verify", "--xwindow", "4")
+        assert_one_line_failure(res, 1)
+        assert "widen the window" in res.stderr
+        assert "FAIL" not in res.stdout

@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 from krlab.braid import parse
 from krlab.cube import build_complex
 from krlab.qamod import (
+    GradedQaModule,
     SliceMatrix,
     SliceModule,
     Tail,
     a_one_dimensions,
+    adaptive_homology,
     euler_characteristic,
     mod_a_homology,
     smith,
     specialize,
     two_stage_homology,
 )
-from krlab.skein import evaluate, unlink_value
+from krlab.skein import SkeinValue, evaluate, unlink_value
 
 
 def homology(text, strands, n, window=None, **kw):
@@ -241,9 +243,73 @@ class TestWindows:
         with pytest.raises(ValueError, match="widen the window"):
             euler_characteristic(m)
 
+    def test_empty_window_refuses_to_decategorify(self):
+        # (-4, -2) lies below all of this knot's homology at n = 2
+        m = homology("-1", 2, 2, window=2)
+        assert m.slices == {}
+        with pytest.raises(ValueError, match="widen the window"):
+            euler_characteristic(m)
+
     def test_non_complex_input_is_rejected(self):
         with pytest.raises(TypeError):
             two_stage_homology(42)
+
+
+class TestAdaptiveWindow:
+    @pytest.mark.parametrize("text,strands,n,width", [
+        ("", 1, 1, 6), ("", 1, 2, 8),
+        ("1", 2, 1, 6), ("1", 2, 2, 8),
+        ("-1", 2, 1, 8), ("-1", 2, 2, 12),
+        ("1 1", 2, 1, 8), ("1 1", 2, 2, 16),
+        ("1 -1", 2, 1, 10), ("1 -1", 2, 2, 14),
+        ("-1 -1", 2, 1, 10), ("-1 -1", 2, 2, 14),
+    ])
+    def test_least_confirmed_width(self, text, strands, n, width):
+        C = build_complex(parse(text, strands), n)
+        mod, chi = adaptive_homology(C)
+        lo, hi = mod.window
+        assert hi - lo == width
+        assert mod == two_stage_homology(C, x_window=width)
+        assert chi == euler_characteristic(mod) == evaluate(parse(text, strands), n)
+
+    def test_an_accepted_width_needs_confirmation(self):
+        # read an empty window as zero: width 2 then decategorifies, to a
+        # wrong value that width 4 cannot confirm
+        def lax_euler(m):
+            return euler_characteristic(m) if m.slices else SkeinValue.zero(m.n)
+
+        C = build_complex(parse("-1", 2), 2)
+        mod, chi = adaptive_homology(C, euler=lax_euler)
+        assert mod.window == (-4, 8)
+        assert chi == evaluate(parse("-1", 2), 2)
+
+    @pytest.mark.parametrize("differs", ["value", "slices", "tails"])
+    def test_confirmation_compares_value_slices_and_tails(self, differs):
+        # widths 2 and 4 disagree in one respect, widths 4 and 6 agree
+        tower = SliceModule((), ((1, 0),))
+        tail = (Tail(0, 0, 0, ((1, 0, (1,)),)),)
+
+        def fake_homology(C, width):
+            slices = {(0, 0, 0): tower, (0, 0, 2): tower}
+            if differs == "slices" and width == 2:
+                slices = {(0, 0, 0): tower}
+            tails = () if differs == "tails" and width == 2 else tail
+            return GradedQaModule(1, (0, width), slices, tails)
+
+        def fake_euler(m):
+            width = m.window[1]
+            return SkeinValue.from_monomial(1, 1 + (differs == "value" and width == 2))
+
+        mod, _ = adaptive_homology(None, fake_homology, fake_euler)
+        assert mod.window == (0, 4)
+
+    def test_the_next_width_agrees(self):
+        C = build_complex(parse("-1", 2), 2)
+        mod, _ = adaptive_homology(C)
+        wide = two_stage_homology(C, x_window=14)
+        assert wide.tails == mod.tails
+        assert {key: sm for key, sm in wide.slices.items() if key[2] <= mod.window[1]} \
+            == mod.slices
 
 
 class TestSliceModule:
