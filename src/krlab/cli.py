@@ -1,10 +1,12 @@
 """Command-line surface: homology tables, skein values, graph dimensions.
 
 Exit codes separate the failure families: 1 for input that does not parse
-(including windows the pipelines refuse), 2 for search-budget exhaustion
-(the skein recursion's budget, or the x-window search of `both` and `verify`
-passing qamod.AUTO_MAX_WIDTH), 3 for a failed cross-check, 4 for a broken
-internal invariant.  Each failure prints one line on stderr.  JSON documents
+(including windows the pipelines refuse), 2 for an exhausted budget (the
+skein recursion's budget, the x-window search of `both` and `verify`
+passing qamod.AUTO_MAX_WIDTH, or a window whose expansion would pass
+qamod.MAX_EXPANSION basis vectors), 3 for a failed cross-check, 4 for a
+broken internal invariant, 5 for running out of memory.  Each failure
+prints one line on stderr.  JSON documents
 carry a stable "schema": "krlab/1" tag, slices sorted by (eps, i, x), so
 output is reproducible and round-trips through module_from_json.
 """
@@ -22,6 +24,7 @@ from .cube import build_complex
 from .moy import BUILTIN_GRAPHS, builtin_graph, graph_gdim, parse_graph
 from .poly import InvariantError
 from .qamod import (
+    ExpansionBudgetError,
     GradedQaModule,
     SliceModule,
     Tail,
@@ -167,8 +170,12 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except ExpansionBudgetError as exc:
+            _fail(2, str(exc))
         except InvariantError as exc:
             _fail(4, f"internal invariant violated: {exc}")
+        except MemoryError:
+            _fail(5, "out of memory: the computation needs more than this process may use")
 
 
 @click.group(cls=_Main)

@@ -26,7 +26,27 @@ unchanged, and it also produces the corrected degree-one component used in
 the second stage.  Correction terms of homological jump two and higher are
 discarded: they never enter the two-stage answer.  The jump-one component
 squares to zero only up to boundaries of the jump-zero component, which is
-exactly the slack the second-stage subquotient construction absorbs.
+exactly the slack the second-stage subquotient construction absorbs.  A
+zig-zag through a pivot adds the jumps of its two ends, so an entry of jump
+two or more only ever produces more of them; they are never created.
+
+The expansion grows with the window instead of being rebuilt.  An entry
+of homological jump j raises the x-degree by exactly (1 - j)(n + 1): a
+factorization term by n + 1, a chi term by 0, and a zig-zag by the sum of
+its ends less its pivot.  Raising the top from T to T' adds the basis
+elements above T and the entries into them; nothing new enters at or below
+T.  Gaussian elimination only corrects rows into its target, so an
+elimination made below T would need replaying onto the new entries only if
+its source had one, that is, sat at x >= T - n; a unit entry of an
+expansion at top T leaves x <= T - n - 1, so there is nothing to log or
+replay.  The new entries from old sources are the raw ones of the
+surviving sources (an eliminated old source was a pivot target, whose
+outgoing entries the elimination dropped), and the unit entries then
+present are eliminated as before, each into an element above T.
+After a reduction at top hi + n + 1 the slices at x <= hi are final: no
+later growth removes an element at x <= hi or changes an entry between two
+of them.  The stage-one and stage-two results at x <= hi - n - 1 read only
+such elements and entries, so they are final too and are kept.
 """
 
 from __future__ import annotations
@@ -35,6 +55,8 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import add
 from typing import Mapping
 
 from .cube import ChainComplexOfMF
@@ -411,7 +433,8 @@ class GradedQaModule:
 
     def pretty(self) -> str:
         if not self.slices:
-            return "0"
+            lo, hi = self.window
+            return f"0: the window x = {lo}..{hi} holds no homology"
         lines = []
         for (eps, i, k) in sorted(self.slices):
             sm = self.slices[(eps, i, k)]
@@ -449,209 +472,302 @@ class _Reduced:
     d1: dict  # (eps, i, k) -> {(row, col): Mono} into (eps, i+1, k)
 
 
-def _monomials_up_to(nvars: int, total: int) -> list[tuple[int, ...]]:
+def _monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
     if nvars == 0:
-        return [()] if total >= 0 else []
-    out = []
+        return [()] if degree == 0 else []
+    if nvars == 1:
+        return [(degree,)]
+    return [
+        (k,) + rest
+        for k in range(degree + 1)
+        for rest in _monomials_of_degree(nvars - 1, degree - k)
+    ]
 
-    def rec(prefix: tuple[int, ...], left: int, pos: int) -> None:
-        if pos == nvars - 1:
-            for k in range(left + 1):
-                out.append(prefix + (k,))
+
+# The expansion takes about 2.6 KB per basis vector (1 1 1 1 1 at width 6:
+# 186,510 vectors, 459 MB), so the cap stays near 650 MB.
+MAX_EXPANSION = 250_000
+_RESERVE = 1 << 24  # bytes of address space held back for unwinding from a MemoryError
+
+
+class ExpansionBudgetError(RuntimeError):
+    """The expansion of a window would exceed MAX_EXPANSION basis vectors."""
+
+
+def expansion_size(C: ChainComplexOfMF, top: int) -> int:
+    """Basis vectors of the expansion of C up to x-degree top: each generator
+    of x-degree gx times the mark monomials of degree <= (top - gx) // 2."""
+    marks = sum(1 for v in C.table.variables if v.kind == KIND_MARK)
+    return sum(
+        comb(marks + (top - gx) // 2, marks)
+        for parts in C.summands.values()
+        for part in parts
+        for par in (0, 1)
+        for _, gx in part.mf.basis(par)
+        if gx <= top
+    )
+
+
+class _Expansion:
+    """The complex on its slice basis up to x-degree top, with its unit
+    entries eliminated, grown in place by raising the top.
+
+    Basis elements are (generator, mark monomial) pairs, numbered in the
+    order they are created.  Growing from top T to T' creates the elements
+    at x in (T, T'] and the entries into them, from new sources and from
+    surviving old ones, and eliminates the unit entries then present as a
+    fresh expansion would.  Nothing from the earlier eliminations needs
+    replaying onto the new entries (see the module docstring).  stage1, phis
+    and modules hold the two-stage results of the keys at x <= final, which
+    no growth changes (see two_stage_homology).  After a MemoryError the
+    expansion is emptied and must not be used again.
+    """
+
+    def __init__(self, C: ChainComplexOfMF, kill_a: bool = False) -> None:
+        table = C.table
+        for v in table.variables:
+            if v.kind not in (KIND_A, KIND_MARK):
+                raise ValueError("complex ring must be Q[a, marks]")
+        a_pos = table.index("a")
+        mark_pos = [i for i, v in enumerate(table.variables) if v.kind == KIND_MARK]
+        self.C = C
+        self.n = C.n
+        self.nmarks = len(mark_pos)
+        self.top: int | None = None
+        # generators: (eps, i, a-degree, x-degree), and the first of each summand
+        self.gens: list[tuple[int, int, int, int]] = []
+        first: dict[tuple[int, int, int], int] = {}
+        for i, parts in C.summands.items():
+            for sidx, part in enumerate(parts):
+                for par in (0, 1):
+                    first[(i, sidx, par)] = len(self.gens)
+                    for ga, gx in part.mf.basis(par):
+                        self.gens.append((par, i, ga, gx))
+        self.x_min = min((gx for *_, gx in self.gens), default=0)
+        # differential terms: (source gen, target gen, coefficient, a-exponent,
+        # mark exponents, x-jump)
+        self.terms: list[tuple[int, int, object, int, tuple[int, ...], int]] = []
+
+        def add_matrix(src, tgt, mat) -> None:
+            for (ti, si), poly in mat.items():
+                gs, gt = first[src] + si, first[tgt] + ti
+                for e, coeff in poly.terms.items():
+                    ae = e[a_pos]
+                    if kill_a and ae:
+                        continue
+                    mt = tuple(e[p] for p in mark_pos)
+                    jump = self.gens[gt][3] + 2 * sum(mt) - self.gens[gs][3]
+                    if jump != (0 if tgt[0] > src[0] else self.n + 1):
+                        raise InvariantError("differential term off the x-slope")
+                    self.terms.append((gs, gt, _num(coeff), ae, mt, jump))
+
+        for i, parts in C.summands.items():
+            for sidx, part in enumerate(parts):
+                for par in (0, 1):
+                    add_matrix((i, sidx, par), (i, sidx, 1 - par), part.mf.differential(par))
+        for (i, tis, sis), mats in C.blocks.items():
+            for par in (0, 1):
+                add_matrix((i, sis, par), (i + 1, tis, par), mats[par])
+        self.index: list[dict[tuple[int, ...], int]] = [{} for _ in self.gens]
+        self.info_eps: list[int] = []
+        self.info_i: list[int] = []
+        self.info_k: list[int] = []
+        self.info_ja: list[int] = []
+        self.out: list[dict[int, Mono] | None] = []  # None once eliminated
+        self.rows: list[set[int] | None] = []
+        self.alive: list[bool] = []
+        self._monos: dict[int, list[tuple[int, ...]]] = {}
+        self.final = self.x_min - 1
+        self._reserve = bytes(_RESERVE)  # calloc'd: its pages are never touched
+        self.stage1: dict = {}
+        self.phis: dict = {}
+        self.modules: dict = {}
+
+    def monos(self, degree: int) -> list[tuple[int, ...]]:
+        got = self._monos.get(degree)
+        if got is None:
+            got = self._monos[degree] = _monomials_of_degree(self.nmarks, degree)
+        return got
+
+    def grow(self, top: int) -> None:
+        old = self.top
+        if old is not None and top <= old:
+            if top < old:
+                raise ValueError(
+                    f"the expansion already reaches x-degree {old}; "
+                    f"it cannot be narrowed to {top}"
+                )
             return
-        for k in range(left + 1):
-            rec(prefix + (k,), left - k, pos + 1)
+        size = expansion_size(self.C, top)
+        if size > MAX_EXPANSION:
+            raise ExpansionBudgetError(
+                f"x-window width {top - self.n - 1 - self.x_min} needs an expansion "
+                f"of {size} basis vectors, over the cap of {MAX_EXPANSION}"
+            )
+        heap: list[tuple[int, int, int]] = []
+        try:
+            self._extend(old, top, size, heap)
+        except MemoryError:
+            # unwinding needs memory too: free the reserve, which takes no
+            # allocation, then the whole expansion
+            del self._reserve
+            for part in [*vars(self).values(), heap]:
+                if isinstance(part, (list, dict)):
+                    part.clear()
+            raise
+        self.top = top
 
-    rec((), total, 0)
-    return out
+    def _extend(self, old: int | None, top: int, size: int, heap: list) -> None:
+        info_eps, info_i, info_k, info_ja = self.info_eps, self.info_i, self.info_k, self.info_ja
+        out, rows, alive, index, monos = self.out, self.rows, self.alive, self.index, self.monos
+        first = len(info_i)
+        for ids, (eps, i, ga, gx) in zip(index, self.gens):
+            d_lo = 0 if old is None else max(0, (old - gx) // 2 + 1)
+            for d in range(d_lo, (top - gx) // 2 + 1):
+                for m in monos(d):
+                    ids[m] = len(info_i)
+                    info_eps.append(eps)
+                    info_i.append(i)
+                    info_k.append(gx + 2 * d)
+                    info_ja.append(ga)
+        if len(info_i) != size:
+            raise InvariantError("expansion size differs from its closed form")
+        out.extend({} for _ in range(size - first))
+        rows.extend(set() for _ in range(size - first))
+        alive.extend([True] * (size - first))
+
+        def insert(s: int, t: int, coeff, exp: int) -> None:
+            cur = out[s].get(t)
+            if cur is None:
+                out[s][t] = (coeff, exp)
+                rows[t].add(s)
+                if exp == 0 and info_i[s] == info_i[t]:
+                    heapq.heappush(heap, ((len(out[s]) - 1) * (len(rows[t]) - 1), s, t))
+                return
+            c0, e0 = cur
+            if e0 != exp:
+                raise InvariantError("graded collision in reduction")
+            c = c0 + coeff
+            if c:
+                out[s][t] = (c, exp)
+            else:
+                del out[s][t]
+                rows[t].discard(s)
+
+        # entries into the new elements; an eliminated old source was a pivot
+        # target, whose outgoing entries the elimination dropped
+        for gs, gt, coeff, ae, mt, jump in self.terms:
+            gx = self.gens[gs][3]
+            d_lo = 0 if old is None else max(0, (old - gx - jump) // 2 + 1)
+            src, tgt = index[gs], index[gt]
+            shifted = any(mt)
+            for d in range(d_lo, (top - gx - jump) // 2 + 1):
+                for m in monos(d):
+                    sid = src[m]
+                    if alive[sid]:
+                        tid = tgt[tuple(map(add, m, mt))] if shifted else tgt[m]
+                        insert(sid, tid, coeff, ae)
+
+        while heap:
+            cost, s0, t0 = heapq.heappop(heap)
+            if not alive[s0] or not alive[t0]:
+                continue
+            mono = out[s0].get(t0)
+            if mono is None or mono[1] != 0:
+                continue
+            now = (len(out[s0]) - 1) * (len(rows[t0]) - 1)
+            if now > cost and heap:
+                heapq.heappush(heap, (now, s0, t0))
+                continue
+            if t0 < first:
+                raise InvariantError("growth eliminates an element at or below the old top")
+            pivot = mono[0]
+            # the zig-zag s -> t0 <- s0 -> t adds the jumps of its two ends;
+            # a jump of 2 or more never feeds the two-stage answer
+            i0 = info_i[s0]
+            flat = [(t, g) for t, g in out[s0].items() if t != t0 and info_i[t] == i0]
+            both = flat + [(t, g) for t, g in out[s0].items() if info_i[t] != i0]
+            for s in [s for s in rows[t0] if s != s0]:
+                dc, de = out[s][t0]
+                if pivot == 1:
+                    factor = -dc
+                elif pivot == -1:
+                    factor = dc
+                else:
+                    factor = _num(-Fraction(dc) / pivot)
+                for t, (gc, ge) in (both if info_i[s] == i0 else flat):
+                    insert(s, t, gc if factor == 1 else (-gc if factor == -1 else factor * gc), de + ge)
+            for s in rows[t0]:
+                out[s].pop(t0, None)
+            for t in out[s0]:
+                rows[t].discard(s0)
+            for t in out[t0]:
+                rows[t].discard(t0)
+            for u in rows[s0]:
+                out[u].pop(s0, None)
+            # the pair leaves the complex, and its containers with it
+            out[s0] = out[t0] = rows[s0] = rows[t0] = None
+            alive[s0] = alive[t0] = False
+
+    def reduced(self) -> _Reduced:
+        """The surviving slice bases above x = final, whose two-stage results
+        are not kept yet, and the two components out of them."""
+        n, final = self.n, self.final
+        info_eps, info_i, info_k, info_ja = self.info_eps, self.info_i, self.info_k, self.info_ja
+        alive, out = self.alive, self.out
+        members: dict[tuple[int, int, int], list[int]] = {}
+        for ident in range(len(alive)):
+            if alive[ident] and info_k[ident] > final:
+                key = (info_eps[ident], info_i[ident], info_k[ident])
+                members.setdefault(key, []).append(ident)
+        position: dict[int, tuple[tuple[int, int, int], int]] = {}
+        labels: dict[tuple[int, int, int], list[int]] = {}
+        for key, ids in members.items():
+            ids.sort(key=lambda ident: (info_ja[ident], ident))
+            labels[key] = [info_ja[ident] for ident in ids]
+            for pos, ident in enumerate(ids):
+                position[ident] = (key, pos)
+
+        d0: dict = {}
+        d1: dict = {}
+        for ident, (key, pos) in position.items():
+            eps, i, k = key
+            for t, mono in out[ident].items():
+                tkey, tpos = position[t]
+                di = tkey[1] - i
+                if di == 0:
+                    if mono[1] == 0:
+                        raise InvariantError("unit entry survived the reduction")
+                    if tkey != ((eps + 1) % 2, i, k + n + 1):
+                        raise InvariantError("slice slope broken")
+                    d0.setdefault(key, {})[(tpos, pos)] = mono
+                elif di == 1:
+                    if tkey != (eps, i + 1, k):
+                        raise InvariantError("slice slope broken")
+                    d1.setdefault(key, {})[(tpos, pos)] = mono
+                elif di < 0:
+                    raise InvariantError("backwards correction")
+                else:
+                    raise InvariantError("correction of homological jump two or more")
+        return _Reduced(n, labels, d0, d1)
 
 
-def _reduce_complex(C: ChainComplexOfMF, top: int, kill_a: bool = False) -> _Reduced:
-    """Expand the complex on its slice basis and eliminate the unit entries.
+def _reduce_complex(
+    C: ChainComplexOfMF, top: int, expansion: _Expansion | None = None
+) -> _Reduced:
+    """Expand the complex on its slice basis up to x-degree top and eliminate
+    the unit entries, growing the given expansion of C (or a fresh one).
 
-    Basis elements are (generator, mark monomial) pairs up to x-degree top.
     Entries that are nonzero rationals within one homological degree are
     Gaussian-eliminated; the result keeps the degree-preserving component
     (entries divisible by a) and the corrected degree-one component.
     """
-    n = C.n
-    table = C.table
-    for v in table.variables:
-        if v.kind not in (KIND_A, KIND_MARK):
-            raise ValueError("complex ring must be Q[a, marks]")
-    a_pos = table.index("a")
-    mark_pos = [i for i, v in enumerate(table.variables) if v.kind == KIND_MARK]
-    nmarks = len(mark_pos)
-    mono_cache: dict[int, list[tuple[int, ...]]] = {}
-
-    def monos(budget: int) -> list[tuple[int, ...]]:
-        if budget < 0:
-            return []
-        if budget not in mono_cache:
-            mono_cache[budget] = _monomials_up_to(nmarks, budget)
-        return mono_cache[budget]
-
-    # enumerate the basis
-    lookup: dict[tuple, int] = {}
-    info_eps: list[int] = []
-    info_i: list[int] = []
-    info_k: list[int] = []
-    info_ja: list[int] = []
-    for i, parts in C.summands.items():
-        for sidx, part in enumerate(parts):
-            for par in (0, 1):
-                for gidx, (ga, gx) in enumerate(part.mf.basis(par)):
-                    for m in monos((top - gx) // 2):
-                        ident = len(info_eps)
-                        lookup[(i, sidx, par, gidx, m)] = ident
-                        info_eps.append(par)
-                        info_i.append(i)
-                        info_k.append(gx + 2 * sum(m))
-                        info_ja.append(ga)
-    size = len(info_eps)
-    out: list[dict[int, Mono]] = [dict() for _ in range(size)]
-    rows: list[set[int]] = [set() for _ in range(size)]
-    heap: list[tuple[int, int, int]] = []
-
-    def push(s: int, t: int) -> None:
-        heapq.heappush(heap, ((len(out[s]) - 1) * (len(rows[t]) - 1), s, t))
-
-    def insert(s: int, t: int, coeff: Fraction, exp: int) -> None:
-        cur = out[s].get(t)
-        if cur is None:
-            out[s][t] = (coeff, exp)
-            rows[t].add(s)
-            if exp == 0 and info_i[s] == info_i[t]:
-                push(s, t)
-            return
-        c0, e0 = cur
-        if e0 != exp:
-            raise InvariantError("graded collision in reduction")
-        c = c0 + coeff
-        if c:
-            out[s][t] = (c, exp)
-        else:
-            del out[s][t]
-            rows[t].discard(s)
-
-    def split_terms(poly):
-        terms = []
-        for e, coeff in poly.terms.items():
-            ae = e[a_pos]
-            if kill_a and ae:
-                continue
-            terms.append((_num(coeff), ae, tuple(e[p] for p in mark_pos)))
-        return terms
-
-    def add_matrix(i_src, sidx_src, par_src, i_tgt, sidx_tgt, par_tgt, mat, src_mf, tgt_mf):
-        src_basis = src_mf.basis(par_src)
-        tgt_basis = tgt_mf.basis(par_tgt)
-        for (ti, si), poly in mat.items():
-            terms = split_terms(poly)
-            if not terms:
-                continue
-            gx = src_basis[si][1]
-            tgx = tgt_basis[ti][1]
-            for m in monos((top - gx) // 2):
-                sid = lookup[(i_src, sidx_src, par_src, si, m)]
-                mdeg2 = 2 * sum(m)
-                for coeff, ae, mt in terms:
-                    tk = tgx + mdeg2 + 2 * sum(mt)
-                    if tk > top:
-                        continue
-                    tm = tuple(x + y for x, y in zip(m, mt))
-                    tid = lookup[(i_tgt, sidx_tgt, par_tgt, ti, tm)]
-                    insert(sid, tid, coeff, ae)
-
-    for i, parts in C.summands.items():
-        for sidx, part in enumerate(parts):
-            for par in (0, 1):
-                add_matrix(
-                    i, sidx, par, i, sidx, 1 - par,
-                    part.mf.differential(par), part.mf, part.mf,
-                )
-    for (i, tis, sis), mats in C.blocks.items():
-        src_mf = C.summands[i][sis].mf
-        tgt_mf = C.summands[i + 1][tis].mf
-        for par in (0, 1):
-            add_matrix(i, sis, par, i + 1, tis, par, mats[par], src_mf, tgt_mf)
-
-    alive = [True] * size
-    while heap:
-        cost, s0, t0 = heapq.heappop(heap)
-        if not alive[s0] or not alive[t0]:
-            continue
-        mono = out[s0].get(t0)
-        if mono is None or mono[1] != 0:
-            continue
-        now = (len(out[s0]) - 1) * (len(rows[t0]) - 1)
-        if now > cost and heap:
-            heapq.heappush(heap, (now, s0, t0))
-            continue
-        pivot = mono[0]
-        tgts = [(t, g) for t, g in out[s0].items() if t != t0]
-        for s in [s for s in rows[t0] if s != s0]:
-            dc, de = out[s][t0]
-            if pivot == 1:
-                factor = -dc
-            elif pivot == -1:
-                factor = dc
-            else:
-                factor = _num(-Fraction(dc) / pivot)
-            for t, (gc, ge) in tgts:
-                insert(s, t, gc if factor == 1 else (-gc if factor == -1 else factor * gc), de + ge)
-        for s in list(rows[t0]):
-            out[s].pop(t0, None)
-        rows[t0].clear()
-        for t in out[s0]:
-            rows[t].discard(s0)
-        out[s0].clear()
-        for t in out[t0]:
-            rows[t].discard(t0)
-        out[t0].clear()
-        for u in list(rows[s0]):
-            out[u].pop(s0, None)
-        rows[s0].clear()
-        alive[s0] = alive[t0] = False
-
-    # collect the surviving slice bases
-    members: dict[tuple[int, int, int], list[int]] = {}
-    for ident in range(size):
-        if alive[ident]:
-            key = (info_eps[ident], info_i[ident], info_k[ident])
-            members.setdefault(key, []).append(ident)
-    position: dict[int, tuple[tuple[int, int, int], int]] = {}
-    labels: dict[tuple[int, int, int], list[int]] = {}
-    for key, ids in members.items():
-        ids.sort(key=lambda ident: (info_ja[ident], ident))
-        labels[key] = [info_ja[ident] for ident in ids]
-        for pos, ident in enumerate(ids):
-            position[ident] = (key, pos)
-
-    d0: dict = {}
-    d1: dict = {}
-    for ident in range(size):
-        if not alive[ident]:
-            continue
-        key, pos = position[ident]
-        eps, i, k = key
-        for t, mono in out[ident].items():
-            tkey, tpos = position[t]
-            di = tkey[1] - i
-            if di == 0:
-                if mono[1] == 0:
-                    raise InvariantError("unit entry survived the reduction")
-                if tkey != ((eps + 1) % 2, i, k + n + 1):
-                    raise InvariantError("slice slope broken")
-                d0.setdefault(key, {})[(tpos, pos)] = mono
-            elif di == 1:
-                if tkey != (eps, i + 1, k):
-                    raise InvariantError("slice slope broken")
-                d1.setdefault(key, {})[(tpos, pos)] = mono
-            elif di < 0:
-                raise InvariantError("backwards correction")
-            # di >= 2 corrections are dropped: not part of the two-stage answer
-    return _Reduced(n, labels, d0, d1)
+    if expansion is None:
+        expansion = _Expansion(C)
+    elif expansion.C is not C:
+        raise ValueError("the expansion belongs to another complex")
+    expansion.grow(top)
+    return expansion.reduced()
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +871,9 @@ def _detect_tails(slices: dict, window: tuple[int, int]) -> tuple[Tail, ...]:
     return tuple(tails)
 
 
-def two_stage_homology(C: ChainComplexOfMF, x_window=None) -> GradedQaModule:
+def two_stage_homology(
+    C: ChainComplexOfMF, x_window=None, expansion: _Expansion | None = None
+) -> GradedQaModule:
     """Homology of the matrix-factorization differential, then of the induced
     even differential, decomposed into free and torsion Q[a]-summands.
 
@@ -764,31 +882,41 @@ def two_stage_homology(C: ChainComplexOfMF, x_window=None) -> GradedQaModule:
     an explicit (lo, hi) whose bottom lies above x_min is rejected as
     inconsistent rather than silently truncated.  The search for the least
     width that decategorifies is adaptive_homology, below.
+
+    The computation grows the given expansion of C (a fresh one by default)
+    to the top hi + n + 1; a narrower top than it already has is refused.
+    Results of keys at x <= hi - n - 1 are final: their slice, the first-
+    stage map out of it and the slice it maps into all lie at x <= hi,
+    where no growth removes an element or changes an entry.  They are kept
+    on the expansion, and a wider computation on it reuses them.
     """
     if not isinstance(C, ChainComplexOfMF):
         raise TypeError("two_stage_homology expects a complex of factorizations")
     n = C.n
     lo, hi, _ = _resolve_window(C, x_window, n)
-    red = _reduce_complex(C, hi + n + 1)
-
+    # a fresh expansion is freed on return, before the stages need memory
+    red = _reduce_complex(C, hi + n + 1, expansion)
     stage1: dict[tuple[int, int, int], _Stage1] = {}
-    smiths: dict[tuple[int, int, int], SmithResult] = {}
+    phis: dict[tuple[int, int, int], SliceMatrix] = {}
+    modules: dict[tuple[int, int, int], SliceModule | None] = {}
+    if expansion is not None:
+        stage1, phis, modules = expansion.stage1, expansion.phis, expansion.modules
+
     for key in sorted(red.slices, key=lambda key: (key[2], key[0], key[1])):
         eps, i, k = key
-        if k > hi:
+        if k > hi or key in stage1:
             continue
         src = tuple(red.slices[key])
         tgt = tuple(red.slices.get(((eps + 1) % 2, i, k + n + 1), ()))
         sm = smith(SliceMatrix(src, tgt, 1, red.d0.get(key, {})))
-        smiths[key] = sm
         kb = sm.kernel_basis()
         kb_labels = tuple(lab for _, lab in kb)
         kb_vecs = [vec for vec, _ in kb]
-        in_key = ((eps + 1) % 2, i, k - n - 1)
+        incoming = stage1.get(((eps + 1) % 2, i, k - n - 1))
         cells = {}
         img_labels = []
-        if in_key in smiths:
-            for vec, lab in smiths[in_key].image_basis():
+        if incoming is not None:
+            for vec, lab in incoming.out_smith.image_basis():
                 coords = sm.kernel_coords(vec)
                 col = len(img_labels)
                 img_labels.append(lab)
@@ -797,13 +925,11 @@ def two_stage_homology(C: ChainComplexOfMF, x_window=None) -> GradedQaModule:
         pres = SliceMatrix(tuple(img_labels), kb_labels, 0, cells)
         stage1[key] = _Stage1(kb_labels, kb_vecs, sm, pres)
 
-    def phi(key) -> SliceMatrix | None:
-        """Induced map of kernel bases one homological degree up, or None."""
+    def phi(key) -> SliceMatrix:
+        """Induced map of kernel bases one homological degree up."""
         eps, i, k = key
-        st = stage1.get(key)
+        st = stage1[key]
         tgt = stage1.get((eps, i + 1, k))
-        if st is None:
-            return None
         tgt_labels = tgt.labels if tgt is not None else ()
         cells = {}
         d1cols: MonoMat = {}
@@ -819,59 +945,68 @@ def two_stage_homology(C: ChainComplexOfMF, x_window=None) -> GradedQaModule:
                 cells[(r, c)] = mono
         return SliceMatrix(st.labels, tgt_labels, 0, cells)
 
-    phis: dict[tuple[int, int, int], SliceMatrix | None] = {}
     for key in stage1:
-        phis[key] = phi(key)
+        if key not in phis:
+            phis[key] = phi(key)
 
-    out_slices: dict = {}
     for key in sorted(stage1):
-        eps, i, k = key
-        st = stage1[key]
-        if not st.labels:
-            continue
-        step = phis[key]
-        nxt = stage1.get((eps, i + 1, k))
-        if nxt is not None:
-            aug = _hstack(step, nxt.presentation)
-        else:
-            aug = step
-        # free generators of {x : phi(x) lies in the incoming image}
-        gcells = {}
-        glabels = []
-        nkb = len(st.labels)
-        for vec, lab in smith(aug).kernel_basis():
-            g = len(glabels)
-            glabels.append(lab)
-            for idx, mono in vec.items():
-                if idx < nkb:
-                    gcells[(idx, g)] = mono
-        gs = smith(SliceMatrix(tuple(glabels), st.labels, 0, gcells))
-        zbasis = gs.image_basis()
-        if not zbasis:
-            continue
-        # relations: the incoming induced map and the first-stage image
-        rel_cols: list[tuple[Vec, int]] = []
-        prev = phis.get((eps, i - 1, k))
-        if prev is not None and prev.target == st.labels:
-            rel_cols += prev.columns()
-        rel_cols += st.presentation.columns()
-        rcells = {}
-        rlabels = []
-        for vec, lab in rel_cols:
-            col = len(rlabels)
-            rlabels.append(lab)
-            for t, mono in gs.image_coords(vec).items():
-                rcells[(t, col)] = mono
-        zlabels = tuple(lab for _, lab in zbasis)
-        rs = smith(SliceMatrix(tuple(rlabels), zlabels, 0, rcells))
-        torsion = sorted((e, zlabels[r]) for r, _, e in rs.pivots if e >= 1)
-        pivot_rows = {r for r, _, _ in rs.pivots}
-        free = sorted(lab for r, lab in enumerate(zlabels) if r not in pivot_rows)
-        if free or torsion:
-            out_slices[key] = SliceModule(tuple(free), tuple(torsion))
+        if key not in modules:
+            modules[key] = _stage2(key, stage1, phis)
 
+    out_slices = {key: modules[key] for key in sorted(modules) if modules[key] is not None}
+    if expansion is not None:
+        expansion.final = hi - n - 1
+        for done in (stage1, phis, modules):
+            for key in [key for key in done if key[2] > expansion.final]:
+                del done[key]
     window = (lo, hi)
     return GradedQaModule(n, window, out_slices, _detect_tails(out_slices, window))
+
+
+def _stage2(key, stage1: dict, phis: dict) -> SliceModule | None:
+    """The second-stage subquotient at one key, or None when it is zero."""
+    eps, i, k = key
+    st = stage1[key]
+    if not st.labels:
+        return None
+    step = phis[key]
+    nxt = stage1.get((eps, i + 1, k))
+    aug = _hstack(step, nxt.presentation) if nxt is not None else step
+    # free generators of {x : phi(x) lies in the incoming image}
+    gcells = {}
+    glabels = []
+    nkb = len(st.labels)
+    for vec, lab in smith(aug).kernel_basis():
+        g = len(glabels)
+        glabels.append(lab)
+        for idx, mono in vec.items():
+            if idx < nkb:
+                gcells[(idx, g)] = mono
+    gs = smith(SliceMatrix(tuple(glabels), st.labels, 0, gcells))
+    zbasis = gs.image_basis()
+    if not zbasis:
+        return None
+    # relations: the incoming induced map and the first-stage image
+    rel_cols: list[tuple[Vec, int]] = []
+    prev = phis.get((eps, i - 1, k))
+    if prev is not None and prev.target == st.labels:
+        rel_cols += prev.columns()
+    rel_cols += st.presentation.columns()
+    rcells = {}
+    rlabels = []
+    for vec, lab in rel_cols:
+        col = len(rlabels)
+        rlabels.append(lab)
+        for t, mono in gs.image_coords(vec).items():
+            rcells[(t, col)] = mono
+    zlabels = tuple(lab for _, lab in zbasis)
+    rs = smith(SliceMatrix(tuple(rlabels), zlabels, 0, rcells))
+    torsion = sorted((e, zlabels[r]) for r, _, e in rs.pivots if e >= 1)
+    pivot_rows = {r for r, _, _ in rs.pivots}
+    free = sorted(lab for r, lab in enumerate(zlabels) if r not in pivot_rows)
+    if free or torsion:
+        return SliceModule(tuple(free), tuple(torsion))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -980,13 +1115,21 @@ def adaptive_homology(
     up to the narrower top are those of the narrower one.  The confirmation
     guards against a window that decategorifies to the wrong value: one with
     no content, or one whose tail fit holds only by coincidence.  Widths run
-    2, 4, 6, ..., each computed afresh from C; past AUTO_MAX_WIDTH the search
-    raises WindowBudgetError.  homology and euler are the two functions it
+    2, 4, 6, ...; past AUTO_MAX_WIDTH the search raises WindowBudgetError,
+    and a width whose expansion passes MAX_EXPANSION ends it with
+    ExpansionBudgetError.  homology and euler are the two functions it
     calls, so a caller may pass in its own references to them.
+
+    Every width is computed on one expansion of C, as homology(C, w,
+    expansion), which grows it from the last top to the next: after a
+    reduction at top hi + n + 1 the slices at x <= hi are final, and the
+    stage results at x <= hi - n - 1 are kept, so each width adds only the
+    elements above the last top and the keys near the new one.
     """
+    expansion = _Expansion(C)
     prev = None
     for width in range(2, AUTO_MAX_WIDTH + 1, 2):
-        mod = homology(C, width)
+        mod = homology(C, width, expansion)
         try:
             value = euler(mod)
         except ValueError:
@@ -1028,7 +1171,7 @@ def mod_a_homology(C: ChainComplexOfMF, x_window=None) -> dict:
         raise TypeError("mod_a_homology expects a complex of factorizations")
     n = C.n
     lo, hi, _ = _resolve_window(C, x_window, n)
-    red = _reduce_complex(C, hi + n + 1, kill_a=True)
+    red = _reduce_complex(C, hi + n + 1, _Expansion(C, kill_a=True))
     for key, cells in red.d0.items():
         if cells:
             raise InvariantError("first-stage differential survives modulo a")

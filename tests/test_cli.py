@@ -1,10 +1,15 @@
 """Command surface: output shapes, JSON round-trips, exit code families."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import krlab
 from krlab import cli, qamod
 from krlab.braid import parse
 from krlab.cube import ChainComplexOfMF, build_complex
@@ -58,6 +63,42 @@ class TestHomologyCommand:
                         "--strands", "2", "--format", "json")
         assert commented.exit_code == 0
         assert commented.output == plain.output
+
+    def test_empty_window_says_so(self, runner):
+        res = run(runner, "homology", "--braid", "-1", "--strands", "2",
+                  "--n", "2", "--xwindow", "2")
+        assert res.exit_code == 0
+        table, doc = res.output.splitlines()
+        assert table == "0: the window x = -4..-2 holds no homology"
+        assert json.loads(doc) == {"schema": "krlab/1", "n": 2, "window": [-4, -2],
+                                   "slices": [], "tail": []}
+
+    def test_expansion_over_the_cap_exits_two(self, runner, monkeypatch):
+        C = build_complex(parse("1 1", 2), 1)
+        size = qamod.expansion_size(C, 20 + 1 + 1)
+        monkeypatch.setattr(qamod, "MAX_EXPANSION", size - 1)
+        res = run(runner, "homology", "--braid", "1 1")
+        assert_one_line_failure(res, 2)
+        assert f"width 20 needs an expansion of {size} basis vectors" in res.stderr
+
+    def test_out_of_memory_exits_five(self):
+        resource = pytest.importorskip("resource")
+        limit = 128 * 2**20
+
+        def lower_limit():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(krlab.__file__).resolve().parents[1])
+        # width 60 stays under MAX_EXPANSION but needs more than 128 MB
+        res = subprocess.run(
+            [sys.executable, "-m", "krlab.cli", "homology", "--braid", "1 1", "--xwindow", "60"],
+            capture_output=True, text=True, preexec_fn=lower_limit,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert res.returncode == 5
+        assert res.stderr.splitlines() == [
+            "out of memory: the computation needs more than this process may use"
+        ]
 
     def test_window_refusal_is_a_parse_error(self, runner):
         res = run(runner, "homology", "--braid", "", "--strands", "1",
@@ -132,6 +173,14 @@ class TestBothCommand:
         res = run(runner, "both", "--braid", "1 1")
         assert_one_line_failure(res, 2)
         assert "x-window search exhausted" in res.stderr
+
+    def test_search_stops_at_the_first_width_over_the_cap(self, runner, monkeypatch):
+        C = build_complex(parse("1 1", 2), 1)
+        size = qamod.expansion_size(C, 4 + 1 + 1)
+        monkeypatch.setattr(qamod, "MAX_EXPANSION", size - 1)
+        res = run(runner, "both", "--braid", "1 1")
+        assert_one_line_failure(res, 2)
+        assert f"width 4 needs an expansion of {size} basis vectors" in res.stderr
 
     def test_mismatch_exits_three(self, runner, monkeypatch):
         monkeypatch.setattr(

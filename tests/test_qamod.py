@@ -13,9 +13,12 @@ from krlab.qamod import (
     SliceMatrix,
     SliceModule,
     Tail,
+    _Expansion,
+    _reduce_complex,
     a_one_dimensions,
     adaptive_homology,
     euler_characteristic,
+    expansion_size,
     mod_a_homology,
     smith,
     specialize,
@@ -289,7 +292,7 @@ class TestAdaptiveWindow:
         tower = SliceModule((), ((1, 0),))
         tail = (Tail(0, 0, 0, ((1, 0, (1,)),)),)
 
-        def fake_homology(C, width):
+        def fake_homology(C, width, expansion):
             slices = {(0, 0, 0): tower, (0, 0, 2): tower}
             if differs == "slices" and width == 2:
                 slices = {(0, 0, 0): tower}
@@ -300,7 +303,8 @@ class TestAdaptiveWindow:
             width = m.window[1]
             return SkeinValue.from_monomial(1, 1 + (differs == "value" and width == 2))
 
-        mod, _ = adaptive_homology(None, fake_homology, fake_euler)
+        C = build_complex(parse("", 1), 1)
+        mod, _ = adaptive_homology(C, fake_homology, fake_euler)
         assert mod.window == (0, 4)
 
     def test_the_next_width_agrees(self):
@@ -310,6 +314,50 @@ class TestAdaptiveWindow:
         assert wide.tails == mod.tails
         assert {key: sm for key, sm in wide.slices.items() if key[2] <= mod.window[1]} \
             == mod.slices
+
+
+class TestGrowingExpansion:
+    # every width up to the least confirmed one plus two, except where fresh
+    # computations at every width would cost seconds (1 1 1, 1 2 1, 2 1 2)
+    @pytest.mark.parametrize("text,strands,n,widest", [
+        ("1 1", 2, 1, 10), ("1 1", 2, 2, 18), ("-1", 2, 2, 14), ("1 -1", 2, 1, 12),
+        ("1 1 1", 2, 1, 8), ("1 1 1", 2, 2, 8), ("1 2 1", 3, 1, 6), ("2 1 2", 3, 1, 8),
+    ])
+    def test_one_expansion_grown_equals_fresh_ones(self, text, strands, n, widest):
+        C = build_complex(parse(text, strands), n)
+        expansion = _Expansion(C)
+        for width in range(2, widest + 1, 2):
+            grown = two_stage_homology(C, width, expansion)
+            assert grown == two_stage_homology(C, width)
+
+    def test_the_same_top_again_gives_the_same_module(self):
+        C = build_complex(parse("1 1", 2), 2)
+        expansion = _Expansion(C)
+        first = two_stage_homology(C, 12, expansion)
+        assert two_stage_homology(C, 12, expansion) == first
+        assert two_stage_homology(C, (-3, 11), expansion).slices == first.slices
+
+    def test_a_narrower_top_is_refused(self):
+        C = build_complex(parse("1 1", 2), 1)
+        expansion = _Expansion(C)
+        two_stage_homology(C, 8, expansion)
+        with pytest.raises(ValueError, match="cannot be narrowed"):
+            two_stage_homology(C, 6, expansion)
+
+    def test_an_expansion_serves_one_complex(self):
+        C = build_complex(parse("1 1", 2), 1)
+        with pytest.raises(ValueError, match="another complex"):
+            two_stage_homology(C, 4, _Expansion(build_complex(parse("1 1", 2), 1)))
+
+    @pytest.mark.parametrize("text,strands,n", [("1 -1", 2, 1), ("1 1 1", 2, 2)])
+    def test_the_closed_form_counts_the_basis(self, text, strands, n):
+        C = build_complex(parse(text, strands), n)
+        grown = _Expansion(C)
+        for top in (-4, 0, 3, 8):
+            _reduce_complex(C, top, grown)
+            fresh = _Expansion(C)
+            _reduce_complex(C, top, fresh)
+            assert len(grown.alive) == len(fresh.alive) == expansion_size(C, top)
 
 
 class TestSliceModule:
