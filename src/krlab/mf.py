@@ -19,9 +19,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .poly import BigradedPoly, InvariantError, VariableTable, substitute
+from .poly import BigradedPoly, Coefficient, InvariantError, VariableTable, substitute
 
 Entry = tuple[int, int]  # (row, col)
 Matrix = dict[Entry, BigradedPoly]
@@ -37,7 +38,7 @@ def cast(p: BigradedPoly, table: VariableTable) -> BigradedPoly:
         return p
     src_names = p.table.names()
     idx = [table.index(name) if name in table else None for name in src_names]
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Coefficient] = {}
     width = len(table)
     for e, c in p.terms.items():
         e2 = [0] * width
@@ -111,7 +112,7 @@ class ExclusionStep:
     image: BigradedPoly  # over spec_after.table
 
 
-def linear_unit_solve(entry: BigradedPoly, var: str) -> tuple[Fraction, BigradedPoly] | None:
+def linear_unit_solve(entry: BigradedPoly, var: str) -> tuple[Coefficient, BigradedPoly] | None:
     """Write entry = u (var - p) with u a nonzero rational, p free of var."""
     if entry.degree_in(var) != 1:
         return None
@@ -251,17 +252,34 @@ class MatrixFactorization:
 
 
 def compose(second: Matrix, first: Matrix) -> Matrix:
-    """Sparse matrix product second . first."""
-    by_col: dict[int, list[tuple[int, BigradedPoly]]] = {}
-    for (i, j), p in second.items():
-        by_col.setdefault(j, []).append((i, p))
-    out: Matrix = {}
+    """Sparse matrix product second . first.
+
+    All products of one output entry are summed term by term in one dict,
+    and one polynomial is built per nonzero entry.  Every entry of both
+    operands must share one variable table (ValueError otherwise).
+    """
+    tables = {p.table for p in second.values()} | {p.table for p in first.values()}
+    if len(tables) > 1:
+        raise ValueError("mismatched variable tables")
+    table = next(iter(tables), None)
+    by_col: dict[int, list[tuple[int, dict]]] = {}
+    for (i, j), q in second.items():
+        by_col.setdefault(j, []).append((i, q.terms))
+    sums: dict[Entry, dict[tuple[int, ...], Coefficient]] = {}
     for (mid, j), p in first.items():
-        for i, q in by_col.get(mid, ()):
-            key = (i, j)
-            s = out.get(key)
-            out[key] = q * p if s is None else s + q * p
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        pterms = p.terms.items()
+        for i, qterms in by_col.get(mid, ()):
+            acc = sums.setdefault((i, j), {})
+            for e1, c1 in qterms.items():
+                for e2, c2 in pterms:
+                    e = tuple(map(add, e1, e2))
+                    acc[e] = acc.get(e, 0) + c1 * c2
+    out: Matrix = {}
+    for key, acc in sums.items():
+        p = BigradedPoly(table, acc)
+        if p.terms:
+            out[key] = p
+    return out
 
 
 def koszul_masks(nrows: int) -> tuple[list[int], list[int]]:
@@ -588,7 +606,7 @@ def gdim(
                 out.append((g, mono))
         return out
 
-    def slice_matrix(par: int, j: int, k: int, src, tgt) -> list[dict[int, Fraction]]:
+    def slice_matrix(par: int, j: int, k: int, src, tgt) -> list[dict[int, Coefficient]]:
         tgt_pos = {}
         for pos, (g, mono) in enumerate(tgt):
             key = (g, tuple(sorted(mono.items())))
@@ -602,9 +620,9 @@ def gdim(
                 e = [0] * len(M.table)
                 for nm, p in mono.items():
                     e[M.table.index(nm)] = p
-                mp = BigradedPoly(M.table, {tuple(e): Fraction(1)})
+                mp = BigradedPoly(M.table, {tuple(e): 1})
                 mono_cache[key] = mp
-            col: dict[int, Fraction] = {}
+            col: dict[int, Coefficient] = {}
             for (ti, si), poly in dbar[par].items():
                 if si != g:
                     continue
@@ -618,7 +636,7 @@ def gdim(
                     if tkey not in tgt_pos:
                         raise InvariantError("image outside enumerated slice")
                     idx = tgt_pos[tkey]
-                    col[idx] = col.get(idx, Fraction(0)) + c
+                    col[idx] = col.get(idx, 0) + c
             cols.append({k2: v for k2, v in col.items() if v})
         return cols
 

@@ -6,8 +6,11 @@ generators] graded by a pair (a-degree, x-degree):
     deg a = (2, 0)       deg mark = (0, 2)       deg E_k = (0, 2k)
 
 where E_k is the k-th elementary symmetric generator of a colored-edge
-alphabet.  Polynomials are stored sparsely as exponent-vector -> Fraction
-maps; coefficients are exact rationals throughout, never floats.
+alphabet.  Polynomials are stored sparsely as exponent-vector ->
+coefficient maps.  Coefficients are exact rationals throughout, never
+floats: an int when integral and a Fraction otherwise (see exact).  The
+Koszul rows of the potential a x^(N+1) have integer coefficients, and
+keeping them as int spares the cube build Fraction's arithmetic.
 Canonical term order is graded lexicographic on (variable index,
 exponent), which makes exact multivariate division deterministic.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 KIND_A = "a"
@@ -27,6 +31,22 @@ _KIND_DEGREES = {KIND_A: (2, 0), KIND_MARK: (0, 2)}
 
 class InvariantError(AssertionError):
     """An internal consistency check failed; unlike assert, never stripped by -O."""
+
+
+Coefficient = int | Fraction
+
+
+def exact(c: object) -> Coefficient:
+    """c as an exact scalar: an int when integral, a Fraction otherwise.
+
+    Anything but an int or a Fraction (a float above all) raises TypeError,
+    so an inexact value never becomes a coefficient.
+    """
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"exact coefficients are int or Fraction, not {type(c).__name__}")
 
 
 @dataclass(frozen=True)
@@ -118,15 +138,25 @@ def _term_sort_key(exponents: tuple[int, ...]) -> tuple:
 
 
 class BigradedPoly:
-    """Sparse polynomial with Fraction coefficients over a VariableTable."""
+    """Sparse polynomial over a VariableTable.
+
+    Coefficients are int when integral and Fraction otherwise; the
+    constructor normalises them through exact and drops zeros, so equal
+    polynomials have equal term dicts whatever their coefficients were
+    built from.
+    """
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: VariableTable, terms: Mapping[tuple[int, ...], Fraction]):
+    def __init__(self, table: VariableTable, terms: Mapping[tuple[int, ...], Coefficient]):
         self.table = table
-        self.terms: dict[tuple[int, ...], Fraction] = {
-            e: c for e, c in terms.items() if c
-        }
+        out: dict[tuple[int, ...], Coefficient] = {}
+        for e, c in terms.items():
+            if type(c) is not int:
+                c = exact(c)
+            if c:
+                out[e] = c
+        self.terms = out
 
     # -- constructors ------------------------------------------------------
 
@@ -135,8 +165,8 @@ class BigradedPoly:
         return BigradedPoly(table, {})
 
     @staticmethod
-    def constant(table: VariableTable, c: Fraction | int) -> "BigradedPoly":
-        c = Fraction(c)
+    def constant(table: VariableTable, c: Coefficient) -> "BigradedPoly":
+        c = exact(c)
         if not c:
             return BigradedPoly.zero(table)
         return BigradedPoly(table, {(0,) * len(table): c})
@@ -149,7 +179,7 @@ class BigradedPoly:
     def variable(table: VariableTable, name: str) -> "BigradedPoly":
         e = [0] * len(table)
         e[table.index(name)] = 1
-        return BigradedPoly(table, {tuple(e): Fraction(1)})
+        return BigradedPoly(table, {tuple(e): 1})
 
     # -- queries -----------------------------------------------------------
 
@@ -159,9 +189,9 @@ class BigradedPoly:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coefficient:
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("not a constant")
         return next(iter(self.terms.values()))
@@ -188,15 +218,15 @@ class BigradedPoly:
     def coefficient_of(self, name: str, power: int) -> "BigradedPoly":
         """Coefficient of name**power, as a polynomial in the other variables."""
         i = self.table.index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Coefficient] = {}
         for e, c in self.terms.items():
             if e[i] == power:
                 e2 = list(e)
                 e2[i] = 0
-                out[tuple(e2)] = out.get(tuple(e2), Fraction(0)) + c
+                out[tuple(e2)] = out.get(tuple(e2), 0) + c
         return BigradedPoly(self.table, out)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Coefficient]]:
         return sorted(self.terms.items(), key=lambda t: _term_sort_key(t[0]), reverse=True)
 
     # -- arithmetic --------------------------------------------------------
@@ -209,7 +239,7 @@ class BigradedPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -222,22 +252,18 @@ class BigradedPoly:
     def __sub__(self, other: "BigradedPoly") -> "BigradedPoly":
         return self + (-other)
 
-    def __mul__(self, other: "BigradedPoly | Fraction | int") -> "BigradedPoly":
-        if isinstance(other, (Fraction, int)):
-            other = Fraction(other)
+    def __mul__(self, other: "BigradedPoly | Coefficient") -> "BigradedPoly":
+        if not isinstance(other, BigradedPoly):
+            other = exact(other)
             if not other:
                 return BigradedPoly.zero(self.table)
             return BigradedPoly(self.table, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Coefficient] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
         return BigradedPoly(self.table, out)
 
     __rmul__ = __mul__
@@ -290,7 +316,7 @@ def divide_exact(p: BigradedPoly, d: BigradedPoly) -> BigradedPoly:
     p._check(d)
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    quot: dict[tuple[int, ...], Fraction] = {}
+    quot: dict[tuple[int, ...], Coefficient] = {}
     rem = p
     lead_e, lead_c = max(d.terms.items(), key=lambda t: _term_sort_key(t[0]))
     while not rem.is_zero():
@@ -298,8 +324,8 @@ def divide_exact(p: BigradedPoly, d: BigradedPoly) -> BigradedPoly:
         qe = tuple(a - b for a, b in zip(re, lead_e))
         if any(x < 0 for x in qe):
             raise ValueError("non-exact polynomial division")
-        qc = rc / lead_c
-        quot[qe] = quot.get(qe, Fraction(0)) + qc
+        qc = exact(Fraction(rc) / lead_c)
+        quot[qe] = quot.get(qe, 0) + qc
         rem = rem - BigradedPoly(rem.table, {qe: qc}) * d
     return BigradedPoly(p.table, quot)
 
@@ -344,13 +370,13 @@ def substitute(
 def differentiate(p: BigradedPoly, name: str) -> BigradedPoly:
     """Formal partial derivative with respect to one variable."""
     i = p.table.index(name)
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Coefficient] = {}
     for e, c in p.terms.items():
         if e[i]:
             e2 = list(e)
             e2[i] -= 1
             key = tuple(e2)
-            out[key] = out.get(key, Fraction(0)) + c * e[i]
+            out[key] = out.get(key, 0) + c * e[i]
     return BigradedPoly(p.table, out)
 
 
@@ -415,7 +441,7 @@ def power_sum_in_elementary(generators: Sequence[BigradedPoly], k: int) -> Bigra
         if kk <= m:
             # the i = kk summand above used p_0 = m, so the classical
             # (-1)^{k-1} k e_k term needs the correction coefficient (k - m)
-            tail = _sym_values(generators, kk) * Fraction(kk - m)
+            tail = _sym_values(generators, kk) * (kk - m)
             acc = acc + (tail if kk % 2 == 1 else -tail)
         p.append(acc)
     return p[k]

@@ -61,7 +61,7 @@ from typing import Mapping
 
 from .cube import ChainComplexOfMF
 from .mf import kernel, rank
-from .poly import KIND_A, KIND_MARK, InvariantError
+from .poly import KIND_A, KIND_MARK, InvariantError, exact
 from .skein import ATOM_ALPHA, Laurent, SkeinValue, atom_xi1
 
 Mono = tuple[Fraction, int]  # coefficient, a-exponent
@@ -85,14 +85,6 @@ def _vec_accumulate(vec: Vec, idx: int, coeff: Fraction, exp: int) -> None:
         vec[idx] = (s, exp)
     else:
         del vec[idx]
-
-
-def _num(coeff):
-    """Exact scalar, kept as int whenever possible (ints multiply faster)."""
-    if isinstance(coeff, int):
-        return coeff
-    f = Fraction(coeff)
-    return f.numerator if f.denominator == 1 else f
 
 
 def _transpose_rows(rows_mat: Mapping[int, Mapping[int, Mono]]) -> MonoMat:
@@ -138,7 +130,7 @@ class SliceMatrix:
     def __post_init__(self) -> None:
         clean = {}
         for (r, c), (coeff, exp) in self.entries.items():
-            coeff = _num(coeff)
+            coeff = exact(coeff)
             if not coeff:
                 continue
             if not (0 <= r < len(self.target)) or not (0 <= c < len(self.source)):
@@ -559,7 +551,7 @@ class _Expansion:
                     jump = self.gens[gt][3] + 2 * sum(mt) - self.gens[gs][3]
                     if jump != (0 if tgt[0] > src[0] else self.n + 1):
                         raise InvariantError("differential term off the x-slope")
-                    self.terms.append((gs, gt, _num(coeff), ae, mt, jump))
+                    self.terms.append((gs, gt, coeff, ae, mt, jump))
 
         for i, parts in C.summands.items():
             for sidx, part in enumerate(parts):
@@ -694,7 +686,7 @@ class _Expansion:
                 elif pivot == -1:
                     factor = dc
                 else:
-                    factor = _num(-Fraction(dc) / pivot)
+                    factor = exact(-Fraction(dc) / pivot)
                 for t, (gc, ge) in (both if info_i[s] == i0 else flat):
                     insert(s, t, gc if factor == 1 else (-gc if factor == -1 else factor * gc), de + ge)
             for s in rows[t0]:

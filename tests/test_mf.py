@@ -9,6 +9,7 @@ from krlab.poly import (
     KIND_A,
     KIND_MARK,
     BigradedPoly,
+    InvariantError,
     VariableTable,
     complete_symmetric_in_elementary,
 )
@@ -16,6 +17,7 @@ from krlab.mf import (
     GdimSeries,
     KoszulSpec,
     MatrixFactorization,
+    compose,
     exclude_variable,
     find_constant_entry,
     find_exclusion,
@@ -131,6 +133,100 @@ class TestKoszulConstruction:
         # (a1, a0) is (a0, a1)<1>{1 - dega a1, n + 1 - degx a1}
         shifted = koszul(KoszulSpec(table, n, ((left, right),))).shifted(1, n - 1, flip=1)
         assert mf_equal(swapped, shifted)
+
+
+class TestVerifyMutations:
+    """Each identity verify() checks, broken on its own in a two-row Koszul factorization."""
+
+    @staticmethod
+    def two_row():
+        # row 0 has a zero left entry, so d1 has a zero where d0 holds x + y
+        table = marks_table("x", "y")
+        a, x, y = (var(table, nm) for nm in "axy")
+        M = koszul(KoszulSpec(table, 1, ((BigradedPoly.zero(table), x + y), (a * y, x - y))))
+        key = next(k for k, p in M.d0.items() if p == x + y)
+        return M, key, x
+
+    def test_unbroken_verifies(self):
+        M, _, _ = self.two_row()
+        M.verify()
+        assert len(M.d0) == 3 and len(M.d1) == 3
+
+    def test_scaled_entry_breaks_the_diagonal(self):
+        M, _, _ = self.two_row()
+        key = next(k for k in M.d0 if k[0] != k[1])
+        M.d0[key] = M.d0[key] * 2
+        with pytest.raises(InvariantError, match="d\\^2 diagonal differs from potential"):
+            M.verify()
+
+    def test_added_term_breaks_off_the_diagonal(self):
+        M, key, x = self.two_row()
+        M.d0[key] = M.d0[key] + x
+        with pytest.raises(InvariantError, match="d\\^2 off-diagonal"):
+            M.verify()
+
+    def test_entry_times_a_mark_breaks_its_degree(self):
+        M, key, x = self.two_row()
+        M.d0[key] = M.d0[key] * x
+        with pytest.raises(InvariantError, match="entry degree"):
+            M.verify()
+
+
+def reference_compose(second, first):
+    out = {}
+    for (mid, j), p in first.items():
+        for (i, mid2), q in second.items():
+            if mid2 == mid:
+                out[(i, j)] = out[(i, j)] + q * p if (i, j) in out else q * p
+    return {k: p for k, p in out.items() if not p.is_zero()}
+
+
+COMPOSE_TABLE = marks_table("x", "y")
+EXPONENTS = [(0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 1)]
+COEFFICIENTS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 2)]
+
+
+@st.composite
+def sparse_matrices(draw):
+    out = {}
+    for key in draw(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=6)):
+        terms = draw(st.dictionaries(
+            st.sampled_from(EXPONENTS), st.sampled_from(COEFFICIENTS), min_size=1, max_size=3
+        ))
+        out[key] = BigradedPoly(COMPOSE_TABLE, terms)
+    return out
+
+
+class TestCompose:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_matrices(), sparse_matrices())
+    def test_matches_the_sum_of_products(self, second, first):
+        got = compose(second, first)
+        assert got == reference_compose(second, first)
+        for p in got.values():
+            assert not p.is_zero()
+            assert all((type(c) is int) == (c.denominator == 1) for c in p.terms.values())
+
+    def test_cancelling_entry_is_dropped(self):
+        x, y = var(COMPOSE_TABLE, "x"), var(COMPOSE_TABLE, "y")
+        half = Fraction(1, 2)
+        second = {(0, 0): x * half, (0, 1): y, (1, 0): x}
+        first = {(0, 0): y * 2, (1, 0): -x, (0, 1): x * half}
+        got = compose(second, first)
+        # (0, 0): x/2 * 2y - y * x = 0
+        assert (0, 0) not in got
+        assert got == {(0, 1): x * x * Fraction(1, 4), (1, 0): x * y * 2, (1, 1): x * x * half}
+        assert got == reference_compose(second, first)
+
+    @pytest.mark.parametrize("operand", [0, 1])
+    def test_mismatched_table_rejected(self, operand):
+        other = marks_table("x", "z")
+        x = var(COMPOSE_TABLE, "x")
+        stray = {(5, 5): var(other, "z")}  # no partner in the other operand
+        second, first = {(0, 0): x}, {(0, 0): x}
+        (second if operand == 0 else first).update(stray)
+        with pytest.raises(ValueError, match="mismatched variable tables"):
+            compose(second, first)
 
 
 class TestExclusion:

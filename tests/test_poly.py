@@ -15,6 +15,7 @@ from krlab.poly import (
     differentiate,
     divide_exact,
     elementary_symmetric,
+    exact,
     power_sum_in_elementary,
     substitute,
 )
@@ -82,6 +83,79 @@ class TestDivideExact:
         d = e1 - f1
         q = divide_exact(p_here - p_there, d)
         assert q * d == p_here - p_there
+
+
+def coefficient_types(p):
+    return {type(c) for c in p.terms.values()}
+
+
+class TestCoefficientTypes:
+    def test_exact_normalises(self):
+        assert type(exact(Fraction(4, 2))) is int and exact(Fraction(4, 2)) == 2
+        assert type(exact(True)) is int
+        assert exact(Fraction(2, 3)) == Fraction(2, 3)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, 0.0, "1", None, complex(1)])
+    def test_exact_rejects_inexact(self, bad):
+        with pytest.raises(TypeError):
+            exact(bad)
+
+    def test_integral_results_are_int(self):
+        # each result below is integral, though built from Fraction halves
+        x, y = v("x1"), v("y")
+        h = x * Fraction(3, 2) + y * Fraction(1, 2)  # (3x + y) / 2
+        g = x * Fraction(1, 2) - y * Fraction(1, 2)  # (x - y) / 2
+        p = BigradedPoly(T, {(0, 2, 0, 0, 0): Fraction(3), (0, 0, 0, 0, 1): Fraction(4, 2)})
+        results = {
+            "init": p,
+            "+": h + h,
+            "-": h - (x * Fraction(-1, 2) + y * Fraction(1, 2)),
+            "*": (h * Fraction(2, 3)) * (g * 6),
+            "scalar": h * Fraction(4, 2),
+            "constant": BigradedPoly.constant(T, Fraction(6, 3)),
+            "substitute": substitute(h * x, {"y": x}),
+            "differentiate": differentiate(x ** 3 * Fraction(1, 3), "x1"),
+            "coefficient_of": p.coefficient_of("x1", 2),
+            "divide_exact": divide_exact(h * (x - y), g),
+        }
+        for name, r in results.items():
+            assert not r.is_zero(), name
+            assert coefficient_types(r) == {int}, name
+
+    def test_mixed_results_keep_each_coefficient_exact(self):
+        x, y = v("x1"), v("y")
+        h = x * Fraction(3, 2) + y * 2
+        for r in (h + h * 2, h - x, h * h, h * Fraction(2, 3), differentiate(h * h, "x1")):
+            assert coefficient_types(r) == {int, Fraction}
+            assert all((type(c) is int) == (c.denominator == 1) for c in r.terms.values())
+
+    def test_non_integral_stays_fraction(self):
+        q = divide_exact(const(2) * v("x1") ** 2, const(3) * v("x1"))
+        assert q.terms == {(0, 1, 0, 0, 0): Fraction(2, 3)}
+        assert coefficient_types(q) == {Fraction}
+
+    def test_int_and_fraction_built_polys_agree(self):
+        e = (0, 1, 0, 0, 0)
+        p, q = BigradedPoly(T, {e: 1}), BigradedPoly(T, {e: Fraction(1)})
+        assert p == q and hash(p) == hash(q)
+        assert const(1) == const(Fraction(1)) and hash(const(1)) == hash(const(Fraction(1)))
+        assert coefficient_types(q) == {int}
+
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            BigradedPoly(T, {(0, 1, 0, 0, 0): 0.5})
+        with pytest.raises(TypeError):
+            BigradedPoly(T, {(0, 1, 0, 0, 0): 0.0})
+        with pytest.raises(TypeError):
+            const(1.0)
+
+    def test_float_scalar_rejected(self):
+        with pytest.raises(TypeError):
+            v("x1") * 0.5
+        with pytest.raises(TypeError):
+            0.5 * v("x1")
+        with pytest.raises(TypeError):
+            v("x1") * 0.0
 
 
 class TestSymmetricFunctions:
@@ -249,6 +323,56 @@ class TestInvariantChecks:
             if isinstance(node, ast.Assert)
         ]
         assert found == []
+
+    # skein keeps its own Fraction-only coefficients and is not scanned
+    EXACT_MODULES = ("poly", "mf", "cube", "moy", "qamod")
+
+    @staticmethod
+    def inexact_nodes(tree):
+        """Float constants, and true divisions not led by a Fraction(...) call."""
+
+        def exact_left(node):
+            if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+                node = node.operand
+            return (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction"
+            )
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                yield node
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                if not exact_left(node.left):
+                    yield node
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+                yield node
+
+    def test_exact_modules_stay_exact(self):
+        # an int divided by an int with / is a float; so is any float literal
+        root = Path(krlab.__file__).parent
+        found = []
+        for name in self.EXACT_MODULES:
+            path = root / f"{name}.py"
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{node.lineno}" for node in self.inexact_nodes(tree)]
+        assert found == []
+
+    @pytest.mark.parametrize(
+        "line, flagged",
+        [
+            ("qc = rc / lead_c", True),
+            ("x /= 2", True),
+            ("u = 1 / pc", True),
+            ("t = 0.5", True),
+            ("qc = Fraction(rc) / lead_c", False),
+            ("f = -Fraction(dc) / pivot", False),
+            ("k = a // b", False),
+        ],
+    )
+    def test_exactness_scan_flags(self, line, flagged):
+        assert bool(list(self.inexact_nodes(ast.parse(line)))) == flagged
 
     def test_no_unused_imports(self):
         # every name an import binds in the package and its tests is read
