@@ -260,6 +260,8 @@ def both(braid_text, strands, n, xwindow, alpha_max, xi_max, budget, fmt):
 def gdim(graph_spec, n, xwindow, fmt):
     """Graded dimension series of a trivalent graph's factorization."""
     _check_positive(n=n)
+    if xwindow < 0:
+        _fail(1, "x-degree truncation must be non-negative")
     if graph_spec in BUILTIN_GRAPHS:
         graph = builtin_graph(graph_spec)
     else:

@@ -47,10 +47,23 @@ After a reduction at top hi + n + 1 the slices at x <= hi are final: no
 later growth removes an element at x <= hi or changes an entry between two
 of them.  The stage-one and stage-two results at x <= hi - n - 1 read only
 such elements and entries, so they are final too and are kept.
+
+The expanded complex is a direct sum of subcomplexes, one for each class
+(k mod (n + 1), (eps + k div (n + 1)) mod 2) of the slices (eps, i, k), and
+each class is expanded and reduced on its own.  A factorization term raises
+k by n + 1 and flips eps, which keeps both parts of the class; a chi term
+keeps eps and k.  So every stage stays within one class: the raw terms (the
+x-slope check forces this), the zig-zags, which compose entries, d0 into
+(eps + 1, i, k + n + 1), d1 into (eps, i + 1, k), stage one's incoming image
+from (eps + 1, i, k - n - 1), and phi and stage two, which read
+(eps, i +- 1, k).  The elements of one generator at mark degree d lie in one
+class, and those at d and d + n + 1 in the same one, so a generator meets a
+class at one residue of d mod n + 1, if at all.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import Counter
 from dataclasses import dataclass
@@ -486,33 +499,51 @@ class ExpansionBudgetError(RuntimeError):
     """The expansion of a window would exceed MAX_EXPANSION basis vectors."""
 
 
-def expansion_size(C: ChainComplexOfMF, top: int) -> int:
-    """Basis vectors of the expansion of C up to x-degree top: each generator
-    of x-degree gx times the mark monomials of degree <= (top - gx) // 2."""
+def _generators(C: ChainComplexOfMF):
+    """(eps, i, a-degree, x-degree) of every generator of C, in expansion order."""
+    for i, parts in C.summands.items():
+        for part in parts:
+            for par in (0, 1):
+                for ga, gx in part.mf.basis(par):
+                    yield par, i, ga, gx
+
+
+def _class_of(n: int, eps: int, k: int) -> tuple[int, int]:
+    """The independent class of the slices (eps, i, k) (see the module docstring)."""
+    q, r = divmod(k, n + 1)
+    return r, (eps + q) % 2
+
+
+def _class_starts(n: int, eps: int, gx: int) -> dict[tuple[int, int], int]:
+    """For each class a generator of Z2-degree eps and x-degree gx meets, the
+    least mark degree of its elements there; the others lie every n + 1 above."""
+    return {_class_of(n, eps, gx + 2 * d): d for d in range(n + 1)}
+
+
+def expansion_size(C: ChainComplexOfMF, top: int, cls: tuple[int, int] | None = None) -> int:
+    """Basis vectors of the expansion of C up to x-degree top, in one class or,
+    by default, in all: each generator of x-degree gx times its mark monomials
+    of degree d <= (top - gx) // 2 whose elements lie in the class."""
     marks = sum(1 for v in C.table.variables if v.kind == KIND_MARK)
+    n = C.n
     return sum(
-        comb(marks + (top - gx) // 2, marks)
-        for parts in C.summands.values()
-        for part in parts
-        for par in (0, 1)
-        for _, gx in part.mf.basis(par)
-        if gx <= top
+        comb(d + marks - 1, d) if marks else int(d == 0)
+        for eps, _, _, gx in _generators(C)
+        for c, start in _class_starts(n, eps, gx).items()
+        if cls is None or c == cls
+        for d in range(start, (top - gx) // 2 + 1, n + 1)
     )
 
 
 class _Expansion:
-    """The complex on its slice basis up to x-degree top, with its unit
-    entries eliminated, grown in place by raising the top.
+    """The expansion of C on its slice basis, held as one _ClassExpansion per
+    independent class that has generators, each grown in place.
 
-    Basis elements are (generator, mark monomial) pairs, numbered in the
-    order they are created.  Growing from top T to T' creates the elements
-    at x in (T, T'] and the entries into them, from new sources and from
-    surviving old ones, and eliminates the unit entries then present as a
-    fresh expansion would.  Nothing from the earlier eliminations needs
-    replaying onto the new entries (see the module docstring).  stage1, phis
-    and modules hold the two-stage results of the keys at x <= final, which
-    no growth changes (see two_stage_homology).  After a MemoryError the
-    expansion is emptied and must not be used again.
+    It holds what the classes share: the generators, the raw differential
+    terms, the mark monomials and the reserve of address space that lets a
+    MemoryError unwind.  part(cls) creates a class on first use and keeps it;
+    two_stage_homology without an expansion builds each class afresh instead
+    and frees it before the next.
     """
 
     def __init__(self, C: ChainComplexOfMF, kill_a: bool = False) -> None:
@@ -523,9 +554,8 @@ class _Expansion:
         a_pos = table.index("a")
         mark_pos = [i for i, v in enumerate(table.variables) if v.kind == KIND_MARK]
         self.C = C
-        self.n = C.n
+        self.n = n = C.n
         self.nmarks = len(mark_pos)
-        self.top: int | None = None
         # generators: (eps, i, a-degree, x-degree), and the first of each summand
         self.gens: list[tuple[int, int, int, int]] = []
         first: dict[tuple[int, int, int], int] = {}
@@ -536,6 +566,8 @@ class _Expansion:
                     for ga, gx in part.mf.basis(par):
                         self.gens.append((par, i, ga, gx))
         self.x_min = min((gx for *_, gx in self.gens), default=0)
+        self.starts = [_class_starts(n, eps, gx) for eps, _, _, gx in self.gens]
+        self.classes = sorted({cls for starts in self.starts for cls in starts})
         # differential terms: (source gen, target gen, coefficient, a-exponent,
         # mark exponents, x-jump)
         self.terms: list[tuple[int, int, object, int, tuple[int, ...], int]] = []
@@ -549,7 +581,7 @@ class _Expansion:
                         continue
                     mt = tuple(e[p] for p in mark_pos)
                     jump = self.gens[gt][3] + 2 * sum(mt) - self.gens[gs][3]
-                    if jump != (0 if tgt[0] > src[0] else self.n + 1):
+                    if jump != (0 if tgt[0] > src[0] else n + 1):
                         raise InvariantError("differential term off the x-slope")
                     self.terms.append((gs, gt, coeff, ae, mt, jump))
 
@@ -560,7 +592,58 @@ class _Expansion:
         for (i, tis, sis), mats in C.blocks.items():
             for par in (0, 1):
                 add_matrix((i, sis, par), (i + 1, tis, par), mats[par])
-        self.index: list[dict[tuple[int, ...], int]] = [{} for _ in self.gens]
+        self.parts: dict[tuple[int, int], _ClassExpansion] = {}
+        self._monos: dict[int, list[tuple[int, ...]]] = {}
+        self.admitted: int | None = None  # the widest top found under the cap
+        self._reserve = bytes(_RESERVE)  # calloc'd: its pages are never touched
+
+    def monos(self, degree: int) -> list[tuple[int, ...]]:
+        got = self._monos.get(degree)
+        if got is None:
+            got = self._monos[degree] = _monomials_of_degree(self.nmarks, degree)
+        return got
+
+    def part(self, cls: tuple[int, int]) -> _ClassExpansion:
+        got = self.parts.get(cls)
+        if got is None:
+            got = self.parts[cls] = _ClassExpansion(self, cls)
+        return got
+
+    def admit(self, top: int) -> None:
+        """Refuse a top whose expansion, all classes together, passes MAX_EXPANSION."""
+        if self.admitted is not None and top <= self.admitted:
+            return
+        size = expansion_size(self.C, top)
+        if size > MAX_EXPANSION:
+            raise ExpansionBudgetError(
+                f"x-window width {top - self.n - 1 - self.x_min} needs an expansion "
+                f"of {size} basis vectors, over the cap of {MAX_EXPANSION}"
+            )
+        self.admitted = top
+
+
+class _ClassExpansion:
+    """One class of the expansion up to x-degree top, with its unit entries
+    eliminated, grown in place by raising the top.
+
+    Basis elements are (generator, mark monomial) pairs, numbered in the
+    order they are created.  Growing from top T to T' creates the elements
+    at x in (T, T'] and the entries into them, from new sources and from
+    surviving old ones, and eliminates the unit entries then present as a
+    fresh expansion would.  Nothing from the earlier eliminations needs
+    replaying onto the new entries (see the module docstring).  stage1, phis
+    and modules hold the two-stage results of the keys at x <= final, which
+    no growth changes (see two_stage_homology).  After a MemoryError every
+    class of the expansion is emptied and must not be used again.
+    """
+
+    def __init__(self, knot: _Expansion, cls: tuple[int, int]) -> None:
+        self.knot = knot
+        self.cls = cls
+        self.top: int | None = None
+        # per generator, the least mark degree of its elements in this class
+        self.starts = [starts.get(cls) for starts in knot.starts]
+        self.index: list[dict[tuple[int, ...], int]] = [{} for _ in knot.gens]
         self.info_eps: list[int] = []
         self.info_i: list[int] = []
         self.info_k: list[int] = []
@@ -568,18 +651,10 @@ class _Expansion:
         self.out: list[dict[int, Mono] | None] = []  # None once eliminated
         self.rows: list[set[int] | None] = []
         self.alive: list[bool] = []
-        self._monos: dict[int, list[tuple[int, ...]]] = {}
-        self.final = self.x_min - 1
-        self._reserve = bytes(_RESERVE)  # calloc'd: its pages are never touched
+        self.final = knot.x_min - 1
         self.stage1: dict = {}
         self.phis: dict = {}
         self.modules: dict = {}
-
-    def monos(self, degree: int) -> list[tuple[int, ...]]:
-        got = self._monos.get(degree)
-        if got is None:
-            got = self._monos[degree] = _monomials_of_degree(self.nmarks, degree)
-        return got
 
     def grow(self, top: int) -> None:
         old = self.top
@@ -590,37 +665,41 @@ class _Expansion:
                     f"it cannot be narrowed to {top}"
                 )
             return
-        size = expansion_size(self.C, top)
-        if size > MAX_EXPANSION:
-            raise ExpansionBudgetError(
-                f"x-window width {top - self.n - 1 - self.x_min} needs an expansion "
-                f"of {size} basis vectors, over the cap of {MAX_EXPANSION}"
-            )
+        knot = self.knot
+        knot.admit(top)
         heap: list[tuple[int, int, int]] = []
         try:
-            self._extend(old, top, size, heap)
+            self._extend(old, top, expansion_size(knot.C, top, self.cls), heap)
         except MemoryError:
             # unwinding needs memory too: free the reserve, which takes no
-            # allocation, then the whole expansion
-            del self._reserve
-            for part in [*vars(self).values(), heap]:
-                if isinstance(part, (list, dict)):
-                    part.clear()
+            # allocation, then every class of the expansion
+            knot._reserve = None
+            heap.clear()
+            for holder in [self, *knot.parts.values(), knot]:
+                for value in vars(holder).values():
+                    if isinstance(value, (list, dict)):
+                        value.clear()
             raise
         self.top = top
 
     def _extend(self, old: int | None, top: int, size: int, heap: list) -> None:
+        knot = self.knot
+        step = knot.n + 1
+        gens, monos = knot.gens, knot.monos
         info_eps, info_i, info_k, info_ja = self.info_eps, self.info_i, self.info_k, self.info_ja
-        out, rows, alive, index, monos = self.out, self.rows, self.alive, self.index, self.monos
+        out, rows, alive, index, starts = self.out, self.rows, self.alive, self.index, self.starts
         first = len(info_i)
-        for ids, (eps, i, ga, gx) in zip(index, self.gens):
+        for ids, start, (eps, i, ga, gx) in zip(index, starts, gens):
+            if start is None:
+                continue
             d_lo = 0 if old is None else max(0, (old - gx) // 2 + 1)
-            for d in range(d_lo, (top - gx) // 2 + 1):
+            for d in range(d_lo + (start - d_lo) % step, (top - gx) // 2 + 1, step):
+                k = gx + 2 * d
                 for m in monos(d):
                     ids[m] = len(info_i)
                     info_eps.append(eps)
                     info_i.append(i)
-                    info_k.append(gx + 2 * d)
+                    info_k.append(k)
                     info_ja.append(ga)
         if len(info_i) != size:
             raise InvariantError("expansion size differs from its closed form")
@@ -646,14 +725,18 @@ class _Expansion:
                 del out[s][t]
                 rows[t].discard(s)
 
-        # entries into the new elements; an eliminated old source was a pivot
-        # target, whose outgoing entries the elimination dropped
-        for gs, gt, coeff, ae, mt, jump in self.terms:
-            gx = self.gens[gs][3]
+        # entries into the new elements, from the sources in this class (their
+        # targets are in it too); an eliminated old source was a pivot target,
+        # whose outgoing entries the elimination dropped
+        for gs, gt, coeff, ae, mt, jump in knot.terms:
+            start = starts[gs]
+            if start is None:
+                continue
+            gx = gens[gs][3]
             d_lo = 0 if old is None else max(0, (old - gx - jump) // 2 + 1)
             src, tgt = index[gs], index[gt]
             shifted = any(mt)
-            for d in range(d_lo, (top - gx - jump) // 2 + 1):
+            for d in range(d_lo + (start - d_lo) % step, (top - gx - jump) // 2 + 1, step):
                 for m in monos(d):
                     sid = src[m]
                     if alive[sid]:
@@ -704,7 +787,7 @@ class _Expansion:
     def reduced(self) -> _Reduced:
         """The surviving slice bases above x = final, whose two-stage results
         are not kept yet, and the two components out of them."""
-        n, final = self.n, self.final
+        n, final = self.knot.n, self.final
         info_eps, info_i, info_k, info_ja = self.info_eps, self.info_i, self.info_k, self.info_ja
         alive, out = self.alive, self.out
         members: dict[tuple[int, int, int], list[int]] = {}
@@ -744,22 +827,35 @@ class _Expansion:
         return _Reduced(n, labels, d0, d1)
 
 
-def _reduce_complex(
-    C: ChainComplexOfMF, top: int, expansion: _Expansion | None = None
-) -> _Reduced:
-    """Expand the complex on its slice basis up to x-degree top and eliminate
-    the unit entries, growing the given expansion of C (or a fresh one).
+def _reduce_complex(C: ChainComplexOfMF, top: int, expansion: _ClassExpansion) -> _Reduced:
+    """Grow one class of the expansion of C on its slice basis to x-degree top,
+    eliminating the unit entries, and return its reduced slices.
 
     Entries that are nonzero rationals within one homological degree are
     Gaussian-eliminated; the result keeps the degree-preserving component
     (entries divisible by a) and the corrected degree-one component.
     """
-    if expansion is None:
-        expansion = _Expansion(C)
-    elif expansion.C is not C:
+    if expansion.knot.C is not C:
         raise ValueError("the expansion belongs to another complex")
     expansion.grow(top)
     return expansion.reduced()
+
+
+def _by_class(C: ChainComplexOfMF, top: int, fn, expansion=None, kill_a=False) -> dict:
+    """The union of fn(part, reduced) over the classes of the expansion of C
+    to x-degree top, reduced one at a time.
+
+    The classes of a given expansion are grown in place and kept.  Without
+    one, each class is expanded afresh and freed before the next is built,
+    so no two are ever held at once.
+    """
+    knot = _Expansion(C, kill_a) if expansion is None else expansion
+    out: dict = {}
+    for cls in knot.classes:
+        part = _ClassExpansion(knot, cls) if expansion is None else knot.part(cls)
+        out.update(fn(part, _reduce_complex(C, top, part)))
+        del part  # a fresh class goes before the next one is built
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -777,14 +873,7 @@ class _Stage1:
 
 
 def _resolve_window(C: ChainComplexOfMF, x_window, n: int) -> tuple[int, int, int]:
-    xs = [
-        x
-        for parts in C.summands.values()
-        for part in parts
-        for par in (0, 1)
-        for _, x in part.mf.basis(par)
-    ]
-    x_min = min(xs, default=0)
+    x_min = min((gx for *_, gx in _generators(C)), default=0)
     if x_window is None:
         return x_min, x_min + 20, x_min
     if isinstance(x_window, int):
@@ -875,24 +964,43 @@ def two_stage_homology(
     inconsistent rather than silently truncated.  The search for the least
     width that decategorifies is adaptive_homology, below.
 
-    The computation grows the given expansion of C (a fresh one by default)
-    to the top hi + n + 1; a narrower top than it already has is refused.
+    Each class of the expansion of C is taken to the top hi + n + 1 and
+    through both stages on its own, and the slices of all classes are merged
+    before the tails are detected.  Without an expansion every class is
+    built afresh and freed before the next; a given expansion's classes are
+    grown instead, and a narrower top than they already have is refused.
     Results of keys at x <= hi - n - 1 are final: their slice, the first-
     stage map out of it and the slice it maps into all lie at x <= hi,
     where no growth removes an element or changes an entry.  They are kept
-    on the expansion, and a wider computation on it reuses them.
+    on the class, and a wider computation on it reuses them.  The cyclic
+    garbage collector is paused throughout: the expansion holds no cycles,
+    and its collections would only walk it.
     """
     if not isinstance(C, ChainComplexOfMF):
         raise TypeError("two_stage_homology expects a complex of factorizations")
     n = C.n
     lo, hi, _ = _resolve_window(C, x_window, n)
-    # a fresh expansion is freed on return, before the stages need memory
-    red = _reduce_complex(C, hi + n + 1, expansion)
-    stage1: dict[tuple[int, int, int], _Stage1] = {}
-    phis: dict[tuple[int, int, int], SliceMatrix] = {}
-    modules: dict[tuple[int, int, int], SliceModule | None] = {}
-    if expansion is not None:
-        stage1, phis, modules = expansion.stage1, expansion.phis, expansion.modules
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        slices = _by_class(
+            C, hi + n + 1, lambda part, red: _class_homology(part, red, hi), expansion
+        )
+        slices = {key: slices[key] for key in sorted(slices)}
+        window = (lo, hi)
+        return GradedQaModule(n, window, slices, _detect_tails(slices, window))
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _class_homology(part: _ClassExpansion, red: _Reduced, hi: int) -> dict:
+    """The nonzero two-stage slices of one reduced class at x <= hi; the results
+    of keys at x <= hi - n - 1 are kept on the class."""
+    n = red.n
+    stage1: dict[tuple[int, int, int], _Stage1] = part.stage1
+    phis: dict[tuple[int, int, int], SliceMatrix] = part.phis
+    modules: dict[tuple[int, int, int], SliceModule | None] = part.modules
 
     for key in sorted(red.slices, key=lambda key: (key[2], key[0], key[1])):
         eps, i, k = key
@@ -945,14 +1053,12 @@ def two_stage_homology(
         if key not in modules:
             modules[key] = _stage2(key, stage1, phis)
 
-    out_slices = {key: modules[key] for key in sorted(modules) if modules[key] is not None}
-    if expansion is not None:
-        expansion.final = hi - n - 1
-        for done in (stage1, phis, modules):
-            for key in [key for key in done if key[2] > expansion.final]:
-                del done[key]
-    window = (lo, hi)
-    return GradedQaModule(n, window, out_slices, _detect_tails(out_slices, window))
+    out = {key: sm for key, sm in modules.items() if sm is not None}
+    part.final = hi - n - 1
+    for done in (stage1, phis, modules):
+        for key in [key for key in done if key[2] > part.final]:
+            del done[key]
+    return out
 
 
 def _stage2(key, stage1: dict, phis: dict) -> SliceModule | None:
@@ -1113,10 +1219,11 @@ def adaptive_homology(
     calls, so a caller may pass in its own references to them.
 
     Every width is computed on one expansion of C, as homology(C, w,
-    expansion), which grows it from the last top to the next: after a
-    reduction at top hi + n + 1 the slices at x <= hi are final, and the
-    stage results at x <= hi - n - 1 are kept, so each width adds only the
-    elements above the last top and the keys near the new one.
+    expansion), which grows each of its classes from the last top to the
+    next and keeps them all: after a reduction at top hi + n + 1 the slices
+    at x <= hi are final, and the stage results at x <= hi - n - 1 are kept,
+    so each width adds only the elements above the last top and the keys
+    near the new one.
     """
     expansion = _Expansion(C)
     prev = None
@@ -1163,22 +1270,22 @@ def mod_a_homology(C: ChainComplexOfMF, x_window=None) -> dict:
         raise TypeError("mod_a_homology expects a complex of factorizations")
     n = C.n
     lo, hi, _ = _resolve_window(C, x_window, n)
-    red = _reduce_complex(C, hi + n + 1, _Expansion(C, kill_a=True))
+    return _by_class(
+        C, hi + n + 1, lambda _, red: _mod_a_dimensions(red, lo, hi), kill_a=True
+    )
+
+
+def _mod_a_dimensions(red: _Reduced, lo: int, hi: int) -> dict:
+    """mod_a_homology of one reduced class of the complex with a killed."""
     for key, cells in red.d0.items():
         if cells:
             raise InvariantError("first-stage differential survives modulo a")
 
-    # regroup each slice by the generator a-degree
+    # count each slice's generators by a-degree
     bases: dict[tuple[int, int, int, int], int] = {}
-    local: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-    for key, labels in red.slices.items():
-        eps, i, k = key
-        index: dict[int, list[int]] = {}
-        for pos, ja in enumerate(labels):
-            index.setdefault(ja, []).append(pos)
-        local[key] = [(ja, pos) for ja, positions in index.items() for pos in positions]
-        for ja, positions in index.items():
-            bases[(eps, i, ja, k)] = len(positions)
+    for (eps, i, k), labels in red.slices.items():
+        for ja, count in Counter(labels).items():
+            bases[(eps, i, ja, k)] = count
 
     ranks: dict[tuple[int, int, int, int], int] = {}
     for key, cells in red.d1.items():
@@ -1231,7 +1338,12 @@ def a_one_dimensions(C: ChainComplexOfMF, x_window=None) -> dict:
         raise TypeError("a_one_dimensions expects a complex of factorizations")
     n = C.n
     lo, hi, _ = _resolve_window(C, x_window, n)
-    red = _reduce_complex(C, hi + n + 1)
+    return _by_class(C, hi + n + 1, lambda _, red: _a_one_dimensions(red, lo, hi))
+
+
+def _a_one_dimensions(red: _Reduced, lo: int, hi: int) -> dict:
+    """a_one_dimensions of one reduced class."""
+    n = red.n
 
     def out_cols(key) -> list[dict[int, Fraction]]:
         cols: list[dict[int, Fraction]] = [{} for _ in red.slices[key]]

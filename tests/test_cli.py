@@ -209,6 +209,11 @@ class TestGdimCommand:
         res = run(runner, "gdim", "--graph", "no-such-graph")
         assert res.exit_code == 1
 
+    def test_negative_window_exits_one(self, runner):
+        res = run(runner, "gdim", "--graph", "circle", "--xwindow", "-1")
+        assert_one_line_failure(res, 1)
+        assert "must be non-negative" in res.stderr
+
 
 class TestParseErrors:
     def test_malformed_braid(self, runner):

@@ -1,6 +1,9 @@
 """Bigraded polynomial layer: ring identities, symmetric functions, division."""
 
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -312,17 +315,43 @@ class TestHomogeneity:
 
 
 class TestInvariantChecks:
+    @staticmethod
+    def assert_lines(source):
+        return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
     def test_package_has_no_assert_statements(self):
         # assert is stripped under python -O; checks raise InvariantError
-        paths = sorted(Path(krlab.__file__).parent.glob("*.py"))
+        root = Path(krlab.__file__).parent
+        paths = sorted(root.rglob("*.py"))
         assert len(paths) > 1
         found = [
-            f"{path.name}:{node.lineno}"
+            f"{path.relative_to(root)}:{line}"
             for path in paths
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-            if isinstance(node, ast.Assert)
+            for line in self.assert_lines(path.read_text())
         ]
         assert found == []
+
+    def test_assert_scan_flags(self):
+        assert self.assert_lines("def f(x):\n    if x:\n        assert x > 0, 'no'\n") == [3]
+        assert self.assert_lines("raise InvariantError('no')\n") == []
+
+    def test_checks_still_raise_under_optimisation(self):
+        # the same check as TestSmith's rejected kernel vector, under python -O
+        probe = (
+            "from krlab.poly import InvariantError\n"
+            "from krlab.qamod import SliceMatrix, smith\n"
+            "s = smith(SliceMatrix((1,), (0,), 1, {(0, 0): (1, 1)}))\n"
+            "try:\n"
+            "    s.kernel_coords({0: (1, 0)})\n"
+            "except InvariantError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(krlab.__file__).resolve().parents[1])
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", probe], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert res.stdout == "raised\n", res.stderr
 
     # skein keeps its own Fraction-only coefficients and is not scanned
     EXACT_MODULES = ("poly", "mf", "cube", "moy", "qamod")

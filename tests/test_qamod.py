@@ -1,19 +1,26 @@
 """Two-stage homology: graded Smith reduction, decompositions, tails, euler."""
 
+import gc
+import weakref
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krlab import qamod
 from krlab.braid import parse
 from krlab.cube import build_complex
 from krlab.qamod import (
+    ExpansionBudgetError,
     GradedQaModule,
     SliceMatrix,
     SliceModule,
     Tail,
+    _ClassExpansion,
     _Expansion,
+    _class_of,
     _reduce_complex,
     a_one_dimensions,
     adaptive_homology,
@@ -316,13 +323,16 @@ class TestAdaptiveWindow:
             == mod.slices
 
 
+# every width up to the least confirmed one plus two, except where fresh
+# computations at every width would cost seconds (1 1 1, 1 2 1, 2 1 2)
+GROWING_CORPUS = [
+    ("1 1", 2, 1, 10), ("1 1", 2, 2, 18), ("-1", 2, 2, 14), ("1 -1", 2, 1, 12),
+    ("1 1 1", 2, 1, 8), ("1 1 1", 2, 2, 8), ("1 2 1", 3, 1, 6), ("2 1 2", 3, 1, 8),
+]
+
+
 class TestGrowingExpansion:
-    # every width up to the least confirmed one plus two, except where fresh
-    # computations at every width would cost seconds (1 1 1, 1 2 1, 2 1 2)
-    @pytest.mark.parametrize("text,strands,n,widest", [
-        ("1 1", 2, 1, 10), ("1 1", 2, 2, 18), ("-1", 2, 2, 14), ("1 -1", 2, 1, 12),
-        ("1 1 1", 2, 1, 8), ("1 1 1", 2, 2, 8), ("1 2 1", 3, 1, 6), ("2 1 2", 3, 1, 8),
-    ])
+    @pytest.mark.parametrize("text,strands,n,widest", GROWING_CORPUS)
     def test_one_expansion_grown_equals_fresh_ones(self, text, strands, n, widest):
         C = build_complex(parse(text, strands), n)
         expansion = _Expansion(C)
@@ -351,13 +361,103 @@ class TestGrowingExpansion:
 
     @pytest.mark.parametrize("text,strands,n", [("1 -1", 2, 1), ("1 1 1", 2, 2)])
     def test_the_closed_form_counts_the_basis(self, text, strands, n):
+        # every class, grown and fresh, creates exactly its own closed form
         C = build_complex(parse(text, strands), n)
         grown = _Expansion(C)
         for top in (-4, 0, 3, 8):
-            _reduce_complex(C, top, grown)
-            fresh = _Expansion(C)
-            _reduce_complex(C, top, fresh)
-            assert len(grown.alive) == len(fresh.alive) == expansion_size(C, top)
+            for cls in grown.classes:
+                _reduce_complex(C, top, grown.part(cls))
+                fresh = _ClassExpansion(_Expansion(C), cls)
+                _reduce_complex(C, top, fresh)
+                assert len(grown.part(cls).alive) == len(fresh.alive) \
+                    == expansion_size(C, top, cls)
+
+
+class TestClasses:
+    @pytest.mark.parametrize("text,strands,n,widest", GROWING_CORPUS)
+    def test_every_term_stays_in_its_class(self, text, strands, n, widest):
+        knot = _Expansion(build_complex(parse(text, strands), n))
+        if n == 1:
+            assert len(knot.classes) == 2
+        for gs, gt, _, _, mt, jump in knot.terms:
+            eps_s, _, _, gx_s = knot.gens[gs]
+            eps_t, _, _, gx_t = knot.gens[gt]
+            # the class of an element repeats every n + 1 mark degrees
+            for d in range(2 * (n + 1)):
+                k = gx_s + 2 * d
+                assert gx_t + 2 * (d + sum(mt)) == k + jump
+                assert _class_of(n, eps_t, k + jump) == _class_of(n, eps_s, k)
+
+    @pytest.mark.parametrize("text,strands,n,widest", GROWING_CORPUS)
+    def test_the_class_closed_forms_sum_to_the_whole(self, text, strands, n, widest):
+        C = build_complex(parse(text, strands), n)
+        knot = _Expansion(C)
+        marks = knot.nmarks
+        empty = [(r, p) for r in range(n + 1) for p in (0, 1) if (r, p) not in knot.classes]
+        for top in range(knot.x_min - 2, knot.x_min + widest + n + 2):
+            whole = sum(comb(marks + (top - gx) // 2, marks) for *_, gx in knot.gens if gx <= top)
+            by_class = [expansion_size(C, top, cls) for cls in knot.classes]
+            assert sum(by_class) == expansion_size(C, top) == whole
+            assert all(expansion_size(C, top, cls) == 0 for cls in empty)
+
+    @pytest.mark.parametrize("text,strands,n,width", [("1 1 1", 2, 1, 6), ("1 1 1", 2, 2, 6)])
+    def test_a_fixed_window_holds_one_class_at_a_time(
+        self, text, strands, n, width, monkeypatch
+    ):
+        made = []
+        init = _ClassExpansion.__init__
+
+        def tracked(self, knot, cls):
+            assert all(ref() is None for ref in made), "two class expansions held at once"
+            init(self, knot, cls)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(_ClassExpansion, "__init__", tracked)
+        C = build_complex(parse(text, strands), n)
+        two_stage_homology(C, width)
+        assert len(made) == len(_Expansion(C).classes) >= 2
+        assert all(ref() is None for ref in made)
+
+
+class TestCollectorPause:
+    @staticmethod
+    def run_with_collector(enabled, call):
+        """gc.isenabled() after call(), run with the collector on or off."""
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            try:
+                call()
+            finally:
+                after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        return after
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_paused_inside_and_restored_after_a_return(self, enabled, monkeypatch):
+        seen = []
+        real = qamod.smith
+
+        def watched(M):
+            seen.append(gc.isenabled())
+            return real(M)
+
+        monkeypatch.setattr(qamod, "smith", watched)
+        C = build_complex(parse("1 1", 2), 1)
+        assert self.run_with_collector(enabled, lambda: two_stage_homology(C, 4)) == enabled
+        assert seen and not any(seen)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restored_after_a_refused_expansion(self, enabled, monkeypatch):
+        monkeypatch.setattr(qamod, "MAX_EXPANSION", 1)
+        C = build_complex(parse("1 1", 2), 1)
+
+        def refused():
+            with pytest.raises(ExpansionBudgetError):
+                two_stage_homology(C, 4)
+
+        assert self.run_with_collector(enabled, refused) == enabled
 
 
 class TestSliceModule:
