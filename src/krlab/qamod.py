@@ -70,7 +70,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import add
-from typing import Mapping
 
 from .cube import ChainComplexOfMF
 from .mf import kernel, rank
@@ -98,14 +97,6 @@ def _vec_accumulate(vec: Vec, idx: int, coeff: Fraction, exp: int) -> None:
         vec[idx] = (s, exp)
     else:
         del vec[idx]
-
-
-def _transpose_rows(rows_mat: Mapping[int, Mapping[int, Mono]]) -> MonoMat:
-    cols: MonoMat = {}
-    for r, row in rows_mat.items():
-        for c, mono in row.items():
-            cols.setdefault(c, {})[r] = mono
-    return cols
 
 
 def _cols_apply(cols_mat: MonoMat, vec: Vec) -> Vec:
@@ -178,102 +169,95 @@ def _hstack(a: SliceMatrix, b: SliceMatrix) -> SliceMatrix:
 
 @dataclass
 class SmithResult:
-    """Diagonalization D = row_t . M . col_t by graded row/column operations.
+    """Diagonalization M . col_t = row_t_inv . D by graded row/column operations.
 
     pivots lists (row, col, exponent) in selection order; exponents are
     non-decreasing, giving the divisibility chain a^{d1} | a^{d2} | ...
-    All four transforms are invertible with monomial entries and
-    row_t_inv . D . col_t_inv reconstructs M.  Storage orientation follows
-    the update pattern: row_t and col_t_inv are row-major (row -> col ->
-    monomial), row_t_inv and col_t are column-major; the accessors below
-    absorb the difference.
+    The two transforms are invertible with monomial entries and stored
+    column-major (col -> row -> monomial): at each pivot (r0, c0, e),
+    M . col_t[:, c0] = a^e row_t_inv[:, r0], and M . col_t[:, c] = 0 at every
+    other column c.  So the non-pivot columns of col_t are the kernel basis
+    and the pivot columns of row_t_inv, the only ones it holds, scaled by a^e
+    are the image basis.  The coordinates rely on two support facts:
+
+    - column operations only add multiples of the pivot column, so kernel
+      column c of col_t is 1 at c and otherwise lives on pivot columns;
+    - the row_t_inv column at pivot r0 is final once r0 is pivoted, and it
+      lives on r0 and on the rows not yet pivoted then.
     """
 
     matrix: SliceMatrix
     pivots: list[tuple[int, int, int]]
-    row_t: dict
     row_t_inv: MonoMat
     col_t: MonoMat
-    col_t_inv: dict
-    _ct_inv_cols: MonoMat | None = None
-    _rt_cols: MonoMat | None = None
-    _ker_cols: list | None = None
+    _ker_pos: dict | None = None
 
     def diagonal(self) -> list[int]:
         return [e for _, _, e in self.pivots]
 
     def kernel_columns(self) -> list[int]:
-        if self._ker_cols is None:
+        return list(self._kernel_positions())
+
+    def _kernel_positions(self) -> dict[int, int]:
+        if self._ker_pos is None:
             pivot_cols = {c for _, c, _ in self.pivots}
             cols = [c for c in range(len(self.matrix.source)) if c not in pivot_cols]
-            self._ker_cols = cols
-        return self._ker_cols
+            self._ker_pos = {c: i for i, c in enumerate(cols)}
+        return self._ker_pos
 
     def kernel_basis(self) -> list[tuple[Vec, int]]:
         """Free basis of ker M: (vector over the source, its a-degree)."""
-        out = []
-        for c in self.kernel_columns():
-            vec = dict(self.col_t.get(c, {}))
-            out.append((vec, self.matrix.source[c]))
-        return out
+        col_t, source = self.col_t, self.matrix.source
+        return [(dict(col_t[c]), source[c]) for c in self._kernel_positions()]
 
     def image_basis(self) -> list[tuple[Vec, int]]:
         """Free basis of im M: (vector over the target, its a-degree)."""
         out = []
         for r0, _, e in self.pivots:
-            col = self.row_t_inv.get(r0, {})
+            col = self.row_t_inv[r0]
             vec = {r: (coeff, exp + e) for r, (coeff, exp) in col.items()}
             out.append((vec, self.matrix.target[r0] + 2 * e))
         return out
 
     def kernel_coords(self, vec: Vec) -> Vec:
-        """Coordinates of a kernel element in the kernel basis."""
-        if self._ct_inv_cols is None:
-            self._ct_inv_cols = _transpose_rows(self.col_t_inv)
-        w = _cols_apply(self._ct_inv_cols, vec)
-        pos = {c: i for i, c in enumerate(self.kernel_columns())}
+        """Coordinates of a kernel element in the kernel basis: its entries at
+        the non-pivot columns, checked by a zero residual."""
+        pos = self._kernel_positions()
+        rest = dict(vec)
         out: Vec = {}
-        for c, mono in w.items():
-            if c not in pos:
-                raise InvariantError("vector is not in the kernel")
-            out[pos[c]] = mono
+        for c, (vc, ve) in vec.items():
+            t = pos.get(c)
+            if t is None:
+                continue
+            out[t] = (vc, ve)
+            for r, (gc, ge) in self.col_t[c].items():
+                _vec_accumulate(rest, r, -gc * vc, ge + ve)
+        if rest:
+            raise InvariantError("vector is not in the kernel")
         return out
 
     def image_coords(self, vec: Vec) -> Vec:
-        """Coordinates of an image element in the image basis."""
-        if self._rt_cols is None:
-            self._rt_cols = _transpose_rows(self.row_t)
-        w = _cols_apply(self._rt_cols, vec)
+        """Coordinates of an image element in the image basis, by forward
+        substitution in pivot order, checked by a zero residual."""
+        rest = dict(vec)
         out: Vec = {}
         for t, (r0, _, e) in enumerate(self.pivots):
-            got = w.pop(r0, None)
+            got = rest.pop(r0, None)
             if got is None:
                 continue
+            col = self.row_t_inv[r0]
+            pc = col[r0][0]
             coeff, exp = got
             if exp < e:
                 raise InvariantError("vector is not in the image")
+            if pc != 1:
+                coeff = exact(Fraction(coeff) / pc)
             out[t] = (coeff, exp - e)
-        if w:
+            for r, (gc, ge) in col.items():
+                if r != r0:
+                    _vec_accumulate(rest, r, -gc * coeff, ge + exp)
+        if rest:
             raise InvariantError("vector is not in the image")
-        return out
-
-    def reconstruct(self) -> dict:
-        """U D V with U = row_t_inv, V = col_t_inv, as an entry dict."""
-        out: dict = {}
-        for r0, c0, e in self.pivots:
-            for r, (uc, ue) in self.row_t_inv.get(r0, {}).items():
-                for c, (vc, ve) in self.col_t_inv.get(c0, {}).items():
-                    cur = out.get((r, c))
-                    if cur is None:
-                        out[(r, c)] = (uc * vc, ue + ve + e)
-                        continue
-                    if cur[1] != ue + ve + e:
-                        raise InvariantError("graded collision in reconstruct")
-                    s = cur[0] + uc * vc
-                    if s:
-                        out[(r, c)] = (s, cur[1])
-                    else:
-                        del out[(r, c)]
         return out
 
 
@@ -288,6 +272,15 @@ def smith(M: SliceMatrix) -> SmithResult:
     every multiplier is a monomial of non-negative exponent, so one pass
     per pivot suffices and the recorded diagonal exponents come out
     non-decreasing.
+
+    Only col_t and row_t_inv are tracked (see SmithResult).  Column
+    operations only add multiples of the pivot column to other columns, and
+    col_t takes each step, so kernel column c of col_t is 1 at c and
+    otherwise lives on pivot columns.  Row operations add multiples of row
+    r0 to the rows not yet pivoted, whose row_t_inv columns stay identity
+    columns; so the row_t_inv column at r0 is the pivot column over a^e,
+    read before they run: it lives on r0 and on the rows not yet pivoted,
+    and it is final once r0 is pivoted.
     """
     by_row: dict[int, dict[int, Mono]] = {}
     by_col: dict[int, dict[int, Mono]] = {}
@@ -297,12 +290,9 @@ def smith(M: SliceMatrix) -> SmithResult:
         by_col.setdefault(c, {})[r] = mono
         heap.append((mono[1], r, c))
     heapq.heapify(heap)
-    nr, nc = len(M.target), len(M.source)
     one = (1, 0)
-    row_t = {i: {i: one} for i in range(nr)}
-    row_t_inv: MonoMat = {i: {i: one} for i in range(nr)}
-    col_t: MonoMat = {i: {i: one} for i in range(nc)}
-    col_t_inv = {i: {i: one} for i in range(nc)}
+    row_t_inv: MonoMat = {}
+    col_t: MonoMat = {i: {i: one} for i in range(len(M.source))}
     pivots: list[tuple[int, int, int]] = []
 
     def set_cell(r: int, c: int, coeff: Fraction, exp: int) -> None:
@@ -330,39 +320,30 @@ def smith(M: SliceMatrix) -> SmithResult:
         got = by_row.get(r0, {}).get(c0)
         if got is None:
             continue
+        row_t_inv[r0] = {r: (dc, de - pe) for r, (dc, de) in by_col[c0].items()}
         pc = got[0]
         if pc != 1:
             u = -1 if pc == -1 else Fraction(1) / pc
-            for c, (cc, ce) in list(by_row[r0].items()):
-                mono = (cc * u, ce)
-                by_row[r0][c] = mono
+            row = by_row[r0] = {c: (cc * u, ce) for c, (cc, ce) in by_row[r0].items()}
+            for c, mono in row.items():
                 by_col[c][r0] = mono
-            row_t[r0] = {c: (v * u, e) for c, (v, e) in row_t[r0].items()}
-            row_t_inv[r0] = {r: (v * pc, e) for r, (v, e) in row_t_inv[r0].items()}
         # clear the pivot column by row operations
+        pivot_row = by_row[r0]
         for r in [r for r in by_col[c0] if r != r0]:
             dc, de = by_row[r][c0]
             mc, me = -dc, de - pe
-            for c, (gc, ge) in list(by_row[r0].items()):
+            for c, (gc, ge) in pivot_row.items():
                 set_cell(r, c, gc if mc == 1 else (-gc if mc == -1 else mc * gc), me + ge)
-            acc = row_t[r]
-            for c, (gc, ge) in row_t[r0].items():
-                _vec_accumulate(acc, c, gc if mc == 1 else (-gc if mc == -1 else mc * gc), me + ge)
-            inv = row_t_inv[r0]
-            for rr, (gc, ge) in row_t_inv[r].items():
-                _vec_accumulate(inv, rr, -gc if mc == 1 else (gc if mc == -1 else -mc * gc), me + ge)
         # the column is now clear; clear the pivot row by column operations
-        for c in [c for c in by_row[r0] if c != c0]:
-            dc, de = by_row[r0][c]
+        pivot_col, kernel_step = by_col[c0], col_t[c0]
+        for c in [c for c in pivot_row if c != c0]:
+            dc, de = pivot_row[c]
             mc, me = -dc, de - pe
-            for r, (gc, ge) in list(by_col[c0].items()):
+            for r, (gc, ge) in pivot_col.items():
                 set_cell(r, c, gc if mc == 1 else (-gc if mc == -1 else mc * gc), me + ge)
             acc = col_t[c]
-            for r, (gc, ge) in col_t[c0].items():
+            for r, (gc, ge) in kernel_step.items():
                 _vec_accumulate(acc, r, gc if mc == 1 else (-gc if mc == -1 else mc * gc), me + ge)
-            inv = col_t_inv[c0]
-            for cc, (gc, ge) in col_t_inv[c].items():
-                _vec_accumulate(inv, cc, -gc if mc == 1 else (gc if mc == -1 else -mc * gc), me + ge)
         row = by_row.pop(r0)
         del row[c0]
         col = by_col.pop(c0)
@@ -370,7 +351,7 @@ def smith(M: SliceMatrix) -> SmithResult:
         if row or col:
             raise InvariantError("pivot row or column not cleared")
         pivots.append((r0, c0, pe))
-    return SmithResult(M, pivots, row_t, row_t_inv, col_t, col_t_inv)
+    return SmithResult(M, pivots, row_t_inv, col_t)
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +504,18 @@ def _class_starts(n: int, eps: int, gx: int) -> dict[tuple[int, int], int]:
 def expansion_size(C: ChainComplexOfMF, top: int, cls: tuple[int, int] | None = None) -> int:
     """Basis vectors of the expansion of C up to x-degree top, in one class or,
     by default, in all: each generator of x-degree gx times its mark monomials
-    of degree d <= (top - gx) // 2 whose elements lie in the class."""
+    of degree d <= D = (top - gx) // 2 whose elements lie in the class.  In
+    all classes these number comb(D + marks, marks), at a cost independent of
+    the width."""
     marks = sum(1 for v in C.table.variables if v.kind == KIND_MARK)
+    if cls is None:
+        return sum(comb((top - gx) // 2 + marks, marks) for *_, gx in _generators(C) if gx <= top)
     n = C.n
     return sum(
         comb(d + marks - 1, d) if marks else int(d == 0)
         for eps, _, _, gx in _generators(C)
         for c, start in _class_starts(n, eps, gx).items()
-        if cls is None or c == cls
+        if c == cls
         for d in range(start, (top - gx) // 2 + 1, n + 1)
     )
 
@@ -707,27 +692,12 @@ class _ClassExpansion:
         rows.extend(set() for _ in range(size - first))
         alive.extend([True] * (size - first))
 
-        def insert(s: int, t: int, coeff, exp: int) -> None:
-            cur = out[s].get(t)
-            if cur is None:
-                out[s][t] = (coeff, exp)
-                rows[t].add(s)
-                if exp == 0 and info_i[s] == info_i[t]:
-                    heapq.heappush(heap, ((len(out[s]) - 1) * (len(rows[t]) - 1), s, t))
-                return
-            c0, e0 = cur
-            if e0 != exp:
-                raise InvariantError("graded collision in reduction")
-            c = c0 + coeff
-            if c:
-                out[s][t] = (c, exp)
-            else:
-                del out[s][t]
-                rows[t].discard(s)
-
         # entries into the new elements, from the sources in this class (their
         # targets are in it too); an eliminated old source was a pivot target,
-        # whose outgoing entries the elimination dropped
+        # whose outgoing entries the elimination dropped.  One source element
+        # meets one target through one mark monomial of one term, so a second
+        # entry there differs in its a-exponent.
+        units: list[tuple[int, int]] = []
         for gs, gt, coeff, ae, mt, jump in knot.terms:
             start = starts[gs]
             if start is None:
@@ -736,12 +706,24 @@ class _ClassExpansion:
             d_lo = 0 if old is None else max(0, (old - gx - jump) // 2 + 1)
             src, tgt = index[gs], index[gt]
             shifted = any(mt)
+            mono = (coeff, ae)
+            unit = not ae and gens[gs][1] == gens[gt][1]
             for d in range(d_lo + (start - d_lo) % step, (top - gx - jump) // 2 + 1, step):
                 for m in monos(d):
                     sid = src[m]
                     if alive[sid]:
                         tid = tgt[tuple(map(add, m, mt))] if shifted else tgt[m]
-                        insert(sid, tid, coeff, ae)
+                        row = out[sid]
+                        if tid in row:
+                            raise InvariantError("graded collision in reduction")
+                        row[tid] = mono
+                        rows[tid].add(sid)
+                        if unit:
+                            units.append((sid, tid))
+        # the unit entries, each with its Markowitz cost
+        heap.extend(((len(out[s]) - 1) * (len(rows[t]) - 1), s, t) for s, t in units)
+        heapq.heapify(heap)
+        del units
 
         while heap:
             cost, s0, t0 = heapq.heappop(heap)
@@ -763,15 +745,34 @@ class _ClassExpansion:
             flat = [(t, g) for t, g in out[s0].items() if t != t0 and info_i[t] == i0]
             both = flat + [(t, g) for t, g in out[s0].items() if info_i[t] != i0]
             for s in [s for s in rows[t0] if s != s0]:
-                dc, de = out[s][t0]
+                row = out[s]
+                dc, de = row[t0]
                 if pivot == 1:
                     factor = -dc
                 elif pivot == -1:
                     factor = dc
                 else:
                     factor = exact(-Fraction(dc) / pivot)
-                for t, (gc, ge) in (both if info_i[s] == i0 else flat):
-                    insert(s, t, gc if factor == 1 else (-gc if factor == -1 else factor * gc), de + ge)
+                same = info_i[s] == i0
+                for t, (gc, ge) in (both if same else flat):
+                    coeff = gc if factor == 1 else (-gc if factor == -1 else factor * gc)
+                    exp = de + ge
+                    cur = row.get(t)
+                    if cur is None:
+                        row[t] = (coeff, exp)
+                        sources = rows[t]
+                        sources.add(s)
+                        if not exp and same and info_i[t] == i0:
+                            heapq.heappush(heap, ((len(row) - 1) * (len(sources) - 1), s, t))
+                    elif cur[1] != exp:
+                        raise InvariantError("graded collision in reduction")
+                    else:
+                        c = cur[0] + coeff
+                        if c:
+                            row[t] = (c, exp)
+                        else:
+                            del row[t]
+                            rows[t].discard(s)
             for s in rows[t0]:
                 out[s].pop(t0, None)
             for t in out[s0]:
@@ -847,15 +848,23 @@ def _by_class(C: ChainComplexOfMF, top: int, fn, expansion=None, kill_a=False) -
 
     The classes of a given expansion are grown in place and kept.  Without
     one, each class is expanded afresh and freed before the next is built,
-    so no two are ever held at once.
+    so no two are ever held at once.  The cyclic garbage collector is paused
+    throughout and its state restored after: the expansion holds no cycles,
+    and its collections would only walk it.
     """
-    knot = _Expansion(C, kill_a) if expansion is None else expansion
-    out: dict = {}
-    for cls in knot.classes:
-        part = _ClassExpansion(knot, cls) if expansion is None else knot.part(cls)
-        out.update(fn(part, _reduce_complex(C, top, part)))
-        del part  # a fresh class goes before the next one is built
-    return out
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        knot = _Expansion(C, kill_a) if expansion is None else expansion
+        out: dict = {}
+        for cls in knot.classes:
+            part = _ClassExpansion(knot, cls) if expansion is None else knot.part(cls)
+            out.update(fn(part, _reduce_complex(C, top, part)))
+            del part  # a fresh class goes before the next one is built
+        return out
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -972,26 +981,16 @@ def two_stage_homology(
     Results of keys at x <= hi - n - 1 are final: their slice, the first-
     stage map out of it and the slice it maps into all lie at x <= hi,
     where no growth removes an element or changes an entry.  They are kept
-    on the class, and a wider computation on it reuses them.  The cyclic
-    garbage collector is paused throughout: the expansion holds no cycles,
-    and its collections would only walk it.
+    on the class, and a wider computation on it reuses them.
     """
     if not isinstance(C, ChainComplexOfMF):
         raise TypeError("two_stage_homology expects a complex of factorizations")
     n = C.n
     lo, hi, _ = _resolve_window(C, x_window, n)
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        slices = _by_class(
-            C, hi + n + 1, lambda part, red: _class_homology(part, red, hi), expansion
-        )
-        slices = {key: slices[key] for key in sorted(slices)}
-        window = (lo, hi)
-        return GradedQaModule(n, window, slices, _detect_tails(slices, window))
-    finally:
-        if collecting:
-            gc.enable()
+    slices = _by_class(C, hi + n + 1, lambda part, red: _class_homology(part, red, hi), expansion)
+    slices = {key: slices[key] for key in sorted(slices)}
+    window = (lo, hi)
+    return GradedQaModule(n, window, slices, _detect_tails(slices, window))
 
 
 def _class_homology(part: _ClassExpansion, red: _Reduced, hi: int) -> dict:

@@ -81,6 +81,19 @@ class TestHomologyCommand:
         assert_one_line_failure(res, 2)
         assert f"width 20 needs an expansion of {size} basis vectors" in res.stderr
 
+    def test_a_huge_window_is_refused_at_once(self):
+        # the refusal counts the expansion in closed form, whatever the width
+        src = str(Path(krlab.__file__).resolve().parents[1])
+        res = subprocess.run(
+            [sys.executable, "-m", "krlab.cli", "homology", "--braid", "1",
+             "--xwindow", str(10**9)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=10,
+        )
+        assert res.returncode == 2
+        [line] = res.stderr.splitlines()
+        assert line.startswith("x-window width 1000000000 needs an expansion of ")
+        assert line.endswith(f" basis vectors, over the cap of {qamod.MAX_EXPANSION}")
+
     def test_out_of_memory_exits_five(self):
         resource = pytest.importorskip("resource")
         limit = 128 * 2**20

@@ -336,22 +336,24 @@ class TestInvariantChecks:
         assert self.assert_lines("raise InvariantError('no')\n") == []
 
     def test_checks_still_raise_under_optimisation(self):
-        # the same check as TestSmith's rejected kernel vector, under python -O
+        # the same checks as TestSmith's rejected kernel and image vectors,
+        # under python -O
         probe = (
             "from krlab.poly import InvariantError\n"
             "from krlab.qamod import SliceMatrix, smith\n"
             "s = smith(SliceMatrix((1,), (0,), 1, {(0, 0): (1, 1)}))\n"
-            "try:\n"
-            "    s.kernel_coords({0: (1, 0)})\n"
-            "except InvariantError:\n"
-            "    print('raised')\n"
+            "for coords in (s.kernel_coords, s.image_coords):\n"
+            "    try:\n"
+            "        coords({0: (1, 0)})\n"
+            "    except InvariantError:\n"
+            "        print('raised')\n"
         )
         src = str(Path(krlab.__file__).resolve().parents[1])
         res = subprocess.run(
             [sys.executable, "-O", "-c", probe], capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=src), timeout=60,
         )
-        assert res.stdout == "raised\n", res.stderr
+        assert res.stdout == "raised\nraised\n", res.stderr
 
     # skein keeps its own Fraction-only coefficients and is not scanned
     EXACT_MODULES = ("poly", "mf", "cube", "moy", "qamod")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from krlab import qamod
 from krlab.braid import parse
 from krlab.cube import build_complex
+from krlab.poly import InvariantError
 from krlab.qamod import (
     ExpansionBudgetError,
     GradedQaModule,
@@ -59,12 +60,6 @@ def apply_cells(cells, vec):
     return out
 
 
-def rows_apply(rows_mat, vec):
-    out = {}
-    cells = {(r, c): mono for r, row in rows_mat.items() for c, mono in row.items()}
-    return apply_cells(cells, vec)
-
-
 class TestSliceMatrix:
     def test_entry_breaking_the_grading_is_rejected(self):
         with pytest.raises(ValueError, match="breaks the grading"):
@@ -94,6 +89,22 @@ class TestSmith:
         assert s.pivots == []
         assert s.kernel_basis() == [({0: (1, 0)}, 0)]
 
+    @staticmethod
+    def check_transforms(m, s):
+        """The oracle on the two kept transforms and their support facts."""
+        pivot_cols = [c0 for _, c0, _ in s.pivots]
+        pivot_rows = [r0 for r0, _, _ in s.pivots]
+        for t, (r0, c0, e) in enumerate(s.pivots):
+            col = s.row_t_inv[r0]
+            expected = {r: (coeff, exp + e) for r, (coeff, exp) in col.items()}
+            assert apply_cells(m.entries, s.col_t[c0]) == expected
+            # final once r0 is pivoted: on r0 and the rows not yet pivoted then
+            assert set(col) - {r0} <= set(range(len(m.target))) - set(pivot_rows[: t + 1])
+        for c in s.kernel_columns():
+            assert apply_cells(m.entries, s.col_t[c]) == {}
+            assert s.col_t[c][c] == (1, 0)
+            assert set(s.col_t[c]) - {c} <= set(pivot_cols)
+
     def test_upper_triangular(self):
         m = SliceMatrix(
             (2, 2), (0, -2), 0,
@@ -101,7 +112,7 @@ class TestSmith:
         )
         s = smith(m)
         assert s.diagonal() == [1, 2]
-        assert s.reconstruct() == m.entries
+        self.check_transforms(m, s)
 
     @given(
         st.data(),
@@ -127,7 +138,7 @@ class TestSmith:
         m = SliceMatrix(source, target, 0, entries)
         s = smith(m)
 
-        assert s.reconstruct() == m.entries
+        self.check_transforms(m, s)
         diag = s.diagonal()
         assert diag == sorted(diag)  # divisibility chain a^d1 | a^d2 | ...
         for vec, _ in s.kernel_basis():
@@ -136,11 +147,14 @@ class TestSmith:
             assert s.kernel_coords(vec) == {t: (1, 0)}
         for t, (vec, _) in enumerate(s.image_basis()):
             assert s.image_coords(vec) == {t: (1, 0)}
-        # D = row_t M col_t on pivot columns
-        for r0, c0, e in s.pivots:
-            col = s.col_t.get(c0, {})
-            image = rows_apply(s.row_t, apply_cells(m.entries, col))
-            assert image == {r0: (1, e)}
+        # every column of M is an image element, rebuilt from its coordinates
+        image = {
+            (r, t): mono for t, (vec, _) in enumerate(s.image_basis()) for r, mono in vec.items()
+        }
+        for vec, _ in m.columns():
+            coords = s.image_coords(vec)
+            assert all(exp >= 0 for _, exp in coords.values())
+            assert apply_cells(image, coords) == vec
 
     def test_kernel_coords_rejects_outside_vectors(self):
         m = SliceMatrix((0,), (0,), 1, {})
@@ -148,6 +162,18 @@ class TestSmith:
         s = smith(m)
         with pytest.raises(AssertionError, match="not in the kernel"):
             s.kernel_coords({0: (1, 0)})
+
+    def test_image_coords_rejects_outside_vectors(self):
+        s = smith(SliceMatrix((2,), (0, 0), 0, {(0, 0): (Fraction(1), 1)}))
+        with pytest.raises(InvariantError, match="not in the image"):
+            s.image_coords({1: (1, 0)})
+
+    def test_image_coords_rejects_a_negative_power(self):
+        # e0 = a^-1 (a e0) would need a coefficient outside Q[a]
+        s = smith(SliceMatrix((1,), (-1,), 0, {(0, 0): (Fraction(1), 1)}))
+        assert s.image_coords({0: (3, 1)}) == {0: (3, 0)}
+        with pytest.raises(InvariantError, match="not in the image"):
+            s.image_coords({0: (1, 0)})
 
 
 def unknot_table(n, window):
@@ -458,6 +484,23 @@ class TestCollectorPause:
                 two_stage_homology(C, 4)
 
         assert self.run_with_collector(enabled, refused) == enabled
+
+    @pytest.mark.parametrize(
+        "oracle", [mod_a_homology, a_one_dimensions], ids=lambda fn: fn.__name__
+    )
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_oracles_pause_too(self, enabled, oracle, monkeypatch):
+        seen = []
+        real = qamod._reduce_complex
+
+        def watched(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(qamod, "_reduce_complex", watched)
+        C = build_complex(parse("1 1", 2), 1)
+        assert self.run_with_collector(enabled, lambda: oracle(C, 4)) == enabled
+        assert len(seen) >= 2 and not any(seen)
 
 
 class TestSliceModule:
