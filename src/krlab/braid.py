@@ -157,25 +157,44 @@ def replay(w: BraidWord, moves: list[Move]) -> BraidWord:
 # Canonical form
 
 
-def _reduce(letters: list[tuple[int, int]], log: list[Move]) -> None:
-    i = 0
-    while i + 1 < len(letters):
-        a, b = letters[i], letters[i + 1]
-        if a[0] == b[0] and a[1] == -b[1]:
-            log.append(Move("free-cancel", i))
-            del letters[i : i + 2]
-            i = max(i - 1, 0)
+def _reduce(letters: list[tuple[int, int]], log: list[Move] | None) -> list[tuple[int, int]]:
+    """Free reduction, cancelling each pair as it meets the reduced prefix."""
+    out: list[tuple[int, int]] = []
+    for letter in letters:
+        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
+            out.pop()
+            if log is not None:
+                log.append(Move("free-cancel", len(out)))
         else:
-            i += 1
+            out.append(letter)
+    return out
 
 
-def _canonical_letters(letters: list[tuple[int, int]], log: list[Move]) -> list[tuple[int, int]]:
-    _reduce(letters, log)
+def _least_rotation(letters: list[tuple[int, int]]) -> int:
+    """The first r whose rotation letters[r:] + letters[:r] is least.
+
+    A least rotation starts at a least letter, so only those starts are
+    compared, and only when there are several.
+    """
+    first = min(letters)
+    if letters.count(first) == 1:
+        return letters.index(first)
+    starts = [k for k, letter in enumerate(letters) if letter == first]
     n = len(letters)
-    if n > 1:
-        r = min(range(n), key=lambda k: letters[k:] + letters[:k])
+    doubled = letters + letters
+    return min(starts, key=lambda k: doubled[k : k + n])
+
+
+def _canonical_letters(
+    letters: list[tuple[int, int]], log: list[Move] | None = None
+) -> list[tuple[int, int]]:
+    """Freely reduce, then rotate to the least rotation; log=None keeps no log."""
+    letters = _reduce(letters, log)
+    if len(letters) > 1:
+        r = _least_rotation(letters)
         if r:
-            log.append(Move("rotate", r))
+            if log is not None:
+                log.append(Move("rotate", r))
             letters = letters[r:] + letters[:r]
     return letters
 
@@ -200,7 +219,9 @@ def _order_key(w: BraidWord) -> tuple:
 
 
 def _neighbors(word: BraidWord):
-    """Single transverse moves from a word, each with its move prefix.
+    """Single transverse moves from a word, as (rotation, kind, position,
+    letters, strands): rotate by rotation, then apply the move kind at
+    position, which yields letters on strands.
 
     Rotation-sensitive moves are offered at cyclic position 0 of every
     rotation, which covers all cyclic sites exactly once.
@@ -208,33 +229,26 @@ def _neighbors(word: BraidWord):
     m = word.strands
     letters = list(word.letters)
     n = len(letters)
-    out: list[tuple[list[Move], list[tuple[int, int]], int]] = []
     for r in range(max(n, 1)):
         base = letters[r:] + letters[:r]
-        prefix = [Move("rotate", r)] if r else []
         for k in range(1, m):
             for s in (1, -1):
-                out.append(
-                    (prefix + [Move("conjugate", k * s)], [(k, -s)] + base + [(k, s)], m)
-                )
+                yield r, "conjugate", k * s, [(k, -s), *base, (k, s)], m
         if n >= 2:
             a, b = base[0], base[1]
             if a[0] == b[0] and a[1] == -b[1]:
-                out.append((prefix + [Move("free-cancel", 0)], base[2:], m))
+                yield r, "free-cancel", 0, base[2:], m
             if abs(a[0] - b[0]) >= 2:
-                out.append((prefix + [Move("far-commute", 0)], [b, a] + base[2:], m))
+                yield r, "far-commute", 0, [b, a, *base[2:]], m
         if n >= 3:
             a, b, c = base[0], base[1], base[2]
             if a == c and a[1] == b[1] and abs(a[0] - b[0]) == 1:
-                out.append(
-                    (prefix + [Move("braid-relation", 0)], [(b[0], a[1]), a, (b[0], a[1])] + base[3:], m)
-                )
+                yield r, "braid-relation", 0, [(b[0], a[1]), a, (b[0], a[1]), *base[3:]], m
     if m >= 2:
         top = [p for p, (i, _) in enumerate(letters) if i == m - 1]
         if len(top) == 1 and letters[top[0]][1] == 1:
             p = top[0]
-            out.append(([Move("destabilize", p)], letters[:p] + letters[p + 1 :], m - 1))
-    return out
+            yield 0, "destabilize", p, letters[:p] + letters[p + 1 :], m - 1
 
 
 class SearchResult(list):
@@ -259,13 +273,18 @@ class SearchResult(list):
         key = (w.strands, w.letters)
         if key not in self._parents:
             raise KeyError(f"{w!r} was not reached by this search")
-        chunks: list[tuple[Move, ...]] = []
+        steps = []
         while key != self._start_key:
-            key, moves = self._parents[key]
-            chunks.append(moves)
+            parent, rotation, kind, position = self._parents[key]
+            steps.append((BraidWord(*parent), rotation, kind, position))
+            key = parent
         out = list(self._prelude)
-        for moves in reversed(chunks):
-            out.extend(moves)
+        for parent, rotation, kind, position in reversed(steps):
+            chunk = [Move("rotate", rotation)] if rotation else []
+            chunk.append(Move(kind, position))
+            moved = replay(parent, chunk)
+            _canonical_letters(list(moved.letters), chunk)
+            out.extend(chunk)
         return out
 
 
@@ -274,7 +293,9 @@ def markov_search(w: BraidWord, budget: int, max_length: int | None = None) -> S
     canonical forms; budget counts node expansions.
 
     max_length, when given, prunes intermediate words longer than that; it
-    makes the explored component finite at the cost of reachability.
+    makes the explored component finite at the cost of reachability.  Each
+    reached word stores its parent and the move that reached it, from which
+    moves_to rebuilds the log.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -287,17 +308,14 @@ def markov_search(w: BraidWord, budget: int, max_length: int | None = None) -> S
     while queue and expansions < budget:
         key = queue.popleft()
         expansions += 1
-        node = nodes[key]
-        for prefix, cand_letters, cand_strands in _neighbors(node):
-            extra: list[Move] = []
-            cletters = _canonical_letters(list(cand_letters), extra)
-            if max_length is not None and len(cletters) > max_length:
+        for rotation, kind, position, cand, strands in _neighbors(nodes[key]):
+            letters = _canonical_letters(cand)
+            if max_length is not None and len(letters) > max_length:
                 continue
-            cand = BraidWord(cand_strands, tuple(cletters))
-            ck = (cand.strands, cand.letters)
+            ck = (strands, tuple(letters))
             if ck not in parents:
-                parents[ck] = (key, tuple(prefix + extra))
-                nodes[ck] = cand
+                parents[ck] = (key, rotation, kind, position)
+                nodes[ck] = BraidWord(strands, ck[1])
                 queue.append(ck)
     words = sorted(nodes.values(), key=_order_key)
     return SearchResult(words, not queue, expansions, prelude, parents, start_key)

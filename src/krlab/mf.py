@@ -642,6 +642,10 @@ def gdim(
 
     a_values = sorted({a for a, _ in bases[0]} | {a for a, _ in bases[1]})
     x_min = min((x for _, x in bases[0] + bases[1]), default=0)
+    x_top = x_truncation
+    if not survivors:
+        # with no variable left, a slice holds only generators of x-degree k
+        x_top = min(x_top, max((x for _, x in bases[0] + bases[1]), default=x_min))
     terms: dict[tuple[int, int, int], int] = {}
     slice_cache: dict[tuple[int, int, int], list] = {}
 
@@ -653,7 +657,7 @@ def gdim(
 
     for par in (0, 1):
         for j in a_values:
-            for k in range(x_min, x_truncation + 1):
+            for k in range(x_min, x_top + 1):
                 src = get_basis(par, j, k)
                 if not src:
                     continue

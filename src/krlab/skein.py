@@ -12,6 +12,11 @@ moves, split a negative crossing, or expose and split a square of a positive
 generator found by conjugacy search.  Both branches of every split strictly
 shrink (negative count, letter count), so the recursion terminates at
 crossingless closures, whose value is the closed-form unlink evaluation.
+
+Coefficients are exact: int or Fraction via `poly.exact`, an int whenever
+the value is integral, and a float is refused.  Every value the recursion
+builds has integer coefficients; a Fraction arises only from an inexact
+division or from halving in tau_series.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .braid import BraidWord, _order_key, markov_search, simplify, word_text
+from .poly import Coefficient, exact
 
 MAX_BUDGET = 10**6
 
@@ -42,20 +48,25 @@ class SkeinBudgetError(RuntimeError):
 
 
 class Laurent:
-    """Laurent polynomial in (alpha, xi) with Fraction coefficients.
+    """Laurent polynomial in (alpha, xi) with exact coefficients.
 
     Terms are keyed by integer exponent pairs (alpha power, xi power).
+    Coefficients are int or Fraction via `poly.exact`: the constructor
+    normalises them and drops zeros, so equal polynomials have equal term
+    dicts, and it raises TypeError on a float.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        self.terms: dict[tuple[int, int], Fraction] = {}
+    def __init__(self, terms: dict[tuple[int, int], Coefficient] | None = None):
+        out: dict[tuple[int, int], Coefficient] = {}
         if terms:
             for key, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = exact(c)
                 if c:
-                    self.terms[key] = c
+                    out[key] = c
+        self.terms = out
 
     @staticmethod
     def zero() -> "Laurent":
@@ -63,7 +74,7 @@ class Laurent:
 
     @staticmethod
     def monomial(coeff, da: int = 0, dx: int = 0) -> "Laurent":
-        return Laurent({(da, dx): Fraction(coeff)})
+        return Laurent({(da, dx): coeff})
 
     @staticmethod
     def one() -> "Laurent":
@@ -79,11 +90,11 @@ class Laurent:
     def __add__(self, other: "Laurent") -> "Laurent":
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
+            s = out.get(key, 0) + c
             if s:
-                out[key] = s
+                out[key] = s if type(s) is int else exact(s)
             else:
-                out.pop(key, None)
+                del out[key]
         res = Laurent()
         res.terms = out
         return res
@@ -97,18 +108,14 @@ class Laurent:
         return self + (-other)
 
     def __mul__(self, other: "Laurent") -> "Laurent":
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], Coefficient] = {}
+        get = out.get
+        right = list(other.terms.items())
         for (a1, x1), c1 in self.terms.items():
-            for (a2, x2), c2 in other.terms.items():
+            for (a2, x2), c2 in right:
                 key = (a1 + a2, x1 + x2)
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        res = Laurent()
-        res.terms = out
-        return res
+                out[key] = get(key, 0) + c1 * c2
+        return Laurent(out)
 
     def __pow__(self, k: int) -> "Laurent":
         if k < 0:
@@ -123,11 +130,8 @@ class Laurent:
         return out
 
     def scaled(self, coeff, da: int = 0, dx: int = 0) -> "Laurent":
-        c0 = Fraction(coeff)
-        res = Laurent()
-        if c0:
-            res.terms = {(a + da, x + dx): c * c0 for (a, x), c in self.terms.items()}
-        return res
+        c0 = exact(coeff)
+        return Laurent({(a + da, x + dx): c * c0 for (a, x), c in self.terms.items()})
 
     def min_alpha(self) -> int | None:
         return min((a for a, _ in self.terms), default=None)
@@ -162,11 +166,6 @@ class Laurent:
         return text.replace("+ -", "- ")
 
 
-def _leading(p: Laurent) -> tuple[tuple[int, int], Fraction]:
-    key = max(p.terms)
-    return key, p.terms[key]
-
-
 def divide_exact(num: Laurent, den: Laurent) -> Laurent | None:
     """num / den when the division is exact, else None.
 
@@ -174,7 +173,8 @@ def divide_exact(num: Laurent, den: Laurent) -> Laurent | None:
     shifted den then has no monomial factor, so Laurent divisibility is
     polynomial divisibility, decided by greedy reduction in lexicographic
     term order: a leading term that den's leading term does not divide
-    shows that den does not divide num.
+    shows that den does not divide num.  The remainder is one dict,
+    reduced in place.
     """
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -182,18 +182,47 @@ def divide_exact(num: Laurent, den: Laurent) -> Laurent | None:
         return Laurent.zero()
     na, nx = num.min_alpha(), num.min_xi()
     da, dx = den.min_alpha(), den.min_xi()
-    rest = num.scaled(1, -na, -nx)
-    den = den.scaled(1, -da, -dx)
-    (ga, gx), gc = _leading(den)
-    quotient = Laurent.zero()
-    while not rest.is_zero:
-        (fa, fx), fc = _leading(rest)
+    rest = {(a - na, x - nx): c for (a, x), c in num.terms.items()}
+    divisor = sorted(((a - da, x - dx), c) for (a, x), c in den.terms.items())
+    (ga, gx), gc = divisor.pop()
+    quotient: dict[tuple[int, int], Coefficient] = {}
+    while rest:
+        lead = max(rest)
+        fa, fx = lead
         if fa < ga or fx < gx:
             return None
-        t = Laurent.monomial(fc / gc, fa - ga, fx - gx)
-        quotient = quotient + t
-        rest = rest - t * den
-    return quotient.scaled(1, na - da, nx - dx)
+        fc = rest.pop(lead)
+        qc, r = divmod(fc, gc)
+        if r:
+            qc = Fraction(fc, gc)  # not integral, so already exact's normal form
+        qa, qx = fa - ga, fx - gx
+        quotient[(qa + na - da, qx + nx - dx)] = qc
+        for (a, x), c in divisor:
+            key = (a + qa, x + qx)
+            s = rest.get(key, 0) - qc * c
+            if s:
+                rest[key] = s if type(s) is int else exact(s)
+            else:
+                del rest[key]
+    return Laurent(quotient)
+
+
+def _truncated_product(
+    p: Laurent, q: Laurent, alpha_max: int, xi_max: int | None = None
+) -> Laurent:
+    """p * q without the terms above alpha_max, or above xi_max when given."""
+    out: dict[tuple[int, int], Coefficient] = {}
+    get = out.get
+    right = list(q.terms.items())
+    for (a1, x1), c1 in p.terms.items():
+        a_room = alpha_max - a1
+        x_room = None if xi_max is None else xi_max - x1
+        for (a2, x2), c2 in right:
+            if a2 > a_room or (x_room is not None and x2 > x_room):
+                continue
+            key = (a1 + a2, x1 + x2)
+            out[key] = get(key, 0) + c1 * c2
+    return Laurent(out)
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +248,13 @@ def atom_unit(n: int) -> tuple:
 
 def atom_poly(key: tuple, tau: int) -> Laurent:
     if key == ATOM_ALPHA:
-        return Laurent({(0, 0): Fraction(1), (2, 0): Fraction(-1)})
+        return Laurent({(0, 0): 1, (2, 0): -1})
     if key[0] == "xi":
         n = key[1]
-        return Laurent({(0, -n): Fraction(1), (0, n): Fraction(-1)})
+        return Laurent({(0, -n): 1, (0, n): -1})
     if key[0] == "unit":
         n = key[1]
-        return Laurent({(1, -n - 1): Fraction(tau), (0, 0): Fraction(1)})
+        return Laurent({(1, -n - 1): tau, (0, 0): 1})
     raise ValueError(f"unknown denominator atom {key!r}")
 
 
@@ -333,10 +362,9 @@ class RationalFunction:
                 if lo is None:
                     return Laurent.zero()
                 steps = max(alpha_max - lo, 0)
-                inv = Laurent(
-                    {(i, -(n + 1) * i): Fraction(-self.tau) ** i for i in range(steps + 1)}
-                )
-                out = out * inv
+                inv = Laurent({(i, -(n + 1) * i): (-self.tau) ** i for i in range(steps + 1)})
+                # every later factor raises alpha, but a unit factor lowers xi
+                out = _truncated_product(out, inv, alpha_max)
         for key, mult in sorted(self.den.items()):
             if key == ATOM_ALPHA:
                 for _ in range(mult):
@@ -344,8 +372,9 @@ class RationalFunction:
                     if lo is None:
                         return Laurent.zero()
                     half = max((alpha_max - lo) // 2, 0)
-                    inv = Laurent({(2 * i, 0): Fraction(1) for i in range(half + 1)})
-                    out = out * inv
+                    inv = Laurent({(2 * i, 0): 1 for i in range(half + 1)})
+                    # from here on every factor raises both exponents
+                    out = _truncated_product(out, inv, alpha_max, xi_max)
             elif key[0] == "xi":
                 n = key[1]
                 # xi^-n - xi^n = xi^-n (1 - xi^2n): invert as xi^n * sum xi^(2ni)
@@ -354,8 +383,8 @@ class RationalFunction:
                     if lo is None:
                         return Laurent.zero()
                     reps = max((xi_max - lo - n) // (2 * n) + 1, 0)
-                    inv = Laurent({(0, n + 2 * n * i): Fraction(1) for i in range(reps + 1)})
-                    out = out * inv
+                    inv = Laurent({(0, n + 2 * n * i): 1 for i in range(reps + 1)})
+                    out = _truncated_product(out, inv, alpha_max, xi_max)
         trimmed = Laurent(
             {
                 (a, x): c
@@ -447,15 +476,17 @@ class SkeinValue:
     def is_zero(self) -> bool:
         return self.plus.is_zero and self.minus.is_zero
 
-    def tau_series(self, alpha_max: int, xi_max: int) -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
+    def tau_series(
+        self, alpha_max: int, xi_max: int
+    ) -> dict[tuple[int, int], tuple[Coefficient, Coefficient]]:
         """Term table {(alpha exp, xi exp): (constant part, tau part)}."""
         p = self.plus.series(alpha_max, xi_max)
         m = self.minus.series(alpha_max, xi_max)
         out = {}
         for key in sorted(set(p.terms) | set(m.terms)):
-            cp = p.terms.get(key, Fraction(0))
-            cm = m.terms.get(key, Fraction(0))
-            out[key] = ((cp + cm) / 2, (cp - cm) / 2)
+            cp = p.terms.get(key, 0)
+            cm = m.terms.get(key, 0)
+            out[key] = (exact(Fraction(cp + cm, 2)), exact(Fraction(cp - cm, 2)))
         return out
 
     def pretty(self) -> str:
@@ -487,13 +518,13 @@ def unlink_value(m: int, n: int) -> SkeinValue:
     comps = []
     for tau in (1, -1):
         xin = atom_poly(atom_xin(n), tau)
-        top = Laurent({(1, -1): Fraction(tau), (0, -n): Fraction(1)})
+        top = Laurent({(1, -1): tau, (0, -n): 1})
         head = RationalFunction(tau, Laurent.one(), Counter([ATOM_ALPHA]))
         ratio_pow = RationalFunction(tau, top ** m - xin ** m, Counter({atom_xin(n): m}))
         tail = RationalFunction(tau, ratio_pow.num, ratio_pow.den + Counter([atom_unit(n)]))
         bracket_pow = RationalFunction(
             tau, atom_poly(atom_xin(n), tau) ** m, Counter({atom_xi1(): m})
-        ).scaled(Fraction(tau) ** m, -m, 0)
+        ).scaled(tau**m, -m, 0)
         comps.append((bracket_pow * (head + tail)).stripped())
     return SkeinValue(n, comps[0], comps[1])
 

@@ -1,5 +1,7 @@
 """Braid words: parsing, canonical forms, transverse moves, bounded search."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,7 +130,103 @@ class TestSimplify:
         assert text.splitlines() == ["free-cancel 0", "destabilize 0"]
 
 
+def oracle_canonical(letters):
+    """Free reduction and least rotation as first written, with their log."""
+    letters, log = list(letters), []
+    i = 0
+    while i + 1 < len(letters):
+        (a, s), (b, t) = letters[i], letters[i + 1]
+        if a == b and s == -t:
+            log.append(Move("free-cancel", i))
+            del letters[i : i + 2]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    if len(letters) > 1:
+        r = min(range(len(letters)), key=lambda k: letters[k:] + letters[:k])
+        if r:
+            log.append(Move("rotate", r))
+            letters = letters[r:] + letters[:r]
+    return tuple(letters), log
+
+
+def oracle_search(w, budget, max_length):
+    """markov_search as first written: every neighbour move is tried through
+    replay, in the search's order, and each reached word keeps its full log.
+    Returns (words best first, complete, expansions, {word: log})."""
+    letters, prelude = oracle_canonical(w.letters)
+    start = BraidWord(w.strands, letters)
+    logs = {start: prelude}
+    queue = deque([start])
+    expansions = 0
+    while queue and expansions < budget:
+        node = queue.popleft()
+        expansions += 1
+        m, n = node.strands, len(node.letters)
+        sites = [("conjugate", k * s) for k in range(1, m) for s in (1, -1)]
+        sites += [("free-cancel", 0), ("far-commute", 0), ("braid-relation", 0)]
+        tries = [
+            ([Move("rotate", r)] if r else []) + [Move(kind, p)]
+            for r in range(max(n, 1))
+            for kind, p in sites
+        ]
+        tries += [[Move("destabilize", p)] for p in range(n)]
+        for moves in tries:
+            try:
+                moved = replay(node, moves)
+            except ValueError:
+                continue
+            letters, extra = oracle_canonical(moved.letters)
+            if len(letters) > max_length:
+                continue
+            cand = BraidWord(moved.strands, letters)
+            if cand not in logs:
+                logs[cand] = logs[node] + moves + extra
+                queue.append(cand)
+    words = sorted(logs, key=lambda v: (v.strands, len(v.letters), v.letters))
+    return words, not queue, expansions, logs
+
+
+def reduced_words(strands, max_length):
+    letters = [(g, s) for g in range(1, strands) for s in (1, -1)]
+    words = [()]
+    for length in range(max_length):
+        words += [
+            w + (x,)
+            for w in words
+            if len(w) == length
+            for x in letters
+            if not w or w[-1] != (x[0], -x[1])
+        ]
+    return [BraidWord(strands, w) for w in words]
+
+
 class TestMarkovSearch:
+    def test_matches_the_oracle_on_short_words(self):
+        # simplify's length allowance; a budget that cuts some searches short
+        words = reduced_words(3, 3)
+        assert len(words) == 53
+        completes = set()
+        for w in words:
+            res = markov_search(w, 60, max_length=len(w.letters) + 4)
+            nodes, complete, expansions, logs = oracle_search(w, 60, len(w.letters) + 4)
+            assert list(res) == nodes, w
+            assert (res.complete, res.expansions) == (complete, expansions), w
+            for v in res:
+                assert res.moves_to(v) == logs[v], (w, v)
+            completes.add(complete)
+        assert completes == {True, False}
+
+    def test_moves_to_replays_every_move_kind(self):
+        w = parse("1 3 -1 2", strands=4)
+        res = markov_search(w, 300, max_length=len(w.letters) + 2)
+        kinds = set()
+        for v in res:
+            moves = res.moves_to(v)
+            assert replay(w, moves) == v
+            kinds |= {m.kind for m in moves}
+        assert kinds == MOVE_KINDS
+
     def test_braid_relation_pair(self):
         res = markov_search(parse("1 2 1"), 200)
         assert canonical(parse("2 1 2")) in res

@@ -227,6 +227,21 @@ class TestGdimCommand:
         assert_one_line_failure(res, 1)
         assert "must be non-negative" in res.stderr
 
+    def test_a_huge_window_ends(self):
+        # a closed graph's slices are empty above its generators' x-degrees
+        src = str(Path(krlab.__file__).resolve().parents[1])
+
+        def terms(window):
+            res = subprocess.run(
+                [sys.executable, "-m", "krlab.cli", "gdim", "--graph", "circle",
+                 "--xwindow", str(window), "--format", "json"],
+                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=10,
+            )
+            assert res.returncode == 0, res.stderr
+            return json.loads(res.stdout)["terms"]
+
+        assert terms(10**8) == terms(20)
+
 
 class TestParseErrors:
     def test_malformed_braid(self, runner):

@@ -355,8 +355,7 @@ class TestInvariantChecks:
         )
         assert res.stdout == "raised\nraised\n", res.stderr
 
-    # skein keeps its own Fraction-only coefficients and is not scanned
-    EXACT_MODULES = ("poly", "mf", "cube", "moy", "qamod")
+    EXACT_MODULES = ("poly", "mf", "cube", "moy", "qamod", "skein")
 
     @staticmethod
     def inexact_nodes(tree):

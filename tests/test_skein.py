@@ -45,6 +45,56 @@ def mod_a_unlink(m, n):
     return pair_value(n, build)
 
 
+def untruncated_series(rf, alpha_max, xi_max):
+    """RationalFunction.series as first written: whole products of the
+    truncated inverses, trimmed only at the end."""
+    out = rf.num
+    for key, mult in sorted(rf.den.items()):
+        if key[0] != "unit":
+            continue
+        n = key[1]
+        for _ in range(mult):
+            lo = out.min_alpha()
+            if lo is None:
+                return Laurent.zero()
+            steps = max(alpha_max - lo, 0)
+            out = out * Laurent({(i, -(n + 1) * i): (-rf.tau) ** i for i in range(steps + 1)})
+    for key, mult in sorted(rf.den.items()):
+        if key == ATOM_ALPHA:
+            for _ in range(mult):
+                lo = out.min_alpha()
+                if lo is None:
+                    return Laurent.zero()
+                half = max((alpha_max - lo) // 2, 0)
+                out = out * Laurent({(2 * i, 0): 1 for i in range(half + 1)})
+        elif key[0] == "xi":
+            n = key[1]
+            for _ in range(mult):
+                lo = out.min_xi()
+                if lo is None:
+                    return Laurent.zero()
+                reps = max((xi_max - lo - n) // (2 * n) + 1, 0)
+                out = out * Laurent({(0, n + 2 * n * i): 1 for i in range(reps + 1)})
+    return Laurent(
+        {(a, x): c for (a, x), c in out.terms.items() if a <= alpha_max and x <= xi_max}
+    )
+
+
+coefficients = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+exponent_pairs = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+def laurents(min_size=0):
+    return st.dictionaries(exponent_pairs, coefficients, min_size=min_size, max_size=5).map(
+        Laurent
+    )
+
+
+atoms = st.sampled_from(
+    [ATOM_ALPHA, atom_xi1(), atom_xin(2), atom_xin(3), atom_unit(1), atom_unit(2)]
+)
+
+
 def bracket(n):
     return pair_value(
         n, lambda tau: frac(tau, atom_poly(atom_xin(n), tau), atom_xi1())
@@ -86,6 +136,32 @@ class TestLaurent:
         assert divide_exact(Laurent.zero(), d) == Laurent.zero()
         with pytest.raises(ZeroDivisionError):
             divide_exact(q, Laurent.zero())
+
+    def test_floats_are_refused(self):
+        with pytest.raises(TypeError):
+            Laurent({(0, 0): 0.5})
+        with pytest.raises(TypeError):
+            Laurent.monomial(0.5)
+        with pytest.raises(TypeError):
+            Laurent.one().scaled(0.5)
+
+    def test_integral_coefficients_are_ints(self):
+        p = Laurent({(0, 0): Fraction(4, 2), (1, 0): Fraction(1, 2)})
+        assert type(p.terms[(0, 0)]) is int
+        assert type((p + p).terms[(1, 0)]) is int
+        assert type((p * p).terms[(1, 0)]) is int
+        assert all(type(c) is int for c in unlink_value(2, 2).plus.num.terms.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(laurents(), laurents(min_size=1))
+    def test_divide_exact_recovers_the_factor(self, p, q):
+        assert divide_exact(p * q, q) == p
+
+    @settings(max_examples=200, deadline=None)
+    @given(laurents(), laurents(min_size=2), exponent_pairs, coefficients)
+    def test_divide_exact_refuses_a_remainder(self, p, q, key, c):
+        # q has two terms or more, so it divides no nonzero monomial
+        assert divide_exact(p * q + Laurent({key: c}), q) is None
 
     def test_divide_exact_long_quotient(self):
         # 1 - q^80 = (1 - q^2)(1 + q^2 + ... + q^78), a quotient of 40 terms
@@ -140,6 +216,19 @@ class TestRationalFunction:
         assert got == Laurent({(0, 0): 1, (1, -2): -1, (2, -4): 1})
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        laurents(),
+        st.sampled_from([1, -1]),
+        st.lists(atoms, max_size=4).map(Counter),
+        st.integers(-2, 8),
+        st.integers(-4, 8),
+    )
+    def test_series_equals_the_untruncated_product(self, num, tau, den, alpha_max, xi_max):
+        rf = RationalFunction(tau, num, den)
+        assert rf.series(alpha_max, xi_max) == untruncated_series(rf, alpha_max, xi_max)
+
+
 class TestUnlinkValue:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_unknot_closed_form(self, n):
@@ -170,7 +259,7 @@ class TestUnlinkValue:
             plus = v.plus.series(5, 8)
             minus = v.minus.series(5, 8)
             flipped = Laurent(
-                {(a, x): c * (-1) ** a for (a, x), c in plus.terms.items()}
+                {(a, x): c * (-1) ** (a % 2) for (a, x), c in plus.terms.items()}
             )
             assert minus == flipped
 
