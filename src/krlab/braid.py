@@ -8,11 +8,12 @@ braid relation s_i s_j s_i = s_j s_i s_j for |i-j| = 1, far commutation for
 letter is removed together with its strand).  Negative destabilization does
 not exist here and trivial top strands are never dropped.
 
-Every derived word carries a move log, one move per line as "kind position".
-Positions refer to the word the move is applied to; "rotate r" conjugates by
-the first r letters; "conjugate" stores the signed generator index in the
-position field.  replay() re-applies a log, validating each move, so tests
-can certify that only listed moves were used.
+Every derived word carries a move log: a list of Moves, each a (kind,
+position) pair, with no text format of its own.  Positions refer to the
+word the move is applied to; a "rotate" move at r conjugates by the first r
+letters; "conjugate" stores the signed generator index in the position
+field.  replay() re-applies a log, validating each move, so tests can
+certify that only listed moves were used.
 """
 
 from __future__ import annotations
@@ -90,13 +91,6 @@ def word_text(w: BraidWord) -> str:
 class Move:
     kind: str
     position: int
-
-    def line(self) -> str:
-        return f"{self.kind} {self.position}"
-
-
-def format_move_log(moves: list[Move]) -> str:
-    return "\n".join(m.line() for m in moves)
 
 
 def replay(w: BraidWord, moves: list[Move]) -> BraidWord:

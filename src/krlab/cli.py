@@ -3,12 +3,13 @@
 Exit codes separate the failure families: 1 for input that does not parse
 (including windows the pipelines refuse), 2 for an exhausted budget (the
 skein recursion's budget, the x-window search of `both` and `verify`
-passing qamod.AUTO_MAX_WIDTH, or a window whose expansion would pass
-qamod.MAX_EXPANSION basis vectors), 3 for a failed cross-check, 4 for a
+passing qamod.AUTO_MAX_WIDTH, a window whose expansion would pass
+qamod.MAX_EXPANSION basis vectors, or a gdim truncation whose slices would
+pass mf.MAX_SLICE_BASIS elements), 3 for a failed cross-check, 4 for a
 broken internal invariant, 5 for running out of memory.  Each failure
-prints one line on stderr.  JSON documents
-carry a stable "schema": "krlab/1" tag, slices sorted by (eps, i, x), so
-output is reproducible and round-trips through module_from_json.
+prints one line on stderr.  JSON documents carry a stable "schema":
+"krlab/1" tag, slices sorted by (eps, i, x), so output is reproducible and
+round-trips through module_from_json.
 """
 
 from __future__ import annotations

@@ -37,9 +37,8 @@ from .mf import (
     Matrix,
     MatrixFactorization,
     compose,
-    exclude_variable,
+    exclude_all,
     find_constant_entry,
-    find_exclusion,
     koszul,
     koszul_masks,
 )
@@ -69,8 +68,8 @@ def _crossing_rows(table: VariableTable, n: int, names):
     a = BigradedPoly.variable(table, "a")
     xs = [x1 + y1, x1 * y1]  # elementary symmetric in the exits
     ys = [x2 + y2, x2 * y2]  # ... and in the entrances
-    u1 = _difference_quotient(table, xs, ys, 1, 2, n)
-    u2 = _difference_quotient(table, xs, ys, 2, 2, n)
+    u1 = _difference_quotient(table, xs, ys, 1, n)
+    u2 = _difference_quotient(table, xs, ys, 2, n)
     s = x2 - x1
     f_row = (a * (u1 + x1 * u2), xs[0] - ys[0])
     g0_row = (a * s * u2, x1 - y2)
@@ -208,7 +207,6 @@ def crossing_model(
 
 @dataclass(frozen=True)
 class _Arc:
-    index: int
     circle: bool
     marks: tuple[str, ...]
 
@@ -276,7 +274,7 @@ def _closure_arcs(word: BraidWord, extra_marks) -> tuple[list[_Arc], dict]:
             names = [f"x{idx}"]
             for k in range(extra_count.get(root, 0)):
                 names.append(f"x{idx}" + chr(ord("b") + k))
-            arcs.append(_Arc(idx, circle, tuple(names)))
+            arcs.append(_Arc(circle, tuple(names)))
     return arcs, node_arc
 
 
@@ -303,7 +301,9 @@ class ChainComplexOfMF:
     checks what joins the vertices: zero potential at every vertex, each
     block an even morphism of degree 0, and d_chi^2 = 0.  terms holds each
     degree's vertices as one block-diagonal factorization, assembled without
-    a further check.
+    a further check.  Nothing in the package reads terms, but the benchmark
+    observer in perfbench/layers.py counts cube.rank from it, so it stays
+    until that observer reads summands instead.
     """
 
     def __init__(self, table, n, summands, blocks):
@@ -317,9 +317,6 @@ class ChainComplexOfMF:
             i: self._direct_sum(parts) for i, parts in self.summands.items()
         }
         self.verify()
-
-    def degrees(self) -> list[int]:
-        return sorted(self.summands)
 
     def _direct_sum(self, parts: list[Summand]) -> MatrixFactorization:
         basis0: list[tuple[int, int]] = []
@@ -371,7 +368,7 @@ def _subdivision_row(table, n, upper: str, lower: str):
     a = BigradedPoly.variable(table, "a")
     up = BigradedPoly.variable(table, upper)
     lo = BigradedPoly.variable(table, lower)
-    h = _difference_quotient(table, [up], [lo], 1, 1, n)
+    h = _difference_quotient(table, [up], [lo], 1, n)
     return (a * h, up - lo)
 
 
@@ -434,15 +431,10 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
 
     # uniform mark exclusion: only the state-independent rows are eligible,
     # so the same substitution applies in all 2^c vertices
-    shared_spec = KoszulSpec(table, n, tuple(shared))
     mark_names = [v.name for v in table.variables if v.kind == KIND_MARK]
-    while True:
-        found = find_exclusion(shared_spec, mark_names)
-        if found is None:
-            break
-        step = exclude_variable(shared_spec, *found)
-        shared_spec = step.spec_after
-        table = shared_spec.table
+    shared_spec, steps = exclude_all(KoszulSpec(table, n, tuple(shared)), mark_names)
+    for step in steps:
+        table = step.spec_after.table
         sub = {step.var: step.image}
         for cr in crossings:
             cr["g"] = [

@@ -22,7 +22,15 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .poly import BigradedPoly, Coefficient, InvariantError, VariableTable, substitute
+from .poly import (
+    BigradedPoly,
+    Coefficient,
+    ExpansionBudgetError,
+    InvariantError,
+    VariableTable,
+    monomials,
+    substitute,
+)
 
 Entry = tuple[int, int]  # (row, col)
 Matrix = dict[Entry, BigradedPoly]
@@ -163,6 +171,18 @@ def find_exclusion(spec: KoszulSpec, allowed: Iterable[str]) -> tuple[int, str] 
             if solved is not None and not solved[1].degree_in(var):
                 return row, var
     return None
+
+
+def exclude_all(
+    spec: KoszulSpec, allowed: Sequence[str]
+) -> tuple[KoszulSpec, list[ExclusionStep]]:
+    """Exclude allowed variables, each at the first (row, var) pair that
+    find_exclusion offers, until none is left; the steps in their order."""
+    steps: list[ExclusionStep] = []
+    while (found := find_exclusion(spec, allowed)) is not None:
+        steps.append(exclude_variable(spec, *found))
+        spec = steps[-1].spec_after
+    return spec, steps
 
 
 # ---------------------------------------------------------------------------
@@ -508,25 +528,6 @@ class GdimSeries:
         return " + ".join(bits)
 
 
-def _monomials_of_degree(names: Sequence[str], degrees: Sequence[int], total: int):
-    """All exponent dicts over names with given per-variable x-degrees summing to total."""
-    if total < 0:
-        return
-    if not names:
-        if total == 0:
-            yield {}
-        return
-    head, *rest = names
-    dhead, *drest = degrees
-    top = total // dhead if dhead else 0
-    for k in range(top + 1):
-        for tail in _monomials_of_degree(rest, drest, total - k * dhead):
-            if k:
-                tail = dict(tail)
-                tail[head] = k
-            yield tail
-
-
 def kernel(cols: Sequence[Mapping[int, Fraction | int]]) -> list[dict[int, Fraction]]:
     """Kernel of a rational matrix given as sparse columns {row: entry}.
 
@@ -564,6 +565,31 @@ def rank(cols: Sequence[Mapping[int, Fraction | int]]) -> int:
     return len(cols) - len(kernel(cols))
 
 
+# Slice basis elements gdim may enumerate, counted before any is built.  An
+# element costs about 10 us and 0.7 KB (theta-split at x-degree 50,000: 200,008
+# elements, 1.9 s, 155 MB peak), so the cap holds gdim near 2 s.
+MAX_SLICE_BASIS = 200_000
+
+
+def _count_up_to(weights: Sequence[int], total: int, cap: int) -> int:
+    """How many exponent tuples have weighted degree <= total, or cap + 1 if
+    more.  Each step of the loop counts at least one tuple, so the cost is
+    bounded by cap whatever the total."""
+    if total < 0:
+        return 0
+    if not weights:
+        return 1
+    head, rest = weights[0], weights[1:]
+    if not rest:
+        return min(total // head + 1, cap + 1)
+    count = 0
+    for k in range(total // head + 1):
+        count += _count_up_to(rest, total - k * head, cap - count)
+        if count > cap:
+            break
+    return count
+
+
 def gdim(
     M: MatrixFactorization,
     x_truncation: int,
@@ -575,7 +601,8 @@ def gdim(
     fully reduced closed diagram; passing a smaller kill set keeps the other
     variables alive and the homology is taken over them, slice by slice.
     The variable a must always be killed so that each slice is finite
-    dimensional.
+    dimensional.  A truncation whose slices hold more than MAX_SLICE_BASIS
+    elements in all raises ExpansionBudgetError before any is enumerated.
     """
     names = M.table.names()
     kill_set = set(names) if kill is None else set(kill)
@@ -584,68 +611,54 @@ def gdim(
         raise ValueError(f"kill variables not in ring: {sorted(unknown)}")
     if "a" in names and "a" not in kill_set:
         raise ValueError("gdim requires killing a (slices are infinite otherwise)")
-    survivors = [v for v in M.table.variables if v.name not in kill_set]
-    surv_names = [v.name for v in survivors]
-    surv_deg = [v.bidegree[1] for v in survivors]
+    surv = [i for i, nm in enumerate(names) if nm not in kill_set]
+    weights = [M.table.variables[i].bidegree[1] for i in surv]
     zero_sub = {v: BigradedPoly.zero(M.table) for v in kill_set}
-    dbar = [
-        {k: substitute(p, zero_sub, M.table) for k, p in M.d0.items()},
-        {k: substitute(p, zero_sub, M.table) for k, p in M.d1.items()},
-    ]
-    dbar = [{k: p for k, p in m.items() if not p.is_zero()} for m in dbar]
+    # the images of each generator under the killed differential, as
+    # (target generator, survivor exponents, coefficient)
+    images: list[dict[int, list]] = [{}, {}]
+    for par, d in enumerate((M.d0, M.d1)):
+        for (ti, si), p in d.items():
+            for e, c in substitute(p, zero_sub, M.table).terms.items():
+                images[par].setdefault(si, []).append((ti, tuple(e[i] for i in surv), c))
 
     bases = (M.basis0, M.basis1)
-    surv_idx = [M.table.index(nm) for nm in surv_names]
 
-    def slice_basis(par: int, j: int, k: int) -> list[tuple[int, dict[str, int]]]:
-        out = []
-        for g, (ga, gx) in enumerate(bases[par]):
-            if ga != j or gx > k:
-                continue
-            for mono in _monomials_of_degree(surv_names, surv_deg, k - gx):
-                out.append((g, mono))
-        return out
+    def slice_basis(par: int, j: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
+        return [
+            (g, mono)
+            for g, (ga, gx) in enumerate(bases[par])
+            if ga == j and gx <= k
+            for mono in monomials(weights, k - gx)
+        ]
 
-    def slice_matrix(par: int, j: int, k: int, src, tgt) -> list[dict[int, Coefficient]]:
-        tgt_pos = {}
-        for pos, (g, mono) in enumerate(tgt):
-            key = (g, tuple(sorted(mono.items())))
-            tgt_pos[key] = pos
+    def slice_matrix(par: int, src, tgt) -> list[dict[int, Coefficient]]:
+        tgt_pos = {key: pos for pos, key in enumerate(tgt)}
         cols = []
-        mono_cache: dict[tuple, BigradedPoly] = {}
         for g, mono in src:
-            key = tuple(sorted(mono.items()))
-            mp = mono_cache.get(key)
-            if mp is None:
-                e = [0] * len(M.table)
-                for nm, p in mono.items():
-                    e[M.table.index(nm)] = p
-                mp = BigradedPoly(M.table, {tuple(e): 1})
-                mono_cache[key] = mp
             col: dict[int, Coefficient] = {}
-            for (ti, si), poly in dbar[par].items():
-                if si != g:
-                    continue
-                prod = poly * mp
-                for e, c in prod.terms.items():
-                    m2 = {}
-                    for pos_i, nm in zip(surv_idx, surv_names):
-                        if e[pos_i]:
-                            m2[nm] = e[pos_i]
-                    tkey = (ti, tuple(sorted(m2.items())))
-                    if tkey not in tgt_pos:
-                        raise InvariantError("image outside enumerated slice")
-                    idx = tgt_pos[tkey]
-                    col[idx] = col.get(idx, 0) + c
+            for ti, e, c in images[par].get(g, ()):
+                idx = tgt_pos.get((ti, tuple(map(add, mono, e))))
+                if idx is None:
+                    raise InvariantError("image outside enumerated slice")
+                col[idx] = col.get(idx, 0) + c
             cols.append({k2: v for k2, v in col.items() if v})
         return cols
 
     a_values = sorted({a for a, _ in bases[0]} | {a for a, _ in bases[1]})
     x_min = min((x for _, x in bases[0] + bases[1]), default=0)
     x_top = x_truncation
-    if not survivors:
+    if not surv:
         # with no variable left, a slice holds only generators of x-degree k
         x_top = min(x_top, max((x for _, x in bases[0] + bases[1]), default=x_min))
+    size = 0
+    for _, gx in bases[0] + bases[1]:
+        size += _count_up_to(weights, x_top + M.n + 1 - gx, MAX_SLICE_BASIS - size)
+        if size > MAX_SLICE_BASIS:
+            raise ExpansionBudgetError(
+                f"graded dimension to x-degree {x_truncation} needs more than "
+                f"{MAX_SLICE_BASIS} slice basis elements, the cap"
+            )
     terms: dict[tuple[int, int, int], int] = {}
     slice_cache: dict[tuple[int, int, int], list] = {}
 
@@ -663,10 +676,8 @@ def gdim(
                     continue
                 out_tgt = get_basis((par + 1) % 2, j + 1, k + M.n + 1)
                 in_src = get_basis((par + 1) % 2, j - 1, k - M.n - 1)
-                rank_out = rank(slice_matrix(par, j, k, src, out_tgt))
-                rank_in = rank(
-                    slice_matrix((par + 1) % 2, j - 1, k - M.n - 1, in_src, src)
-                ) if in_src else 0
+                rank_out = rank(slice_matrix(par, src, out_tgt))
+                rank_in = rank(slice_matrix((par + 1) % 2, in_src, src)) if in_src else 0
                 dim = len(src) - rank_out - rank_in
                 if dim < 0:
                     raise InvariantError("negative slice dimension")

@@ -39,8 +39,7 @@ from .mf import (
     KoszulSpec,
     MatrixFactorization,
     cast,
-    exclude_variable,
-    find_exclusion,
+    exclude_all,
     gdim,
     koszul,
     split_contractibles,
@@ -282,7 +281,7 @@ def vertex_factorization(v: MoyVertex, n: int, table: VariableTable) -> KoszulSp
     a = BigradedPoly.variable(table, "a")
     rows = []
     for j in range(1, m + 1):
-        u = _difference_quotient(table, xs, ys, j, m, n)
+        u = _difference_quotient(table, xs, ys, j, n)
         rows.append((a * u, xs[j - 1] - ys[j - 1]))
     spec = KoszulSpec(table, n, tuple(rows))
     total = BigradedPoly.zero(table)
@@ -294,9 +293,10 @@ def vertex_factorization(v: MoyVertex, n: int, table: VariableTable) -> KoszulSp
     return spec
 
 
-def _difference_quotient(table, xs, ys, j, m, n) -> BigradedPoly:
+def _difference_quotient(table, xs, ys, j, n) -> BigradedPoly:
     """[p(Y1..Y_{j-1}, X_j..X_m) - p(Y1..Y_j, X_{j+1}..X_m)] / (X_j - Y_j),
-    computed through a fresh symbol so that X_j = Y_j is allowed."""
+    with m = len(xs) and p the (n+1)-st power sum, computed through a fresh
+    symbol so that X_j = Y_j is allowed."""
     fresh = "tQuot"
     if fresh in table:
         raise InvariantError(f"reserved symbol {fresh} already in the ring")
@@ -341,12 +341,7 @@ def reduced_graph_spec(graph: MoyGraph, n: int) -> tuple[KoszulSpec, tuple[int, 
         sa += da
         sx += dx
     spec = KoszulSpec(table, n, tuple(rows))
-    internal = graph.internal_variable_names()
-    while True:
-        found = find_exclusion(spec, internal)
-        if found is None:
-            break
-        spec = exclude_variable(spec, found[0], found[1]).spec_after
+    spec, _ = exclude_all(spec, graph.internal_variable_names())
     return spec, (sa, sx)
 
 

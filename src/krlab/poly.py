@@ -33,6 +33,10 @@ class InvariantError(AssertionError):
     """An internal consistency check failed; unlike assert, never stripped by -O."""
 
 
+class ExpansionBudgetError(RuntimeError):
+    """A computation would enumerate more basis vectors than its cap allows."""
+
+
 Coefficient = int | Fraction
 
 
@@ -116,9 +120,6 @@ class VariableTable:
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
-    def bidegree(self, name: str) -> tuple[int, int]:
-        return self.variables[self._index[name]].bidegree
-
     def without(self, names: Iterable[str]) -> "VariableTable":
         drop = set(names)
         return VariableTable(v for v in self.variables if v.name not in drop)
@@ -130,6 +131,28 @@ class VariableTable:
                 da += e * v.bidegree[0]
                 dx += e * v.bidegree[1]
         return (da, dx)
+
+
+def monomials(weights: Sequence[int], total: int) -> list[tuple[int, ...]]:
+    """Exponent tuples e with sum(e[i] * weights[i]) == total, weights positive.
+
+    Ordered by first exponent ascending, then recursively by the rest.  The
+    last exponent is solved by divisibility, so the cost is that of the
+    answer, whatever the total.
+    """
+    if total < 0:
+        return []
+    if not weights:
+        return [] if total else [()]
+    head, rest = weights[0], weights[1:]
+    if not rest:
+        q, r = divmod(total, head)
+        return [] if r else [(q,)]
+    return [
+        (k,) + tail
+        for k in range(total // head + 1)
+        for tail in monomials(rest, total - k * head)
+    ]
 
 
 def _term_sort_key(exponents: tuple[int, ...]) -> tuple:
@@ -367,51 +390,6 @@ def substitute(
     return out
 
 
-def differentiate(p: BigradedPoly, name: str) -> BigradedPoly:
-    """Formal partial derivative with respect to one variable."""
-    i = p.table.index(name)
-    out: dict[tuple[int, ...], Coefficient] = {}
-    for e, c in p.terms.items():
-        if e[i]:
-            e2 = list(e)
-            e2[i] -= 1
-            key = tuple(e2)
-            out[key] = out.get(key, 0) + c * e[i]
-    return BigradedPoly(p.table, out)
-
-
-def elementary_symmetric(
-    table: VariableTable, alphabet: Sequence[str], k: int
-) -> BigradedPoly:
-    """k-th elementary symmetric polynomial of raw mark variables.
-
-    1 for k = 0 and 0 for k < 0 or k > len(alphabet), matching the usual
-    boundary conventions.  Alphabets stay small (size <= 3).
-    """
-    if k < 0 or k > len(alphabet):
-        return BigradedPoly.zero(table)
-    if k == 0:
-        return BigradedPoly.one(table)
-    if len(alphabet) > 3:
-        raise ValueError("alphabets larger than 3 are out of scope")
-    out = BigradedPoly.zero(table)
-    n = len(alphabet)
-
-    def rec(start: int, chosen: list[str]) -> None:
-        nonlocal out
-        if len(chosen) == k:
-            term = BigradedPoly.one(table)
-            for name in chosen:
-                term = term * BigradedPoly.variable(table, name)
-            out = out + term
-            return
-        for i in range(start, n):
-            rec(i + 1, chosen + [alphabet[i]])
-
-    rec(0, [])
-    return out
-
-
 def _sym_values(generators: Sequence[BigradedPoly], k: int) -> BigradedPoly:
     """e_k as a polynomial, 1 at k=0, 0 outside [0, m]."""
     table = generators[0].table
@@ -445,22 +423,3 @@ def power_sum_in_elementary(generators: Sequence[BigradedPoly], k: int) -> Bigra
             acc = acc + (tail if kk % 2 == 1 else -tail)
         p.append(acc)
     return p[k]
-
-
-def complete_symmetric_in_elementary(generators: Sequence[BigradedPoly], k: int) -> BigradedPoly:
-    """h_{m,k} written in the given elementary symmetric generators.
-
-    Uses sum_{i=0..k} (-1)^i e_i h_{k-i} = 0 for k >= 1.
-    """
-    m = len(generators)
-    if not (1 <= m <= 3):
-        raise ValueError("alphabet size must be 1..3")
-    table = generators[0].table
-    h: list[BigradedPoly] = [BigradedPoly.one(table)]
-    for kk in range(1, k + 1):
-        acc = BigradedPoly.zero(table)
-        for i in range(1, min(kk, m) + 1):
-            term = _sym_values(generators, i) * h[kk - i]
-            acc = acc + (term if i % 2 == 1 else -term)
-        h.append(acc)
-    return h[k]

@@ -73,7 +73,7 @@ from operator import add
 
 from .cube import ChainComplexOfMF
 from .mf import kernel, rank
-from .poly import KIND_A, KIND_MARK, InvariantError, exact
+from .poly import KIND_A, KIND_MARK, ExpansionBudgetError, InvariantError, exact, monomials
 from .skein import ATOM_ALPHA, Laurent, SkeinValue, atom_xi1
 
 Mono = tuple[Fraction, int]  # coefficient, a-exponent
@@ -153,9 +153,6 @@ class SliceMatrix:
             cols[c][r] = mono
         return list(zip(cols, self.source))
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
 
 def _hstack(a: SliceMatrix, b: SliceMatrix) -> SliceMatrix:
     if a.target != b.target or a.shift != b.shift:
@@ -194,9 +191,6 @@ class SmithResult:
 
     def diagonal(self) -> list[int]:
         return [e for _, _, e in self.pivots]
-
-    def kernel_columns(self) -> list[int]:
-        return list(self._kernel_positions())
 
     def _kernel_positions(self) -> dict[int, int]:
         if self._ker_pos is None:
@@ -409,10 +403,6 @@ class GradedQaModule:
     slices: dict
     tails: tuple[Tail, ...]
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.slices
-
     def q_dimension(self, eps: int, i: int, j: int, k: int) -> int:
         got = self.slices.get((eps, i, k))
         return got.q_dimension(j) if got is not None else 0
@@ -458,26 +448,10 @@ class _Reduced:
     d1: dict  # (eps, i, k) -> {(row, col): Mono} into (eps, i+1, k)
 
 
-def _monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    if nvars == 1:
-        return [(degree,)]
-    return [
-        (k,) + rest
-        for k in range(degree + 1)
-        for rest in _monomials_of_degree(nvars - 1, degree - k)
-    ]
-
-
 # The expansion takes about 2.6 KB per basis vector (1 1 1 1 1 at width 6:
 # 186,510 vectors, 459 MB), so the cap stays near 650 MB.
 MAX_EXPANSION = 250_000
 _RESERVE = 1 << 24  # bytes of address space held back for unwinding from a MemoryError
-
-
-class ExpansionBudgetError(RuntimeError):
-    """The expansion of a window would exceed MAX_EXPANSION basis vectors."""
 
 
 def _generators(C: ChainComplexOfMF):
@@ -585,7 +559,7 @@ class _Expansion:
     def monos(self, degree: int) -> list[tuple[int, ...]]:
         got = self._monos.get(degree)
         if got is None:
-            got = self._monos[degree] = _monomials_of_degree(self.nmarks, degree)
+            got = self._monos[degree] = monomials((1,) * self.nmarks, degree)
         return got
 
     def part(self, cls: tuple[int, int]) -> _ClassExpansion:

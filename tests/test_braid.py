@@ -12,7 +12,6 @@ from krlab.braid import (
     Move,
     canonical,
     canonical_with_moves,
-    format_move_log,
     markov_search,
     parse,
     replay,
@@ -126,8 +125,7 @@ class TestSimplify:
 
     def test_log_format(self):
         _, log = simplify_with_log(parse("1 -1 2"))
-        text = format_move_log(log)
-        assert text.splitlines() == ["free-cancel 0", "destabilize 0"]
+        assert [(m.kind, m.position) for m in log] == [("free-cancel", 0), ("destabilize", 0)]
 
 
 def oracle_canonical(letters):

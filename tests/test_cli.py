@@ -242,6 +242,19 @@ class TestGdimCommand:
 
         assert terms(10**8) == terms(20)
 
+    def test_an_open_graph_refuses_a_huge_window(self):
+        # theta-split keeps one mark alive, so every slice up to the
+        # truncation is nonempty; the slice basis is counted before it is built
+        src = str(Path(krlab.__file__).resolve().parents[1])
+        res = subprocess.run(
+            [sys.executable, "-m", "krlab.cli", "gdim", "--graph", "theta-split",
+             "--xwindow", "100000"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=10,
+        )
+        assert res.returncode == 2 and res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert "slice basis elements" in res.stderr
+
 
 class TestParseErrors:
     def test_malformed_braid(self, runner):

@@ -9,15 +9,18 @@ from krlab.poly import (
     KIND_A,
     KIND_MARK,
     BigradedPoly,
+    ExpansionBudgetError,
     InvariantError,
     VariableTable,
-    complete_symmetric_in_elementary,
+    monomials,
 )
+from krlab import mf
 from krlab.mf import (
     GdimSeries,
     KoszulSpec,
     MatrixFactorization,
     compose,
+    exclude_all,
     exclude_variable,
     find_constant_entry,
     find_exclusion,
@@ -41,7 +44,7 @@ def var(table: VariableTable, name: str) -> BigradedPoly:
 def h_two_vars(table: VariableTable, x: str, y: str, degree: int) -> BigradedPoly:
     """Complete homogeneous polynomial of the two marks x, y."""
     px, py = var(table, x), var(table, y)
-    return complete_symmetric_in_elementary([px + py, px * py], degree)
+    return sum((px**i * py**(degree - i) for i in range(degree + 1)), BigradedPoly.zero(table))
 
 
 def arc_spec(n: int) -> KoszulSpec:
@@ -270,6 +273,27 @@ class TestExclusion:
         )
         assert find_exclusion(spec, ["x", "y"]) == (1, "x")
 
+    def test_exclude_all_takes_the_first_pair_each_time(self):
+        n = 2
+        table = marks_table("x", "y", "z", "w")
+        a, x, y, z, w = (var(table, nm) for nm in "axyzw")
+        rows = (
+            (a * h_two_vars(table, "x", "y", n), x - y),
+            (a * h_two_vars(table, "y", "z", n), y - z),
+            (a * h_two_vars(table, "z", "w", n), z - w),
+        )
+        spec = KoszulSpec(table, n, rows)
+        after, steps = exclude_all(spec, ["y", "z", "q"])
+        assert [step.var for step in steps] == ["y", "z"]
+        assert steps[-1].spec_after == after
+        assert after.table.names() == ("a", "x", "w")
+        assert after.rows[0][1] == var(after.table, "x") - var(after.table, "w")
+        # the same as excluding by hand at find_exclusion's first pair
+        by_hand = exclude_variable(spec, *find_exclusion(spec, ["y", "z"])).spec_after
+        by_hand = exclude_variable(by_hand, *find_exclusion(by_hand, ["y", "z"])).spec_after
+        assert by_hand == after
+        assert exclude_all(after, ["y", "z"]) == (after, [])
+
 
 class TestSplitting:
     def test_unit_row_contracts_to_zero(self):
@@ -374,6 +398,25 @@ class TestGdim:
         M = tensor(koszul(keep), koszul(kill))
         reduced = split_contractibles(M)
         assert gdim(M, 6).same_series(gdim(reduced, 6))
+
+    def test_count_stops_past_its_cap(self):
+        # a count past the cap costs about the cap, whatever the total
+        assert mf._count_up_to((2, 4), 10**12, 1000) == 1001
+        for weights in [(), (2,), (2, 4), (4, 2, 6)]:
+            for total in range(-1, 30):
+                full = sum(len(monomials(weights, t)) for t in range(total + 1))
+                assert mf._count_up_to(weights, total, 10**6) == full
+                assert mf._count_up_to(weights, total, 5) == min(full, 6)
+
+    def test_a_truncation_over_the_cap_is_refused(self, monkeypatch):
+        # arc_spec(2) with y killed: x survives, and up to x-degree 10 + n + 1
+        # the generators at x-degrees 0 and -1 meet 7 and 8 of its powers
+        M = koszul(arc_spec(2))
+        monkeypatch.setattr(mf, "MAX_SLICE_BASIS", 15)
+        assert gdim(M, x_truncation=10, kill=["a", "y"]).terms == {(0, 0, 0): 1}
+        monkeypatch.setattr(mf, "MAX_SLICE_BASIS", 14)
+        with pytest.raises(ExpansionBudgetError, match="more than 14 slice basis elements"):
+            gdim(M, x_truncation=10, kill=["a", "y"])
 
 
 def _random_entry(table, draw_ints, n, dega, degx):
