@@ -29,6 +29,7 @@ every cube vertex.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .braid import BraidWord
@@ -219,62 +220,40 @@ class _Arc:
 
 def _closure_arcs(word: BraidWord, extra_marks) -> tuple[list[_Arc], dict]:
     m = word.strands
-    c = len(word.letters)
-    gaps = max(c, 1)
-    touched = [set() for _ in range(gaps)]
+    gaps = max(len(word.letters), 1)
+    # node (g, p) continues the arc of (g - 1, p) unless crossing g cuts p, so
+    # an arc is the run of gaps from one cut at p to the next (cyclically)
+    cuts: dict[int, list[int]] = {p: [] for p in range(1, m + 1)}
     for t, (i, _) in enumerate(word.letters):
-        touched[t].update((i, i + 1))
+        cuts[i].append(t)
+        cuts[i + 1].append(t)
 
-    parent: dict[tuple[int, int], tuple[int, int]] = {
-        (g, p): (g, p) for g in range(gaps) for p in range(1, m + 1)
-    }
+    def arc_key(g: int, p: int) -> tuple[int, int | None]:
+        # the position and the cut the arc starts at; None for a free circle
+        at = cuts[p]
+        return (p, at[bisect_right(at, g) - 1] if at else None)
 
-    def find(node):
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    for g in range(gaps):
-        below = (g - 1) % gaps
-        for p in range(1, m + 1):
-            if c and p in touched[g]:
-                continue  # the crossing under this gap cuts position p
-            if below == g:
-                continue
-            parent[find((below, p))] = find((g, p))
-
-    members: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for g in range(gaps):
-        for p in range(1, m + 1):
-            members.setdefault(find((g, p)), []).append((g, p))
-
-    extra_count: dict[tuple[int, int], int] = {}
+    extra_count: dict[tuple[int, int | None], int] = {}
     for node in extra_marks:
-        node = (int(node[0]), int(node[1]))
-        if node not in parent:
-            raise ValueError(f"no such point on the closed diagram: {node}")
-        root = find(node)
-        extra_count[root] = extra_count.get(root, 0) + 1
+        g, p = int(node[0]), int(node[1])
+        if not (0 <= g < gaps and 1 <= p <= m):
+            raise ValueError(f"no such point on the closed diagram: {(g, p)}")
+        key = arc_key(g, p)
+        extra_count[key] = extra_count.get(key, 0) + 1
 
     arcs: list[_Arc] = []
     node_arc: dict[tuple[int, int], int] = {}
-    seen: dict[tuple[int, int], int] = {}
+    seen: dict[tuple[int, int | None], int] = {}
     for g in range(gaps):
         for p in range(1, m + 1):
-            root = find((g, p))
-            if root in seen:
-                node_arc[(g, p)] = seen[root]
-                continue
-            idx = len(arcs)
-            seen[root] = idx
-            node_arc[(g, p)] = idx
-            pos = members[root][0][1]
-            circle = all(pos not in touched[g2] for g2 in range(gaps)) or c == 0
-            names = [f"x{idx}"]
-            for k in range(extra_count.get(root, 0)):
-                names.append(f"x{idx}" + chr(ord("b") + k))
-            arcs.append(_Arc(circle, tuple(names)))
+            key = arc_key(g, p)
+            if key not in seen:
+                idx = seen[key] = len(arcs)
+                names = [f"x{idx}"]
+                for k in range(extra_count.get(key, 0)):
+                    names.append(f"x{idx}" + chr(ord("b") + k))
+                arcs.append(_Arc(not cuts[p], tuple(names)))
+            node_arc[(g, p)] = seen[key]
     return arcs, node_arc
 
 
@@ -455,7 +434,9 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
         rows = list(shared) + [cr["g"][b] for cr, b in zip(crossings, state)]
         dx = sum(cr["dx"][b] for cr, b in zip(crossings, state))
         mf = koszul(KoszulSpec(table, n, tuple(rows))).shifted(writhe, dx, c)
-        # left entries carry a, right entries carry marks: nothing contractible
+        # nothing contractible: a left entry has a-degree 2 and a right entry
+        # x-degree >= 2, and exclusion substitutes images of the excluded
+        # mark's own bidegree (see moy.graph_factorization)
         if find_constant_entry(mf) is not None:
             raise InvariantError("contractible summand in a cube vertex")
         deg = sum(base + b for base, b in zip(bases, state))

@@ -8,10 +8,10 @@ factorizations here are Koszul: tensor products of rank-2 pieces
     (left, right):   R --left--> R{1 - deg_a left, N+1 - deg_x left} --right--> R
 
 one per row of a KoszulSpec, with the signed Leibniz rule governing the
-tensor differential.  The module also provides the two simplifications the
-pipelines use (exclusion of a variable through a unit-linear row, splitting
-of contractible summands), the exact kernel of a sparse rational matrix, and
-the graded dimension of the killed complex.
+tensor differential.  The module also provides the one simplification the
+pipelines use (exclusion of a variable through a unit-linear row), the exact
+kernel of a sparse rational matrix, and the graded dimension of the killed
+complex.
 """
 
 from __future__ import annotations
@@ -315,7 +315,6 @@ def koszul(spec: KoszulSpec) -> MatrixFactorization:
     the Leibniz sign (-1)^(number of set bits below i).
     """
     nrows = len(spec.rows)
-    table = spec.table
     shifts = [koszul_row_shift(spec.n, l, r) for l, r in spec.rows]
     masks0, masks1 = koszul_masks(nrows)
     index0 = {m: i for i, m in enumerate(masks0)}
@@ -333,23 +332,20 @@ def koszul(spec: KoszulSpec) -> MatrixFactorization:
     basis1 = [degree(m) for m in masks1]
     d0: Matrix = {}
     d1: Matrix = {}
+    # a (source, target) mask pair differs in one row, so each entry is set once
     for mask in range(1 << nrows):
-        even = bin(mask).count("1") % 2 == 0
-        src = index0[mask] if even else index1[mask]
-        sign = 1
-        for i in range(nrows):
-            if i:
-                sign = 1 if bin(mask & ((1 << i) - 1)).count("1") % 2 == 0 else -1
-            entry = spec.rows[i][1] if mask >> i & 1 else spec.rows[i][0]
+        if bin(mask).count("1") % 2 == 0:
+            d, src, index = d0, index0[mask], index1
+        else:
+            d, src, index = d1, index1[mask], index0
+        for i, (left, right) in enumerate(spec.rows):
+            entry = right if mask >> i & 1 else left
             if entry.is_zero():
                 continue
-            tgt_mask = mask ^ (1 << i)
-            coeff = entry if sign == 1 else -entry
-            if even:
-                d0[(index1[tgt_mask], src)] = d0.get((index1[tgt_mask], src), BigradedPoly.zero(table)) + coeff
-            else:
-                d1[(index0[tgt_mask], src)] = d1.get((index0[tgt_mask], src), BigradedPoly.zero(table)) + coeff
-    return MatrixFactorization(table, spec.n, spec.potential(), basis0, basis1, d0, d1)
+            if bin(mask & ((1 << i) - 1)).count("1") % 2:
+                entry = -entry
+            d[(index[mask ^ (1 << i)], src)] = entry
+    return MatrixFactorization(spec.table, spec.n, spec.potential(), basis0, basis1, d0, d1)
 
 
 def tensor(M: MatrixFactorization, M2: MatrixFactorization) -> MatrixFactorization:
@@ -400,71 +396,12 @@ def tensor(M: MatrixFactorization, M2: MatrixFactorization) -> MatrixFactorizati
     return MatrixFactorization(table, M.n, M.potential + M2.potential, basis0, basis1, d0, d1)
 
 
-def _eliminate_pair(
-    M: MatrixFactorization, par: int, i_tgt: int, i_src: int
-) -> MatrixFactorization:
-    """Gaussian elimination of one constant entry of the differential.
-
-    par is the parity of the source generator; the entry sits in d_par at
-    (i_tgt, i_src) and must be a nonzero rational constant.
-    """
-    d = M.differential(par)
-    c = d[(i_tgt, i_src)].constant_value()
-    cinv = Fraction(1) / c
-    table = M.table
-    src_keep = [k for k in range(len(M.basis(par))) if k != i_src]
-    tgt_keep = [k for k in range(len(M.basis((par + 1) % 2))) if k != i_tgt]
-    src_pos = {k: p for p, k in enumerate(src_keep)}
-    tgt_pos = {k: p for p, k in enumerate(tgt_keep)}
-
-    d_same: Matrix = {}  # reduced differential out of the source parity
-    for (i, j), p in d.items():
-        if i == i_tgt or j == i_src:
-            continue
-        d_same[(tgt_pos[i], src_pos[j])] = p
-    # correction  -gamma c^{-1} delta
-    gamma = {i: p for (i, j), p in d.items() if j == i_src and i != i_tgt}
-    delta = {j: p for (i, j), p in d.items() if i == i_tgt and j != i_src}
-    for i, g in gamma.items():
-        for j, dl in delta.items():
-            key = (tgt_pos[i], src_pos[j])
-            corr = g * dl * (-cinv)
-            cur = d_same.get(key)
-            s = corr if cur is None else cur + corr
-            if s.is_zero():
-                d_same.pop(key, None)
-            else:
-                d_same[key] = s
-    dback = M.differential((par + 1) % 2)
-    d_other: Matrix = {}
-    for (i, j), p in dback.items():
-        if i == i_src or j == i_tgt:
-            continue
-        d_other[(src_pos[i], tgt_pos[j])] = p
-
-    nb_src = [M.basis(par)[k] for k in src_keep]
-    nb_tgt = [M.basis((par + 1) % 2)[k] for k in tgt_keep]
-    if par == 0:
-        return MatrixFactorization(table, M.n, M.potential, nb_src, nb_tgt, d_same, d_other)
-    return MatrixFactorization(table, M.n, M.potential, nb_tgt, nb_src, d_other, d_same)
-
-
 def find_constant_entry(M: MatrixFactorization) -> tuple[int, int, int] | None:
     for par in (0, 1):
         for (i, j), p in M.differential(par).items():
             if p.is_constant() and p.constant_value():
                 return par, i, j
     return None
-
-
-def split_contractibles(M: MatrixFactorization) -> MatrixFactorization:
-    """Remove all contractible direct summands (constant differential entries)."""
-    while True:
-        found = find_constant_entry(M)
-        if found is None:
-            return M
-        par, i, j = found
-        M = _eliminate_pair(M, par, i, j)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ and incoming alphabets and U_j is the symmetric difference quotient of the
 
 The factorization of the whole graph is the tensor product of the vertex
 pieces over the shared marks, then reduced: internal marks are excluded
-through linear rows and contractible summands are split off.
+through linear rows.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .mf import (
     exclude_all,
     gdim,
     koszul,
-    split_contractibles,
 )
 
 BOUNDARY = "_"
@@ -284,11 +283,8 @@ def vertex_factorization(v: MoyVertex, n: int, table: VariableTable) -> KoszulSp
         u = _difference_quotient(table, xs, ys, j, n)
         rows.append((a * u, xs[j - 1] - ys[j - 1]))
     spec = KoszulSpec(table, n, tuple(rows))
-    total = BigradedPoly.zero(table)
-    for left, right in spec.rows:
-        total = total + left * right
     want = a * (power_sum_in_elementary(xs, n + 1) - power_sum_in_elementary(ys, n + 1))
-    if total != want:
+    if spec.potential() != want:
         raise InvariantError("vertex potential mismatch")
     return spec
 
@@ -346,8 +342,15 @@ def reduced_graph_spec(graph: MoyGraph, n: int) -> tuple[KoszulSpec, tuple[int, 
 
 
 def graph_factorization(graph: MoyGraph, n: int) -> MatrixFactorization:
+    """Koszul factorization of the reduced spec, shifted by the vertex shifts.
+
+    Nothing is split off: no entry is a nonzero constant.  Each row is
+    (a U_j, X_j - Y_j), so a left entry has a-degree 2 and a right entry
+    x-degree 2j >= 2, and exclusion substitutes images of the excluded
+    variable's own bidegree, which keeps both degrees.
+    """
     spec, (sa, sx) = reduced_graph_spec(graph, n)
-    M = split_contractibles(koszul(spec).shifted(sa, sx))
+    M = koszul(spec).shifted(sa, sx)
     want = cast(graph_potential(graph, n, graph.table()), spec.table)
     if M.potential != want:
         raise InvariantError("boundary potential mismatch")

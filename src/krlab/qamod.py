@@ -859,19 +859,9 @@ def _resolve_window(C: ChainComplexOfMF, x_window, n: int) -> tuple[int, int, in
     x_min = min((gx for *_, gx in _generators(C)), default=0)
     if x_window is None:
         return x_min, x_min + 20, x_min
-    if isinstance(x_window, int):
-        if x_window < 0:
-            raise ValueError("window width must be non-negative")
-        return x_min, x_min + x_window, x_min
-    lo, hi = int(x_window[0]), int(x_window[1])
-    if lo > hi:
-        raise ValueError("empty x-degree window")
-    if lo > x_min:
-        raise ValueError(
-            "window too small to be self-consistent: generators start at "
-            f"x-degree {x_min}, below the window bottom {lo}"
-        )
-    return lo, hi, x_min
+    if x_window < 0:
+        raise ValueError("window width must be non-negative")
+    return x_min, x_min + x_window, x_min
 
 
 _TAIL_MAX_DEGREE = 6
@@ -942,10 +932,9 @@ def two_stage_homology(
     even differential, decomposed into free and torsion Q[a]-summands.
 
     The window defaults to [x_min, x_min + 20] where x_min is the least
-    generator x-degree; an integer window is a width anchored at x_min, and
-    an explicit (lo, hi) whose bottom lies above x_min is rejected as
-    inconsistent rather than silently truncated.  The search for the least
-    width that decategorifies is adaptive_homology, below.
+    generator x-degree; an integer window is a width anchored at x_min.  The
+    search for the least width that decategorifies is adaptive_homology,
+    below.
 
     Each class of the expansion of C is taken to the top hi + n + 1 and
     through both stages on its own, and the slices of all classes are merged

@@ -1,10 +1,15 @@
 """Crossing resolution cubes over closed braids."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from krlab.braid import BraidWord, parse
 from krlab.cube import (
+    _Arc,
+    _closure_arcs,
     _crossing_rows,
     build_complex,
     check_even_morphism,
@@ -193,6 +198,77 @@ class TestCubeShape:
     def test_rejects_unknown_extra_mark_point(self):
         with pytest.raises(ValueError):
             build_complex(parse("1", 2), 1, extra_marks=[(7, 1)])
+
+
+def closure_arcs_by_union_find(word: BraidWord, extra_marks):
+    """Oracle for cube._closure_arcs: join each node (g, p) to (g - 1, p)
+    unless crossing g cuts position p, then number the classes in the order
+    their first node appears."""
+    m = word.strands
+    c = len(word.letters)
+    gaps = max(c, 1)
+    touched = [set() for _ in range(gaps)]
+    for t, (i, _) in enumerate(word.letters):
+        touched[t].update((i, i + 1))
+    parent = {(g, p): (g, p) for g in range(gaps) for p in range(1, m + 1)}
+
+    def find(node):
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for g in range(gaps):
+        below = (g - 1) % gaps
+        for p in range(1, m + 1):
+            if (c and p in touched[g]) or below == g:
+                continue
+            parent[find((below, p))] = find((g, p))
+    extra_count = {}
+    for node in extra_marks:
+        node = (int(node[0]), int(node[1]))
+        if node not in parent:
+            raise ValueError(f"no such point on the closed diagram: {node}")
+        root = find(node)
+        extra_count[root] = extra_count.get(root, 0) + 1
+    arcs, node_arc, seen = [], {}, {}
+    for g in range(gaps):
+        for p in range(1, m + 1):
+            root = find((g, p))
+            if root not in seen:
+                idx = seen[root] = len(arcs)
+                circle = c == 0 or all(p not in cut for cut in touched)
+                names = [f"x{idx}"] + [
+                    f"x{idx}" + chr(ord("b") + k) for k in range(extra_count.get(root, 0))
+                ]
+                arcs.append(_Arc(circle, tuple(names)))
+            node_arc[(g, p)] = seen[root]
+    return arcs, node_arc
+
+
+class TestClosureArcs:
+    @pytest.mark.parametrize("strands", [1, 2, 3, 4])
+    def test_walk_equals_the_union_find(self, strands):
+        rng = random.Random(strands)
+        letters = [(i, sign) for i in range(1, strands) for sign in (1, -1)]
+        cases = 0
+        for length in range(5):
+            for word in itertools.product(letters, repeat=length):
+                word = BraidWord(strands, word)
+                nodes = [(g, p) for g in range(max(length, 1)) for p in range(1, strands + 1)]
+                for k in range(4):
+                    extras = [rng.choice(nodes) for _ in range(k)]
+                    got = _closure_arcs(word, extras)
+                    assert got == closure_arcs_by_union_find(word, extras)
+                    cases += 1
+        assert cases == 4 * sum((2 * strands - 2) ** k for k in range(5))
+
+    @pytest.mark.parametrize("node", [(2, 1), (-1, 1), (0, 0), (0, 3), (1, 3)])
+    def test_a_point_off_the_diagram_is_rejected(self, node):
+        word = parse("1 -1", 2)
+        for arcs in (_closure_arcs, closure_arcs_by_union_find):
+            with pytest.raises(ValueError, match="no such point on the closed diagram"):
+                arcs(word, [(0, 1), node])
 
 
 class TestVerify:

@@ -1,4 +1,4 @@
-"""Matrix factorization layer: Koszul builds, exclusion, splitting, kernel, gdim."""
+"""Matrix factorization layer: Koszul builds, exclusion, kernel, gdim."""
 
 from fractions import Fraction
 
@@ -22,13 +22,11 @@ from krlab.mf import (
     compose,
     exclude_all,
     exclude_variable,
-    find_constant_entry,
     find_exclusion,
     gdim,
     kernel,
     koszul,
     rank,
-    split_contractibles,
     tensor,
 )
 
@@ -295,44 +293,6 @@ class TestExclusion:
         assert exclude_all(after, ["y", "z"]) == (after, [])
 
 
-class TestSplitting:
-    def test_unit_row_contracts_to_zero(self):
-        n = 1
-        table = marks_table("x")
-        a, x = var(table, "a"), var(table, "x")
-        w = a * x ** (n + 1)
-        spec = KoszulSpec(table, n, ((w, BigradedPoly.one(table)),))
-        M = split_contractibles(koszul(spec))
-        assert M.rank() == 0
-
-    def test_contractible_tensor_factor_kills_everything(self):
-        n = 1
-        table = marks_table("x", "y")
-        a, x, y = (var(table, nm) for nm in "axy")
-        keep = KoszulSpec(table, n, ((a * (x + y), x - y),))
-        kill = KoszulSpec(table, n, ((a * y * y, BigradedPoly.one(table)),))
-        M = tensor(koszul(keep), koszul(kill))
-        reduced = split_contractibles(M)
-        assert reduced.rank() == 0
-
-    def test_split_removes_contractible_summand(self):
-        n = 2
-        arc = koszul(arc_spec(n))
-        table = arc.table
-        trivial = koszul(KoszulSpec(table, n, ((arc.potential, BigradedPoly.one(table)),)))
-        summed = MatrixFactorization(
-            table,
-            n,
-            arc.potential,
-            arc.basis0 + trivial.basis0,
-            arc.basis1 + trivial.basis1,
-            dict(arc.d0) | {(i + 1, j + 1): p for (i, j), p in trivial.d0.items()},
-            dict(arc.d1) | {(i + 1, j + 1): p for (i, j), p in trivial.d1.items()},
-        )
-        reduced = split_contractibles(summed)
-        assert mf_equal(reduced, arc)
-
-
 class TestKernel:
     # rank 4 by construction: c3 = 0, c4 = c0 + c1 and c6 = 3 c2 - c5; the
     # int pivots 2 and 3 make the first elimination factor 3/2
@@ -388,16 +348,6 @@ class TestGdim:
         moved = s.shifted(1, 2, 3)
         assert moved.terms == {(1, 2, 3): 1, (0, 1, 2): 1}
         assert moved.x_truncation == 11
-
-    def test_split_preserves_gdim(self):
-        n = 2
-        table = marks_table("x", "y")
-        a, x, y = (var(table, nm) for nm in "axy")
-        keep = KoszulSpec(table, n, ((a * h_two_vars(table, "x", "y", n), x - y),))
-        kill = KoszulSpec(table, n, ((a * y ** (n + 1), BigradedPoly.one(table)),))
-        M = tensor(koszul(keep), koszul(kill))
-        reduced = split_contractibles(M)
-        assert gdim(M, 6).same_series(gdim(reduced, 6))
 
     def test_count_stops_past_its_cap(self):
         # a count past the cap costs about the cap, whatever the total
@@ -474,10 +424,3 @@ class TestProperties:
         S = M.shifted(2 * da, 2 * dx, flip)
         S.verify()
         assert S.potential == M.potential
-
-    @settings(max_examples=30, deadline=None)
-    @given(random_koszul_spec())
-    def test_split_terminates_and_verifies(self, spec):
-        M = split_contractibles(koszul(spec))
-        M.verify()
-        assert find_constant_entry(M) is None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from krlab.mf import find_constant_entry
 from krlab.moy import (
     BUILTIN_GRAPHS,
     MoyVertex,
@@ -329,3 +330,21 @@ class TestBuiltinCatalog:
     def test_closed_flag(self):
         assert builtin_graph("circle").is_closed()
         assert not builtin_graph("wide-edge").is_closed()
+
+
+class TestNothingIsContractible:
+    """Why graph_factorization splits nothing off: rows (a U_j, X_j - Y_j)
+    keep their degrees under exclusion, so no entry is a nonzero constant."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_GRAPHS))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_left_entries_carry_a_and_right_entries_marks(self, name, n):
+        spec, _ = reduced_graph_spec(builtin_graph(name), n)
+        for left, right in spec.rows:
+            assert left.is_zero() or left.bidegree()[0] == 2
+            assert right.is_zero() or right.bidegree()[1] >= 2
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_GRAPHS))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_entry_is_a_nonzero_constant(self, name, n):
+        assert find_constant_entry(graph_factorization(builtin_graph(name), n)) is None

@@ -513,6 +513,67 @@ class TestInvariantChecks:
         assert [f"{f} {name}" for f, name in found if name not in self.UNREAD_KEPT] == []
         assert sorted({name for _, name in found}) == sorted(self.UNREAD_KEPT)
 
+    # Parameters the package never reads, kept for their callers; one reason each.
+    UNREAD_PARAMETERS_KEPT = {
+        "_resolve_window.n": "qamod: the benchmark's tests call it positionally with n",
+    }
+
+    @staticmethod
+    def unread_parameters(sources):
+        """(file, "function.parameter") of each parameter of a function or
+        lambda that its body never loads; self, cls and names starting with
+        an underscore are exempt."""
+        found = []
+        for name, text in sources.items():
+            for node in ast.walk(ast.parse(text)):
+                if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                    continue
+                args = node.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+                body = node.body if isinstance(node.body, list) else [node.body]
+                loaded = {
+                    sub.id
+                    for stmt in body
+                    for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+                }
+                owner = getattr(node, "name", "<lambda>")
+                found += [
+                    (name, f"{owner}.{param}")
+                    for param in params
+                    if param not in loaded
+                    and param not in ("self", "cls")
+                    and not param.startswith("_")
+                ]
+        return found
+
+    def test_every_parameter_is_read(self):
+        root = Path(krlab.__file__).parent
+        sources = {path.name: path.read_text() for path in sorted(root.glob("*.py"))}
+        found = self.unread_parameters(sources)
+        assert [f"{f} {name}" for f, name in found if name not in self.UNREAD_PARAMETERS_KEPT] == []
+        assert sorted({name for _, name in found}) == sorted(self.UNREAD_PARAMETERS_KEPT)
+
+    def test_unread_parameter_scan_flags(self):
+        source = (
+            "def used(a, b): return a + b\n"
+            "def unread(a, b): return a\n"
+            "def exempt(self, cls, _c): return 0\n"
+            "def closure(a):\n"
+            "    def inner(): return a\n"
+            "    return inner\n"
+            "def default_only(a, b=1): return a\n"
+            "def star(*args, key=0, **kwargs): return args, key\n"
+            "class Box:\n"
+            "    def method(self, item): return self\n"
+            "square = lambda x, y: x * x\n"
+        )
+        found = sorted(name for _, name in self.unread_parameters({"m.py": source}))
+        assert found == [
+            "<lambda>.y", "default_only.b", "method.item", "star.kwargs", "unread.b"
+        ]
+
     def test_unread_scan_flags(self):
         source = (
             "import click\n"

@@ -230,11 +230,11 @@ class TestNegativeUnknot:
 
 class TestInvariance:
     def test_reidemeister_two_cancels(self):
-        # compare on one explicit window; the default ones differ because the
-        # crossing pair shifts the least generator degree
-        win = (-2, 14)
-        cancelled = homology("1 -1", 2, 1, window=win)
-        unlink = homology("", 2, 1, window=win)
+        # compare up to one top x = 14; the crossing pair shifts the least
+        # generator degree from 0 down to -2, so the widths differ by two
+        cancelled = homology("1 -1", 2, 1, window=16)
+        unlink = homology("", 2, 1, window=14)
+        assert (cancelled.window, unlink.window) == ((-2, 14), (0, 14))
         assert cancelled.slices == unlink.slices
         assert cancelled.tails == unlink.tails
 
@@ -266,16 +266,8 @@ class TestUnlinks:
 
 
 class TestWindows:
-    def test_bottom_above_the_generators_is_rejected(self):
-        with pytest.raises(ValueError, match="window too small"):
-            homology("", 1, 1, window=(2, 20))
-
-    def test_inverted_window_is_rejected(self):
-        with pytest.raises(ValueError, match="empty x-degree window"):
-            homology("", 1, 1, window=(4, 0))
-
     def test_narrow_window_refuses_to_decategorify(self):
-        m = homology("", 1, 1, window=(0, 4))
+        m = homology("", 1, 1, window=4)
         with pytest.raises(ValueError, match="widen the window"):
             euler_characteristic(m)
 
@@ -371,7 +363,6 @@ class TestGrowingExpansion:
         expansion = _Expansion(C)
         first = two_stage_homology(C, 12, expansion)
         assert two_stage_homology(C, 12, expansion) == first
-        assert two_stage_homology(C, (-3, 11), expansion).slices == first.slices
 
     def test_a_narrower_top_is_refused(self):
         C = build_complex(parse("1 1", 2), 1)
