@@ -23,7 +23,9 @@ Gamma1<1>{-1,-N} in degrees 0, 1.  The closure of the braid word is marked
 with one variable per arc, the tensor cube is assembled with sign
 (-1)^(number of earlier crossings already resolved), and marks are excluded
 through the state-independent rows so that the same substitution applies in
-every cube vertex.
+every cube vertex.  ChainComplexOfMF.excluded then excludes each vertex's
+own marks, through its oriented resolutions' rows as well, and carries chi
+over to the smaller factorizations as pi_tgt chi iota_src.
 """
 
 from __future__ import annotations
@@ -31,14 +33,18 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .braid import BraidWord
 from .mf import (
+    ChainVector,
     KoszulSpec,
     Matrix,
     MatrixFactorization,
+    Reduction,
     compose,
     exclude_all,
+    exclusion_reduction,
     find_constant_entry,
     koszul,
     koszul_masks,
@@ -263,10 +269,37 @@ def _closure_arcs(word: BraidWord, extra_marks) -> tuple[list[_Arc], dict]:
 
 @dataclass
 class Summand:
-    """One cube vertex inside a term: its state and its factorization."""
+    """One cube vertex inside a term: its state, its factorization, and the
+    Koszul spec and shift (a-degree, x-degree, parity flip) it is built from."""
 
     state: tuple[int, ...] | None
     mf: MatrixFactorization
+    spec: KoszulSpec
+    shift: tuple[int, int, int]
+
+
+@dataclass
+class ExcludedVertex:
+    """A cube vertex with its own marks excluded.
+
+    mf is the Koszul factorization of the excluded spec, shifted as the raw
+    vertex is; sub sends each excluded mark to its image over mf.table, the
+    composite of the steps; reductions hold the steps' chain maps in order.
+    """
+
+    mf: MatrixFactorization
+    sub: dict[str, BigradedPoly]
+    reductions: list[Reduction]
+
+
+@dataclass
+class ExcludedCube:
+    """The vertices of a cube with their own marks excluded, in the layout of
+    its summands, and the blocks of d_chi carried over to them: the block of
+    (i, t, s) is pi_t chi iota_s, over the target vertex's ring."""
+
+    vertices: dict[int, list[ExcludedVertex]]
+    blocks: dict[tuple[int, int, int], MatPair]
 
 
 class ChainComplexOfMF:
@@ -282,7 +315,8 @@ class ChainComplexOfMF:
     degree's vertices as one block-diagonal factorization, assembled without
     a further check.  Nothing in the package reads terms, but the benchmark
     observer in perfbench/layers.py counts cube.rank from it, so it stays
-    until that observer reads summands instead.
+    until that observer reads summands instead.  excluded is the same cube
+    on each vertex's own smaller ring, built on first use.
     """
 
     def __init__(self, table, n, summands, blocks):
@@ -336,6 +370,81 @@ class ChainComplexOfMF:
                             total[key] = total[key] + p if key in total else p
                 if any(not p.is_zero() for p in total.values()):
                     raise InvariantError(f"d_chi^2 != 0 out of degree {i}")
+
+    @cached_property
+    def excluded(self) -> ExcludedCube:
+        """Every vertex with its own marks excluded (Khovanov-Rozansky's
+        exclusion lemma), and d_chi transported to the excluded vertices.
+
+        A vertex excludes through every row whose right entry is unit-linear
+        in a mark: beyond the state-independent rows, which the build already
+        used, the row x1 - y2 of each oriented resolution.  pi and iota are
+        homotopy equivalences of each vertex, so the transported d_chi'
+        induces the same map on the homology of the vertex differential;
+        d_chi'^2 = pi chi (iota pi - 1) chi iota is not zero, but it is a
+        vertex differential's boundary there.
+        """
+        marks = [v.name for v in self.table.variables if v.kind == KIND_MARK]
+        vertices: dict[int, list[ExcludedVertex]] = {}
+        for i, parts in self.summands.items():
+            for part in parts:
+                spec, steps = exclude_all(part.spec, marks)
+                sub: dict[str, BigradedPoly] = {}
+                for step in steps:
+                    one = {step.var: step.image}
+                    table = step.spec_after.table
+                    sub = {var: substitute(img, one, table) for var, img in sub.items()}
+                    sub[step.var] = step.image
+                mf = koszul(spec).shifted(*part.shift)
+                reductions = [exclusion_reduction(step) for step in steps]
+                vertices.setdefault(i, []).append(ExcludedVertex(mf, sub, reductions))
+        blocks = {
+            (i, ti, si): _transport_block(
+                mats, vertices[i][si], vertices[i + 1][ti], self.summands[i][si].shift[2]
+            )
+            for (i, ti, si), mats in self.blocks.items()
+        }
+        return ExcludedCube(vertices, blocks)
+
+
+def _apply_even(mats: MatPair, vec: ChainVector, flip: int) -> ChainVector:
+    """An even map on a vector over Koszul bases whose parities an odd flip
+    swaps against the factorization's."""
+    out: ChainVector = {}
+    for (kpar, idx), coeff in vec.items():
+        for (ti, si), p in mats[(kpar + flip) % 2].items():
+            if si != idx:
+                continue
+            key = (kpar, ti)
+            cur = out.get(key)
+            s = p * coeff if cur is None else cur + p * coeff
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return out
+
+
+def _transport_block(
+    mats: MatPair, src: ExcludedVertex, tgt: ExcludedVertex, flip: int
+) -> MatPair:
+    """pi_tgt . mats . iota_src through the two vertices' chains of exclusions."""
+    out: MatPair = ({}, {})
+    one = BigradedPoly.one(src.mf.table)
+    for par in (0, 1):
+        kpar = (par + flip) % 2
+        for j in range(len(src.mf.basis(par))):
+            vec: ChainVector = {(kpar, j): one}
+            for red in reversed(src.reductions):
+                vec = red.iota(vec)
+            vec = _apply_even(mats, vec, flip)
+            for red in tgt.reductions:
+                vec = red.pi(vec)
+            for (kpar2, ti), p in vec.items():
+                if kpar2 != kpar:
+                    raise InvariantError("a transported block changes the parity")
+                out[par][(ti, j)] = p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +542,16 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
     for state in itertools.product((0, 1), repeat=c):
         rows = list(shared) + [cr["g"][b] for cr, b in zip(crossings, state)]
         dx = sum(cr["dx"][b] for cr, b in zip(crossings, state))
-        mf = koszul(KoszulSpec(table, n, tuple(rows))).shifted(writhe, dx, c)
+        spec = KoszulSpec(table, n, tuple(rows))
+        shift = (writhe, dx, c)
+        mf = koszul(spec).shifted(*shift)
         # nothing contractible: a left entry has a-degree 2 and a right entry
         # x-degree >= 2, and exclusion substitutes images of the excluded
         # mark's own bidegree (see moy.graph_factorization)
         if find_constant_entry(mf) is not None:
             raise InvariantError("contractible summand in a cube vertex")
         deg = sum(base + b for base, b in zip(bases, state))
-        summands.setdefault(deg, []).append(Summand(state, mf))
+        summands.setdefault(deg, []).append(Summand(state, mf, spec, shift))
     for deg in summands:
         summands[deg].sort(key=lambda part: part.state)
         for pos, part in enumerate(summands[deg]):

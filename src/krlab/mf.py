@@ -11,7 +11,8 @@ one per row of a KoszulSpec, with the signed Leibniz rule governing the
 tensor differential.  The module also provides the one simplification the
 pipelines use (exclusion of a variable through a unit-linear row), the exact
 kernel of a sparse rational matrix, and the graded dimension of the killed
-complex.
+complex.  An exclusion comes with its chain maps (exclusion_reduction), which
+carry maps between factorizations over to the smaller ring.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .poly import (
     BigradedPoly,
@@ -28,12 +29,15 @@ from .poly import (
     ExpansionBudgetError,
     InvariantError,
     VariableTable,
+    divide_exact,
+    exact,
     monomials,
     substitute,
 )
 
 Entry = tuple[int, int]  # (row, col)
 Matrix = dict[Entry, BigradedPoly]
+ChainVector = dict[tuple[int, int], BigradedPoly]  # (parity, index) -> coefficient
 
 
 def cast(p: BigradedPoly, table: VariableTable) -> BigradedPoly:
@@ -115,8 +119,11 @@ class ExclusionStep:
     equivalence over the smaller ring.
     """
 
+    spec_before: KoszulSpec
     spec_after: KoszulSpec
+    row: int
     var: str
+    unit: Coefficient
     image: BigradedPoly  # over spec_after.table
 
 
@@ -141,7 +148,7 @@ def exclude_variable(spec: KoszulSpec, row: int, var: str) -> ExclusionStep:
     solved = linear_unit_solve(right, var)
     if solved is None:
         raise ValueError(f"row {row} right entry is not unit-linear in {var}")
-    p = solved[1]
+    u, p = solved
     if p.degree_in(var):
         raise ValueError("variable appears in its own image")
     new_table = spec.table.without([var])
@@ -158,7 +165,7 @@ def exclude_variable(spec: KoszulSpec, row: int, var: str) -> ExclusionStep:
     # potential of the dropped row dies under the substitution
     if after.potential() != substitute(spec.potential(), sub, new_table):
         raise InvariantError("exclusion changed the potential")
-    return ExclusionStep(after, var, image)
+    return ExclusionStep(spec, after, row, var, u, image)
 
 
 def find_exclusion(spec: KoszulSpec, allowed: Iterable[str]) -> tuple[int, str] | None:
@@ -183,6 +190,105 @@ def exclude_all(
         steps.append(exclude_variable(spec, *found))
         spec = steps[-1].spec_after
     return spec, steps
+
+
+class Reduction(NamedTuple):
+    """Chain maps between the Koszul factorizations before and after an
+    exclusion, acting on sparse vectors over their subset bases (parity and
+    index as in koszul_masks).  pi runs from before to after and iota back."""
+
+    pi: Callable[[ChainVector], ChainVector]
+    iota: Callable[[ChainVector], ChainVector]
+
+
+def _vec_add(acc: ChainVector, key: tuple[int, int], p: BigradedPoly) -> None:
+    cur = acc.get(key)
+    s = p if cur is None else cur + p
+    if s.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = s
+
+
+def exclusion_reduction(step: ExclusionStep) -> Reduction:
+    """Chain maps for one exclusion, on the Koszul bases.
+
+    pi substitutes var := image and keeps the generators with the excluded
+    row's bit unset.  iota lifts a generator to the one with that bit unset
+    and adds, on the bit-set generators, the correction that cancels what
+    the lift's differential loses under the substitution: each entry less
+    its image divides exactly by (var - image).  pi iota = id exactly; both
+    commute with the differentials when the potential is free of var (a
+    closed diagram's is zero), so iota pi is homotopic to the identity.
+    """
+    spec, after = step.spec_before, step.spec_after
+    row, var = step.row, step.var
+    if spec.potential().degree_in(var):
+        # the lift commutes with the differentials only when the potential
+        # is the same polynomial before and after the substitution
+        raise ValueError(f"potential involves excluded variable {var}")
+    big, small = spec.table, after.table
+    sub = {var: step.image}
+    v_minus_p = BigradedPoly.variable(big, var) - cast(step.image, big)
+    scale = exact(Fraction(-1) / step.unit)
+    # per kept row and per bit value, the entry less its image, over var - image
+    rho = {
+        i: tuple(
+            divide_exact(entry - cast(substitute(entry, sub, small), big), v_minus_p) * scale
+            for entry in pair
+        )
+        for i, pair in enumerate(spec.rows)
+        if i != row
+    }
+    nrows = len(spec.rows)
+    masks = koszul_masks(nrows)
+    index = {m: (par, i) for par in (0, 1) for i, m in enumerate(masks[par])}
+    red_masks = koszul_masks(nrows - 1)
+    red_index = {m: (par, i) for par in (0, 1) for i, m in enumerate(red_masks[par])}
+    low = (1 << row) - 1
+    bit = 1 << row
+
+    def sign_below(mask: int, slot: int) -> int:
+        return -1 if bin(mask & ((1 << slot) - 1)).count("1") % 2 else 1
+
+    def pi(vec: ChainVector) -> ChainVector:
+        out: ChainVector = {}
+        for (par, idx), coeff in vec.items():
+            mask = masks[par][idx]
+            if mask & bit:
+                continue
+            img = substitute(coeff, sub, small)
+            if not img.is_zero():
+                _vec_add(out, red_index[(mask & low) | (mask >> (row + 1) << row)], img)
+        return out
+
+    corrections: dict[int, list[tuple[tuple[int, int], BigradedPoly]]] = {}
+
+    def mask_corrections(big_mask: int) -> list[tuple[tuple[int, int], BigradedPoly]]:
+        got = corrections.get(big_mask)
+        if got is None:
+            got = corrections[big_mask] = []
+            for i, pair in rho.items():
+                r = pair[big_mask >> i & 1]
+                if r.is_zero():
+                    continue
+                target = big_mask ^ (1 << i)
+                sign = sign_below(big_mask, i) * sign_below(target, row)
+                got.append((index[target | bit], r if sign > 0 else -r))
+        return got
+
+    def iota(vec: ChainVector) -> ChainVector:
+        out: ChainVector = {}
+        for (par, idx), coeff in vec.items():
+            mask = red_masks[par][idx]
+            big_mask = (mask & low) | (mask >> row << (row + 1))
+            lifted = cast(coeff, big)
+            _vec_add(out, index[big_mask], lifted)
+            for key, r in mask_corrections(big_mask):
+                _vec_add(out, key, r * lifted)
+        return out
+
+    return Reduction(pi, iota)
 
 
 # ---------------------------------------------------------------------------

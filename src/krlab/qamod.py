@@ -463,6 +463,21 @@ def _generators(C: ChainComplexOfMF):
                     yield par, i, ga, gx
 
 
+def _mark_positions(table) -> list[int]:
+    return [i for i, v in enumerate(table.variables) if v.kind == KIND_MARK]
+
+
+def _vertex_generators(C: ChainComplexOfMF):
+    """(eps, i, a-degree, x-degree, marks) of every generator of the excluded
+    vertices of C, in expansion order, with its vertex's mark count."""
+    for i, vertices in C.excluded.vertices.items():
+        for vertex in vertices:
+            marks = len(_mark_positions(vertex.mf.table))
+            for par in (0, 1):
+                for ga, gx in vertex.mf.basis(par):
+                    yield par, i, ga, gx, marks
+
+
 def _class_of(n: int, eps: int, k: int) -> tuple[int, int]:
     """The independent class of the slices (eps, i, k) (see the module docstring)."""
     q, r = divmod(k, n + 1)
@@ -477,89 +492,152 @@ def _class_starts(n: int, eps: int, gx: int) -> dict[tuple[int, int], int]:
 
 def expansion_size(C: ChainComplexOfMF, top: int, cls: tuple[int, int] | None = None) -> int:
     """Basis vectors of the expansion of C up to x-degree top, in one class or,
-    by default, in all: each generator of x-degree gx times its mark monomials
-    of degree d <= D = (top - gx) // 2 whose elements lie in the class.  In
-    all classes these number comb(D + marks, marks), at a cost independent of
-    the width."""
-    marks = sum(1 for v in C.table.variables if v.kind == KIND_MARK)
+    by default, in all: each generator of an excluded vertex, of x-degree gx,
+    times the monomials of degree d <= D = (top - gx) // 2 in its vertex's
+    marks whose elements lie in the class.  In all classes these number
+    comb(D + marks, marks), at a cost independent of the width."""
     if cls is None:
-        return sum(comb((top - gx) // 2 + marks, marks) for *_, gx in _generators(C) if gx <= top)
+        return sum(
+            comb((top - gx) // 2 + marks, marks)
+            for *_, gx, marks in _vertex_generators(C)
+            if gx <= top
+        )
     n = C.n
     return sum(
         comb(d + marks - 1, d) if marks else int(d == 0)
-        for eps, _, _, gx in _generators(C)
+        for eps, _, _, gx, marks in _vertex_generators(C)
         for c, start in _class_starts(n, eps, gx).items()
         if c == cls
         for d in range(start, (top - gx) // 2 + 1, n + 1)
     )
 
 
+def _linear_images(names, vertex) -> list[list[tuple[int, object]]]:
+    """Each named mark as a linear form over the marks of an excluded vertex:
+    (position, coefficient) pairs, the mark itself where the vertex keeps it."""
+    table = vertex.mf.table
+    positions = _mark_positions(table)
+    where = {table.variables[p].name: k for k, p in enumerate(positions)}
+    out = []
+    for name in names:
+        if name in where:
+            out.append([(where[name], 1)])
+            continue
+        form = []
+        for e, coeff in vertex.sub[name].terms.items():
+            mt = [e[p] for p in positions]
+            if sum(e) != 1 or sum(mt) != 1:
+                raise InvariantError("an excluded mark's image is not linear in the marks")
+            form.append((mt.index(1), coeff))
+        out.append(form)
+    return out
+
+
 class _Expansion:
     """The expansion of C on its slice basis, held as one _ClassExpansion per
     independent class that has generators, each grown in place.
 
-    It holds what the classes share: the generators, the raw differential
-    terms, the mark monomials and the reserve of address space that lets a
-    MemoryError unwind.  part(cls) creates a class on first use and keeps it;
-    two_stage_homology without an expansion builds each class afresh instead
-    and frees it before the next.
+    It is built on the excluded vertices of C (C.excluded): the elements of
+    a generator are its monomials in its own vertex's marks.  It holds what
+    the classes share: the generators, the vertex differential terms, the
+    transported chi terms with the linear images of the source vertex's
+    marks in the target's ring, the mark monomials and the reserve of
+    address space that lets a MemoryError unwind.  part(cls) creates a
+    class on first use and keeps it; two_stage_homology without an expansion
+    builds each class afresh instead and frees it before the next.
     """
 
     def __init__(self, C: ChainComplexOfMF, kill_a: bool = False) -> None:
-        table = C.table
-        for v in table.variables:
+        for v in C.table.variables:
             if v.kind not in (KIND_A, KIND_MARK):
                 raise ValueError("complex ring must be Q[a, marks]")
-        a_pos = table.index("a")
-        mark_pos = [i for i, v in enumerate(table.variables) if v.kind == KIND_MARK]
+        excluded = C.excluded
         self.C = C
         self.n = n = C.n
-        self.nmarks = len(mark_pos)
-        # generators: (eps, i, a-degree, x-degree), and the first of each summand
+        # generators: (eps, i, a-degree, x-degree), their vertices' mark
+        # counts, and the first generator of each vertex and parity
         self.gens: list[tuple[int, int, int, int]] = []
+        self.marks: list[int] = []
         first: dict[tuple[int, int, int], int] = {}
-        for i, parts in C.summands.items():
-            for sidx, part in enumerate(parts):
+        for i, vertices in excluded.vertices.items():
+            for sidx, vertex in enumerate(vertices):
+                marks = len(_mark_positions(vertex.mf.table))
                 for par in (0, 1):
                     first[(i, sidx, par)] = len(self.gens)
-                    for ga, gx in part.mf.basis(par):
+                    for ga, gx in vertex.mf.basis(par):
                         self.gens.append((par, i, ga, gx))
-        self.x_min = min((gx for *_, gx in self.gens), default=0)
+                        self.marks.append(marks)
+        self.x_min = min((gx for *_, gx in _generators(C)), default=0)
         self.starts = [_class_starts(n, eps, gx) for eps, _, _, gx in self.gens]
         self.classes = sorted({cls for starts in self.starts for cls in starts})
-        # differential terms: (source gen, target gen, coefficient, a-exponent,
-        # mark exponents, x-jump)
+
+        def split(poly, gs: int, gt: int, jump: int) -> list[tuple[object, int, tuple[int, ...]]]:
+            """The terms of an entry from gs to gt as (coefficient, a-exponent,
+            mark exponents), each checked to raise the x-degree by jump."""
+            table = poly.table
+            a_pos, mark_pos = table.index("a"), _mark_positions(table)
+            out = []
+            for e, coeff in poly.terms.items():
+                ae = e[a_pos]
+                if kill_a and ae:
+                    continue
+                mt = tuple(e[p] for p in mark_pos)
+                if self.gens[gt][3] + 2 * sum(mt) - self.gens[gs][3] != jump:
+                    raise InvariantError("differential term off the x-slope")
+                out.append((coeff, ae, mt))
+            return out
+
+        # vertex differential terms: (source gen, target gen, coefficient,
+        # a-exponent, mark exponents, x-jump)
         self.terms: list[tuple[int, int, object, int, tuple[int, ...], int]] = []
-
-        def add_matrix(src, tgt, mat) -> None:
-            for (ti, si), poly in mat.items():
-                gs, gt = first[src] + si, first[tgt] + ti
-                for e, coeff in poly.terms.items():
-                    ae = e[a_pos]
-                    if kill_a and ae:
-                        continue
-                    mt = tuple(e[p] for p in mark_pos)
-                    jump = self.gens[gt][3] + 2 * sum(mt) - self.gens[gs][3]
-                    if jump != (0 if tgt[0] > src[0] else n + 1):
-                        raise InvariantError("differential term off the x-slope")
-                    self.terms.append((gs, gt, coeff, ae, mt, jump))
-
-        for i, parts in C.summands.items():
-            for sidx, part in enumerate(parts):
+        for i, vertices in excluded.vertices.items():
+            for sidx, vertex in enumerate(vertices):
                 for par in (0, 1):
-                    add_matrix((i, sidx, par), (i, sidx, 1 - par), part.mf.differential(par))
-        for (i, tis, sis), mats in C.blocks.items():
+                    for (ti, si), poly in vertex.mf.differential(par).items():
+                        gs, gt = first[(i, sidx, par)] + si, first[(i, sidx, 1 - par)] + ti
+                        for coeff, ae, mt in split(poly, gs, gt, n + 1):
+                            self.terms.append((gs, gt, coeff, ae, mt, n + 1))
+        # transported chi terms by source gen: (target gen, images id,
+        # a-exponent, [(coefficient, mark exponents)]); homogeneity gives
+        # each entry one a-exponent.  images[id] holds the linear image of
+        # each mark of the source vertex in the target's ring, None where
+        # the two rings share their marks in order.
+        self.chi: dict[int, list[tuple[int, int, int, list]]] = {}
+        self.images: list[list | None] = []
+        self.image_units: list[tuple[int, ...]] = []  # the target ring's monomial 1
+        image_ids: dict[tuple, int] = {}
+        for (i, tis, sis), mats in excluded.blocks.items():
+            src, tgt = excluded.vertices[i][sis], excluded.vertices[i + 1][tis]
+            names = tuple(src.mf.table.variables[p].name for p in _mark_positions(src.mf.table))
+            img = image_ids.get((names, i, tis))
+            if img is None:
+                img = image_ids[(names, i, tis)] = len(self.images)
+                forms = _linear_images(names, tgt)
+                same = len(names) == len(_mark_positions(tgt.mf.table)) and all(
+                    form == [(k, 1)] for k, form in enumerate(forms)
+                )
+                self.images.append(None if same else forms)
+                self.image_units.append((0,) * len(_mark_positions(tgt.mf.table)))
             for par in (0, 1):
-                add_matrix((i, sis, par), (i + 1, tis, par), mats[par])
+                for (ti, si), poly in mats[par].items():
+                    gs, gt = first[(i, sis, par)] + si, first[(i + 1, tis, par)] + ti
+                    terms = split(poly, gs, gt, 0)
+                    if not terms:
+                        continue
+                    if len({ae for _, ae, _ in terms}) > 1:
+                        raise InvariantError("inhomogeneous transported chi entry")
+                    self.chi.setdefault(gs, []).append(
+                        (gt, img, terms[0][1], [(coeff, mt) for coeff, _, mt in terms])
+                    )
         self.parts: dict[tuple[int, int], _ClassExpansion] = {}
-        self._monos: dict[int, list[tuple[int, ...]]] = {}
+        self._monos: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         self.admitted: int | None = None  # the widest top found under the cap
         self._reserve = bytes(_RESERVE)  # calloc'd: its pages are never touched
 
-    def monos(self, degree: int) -> list[tuple[int, ...]]:
-        got = self._monos.get(degree)
+    def monos(self, marks: int, degree: int) -> list[tuple[int, ...]]:
+        got = self._monos.get((marks, degree))
         if got is None:
-            got = self._monos[degree] = monomials((1,) * self.nmarks, degree)
+            got = self._monos[(marks, degree)] = monomials((1,) * marks, degree)
         return got
 
     def part(self, cls: tuple[int, int]) -> _ClassExpansion:
@@ -610,6 +688,11 @@ class _ClassExpansion:
         self.out: list[dict[int, Mono] | None] = []  # None once eliminated
         self.rows: list[set[int] | None] = []
         self.alive: list[bool] = []
+        # per images id, the image of each mark monomial met so far
+        self.image_cache: list[dict[tuple[int, ...], list]] = [
+            {} if forms is None else {(0,) * len(forms): [(knot.image_units[img], 1)]}
+            for img, forms in enumerate(knot.images)
+        ]
         self.final = knot.x_min - 1
         self.stage1: dict = {}
         self.phis: dict = {}
@@ -641,20 +724,39 @@ class _ClassExpansion:
             raise
         self.top = top
 
+    def _image(self, img: int, m: tuple[int, ...]) -> list[tuple[tuple[int, ...], object]]:
+        """The image of the mark monomial m of a source vertex in a target
+        vertex's ring, as (monomial, coefficient) pairs: the product of its
+        marks' linear images, built from the image of m less one mark."""
+        forms = self.knot.images[img]
+        if forms is None:
+            return [(m, 1)]
+        cache = self.image_cache[img]
+        got = cache.get(m)
+        if got is None:
+            j = next(j for j, e in enumerate(m) if e)
+            acc: dict[tuple[int, ...], object] = {}
+            for mono, c in self._image(img, m[:j] + (m[j] - 1,) + m[j + 1:]):
+                for pos, lc in forms[j]:
+                    key = mono[:pos] + (mono[pos] + 1,) + mono[pos + 1:]
+                    acc[key] = acc.get(key, 0) + c * lc
+            got = cache[m] = [(key, c) for key, c in acc.items() if c]
+        return got
+
     def _extend(self, old: int | None, top: int, size: int, heap: list) -> None:
         knot = self.knot
         step = knot.n + 1
-        gens, monos = knot.gens, knot.monos
+        gens, monos, marks = knot.gens, knot.monos, knot.marks
         info_eps, info_i, info_k, info_ja = self.info_eps, self.info_i, self.info_k, self.info_ja
         out, rows, alive, index, starts = self.out, self.rows, self.alive, self.index, self.starts
         first = len(info_i)
-        for ids, start, (eps, i, ga, gx) in zip(index, starts, gens):
+        for ids, start, nm, (eps, i, ga, gx) in zip(index, starts, marks, gens):
             if start is None:
                 continue
             d_lo = 0 if old is None else max(0, (old - gx) // 2 + 1)
             for d in range(d_lo + (start - d_lo) % step, (top - gx) // 2 + 1, step):
                 k = gx + 2 * d
-                for m in monos(d):
+                for m in monos(nm, d):
                     ids[m] = len(info_i)
                     info_eps.append(eps)
                     info_i.append(i)
@@ -681,9 +783,9 @@ class _ClassExpansion:
             src, tgt = index[gs], index[gt]
             shifted = any(mt)
             mono = (coeff, ae)
-            unit = not ae and gens[gs][1] == gens[gt][1]
+            unit = not ae
             for d in range(d_lo + (start - d_lo) % step, (top - gx - jump) // 2 + 1, step):
-                for m in monos(d):
+                for m in monos(marks[gs], d):
                     sid = src[m]
                     if alive[sid]:
                         tid = tgt[tuple(map(add, m, mt))] if shifted else tgt[m]
@@ -694,6 +796,31 @@ class _ClassExpansion:
                         rows[tid].add(sid)
                         if unit:
                             units.append((sid, tid))
+        # transported chi entries keep the x-degree, so only new sources have
+        # new targets: (g, m) goes to image(m) chi'(g), and the contributions
+        # that land on one target are summed
+        for gs, outs in knot.chi.items():
+            start = starts[gs]
+            if start is None:
+                continue
+            gx = gens[gs][3]
+            d_lo = 0 if old is None else max(0, (old - gx) // 2 + 1)
+            src = index[gs]
+            for d in range(d_lo + (start - d_lo) % step, (top - gx) // 2 + 1, step):
+                for m in monos(marks[gs], d):
+                    sid = src[m]
+                    row = out[sid]
+                    for gt, img, ae, terms in outs:
+                        tgt = index[gt]
+                        acc: dict[int, object] = {}
+                        for mw, cw in self._image(img, m):
+                            for coeff, mt in terms:
+                                tid = tgt[tuple(map(add, mw, mt))]
+                                acc[tid] = acc.get(tid, 0) + cw * coeff
+                        for tid, c in acc.items():
+                            if c:
+                                row[tid] = (c, ae)
+                                rows[tid].add(sid)
         # the unit entries, each with its Markowitz cost
         heap.extend(((len(out[s]) - 1) * (len(rows[t]) - 1), s, t) for s, t in units)
         heapq.heapify(heap)

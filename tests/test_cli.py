@@ -102,9 +102,9 @@ class TestHomologyCommand:
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
         src = str(Path(krlab.__file__).resolve().parents[1])
-        # width 60 stays under MAX_EXPANSION but needs more than 128 MB
+        # width 100 stays under MAX_EXPANSION but needs more than 128 MB
         res = subprocess.run(
-            [sys.executable, "-m", "krlab.cli", "homology", "--braid", "1 1", "--xwindow", "60"],
+            [sys.executable, "-m", "krlab.cli", "homology", "--braid", "1 1", "--xwindow", "100"],
             capture_output=True, text=True, preexec_fn=lower_limit,
             env=dict(os.environ, PYTHONPATH=src), timeout=120,
         )

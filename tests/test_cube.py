@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from krlab.braid import BraidWord, parse
 from krlab.cube import (
+    ExcludedVertex,
     _Arc,
     _closure_arcs,
     _crossing_rows,
@@ -15,8 +16,15 @@ from krlab.cube import (
     check_even_morphism,
     crossing_model,
 )
-from krlab.mf import KoszulSpec, MatrixFactorization, gdim, koszul
-from krlab.poly import KIND_A, KIND_MARK, BigradedPoly, InvariantError, VariableTable
+from krlab.mf import ChainVector, KoszulSpec, MatrixFactorization, exclude_all, gdim, koszul
+from krlab.poly import (
+    KIND_A,
+    KIND_MARK,
+    BigradedPoly,
+    InvariantError,
+    VariableTable,
+    substitute,
+)
 
 
 def marks_table(*names: str) -> VariableTable:
@@ -346,3 +354,110 @@ class TestCubeProperties:
         negative = len(word.letters) - positive
         assert sorted(C.summands) == list(range(-positive, negative + 1))
         C.verify()
+
+
+def reduced_words(strands: int, max_length: int) -> list[str]:
+    """Every freely reduced word of length <= max_length, shortest first."""
+    letters = [s * g for g in range(1, strands) for s in (1, -1)]
+    words: list[list[int]] = [[]]
+    out = [""]
+    for _ in range(max_length):
+        words = [w + [l] for w in words for l in letters if not w or w[-1] != -l]
+        out += [" ".join(map(str, w)) for w in words]
+    return out
+
+
+SHORT_CUBES = [(w, s, n) for s in (2, 3) for w in reduced_words(s, 3) for n in (1, 2)]
+
+
+def apply_differential(M: MatrixFactorization, vec: ChainVector) -> ChainVector:
+    """d0 + d1 on a vector over M's bases."""
+    out: ChainVector = {}
+    for (par, idx), coeff in vec.items():
+        for (ti, si), p in M.differential(par).items():
+            if si == idx:
+                key = ((par + 1) % 2, ti)
+                out[key] = out[key] + p * coeff if key in out else p * coeff
+    return {key: p for key, p in out.items() if not p.is_zero()}
+
+
+def chain(maps, vec: ChainVector) -> ChainVector:
+    for fn in maps:
+        vec = fn(vec)
+    return vec
+
+
+def basis_vectors(M: MatrixFactorization):
+    one = BigradedPoly.one(M.table)
+    for par in (0, 1):
+        for idx in range(len(M.basis(par))):
+            yield {(par, idx): one}
+
+
+def over_target(src: ExcludedVertex, tgt: ExcludedVertex) -> MatrixFactorization:
+    """The source vertex's factorization over the target's ring, its marks
+    sent where the target's exclusions send them."""
+    table = tgt.mf.table
+
+    def move(mat):
+        return {key: substitute(p, tgt.sub, table) for key, p in mat.items()}
+
+    return MatrixFactorization(
+        table, src.mf.n, BigradedPoly.zero(table), src.mf.basis0, src.mf.basis1,
+        move(src.mf.d0), move(src.mf.d1),
+    )
+
+
+class TestVertexExclusion:
+    @pytest.mark.parametrize("text,strands,n", SHORT_CUBES)
+    def test_pi_and_iota_at_every_vertex(self, text, strands, n):
+        C = build_complex(parse(text, strands), n)
+        marks = [v.name for v in C.table.variables if v.kind == KIND_MARK]
+        excluded = C.excluded
+        for i, parts in C.summands.items():
+            for part, vertex in zip(parts, excluded.vertices[i]):
+                after, _ = exclude_all(part.spec, marks)
+                raw, small = koszul(part.spec), koszul(after)
+                assert mf_equal(small.shifted(*part.shift), vertex.mf)
+                pis = [red.pi for red in vertex.reductions]
+                iotas = [red.iota for red in reversed(vertex.reductions)]
+                for vec in basis_vectors(small):
+                    lifted = chain(iotas, vec)
+                    assert chain(pis, lifted) == vec
+                    assert apply_differential(raw, lifted) == chain(
+                        iotas, apply_differential(small, vec)
+                    )
+                for vec in basis_vectors(raw):
+                    assert chain(pis, apply_differential(raw, vec)) == apply_differential(
+                        small, chain(pis, vec)
+                    )
+
+    @pytest.mark.parametrize("text,strands,n", SHORT_CUBES)
+    def test_every_transported_block_is_an_even_morphism(self, text, strands, n):
+        C = build_complex(parse(text, strands), n)
+        excluded = C.excluded
+        assert excluded.blocks.keys() == C.blocks.keys()
+        for (i, ti, si), mats in excluded.blocks.items():
+            src, tgt = excluded.vertices[i][si], excluded.vertices[i + 1][ti]
+            check_even_morphism(over_target(src, tgt), tgt.mf, mats, 0, 0)
+
+    def test_the_oriented_rows_exclude_marks(self):
+        # the shared rows have nothing left to exclude (their right entries
+        # are linear, so only zero ones remain); each oriented resolution's
+        # row x1 - y2 may exclude one more mark, unless earlier ones already
+        # identified its two marks
+        word = parse("1 -2 1 -2", 3)
+        C = build_complex(word, 1)
+        marks = sum(1 for v in C.table.variables if v.kind == KIND_MARK)
+        counts = []
+        for i, parts in C.summands.items():
+            for part, vertex in zip(parts, C.excluded.vertices[i]):
+                oriented = sum(
+                    b == (1 if sign > 0 else 0) for b, (_, sign) in zip(part.state, word.letters)
+                )
+                kept = sum(1 for v in vertex.mf.table.variables if v.kind == KIND_MARK)
+                excluded = len(vertex.reductions)
+                assert kept == marks - excluded and excluded <= oriented
+                assert vertex.mf.rank() == part.mf.rank() >> excluded
+                counts.append((oriented, excluded))
+        assert (0, 0) in counts and (4, 2) in counts

@@ -376,11 +376,22 @@ class TestGrowingExpansion:
         with pytest.raises(ValueError, match="another complex"):
             two_stage_homology(C, 4, _Expansion(build_complex(parse("1 1", 2), 1)))
 
-    @pytest.mark.parametrize("text,strands,n", [("1 -1", 2, 1), ("1 1 1", 2, 2)])
-    def test_the_closed_form_counts_the_basis(self, text, strands, n):
-        # every class, grown and fresh, creates exactly its own closed form
-        C = build_complex(parse(text, strands), n)
+    @pytest.mark.parametrize(
+        "text,strands,n,extra",
+        [
+            pytest.param("1 -1", 2, 1, (), id="1 -1-2-1"),
+            pytest.param("1 1 1", 2, 2, (), id="1 1 1-2-2"),
+            # extra marks that the vertices' own exclusions then remove
+            pytest.param("1 1 1", 2, 1, ((0, 1), (1, 2)), id="1 1 1-2-1-extra-marks"),
+        ],
+    )
+    def test_the_closed_form_counts_the_basis(self, text, strands, n, extra):
+        # every class, grown and fresh, creates exactly its own closed form,
+        # each generator's monomials counted in its own vertex's marks
+        C = build_complex(parse(text, strands), n, extra)
         grown = _Expansion(C)
+        if extra:
+            assert len(set(grown.marks)) > 1
         for top in (-4, 0, 3, 8):
             for cls in grown.classes:
                 _reduce_complex(C, top, grown.part(cls))
@@ -396,7 +407,16 @@ class TestClasses:
         knot = _Expansion(build_complex(parse(text, strands), n))
         if n == 1:
             assert len(knot.classes) == 2
-        for gs, gt, _, _, mt, jump in knot.terms:
+        # a chi term sends a monomial of degree d to an image of degree d
+        terms = [(gs, gt, mt, jump) for gs, gt, _, _, mt, jump in knot.terms]
+        terms += [
+            (gs, gt, mt, 0)
+            for gs, outs in knot.chi.items()
+            for gt, _, _, entry in outs
+            for _, mt in entry
+        ]
+        assert any(jump == 0 for *_, jump in terms) and any(jump for *_, jump in terms)
+        for gs, gt, mt, jump in terms:
             eps_s, _, _, gx_s = knot.gens[gs]
             eps_t, _, _, gx_t = knot.gens[gt]
             # the class of an element repeats every n + 1 mark degrees
@@ -409,10 +429,13 @@ class TestClasses:
     def test_the_class_closed_forms_sum_to_the_whole(self, text, strands, n, widest):
         C = build_complex(parse(text, strands), n)
         knot = _Expansion(C)
-        marks = knot.nmarks
         empty = [(r, p) for r in range(n + 1) for p in (0, 1) if (r, p) not in knot.classes]
         for top in range(knot.x_min - 2, knot.x_min + widest + n + 2):
-            whole = sum(comb(marks + (top - gx) // 2, marks) for *_, gx in knot.gens if gx <= top)
+            whole = sum(
+                comb(marks + (top - gx) // 2, marks)
+                for (*_, gx), marks in zip(knot.gens, knot.marks)
+                if gx <= top
+            )
             by_class = [expansion_size(C, top, cls) for cls in knot.classes]
             assert sum(by_class) == expansion_size(C, top) == whole
             assert all(expansion_size(C, top, cls) == 0 for cls in empty)
@@ -567,3 +590,49 @@ class TestAOne:
         # the negative unknot table is all torsion in the even sector
         dims = a_one_dimensions(build_complex(parse("-1", 2), 1))
         assert all(eps == 1 and i == 0 for eps, i, _ in dims)
+
+
+def short_words() -> list[str]:
+    """The 17 freely reduced words of length <= 2 on 3 strands."""
+    letters = (1, -1, 2, -2)
+    words = [[]] + [[a] for a in letters]
+    words += [[a, b] for a in letters for b in letters if a != -b]
+    return [" ".join(map(str, w)) for w in words]
+
+
+def induced_squares(text: str, n: int, monkeypatch) -> list[bool]:
+    """Run two_stage_homology at width 10 on a 3-strand word, checking that
+    each phi(i + 1) phi(i) lands in the image of the first stage, where
+    _stage2 takes its quotient; whether each composite column is nonzero."""
+    composites = []
+    real = qamod._stage2
+
+    def checked(key, stage1, phis):
+        eps, i, k = key
+        step, nxt = phis[key], phis.get((eps, i + 1, k))
+        if nxt is not None:
+            for c in range(len(step.source)):
+                vec = apply_cells(nxt.entries, apply_cells(step.entries, {c: (1, 0)}))
+                if vec:
+                    pres = stage1[(eps, i + 2, k)].presentation
+                    smith(pres).image_coords(vec)  # raises unless in the image
+                composites.append(bool(vec))
+        return real(key, stage1, phis)
+
+    monkeypatch.setattr(qamod, "_stage2", checked)
+    two_stage_homology(build_complex(parse(text, 3), n), 10)
+    return composites
+
+
+class TestTransportedSquare:
+    # d_chi'^2 = pi chi (iota pi - 1) chi iota is a vertex boundary, not zero
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("text", short_words())
+    def test_the_induced_map_squares_into_the_stage_one_image(self, text, n, monkeypatch):
+        composites = induced_squares(text, n, monkeypatch)
+        if len(parse(text, 3).letters) == 2:
+            assert composites
+
+    def test_the_corpus_meets_a_nonzero_square(self, monkeypatch):
+        # so the check above is not vacuous: here phi^2 is a nonzero boundary
+        assert sum(induced_squares("1 1", 1, monkeypatch)) == 7
