@@ -465,10 +465,10 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
 
     Marks are assigned one per arc of the closure (extra_marks lists
     (gap, position) points whose arcs receive one additional mark each).
-    Marks are then excluded through the state-independent rows; the
-    state-dependent G rows never admit exclusions, so every cube vertex stays
-    a Koszul factorization over the same retained ring Q[a, surviving marks]
-    and d_chi remains strictly well defined.
+    Marks are then excluded through the state-independent rows only, so
+    every cube vertex stays a Koszul factorization over the same retained
+    ring Q[a, surviving marks] and d_chi remains strictly well defined;
+    ChainComplexOfMF.excluded drops each vertex's own marks afterwards.
     """
     if not isinstance(word, BraidWord):
         raise TypeError("build_complex expects a closed braid word")

@@ -365,29 +365,40 @@ def substitute(
     """
     if target is None:
         target = next(iter(assignment.values())).table if assignment else p.table
-    images: list[BigradedPoly] = []
-    for v in p.table.variables:
+    keep: list[tuple[int, int]] = []  # (source position, target position)
+    images: list[tuple[int, BigradedPoly]] = []
+    for i, v in enumerate(p.table.variables):
         if v.name in assignment:
             img = assignment[v.name]
             if img.table != target:
                 raise ValueError(f"image of {v.name} over wrong table")
-            images.append(img)
+            images.append((i, img))
         else:
-            images.append(BigradedPoly.variable(target, v.name))
-    out = BigradedPoly.zero(target)
+            keep.append((i, target.index(v.name)))
+    width = len(target)
+    out: dict[tuple[int, ...], Coefficient] = {}
     # cache powers per variable to keep repeated exponents cheap
-    powers: list[dict[int, BigradedPoly]] = [dict() for _ in images]
+    powers: list[dict[int, dict]] = [dict() for _ in images]
     for e, c in p.terms.items():
-        term = BigradedPoly.constant(target, c)
-        for i, k in enumerate(e):
+        base = [0] * width
+        for i, j in keep:
+            base[j] = e[i]
+        partial = {tuple(base): c}
+        for (i, img), cache in zip(images, powers):
+            k = e[i]
             if not k:
                 continue
-            cache = powers[i]
             if k not in cache:
-                cache[k] = images[i] ** k
-            term = term * cache[k]
-        out = out + term
-    return out
+                cache[k] = (img ** k).terms
+            partial2: dict[tuple[int, ...], Coefficient] = {}
+            for e1, c1 in partial.items():
+                for e2, c2 in cache[k].items():
+                    key = tuple(map(add, e1, e2))
+                    partial2[key] = partial2.get(key, 0) + c1 * c2
+            partial = partial2
+        for key, v in partial.items():
+            out[key] = out.get(key, 0) + v
+    return BigradedPoly(target, out)
 
 
 def _sym_values(generators: Sequence[BigradedPoly], k: int) -> BigradedPoly:

@@ -30,6 +30,25 @@ exactly the slack the second-stage subquotient construction absorbs.  A
 zig-zag through a pivot adds the jumps of its two ends, so an entry of jump
 two or more only ever produces more of them; they are never created.
 
+The expansion is built on the cube's vertices with their own marks
+excluded (ChainComplexOfMF.excluded): beyond the marks the whole cube
+drops through its state-independent rows, each vertex drops one more
+through each of its oriented resolutions' rows x1 - y2 that still has a
+mark to drop.  A generator's basis elements are its monomials in its own
+vertex's marks.  A vertex differential term multiplies by a monomial.  A chi
+term is an entry of chi' = pi_t chi iota_s, a polynomial over the target
+vertex's ring, and it sends (g, m) to sub_t(m) chi'(g), where sub_t writes
+each mark of the source ring in the target's ring (the ones the target
+excluded become their linear images); several monomials of one product can
+meet one target, and their contributions are summed.  pi and iota are
+homotopy equivalences of each vertex, so stage one and the map it induces
+are those of the raw cube up to isomorphism.  d_chi'^2 = pi chi (iota pi -
+1) chi iota is not zero, but iota pi - 1 = d h + h d makes it a vertex
+differential's boundary there: the jump-one component squares to zero up
+to boundaries of the jump-zero component, the slack the second stage
+already absorbs.  Every entry still keeps or raises the x-degree, so
+truncating above the top is still a quotient complex.
+
 The expansion grows with the window instead of being rebuilt.  An entry
 of homological jump j raises the x-degree by exactly (1 - j)(n + 1): a
 factorization term by n + 1, a chi term by 0, and a zig-zag by the sum of
@@ -448,8 +467,8 @@ class _Reduced:
     d1: dict  # (eps, i, k) -> {(row, col): Mono} into (eps, i+1, k)
 
 
-# The expansion takes about 2.6 KB per basis vector (1 1 1 1 1 at width 6:
-# 186,510 vectors, 459 MB), so the cap stays near 650 MB.
+# The expansion takes about 1.4 KB per basis vector (1 1 1 1 1 at width 14:
+# 192,354 vectors, 270 MB peak), so the cap stays near 350 MB.
 MAX_EXPANSION = 250_000
 _RESERVE = 1 << 24  # bytes of address space held back for unwinding from a MemoryError
 
@@ -600,11 +619,11 @@ class _Expansion:
         # transported chi terms by source gen: (target gen, images id,
         # a-exponent, [(coefficient, mark exponents)]); homogeneity gives
         # each entry one a-exponent.  images[id] holds the linear image of
-        # each mark of the source vertex in the target's ring, None where
-        # the two rings share their marks in order.
+        # each mark of the source vertex in the target's ring and the target
+        # ring's monomial 1, or None where the two rings share their marks in
+        # order.
         self.chi: dict[int, list[tuple[int, int, int, list]]] = {}
-        self.images: list[list | None] = []
-        self.image_units: list[tuple[int, ...]] = []  # the target ring's monomial 1
+        self.images: list[tuple[list, tuple[int, ...]] | None] = []
         image_ids: dict[tuple, int] = {}
         for (i, tis, sis), mats in excluded.blocks.items():
             src, tgt = excluded.vertices[i][sis], excluded.vertices[i + 1][tis]
@@ -613,11 +632,11 @@ class _Expansion:
             if img is None:
                 img = image_ids[(names, i, tis)] = len(self.images)
                 forms = _linear_images(names, tgt)
-                same = len(names) == len(_mark_positions(tgt.mf.table)) and all(
+                unit = (0,) * len(_mark_positions(tgt.mf.table))
+                same = len(names) == len(unit) and all(
                     form == [(k, 1)] for k, form in enumerate(forms)
                 )
-                self.images.append(None if same else forms)
-                self.image_units.append((0,) * len(_mark_positions(tgt.mf.table)))
+                self.images.append(None if same else (forms, unit))
             for par in (0, 1):
                 for (ti, si), poly in mats[par].items():
                     gs, gt = first[(i, sis, par)] + si, first[(i + 1, tis, par)] + ti
@@ -690,8 +709,8 @@ class _ClassExpansion:
         self.alive: list[bool] = []
         # per images id, the image of each mark monomial met so far
         self.image_cache: list[dict[tuple[int, ...], list]] = [
-            {} if forms is None else {(0,) * len(forms): [(knot.image_units[img], 1)]}
-            for img, forms in enumerate(knot.images)
+            {} if images is None else {(0,) * len(images[0]): [(images[1], 1)]}
+            for images in knot.images
         ]
         self.final = knot.x_min - 1
         self.stage1: dict = {}
@@ -728,12 +747,13 @@ class _ClassExpansion:
         """The image of the mark monomial m of a source vertex in a target
         vertex's ring, as (monomial, coefficient) pairs: the product of its
         marks' linear images, built from the image of m less one mark."""
-        forms = self.knot.images[img]
-        if forms is None:
+        images = self.knot.images[img]
+        if images is None:
             return [(m, 1)]
         cache = self.image_cache[img]
         got = cache.get(m)
         if got is None:
+            forms = images[0]
             j = next(j for j, e in enumerate(m) if e)
             acc: dict[tuple[int, ...], object] = {}
             for mono, c in self._image(img, m[:j] + (m[j] - 1,) + m[j + 1:]):
