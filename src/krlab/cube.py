@@ -42,6 +42,7 @@ from .mf import (
     Matrix,
     MatrixFactorization,
     Reduction,
+    _vec_add,
     compose,
     exclude_all,
     exclusion_reduction,
@@ -413,15 +414,8 @@ def _apply_even(mats: MatPair, vec: ChainVector, flip: int) -> ChainVector:
     out: ChainVector = {}
     for (kpar, idx), coeff in vec.items():
         for (ti, si), p in mats[(kpar + flip) % 2].items():
-            if si != idx:
-                continue
-            key = (kpar, ti)
-            cur = out.get(key)
-            s = p * coeff if cur is None else cur + p * coeff
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            if si == idx:
+                _vec_add(out, (kpar, ti), p * coeff)
     return out
 
 

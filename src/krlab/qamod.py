@@ -467,8 +467,9 @@ class _Reduced:
     d1: dict  # (eps, i, k) -> {(row, col): Mono} into (eps, i+1, k)
 
 
-# The expansion takes about 1.4 KB per basis vector (1 1 1 1 1 at width 14:
-# 192,354 vectors, 270 MB peak), so the cap stays near 350 MB.
+# The expansion takes about 2.9 KB per basis vector held (both on
+# 1 1 1 2 -1 2 at n = 1 holds both classes of width 10 at once: 230,916
+# vectors, 670 MB peak), so the cap stays near 730 MB.
 MAX_EXPANSION = 250_000
 _RESERVE = 1 << 24  # bytes of address space held back for unwinding from a MemoryError
 

@@ -25,6 +25,7 @@ from krlab.poly import (
     VariableTable,
     substitute,
 )
+from test_mf import apply_differential, basis_vectors
 
 
 def marks_table(*names: str) -> VariableTable:
@@ -370,28 +371,10 @@ def reduced_words(strands: int, max_length: int) -> list[str]:
 SHORT_CUBES = [(w, s, n) for s in (2, 3) for w in reduced_words(s, 3) for n in (1, 2)]
 
 
-def apply_differential(M: MatrixFactorization, vec: ChainVector) -> ChainVector:
-    """d0 + d1 on a vector over M's bases."""
-    out: ChainVector = {}
-    for (par, idx), coeff in vec.items():
-        for (ti, si), p in M.differential(par).items():
-            if si == idx:
-                key = ((par + 1) % 2, ti)
-                out[key] = out[key] + p * coeff if key in out else p * coeff
-    return {key: p for key, p in out.items() if not p.is_zero()}
-
-
 def chain(maps, vec: ChainVector) -> ChainVector:
     for fn in maps:
         vec = fn(vec)
     return vec
-
-
-def basis_vectors(M: MatrixFactorization):
-    one = BigradedPoly.one(M.table)
-    for par in (0, 1):
-        for idx in range(len(M.basis(par))):
-            yield {(par, idx): one}
 
 
 def over_target(src: ExcludedVertex, tgt: ExcludedVertex) -> MatrixFactorization:

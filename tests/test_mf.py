@@ -22,6 +22,7 @@ from krlab.mf import (
     compose,
     exclude_all,
     exclude_variable,
+    exclusion_reduction,
     find_exclusion,
     gdim,
     kernel,
@@ -55,6 +56,24 @@ def circle_spec(n: int) -> KoszulSpec:
     table = marks_table("x")
     a, x = var(table, "a"), var(table, "x")
     return KoszulSpec(table, n, ((Fraction(n + 1) * a * x**n, BigradedPoly.zero(table)),))
+
+
+def apply_differential(M: MatrixFactorization, vec: dict) -> dict:
+    """d0 + d1 on a vector {(parity, index): coefficient} over M's bases."""
+    out: dict = {}
+    for (par, idx), coeff in vec.items():
+        for (ti, si), p in M.differential(par).items():
+            if si == idx:
+                key = ((par + 1) % 2, ti)
+                out[key] = out[key] + p * coeff if key in out else p * coeff
+    return {key: p for key, p in out.items() if not p.is_zero()}
+
+
+def basis_vectors(M: MatrixFactorization):
+    one = BigradedPoly.one(M.table)
+    for par in (0, 1):
+        for idx in range(len(M.basis(par))):
+            yield {(par, idx): one}
 
 
 def mf_equal(M: MatrixFactorization, M2: MatrixFactorization) -> bool:
@@ -291,6 +310,35 @@ class TestExclusion:
         by_hand = exclude_variable(by_hand, *find_exclusion(by_hand, ["y", "z"])).spec_after
         assert by_hand == after
         assert exclude_all(after, ["y", "z"]) == (after, [])
+
+    def test_exclusion_maps_with_a_potential_free_of_the_variable(self):
+        # a nonzero potential is fine when the excluded variable is not in it;
+        # the excluded row sits between two others
+        n = 1
+        table = marks_table("x", "y", "z", "t")
+        a, x, y, z, t = (var(table, nm) for nm in "axyzt")
+        spec = KoszulSpec(
+            table, n,
+            ((a * (x + y), x - y), (a * (y + z), y - z), (2 * a * t, BigradedPoly.zero(table))),
+        )
+        step = exclude_variable(spec, 1, "y")
+        red = exclusion_reduction(step)
+        big, small = koszul(spec), koszul(step.spec_after)
+        xs, zs = var(small.table, "x"), var(small.table, "z")
+        assert small.potential == var(small.table, "a") * (xs * xs - zs * zs)
+        for v in basis_vectors(small):
+            assert red.pi(red.iota(v)) == v
+            assert apply_differential(big, red.iota(v)) == red.iota(apply_differential(small, v))
+        for v in basis_vectors(big):
+            assert red.pi(apply_differential(big, v)) == apply_differential(small, red.pi(v))
+
+    def test_exclusion_maps_refuse_a_potential_in_the_variable(self):
+        n = 1
+        table = marks_table("x", "y")
+        a, x, y = (var(table, nm) for nm in "axy")
+        spec = KoszulSpec(table, n, ((a * (x + y), x - y), (a * (x + y), y - 2 * x)))
+        with pytest.raises(ValueError, match="potential involves excluded variable y"):
+            exclusion_reduction(exclude_variable(spec, 1, "y"))
 
 
 class TestKernel:

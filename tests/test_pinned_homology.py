@@ -16,16 +16,9 @@ import pytest
 from click.testing import CliRunner
 
 from krlab import cli
+from test_cube import reduced_words
 
 PINS = Path(__file__).resolve().parent / "pins" / "homology_short_words.json"
-
-
-def short_words() -> list[str]:
-    """The 17 freely reduced words of length <= 2 on 3 strands."""
-    letters = (1, -1, 2, -2)
-    words = [[]] + [[a] for a in letters]
-    words += [[a, b] for a in letters for b in letters if a != -b]
-    return [" ".join(map(str, w)) for w in words]
 
 
 def digest(word: str, n: int) -> str:
@@ -35,7 +28,8 @@ def digest(word: str, n: int) -> str:
     return hashlib.sha256(res.stdout.encode()).hexdigest()
 
 
-CASES = [(word, n) for n in (1, 2) for word in short_words()]
+# the 17 freely reduced words of length <= 2 on 3 strands
+CASES = [(word, n) for n in (1, 2) for word in reduced_words(3, 2)]
 
 
 @pytest.mark.parametrize("word,n", CASES, ids=[f"[{w}]-n{n}" for w, n in CASES])

@@ -33,6 +33,7 @@ from krlab.qamod import (
     two_stage_homology,
 )
 from krlab.skein import SkeinValue, evaluate, unlink_value
+from test_cube import reduced_words
 
 
 def homology(text, strands, n, window=None, **kw):
@@ -592,14 +593,6 @@ class TestAOne:
         assert all(eps == 1 and i == 0 for eps, i, _ in dims)
 
 
-def short_words() -> list[str]:
-    """The 17 freely reduced words of length <= 2 on 3 strands."""
-    letters = (1, -1, 2, -2)
-    words = [[]] + [[a] for a in letters]
-    words += [[a, b] for a in letters for b in letters if a != -b]
-    return [" ".join(map(str, w)) for w in words]
-
-
 def induced_squares(text: str, n: int, monkeypatch) -> list[bool]:
     """Run two_stage_homology at width 10 on a 3-strand word, checking that
     each phi(i + 1) phi(i) lands in the image of the first stage, where
@@ -627,7 +620,7 @@ def induced_squares(text: str, n: int, monkeypatch) -> list[bool]:
 class TestTransportedSquare:
     # d_chi'^2 = pi chi (iota pi - 1) chi iota is a vertex boundary, not zero
     @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("text", short_words())
+    @pytest.mark.parametrize("text", reduced_words(3, 2))
     def test_the_induced_map_squares_into_the_stage_one_image(self, text, n, monkeypatch):
         composites = induced_squares(text, n, monkeypatch)
         if len(parse(text, 3).letters) == 2:
