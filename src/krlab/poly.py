@@ -390,12 +390,12 @@ def substitute(
                 continue
             if k not in cache:
                 cache[k] = (img ** k).terms
-            partial2: dict[tuple[int, ...], Coefficient] = {}
+            product: dict[tuple[int, ...], Coefficient] = {}
             for e1, c1 in partial.items():
                 for e2, c2 in cache[k].items():
                     key = tuple(map(add, e1, e2))
-                    partial2[key] = partial2.get(key, 0) + c1 * c2
-            partial = partial2
+                    product[key] = product.get(key, 0) + c1 * c2
+            partial = product
         for key, v in partial.items():
             out[key] = out.get(key, 0) + v
     return BigradedPoly(target, out)
