@@ -34,6 +34,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .braid import BraidWord
 from .mf import (
@@ -279,8 +280,7 @@ class Summand:
     shift: tuple[int, int, int]
 
 
-@dataclass
-class ExcludedVertex:
+class ExcludedVertex(NamedTuple):
     """A cube vertex with its own marks excluded.
 
     mf is the Koszul factorization of the excluded spec, shifted as the raw
@@ -293,8 +293,7 @@ class ExcludedVertex:
     reductions: list[Reduction]
 
 
-@dataclass
-class ExcludedCube:
+class ExcludedCube(NamedTuple):
     """The vertices of a cube with their own marks excluded, in the layout of
     its summands, and the blocks of d_chi carried over to them: the block of
     (i, t, s) is pi_t chi iota_s, over the target vertex's ring."""
