@@ -1,15 +1,19 @@
-"""Homology output pinned byte for byte on the short 3-strand words.
+"""Output pinned byte for byte on the short 3-strand words.
 
 The sha256 of each `homology --strands 3 --xwindow 10 --format json` stdout
-is committed in pins/homology_short_words.json; regenerate it with
+is committed in pins/homology_short_words.json, and that of each
+`both --strands 3 --format json` stdout, whose window search grows one
+expansion, in pins/both_short_words.json; regenerate one with
 
-    PYTHONPATH=src python tests/test_pinned_homology.py > tests/pins/homology_short_words.json
+    PYTHONPATH=src python tests/test_pinned_homology.py homology > tests/pins/homology_short_words.json
+    PYTHONPATH=src python tests/test_pinned_homology.py both > tests/pins/both_short_words.json
 
 only when a change to the answers is intended.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,24 +22,36 @@ from click.testing import CliRunner
 from krlab import cli
 from test_cube import reduced_words
 
-PINS = Path(__file__).resolve().parent / "pins" / "homology_short_words.json"
+PINS = Path(__file__).resolve().parent / "pins"
+# the options of each pinned command beyond the word, the strands and n
+OPTIONS = {"homology": ["--xwindow", "10"], "both": []}
 
 
-def digest(word: str, n: int) -> str:
-    res = CliRunner().invoke(cli.main, ["homology", "--braid", word, "--strands", "3",
-                                        "--n", str(n), "--xwindow", "10", "--format", "json"])
+def digest(command: str, word: str, n: int) -> str:
+    res = CliRunner().invoke(cli.main, [command, "--braid", word, "--strands", "3",
+                                        "--n", str(n), *OPTIONS[command], "--format", "json"])
     assert res.exit_code == 0, res.output
     return hashlib.sha256(res.stdout.encode()).hexdigest()
 
 
+def pinned(command: str, word: str, n: int) -> str:
+    return json.loads((PINS / f"{command}_short_words.json").read_text())[f"[{word}] n={n}"]
+
+
 # the 17 freely reduced words of length <= 2 on 3 strands
 CASES = [(word, n) for n in (1, 2) for word in reduced_words(3, 2)]
+IDS = [f"[{w}]-n{n}" for w, n in CASES]
 
 
-@pytest.mark.parametrize("word,n", CASES, ids=[f"[{w}]-n{n}" for w, n in CASES])
+@pytest.mark.parametrize("word,n", CASES, ids=IDS)
 def test_homology_output_is_pinned(word, n):
-    assert digest(word, n) == json.loads(PINS.read_text())[f"[{word}] n={n}"]
+    assert digest("homology", word, n) == pinned("homology", word, n)
+
+
+@pytest.mark.parametrize("word,n", CASES, ids=IDS)
+def test_both_output_is_pinned(word, n):
+    assert digest("both", word, n) == pinned("both", word, n)
 
 
 if __name__ == "__main__":
-    print(json.dumps({f"[{w}] n={n}": digest(w, n) for w, n in CASES}, indent=1))
+    print(json.dumps({f"[{w}] n={n}": digest(sys.argv[1], w, n) for w, n in CASES}, indent=1))
