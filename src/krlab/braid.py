@@ -200,10 +200,6 @@ def canonical_with_moves(w: BraidWord) -> tuple[BraidWord, list[Move]]:
     return BraidWord(w.strands, tuple(letters)), log
 
 
-def canonical(w: BraidWord) -> BraidWord:
-    return canonical_with_moves(w)[0]
-
-
 def _order_key(w: BraidWord) -> tuple:
     return (w.strands, len(w.letters), w.letters)
 

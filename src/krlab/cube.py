@@ -25,7 +25,8 @@ with one variable per arc, the tensor cube is assembled with sign
 through the state-independent rows so that the same substitution applies in
 every cube vertex.  ChainComplexOfMF.excluded then excludes each vertex's
 own marks, through its oriented resolutions' rows as well, and carries chi
-over to the smaller factorizations as pi_tgt chi iota_src.
+over to the smaller factorizations as pi_tgt chi iota_src.  Both compose an
+exclusion chain's substitution with mf.exclusion_substitution.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .mf import (
     compose,
     exclude_all,
     exclusion_reduction,
+    exclusion_substitution,
     find_constant_entry,
     koszul,
     koszul_masks,
@@ -285,7 +287,8 @@ class ExcludedVertex(NamedTuple):
 
     mf is the Koszul factorization of the excluded spec, shifted as the raw
     vertex is; sub sends each excluded mark to its image over mf.table, the
-    composite of the steps; reductions hold the steps' chain maps in order.
+    composite of the steps (mf.exclusion_substitution); reductions hold the
+    steps' chain maps in order.
     """
 
     mf: MatrixFactorization
@@ -382,22 +385,19 @@ class ChainComplexOfMF:
         homotopy equivalences of each vertex, so the transported d_chi'
         induces the same map on the homology of the vertex differential;
         d_chi'^2 = pi chi (iota pi - 1) chi iota is not zero, but it is a
-        vertex differential's boundary there.
+        vertex differential's boundary there.  mf.exclusion_substitution
+        composes each vertex's chain of exclusions into one substitution.
         """
         marks = [v.name for v in self.table.variables if v.kind == KIND_MARK]
         vertices: dict[int, list[ExcludedVertex]] = {}
         for i, parts in self.summands.items():
             for part in parts:
                 spec, steps = exclude_all(part.spec, marks)
-                sub: dict[str, BigradedPoly] = {}
-                for step in steps:
-                    one = {step.var: step.image}
-                    table = step.spec_after.table
-                    sub = {var: substitute(img, one, table) for var, img in sub.items()}
-                    sub[step.var] = step.image
                 mf = koszul(spec).shifted(*part.shift)
                 reductions = [exclusion_reduction(step) for step in steps]
-                vertices.setdefault(i, []).append(ExcludedVertex(mf, sub, reductions))
+                vertices.setdefault(i, []).append(
+                    ExcludedVertex(mf, exclusion_substitution(steps), reductions)
+                )
         blocks = {
             (i, ti, si): _transport_block(
                 mats, vertices[i][si], vertices[i + 1][ti], self.summands[i][si].shift[2]
@@ -514,15 +514,10 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
     # so the same substitution applies in all 2^c vertices
     mark_names = [v.name for v in table.variables if v.kind == KIND_MARK]
     shared_spec, steps = exclude_all(KoszulSpec(table, n, tuple(shared)), mark_names)
-    for step in steps:
-        table = step.spec_after.table
-        sub = {step.var: step.image}
-        for cr in crossings:
-            cr["g"] = [
-                (substitute(l, sub, table), substitute(r, sub, table))
-                for l, r in cr["g"]
-            ]
-            cr["s"] = substitute(cr["s"], sub, table)
+    table, sub = shared_spec.table, exclusion_substitution(steps)
+    for cr in crossings:
+        cr["g"] = [(substitute(l, sub, table), substitute(r, sub, table)) for l, r in cr["g"]]
+        cr["s"] = substitute(cr["s"], sub, table)
     shared = list(shared_spec.rows)
 
     writhe = sum(sign for _, sign in word.letters)

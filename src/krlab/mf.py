@@ -12,7 +12,8 @@ tensor differential.  The module also provides the one simplification the
 pipelines use (exclusion of a variable through a unit-linear row), the exact
 kernel of a sparse rational matrix, and the graded dimension of the killed
 complex.  An exclusion comes with its chain maps (exclusion_reduction), which
-carry maps between factorizations over to the smaller ring.
+carry maps between factorizations over to the smaller ring, and a chain of
+exclusions with its composite substitution (exclusion_substitution).
 """
 
 from __future__ import annotations
@@ -190,6 +191,18 @@ def exclude_all(
         steps.append(exclude_variable(spec, *found))
         spec = steps[-1].spec_after
     return spec, steps
+
+
+def exclusion_substitution(steps: Sequence[ExclusionStep]) -> dict[str, BigradedPoly]:
+    """The composite substitution of a chain of exclusions: each excluded
+    variable's image over the ring of the last step."""
+    sub: dict[str, BigradedPoly] = {}
+    for step in steps:
+        one = {step.var: step.image}
+        table = step.spec_after.table
+        sub = {var: substitute(img, one, table) for var, img in sub.items()}
+        sub[step.var] = step.image
+    return sub
 
 
 class Reduction(NamedTuple):
@@ -551,9 +564,6 @@ class GdimSeries:
         a = {k: v for k, v in self.terms.items() if k[2] <= bound}
         b = {k: v for k, v in other.terms.items() if k[2] <= bound}
         return a == b
-
-    def total_dimension(self) -> int:
-        return sum(self.terms.values())
 
     def pretty(self) -> str:
         if not self.terms:

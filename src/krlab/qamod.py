@@ -35,23 +35,26 @@ excluded (ChainComplexOfMF.excluded): beyond the marks the whole cube
 drops through its state-independent rows, each vertex drops one more
 through each of its oriented resolutions' rows x1 - y2 that still has a
 mark to drop.  A generator's basis elements are its monomials in its own
-vertex's marks.  A vertex differential term multiplies by a monomial.  A chi
-term is an entry of chi' = pi_t chi iota_s, a polynomial over the target
-vertex's ring, and it sends (g, m) to sub_t(m) chi'(g), where sub_t writes
-each mark of the source ring in the target's ring (the ones the target
-excluded become their linear images); several monomials of one product can
-meet one target, and their contributions are summed.  pi and iota are
-homotopy equivalences of each vertex, so stage one and the map it induces
-are those of the raw cube up to isomorphism.  d_chi'^2 = pi chi (iota pi -
-1) chi iota is not zero, but iota pi - 1 = d h + h d makes it a vertex
-differential's boundary there: the jump-one component squares to zero up
-to boundaries of the jump-zero component, the slack the second stage
-already absorbs.  Every entry still keeps or raises the x-degree, so
-truncating above the top is still a quotient complex.
+vertex's marks.  Every entry of the expansion has one form: a polynomial
+e from a source generator g to a target generator, over the target
+vertex's ring and of one a-exponent, which sends (g, m) to sub_t(m) e,
+where sub_t writes each mark of the source ring in the target's ring (the
+ones the target excluded become their linear images); several monomials
+of one product can meet one target, and their contributions are summed.
+An entry of a vertex differential keeps its ring, so sub_t is the
+identity and it multiplies by monomials; an entry of chi' = pi_t chi
+iota_s crosses to the next vertex.  pi and iota are homotopy equivalences
+of each vertex, so stage one and the map it induces are those of the raw
+cube up to isomorphism.  d_chi'^2 = pi chi (iota pi - 1) chi iota is not
+zero, but iota pi - 1 = d h + h d makes it a vertex differential's
+boundary there: the jump-one component squares to zero up to boundaries
+of the jump-zero component, the slack the second stage already absorbs.
+Every entry still keeps or raises the x-degree, so truncating above the
+top is still a quotient complex.
 
 The expansion grows with the window instead of being rebuilt.  An entry
 of homological jump j raises the x-degree by exactly (1 - j)(n + 1): a
-factorization term by n + 1, a chi term by 0, and a zig-zag by the sum of
+vertex entry by n + 1, a chi' entry by 0, and a zig-zag by the sum of
 its ends less its pivot.  Raising the top from T to T' adds the basis
 elements above T and the entries into them; nothing new enters at or below
 T.  Gaussian elimination only corrects rows into its target, so an
@@ -69,10 +72,10 @@ such elements and entries, so they are final too and are kept.
 
 The expanded complex is a direct sum of subcomplexes, one for each class
 (k mod (n + 1), (eps + k div (n + 1)) mod 2) of the slices (eps, i, k), and
-each class is expanded and reduced on its own.  A factorization term raises
-k by n + 1 and flips eps, which keeps both parts of the class; a chi term
-keeps eps and k.  So every stage stays within one class: the raw terms (the
-x-slope check forces this), the zig-zags, which compose entries, d0 into
+each class is expanded and reduced on its own.  A vertex entry raises k by
+n + 1 and flips eps, which keeps both parts of the class; a chi' entry
+keeps eps and k.  So every stage stays within one class: the raw entries
+(the x-slope check forces this), the zig-zags, which compose entries, d0 into
 (eps + 1, i, k + n + 1), d1 into (eps, i + 1, k), stage one's incoming image
 from (eps + 1, i, k - n - 1), and phi and stage two, which read
 (eps, i +- 1, k).  The elements of one generator at mark degree d lie in one
@@ -207,9 +210,6 @@ class SmithResult:
     row_t_inv: MonoMat
     col_t: MonoMat
     _ker_pos: dict | None = None
-
-    def diagonal(self) -> list[int]:
-        return [e for _, _, e in self.pivots]
 
     def _kernel_positions(self) -> dict[int, int]:
         if self._ker_pos is None:
@@ -488,14 +488,15 @@ def _mark_positions(table) -> list[int]:
 
 
 def _vertex_generators(C: ChainComplexOfMF):
-    """(eps, i, a-degree, x-degree, marks) of every generator of the excluded
-    vertices of C, in expansion order, with its vertex's mark count."""
+    """(i, vertex index, eps, a-degree, x-degree, marks) of every generator of
+    the excluded vertices of C, in expansion order, with its vertex's mark
+    count."""
     for i, vertices in C.excluded.vertices.items():
-        for vertex in vertices:
+        for v, vertex in enumerate(vertices):
             marks = len(_mark_positions(vertex.mf.table))
             for par in (0, 1):
                 for ga, gx in vertex.mf.basis(par):
-                    yield par, i, ga, gx, marks
+                    yield i, v, par, ga, gx, marks
 
 
 def _class_of(n: int, eps: int, k: int) -> tuple[int, int]:
@@ -525,7 +526,7 @@ def expansion_size(C: ChainComplexOfMF, top: int, cls: tuple[int, int] | None = 
     n = C.n
     return sum(
         comb(d + marks - 1, d) if marks else int(d == 0)
-        for eps, _, _, gx, marks in _vertex_generators(C)
+        for _, _, eps, _, gx, marks in _vertex_generators(C)
         for c, start in _class_starts(n, eps, gx).items()
         if c == cls
         for d in range(start, (top - gx) // 2 + 1, n + 1)
@@ -559,12 +560,17 @@ class _Expansion:
 
     It is built on the excluded vertices of C (C.excluded): the elements of
     a generator are its monomials in its own vertex's marks.  It holds what
-    the classes share: the generators, the vertex differential terms, the
-    transported chi terms with the linear images of the source vertex's
-    marks in the target's ring, the mark monomials and the reserve of
-    address space that lets a MemoryError unwind.  part(cls) creates a
-    class on first use and keeps it; two_stage_homology without an expansion
-    builds each class afresh instead and frees it before the next.
+    the classes share: the generators, the entries, the linear images of
+    one vertex's marks in another's ring, the mark monomials and the reserve
+    of address space that lets a MemoryError unwind.  entries[gs] lists the
+    entries out of generator gs, vertex differential and transported chi'
+    alike, as (target, images id, a-exponent, [(coefficient, mark
+    exponents)], x-jump); images[id] holds the linear image of each mark of
+    the source vertex in the target's ring and the target ring's monomial 1,
+    and the id is None where the two rings share their marks in order, as a
+    vertex differential's always do.  part(cls) creates a class on first use
+    and keeps it; two_stage_homology without an expansion builds each class
+    afresh instead and frees it before the next.
     """
 
     def __init__(self, C: ChainComplexOfMF, kill_a: bool = False) -> None:
@@ -579,76 +585,61 @@ class _Expansion:
         self.gens: list[tuple[int, int, int, int]] = []
         self.marks: list[int] = []
         first: dict[tuple[int, int, int], int] = {}
-        for i, vertices in excluded.vertices.items():
-            for sidx, vertex in enumerate(vertices):
-                marks = len(_mark_positions(vertex.mf.table))
-                for par in (0, 1):
-                    first[(i, sidx, par)] = len(self.gens)
-                    for ga, gx in vertex.mf.basis(par):
-                        self.gens.append((par, i, ga, gx))
-                        self.marks.append(marks)
+        for i, v, par, ga, gx, marks in _vertex_generators(C):
+            first.setdefault((i, v, par), len(self.gens))
+            self.gens.append((par, i, ga, gx))
+            self.marks.append(marks)
         self.x_min = min((gx for *_, gx in _generators(C)), default=0)
         self.starts = [_class_starts(n, eps, gx) for eps, _, _, gx in self.gens]
         self.classes = sorted({cls for starts in self.starts for cls in starts})
+        self.entries: list[list[tuple[int, int | None, int, list, int]]] = [
+            [] for _ in self.gens
+        ]
+        self.images: list[tuple[list, tuple[int, ...]]] = []
 
-        def split(poly, gs: int, gt: int, jump: int) -> list[tuple[object, int, tuple[int, ...]]]:
-            """The terms of an entry from gs to gt as (coefficient, a-exponent,
-            mark exponents), each checked to raise the x-degree by jump."""
+        def enter(poly, gs: int, gt: int, img: int | None, jump: int) -> None:
+            """Enter poly from gs to gt, each term checked to raise the x-degree
+            by jump; homogeneity gives the entry one a-exponent."""
             table = poly.table
             a_pos, mark_pos = table.index("a"), _mark_positions(table)
-            out = []
+            exps, terms = set(), []
             for e, coeff in poly.terms.items():
                 ae = e[a_pos]
                 if kill_a and ae:
                     continue
                 mt = tuple(e[p] for p in mark_pos)
                 if self.gens[gt][3] + 2 * sum(mt) - self.gens[gs][3] != jump:
-                    raise InvariantError("differential term off the x-slope")
-                out.append((coeff, ae, mt))
-            return out
+                    raise InvariantError("expansion entry off the x-slope")
+                exps.add(ae)
+                terms.append((coeff, mt))
+            if len(exps) > 1:
+                raise InvariantError("inhomogeneous expansion entry")
+            if terms:
+                self.entries[gs].append((gt, img, exps.pop(), terms, jump))
 
-        # vertex differential terms: (source gen, target gen, coefficient,
-        # a-exponent, mark exponents, x-jump)
-        self.terms: list[tuple[int, int, object, int, tuple[int, ...], int]] = []
         for i, vertices in excluded.vertices.items():
-            for sidx, vertex in enumerate(vertices):
+            for v, vertex in enumerate(vertices):
                 for par in (0, 1):
+                    src, tgt = first[(i, v, par)], first[(i, v, 1 - par)]
                     for (ti, si), poly in vertex.mf.differential(par).items():
-                        gs, gt = first[(i, sidx, par)] + si, first[(i, sidx, 1 - par)] + ti
-                        for coeff, ae, mt in split(poly, gs, gt, n + 1):
-                            self.terms.append((gs, gt, coeff, ae, mt, n + 1))
-        # transported chi terms by source gen: (target gen, images id,
-        # a-exponent, [(coefficient, mark exponents)]); homogeneity gives
-        # each entry one a-exponent.  images[id] holds the linear image of
-        # each mark of the source vertex in the target's ring and the target
-        # ring's monomial 1, or None where the two rings share their marks in
-        # order.
-        self.chi: dict[int, list[tuple[int, int, int, list]]] = {}
-        self.images: list[tuple[list, tuple[int, ...]] | None] = []
-        image_ids: dict[tuple, int] = {}
+                        enter(poly, src + si, tgt + ti, None, n + 1)
+        image_ids: dict[tuple, int | None] = {}
         for (i, tis, sis), mats in excluded.blocks.items():
             src, tgt = excluded.vertices[i][sis], excluded.vertices[i + 1][tis]
             names = tuple(src.mf.table.variables[p].name for p in _mark_positions(src.mf.table))
-            img = image_ids.get((names, i, tis))
-            if img is None:
-                img = image_ids[(names, i, tis)] = len(self.images)
+            key = (names, i, tis)
+            if key not in image_ids:
                 forms = _linear_images(names, tgt)
                 unit = (0,) * len(_mark_positions(tgt.mf.table))
-                same = len(names) == len(unit) and all(
-                    form == [(k, 1)] for k, form in enumerate(forms)
-                )
-                self.images.append(None if same else (forms, unit))
+                if len(names) == len(unit) and forms == [[(k, 1)] for k in range(len(unit))]:
+                    image_ids[key] = None
+                else:
+                    image_ids[key] = len(self.images)
+                    self.images.append((forms, unit))
+            img = image_ids[key]
             for par in (0, 1):
                 for (ti, si), poly in mats[par].items():
-                    gs, gt = first[(i, sis, par)] + si, first[(i + 1, tis, par)] + ti
-                    terms = split(poly, gs, gt, 0)
-                    if not terms:
-                        continue
-                    if len({ae for _, ae, _ in terms}) > 1:
-                        raise InvariantError("inhomogeneous transported chi entry")
-                    self.chi.setdefault(gs, []).append(
-                        (gt, img, terms[0][1], [(coeff, mt) for coeff, _, mt in terms])
-                    )
+                    enter(poly, first[(i, sis, par)] + si, first[(i + 1, tis, par)] + ti, img, 0)
         self.parts: dict[tuple[int, int], _ClassExpansion] = {}
         self._monos: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         self.admitted: int | None = None  # the widest top found under the cap
@@ -707,11 +698,9 @@ class _ClassExpansion:
         self.info_ja: list[int] = []
         self.out: list[dict[int, Mono] | None] = []  # None once eliminated
         self.rows: list[set[int] | None] = []
-        self.alive: list[bool] = []
         # per images id, the image of each mark monomial met so far
         self.image_cache: list[dict[tuple[int, ...], list]] = [
-            {} if images is None else {(0,) * len(images[0]): [(images[1], 1)]}
-            for images in knot.images
+            {(0,) * len(forms): [(unit, 1)]} for forms, unit in knot.images
         ]
         self.final = knot.x_min - 1
         self.stage1: dict = {}
@@ -748,13 +737,10 @@ class _ClassExpansion:
         """The image of the mark monomial m of a source vertex in a target
         vertex's ring, as (monomial, coefficient) pairs: the product of its
         marks' linear images, built from the image of m less one mark."""
-        images = self.knot.images[img]
-        if images is None:
-            return [(m, 1)]
         cache = self.image_cache[img]
         got = cache.get(m)
         if got is None:
-            forms = images[0]
+            forms = self.knot.images[img][0]
             j = next(j for j, e in enumerate(m) if e)
             acc: dict[tuple[int, ...], object] = {}
             for mono, c in self._image(img, m[:j] + (m[j] - 1,) + m[j + 1:]):
@@ -769,7 +755,7 @@ class _ClassExpansion:
         step = knot.n + 1
         gens, monos, marks = knot.gens, knot.monos, knot.marks
         info_eps, info_i, info_k, info_ja = self.info_eps, self.info_i, self.info_k, self.info_ja
-        out, rows, alive, index, starts = self.out, self.rows, self.alive, self.index, self.starts
+        out, rows, index, starts = self.out, self.rows, self.index, self.starts
         first = len(info_i)
         for ids, start, nm, (eps, i, ga, gx) in zip(index, starts, marks, gens):
             if start is None:
@@ -787,61 +773,43 @@ class _ClassExpansion:
             raise InvariantError("expansion size differs from its closed form")
         out.extend({} for _ in range(size - first))
         rows.extend(set() for _ in range(size - first))
-        alive.extend([True] * (size - first))
 
         # entries into the new elements, from the sources in this class (their
-        # targets are in it too); an eliminated old source was a pivot target,
-        # whose outgoing entries the elimination dropped.  One source element
-        # meets one target through one mark monomial of one term, so a second
-        # entry there differs in its a-exponent.
+        # targets are in it too).  An entry of x-jump j reaches a new target
+        # from the sources above old - j, so only vertex entries reach new
+        # targets from old sources; an eliminated old source was a pivot
+        # target, whose outgoing entries the elimination dropped.  (g, m) goes
+        # to image(m) times the entry, the contributions that land on one
+        # target summed; one source element meets one target through one
+        # entry, so a second write there is a fault.
         units: list[tuple[int, int]] = []
-        for gs, gt, coeff, ae, mt, jump in knot.terms:
-            start = starts[gs]
+        for entries, start, nm, src, (_, i, _, gx) in zip(knot.entries, starts, marks, index, gens):
             if start is None:
                 continue
-            gx = gens[gs][3]
-            d_lo = 0 if old is None else max(0, (old - gx - jump) // 2 + 1)
-            src, tgt = index[gs], index[gt]
-            shifted = any(mt)
-            mono = (coeff, ae)
-            unit = not ae
-            for d in range(d_lo + (start - d_lo) % step, (top - gx - jump) // 2 + 1, step):
-                for m in monos(marks[gs], d):
-                    sid = src[m]
-                    if alive[sid]:
-                        tid = tgt[tuple(map(add, m, mt))] if shifted else tgt[m]
+            for gt, img, ae, terms, jump in entries:
+                tgt = index[gt]
+                unit = not ae and gens[gt][1] == i
+                d_lo = 0 if old is None else max(0, (old - gx - jump) // 2 + 1)
+                for d in range(d_lo + (start - d_lo) % step, (top - gx - jump) // 2 + 1, step):
+                    for m in monos(nm, d):
+                        sid = src[m]
                         row = out[sid]
-                        if tid in row:
-                            raise InvariantError("graded collision in reduction")
-                        row[tid] = mono
-                        rows[tid].add(sid)
-                        if unit:
-                            units.append((sid, tid))
-        # transported chi entries keep the x-degree, so only new sources have
-        # new targets: (g, m) goes to image(m) chi'(g), and the contributions
-        # that land on one target are summed
-        for gs, outs in knot.chi.items():
-            start = starts[gs]
-            if start is None:
-                continue
-            gx = gens[gs][3]
-            d_lo = 0 if old is None else max(0, (old - gx) // 2 + 1)
-            src = index[gs]
-            for d in range(d_lo + (start - d_lo) % step, (top - gx) // 2 + 1, step):
-                for m in monos(marks[gs], d):
-                    sid = src[m]
-                    row = out[sid]
-                    for gt, img, ae, terms in outs:
-                        tgt = index[gt]
+                        if row is None:
+                            continue
                         acc: dict[int, object] = {}
-                        for mw, cw in self._image(img, m):
+                        for mw, cw in [(m, 1)] if img is None else self._image(img, m):
                             for coeff, mt in terms:
                                 tid = tgt[tuple(map(add, mw, mt))]
                                 acc[tid] = acc.get(tid, 0) + cw * coeff
                         for tid, c in acc.items():
-                            if c:
-                                row[tid] = (c, ae)
-                                rows[tid].add(sid)
+                            if not c:
+                                continue
+                            if tid in row:
+                                raise InvariantError("graded collision in reduction")
+                            row[tid] = (c, ae)
+                            rows[tid].add(sid)
+                            if unit:
+                                units.append((sid, tid))
         # the unit entries, each with its Markowitz cost
         heap.extend(((len(out[s]) - 1) * (len(rows[t]) - 1), s, t) for s, t in units)
         heapq.heapify(heap)
@@ -849,7 +817,7 @@ class _ClassExpansion:
 
         while heap:
             cost, s0, t0 = heapq.heappop(heap)
-            if not alive[s0] or not alive[t0]:
+            if out[s0] is None or out[t0] is None:
                 continue
             mono = out[s0].get(t0)
             if mono is None or mono[1] != 0:
@@ -905,17 +873,16 @@ class _ClassExpansion:
                 out[u].pop(s0, None)
             # the pair leaves the complex, and its containers with it
             out[s0] = out[t0] = rows[s0] = rows[t0] = None
-            alive[s0] = alive[t0] = False
 
     def reduced(self) -> _Reduced:
         """The surviving slice bases above x = final, whose two-stage results
         are not kept yet, and the two components out of them."""
         n, final = self.knot.n, self.final
         info_eps, info_i, info_k, info_ja = self.info_eps, self.info_i, self.info_k, self.info_ja
-        alive, out = self.alive, self.out
+        out = self.out
         members: dict[tuple[int, int, int], list[int]] = {}
-        for ident in range(len(alive)):
-            if alive[ident] and info_k[ident] > final:
+        for ident, row in enumerate(out):
+            if row is not None and info_k[ident] > final:
                 key = (info_eps[ident], info_i[ident], info_k[ident])
                 members.setdefault(key, []).append(ident)
         position: dict[int, tuple[tuple[int, int, int], int]] = {}

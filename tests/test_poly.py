@@ -456,17 +456,14 @@ class TestInvariantChecks:
     # Definitions the package never reads, kept because the tests use them as
     # oracles or as API; one reason each.
     UNREAD_KEPT = {
-        "canonical": "braid: the canonical form alone, compared by the braid tests",
         "module_from_json": "cli: reads a JSON document back; the round-trip tests",
         "crossing_model": "cube: one crossing's checked local model and chi maps",
         "tensor": "mf: the oracle the Koszul builds are compared with",
         "same_series": "mf: compares graded dimensions up to the shorter truncation",
-        "total_dimension": "mf: the total of a graded dimension, checked by the MOY tests",
         "with_extra_mark": "moy: an extra mark must leave the graded dimension as it is",
         "specialize": "qamod: a module at a = 0 or a = 1, checked against the oracles",
         "mod_a_homology": "qamod: the independent a = 0 oracle",
         "a_one_dimensions": "qamod: the independent a = 1 oracle",
-        "diagonal": "qamod: the Smith exponents, read by the Smith tests",
         "q_dimension": "qamod: one graded piece's dimension, read by the exact-sequence test",
         "invoke": "cli: the click.Group hook that click itself calls",
     }

@@ -3,16 +3,18 @@
 import gc
 import weakref
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krlab import qamod
+from krlab import cli, qamod
 from krlab.braid import parse
-from krlab.cube import build_complex
-from krlab.poly import InvariantError
+from krlab.cube import ChainComplexOfMF, build_complex
+from krlab.poly import KIND_MARK, BigradedPoly, InvariantError
 from krlab.qamod import (
     ExpansionBudgetError,
     GradedQaModule,
@@ -82,7 +84,7 @@ class TestSmith:
             {(0, 0): (Fraction(1), 1), (1, 1): (Fraction(1), 2)},
         )
         s = smith(m)
-        assert s.diagonal() == [1, 2]
+        assert [e for _, _, e in s.pivots] == [1, 2]
         assert s.kernel_basis() == []
 
     def test_zero_matrix_has_free_cokernel(self):
@@ -112,7 +114,7 @@ class TestSmith:
             {(0, 0): (Fraction(1), 1), (0, 1): (Fraction(1), 1), (1, 1): (Fraction(1), 2)},
         )
         s = smith(m)
-        assert s.diagonal() == [1, 2]
+        assert [e for _, _, e in s.pivots] == [1, 2]
         self.check_transforms(m, s)
 
     @given(
@@ -140,7 +142,7 @@ class TestSmith:
         s = smith(m)
 
         self.check_transforms(m, s)
-        diag = s.diagonal()
+        diag = [e for _, _, e in s.pivots]
         assert diag == sorted(diag)  # divisibility chain a^d1 | a^d2 | ...
         for vec, _ in s.kernel_basis():
             assert apply_cells(m.entries, vec) == {}
@@ -398,7 +400,7 @@ class TestGrowingExpansion:
                 _reduce_complex(C, top, grown.part(cls))
                 fresh = _ClassExpansion(_Expansion(C), cls)
                 _reduce_complex(C, top, fresh)
-                assert len(grown.part(cls).alive) == len(fresh.alive) \
+                assert len(grown.part(cls).out) == len(fresh.out) \
                     == expansion_size(C, top, cls)
 
 
@@ -408,12 +410,11 @@ class TestClasses:
         knot = _Expansion(build_complex(parse(text, strands), n))
         if n == 1:
             assert len(knot.classes) == 2
-        # a chi term sends a monomial of degree d to an image of degree d
-        terms = [(gs, gt, mt, jump) for gs, gt, _, _, mt, jump in knot.terms]
-        terms += [
-            (gs, gt, mt, 0)
-            for gs, outs in knot.chi.items()
-            for gt, _, _, entry in outs
+        # an entry sends a monomial of degree d to an image of degree d
+        terms = [
+            (gs, gt, mt, jump)
+            for gs, entries in enumerate(knot.entries)
+            for gt, _, _, entry, jump in entries
             for _, mt in entry
         ]
         assert any(jump == 0 for *_, jump in terms) and any(jump for *_, jump in terms)
@@ -458,6 +459,84 @@ class TestClasses:
         two_stage_homology(C, width)
         assert len(made) == len(_Expansion(C).classes) >= 2
         assert all(ref() is None for ref in made)
+
+
+def mark_of(table) -> str:
+    return next(v.name for v in table.variables if v.kind == KIND_MARK)
+
+
+def off_slope(cube):
+    # a transported entry times a mark, two x-degrees above its slope
+    mats, key, p = next(
+        (mats, key, p) for mats in cube.blocks.values() for key, p in mats[0].items()
+    )
+    mats[0][key] = p * BigradedPoly.variable(p.table, mark_of(p.table))
+
+
+def two_a_exponents(cube):
+    # a vertex entry plus a times itself, on its slope with two a-exponents
+    d0 = cube.vertices[0][0].mf.d0
+    key, p = next(iter(d0.items()))
+    d0[key] = p + p * BigradedPoly.variable(p.table, "a")
+
+
+def second_write(knot):
+    knot.entries[:] = [entries * 2 for entries in knot.entries]
+
+
+def extra_mark(knot):
+    # every generator's elements counted in one mark more than its vertex has
+    knot.marks[:] = [marks + 1 for marks in knot.marks]
+
+
+def nonlinear_image(cube):
+    for vertices in cube.vertices.values():
+        for vertex in vertices:
+            for name, image in vertex.sub.items():
+                vertex.sub[name] = image * image
+
+
+class TestExpansionChecks:
+    """Each invariant check of the expansion catches the fault it is there
+    for: the homology command on a mutated excluded cube or expansion ends
+    with the check's message and exit 4."""
+
+    FAULTS = {
+        "off-slope": (off_slope, "expansion entry off the x-slope"),
+        "two-a-exponents": (two_a_exponents, "inhomogeneous expansion entry"),
+        "second-write": (second_write, "graded collision in reduction"),
+        "extra-mark": (extra_mark, "expansion size differs from its closed form"),
+        "nonlinear-image": (nonlinear_image, "an excluded mark's image is not linear"),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_the_fault_exits_four(self, fault, monkeypatch):
+        mutate, message = self.FAULTS[fault]
+        if mutate in (second_write, extra_mark):
+            init = _Expansion.__init__
+
+            def mutated_init(self, *args):
+                init(self, *args)
+                mutate(self)
+
+            monkeypatch.setattr(_Expansion, "__init__", mutated_init)
+        else:
+            build = ChainComplexOfMF.excluded.func
+
+            def mutated(self):
+                cube = build(self)
+                mutate(cube)
+                return cube
+
+            prop = cached_property(mutated)
+            prop.__set_name__(ChainComplexOfMF, "excluded")
+            monkeypatch.setattr(ChainComplexOfMF, "excluded", prop)
+        res = CliRunner().invoke(
+            cli.main, ["homology", "--braid", "1 1", "--strands", "2", "--xwindow", "4"]
+        )
+        assert res.exit_code == 4
+        assert len(res.stderr.splitlines()) == 1
+        assert f"internal invariant violated: {message}" in res.stderr
 
 
 class TestCollectorPause:
