@@ -620,9 +620,9 @@ class _Expansion:
         for i, vertices in excluded.vertices.items():
             for v, vertex in enumerate(vertices):
                 for par in (0, 1):
-                    src, tgt = first[(i, v, par)], first[(i, v, 1 - par)]
+                    s0, t0 = first[(i, v, par)], first[(i, v, 1 - par)]
                     for (ti, si), poly in vertex.mf.differential(par).items():
-                        enter(poly, src + si, tgt + ti, None, n + 1)
+                        enter(poly, s0 + si, t0 + ti, None, n + 1)
         image_ids: dict[tuple, int | None] = {}
         for (i, tis, sis), mats in excluded.blocks.items():
             src, tgt = excluded.vertices[i][sis], excluded.vertices[i + 1][tis]

@@ -3,7 +3,6 @@
 import gc
 import weakref
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from krlab import cli, qamod
 from krlab.braid import parse
-from krlab.cube import ChainComplexOfMF, build_complex
+from krlab.cube import build_complex
 from krlab.poly import KIND_MARK, BigradedPoly, InvariantError
 from krlab.qamod import (
     ExpansionBudgetError,
@@ -496,41 +495,35 @@ def nonlinear_image(cube):
                 vertex.sub[name] = image * image
 
 
+def unchanged(_):
+    pass
+
+
 class TestExpansionChecks:
     """Each invariant check of the expansion catches the fault it is there
     for: the homology command on a mutated excluded cube or expansion ends
     with the check's message and exit 4."""
 
+    # fault -> (mutation of the excluded cube, mutation of the expansion, message)
     FAULTS = {
-        "off-slope": (off_slope, "expansion entry off the x-slope"),
-        "two-a-exponents": (two_a_exponents, "inhomogeneous expansion entry"),
-        "second-write": (second_write, "graded collision in reduction"),
-        "extra-mark": (extra_mark, "expansion size differs from its closed form"),
-        "nonlinear-image": (nonlinear_image, "an excluded mark's image is not linear"),
+        "off-slope": (off_slope, unchanged, "expansion entry off the x-slope"),
+        "two-a-exponents": (two_a_exponents, unchanged, "inhomogeneous expansion entry"),
+        "second-write": (unchanged, second_write, "graded collision in reduction"),
+        "extra-mark": (unchanged, extra_mark, "expansion size differs from its closed form"),
+        "nonlinear-image": (nonlinear_image, unchanged, "an excluded mark's image is not linear"),
     }
 
     @pytest.mark.parametrize("fault", FAULTS)
     def test_the_fault_exits_four(self, fault, monkeypatch):
-        mutate, message = self.FAULTS[fault]
-        if mutate in (second_write, extra_mark):
-            init = _Expansion.__init__
+        cube_fault, expansion_fault, message = self.FAULTS[fault]
+        init = _Expansion.__init__
 
-            def mutated_init(self, *args):
-                init(self, *args)
-                mutate(self)
+        def mutated_init(self, C, *args):
+            cube_fault(C.excluded)
+            init(self, C, *args)
+            expansion_fault(self)
 
-            monkeypatch.setattr(_Expansion, "__init__", mutated_init)
-        else:
-            build = ChainComplexOfMF.excluded.func
-
-            def mutated(self):
-                cube = build(self)
-                mutate(cube)
-                return cube
-
-            prop = cached_property(mutated)
-            prop.__set_name__(ChainComplexOfMF, "excluded")
-            monkeypatch.setattr(ChainComplexOfMF, "excluded", prop)
+        monkeypatch.setattr(_Expansion, "__init__", mutated_init)
         res = CliRunner().invoke(
             cli.main, ["homology", "--braid", "1 1", "--strands", "2", "--xwindow", "4"]
         )
