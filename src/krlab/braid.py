@@ -316,6 +316,7 @@ def markov_search(w: BraidWord, budget: int, max_length: int | None = None) -> S
 
 
 DEFAULT_BUDGET = 2000
+MARKOV_SLACK = 4  # letters a search's intermediate words may grow by
 
 
 def simplify_with_log(w: BraidWord, budget: int = DEFAULT_BUDGET) -> tuple[BraidWord, list[Move]]:
@@ -327,7 +328,7 @@ def simplify_with_log(w: BraidWord, budget: int = DEFAULT_BUDGET) -> tuple[Braid
     """
     current, log = canonical_with_moves(w)
     while True:
-        result = markov_search(current, budget, max_length=len(current.letters) + 4)
+        result = markov_search(current, budget, max_length=len(current.letters) + MARKOV_SLACK)
         best = result[0]
         if _order_key(best) >= _order_key(current):
             return current, log

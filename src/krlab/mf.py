@@ -538,12 +538,6 @@ class GdimSeries:
     terms: dict[tuple[int, int, int], int]
     x_truncation: int
 
-    def truncated(self, bound: int) -> "GdimSeries":
-        return GdimSeries(
-            {k: v for k, v in self.terms.items() if k[2] <= bound},
-            min(self.x_truncation, bound),
-        )
-
     def shifted(self, de: int, dj: int, dk: int) -> "GdimSeries":
         return GdimSeries(
             {((e + de) % 2, j + dj, k + dk): v for (e, j, k), v in self.terms.items()},

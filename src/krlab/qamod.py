@@ -474,15 +474,6 @@ MAX_EXPANSION = 250_000
 _RESERVE = 1 << 24  # bytes of address space held back for unwinding from a MemoryError
 
 
-def _generators(C: ChainComplexOfMF):
-    """(eps, i, a-degree, x-degree) of every generator of C, in expansion order."""
-    for i, parts in C.summands.items():
-        for part in parts:
-            for par in (0, 1):
-                for ga, gx in part.mf.basis(par):
-                    yield par, i, ga, gx
-
-
 def _mark_positions(table) -> list[int]:
     return [i for i, v in enumerate(table.variables) if v.kind == KIND_MARK]
 
@@ -589,7 +580,7 @@ class _Expansion:
             first.setdefault((i, v, par), len(self.gens))
             self.gens.append((par, i, ga, gx))
             self.marks.append(marks)
-        self.x_min = min((gx for *_, gx in _generators(C)), default=0)
+        self.x_min = _resolve_window(C, None, n)[0]
         self.starts = [_class_starts(n, eps, gx) for eps, _, _, gx in self.gens]
         self.classes = sorted({cls for starts in self.starts for cls in starts})
         self.entries: list[list[tuple[int, int | None, int, list, int]]] = [
@@ -971,7 +962,8 @@ class _Stage1:
 
 
 def _resolve_window(C: ChainComplexOfMF, x_window, n: int) -> tuple[int, int, int]:
-    x_min = min((gx for *_, gx in _generators(C)), default=0)
+    parts = [part for parts in C.summands.values() for part in parts]
+    x_min = min((gx for part in parts for par in (0, 1) for _, gx in part.mf.basis(par)), default=0)
     if x_window is None:
         return x_min, x_min + 20, x_min
     if x_window < 0:

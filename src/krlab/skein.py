@@ -16,7 +16,7 @@ crossingless closures, whose value is the closed-form unlink evaluation.
 Coefficients are exact: int or Fraction via `poly.exact`, an int whenever
 the value is integral, and a float is refused.  Every value the recursion
 builds has integer coefficients; a Fraction arises only from an inexact
-division or from halving in tau_series.
+division or from halving in series_expand.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .braid import BraidWord, _order_key, markov_search, simplify, word_text
+from .braid import MARKOV_SLACK, BraidWord, _order_key, markov_search, simplify, word_text
 from .poly import Coefficient, exact
 
+SKEIN_BUDGET = 10**4  # default search budget of a skein evaluation
 MAX_BUDGET = 10**6
 
 
@@ -229,7 +230,9 @@ def _truncated_product(
 # Denominator atoms
 #
 # Every denominator produced by the recursion is a product of these four
-# factors; each admits a power-series expansion with exponents bounded below.
+# factors.  Each is lead * (1 - ratio) with lead a monic monomial, so its
+# inverse is lead^-1 * sum ratio^i, a power series with exponents bounded
+# below because every ratio raises alpha or xi.
 
 ATOM_ALPHA = ("alpha",)  # 1 - alpha^2
 
@@ -246,16 +249,24 @@ def atom_unit(n: int) -> tuple:
     return ("unit", n)  # tau*alpha*xi^(-n-1) + 1
 
 
-def atom_poly(key: tuple, tau: int) -> Laurent:
+def atom_parts(key: tuple, tau: int) -> tuple[tuple[int, int], tuple[int, int, int]]:
+    """The atom as lead * (1 - ratio): lead's (alpha, xi) exponents and the
+    ratio's (coefficient, alpha exponent, xi exponent); ValueError on an
+    unknown atom."""
     if key == ATOM_ALPHA:
-        return Laurent({(0, 0): 1, (2, 0): -1})
+        return (0, 0), (1, 2, 0)  # 1 - alpha^2
     if key[0] == "xi":
         n = key[1]
-        return Laurent({(0, -n): 1, (0, n): -1})
+        return (0, -n), (1, 0, 2 * n)  # xi^-n (1 - xi^2n)
     if key[0] == "unit":
         n = key[1]
-        return Laurent({(1, -n - 1): tau, (0, 0): 1})
+        return (0, 0), (-tau, 1, -n - 1)  # 1 - (-tau alpha xi^(-n-1))
     raise ValueError(f"unknown denominator atom {key!r}")
+
+
+def atom_poly(key: tuple, tau: int) -> Laurent:
+    (la, lx), (c, ra, rx) = atom_parts(key, tau)
+    return Laurent({(la, lx): 1, (la + ra, lx + rx): -c})
 
 
 def _den_poly(den: Counter, tau: int) -> Laurent:
@@ -349,50 +360,33 @@ class RationalFunction:
 
     def series(self, alpha_max: int, xi_max: int) -> Laurent:
         """Exact expansion keeping alpha-exponents <= alpha_max and
-        xi-exponents <= xi_max; exponents are bounded below throughout."""
+        xi-exponents <= xi_max; exponents are bounded below throughout.
+
+        Each atom lead * (1 - ratio) (`atom_parts`) is inverted as lead^-1 *
+        sum ratio^i, with as many terms as the caps can use given the least
+        exponent of the product so far; ValueError on an unknown atom."""
         out = self.num
-        # the unit atom lowers xi while raising alpha, so expand it first
-        # with an alpha cap, leaving the pure-xi atoms a stable xi floor
-        for key, mult in sorted(self.den.items()):
-            if key[0] != "unit":
-                continue
-            n = key[1]
+        # the unit atom's ratio lowers xi while raising alpha, so expand it
+        # first with an alpha cap, leaving the pure-xi atoms a stable xi floor
+        parts = [(*atom_parts(key, self.tau), mult) for key, mult in sorted(self.den.items())]
+        parts.sort(key=lambda part: part[1][2] >= 0)  # the ratio's xi exponent
+        for (la, lx), (c, ra, rx), mult in parts:
             for _ in range(mult):
-                lo = out.min_alpha()
-                if lo is None:
+                if out.is_zero:
                     return Laurent.zero()
-                steps = max(alpha_max - lo, 0)
-                inv = Laurent({(i, -(n + 1) * i): (-self.tau) ** i for i in range(steps + 1)})
-                # every later factor raises alpha, but a unit factor lowers xi
-                out = _truncated_product(out, inv, alpha_max)
-        for key, mult in sorted(self.den.items()):
-            if key == ATOM_ALPHA:
-                for _ in range(mult):
-                    lo = out.min_alpha()
-                    if lo is None:
-                        return Laurent.zero()
-                    half = max((alpha_max - lo) // 2, 0)
-                    inv = Laurent({(2 * i, 0): 1 for i in range(half + 1)})
-                    # from here on every factor raises both exponents
-                    out = _truncated_product(out, inv, alpha_max, xi_max)
-            elif key[0] == "xi":
-                n = key[1]
-                # xi^-n - xi^n = xi^-n (1 - xi^2n): invert as xi^n * sum xi^(2ni)
-                for _ in range(mult):
-                    lo = out.min_xi()
-                    if lo is None:
-                        return Laurent.zero()
-                    reps = max((xi_max - lo - n) // (2 * n) + 1, 0)
-                    inv = Laurent({(0, n + 2 * n * i): 1 for i in range(reps + 1)})
-                    out = _truncated_product(out, inv, alpha_max, xi_max)
-        trimmed = Laurent(
-            {
-                (a, x): c
-                for (a, x), c in out.terms.items()
-                if a <= alpha_max and x <= xi_max
-            }
+                if ra:
+                    steps = (alpha_max - out.min_alpha() + la) // ra
+                else:
+                    steps = (xi_max - out.min_xi() + lx) // rx
+                inv = Laurent(
+                    {(ra * i - la, rx * i - lx): c**i for i in range(max(steps, 0) + 1)}
+                )
+                # once the xi-lowering ratios are done every factor raises both
+                # exponents, so both caps hold from then on
+                out = _truncated_product(out, inv, alpha_max, xi_max if rx >= 0 else None)
+        return Laurent(
+            {(a, x): c for (a, x), c in out.terms.items() if a <= alpha_max and x <= xi_max}
         )
-        return trimmed
 
     def pretty(self) -> str:
         num = self.num.pretty()
@@ -476,29 +470,22 @@ class SkeinValue:
     def is_zero(self) -> bool:
         return self.plus.is_zero and self.minus.is_zero
 
-    def tau_series(
-        self, alpha_max: int, xi_max: int
-    ) -> dict[tuple[int, int], tuple[Coefficient, Coefficient]]:
-        """Term table {(alpha exp, xi exp): (constant part, tau part)}."""
-        p = self.plus.series(alpha_max, xi_max)
-        m = self.minus.series(alpha_max, xi_max)
-        out = {}
-        for key in sorted(set(p.terms) | set(m.terms)):
-            cp = p.terms.get(key, 0)
-            cm = m.terms.get(key, 0)
-            out[key] = (exact(Fraction(cp + cm, 2)), exact(Fraction(cp - cm, 2)))
-        return out
-
     def pretty(self) -> str:
         return f"tau=+1: {self.plus.pretty()}\ntau=-1: {self.minus.pretty()}"
 
 
 def series_expand(v: SkeinValue, alpha_max: int, xi_max: int) -> dict:
-    """Exact coefficients of v for all alpha-exp <= alpha_max, xi-exp <= xi_max."""
-    for comp in (v.plus, v.minus):
-        for key in comp.den:
-            atom_poly(key, comp.tau)  # raises on a foreign denominator
-    return v.tau_series(alpha_max, xi_max)
+    """Term table {(alpha exp, xi exp): (constant part, tau part)} of v for
+    all alpha-exp <= alpha_max, xi-exp <= xi_max; ValueError on a foreign
+    denominator."""
+    p = v.plus.series(alpha_max, xi_max)
+    m = v.minus.series(alpha_max, xi_max)
+    out = {}
+    for key in sorted(set(p.terms) | set(m.terms)):
+        cp = p.terms.get(key, 0)
+        cm = m.terms.get(key, 0)
+        out[key] = (exact(Fraction(cp + cm, 2)), exact(Fraction(cp - cm, 2)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +551,7 @@ def _positive_split(w: BraidWord, budget: int) -> tuple[BraidWord, BraidWord] | 
         return pair
     b = budget
     while True:
-        result = markov_search(w, b, max_length=len(w.letters) + 4)
+        result = markov_search(w, b, max_length=len(w.letters) + MARKOV_SLACK)
         best = result[0]
         if _order_key(best) < _order_key(w):
             return best
@@ -579,7 +566,7 @@ def _positive_split(w: BraidWord, budget: int) -> tuple[BraidWord, BraidWord] | 
         b = min(b * 2, MAX_BUDGET)
 
 
-def evaluate(w: BraidWord, n: int, budget: int = 10**4) -> SkeinValue:
+def evaluate(w: BraidWord, n: int, budget: int = SKEIN_BUDGET) -> SkeinValue:
     """Invariant of the closure of w, by memoized skein recursion."""
     if not isinstance(w, BraidWord):
         raise TypeError(f"expected a BraidWord, got {type(w).__name__}")
@@ -622,7 +609,7 @@ def _evaluate(w: BraidWord, n: int, budget: int) -> SkeinValue:
     return value
 
 
-def skein_residual(w: BraidWord, p: int, n: int, budget: int = 10**4) -> SkeinValue:
+def skein_residual(w: BraidWord, p: int, n: int, budget: int = SKEIN_BUDGET) -> SkeinValue:
     """alpha^-1 xi^-n P(positive at p) - alpha xi^n P(negative at p)
     - tau (xi^-1 - xi) P(deleted at p); identically zero.  p is 1-based."""
     if not 1 <= p <= len(w.letters):

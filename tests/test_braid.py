@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krlab.braid import (
+    MARKOV_SLACK,
     MOVE_KINDS,
     BraidWord,
     Move,
@@ -18,6 +19,7 @@ from krlab.braid import (
     simplify_with_log,
     word_text,
 )
+from test_cube import reduced_words
 
 
 class TestParse:
@@ -184,29 +186,15 @@ def oracle_search(w, budget, max_length):
     return words, not queue, expansions, logs
 
 
-def reduced_words(strands, max_length):
-    letters = [(g, s) for g in range(1, strands) for s in (1, -1)]
-    words = [()]
-    for length in range(max_length):
-        words += [
-            w + (x,)
-            for w in words
-            if len(w) == length
-            for x in letters
-            if not w or w[-1] != (x[0], -x[1])
-        ]
-    return [BraidWord(strands, w) for w in words]
-
-
 class TestMarkovSearch:
     def test_matches_the_oracle_on_short_words(self):
         # simplify's length allowance; a budget that cuts some searches short
-        words = reduced_words(3, 3)
+        words = [parse(text, 3) for text in reduced_words(3, 3)]
         assert len(words) == 53
         completes = set()
         for w in words:
-            res = markov_search(w, 60, max_length=len(w.letters) + 4)
-            nodes, complete, expansions, logs = oracle_search(w, 60, len(w.letters) + 4)
+            res = markov_search(w, 60, max_length=len(w.letters) + MARKOV_SLACK)
+            nodes, complete, expansions, logs = oracle_search(w, 60, len(w.letters) + MARKOV_SLACK)
             assert list(res) == nodes, w
             assert (res.complete, res.expansions) == (complete, expansions), w
             for v in res:

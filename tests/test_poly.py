@@ -459,7 +459,6 @@ class TestInvariantChecks:
         "module_from_json": "cli: reads a JSON document back; the round-trip tests",
         "crossing_model": "cube: one crossing's checked local model and chi maps",
         "tensor": "mf: the oracle the Koszul builds are compared with",
-        "same_series": "mf: compares graded dimensions up to the shorter truncation",
         "with_extra_mark": "moy: an extra mark must leave the graded dimension as it is",
         "specialize": "qamod: a module at a = 0 or a = 1, checked against the oracles",
         "mod_a_homology": "qamod: the independent a = 0 oracle",

@@ -665,23 +665,25 @@ class TestAOne:
         assert all(eps == 1 and i == 0 for eps, i, _ in dims)
 
 
-def induced_squares(text: str, n: int, monkeypatch) -> list[bool]:
+def induced_squares(text: str, n: int, monkeypatch) -> dict[tuple, list[bool]]:
     """Run two_stage_homology at width 10 on a 3-strand word, checking that
     each phi(i + 1) phi(i) lands in the image of the first stage, where
-    _stage2 takes its quotient; whether each composite column is nonzero."""
-    composites = []
+    _stage2 takes its quotient; for each key (eps, i, x) with a next map,
+    whether each composite column is nonzero."""
+    composites = {}
     real = qamod._stage2
 
     def checked(key, stage1, phis):
         eps, i, k = key
         step, nxt = phis[key], phis.get((eps, i + 1, k))
         if nxt is not None:
+            composites[key] = []
             for c in range(len(step.source)):
                 vec = apply_cells(nxt.entries, apply_cells(step.entries, {c: (1, 0)}))
                 if vec:
                     pres = stage1[(eps, i + 2, k)].presentation
                     smith(pres).image_coords(vec)  # raises unless in the image
-                composites.append(bool(vec))
+                composites[key].append(bool(vec))
         return real(key, stage1, phis)
 
     monkeypatch.setattr(qamod, "_stage2", checked)
@@ -696,8 +698,11 @@ class TestTransportedSquare:
     def test_the_induced_map_squares_into_the_stage_one_image(self, text, n, monkeypatch):
         composites = induced_squares(text, n, monkeypatch)
         if len(parse(text, 3).letters) == 2:
-            assert composites
+            assert any(composites.values())
 
     def test_the_corpus_meets_a_nonzero_square(self, monkeypatch):
-        # so the check above is not vacuous: here phi^2 is a nonzero boundary
-        assert sum(induced_squares("1 1", 1, monkeypatch)) == 7
+        # so the check above is not vacuous: here phi^2 is a nonzero boundary.
+        # Whether a composite is zero does not depend on the kernel bases
+        composites = induced_squares("1 1", 1, monkeypatch)
+        assert len(composites) == 24
+        assert {key for key, cols in composites.items() if any(cols)} == {(1, -2, 8), (1, -2, 10)}

@@ -215,6 +215,12 @@ class TestRationalFunction:
         got = v.series(2, 4)
         assert got == Laurent({(0, 0): 1, (1, -2): -1, (2, -4): 1})
 
+    def test_series_rejects_an_unknown_atom(self):
+        with pytest.raises(ValueError, match="unknown denominator atom"):
+            frac(1, Laurent.one(), ("bogus",)).series(2, 2)
+        with pytest.raises(ValueError, match="unknown denominator atom"):
+            frac(-1, Laurent.one(), ATOM_ALPHA, atom_unit(1), ("bogus",)).series(2, 2)
+
 
     @settings(max_examples=300, deadline=None)
     @given(
