@@ -962,8 +962,9 @@ class _Stage1:
 
 
 def _resolve_window(C: ChainComplexOfMF, x_window, n: int) -> tuple[int, int, int]:
-    parts = [part for parts in C.summands.values() for part in parts]
-    x_min = min((gx for part in parts for par in (0, 1) for _, gx in part.mf.basis(par)), default=0)
+    summands = [part for parts in C.summands.values() for part in parts]
+    degrees = (gx for part in summands for par in (0, 1) for _, gx in part.mf.basis(par))
+    x_min = min(degrees, default=0)
     if x_window is None:
         return x_min, x_min + 20, x_min
     if x_window < 0:
