@@ -8,12 +8,10 @@ braid relation s_i s_j s_i = s_j s_i s_j for |i-j| = 1, far commutation for
 letter is removed together with its strand).  Negative destabilization does
 not exist here and trivial top strands are never dropped.
 
-Every derived word carries a move log: a list of Moves, each a (kind,
-position) pair, with no text format of its own.  Positions refer to the
-word the move is applied to; a "rotate" move at r conjugates by the first r
-letters; "conjugate" stores the signed generator index in the position
-field.  replay() re-applies a log, validating each move, so tests can
-certify that only listed moves were used.
+markov_search and simplify keep no record of the moves they make.  replay()
+applies a list of Moves, validating each one, so a reference search in the
+tests reaches every word through listed moves only and certifies that
+markov_search and simplify find the same words.
 """
 
 from __future__ import annotations
@@ -84,11 +82,15 @@ def word_text(w: BraidWord) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Moves and logs
+# Moves
 
 
 @dataclass(frozen=True)
 class Move:
+    """One of MOVE_KINDS at a position of the word it is applied to; no text
+    format of its own.  "rotate" at r conjugates by the first r letters;
+    "conjugate" stores the signed generator index in the position field."""
+
     kind: str
     position: int
 
@@ -151,19 +153,6 @@ def replay(w: BraidWord, moves: list[Move]) -> BraidWord:
 # Canonical form
 
 
-def _reduce(letters: list[tuple[int, int]], log: list[Move] | None) -> list[tuple[int, int]]:
-    """Free reduction, cancelling each pair as it meets the reduced prefix."""
-    out: list[tuple[int, int]] = []
-    for letter in letters:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-            out.pop()
-            if log is not None:
-                log.append(Move("free-cancel", len(out)))
-        else:
-            out.append(letter)
-    return out
-
-
 def _least_rotation(letters: list[tuple[int, int]]) -> int:
     """The first r whose rotation letters[r:] + letters[:r] is least.
 
@@ -179,25 +168,25 @@ def _least_rotation(letters: list[tuple[int, int]]) -> int:
     return min(starts, key=lambda k: doubled[k : k + n])
 
 
-def _canonical_letters(
-    letters: list[tuple[int, int]], log: list[Move] | None = None
-) -> list[tuple[int, int]]:
-    """Freely reduce, then rotate to the least rotation; log=None keeps no log."""
-    letters = _reduce(letters, log)
-    if len(letters) > 1:
-        r = _least_rotation(letters)
+def _canonical_letters(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Freely reduce, cancelling each pair as it meets the reduced prefix,
+    then rotate to the least rotation."""
+    out: list[tuple[int, int]] = []
+    for letter in letters:
+        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
+            out.pop()
+        else:
+            out.append(letter)
+    if len(out) > 1:
+        r = _least_rotation(out)
         if r:
-            if log is not None:
-                log.append(Move("rotate", r))
-            letters = letters[r:] + letters[:r]
-    return letters
+            out = out[r:] + out[:r]
+    return out
 
 
-def canonical_with_moves(w: BraidWord) -> tuple[BraidWord, list[Move]]:
+def canonical(w: BraidWord) -> BraidWord:
     """Freely reduce, then take the lexicographically least cyclic rotation."""
-    log: list[Move] = []
-    letters = _canonical_letters(list(w.letters), log)
-    return BraidWord(w.strands, tuple(letters)), log
+    return BraidWord(w.strands, tuple(_canonical_letters(list(w.letters))))
 
 
 def _order_key(w: BraidWord) -> tuple:
@@ -208,10 +197,13 @@ def _order_key(w: BraidWord) -> tuple:
 # Search
 
 
+# Letters a search's intermediate words may grow by: enough for the
+# conjugation chains that expose a destabilizable top generator.
+MARKOV_SLACK = 4
+
+
 def _neighbors(word: BraidWord):
-    """Single transverse moves from a word, as (rotation, kind, position,
-    letters, strands): rotate by rotation, then apply the move kind at
-    position, which yields letters on strands.
+    """Single transverse moves from a word, as (letters, strands).
 
     Rotation-sensitive moves are offered at cyclic position 0 of every
     rotation, which covers all cyclic sites exactly once.
@@ -223,92 +215,67 @@ def _neighbors(word: BraidWord):
         base = letters[r:] + letters[:r]
         for k in range(1, m):
             for s in (1, -1):
-                yield r, "conjugate", k * s, [(k, -s), *base, (k, s)], m
+                yield [(k, -s), *base, (k, s)], m
         if n >= 2:
             a, b = base[0], base[1]
             if a[0] == b[0] and a[1] == -b[1]:
-                yield r, "free-cancel", 0, base[2:], m
+                yield base[2:], m
             if abs(a[0] - b[0]) >= 2:
-                yield r, "far-commute", 0, [b, a, *base[2:]], m
+                yield [b, a, *base[2:]], m
         if n >= 3:
             a, b, c = base[0], base[1], base[2]
             if a == c and a[1] == b[1] and abs(a[0] - b[0]) == 1:
-                yield r, "braid-relation", 0, [(b[0], a[1]), a, (b[0], a[1]), *base[3:]], m
+                yield [(b[0], a[1]), a, (b[0], a[1]), *base[3:]], m
     if m >= 2:
         top = [p for p, (i, _) in enumerate(letters) if i == m - 1]
         if len(top) == 1 and letters[top[0]][1] == 1:
             p = top[0]
-            yield 0, "destabilize", p, letters[:p] + letters[p + 1 :], m - 1
+            yield letters[:p] + letters[p + 1 :], m - 1
 
 
 class SearchResult(list):
     """Reachable canonical words, best (fewest strands, shortest) first.
 
-    complete is False when the budget ran out with the frontier nonempty;
-    moves_to(word) reconstructs a full move log from the raw input.
+    complete is False when the budget ran out with the frontier nonempty.
     """
 
     complete: bool
     expansions: int
 
-    def __init__(self, words, complete, expansions, prelude, parents, start_key):
+    def __init__(self, words, complete, expansions):
         super().__init__(words)
         self.complete = complete
         self.expansions = expansions
-        self._prelude = tuple(prelude)
-        self._parents = parents
-        self._start_key = start_key
-
-    def moves_to(self, w: BraidWord) -> list[Move]:
-        key = (w.strands, w.letters)
-        if key not in self._parents:
-            raise KeyError(f"{w!r} was not reached by this search")
-        steps = []
-        while key != self._start_key:
-            parent, rotation, kind, position = self._parents[key]
-            steps.append((BraidWord(*parent), rotation, kind, position))
-            key = parent
-        out = list(self._prelude)
-        for parent, rotation, kind, position in reversed(steps):
-            chunk = [Move("rotate", rotation)] if rotation else []
-            chunk.append(Move(kind, position))
-            moved = replay(parent, chunk)
-            _canonical_letters(list(moved.letters), chunk)
-            out.extend(chunk)
-        return out
 
 
-def markov_search(w: BraidWord, budget: int, max_length: int | None = None) -> SearchResult:
+def markov_search(w: BraidWord, budget: int) -> SearchResult:
     """Breadth-first closure under the transverse moves, memoized on
     canonical forms; budget counts node expansions.
 
-    max_length, when given, prunes intermediate words longer than that; it
-    makes the explored component finite at the cost of reachability.  Each
-    reached word stores its parent and the move that reached it, from which
-    moves_to rebuilds the log.
+    Intermediate words longer than w by more than MARKOV_SLACK letters are
+    pruned; that makes the explored component finite at the cost of
+    reachability.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    start, prelude = canonical_with_moves(w)
-    start_key = (start.strands, start.letters)
-    parents: dict[tuple, tuple | None] = {start_key: None}
-    nodes: dict[tuple, BraidWord] = {start_key: start}
-    queue: deque[tuple] = deque([start_key])
+    start = canonical(w)
+    longest = len(w.letters) + MARKOV_SLACK
+    nodes: dict[tuple, BraidWord] = {(start.strands, start.letters): start}
+    queue: deque[BraidWord] = deque([start])
     expansions = 0
     while queue and expansions < budget:
-        key = queue.popleft()
+        node = queue.popleft()
         expansions += 1
-        for rotation, kind, position, cand, strands in _neighbors(nodes[key]):
+        for cand, strands in _neighbors(node):
             letters = _canonical_letters(cand)
-            if max_length is not None and len(letters) > max_length:
+            if len(letters) > longest:
                 continue
-            ck = (strands, tuple(letters))
-            if ck not in parents:
-                parents[ck] = (key, rotation, kind, position)
-                nodes[ck] = BraidWord(strands, ck[1])
-                queue.append(ck)
+            key = (strands, tuple(letters))
+            if key not in nodes:
+                nodes[key] = found = BraidWord(strands, key[1])
+                queue.append(found)
     words = sorted(nodes.values(), key=_order_key)
-    return SearchResult(words, not queue, expansions, prelude, parents, start_key)
+    return SearchResult(words, not queue, expansions)
 
 
 # ---------------------------------------------------------------------------
@@ -316,25 +283,14 @@ def markov_search(w: BraidWord, budget: int, max_length: int | None = None) -> S
 
 
 DEFAULT_BUDGET = 2000
-MARKOV_SLACK = 4  # letters a search's intermediate words may grow by
-
-
-def simplify_with_log(w: BraidWord, budget: int = DEFAULT_BUDGET) -> tuple[BraidWord, list[Move]]:
-    """Best reachable word (fewest strands, then shortest, then lex) and the
-    move log that realizes it; iterated to a fixpoint, hence idempotent.
-
-    The search allows intermediate words to grow by four letters, enough for
-    the conjugation chains that expose a destabilizable top generator.
-    """
-    current, log = canonical_with_moves(w)
-    while True:
-        result = markov_search(current, budget, max_length=len(current.letters) + MARKOV_SLACK)
-        best = result[0]
-        if _order_key(best) >= _order_key(current):
-            return current, log
-        log.extend(result.moves_to(best))
-        current = best
 
 
 def simplify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> BraidWord:
-    return simplify_with_log(w, budget)[0]
+    """Best reachable word (fewest strands, then shortest, then lex),
+    iterated to a fixpoint, hence idempotent."""
+    current = canonical(w)
+    while True:
+        best = markov_search(current, budget)[0]
+        if _order_key(best) >= _order_key(current):
+            return current
+        current = best

@@ -3,11 +3,13 @@
 Exit codes separate the failure families: 1 for input that does not parse
 (including windows the pipelines refuse), 2 for an exhausted budget (the
 skein recursion's budget, the x-window search of `both` and `verify`
-passing qamod.AUTO_MAX_WIDTH, a window whose expansion would pass
-qamod.MAX_EXPANSION basis vectors, or a gdim truncation whose slices would
-pass mf.MAX_SLICE_BASIS elements), 3 for a failed cross-check, 4 for a
-broken internal invariant, 5 for running out of memory.  Each failure
-prints one line on stderr.  JSON documents carry a stable "schema":
+passing qamod.AUTO_MAX_WIDTH, a resolution cube of more than
+cube.MAX_CUBE_GENERATORS Koszul generators, a window whose expansion would
+pass qamod.MAX_EXPANSION basis vectors, a gdim truncation whose slices
+would pass mf.MAX_SLICE_BASIS elements, or an n above MAX_N, which is
+refused before any work), 3 for a failed cross-check, 4 for a broken
+internal invariant, 5 for running out of memory.  Each failure prints one
+line on stderr.  JSON documents carry a stable "schema":
 "krlab/1" tag, slices sorted by (eps, i, x), so output is reproducible and
 round-trips through module_from_json.
 """
@@ -45,6 +47,10 @@ from .skein import (
 )
 
 SERIES_CAP = 12  # default alpha and xi caps of a printed skein series
+# Largest potential exponent a command accepts.  On a 2-vCPU host,
+# homology --braid 1 --xwindow 2 takes 0.33 s at n = 64, 1.0 s at 100 and
+# 11 s at 200, and the time keeps growing with n.
+MAX_N = 100
 
 
 def _fail(code: int, message: str) -> None:
@@ -52,10 +58,12 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _check_positive(**values: int) -> None:
-    for name, value in values.items():
+def _check_inputs(n: int, **values: int) -> None:
+    for name, value in {"n": n, **values}.items():
         if value < 1:
             _fail(1, f"{name} must be at least 1")
+    if n > MAX_N:
+        _fail(2, f"n = {n} is over the cap of {MAX_N}")
 
 
 def _braid(text: str, strands: int | None) -> BraidWord:
@@ -195,7 +203,7 @@ def main() -> None:
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def homology(braid_text, strands, n, xwindow, fmt):
     """Two-stage homology of a closed braid, as slices plus tails."""
-    _check_positive(n=n)
+    _check_inputs(n=n)
     word = _braid(braid_text, strands)
     mod = _homology(word, n, xwindow)
     doc = json.dumps(module_json(mod))
@@ -216,7 +224,7 @@ def homology(braid_text, strands, n, xwindow, fmt):
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def skein(braid_text, strands, n, alpha_max, xi_max, budget, fmt):
     """Skein-recursion value of a closed braid, exact plus truncated series."""
-    _check_positive(n=n, budget=budget)
+    _check_inputs(n=n, budget=budget)
     word = _braid(braid_text, strands)
     value = _skein(word, n, budget)
     if fmt == "table":
@@ -236,7 +244,7 @@ def skein(braid_text, strands, n, alpha_max, xi_max, budget, fmt):
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def both(braid_text, strands, n, xwindow, alpha_max, xi_max, budget, fmt):
     """Run both pipelines and report whether they agree."""
-    _check_positive(n=n, budget=budget)
+    _check_inputs(n=n, budget=budget)
     word = _braid(braid_text, strands)
     mod, chi = _decategorified(word, n, xwindow)
     value = _skein(word, n, budget)
@@ -263,7 +271,7 @@ def both(braid_text, strands, n, xwindow, alpha_max, xi_max, budget, fmt):
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def gdim(graph_spec, n, xwindow, fmt):
     """Graded dimension series of a trivalent graph's factorization."""
-    _check_positive(n=n)
+    _check_inputs(n=n)
     if xwindow < 0:
         _fail(1, "x-degree truncation must be non-negative")
     if graph_spec in BUILTIN_GRAPHS:
@@ -349,7 +357,7 @@ def _verify_checks(n: int, xwindow: int | None, budget: int):
 @click.option("--budget", type=int, default=SKEIN_BUDGET, show_default=True)
 def verify(n, xwindow, budget):
     """Run the built-in consistency sweep and report one line per check."""
-    _check_positive(n=n, budget=budget)
+    _check_inputs(n=n, budget=budget)
     failures = 0
     for name, check in _verify_checks(n, xwindow, budget):
         try:

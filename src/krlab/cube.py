@@ -58,6 +58,7 @@ from .poly import (
     KIND_A,
     KIND_MARK,
     BigradedPoly,
+    ExpansionBudgetError,
     InvariantError,
     VariableTable,
     substitute,
@@ -453,6 +454,14 @@ def _subdivision_row(table, n, upper: str, lower: str):
     return (a * h, up - lo)
 
 
+# Koszul generators a resolution cube may hold over all its vertices, checked
+# before any vertex is built.  Builds at n = 1 on a 2-vCPU host: 2^14
+# (s_12 on 13 strands) 1.5 s and 120 MB; 2^15 (s_13) 3.8 s and 238 MB, and
+# 1 1 1 1 1 1 1 17 s and 143 MB; 2^16 (s_14) 9.8 s and 501 MB before the
+# expansion starts.
+MAX_CUBE_GENERATORS = 1 << 15
+
+
 def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
     """Chain complex of the closure of a braid word, reduced uniformly.
 
@@ -523,6 +532,12 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
     writhe = sum(sign for _, sign in word.letters)
     bases = [-1 if cr["sign"] > 0 else 0 for cr in crossings]
     nrows = len(shared) + c
+    size = 1 << (c + nrows)  # 2^c vertices of 2^nrows Koszul generators each
+    if size > MAX_CUBE_GENERATORS:
+        raise ExpansionBudgetError(
+            f"the resolution cube needs {size} Koszul generators, "
+            f"over the cap of {MAX_CUBE_GENERATORS}"
+        )
     masks_by_parity = koszul_masks(nrows)
 
     summands: dict[int, list[Summand]] = {}

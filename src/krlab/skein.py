@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .braid import MARKOV_SLACK, BraidWord, _order_key, markov_search, simplify, word_text
+from .braid import BraidWord, _order_key, markov_search, simplify, word_text
 from .poly import Coefficient, exact
 
 SKEIN_BUDGET = 10**4  # default search budget of a skein evaluation
@@ -551,7 +551,7 @@ def _positive_split(w: BraidWord, budget: int) -> tuple[BraidWord, BraidWord] | 
         return pair
     b = budget
     while True:
-        result = markov_search(w, b, max_length=len(w.letters) + MARKOV_SLACK)
+        result = markov_search(w, b)
         best = result[0]
         if _order_key(best) < _order_key(w):
             return best

@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krlab.braid import (
+    DEFAULT_BUDGET,
     MARKOV_SLACK,
     MOVE_KINDS,
     BraidWord,
     Move,
-    canonical_with_moves,
+    canonical,
     markov_search,
     parse,
     replay,
     simplify,
-    simplify_with_log,
     word_text,
 )
 from test_cube import reduced_words
@@ -83,22 +83,23 @@ class TestBraidWordValidation:
 
 class TestCanonical:
     def test_rotation_invariance(self):
-        assert canonical_with_moves(parse("2 1"))[0] == canonical_with_moves(parse("1 2"))[0]
+        assert canonical(parse("2 1")) == canonical(parse("1 2"))
 
     def test_free_reduction(self):
-        assert canonical_with_moves(parse("1 -1"))[0] == BraidWord(2, ())
+        assert canonical(parse("1 -1")) == BraidWord(2, ())
 
     def test_lex_least_rotation(self):
-        assert canonical_with_moves(parse("2 1 2"))[0].letters == ((1, 1), (2, 1), (2, 1))
+        assert canonical(parse("2 1 2")).letters == ((1, 1), (2, 1), (2, 1))
 
     def test_idempotent(self):
-        once = canonical_with_moves(parse("2 -1 2 2"))[0]
-        assert canonical_with_moves(once)[0] == once
+        once = canonical(parse("2 -1 2 2"))
+        assert canonical(once) == once
 
     def test_moves_replay(self):
         w = parse("1 -1 2 1")
-        c, moves = canonical_with_moves(w)
-        assert replay(w, moves) == c
+        letters, moves = oracle_canonical(w.letters)
+        assert [m.kind for m in moves] == ["free-cancel", "rotate"]
+        assert replay(w, moves) == canonical(w) == BraidWord(w.strands, letters)
 
 
 class TestSimplify:
@@ -120,13 +121,15 @@ class TestSimplify:
 
     def test_log_replays(self):
         w = parse("1 2 1")
-        s, log = simplify_with_log(w)
-        assert replay(w, log) == s
+        s, log = oracle_simplify(w, DEFAULT_BUDGET)
+        assert simplify(w) == s == replay(w, log)
         assert s == BraidWord(2, ((1, 1), (1, 1)))
 
     def test_log_format(self):
-        _, log = simplify_with_log(parse("1 -1 2"))
+        w = parse("1 -1 2")
+        s, log = oracle_simplify(w, DEFAULT_BUDGET)
         assert [(m.kind, m.position) for m in log] == [("free-cancel", 0), ("destabilize", 0)]
+        assert simplify(w) == s
 
 
 def oracle_canonical(letters):
@@ -149,10 +152,11 @@ def oracle_canonical(letters):
     return tuple(letters), log
 
 
-def oracle_search(w, budget, max_length):
+def oracle_search(w, budget):
     """markov_search as first written: every neighbour move is tried through
     replay, in the search's order, and each reached word keeps its full log.
     Returns (words best first, complete, expansions, {word: log})."""
+    max_length = len(w.letters) + MARKOV_SLACK
     letters, prelude = oracle_canonical(w.letters)
     start = BraidWord(w.strands, letters)
     logs = {start: prelude}
@@ -186,6 +190,22 @@ def oracle_search(w, budget, max_length):
     return words, not queue, expansions, logs
 
 
+def oracle_simplify(w, budget):
+    """simplify through oracle_search, searching again from each better word
+    until the best stops improving; returns (word, log from w)."""
+    letters, log = oracle_canonical(w.letters)
+    current = BraidWord(w.strands, letters)
+    while True:
+        words, _, _, logs = oracle_search(current, budget)
+        best = words[0]
+        if (best.strands, len(best.letters), best.letters) >= (
+            current.strands, len(current.letters), current.letters
+        ):
+            return current, log
+        log += logs[best]
+        current = best
+
+
 class TestMarkovSearch:
     def test_matches_the_oracle_on_short_words(self):
         # simplify's length allowance; a budget that cuts some searches short
@@ -193,30 +213,27 @@ class TestMarkovSearch:
         assert len(words) == 53
         completes = set()
         for w in words:
-            res = markov_search(w, 60, max_length=len(w.letters) + MARKOV_SLACK)
-            nodes, complete, expansions, logs = oracle_search(w, 60, len(w.letters) + MARKOV_SLACK)
-            assert list(res) == nodes, w
-            assert (res.complete, res.expansions) == (complete, expansions), w
-            for v in res:
-                assert res.moves_to(v) == logs[v], (w, v)
+            res = markov_search(w, 60)
+            nodes, complete, expansions, logs = oracle_search(w, 60)
+            assert (list(res), res.complete, res.expansions) == (nodes, complete, expansions), w
             completes.add(complete)
         assert completes == {True, False}
 
-    def test_moves_to_replays_every_move_kind(self):
+    def test_oracle_logs_replay_every_move_kind(self):
         w = parse("1 3 -1 2", strands=4)
-        res = markov_search(w, 300, max_length=len(w.letters) + 2)
+        nodes, _, _, logs = oracle_search(w, 300)
+        assert list(markov_search(w, 300)) == nodes
         kinds = set()
-        for v in res:
-            moves = res.moves_to(v)
-            assert replay(w, moves) == v
-            kinds |= {m.kind for m in moves}
+        for v in nodes:
+            assert replay(w, logs[v]) == v
+            kinds |= {m.kind for m in logs[v]}
         assert kinds == MOVE_KINDS
 
     def test_braid_relation_pair(self):
         res = markov_search(parse("1 2 1"), 200)
-        assert canonical_with_moves(parse("2 1 2"))[0] in res
+        assert canonical(parse("2 1 2")) in res
         back = markov_search(parse("2 1 2"), 200)
-        assert canonical_with_moves(parse("1 2 1"))[0] in back
+        assert canonical(parse("1 2 1")) in back
 
     def test_reaches_destabilized_word(self):
         res = markov_search(parse("1", strands=3), 500)
@@ -225,7 +242,7 @@ class TestMarkovSearch:
     def test_budget_one_keeps_input(self):
         w = parse("1 2 1 -2 1 2 1")
         res = markov_search(w, 1)
-        assert canonical_with_moves(w)[0] in res
+        assert canonical(w) in res
         assert not res.complete
         assert res.expansions == 1
 
@@ -234,26 +251,21 @@ class TestMarkovSearch:
             markov_search(parse("1"), 0)
 
     def test_complete_when_component_finite(self):
-        res = markov_search(parse("1"), 500, max_length=3)
+        res = markov_search(parse("1"), 500)
         assert res.complete
         assert BraidWord(1, ()) in res
 
     def test_ordering_best_first(self):
-        res = markov_search(parse("1 -1 2"), 300, max_length=5)
+        res = markov_search(parse("1 -1 2"), 300)
         assert res[0] == BraidWord(2, ())
 
     def test_every_path_replays(self):
         w = parse("1 2 1")
-        res = markov_search(w, 60, max_length=5)
-        for out in res:
-            moves = res.moves_to(w=out)
-            assert replay(w, moves) == out
-            assert {m.kind for m in moves} <= MOVE_KINDS
-
-    def test_unreached_word_raises(self):
-        res = markov_search(parse("1"), 1)
-        with pytest.raises(KeyError):
-            res.moves_to(BraidWord(5, ()))
+        nodes, _, _, logs = oracle_search(w, 60)
+        assert list(markov_search(w, 60)) == nodes
+        for out in nodes:
+            assert replay(w, logs[out]) == out
+            assert {m.kind for m in logs[out]} <= MOVE_KINDS
 
 
 class TestReplayValidation:
@@ -314,19 +326,21 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(words)
     def test_logs_replay_and_use_listed_moves_only(self, w):
-        s, log = simplify_with_log(w, budget=250)
-        assert replay(w, log) == s
+        s, log = oracle_simplify(w, 250)
+        assert simplify(w, budget=250) == s == replay(w, log)
         assert {m.kind for m in log} <= MOVE_KINDS
 
     @settings(max_examples=40, deadline=None)
     @given(words)
     def test_simplified_word_is_canonical(self, w):
         s = simplify(w, budget=250)
-        assert canonical_with_moves(s)[0] == s
+        assert canonical(s) == s
 
     @settings(max_examples=30, deadline=None)
     @given(words)
     def test_search_members_replay(self, w):
-        res = markov_search(w, 40, max_length=len(w.letters) + 2)
-        for out in res[:5]:
-            assert replay(w, res.moves_to(out)) == out
+        res = markov_search(w, 40)
+        nodes, complete, expansions, logs = oracle_search(w, 40)
+        assert (list(res), res.complete, res.expansions) == (nodes, complete, expansions)
+        for out in nodes[:5]:
+            assert replay(w, logs[out]) == out

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,33 @@ class TestParseErrors:
         res = run(runner, "gdim", "--graph", str(tmp_path))
         assert_one_line_failure(res, 1)
         assert "cannot read graph file" in res.stderr
+
+
+class TestSizeRefusals:
+    CUBE = "the resolution cube needs {} Koszul generators, over the cap of 32768"
+    N = "n = 100000 is over the cap of 100"
+
+    @pytest.mark.parametrize("args, message", [
+        (["homology", "--braid", "16", "--xwindow", "2"], CUBE.format(262144)),
+        (["homology", "--braid", "1 2 1 2 1 2 1 2 1 2 1 2", "--xwindow", "2"],
+         CUBE.format(33554432)),
+        (["homology", "--braid", "1", "--n", "100000"], N),
+        (["skein", "--braid", "1", "--n", "100000"], N),
+        (["both", "--braid", "1", "--n", "100000"], N),
+        (["gdim", "--graph", "circle", "--n", "100000"], N),
+        (["verify", "--n", "100000"], N),
+    ], ids=["cube-s16", "cube-12-letters", "n-homology", "n-skein", "n-both", "n-gdim",
+            "n-verify"])
+    def test_refused_at_once_in_one_line(self, runner, args, message):
+        start = time.perf_counter()
+        res = run(runner, *args)
+        assert time.perf_counter() - start < 1
+        assert_one_line_failure(res, 2)
+        assert res.stderr == message + "\n"
+        assert "Traceback" not in res.output
+
+    def test_n_at_the_cap_is_admitted(self, runner):
+        assert run(runner, "skein", "--braid", "1", "--n", str(cli.MAX_N)).exit_code == 0
 
 
 class TestInvariantFailure:

@@ -465,6 +465,7 @@ class TestInvariantChecks:
         "a_one_dimensions": "qamod: the independent a = 1 oracle",
         "q_dimension": "qamod: one graded piece's dimension, read by the exact-sequence test",
         "invoke": "cli: the click.Group hook that click itself calls",
+        "replay": "braid: the tests' reference search reaches its words only through it",
     }
 
     @staticmethod
