@@ -208,13 +208,13 @@ def oracle_simplify(w, budget):
 
 class TestMarkovSearch:
     def test_matches_the_oracle_on_short_words(self):
-        # simplify's length allowance; a budget that cuts some searches short
+        # a budget that cuts some searches short
         words = [parse(text, 3) for text in reduced_words(3, 3)]
         assert len(words) == 53
         completes = set()
         for w in words:
             res = markov_search(w, 60)
-            nodes, complete, expansions, logs = oracle_search(w, 60)
+            nodes, complete, expansions, _ = oracle_search(w, 60)
             assert (list(res), res.complete, res.expansions) == (nodes, complete, expansions), w
             completes.add(complete)
         assert completes == {True, False}
