@@ -3,7 +3,7 @@
 Exit codes separate the failure families: 1 for input that does not parse
 (including windows the pipelines refuse), 2 for an exhausted budget (the
 skein recursion's budget, the x-window search of `both` and `verify`
-passing qamod.AUTO_MAX_WIDTH, a resolution cube of more than
+passing qamod.AUTO_WIDTH_STEPS * (n + 1), a resolution cube of more than
 cube.MAX_CUBE_GENERATORS Koszul generators, a window whose expansion would
 pass qamod.MAX_EXPANSION basis vectors, a gdim truncation whose slices
 would pass mf.MAX_SLICE_BASIS elements, or an n above MAX_N, which is

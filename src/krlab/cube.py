@@ -454,11 +454,14 @@ def _subdivision_row(table, n, upper: str, lower: str):
     return (a * h, up - lo)
 
 
-# Koszul generators a resolution cube may hold over all its vertices, checked
-# before any vertex is built.  Builds at n = 1 on a 2-vCPU host: 2^14
-# (s_12 on 13 strands) 1.5 s and 120 MB; 2^15 (s_13) 3.8 s and 238 MB, and
-# 1 1 1 1 1 1 1 17 s and 143 MB; 2^16 (s_14) 9.8 s and 501 MB before the
-# expansion starts.
+# Koszul generators a resolution cube may hold over all its vertices at n = 1;
+# the cap at n is MAX_CUBE_GENERATORS // n^2, checked before any row is built,
+# since the entries' polynomials grow with n.  Builds on a 2-vCPU host at
+# n = 1: 2^14 (s_12 on 13 strands) 1.5 s and 120 MB; 2^15 (s_13) 3.8 s and
+# 238 MB, and 1 1 1 1 1 1 1 17 s and 143 MB; 2^16 (s_14) 9.8 s and 501 MB.
+# At the cap for n > 1: 1 1 at n = 32 5.5 s, 1 1 1 at n = 16 8.4 s,
+# 1 -2 1 -2 at n = 8 3.4 s, 1 1 1 1 1 at n = 4 2.7 s; past it 1 1 at n = 48
+# takes 32 s and 1 1 1 at n = 24 57 s.
 MAX_CUBE_GENERATORS = 1 << 15
 
 
@@ -477,6 +480,18 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
     if n < 1:
         raise ValueError("n must be a positive integer")
     c = len(word.letters)
+    # the uniform exclusion keeps one shared row per connected piece of the
+    # closure: the right entries of a piece's rows are the rows of a graph's
+    # incidence matrix, of rank one less than their number.  The pieces are the
+    # strands less the distinct generators, so 2^c vertices of 2^(c + pieces)
+    # generators each, a count checked against the exclusion below.
+    pieces = word.strands - len({i for i, _ in word.letters})
+    size = 1 << (2 * c + pieces)
+    cap = MAX_CUBE_GENERATORS // (n * n)
+    if size > cap:
+        raise ExpansionBudgetError(
+            f"the resolution cube needs {size} Koszul generators, over the cap of {cap}"
+        )
     gaps = max(c, 1)
     arcs, node_arc = _closure_arcs(word, extra_marks)
 
@@ -532,12 +547,8 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
     writhe = sum(sign for _, sign in word.letters)
     bases = [-1 if cr["sign"] > 0 else 0 for cr in crossings]
     nrows = len(shared) + c
-    size = 1 << (c + nrows)  # 2^c vertices of 2^nrows Koszul generators each
-    if size > MAX_CUBE_GENERATORS:
-        raise ExpansionBudgetError(
-            f"the resolution cube needs {size} Koszul generators, "
-            f"over the cap of {MAX_CUBE_GENERATORS}"
-        )
+    if nrows != c + pieces:
+        raise InvariantError(f"{len(shared)} shared rows left for {pieces} pieces")
     masks_by_parity = koszul_masks(nrows)
 
     summands: dict[int, list[Summand]] = {}

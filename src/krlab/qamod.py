@@ -275,16 +275,24 @@ class SmithResult:
 
 
 def smith(M: SliceMatrix) -> SmithResult:
-    """Graded Smith reduction with the least a-exponent as pivot.
+    """Graded Smith reduction: the least a-exponent first, then the least fill.
 
     Entries live in row- and column-indexed form so each operation touches
     only actual nonzeros, and pivot candidates sit in a heap keyed by
-    (exponent, row, col); a cell's exponent never changes, so stale heap
-    entries are discarded by a presence check.  The pivot is cleared from
-    its column by row operations and from its row by column operations;
-    every multiplier is a monomial of non-negative exponent, so one pass
-    per pivot suffices and the recorded diagonal exponents come out
-    non-decreasing.
+    (exponent, cost, row, col), where cost is the Markowitz count
+    (|row| - 1)(|col| - 1) of the cell when it was pushed, the bound on the
+    fill its elimination makes.  A cell's exponent never changes, so a
+    popped cell no longer present is discarded; a present one whose cost
+    has grown since is pushed back with its current cost while the heap's
+    least exponent is still its own, and taken as the pivot otherwise (the
+    cost only orders cells of one exponent).  The pivot is cleared from its
+    column by row operations and from its row by column operations.  Any
+    cell of the least exponent pe is a valid pivot: every other cell of the
+    matrix has exponent de >= pe, so every multiplier a^(de - pe) has a
+    non-negative exponent, one pass per pivot suffices, and the recorded
+    diagonal exponents come out non-decreasing.  The tie-break among those
+    cells decides only the fill, hence the speed, and which basis the
+    transforms give.
 
     Only col_t and row_t_inv are tracked (see SmithResult).  Column
     operations only add multiples of the pivot column to other columns, and
@@ -297,11 +305,14 @@ def smith(M: SliceMatrix) -> SmithResult:
     """
     by_row: dict[int, dict[int, Mono]] = {}
     by_col: dict[int, dict[int, Mono]] = {}
-    heap: list[tuple[int, int, int]] = []
     for (r, c), mono in M.entries.items():
         by_row.setdefault(r, {})[c] = mono
         by_col.setdefault(c, {})[r] = mono
-        heap.append((mono[1], r, c))
+
+    def cost(r: int, c: int) -> int:
+        return (len(by_row[r]) - 1) * (len(by_col[c]) - 1)
+
+    heap = [(mono[1], cost(r, c), r, c) for (r, c), mono in M.entries.items()]
     heapq.heapify(heap)
     one = (1, 0)
     row_t_inv: MonoMat = {}
@@ -315,7 +326,7 @@ def smith(M: SliceMatrix) -> SmithResult:
             mono = (coeff, exp)
             row[c] = mono
             by_col.setdefault(c, {})[r] = mono
-            heapq.heappush(heap, (exp, r, c))
+            heapq.heappush(heap, (exp, cost(r, c), r, c))
             return
         if cur[1] != exp:
             raise InvariantError("graded collision in smith")
@@ -329,9 +340,13 @@ def smith(M: SliceMatrix) -> SmithResult:
             del by_col[c][r]
 
     while heap:
-        pe, r0, c0 = heapq.heappop(heap)
+        pe, pushed, r0, c0 = heapq.heappop(heap)
         got = by_row.get(r0, {}).get(c0)
         if got is None:
+            continue
+        now = cost(r0, c0)
+        if now > pushed and heap and heap[0][0] == pe:
+            heapq.heappush(heap, (pe, now, r0, c0))
             continue
         row_t_inv[r0] = {r: (dc, de - pe) for r, (dc, de) in by_col[c0].items()}
         pc = got[0]
@@ -1263,11 +1278,13 @@ def euler_characteristic(M: GradedQaModule) -> SkeinValue:
 # ---------------------------------------------------------------------------
 # The least window that decategorifies
 
-AUTO_MAX_WIDTH = 40
+# the x-window search's width cap, in x-jumps n + 1 of a factorization term
+AUTO_WIDTH_STEPS = 20
 
 
 class WindowBudgetError(RuntimeError):
-    """No x-window width up to AUTO_MAX_WIDTH decategorifies with confirmation."""
+    """No x-window width up to AUTO_WIDTH_STEPS * (n + 1) decategorifies with
+    confirmation."""
 
 
 def adaptive_homology(
@@ -1283,7 +1300,8 @@ def adaptive_homology(
     up to the narrower top are those of the narrower one.  The confirmation
     guards against a window that decategorifies to the wrong value: one with
     no content, or one whose tail fit holds only by coincidence.  Widths run
-    2, 4, 6, ...; past AUTO_MAX_WIDTH the search raises WindowBudgetError,
+    2, 4, 6, ...; past AUTO_WIDTH_STEPS * (n + 1), which grows with n as the
+    widths needed do, the search raises WindowBudgetError,
     and a width whose expansion passes MAX_EXPANSION ends it with
     ExpansionBudgetError.  homology and euler are the two functions it
     calls, so a caller may pass in its own references to them.
@@ -1297,7 +1315,8 @@ def adaptive_homology(
     """
     expansion = _Expansion(C)
     prev = None
-    for width in range(2, AUTO_MAX_WIDTH + 1, 2):
+    max_width = AUTO_WIDTH_STEPS * (C.n + 1)
+    for width in range(2, max_width + 1, 2):
         mod = homology(C, width, expansion)
         try:
             value = euler(mod)
@@ -1308,7 +1327,7 @@ def adaptive_homology(
             return prev
         prev = (mod, value)
     raise WindowBudgetError(
-        f"x-window search exhausted: no width up to {AUTO_MAX_WIDTH} has an "
+        f"x-window search exhausted: no width up to {max_width} has an "
         "euler characteristic confirmed at the next width"
     )
 

@@ -183,7 +183,7 @@ class TestBothCommand:
         assert "widen the window" in res.stderr
 
     def test_window_search_exhaustion_exits_two(self, runner, monkeypatch):
-        monkeypatch.setattr(qamod, "AUTO_MAX_WIDTH", 4)
+        monkeypatch.setattr(qamod, "AUTO_WIDTH_STEPS", 2)  # width 4 at n = 1
         res = run(runner, "both", "--braid", "1 1")
         assert_one_line_failure(res, 2)
         assert "x-window search exhausted" in res.stderr
@@ -294,12 +294,14 @@ class TestSizeRefusals:
         (["homology", "--braid", "16", "--xwindow", "2"], CUBE.format(262144)),
         (["homology", "--braid", "1 2 1 2 1 2 1 2 1 2 1 2", "--xwindow", "2"],
          CUBE.format(33554432)),
+        (["homology", "--braid", "1 1", "--n", "64", "--xwindow", "2"],
+         "the resolution cube needs 32 Koszul generators, over the cap of 8"),
         (["homology", "--braid", "1", "--n", "100000"], N),
         (["skein", "--braid", "1", "--n", "100000"], N),
         (["both", "--braid", "1", "--n", "100000"], N),
         (["gdim", "--graph", "circle", "--n", "100000"], N),
         (["verify", "--n", "100000"], N),
-    ], ids=["cube-s16", "cube-12-letters", "n-homology", "n-skein", "n-both", "n-gdim",
+    ], ids=["cube-s16", "cube-12-letters", "cube-n64", "n-homology", "n-skein", "n-both", "n-gdim",
             "n-verify"])
     def test_refused_at_once_in_one_line(self, runner, args, message):
         start = time.perf_counter()
@@ -311,6 +313,12 @@ class TestSizeRefusals:
 
     def test_n_at_the_cap_is_admitted(self, runner):
         assert run(runner, "skein", "--braid", "1", "--n", str(cli.MAX_N)).exit_code == 0
+
+    def test_window_search_grows_with_n(self, runner):
+        # width 40 was the cap at every n, and n = 7 needs more
+        res = run(runner, "both", "--braid", "1 1", "--n", "7", "--format", "json")
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["cross_check"] == "MATCH"
 
 
 class TestInvariantFailure:

@@ -3,7 +3,8 @@
 The sha256 of each `homology --strands 3 --xwindow 10 --format json` stdout
 is committed in pins/homology_short_words.json, and that of each
 `both --strands 3 --format json` stdout, whose window search grows one
-expansion, in pins/both_short_words.json; regenerate one with
+expansion, in pins/both_short_words.json, which also pins `both` on two
+4-crossing knots at n = 1; regenerate one with
 
     PYTHONPATH=src python tests/test_pinned_homology.py homology > tests/pins/homology_short_words.json
     PYTHONPATH=src python tests/test_pinned_homology.py both > tests/pins/both_short_words.json
@@ -40,18 +41,25 @@ def pinned(command: str, word: str, n: int) -> str:
 
 # the 17 freely reduced words of length <= 2 on 3 strands
 CASES = [(word, n) for n in (1, 2) for word in reduced_words(3, 2)]
-IDS = [f"[{w}]-n{n}" for w, n in CASES]
+# the cases of each pinned command: `both` adds two 4-crossing words, the
+# figure-eight and the negative trefoil (sigma_1 sigma_2)^-2
+PINNED = {"homology": CASES, "both": CASES + [("1 -2 1 -2", 1), ("-1 -2 -1 -2", 1)]}
 
 
-@pytest.mark.parametrize("word,n", CASES, ids=IDS)
+def ids(cases):
+    return [f"[{w}]-n{n}" for w, n in cases]
+
+
+@pytest.mark.parametrize("word,n", PINNED["homology"], ids=ids(PINNED["homology"]))
 def test_homology_output_is_pinned(word, n):
     assert digest("homology", word, n) == pinned("homology", word, n)
 
 
-@pytest.mark.parametrize("word,n", CASES, ids=IDS)
+@pytest.mark.parametrize("word,n", PINNED["both"], ids=ids(PINNED["both"]))
 def test_both_output_is_pinned(word, n):
     assert digest("both", word, n) == pinned("both", word, n)
 
 
 if __name__ == "__main__":
-    print(json.dumps({f"[{w}] n={n}": digest(sys.argv[1], w, n) for w, n in CASES}, indent=1))
+    print(json.dumps({f"[{w}] n={n}": digest(sys.argv[1], w, n) for w, n in PINNED[sys.argv[1]]},
+                     indent=1))

@@ -116,13 +116,9 @@ class TestSmith:
         assert [e for _, _, e in s.pivots] == [1, 2]
         self.check_transforms(m, s)
 
-    @given(
-        st.data(),
-        st.integers(1, 4),
-        st.integers(1, 4),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_reduction_properties(self, data, nr, nc):
+    @staticmethod
+    def draw_matrix(data, nr, nc):
+        """A random graded nr x nc slice matrix."""
         target = tuple(data.draw(st.lists(
             st.sampled_from([0, 2, 4]), min_size=nr, max_size=nr)))
         source = tuple(data.draw(st.lists(
@@ -137,7 +133,16 @@ class TestSmith:
                     [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]))
                 if coeff:
                     entries[(r, c)] = (coeff, exp)
-        m = SliceMatrix(source, target, 0, entries)
+        return SliceMatrix(source, target, 0, entries)
+
+    @given(
+        st.data(),
+        st.integers(1, 4),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_reduction_properties(self, data, nr, nc):
+        m = self.draw_matrix(data, nr, nc)
         s = smith(m)
 
         self.check_transforms(m, s)
@@ -157,6 +162,38 @@ class TestSmith:
             coords = s.image_coords(vec)
             assert all(exp >= 0 for _, exp in coords.values())
             assert apply_cells(image, coords) == vec
+
+    def test_arrowhead_is_pivoted_without_fill(self):
+        # a unit diagonal with a dense row 0 and column 0, all exponents 0:
+        # pivoting (0, 0) first would fill the whole matrix, so the least
+        # Markowitz cost takes the diagonal first and (0, 0) last
+        k = 40
+        entries = {(i, i): (Fraction(1), 0) for i in range(1, k)}
+        entries[(0, 0)] = (Fraction(2 * k), 0)
+        for i in range(1, k):
+            entries[(0, i)] = entries[(i, 0)] = (Fraction(1), 0)
+        m = SliceMatrix((0,) * k, (0,) * k, 0, entries)
+        s = smith(m)
+        assert s.pivots[-1] == (0, 0, 0)
+        assert all(len(col) <= 2 for col in s.row_t_inv.values())
+        self.check_transforms(m, s)
+
+    @given(st.data(), st.integers(1, 5), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_permutations_keep_the_diagonal(self, data, nr, nc):
+        # the tie-break may pick other pivots in a permuted matrix, but never
+        # other exponents or another kernel rank
+        m = self.draw_matrix(data, nr, nc)
+        rows = data.draw(st.permutations(range(nr)))
+        cols = data.draw(st.permutations(range(nc)))
+        p = SliceMatrix(
+            tuple(m.source[c] for c in cols), tuple(m.target[r] for r in rows), 0,
+            {(rows.index(r), cols.index(c)): mono for (r, c), mono in m.entries.items()},
+        )
+        s, sp = smith(m), smith(p)
+        self.check_transforms(p, sp)
+        assert [e for _, _, e in sp.pivots] == [e for _, _, e in s.pivots]
+        assert len(sp.kernel_basis()) == len(s.kernel_basis())
 
     def test_kernel_coords_rejects_outside_vectors(self):
         m = SliceMatrix((0,), (0,), 1, {})
