@@ -4,8 +4,8 @@ Exit codes separate the failure families: 1 for input that does not parse
 (including windows the pipelines refuse), 2 for an exhausted budget (the
 skein recursion's budget, the x-window search of `both` and `verify`
 passing qamod.AUTO_WIDTH_STEPS * (n + 1), a resolution cube of more than
-cube.MAX_CUBE_GENERATORS Koszul generators, a window whose expansion would
-pass qamod.MAX_EXPANSION basis vectors, a gdim truncation whose slices
+cube.MAX_CUBE_GENERATORS // n^2 Koszul generators, a window whose expansion
+would pass qamod.MAX_EXPANSION basis vectors, a gdim truncation whose slices
 would pass mf.MAX_SLICE_BASIS elements, or an n above MAX_N, which is
 refused before any work), 3 for a failed cross-check, 4 for a broken
 internal invariant, 5 for running out of memory.  Each failure prints one

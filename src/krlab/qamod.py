@@ -1301,10 +1301,10 @@ def adaptive_homology(
     guards against a window that decategorifies to the wrong value: one with
     no content, or one whose tail fit holds only by coincidence.  Widths run
     2, 4, 6, ...; past AUTO_WIDTH_STEPS * (n + 1), which grows with n as the
-    widths needed do, the search raises WindowBudgetError,
-    and a width whose expansion passes MAX_EXPANSION ends it with
-    ExpansionBudgetError.  homology and euler are the two functions it
-    calls, so a caller may pass in its own references to them.
+    widths needed do, the search raises WindowBudgetError, and a width whose
+    expansion passes MAX_EXPANSION ends it with ExpansionBudgetError.
+    homology and euler are the two functions it calls, so a caller may pass
+    in its own references to them.
 
     Every width is computed on one expansion of C, as homology(C, w,
     expansion), which grows each of its classes from the last top to the

@@ -301,8 +301,8 @@ class TestSizeRefusals:
         (["both", "--braid", "1", "--n", "100000"], N),
         (["gdim", "--graph", "circle", "--n", "100000"], N),
         (["verify", "--n", "100000"], N),
-    ], ids=["cube-s16", "cube-12-letters", "cube-n64", "n-homology", "n-skein", "n-both", "n-gdim",
-            "n-verify"])
+    ], ids=["cube-s16", "cube-12-letters", "cube-n64", "n-homology", "n-skein", "n-both",
+            "n-gdim", "n-verify"])
     def test_refused_at_once_in_one_line(self, runner, args, message):
         start = time.perf_counter()
         res = run(runner, *args)

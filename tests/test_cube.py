@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from krlab import cube
 from krlab.braid import BraidWord, parse
 from krlab.cube import (
     ExcludedVertex,
@@ -207,6 +208,20 @@ class TestCubeShape:
     def test_rejects_unknown_extra_mark_point(self):
         with pytest.raises(ValueError):
             build_complex(parse("1", 2), 1, extra_marks=[(7, 1)])
+
+    @pytest.mark.parametrize("text, strands, pieces", [
+        ("", 3, 3), ("1", 2, 1), ("1 1", 2, 1), ("2", 4, 3), ("1 3", 4, 2), ("1 -2 1", 3, 1),
+    ])
+    def test_one_shared_row_per_piece(self, text, strands, pieces):
+        # the size the cube cap counts before any row is built
+        C = build_complex(parse(text, strands), 1, extra_marks=[(0, 1)])
+        c = len(parse(text, strands).letters)
+        assert all(len(s.spec.rows) == c + pieces for ss in C.summands.values() for s in ss)
+
+    def test_a_row_left_over_is_an_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(cube, "exclude_all", lambda spec, names: (spec, []))
+        with pytest.raises(InvariantError, match="2 shared rows left for 1 pieces"):
+            build_complex(parse("1 1", 2), 1)
 
 
 def closure_arcs_by_union_find(word: BraidWord, extra_marks):
