@@ -287,10 +287,22 @@ DEFAULT_BUDGET = 2000
 
 def simplify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> BraidWord:
     """Best reachable word (fewest strands, then shortest, then lex),
-    iterated to a fixpoint, hence idempotent."""
+    iterated to a fixpoint, hence idempotent.
+
+    A complete search from current that finds a best word no longer than
+    current is already the fixpoint, so best is returned without searching
+    from it again.  That search would allow len(best) + MARKOV_SLACK
+    letters, at most the first search's bound, and the first search's words
+    are closed under every move within that bound, since each was expanded.
+    So every word the second search reaches lies among the first search's,
+    of which best is the least: it would return best again.
+    """
     current = canonical(w)
     while True:
-        best = markov_search(current, budget)[0]
+        found = markov_search(current, budget)
+        best = found[0]
         if _order_key(best) >= _order_key(current):
             return current
+        if found.complete and len(best.letters) <= len(current.letters):
+            return best
         current = best

@@ -48,8 +48,9 @@ from .skein import (
 
 SERIES_CAP = 12  # default alpha and xi caps of a printed skein series
 # Largest potential exponent a command accepts.  On a 2-vCPU host,
-# homology --braid 1 --xwindow 2 takes 0.33 s at n = 64, 1.0 s at 100 and
-# 11 s at 200, and the time keeps growing with n.
+# homology --braid 1 --xwindow 2 takes 0.30 s at n = 64; with the cube cap,
+# which refuses that cube above n = 64, lifted, 1.1 s at 100 and 11 s at 200,
+# and the time keeps growing with n.
 MAX_N = 100
 
 

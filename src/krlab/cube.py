@@ -46,6 +46,7 @@ from .mf import (
     Reduction,
     _vec_add,
     compose,
+    compose_sum,
     exclude_all,
     exclusion_reduction,
     exclusion_substitution,
@@ -109,10 +110,13 @@ def check_even_morphism(
             want = (da + sa - ta, dx + sx - tx)
             if deg != want:
                 raise InvariantError(f"morphism entry degree {deg}, expected {want}")
+    # tgt.d . mats == mats' . src.d exactly when their difference sums to
+    # no entry, since compose_sum is exact and drops the zero entries
     for par in (0, 1):
-        left = compose(tgt.differential(par), mats[par])
-        right = compose(mats[(par + 1) % 2], src.differential(par))
-        if left != right:
+        if compose_sum([
+            (1, tgt.differential(par), mats[par]),
+            (-1, mats[(par + 1) % 2], src.differential(par)),
+        ]):
             raise InvariantError("morphism does not commute with the differentials")
 
 
@@ -149,12 +153,12 @@ def chi_diagonal(
     mask list underlies basis(par), and every entry is multiplied by sign.
     """
     one = BigradedPoly.one(s.table)
+    if sign < 0:
+        s, one = -s, -one
     mats: MatPair = ({}, {})
     for par in (0, 1):
         for idx, mask in enumerate(masks_by_parity[(par + flip) % 2]):
             entry = s if (mask >> gbit & 1) == s_bit else one
-            if sign < 0:
-                entry = -entry
             if not entry.is_zero():
                 mats[par][(idx, idx)] = entry
     return mats
@@ -366,13 +370,12 @@ class ChainComplexOfMF:
             out_of.setdefault((i, si), []).append((ti, mats))
         for (i, si), firsts in out_of.items():
             for par in (0, 1):
-                total: dict[tuple, BigradedPoly] = {}
+                # d_chi^2 from vertex si, one sum of paths per target vertex
+                into: dict[int, list[tuple[int, Matrix, Matrix]]] = {}
                 for mid, first in firsts:
                     for ti, second in out_of.get((i + 1, mid), ()):
-                        for key, p in compose(second[par], first[par]).items():
-                            key = (ti, key)
-                            total[key] = total[key] + p if key in total else p
-                if any(not p.is_zero() for p in total.values()):
+                        into.setdefault(ti, []).append((1, second[par], first[par]))
+                if any(compose_sum(paths) for paths in into.values()):
                     raise InvariantError(f"d_chi^2 != 0 out of degree {i}")
 
     @cached_property
@@ -457,11 +460,11 @@ def _subdivision_row(table, n, upper: str, lower: str):
 # Koszul generators a resolution cube may hold over all its vertices at n = 1;
 # the cap at n is MAX_CUBE_GENERATORS // n^2, checked before any row is built,
 # since the entries' polynomials grow with n.  Builds on a 2-vCPU host at
-# n = 1: 2^14 (s_12 on 13 strands) 1.5 s and 120 MB; 2^15 (s_13) 3.8 s and
-# 238 MB, and 1 1 1 1 1 1 1 17 s and 143 MB; 2^16 (s_14) 9.8 s and 501 MB.
-# At the cap for n > 1: 1 1 at n = 32 5.5 s, 1 1 1 at n = 16 8.4 s,
-# 1 -2 1 -2 at n = 8 3.4 s, 1 1 1 1 1 at n = 4 2.7 s; past it 1 1 at n = 48
-# takes 32 s and 1 1 1 at n = 24 57 s.
+# n = 1: 2^14 (s_12 on 13 strands) 0.7 s and 65 MB; 2^15 (s_13) 1.6 s and
+# 135 MB, and 1 1 1 1 1 1 1 4.9 s and 94 MB; 2^16 (s_14) 3.6 s and 276 MB.
+# At the cap for n > 1: 1 1 at n = 32 3.4 s, 1 1 1 at n = 16 3.2 s,
+# 1 -2 1 -2 at n = 8 1.3 s, 1 1 1 1 1 at n = 4 0.9 s; past it 1 1 at n = 48
+# takes 21 s and 1 1 1 at n = 24 21 s.
 MAX_CUBE_GENERATORS = 1 << 15
 
 

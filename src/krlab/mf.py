@@ -8,12 +8,18 @@ factorizations here are Koszul: tensor products of rank-2 pieces
     (left, right):   R --left--> R{1 - deg_a left, N+1 - deg_x left} --right--> R
 
 one per row of a KoszulSpec, with the signed Leibniz rule governing the
-tensor differential.  The module also provides the one simplification the
-pipelines use (exclusion of a variable through a unit-linear row), the exact
-kernel of a sparse rational matrix, and the graded dimension of the killed
-complex.  An exclusion comes with its chain maps (exclusion_reduction), which
-carry maps between factorizations over to the smaller ring, and a chain of
-exclusions with its composite substitution (exclusion_substitution).
+tensor differential.  Every identity the checks multiply out (d^2 = w here,
+chi commuting with the differentials and d_chi^2 = 0 in cube) is a signed sum
+of sparse polynomial matrix products, taken by the one product kernel,
+compose_sum.  It packs each exponent tuple into one int, in fields wide
+enough for twice the largest exponent, so a product of two monomials is one
+integer addition that cannot carry; exponents are never negative.  The module
+also provides the one simplification the pipelines use (exclusion of a
+variable through a unit-linear row), the exact kernel of a sparse rational
+matrix, and the graded dimension of the killed complex.  An exclusion comes
+with its chain maps (exclusion_reduction), which carry maps between
+factorizations over to the smaller ring, and a chain of exclusions with its
+composite substitution (exclusion_substitution).
 """
 
 from __future__ import annotations
@@ -390,35 +396,88 @@ class MatrixFactorization:
         return MatrixFactorization(self.table, self.n, self.potential, b0, b1, d0, d1, check=False)
 
 
-def compose(second: Matrix, first: Matrix) -> Matrix:
-    """Sparse matrix product second . first.
+def compose_sum(triples: Sequence[tuple[int, Matrix, Matrix]]) -> Matrix:
+    """Sparse sum of products: sign * second . first summed over the
+    (sign, second, first) triples, each sign 1 or -1, with every zero entry
+    dropped.
 
-    All products of one output entry are summed term by term in one dict,
-    and one polynomial is built per nonzero entry.  Every entry of both
-    operands must share one variable table (ValueError otherwise).
+    The one matrix product loop of the package.  Each distinct exponent tuple of
+    the operands is packed into one int, its exponents side by side in
+    fields of (2 * the largest exponent).bit_length() bits, so the product
+    of two monomials is one integer addition: a field of a sum holds at most
+    twice the largest exponent, which fits its width, and never carries into
+    the next.  A negative exponent would borrow from its neighbour instead,
+    so one raises InvariantError; a polynomial's exponents are never
+    negative.  Each entry polynomial is packed once per call, found by id,
+    which stays unique while the caller holds the matrices.  The products
+    of one output entry are summed term by term in one dict, and one
+    polynomial is built per nonzero entry, its exponents unpacked in the
+    order they first occur.  Every entry of every operand must share one
+    variable table (ValueError otherwise).
     """
-    tables = {p.table for p in second.values()} | {p.table for p in first.values()}
-    if len(tables) > 1:
-        raise ValueError("mismatched variable tables")
-    table = next(iter(tables), None)
-    by_col: dict[int, list[tuple[int, dict]]] = {}
-    for (i, j), q in second.items():
-        by_col.setdefault(j, []).append((i, q.terms))
-    sums: dict[Entry, dict[tuple[int, ...], Coefficient]] = {}
-    for (mid, j), p in first.items():
-        pterms = p.terms.items()
-        for i, qterms in by_col.get(mid, ()):
-            acc = sums.setdefault((i, j), {})
-            for e1, c1 in qterms.items():
-                for e2, c2 in pterms:
-                    e = tuple(map(add, e1, e2))
-                    acc[e] = acc.get(e, 0) + c1 * c2
+    table = None
+    packed: dict[int, list] = {}
+    exponents: dict[tuple[int, ...], int] = {}
+    for _, second, first in triples:
+        for mat in (second, first):
+            for p in mat.values():
+                if id(p) in packed:
+                    continue
+                if table is None:
+                    table = p.table
+                elif p.table is not table and p.table != table:
+                    raise ValueError("mismatched variable tables")
+                packed[id(p)] = p.terms
+                exponents.update(dict.fromkeys(p.terms))
+    flat = [k for e in exponents for k in e]
+    if min(flat, default=0) < 0:
+        raise InvariantError("a negative exponent in a product")
+    width = (2 * max(flat, default=0)).bit_length()
+    shifts = [width * i for i in range(len(table) if table is not None else 0)]
+    for e in exponents:
+        exponents[e] = sum(k << s for k, s in zip(e, shifts))
+    for key, terms in packed.items():
+        packed[key] = [(exponents[e], c) for e, c in terms.items()]
+    negated: dict[int, list] = {}
+    sums: dict[Entry, dict[int, Coefficient]] = {}
+    for sign, second, first in triples:
+        by_col: dict[int, list[tuple[int, list]]] = {}
+        for (i, j), q in second.items():
+            qterms = packed[id(q)]
+            if sign < 0:
+                if id(q) not in negated:
+                    negated[id(q)] = [(e, -c) for e, c in qterms]
+                qterms = negated[id(q)]
+            by_col.setdefault(j, []).append((i, qterms))
+        for (mid, j), p in first.items():
+            pterms = packed[id(p)]
+            for i, qterms in by_col.get(mid, ()):
+                acc = sums.get((i, j))
+                if acc is None:
+                    acc = sums[(i, j)] = {}
+                for e1, c1 in qterms:
+                    for e2, c2 in pterms:
+                        e = e1 + e2
+                        acc[e] = acc.get(e, 0) + c1 * c2
+    decoded = {code: e for e, code in exponents.items()}
+    mask = (1 << width) - 1
     out: Matrix = {}
     for key, acc in sums.items():
-        p = BigradedPoly(table, acc)
-        if p.terms:
-            out[key] = p
+        terms = {}
+        for code, c in acc.items():
+            if c:
+                e = decoded.get(code)
+                if e is None:
+                    e = decoded[code] = tuple(code >> s & mask for s in shifts)
+                terms[e] = c
+        if terms:
+            out[key] = BigradedPoly(table, terms)
     return out
+
+
+def compose(second: Matrix, first: Matrix) -> Matrix:
+    """Sparse matrix product second . first (see compose_sum)."""
+    return compose_sum([(1, second, first)])
 
 
 def koszul_masks(nrows: int) -> tuple[list[int], list[int]]:
@@ -451,18 +510,19 @@ def koszul(spec: KoszulSpec) -> MatrixFactorization:
     basis1 = [degree(m) for m in masks1]
     d0: Matrix = {}
     d1: Matrix = {}
+    # each row's entries and their negatives, built once and shared by all
+    # the masks, so compose_sum packs each distinct entry once
+    signed = [((left, right), (-left, -right)) for left, right in spec.rows]
     # a (source, target) mask pair differs in one row, so each entry is set once
     for mask in range(1 << nrows):
         if bin(mask).count("1") % 2 == 0:
             d, src, index = d0, index0[mask], index1
         else:
             d, src, index = d1, index1[mask], index0
-        for i, (left, right) in enumerate(spec.rows):
-            entry = right if mask >> i & 1 else left
+        for i, pairs in enumerate(signed):
+            entry = pairs[bin(mask & ((1 << i) - 1)).count("1") % 2][mask >> i & 1]
             if entry.is_zero():
                 continue
-            if bin(mask & ((1 << i) - 1)).count("1") % 2:
-                entry = -entry
             d[(index[mask ^ (1 << i)], src)] = entry
     return MatrixFactorization(spec.table, spec.n, spec.potential(), basis0, basis1, d0, d1)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krlab import braid
 from krlab.braid import (
     DEFAULT_BUDGET,
     MARKOV_SLACK,
@@ -130,6 +131,22 @@ class TestSimplify:
         s, log = oracle_simplify(w, DEFAULT_BUDGET)
         assert [(m.kind, m.position) for m in log] == [("free-cancel", 0), ("destabilize", 0)]
         assert simplify(w) == s
+
+    def test_matches_the_oracle_in_fewer_searches(self, monkeypatch):
+        search, searches, oracle_searches = oracle_search, [], []
+        monkeypatch.setattr(braid, "markov_search",
+                            lambda w, budget: searches.append(w) or markov_search(w, budget))
+        monkeypatch.setitem(globals(), "oracle_search",
+                            lambda w, budget: oracle_searches.append(w) or search(w, budget))
+        for text in reduced_words(3, 3):
+            w = parse(text, 3)
+            before = len(searches), len(oracle_searches)
+            assert simplify(w) == oracle_simplify(w, DEFAULT_BUDGET)[0], text
+            assert len(searches) - before[0] <= len(oracle_searches) - before[1], text
+        # the oracle searches again from each better word until none is
+        # better, as simplify did before it returned a complete search's best
+        # word no longer than the word searched from
+        assert len(searches) < len(oracle_searches)
 
 
 def oracle_canonical(letters):

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from krlab import cube
 from krlab.braid import BraidWord, parse
 from krlab.cube import (
+    ChainComplexOfMF,
     ExcludedVertex,
+    Summand,
     _Arc,
     _closure_arcs,
     _crossing_rows,
@@ -322,6 +324,43 @@ class TestVerify:
         C.blocks[key] = ({e: 2 * p for e, p in mat0.items()}, mat1)
         with pytest.raises(InvariantError, match="does not commute"):
             C.verify()
+
+    def test_one_term_off_does_not_commute(self):
+        C = build_complex(parse("1 1"), 1)
+        (i, ti, _), (mat0, _) = next(iter(C.blocks.items()))
+        tgt = C.summands[i + 1][ti].mf
+        # an entry of tgt.d0 out of a generator that chi scales by a constant:
+        # one more copy of one of its terms puts tgt.d chi one term off chi' src.d
+        key, p = next((k, p) for k, p in tgt.d0.items() if mat0[(k[1], k[1])].is_constant())
+        e, c = next(iter(p.terms.items()))
+        tgt.d0[key] = p + BigradedPoly(p.table, {e: c})
+        with pytest.raises(InvariantError, match="does not commute"):
+            C.verify()
+
+    def test_opposite_faults_into_two_targets(self):
+        # vertices of rank one with zero differentials, so every block commutes;
+        # d_chi^2 out of s is +x into t1 and -x into t2, which cancel only if
+        # the two target vertices are summed together
+        table = marks_table("x")
+        x = var(table, "x")
+
+        def vertex(xdeg: int) -> Summand:
+            mf = MatrixFactorization(table, 1, BigradedPoly.zero(table), [(0, xdeg)], [], {}, {})
+            return Summand(None, mf, None, (0, 0, 0))
+
+        def block(entry: BigradedPoly):
+            return ({(0, 0): entry}, {})
+
+        summands = {0: [vertex(0)], 1: [vertex(0), vertex(0)], 2: [vertex(-2), vertex(-2)]}
+        one = BigradedPoly.one(table)
+        blocks = {(0, 0, 0): block(one), (0, 1, 0): block(one)}
+        blocks |= {(1, t, 0): block(x) for t in (0, 1)}
+        blocks |= {(1, t, 1): block(-x) for t in (0, 1)}
+        ChainComplexOfMF(table, 1, summands, blocks)
+        del blocks[(1, 0, 1)]
+        blocks[(1, 1, 1)] = block(x * -2)
+        with pytest.raises(InvariantError, match=r"d_chi\^2 != 0"):
+            ChainComplexOfMF(table, 1, summands, blocks)
 
 
 class TestMarkingIndependence:

@@ -20,6 +20,7 @@ from krlab.mf import (
     KoszulSpec,
     MatrixFactorization,
     compose,
+    compose_sum,
     exclude_all,
     exclude_variable,
     exclusion_reduction,
@@ -201,6 +202,15 @@ def reference_compose(second, first):
     return {k: p for k, p in out.items() if not p.is_zero()}
 
 
+def reference_compose_sum(triples):
+    out = {}
+    for sign, second, first in triples:
+        for key, p in reference_compose(second, first).items():
+            p = p if sign > 0 else -p
+            out[key] = out[key] + p if key in out else p
+    return {k: p for k, p in out.items() if not p.is_zero()}
+
+
 COMPOSE_TABLE = marks_table("x", "y")
 EXPONENTS = [(0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 1)]
 COEFFICIENTS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 2)]
@@ -237,6 +247,56 @@ class TestCompose:
         assert (0, 0) not in got
         assert got == {(0, 1): x * x * Fraction(1, 4), (1, 0): x * y * 2, (1, 1): x * x * half}
         assert got == reference_compose(second, first)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([1, -1]), sparse_matrices(), sparse_matrices()),
+                    min_size=1, max_size=3))
+    def test_sum_matches_the_signed_sum_of_products(self, triples):
+        got = compose_sum(triples)
+        assert got == reference_compose_sum(triples)
+        for p in got.values():
+            assert not p.is_zero()
+            assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                       for c in p.terms.values())
+
+    def test_shared_entries_under_both_signs(self):
+        x, y = var(COMPOSE_TABLE, "x"), var(COMPOSE_TABLE, "y")
+        p = x * Fraction(1, 3) + y
+        second, first = {(0, 0): p, (1, 0): -p}, {(0, 0): p, (0, 1): x}
+        assert compose_sum([(1, second, first), (-1, second, first)]) == {}
+        # the same entry objects as second and as first operands, under both signs
+        triples = [(1, second, first), (-1, first, second)]
+        assert compose_sum(triples) == reference_compose_sum(triples) != {}
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 15, 16])
+    def test_exponents_fill_a_field_exactly(self, k):
+        # x^k x^k = x^2k sets the top bit of its field, (2k).bit_length()
+        # bits wide; a field one bit narrower would carry into the next one
+        a, x, y = (var(COMPOSE_TABLE, nm) for nm in "axy")
+        second = {(0, 0): x**k * y + a**k, (1, 0): y**k - a * x**k, (1, 1): a**k * x**k * y**k}
+        first = {(0, 0): x**k + a**k * y**k, (1, 0): y**k * x, (1, 1): a**k * x**k * y**k}
+        got = compose(second, first)
+        assert got == reference_compose(second, first)
+        assert got[(1, 1)] == a ** (2 * k) * x ** (2 * k) * y ** (2 * k)
+        assert compose({(0, 0): x**k}, {(0, 0): x**k}) == {(0, 0): x ** (2 * k)}
+
+    def test_negative_exponent_is_an_invariant_error(self):
+        x = var(COMPOSE_TABLE, "x")
+        inverse = BigradedPoly(COMPOSE_TABLE, {(0, -1, 0): 1})
+        with pytest.raises(InvariantError, match="negative exponent"):
+            compose({(0, 0): inverse}, {(0, 0): x})
+
+    def test_mismatched_tables_across_triples_rejected(self):
+        x = var(COMPOSE_TABLE, "x")
+        z = var(marks_table("x", "z"), "z")
+        with pytest.raises(ValueError, match="mismatched variable tables"):
+            compose_sum([(1, {(0, 0): x}, {(0, 0): x}), (-1, {(0, 0): z}, {(0, 0): z})])
+
+    def test_empty_sum(self):
+        assert compose_sum([]) == {}
+        assert compose_sum([(1, {}, {}), (-1, {}, {})]) == {}
+        x = var(COMPOSE_TABLE, "x")
+        assert compose_sum([(1, {(0, 0): x}, {(1, 1): x})]) == {}
 
     @pytest.mark.parametrize("operand", [0, 1])
     def test_mismatched_table_rejected(self, operand):

@@ -1,7 +1,9 @@
 """Output pinned byte for byte on the short 3-strand words.
 
 The sha256 of each `homology --strands 3 --xwindow 10 --format json` stdout
-is committed in pins/homology_short_words.json, and that of each
+is committed in pins/homology_short_words.json, which also pins `1 1` at
+n = 16 and `1 1 1` at n = 8, where the exponents of the cube's products are
+largest, and that of each
 `both --strands 3 --format json` stdout, whose window search grows one
 expansion, in pins/both_short_words.json, which also pins `both` on two
 4-crossing knots at n = 1; regenerate one with
@@ -41,9 +43,13 @@ def pinned(command: str, word: str, n: int) -> str:
 
 # the 17 freely reduced words of length <= 2 on 3 strands
 CASES = [(word, n) for n in (1, 2) for word in reduced_words(3, 2)]
-# the cases of each pinned command: `both` adds two 4-crossing words, the
-# figure-eight and the negative trefoil (sigma_1 sigma_2)^-2
-PINNED = {"homology": CASES, "both": CASES + [("1 -2 1 -2", 1), ("-1 -2 -1 -2", 1)]}
+# the cases of each pinned command: `homology` adds two words at high n, and
+# `both` two 4-crossing words, the figure-eight and the negative trefoil
+# (sigma_1 sigma_2)^-2
+PINNED = {
+    "homology": CASES + [("1 1", 16), ("1 1 1", 8)],
+    "both": CASES + [("1 -2 1 -2", 1), ("-1 -2 -1 -2", 1)],
+}
 
 
 def ids(cases):
