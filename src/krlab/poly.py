@@ -17,6 +17,7 @@ exponent), which makes exact multivariate division deterministic.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -34,7 +35,7 @@ class InvariantError(AssertionError):
 
 
 class ExpansionBudgetError(RuntimeError):
-    """A computation would enumerate more basis vectors than its cap allows."""
+    """A computation would enumerate more basis vectors than its budget allows."""
 
 
 Coefficient = int | Fraction
@@ -334,22 +335,38 @@ def divide_exact(p: BigradedPoly, d: BigradedPoly) -> BigradedPoly:
 
     Greedy division by leading terms in graded-lex order; raises if at any
     step the leading term is not divisible, so a non-exact division is an
-    error, never a silent truncation.
+    error, never a silent truncation.  The remainder is one dict updated in
+    place, and its leading term comes from a heap of its keys, negated so
+    the least is the leading one; a key popped after its term cancelled is
+    skipped, so a t-term division costs O(t log t) steps, not O(t^2).
     """
     p._check(d)
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    quot: dict[tuple[int, ...], Coefficient] = {}
-    rem = p
     lead_e, lead_c = max(d.terms.items(), key=lambda t: _term_sort_key(t[0]))
-    while not rem.is_zero():
-        re, rc = max(rem.terms.items(), key=lambda t: _term_sort_key(t[0]))
+    tail = [(e, c) for e, c in d.terms.items() if e != lead_e]
+    rem = dict(p.terms)
+    heap = [(-sum(e), tuple(-x for x in e)) for e in rem]
+    heapq.heapify(heap)
+    quot: dict[tuple[int, ...], Coefficient] = {}
+    while heap:
+        re = tuple(-x for x in heapq.heappop(heap)[1])
+        rc = rem.pop(re, None)
+        if rc is None:
+            continue
         qe = tuple(a - b for a, b in zip(re, lead_e))
         if any(x < 0 for x in qe):
             raise ValueError("non-exact polynomial division")
-        qc = exact(Fraction(rc) / lead_c)
-        quot[qe] = quot.get(qe, 0) + qc
-        rem = rem - BigradedPoly(rem.table, {qe: qc}) * d
+        qc = quot[qe] = exact(Fraction(rc) / lead_c)
+        for e, c in tail:
+            key = tuple(map(add, qe, e))
+            left = rem.get(key, 0) - qc * c
+            if left:
+                if key not in rem:
+                    heapq.heappush(heap, (-sum(key), tuple(-x for x in key)))
+                rem[key] = left
+            else:
+                rem.pop(key, None)
     return BigradedPoly(p.table, quot)
 
 

@@ -30,6 +30,15 @@ exactly the slack the second-stage subquotient construction absorbs.  A
 zig-zag through a pivot adds the jumps of its two ends, so an entry of jump
 two or more only ever produces more of them; they are never created.
 
+A cell of the expansion holds only its coefficient: an entry between
+elements of a-degrees ja_s and ja_t has a-exponent e, 2e = same + ja_s -
+ja_t, same being 1 if they share a homological degree, else 0, as
+_Expansion checks per raw entry.  Through a unit s0 -> t0 (same 1, e 0:
+ja_t0 = ja_s0 + 1) a zig-zag gives s -> t the exponent e(s, t0) + e(s0, t),
+twice which is same(s, t0) + same(s0, t) - 1 + ja_s - ja_t, and the first
+three terms make same(s, t) but on the dropped ones of jump two.  So
+every cell keeps the rule.
+
 The expansion is built on the cube's vertices with their own marks
 excluded (ChainComplexOfMF.excluded): beyond the marks the whole cube
 drops through its state-independent rows, each vertex drops one more
@@ -294,14 +303,10 @@ def smith(M: SliceMatrix) -> SmithResult:
     cells decides only the fill, hence the speed, and which basis the
     transforms give.
 
-    Only col_t and row_t_inv are tracked (see SmithResult).  Column
-    operations only add multiples of the pivot column to other columns, and
-    col_t takes each step, so kernel column c of col_t is 1 at c and
-    otherwise lives on pivot columns.  Row operations add multiples of row
-    r0 to the rows not yet pivoted, whose row_t_inv columns stay identity
-    columns; so the row_t_inv column at r0 is the pivot column over a^e,
-    read before they run: it lives on r0 and on the rows not yet pivoted,
-    and it is final once r0 is pivoted.
+    Only col_t and row_t_inv are tracked (see SmithResult).  Row operations
+    add multiples of row r0 to the rows not yet pivoted, whose row_t_inv
+    columns stay identity columns; so the row_t_inv column at r0 is the
+    pivot column over a^e, read before they run.
     """
     by_row: dict[int, dict[int, Mono]] = {}
     by_col: dict[int, dict[int, Mono]] = {}
@@ -482,10 +487,12 @@ class _Reduced:
     d1: dict  # (eps, i, k) -> {(row, col): Mono} into (eps, i+1, k)
 
 
-# The expansion takes about 2.9 KB per basis vector held (both on
-# 1 1 1 2 -1 2 at n = 1 holds both classes of width 10 at once: 230,916
-# vectors, 670 MB peak), so the cap stays near 730 MB.
-MAX_EXPANSION = 250_000
+# The expansion's budget, and its cost per basis vector: the most peak RSS
+# over the baseline per vector, after each width of adaptive_homology, was
+# 1,630 B over 95 widths at n = 1 to 32 and 2 to 7 marks (1 -2 1 -2 1 at
+# n = 1; 1,270 B for 1 1 at n = 32).  A term per raw cell fit with weight 0.
+EXPANSION_BUDGET = 800 << 20
+VECTOR_BYTES = 1_700
 _RESERVE = 1 << 24  # bytes of address space held back for unwinding from a MemoryError
 
 
@@ -566,17 +573,16 @@ class _Expansion:
 
     It is built on the excluded vertices of C (C.excluded): the elements of
     a generator are its monomials in its own vertex's marks.  It holds what
-    the classes share: the generators, the entries, the linear images of
-    one vertex's marks in another's ring, the mark monomials and the reserve
-    of address space that lets a MemoryError unwind.  entries[gs] lists the
-    entries out of generator gs, vertex differential and transported chi'
-    alike, as (target, images id, a-exponent, [(coefficient, mark
-    exponents)], x-jump); images[id] holds the linear image of each mark of
-    the source vertex in the target's ring and the target ring's monomial 1,
-    and the id is None where the two rings share their marks in order, as a
-    vertex differential's always do.  part(cls) creates a class on first use
-    and keeps it; two_stage_homology without an expansion builds each class
-    afresh instead and frees it before the next.
+    the classes share: the generators, the entries, the linear images of one
+    vertex's marks in another's ring and their products' cache, the mark
+    monomials and the reserve of address space that lets a MemoryError
+    unwind.  entries[gs] lists the entries out of generator gs, vertex
+    differential and transported chi' alike, as (target, images id,
+    a-exponent, [(coefficient, mark exponents)], x-jump); images[id] holds
+    the linear image of each mark of the source vertex in the target's ring
+    and the target ring's monomial 1, and the id is None where the two rings
+    share their marks in order, as a vertex differential's always do.
+    part(cls) creates a class on first use and keeps it (see _by_class).
     """
 
     def __init__(self, C: ChainComplexOfMF, kill_a: bool = False) -> None:
@@ -621,7 +627,11 @@ class _Expansion:
             if len(exps) > 1:
                 raise InvariantError("inhomogeneous expansion entry")
             if terms:
-                self.entries[gs].append((gt, img, exps.pop(), terms, jump))
+                (_, i, ga, _), (_, it, gta, _) = self.gens[gs], self.gens[gt]
+                ae = exps.pop()
+                if 2 * ae != (i == it) + ga - gta:
+                    raise InvariantError("expansion entry off the a-grading")
+                self.entries[gs].append((gt, img, ae, terms, jump))
 
         for i, vertices in excluded.vertices.items():
             for v, vertex in enumerate(vertices):
@@ -646,15 +656,36 @@ class _Expansion:
             for par in (0, 1):
                 for (ti, si), poly in mats[par].items():
                     enter(poly, first[(i, sis, par)] + si, first[(i + 1, tis, par)] + ti, img, 0)
+        # per images id, the image of each mark monomial met so far
+        self.image_cache: list[dict[tuple[int, ...], list]] = [
+            {(0,) * len(forms): [(unit, 1)]} for forms, unit in self.images
+        ]
         self.parts: dict[tuple[int, int], _ClassExpansion] = {}
         self._monos: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        self.admitted: int | None = None  # the widest top found under the cap
+        self.admitted: int | None = None  # the widest top admitted
         self._reserve = bytes(_RESERVE)  # calloc'd: its pages are never touched
 
     def monos(self, marks: int, degree: int) -> list[tuple[int, ...]]:
         got = self._monos.get((marks, degree))
         if got is None:
             got = self._monos[(marks, degree)] = monomials((1,) * marks, degree)
+        return got
+
+    def image(self, img: int, m: tuple[int, ...]) -> list[tuple[tuple[int, ...], object]]:
+        """The image of the mark monomial m of a source vertex in a target
+        vertex's ring, as (monomial, coefficient) pairs: the product of its
+        marks' linear images, built from the image of m less one mark."""
+        cache = self.image_cache[img]
+        got = cache.get(m)
+        if got is None:
+            forms = self.images[img][0]
+            j = next(j for j, e in enumerate(m) if e)
+            acc: dict[tuple[int, ...], object] = {}
+            for mono, c in self.image(img, m[:j] + (m[j] - 1,) + m[j + 1:]):
+                for pos, lc in forms[j]:
+                    key = mono[:pos] + (mono[pos] + 1,) + mono[pos + 1:]
+                    acc[key] = acc.get(key, 0) + c * lc
+            got = cache[m] = [(key, c) for key, c in acc.items() if c]
         return got
 
     def part(self, cls: tuple[int, int]) -> _ClassExpansion:
@@ -664,14 +695,16 @@ class _Expansion:
         return got
 
     def admit(self, top: int) -> None:
-        """Refuse a top whose expansion, all classes together, passes MAX_EXPANSION."""
+        """Refuse a top whose expansion, all classes together, would pass
+        EXPANSION_BUDGET bytes at VECTOR_BYTES a basis vector."""
         if self.admitted is not None and top <= self.admitted:
             return
         size = expansion_size(self.C, top)
-        if size > MAX_EXPANSION:
+        if size * VECTOR_BYTES > EXPANSION_BUDGET:
             raise ExpansionBudgetError(
                 f"x-window width {top - self.n - 1 - self.x_min} needs an expansion "
-                f"of {size} basis vectors, over the cap of {MAX_EXPANSION}"
+                f"of {size} basis vectors, about {size * VECTOR_BYTES >> 20} MiB, "
+                f"over the budget of {EXPANSION_BUDGET >> 20} MiB"
             )
         self.admitted = top
 
@@ -681,13 +714,15 @@ class _ClassExpansion:
     eliminated, grown in place by raising the top.
 
     Basis elements are (generator, mark monomial) pairs, numbered in the
-    order they are created.  Growing from top T to T' creates the elements
-    at x in (T, T'] and the entries into them, from new sources and from
-    surviving old ones, and eliminates the unit entries then present as a
-    fresh expansion would.  Nothing from the earlier eliminations needs
-    replaying onto the new entries (see the module docstring).  stage1, phis
-    and modules hold the two-stage results of the keys at x <= final, which
-    no growth changes (see two_stage_homology).  After a MemoryError every
+    order they are created.  out[s] maps each target of s to the cell's
+    coefficient (the module docstring gives its exponent); rows[t] lists the
+    sources with a cell into t, each once, so Markowitz costs are exact.  A
+    unit cell made by a pivot step is pushed after it, at its cost then, so
+    list order never decides the pivots.  Growing from top T to T' creates
+    the elements at x in (T, T'] and the entries into them, and eliminates
+    the unit entries then present as a fresh expansion would (module
+    docstring).  stage1, phis and modules hold the two-stage results of the
+    keys at x <= final, which no growth changes.  After a MemoryError every
     class of the expansion is emptied and must not be used again.
     """
 
@@ -702,12 +737,8 @@ class _ClassExpansion:
         self.info_i: list[int] = []
         self.info_k: list[int] = []
         self.info_ja: list[int] = []
-        self.out: list[dict[int, Mono] | None] = []  # None once eliminated
-        self.rows: list[set[int] | None] = []
-        # per images id, the image of each mark monomial met so far
-        self.image_cache: list[dict[tuple[int, ...], list]] = [
-            {(0,) * len(forms): [(unit, 1)]} for forms, unit in knot.images
-        ]
+        self.out: list[dict | None] = []  # None once eliminated
+        self.rows: list[list[int] | None] = []
         self.final = knot.x_min - 1
         self.stage1: dict = {}
         self.phis: dict = {}
@@ -739,23 +770,6 @@ class _ClassExpansion:
             raise
         self.top = top
 
-    def _image(self, img: int, m: tuple[int, ...]) -> list[tuple[tuple[int, ...], object]]:
-        """The image of the mark monomial m of a source vertex in a target
-        vertex's ring, as (monomial, coefficient) pairs: the product of its
-        marks' linear images, built from the image of m less one mark."""
-        cache = self.image_cache[img]
-        got = cache.get(m)
-        if got is None:
-            forms = self.knot.images[img][0]
-            j = next(j for j, e in enumerate(m) if e)
-            acc: dict[tuple[int, ...], object] = {}
-            for mono, c in self._image(img, m[:j] + (m[j] - 1,) + m[j + 1:]):
-                for pos, lc in forms[j]:
-                    key = mono[:pos] + (mono[pos] + 1,) + mono[pos + 1:]
-                    acc[key] = acc.get(key, 0) + c * lc
-            got = cache[m] = [(key, c) for key, c in acc.items() if c]
-        return got
-
     def _extend(self, old: int | None, top: int, size: int, heap: list) -> None:
         knot = self.knot
         step = knot.n + 1
@@ -778,16 +792,13 @@ class _ClassExpansion:
         if len(info_i) != size:
             raise InvariantError("expansion size differs from its closed form")
         out.extend({} for _ in range(size - first))
-        rows.extend(set() for _ in range(size - first))
+        rows.extend([] for _ in range(size - first))
 
-        # entries into the new elements, from the sources in this class (their
-        # targets are in it too).  An entry of x-jump j reaches a new target
-        # from the sources above old - j, so only vertex entries reach new
-        # targets from old sources; an eliminated old source was a pivot
-        # target, whose outgoing entries the elimination dropped.  (g, m) goes
-        # to image(m) times the entry, the contributions that land on one
-        # target summed; one source element meets one target through one
-        # entry, so a second write there is a fault.
+        # entries into the new elements from the surviving sources in this
+        # class (module docstring); an entry of x-jump j reaches them from the
+        # sources above old - j.  (g, m) goes to image(m) times the entry,
+        # summed per target; one source element meets one target through one
+        # entry, so a second write is a fault.
         units: list[tuple[int, int]] = []
         for entries, start, nm, src, (_, i, _, gx) in zip(knot.entries, starts, marks, index, gens):
             if start is None:
@@ -803,7 +814,7 @@ class _ClassExpansion:
                         if row is None:
                             continue
                         acc: dict[int, object] = {}
-                        for mw, cw in [(m, 1)] if img is None else self._image(img, m):
+                        for mw, cw in [(m, 1)] if img is None else knot.image(img, m):
                             for coeff, mt in terms:
                                 tid = tgt[tuple(map(add, mw, mt))]
                                 acc[tid] = acc.get(tid, 0) + cw * coeff
@@ -811,9 +822,9 @@ class _ClassExpansion:
                             if not c:
                                 continue
                             if tid in row:
-                                raise InvariantError("graded collision in reduction")
-                            row[tid] = (c, ae)
-                            rows[tid].add(sid)
+                                raise InvariantError("second write to an expansion cell")
+                            row[tid] = c
+                            rows[tid].append(sid)
                             if unit:
                                 units.append((sid, tid))
         # the unit entries, each with its Markowitz cost
@@ -823,10 +834,10 @@ class _ClassExpansion:
 
         while heap:
             cost, s0, t0 = heapq.heappop(heap)
-            if out[s0] is None or out[t0] is None:
+            if out[s0] is None:
                 continue
-            mono = out[s0].get(t0)
-            if mono is None or mono[1] != 0:
+            pivot = out[s0].get(t0)
+            if pivot is None:
                 continue
             now = (len(out[s0]) - 1) * (len(rows[t0]) - 1)
             if now > cost and heap:
@@ -834,55 +845,50 @@ class _ClassExpansion:
                 continue
             if t0 < first:
                 raise InvariantError("growth eliminates an element at or below the old top")
-            pivot = mono[0]
             # the zig-zag s -> t0 <- s0 -> t adds the jumps of its two ends;
             # a jump of 2 or more never feeds the two-stage answer
             i0 = info_i[s0]
             flat = [(t, g) for t, g in out[s0].items() if t != t0 and info_i[t] == i0]
             both = flat + [(t, g) for t, g in out[s0].items() if info_i[t] != i0]
+            fresh = []
             for s in [s for s in rows[t0] if s != s0]:
                 row = out[s]
-                dc, de = row[t0]
-                if pivot == 1:
-                    factor = -dc
-                elif pivot == -1:
-                    factor = dc
-                else:
-                    factor = exact(-Fraction(dc) / pivot)
+                dc = row[t0]
+                factor = -dc if pivot == 1 else dc if pivot == -1 else exact(-Fraction(dc) / pivot)
                 same = info_i[s] == i0
-                for t, (gc, ge) in (both if same else flat):
+                for t, gc in (both if same else flat):
                     coeff = gc if factor == 1 else (-gc if factor == -1 else factor * gc)
-                    exp = de + ge
                     cur = row.get(t)
                     if cur is None:
-                        row[t] = (coeff, exp)
+                        row[t] = coeff
                         sources = rows[t]
-                        sources.add(s)
-                        if not exp and same and info_i[t] == i0:
-                            heapq.heappush(heap, ((len(row) - 1) * (len(sources) - 1), s, t))
-                    elif cur[1] != exp:
-                        raise InvariantError("graded collision in reduction")
+                        sources.append(s)
+                        if same and info_i[t] == i0 and info_ja[t] == info_ja[s] + 1:
+                            fresh.append((s, t))
                     else:
-                        c = cur[0] + coeff
+                        c = cur + coeff
                         if c:
-                            row[t] = (c, exp)
+                            row[t] = c
                         else:
                             del row[t]
-                            rows[t].discard(s)
+                            rows[t].remove(s)
             for s in rows[t0]:
-                out[s].pop(t0, None)
+                del out[s][t0]
             for t in out[s0]:
-                rows[t].discard(s0)
+                rows[t].remove(s0)
             for t in out[t0]:
-                rows[t].discard(t0)
+                rows[t].remove(t0)
             for u in rows[s0]:
-                out[u].pop(s0, None)
+                del out[u][s0]
             # the pair leaves the complex, and its containers with it
             out[s0] = out[t0] = rows[s0] = rows[t0] = None
+            for s, t in fresh:
+                heapq.heappush(heap, ((len(out[s]) - 1) * (len(rows[t]) - 1), s, t))
 
     def reduced(self) -> _Reduced:
         """The surviving slice bases above x = final, whose two-stage results
-        are not kept yet, and the two components out of them."""
+        are not kept yet, and the two components out of them, each cell with
+        its a-exponent from the grading."""
         n, final = self.knot.n, self.final
         info_eps, info_i, info_k, info_ja = self.info_eps, self.info_i, self.info_k, self.info_ja
         out = self.out
@@ -903,19 +909,20 @@ class _ClassExpansion:
         d1: dict = {}
         for ident, (key, pos) in position.items():
             eps, i, k = key
-            for t, mono in out[ident].items():
+            ja = info_ja[ident]
+            for t, c in out[ident].items():
                 tkey, tpos = position[t]
                 di = tkey[1] - i
                 if di == 0:
-                    if mono[1] == 0:
+                    if ja + 1 == info_ja[t]:
                         raise InvariantError("unit entry survived the reduction")
                     if tkey != ((eps + 1) % 2, i, k + n + 1):
                         raise InvariantError("slice slope broken")
-                    d0.setdefault(key, {})[(tpos, pos)] = mono
+                    d0.setdefault(key, {})[(tpos, pos)] = (c, (1 + ja - info_ja[t]) // 2)
                 elif di == 1:
                     if tkey != (eps, i + 1, k):
                         raise InvariantError("slice slope broken")
-                    d1.setdefault(key, {})[(tpos, pos)] = mono
+                    d1.setdefault(key, {})[(tpos, pos)] = (c, (ja - info_ja[t]) // 2)
                 elif di < 0:
                     raise InvariantError("backwards correction")
                 else:
@@ -1060,14 +1067,11 @@ def two_stage_homology(
     below.
 
     Each class of the expansion of C is taken to the top hi + n + 1 and
-    through both stages on its own, and the slices of all classes are merged
-    before the tails are detected.  Without an expansion every class is
-    built afresh and freed before the next; a given expansion's classes are
-    grown instead, and a narrower top than they already have is refused.
-    Results of keys at x <= hi - n - 1 are final: their slice, the first-
-    stage map out of it and the slice it maps into all lie at x <= hi,
-    where no growth removes an element or changes an entry.  They are kept
-    on the class, and a wider computation on it reuses them.
+    through both stages on its own (see _by_class), and the slices of all
+    classes are merged before the tails are detected.  A narrower top than
+    a given expansion's classes have is refused.  Results of keys at x <=
+    hi - n - 1 are final (module docstring); they are kept on the class,
+    and a wider computation on it reuses them.
     """
     if not isinstance(C, ChainComplexOfMF):
         raise TypeError("two_stage_homology expects a complex of factorizations")
@@ -1302,16 +1306,12 @@ def adaptive_homology(
     no content, or one whose tail fit holds only by coincidence.  Widths run
     2, 4, 6, ...; past AUTO_WIDTH_STEPS * (n + 1), which grows with n as the
     widths needed do, the search raises WindowBudgetError, and a width whose
-    expansion passes MAX_EXPANSION ends it with ExpansionBudgetError.
+    expansion passes EXPANSION_BUDGET ends it with ExpansionBudgetError.
     homology and euler are the two functions it calls, so a caller may pass
     in its own references to them.
 
     Every width is computed on one expansion of C, as homology(C, w,
-    expansion), which grows each of its classes from the last top to the
-    next and keeps them all: after a reduction at top hi + n + 1 the slices
-    at x <= hi are final, and the stage results at x <= hi - n - 1 are kept,
-    so each width adds only the elements above the last top and the keys
-    near the new one.
+    expansion), which grows its classes and keeps their final results.
     """
     expansion = _Expansion(C)
     prev = None

@@ -77,7 +77,7 @@ class TestHomologyCommand:
     def test_expansion_over_the_cap_exits_two(self, runner, monkeypatch):
         C = build_complex(parse("1 1", 2), 1)
         size = qamod.expansion_size(C, 20 + 1 + 1)
-        monkeypatch.setattr(qamod, "MAX_EXPANSION", size - 1)
+        monkeypatch.setattr(qamod, "EXPANSION_BUDGET", size * qamod.VECTOR_BYTES - 1)
         res = run(runner, "homology", "--braid", "1 1")
         assert_one_line_failure(res, 2)
         assert f"width 20 needs an expansion of {size} basis vectors" in res.stderr
@@ -93,7 +93,7 @@ class TestHomologyCommand:
         assert res.returncode == 2
         [line] = res.stderr.splitlines()
         assert line.startswith("x-window width 1000000000 needs an expansion of ")
-        assert line.endswith(f" basis vectors, over the cap of {qamod.MAX_EXPANSION}")
+        assert line.endswith(f" MiB, over the budget of {qamod.EXPANSION_BUDGET >> 20} MiB")
 
     def test_out_of_memory_exits_five(self):
         resource = pytest.importorskip("resource")
@@ -103,7 +103,7 @@ class TestHomologyCommand:
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
         src = str(Path(krlab.__file__).resolve().parents[1])
-        # width 100 stays under MAX_EXPANSION but needs more than 128 MB
+        # width 100 stays under EXPANSION_BUDGET but needs more than 128 MB
         res = subprocess.run(
             [sys.executable, "-m", "krlab.cli", "homology", "--braid", "1 1", "--xwindow", "100"],
             capture_output=True, text=True, preexec_fn=lower_limit,
@@ -191,7 +191,7 @@ class TestBothCommand:
     def test_search_stops_at_the_first_width_over_the_cap(self, runner, monkeypatch):
         C = build_complex(parse("1 1", 2), 1)
         size = qamod.expansion_size(C, 4 + 1 + 1)
-        monkeypatch.setattr(qamod, "MAX_EXPANSION", size - 1)
+        monkeypatch.setattr(qamod, "EXPANSION_BUDGET", size * qamod.VECTOR_BYTES - 1)
         res = run(runner, "both", "--braid", "1 1")
         assert_one_line_failure(res, 2)
         assert f"width 4 needs an expansion of {size} basis vectors" in res.stderr

@@ -58,6 +58,22 @@ class TestArithmetic:
             v("a") + BigradedPoly.variable(other, "z")
 
 
+@st.composite
+def any_poly(draw, min_terms=0, max_degree=3):
+    """An inhomogeneous polynomial in x1, x2 and y with rational coefficients."""
+    names = ["x1", "x2", "y"]
+    terms = {}
+    for _ in range(draw(st.integers(min_value=min_terms, max_value=5))):
+        e = [0] * len(T)
+        for name in names:
+            e[T.index(name)] = draw(st.integers(min_value=0, max_value=max_degree))
+        while sum(e) > max_degree:
+            e[max(range(len(e)), key=e.__getitem__)] -= 1
+        c = Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 3)))
+        terms[tuple(e)] = c
+    return BigradedPoly(T, terms)
+
+
 class TestDivideExact:
     def test_geometric_sum(self):
         x, y = v("x1"), v("y")
@@ -71,6 +87,21 @@ class TestDivideExact:
     def test_non_exact_raises(self):
         with pytest.raises(ValueError):
             divide_exact(v("x1") ** 2 + v("y"), v("x1") - v("y"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_quotient_times_divisor_is_the_dividend(self, data):
+        q0, d = data.draw(any_poly()), data.draw(any_poly(min_terms=1))
+        p = q0 * d
+        q = divide_exact(p, d)
+        assert q * d == p
+        assert q == q0
+        # a nonzero remainder below d's degree is no multiple of d
+        low = max(sum(e) for e in d.terms)
+        r = data.draw(any_poly(min_terms=1, max_degree=low - 1)) if low else None
+        if r is not None:
+            with pytest.raises(ValueError, match="non-exact"):
+                divide_exact(p + r, d)
 
     def test_difference_quotient_roundtrip(self):
         # p_{2,3} at two alphabets, differenced in E1 and divided by E1-E1'

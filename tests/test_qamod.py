@@ -1,6 +1,7 @@
 """Two-stage homology: graded Smith reduction, decompositions, tails, euler."""
 
 import gc
+import tracemalloc
 import weakref
 from fractions import Fraction
 from math import comb
@@ -397,6 +398,36 @@ class TestGrowingExpansion:
             grown = two_stage_homology(C, width, expansion)
             assert grown == two_stage_homology(C, width)
 
+    @pytest.mark.parametrize("text,strands,n,widest", GROWING_CORPUS)
+    def test_source_lists_and_the_image_cache_stay_exact(self, text, strands, n, widest):
+        C = build_complex(parse(text, strands), n)
+        knot = _Expansion(C)
+        for width in range(2, widest + 1, 2):
+            two_stage_homology(C, width, knot)
+            for part in knot.parts.values():
+                # each surviving target lists the surviving sources with a cell
+                # into it, each once; an eliminated one has no cell into it
+                into = [[] for _ in part.out]
+                for s, row in enumerate(part.out):
+                    for t in row or ():
+                        into[t].append(s)
+                for t, sources in enumerate(part.rows):
+                    assert (sources is None) == (part.out[t] is None)
+                    assert sorted(sources or ()) == into[t]
+        # the one cache of the knot holds products of linear images
+        for (forms, unit), cache in zip(knot.images, knot.image_cache):
+            for m, image in cache.items():
+                direct = {unit: 1}
+                for form, power in zip(forms, m):
+                    for _ in range(power):
+                        acc = {}
+                        for mono, c in direct.items():
+                            for pos, lc in form:
+                                key = mono[:pos] + (mono[pos] + 1,) + mono[pos + 1:]
+                                acc[key] = acc.get(key, 0) + c * lc
+                        direct = {key: c for key, c in acc.items() if c}
+                assert dict(image) == direct
+
     def test_the_same_top_again_gives_the_same_module(self):
         C = build_complex(parse("1 1", 2), 2)
         expansion = _Expansion(C)
@@ -516,6 +547,13 @@ def two_a_exponents(cube):
     d0[key] = p + p * BigradedPoly.variable(p.table, "a")
 
 
+def off_grading(cube):
+    # a vertex entry times a: one a-exponent, on its x-slope, one too high
+    d0 = cube.vertices[0][0].mf.d0
+    key, p = next(iter(d0.items()))
+    d0[key] = p * BigradedPoly.variable(p.table, "a")
+
+
 def second_write(knot):
     knot.entries[:] = [entries * 2 for entries in knot.entries]
 
@@ -545,7 +583,8 @@ class TestExpansionChecks:
     FAULTS = {
         "off-slope": (off_slope, unchanged, "expansion entry off the x-slope"),
         "two-a-exponents": (two_a_exponents, unchanged, "inhomogeneous expansion entry"),
-        "second-write": (unchanged, second_write, "graded collision in reduction"),
+        "off-a-grading": (off_grading, unchanged, "expansion entry off the a-grading"),
+        "second-write": (unchanged, second_write, "second write to an expansion cell"),
         "extra-mark": (unchanged, extra_mark, "expansion size differs from its closed form"),
         "nonlinear-image": (nonlinear_image, unchanged, "an excluded mark's image is not linear"),
     }
@@ -567,6 +606,25 @@ class TestExpansionChecks:
         assert res.exit_code == 4
         assert len(res.stderr.splitlines()) == 1
         assert f"internal invariant violated: {message}" in res.stderr
+
+
+class TestMemoryGuard:
+    # tracemalloc peak of adaptive_homology on 1 1 1 at n = 2 with cells that
+    # hold coefficients only, source lists and one image cache per knot
+    # (13,445,982 bytes with (coefficient, exponent) cells, source sets and
+    # an image cache per class)
+    PEAK = 8_282_414
+
+    def test_the_trefoil_at_n_2_stays_near_its_measured_peak(self):
+        C = build_complex(parse("1 1 1", 2), 2)
+        tracemalloc.start()
+        try:
+            adaptive_homology(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the reserve is calloc'd and never touched, but tracemalloc counts it
+        assert peak - qamod._RESERVE <= 1.2 * self.PEAK
 
 
 class TestCollectorPause:
@@ -600,7 +658,7 @@ class TestCollectorPause:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_restored_after_a_refused_expansion(self, enabled, monkeypatch):
-        monkeypatch.setattr(qamod, "MAX_EXPANSION", 1)
+        monkeypatch.setattr(qamod, "EXPANSION_BUDGET", 1)
         C = build_complex(parse("1 1", 2), 1)
 
         def refused():
