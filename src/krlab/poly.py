@@ -338,7 +338,7 @@ def divide_exact(p: BigradedPoly, d: BigradedPoly) -> BigradedPoly:
     error, never a silent truncation.  The remainder is one dict updated in
     place, and its leading term comes from a heap of its keys, negated so
     the least is the leading one; a key popped after its term cancelled is
-    skipped, so a t-term division costs O(t log t) steps, not O(t^2).
+    skipped, so a t-term division takes O(t log t) steps.
     """
     p._check(d)
     if d.is_zero():

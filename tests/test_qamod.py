@@ -609,10 +609,8 @@ class TestExpansionChecks:
 
 
 class TestMemoryGuard:
-    # tracemalloc peak of adaptive_homology on 1 1 1 at n = 2 with cells that
-    # hold coefficients only, source lists and one image cache per knot
-    # (13,445,982 bytes with (coefficient, exponent) cells, source sets and
-    # an image cache per class)
+    # tracemalloc peak of adaptive_homology on 1 1 1 at n = 2, in bytes, less
+    # the reserve, as measured with coefficient-only cells and source lists
     PEAK = 8_282_414
 
     def test_the_trefoil_at_n_2_stays_near_its_measured_peak(self):
