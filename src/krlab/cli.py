@@ -7,7 +7,7 @@ passing qamod.AUTO_WIDTH_STEPS * (n + 1), a resolution cube of more than
 cube.MAX_CUBE_GENERATORS // n^2 Koszul generators, a window whose expansion
 would pass qamod.EXPANSION_BUDGET bytes at qamod.VECTOR_BYTES a basis vector,
 counted in closed form before any is built, a gdim truncation whose slices
-would pass mf.MAX_SLICE_BASIS elements, or an n above MAX_N, which is
+would pass moy.MAX_SLICE_BASIS elements, or an n above MAX_N, which is
 refused before any work), 3 for a failed cross-check, 4 for a broken
 internal invariant, 5 for running out of memory.  Each failure prints one
 line on stderr.  JSON documents carry a stable "schema":

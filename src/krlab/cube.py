@@ -44,6 +44,7 @@ from .mf import (
     Matrix,
     MatrixFactorization,
     Reduction,
+    _difference_quotient,
     _vec_add,
     compose,
     compose_sum,
@@ -54,7 +55,6 @@ from .mf import (
     koszul,
     koszul_masks,
 )
-from .moy import _difference_quotient
 from .poly import (
     KIND_A,
     KIND_MARK,
@@ -487,13 +487,16 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
     # closure: the right entries of a piece's rows are the rows of a graph's
     # incidence matrix, of rank one less than their number.  The pieces are the
     # strands less the distinct generators, so 2^c vertices of 2^(c + pieces)
-    # generators each, a count checked against the exclusion below.
+    # generators each, 2^bits in all, a count checked against the exclusion
+    # below.  2^bits > cap exactly when bits reaches cap's bit length, so the
+    # count is never built; the message writes it as a power, since in decimal
+    # a huge strand count passes Python's limit on int-to-str digits.
     pieces = word.strands - len({i for i, _ in word.letters})
-    size = 1 << (2 * c + pieces)
+    bits = 2 * c + pieces
     cap = MAX_CUBE_GENERATORS // (n * n)
-    if size > cap:
+    if bits >= cap.bit_length():
         raise ExpansionBudgetError(
-            f"the resolution cube needs {size} Koszul generators, over the cap of {cap}"
+            f"the resolution cube needs 2^{bits} Koszul generators, over the cap of {cap}"
         )
     gaps = max(c, 1)
     arcs, node_arc = _closure_arcs(word, extra_marks)

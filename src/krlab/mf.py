@@ -15,8 +15,8 @@ compose_sum.  It packs each exponent tuple into one int, in fields wide
 enough for twice the largest exponent, so a product of two monomials is one
 integer addition that cannot carry; exponents are never negative.  The module
 also provides the one simplification the pipelines use (exclusion of a
-variable through a unit-linear row), the exact kernel of a sparse rational
-matrix, and the graded dimension of the killed complex.  An exclusion comes
+variable through a unit-linear row) and the symmetric difference quotient
+of a power sum, the left entry of a vertex row.  An exclusion comes
 with its chain maps (exclusion_reduction), which carry maps between
 factorizations over to the smaller ring, and a chain of exclusions with its
 composite substitution (exclusion_substitution).
@@ -27,18 +27,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .poly import (
+    KIND_SYM,
     BigradedPoly,
     Coefficient,
-    ExpansionBudgetError,
     InvariantError,
+    Variable,
     VariableTable,
     divide_exact,
     exact,
-    monomials,
+    power_sum_in_elementary,
     substitute,
 )
 
@@ -69,6 +69,24 @@ def cast(p: BigradedPoly, table: VariableTable) -> BigradedPoly:
                 e2[pos] = k
         out[tuple(e2)] = c
     return BigradedPoly(table, out)
+
+
+def _difference_quotient(table, xs, ys, j, n) -> BigradedPoly:
+    """[p(Y1..Y_{j-1}, X_j..X_m) - p(Y1..Y_j, X_{j+1}..X_m)] / (X_j - Y_j),
+    with m = len(xs) and p the (n+1)-st power sum, computed through a fresh
+    symbol so that X_j = Y_j is allowed."""
+    fresh = "tQuot"
+    if fresh in table:
+        raise InvariantError(f"reserved symbol {fresh} already in the ring")
+    big = VariableTable(list(table.variables) + [Variable(fresh, KIND_SYM, (0, 2 * j))])
+    t = BigradedPoly.variable(big, fresh)
+    up = [cast(p, big) for p in xs]
+    yp = [cast(p, big) for p in ys]
+    hi_args = yp[: j - 1] + [t] + up[j:]
+    lo_args = yp[:j] + up[j:]
+    numer = power_sum_in_elementary(hi_args, n + 1) - power_sum_in_elementary(lo_args, n + 1)
+    quot = divide_exact(numer, t - yp[j - 1])
+    return substitute(quot, {fresh: xs[j - 1]}, table)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +362,6 @@ class MatrixFactorization:
         if check:
             self.verify()
 
-    def rank(self) -> int:
-        return len(self.basis0) + len(self.basis1)
-
     def basis(self, parity: int) -> list[tuple[int, int]]:
         return self.basis0 if parity % 2 == 0 else self.basis1
 
@@ -581,213 +596,3 @@ def find_constant_entry(M: MatrixFactorization) -> tuple[int, int, int] | None:
             if p.is_constant() and p.constant_value():
                 return par, i, j
     return None
-
-
-# ---------------------------------------------------------------------------
-# Graded dimension
-
-
-@dataclass
-class GdimSeries:
-    """Coefficients of the graded dimension series, exact up to x_truncation.
-
-    terms maps (epsilon, a-degree, x-degree) to a nonnegative dimension;
-    the series variable convention is tau^eps alpha^j xi^k.
-    """
-
-    terms: dict[tuple[int, int, int], int]
-    x_truncation: int
-
-    def shifted(self, de: int, dj: int, dk: int) -> "GdimSeries":
-        return GdimSeries(
-            {((e + de) % 2, j + dj, k + dk): v for (e, j, k), v in self.terms.items()},
-            self.x_truncation + dk,
-        )
-
-    def __add__(self, other: "GdimSeries") -> "GdimSeries":
-        bound = min(self.x_truncation, other.x_truncation)
-        out: dict[tuple[int, int, int], int] = {}
-        for src in (self.terms, other.terms):
-            for key, v in src.items():
-                if key[2] <= bound:
-                    out[key] = out.get(key, 0) + v
-        return GdimSeries({k: v for k, v in out.items() if v}, bound)
-
-    def same_series(self, other: "GdimSeries") -> bool:
-        bound = min(self.x_truncation, other.x_truncation)
-        a = {k: v for k, v in self.terms.items() if k[2] <= bound}
-        b = {k: v for k, v in other.terms.items() if k[2] <= bound}
-        return a == b
-
-    def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (e, j, k), v in sorted(self.terms.items(), key=lambda t: (t[0][2], t[0][1], t[0][0])):
-            factors = [] if v == 1 else [str(v)]
-            if e:
-                factors.append("tau")
-            if j:
-                factors.append(f"alpha^{j}" if j != 1 else "alpha")
-            if k:
-                factors.append(f"xi^{k}" if k != 1 else "xi")
-            bits.append("*".join(factors) if factors else "1")
-        return " + ".join(bits)
-
-
-def kernel(cols: Sequence[Mapping[int, Fraction | int]]) -> list[dict[int, Fraction]]:
-    """Kernel of a rational matrix given as sparse columns {row: entry}.
-
-    Exact Gaussian elimination with the least row index as pivot.  Each
-    returned combination {column index: coefficient} sends the columns to
-    zero, and the combinations are independent, so the rank of the matrix
-    is len(cols) - len(kernel(cols)).  Entries may be int or Fraction.
-    """
-    pivots: dict[int, tuple[dict, dict]] = {}
-    out: list[dict[int, Fraction]] = []
-    for idx, col in enumerate(cols):
-        col = dict(col)
-        combo: dict[int, Fraction] = {idx: Fraction(1)}
-        while col:
-            lead = min(col)
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = (col, combo)
-                break
-            pcol, pcombo = piv
-            factor = Fraction(col[lead]) / pcol[lead]
-            for target, source in ((col, pcol), (combo, pcombo)):
-                for key, v in source.items():
-                    s = target.get(key, 0) - factor * v
-                    if s:
-                        target[key] = s
-                    else:
-                        target.pop(key, None)
-        if not col:
-            out.append(combo)
-    return out
-
-
-def rank(cols: Sequence[Mapping[int, Fraction | int]]) -> int:
-    return len(cols) - len(kernel(cols))
-
-
-# Slice basis elements gdim may enumerate, counted before any is built.  An
-# element costs about 10 us and 0.7 KB (theta-split at x-degree 50,000: 200,008
-# elements, 1.9 s, 155 MB peak), so the cap holds gdim near 2 s.
-MAX_SLICE_BASIS = 200_000
-
-
-def _count_up_to(weights: Sequence[int], total: int, cap: int) -> int:
-    """How many exponent tuples have weighted degree <= total, or cap + 1 if
-    more.  Each step of the loop counts at least one tuple, so the cost is
-    bounded by cap whatever the total."""
-    if total < 0:
-        return 0
-    if not weights:
-        return 1
-    head, rest = weights[0], weights[1:]
-    if not rest:
-        return min(total // head + 1, cap + 1)
-    count = 0
-    for k in range(total // head + 1):
-        count += _count_up_to(rest, total - k * head, cap - count)
-        if count > cap:
-            break
-    return count
-
-
-def gdim(
-    M: MatrixFactorization,
-    x_truncation: int,
-    kill: Iterable[str] | None = None,
-) -> GdimSeries:
-    """Graded dimension of homology after killing the designated variables.
-
-    By default every variable (a and all marks) is killed, which matches a
-    fully reduced closed diagram; passing a smaller kill set keeps the other
-    variables alive and the homology is taken over them, slice by slice.
-    The variable a must always be killed so that each slice is finite
-    dimensional.  A truncation whose slices hold more than MAX_SLICE_BASIS
-    elements in all raises ExpansionBudgetError before any is enumerated.
-    """
-    names = M.table.names()
-    kill_set = set(names) if kill is None else set(kill)
-    unknown = kill_set - set(names)
-    if unknown:
-        raise ValueError(f"kill variables not in ring: {sorted(unknown)}")
-    if "a" in names and "a" not in kill_set:
-        raise ValueError("gdim requires killing a (slices are infinite otherwise)")
-    surv = [i for i, nm in enumerate(names) if nm not in kill_set]
-    weights = [M.table.variables[i].bidegree[1] for i in surv]
-    zero_sub = {v: BigradedPoly.zero(M.table) for v in kill_set}
-    # the images of each generator under the killed differential, as
-    # (target generator, survivor exponents, coefficient)
-    images: list[dict[int, list]] = [{}, {}]
-    for par, d in enumerate((M.d0, M.d1)):
-        for (ti, si), p in d.items():
-            for e, c in substitute(p, zero_sub, M.table).terms.items():
-                images[par].setdefault(si, []).append((ti, tuple(e[i] for i in surv), c))
-
-    bases = (M.basis0, M.basis1)
-
-    def slice_basis(par: int, j: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
-        return [
-            (g, mono)
-            for g, (ga, gx) in enumerate(bases[par])
-            if ga == j and gx <= k
-            for mono in monomials(weights, k - gx)
-        ]
-
-    def slice_matrix(par: int, src, tgt) -> list[dict[int, Coefficient]]:
-        tgt_pos = {key: pos for pos, key in enumerate(tgt)}
-        cols = []
-        for g, mono in src:
-            col: dict[int, Coefficient] = {}
-            for ti, e, c in images[par].get(g, ()):
-                idx = tgt_pos.get((ti, tuple(map(add, mono, e))))
-                if idx is None:
-                    raise InvariantError("image outside enumerated slice")
-                col[idx] = col.get(idx, 0) + c
-            cols.append({k2: v for k2, v in col.items() if v})
-        return cols
-
-    a_values = sorted({a for a, _ in bases[0]} | {a for a, _ in bases[1]})
-    x_min = min((x for _, x in bases[0] + bases[1]), default=0)
-    x_top = x_truncation
-    if not surv:
-        # with no variable left, a slice holds only generators of x-degree k
-        x_top = min(x_top, max((x for _, x in bases[0] + bases[1]), default=x_min))
-    size = 0
-    for _, gx in bases[0] + bases[1]:
-        size += _count_up_to(weights, x_top + M.n + 1 - gx, MAX_SLICE_BASIS - size)
-        if size > MAX_SLICE_BASIS:
-            raise ExpansionBudgetError(
-                f"graded dimension to x-degree {x_truncation} needs more than "
-                f"{MAX_SLICE_BASIS} slice basis elements, the cap"
-            )
-    terms: dict[tuple[int, int, int], int] = {}
-    slice_cache: dict[tuple[int, int, int], list] = {}
-
-    def get_basis(par, j, k):
-        key = (par, j, k)
-        if key not in slice_cache:
-            slice_cache[key] = slice_basis(par, j, k)
-        return slice_cache[key]
-
-    for par in (0, 1):
-        for j in a_values:
-            for k in range(x_min, x_top + 1):
-                src = get_basis(par, j, k)
-                if not src:
-                    continue
-                out_tgt = get_basis((par + 1) % 2, j + 1, k + M.n + 1)
-                in_src = get_basis((par + 1) % 2, j - 1, k - M.n - 1)
-                rank_out = rank(slice_matrix(par, src, out_tgt))
-                rank_in = rank(slice_matrix((par + 1) % 2, in_src, src)) if in_src else 0
-                dim = len(src) - rank_out - rank_in
-                if dim < 0:
-                    raise InvariantError("negative slice dimension")
-                if dim:
-                    terms[(par, j, k)] = dim
-    return GdimSeries(terms, x_truncation)

@@ -14,35 +14,41 @@ and incoming alphabets and U_j is the symmetric difference quotient of the
 
 The factorization of the whole graph is the tensor product of the vertex
 pieces over the shared marks, then reduced: internal marks are excluded
-through linear rows.
+through linear rows.  Its graded dimension (gdim) kills a and the chosen
+variables and takes the homology slice by slice over Q, each slice's ranks
+the pivot counts of qamod.smith on a SliceMatrix of a-degree 0.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
+from operator import add
+from typing import Iterable, Sequence
 
+from .mf import (
+    KoszulSpec,
+    MatrixFactorization,
+    _difference_quotient,
+    cast,
+    exclude_all,
+    koszul,
+)
 from .poly import (
     KIND_A,
     KIND_MARK,
     KIND_SYM,
     BigradedPoly,
+    Coefficient,
+    ExpansionBudgetError,
     InvariantError,
-    Variable,
     VariableTable,
-    divide_exact,
+    monomials,
     power_sum_in_elementary,
     substitute,
 )
-from .mf import (
-    GdimSeries,
-    KoszulSpec,
-    MatrixFactorization,
-    cast,
-    exclude_all,
-    gdim,
-    koszul,
-)
+from .qamod import SliceMatrix, smith
 
 BOUNDARY = "_"
 _NAME = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
@@ -289,22 +295,171 @@ def vertex_factorization(v: MoyVertex, n: int, table: VariableTable) -> KoszulSp
     return spec
 
 
-def _difference_quotient(table, xs, ys, j, n) -> BigradedPoly:
-    """[p(Y1..Y_{j-1}, X_j..X_m) - p(Y1..Y_j, X_{j+1}..X_m)] / (X_j - Y_j),
-    with m = len(xs) and p the (n+1)-st power sum, computed through a fresh
-    symbol so that X_j = Y_j is allowed."""
-    fresh = "tQuot"
-    if fresh in table:
-        raise InvariantError(f"reserved symbol {fresh} already in the ring")
-    big = VariableTable(list(table.variables) + [Variable(fresh, KIND_SYM, (0, 2 * j))])
-    t = BigradedPoly.variable(big, fresh)
-    up = [cast(p, big) for p in xs]
-    yp = [cast(p, big) for p in ys]
-    hi_args = yp[: j - 1] + [t] + up[j:]
-    lo_args = yp[:j] + up[j:]
-    numer = power_sum_in_elementary(hi_args, n + 1) - power_sum_in_elementary(lo_args, n + 1)
-    quot = divide_exact(numer, t - yp[j - 1])
-    return substitute(quot, {fresh: xs[j - 1]}, table)
+# ---------------------------------------------------------------------------
+# Graded dimension
+
+
+@dataclass
+class GdimSeries:
+    """Coefficients of the graded dimension series, exact up to x_truncation.
+
+    terms maps (epsilon, a-degree, x-degree) to a nonnegative dimension;
+    the series variable convention is tau^eps alpha^j xi^k.
+    """
+
+    terms: dict[tuple[int, int, int], int]
+    x_truncation: int
+
+    def shifted(self, de: int, dj: int, dk: int) -> "GdimSeries":
+        return GdimSeries(
+            {((e + de) % 2, j + dj, k + dk): v for (e, j, k), v in self.terms.items()},
+            self.x_truncation + dk,
+        )
+
+    def __add__(self, other: "GdimSeries") -> "GdimSeries":
+        bound = min(self.x_truncation, other.x_truncation)
+        out: dict[tuple[int, int, int], int] = {}
+        for src in (self.terms, other.terms):
+            for key, v in src.items():
+                if key[2] <= bound:
+                    out[key] = out.get(key, 0) + v
+        return GdimSeries({k: v for k, v in out.items() if v}, bound)
+
+    def same_series(self, other: "GdimSeries") -> bool:
+        bound = min(self.x_truncation, other.x_truncation)
+        a = {k: v for k, v in self.terms.items() if k[2] <= bound}
+        b = {k: v for k, v in other.terms.items() if k[2] <= bound}
+        return a == b
+
+    def pretty(self) -> str:
+        if not self.terms:
+            return "0"
+        bits = []
+        for (e, j, k), v in sorted(self.terms.items(), key=lambda t: (t[0][2], t[0][1], t[0][0])):
+            factors = [] if v == 1 else [str(v)]
+            if e:
+                factors.append("tau")
+            if j:
+                factors.append(f"alpha^{j}" if j != 1 else "alpha")
+            if k:
+                factors.append(f"xi^{k}" if k != 1 else "xi")
+            bits.append("*".join(factors) if factors else "1")
+        return " + ".join(bits)
+
+
+# Slice basis elements gdim may enumerate, counted before any is built.  An
+# element costs about 10 us and 0.7 KB (theta-split at x-degree 50,000: 200,008
+# elements, 1.9 s, 155 MB peak), so the cap holds gdim near 2 s.
+MAX_SLICE_BASIS = 200_000
+
+
+def _count_up_to(weights: Sequence[int], total: int, cap: int) -> int:
+    """How many exponent tuples have weighted degree <= total, or cap + 1 if
+    more.  Each step of the loop counts at least one tuple, so the cost is
+    bounded by cap whatever the total."""
+    if total < 0:
+        return 0
+    if not weights:
+        return 1
+    head, rest = weights[0], weights[1:]
+    if not rest:
+        return min(total // head + 1, cap + 1)
+    count = 0
+    for k in range(total // head + 1):
+        count += _count_up_to(rest, total - k * head, cap - count)
+        if count > cap:
+            break
+    return count
+
+
+def gdim(
+    M: MatrixFactorization,
+    x_truncation: int,
+    kill: Iterable[str] | None = None,
+) -> GdimSeries:
+    """Graded dimension of homology after killing the designated variables.
+
+    By default every variable (a and all marks) is killed, which matches a
+    fully reduced closed diagram; passing a smaller kill set keeps the other
+    variables alive and the homology is taken over them, slice by slice.
+    The variable a must always be killed so that each slice is finite
+    dimensional.  A truncation whose slices hold more than MAX_SLICE_BASIS
+    elements in all raises ExpansionBudgetError before any is enumerated.
+    """
+    names = M.table.names()
+    kill_set = set(names) if kill is None else set(kill)
+    unknown = kill_set - set(names)
+    if unknown:
+        raise ValueError(f"kill variables not in ring: {sorted(unknown)}")
+    if "a" in names and "a" not in kill_set:
+        raise ValueError("gdim requires killing a (slices are infinite otherwise)")
+    surv = [i for i, nm in enumerate(names) if nm not in kill_set]
+    weights = [M.table.variables[i].bidegree[1] for i in surv]
+    zero_sub = {v: BigradedPoly.zero(M.table) for v in kill_set}
+    # the images of each generator under the killed differential, as
+    # (target generator, survivor exponents, coefficient)
+    images: list[dict[int, list]] = [{}, {}]
+    for par, d in enumerate((M.d0, M.d1)):
+        for (ti, si), p in d.items():
+            for e, c in substitute(p, zero_sub, M.table).terms.items():
+                images[par].setdefault(si, []).append((ti, tuple(e[i] for i in surv), c))
+
+    bases = (M.basis0, M.basis1)
+
+    @cache
+    def slice_basis(par: int, j: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
+        return [
+            (g, mono)
+            for g, (ga, gx) in enumerate(bases[par])
+            if ga == j and gx <= k
+            for mono in monomials(weights, k - gx)
+        ]
+
+    def slice_rank(par: int, src, tgt) -> int:
+        """Rank over Q of the killed differential from slice src to slice
+        tgt, the pivot count of its Smith reduction at a-degree 0."""
+        tgt_pos = {key: pos for pos, key in enumerate(tgt)}
+        entries: dict[tuple[int, int], Coefficient] = {}
+        for col, (g, mono) in enumerate(src):
+            for ti, e, c in images[par].get(g, ()):
+                row = tgt_pos.get((ti, tuple(map(add, mono, e))))
+                if row is None:
+                    raise InvariantError("image outside enumerated slice")
+                entries[(row, col)] = entries.get((row, col), 0) + c
+        cells = {rc: (c, 0) for rc, c in entries.items()}
+        return len(smith(SliceMatrix((0,) * len(src), (0,) * len(tgt), 0, cells)).pivots)
+
+    a_values = sorted({a for a, _ in bases[0]} | {a for a, _ in bases[1]})
+    x_min = min((x for _, x in bases[0] + bases[1]), default=0)
+    x_top = x_truncation
+    if not surv:
+        # with no variable left, a slice holds only generators of x-degree k
+        x_top = min(x_top, max((x for _, x in bases[0] + bases[1]), default=x_min))
+    size = 0
+    for _, gx in bases[0] + bases[1]:
+        size += _count_up_to(weights, x_top + M.n + 1 - gx, MAX_SLICE_BASIS - size)
+        if size > MAX_SLICE_BASIS:
+            raise ExpansionBudgetError(
+                f"graded dimension to x-degree {x_truncation} needs more than "
+                f"{MAX_SLICE_BASIS} slice basis elements, the cap"
+            )
+    terms: dict[tuple[int, int, int], int] = {}
+    for par in (0, 1):
+        for j in a_values:
+            for k in range(x_min, x_top + 1):
+                src = slice_basis(par, j, k)
+                if not src:
+                    continue
+                out_tgt = slice_basis((par + 1) % 2, j + 1, k + M.n + 1)
+                in_src = slice_basis((par + 1) % 2, j - 1, k - M.n - 1)
+                rank_out = slice_rank(par, src, out_tgt)
+                rank_in = slice_rank((par + 1) % 2, in_src, src) if in_src else 0
+                dim = len(src) - rank_out - rank_in
+                if dim < 0:
+                    raise InvariantError("negative slice dimension")
+                if dim:
+                    terms[(par, j, k)] = dim
+    return GdimSeries(terms, x_truncation)
 
 
 # ---------------------------------------------------------------------------

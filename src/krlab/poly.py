@@ -11,8 +11,10 @@ coefficient maps.  Coefficients are exact rationals throughout, never
 floats: an int when integral and a Fraction otherwise (see exact).  The
 Koszul rows of the potential a x^(N+1) have integer coefficients, and
 keeping them as int spares the cube build Fraction's arithmetic.
-Canonical term order is graded lexicographic on (variable index,
-exponent), which makes exact multivariate division deterministic.
+A polynomial is written out in graded lexicographic term order.  The
+one exact polynomial division, divide_terms, reduces by leading terms in
+lexicographic order; divide_exact here and skein.divide_exact on Laurent
+polynomials both call it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 KIND_A = "a"
@@ -330,43 +332,61 @@ class BigradedPoly:
         return " + ".join(parts)
 
 
-def divide_exact(p: BigradedPoly, d: BigradedPoly) -> BigradedPoly:
-    """Exact quotient p/d in the polynomial ring.
+def divide_terms(
+    num: Mapping[tuple[int, ...], Coefficient], den: Mapping[tuple[int, ...], Coefficient]
+) -> dict[tuple[int, ...], Coefficient] | None:
+    """The exact quotient num/den of polynomials given as {exponent tuple:
+    coefficient}, with non-negative exponents and den nonzero, or None when
+    den does not divide num.
 
-    Greedy division by leading terms in graded-lex order; raises if at any
-    step the leading term is not divisible, so a non-exact division is an
-    error, never a silent truncation.  The remainder is one dict updated in
-    place, and its leading term comes from a heap of its keys, negated so
-    the least is the leading one; a key popped after its term cancelled is
-    skipped, so a t-term division takes O(t log t) steps.
+    Greedy division by leading terms in lexicographic order: the leading
+    term of a multiple of den is a multiple of den's leading term, so a
+    leading term of the remainder that den's does not divide shows that den
+    does not divide num.  The remainder is one dict updated in place, and
+    its leading term comes from a heap of its keys, negated so the least is
+    the leading one; a key popped after its term cancelled is skipped, so a
+    t-term division takes O(t log t) steps.
     """
-    p._check(d)
-    if d.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    lead_e, lead_c = max(d.terms.items(), key=lambda t: _term_sort_key(t[0]))
-    tail = [(e, c) for e, c in d.terms.items() if e != lead_e]
-    rem = dict(p.terms)
-    heap = [(-sum(e), tuple(-x for x in e)) for e in rem]
+    lead_e = max(den)
+    lead_c = den[lead_e]
+    tail = [(e, c) for e, c in den.items() if e != lead_e]
+    rem = dict(num)
+    heap = [tuple(map(neg, e)) for e in rem]
     heapq.heapify(heap)
     quot: dict[tuple[int, ...], Coefficient] = {}
     while heap:
-        re = tuple(-x for x in heapq.heappop(heap)[1])
+        re = tuple(map(neg, heapq.heappop(heap)))
         rc = rem.pop(re, None)
         if rc is None:
             continue
-        qe = tuple(a - b for a, b in zip(re, lead_e))
-        if any(x < 0 for x in qe):
-            raise ValueError("non-exact polynomial division")
-        qc = quot[qe] = exact(Fraction(rc) / lead_c)
+        qe = tuple(map(sub, re, lead_e))
+        if lead_e and min(qe) < 0:  # lead_e is () only in a ring with no variable
+            return None
+        qc, r = divmod(rc, lead_c)
+        if r:
+            qc = Fraction(rc, lead_c)  # not integral, so already exact's normal form
+        quot[qe] = qc
         for e, c in tail:
             key = tuple(map(add, qe, e))
             left = rem.get(key, 0) - qc * c
             if left:
                 if key not in rem:
-                    heapq.heappush(heap, (-sum(key), tuple(-x for x in key)))
+                    heapq.heappush(heap, tuple(map(neg, key)))
                 rem[key] = left
             else:
-                rem.pop(key, None)
+                del rem[key]
+    return quot
+
+
+def divide_exact(p: BigradedPoly, d: BigradedPoly) -> BigradedPoly:
+    """Exact quotient p/d in the polynomial ring, by divide_terms; a
+    non-exact division raises ValueError, never a silent truncation."""
+    p._check(d)
+    if d.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    quot = divide_terms(p.terms, d.terms)
+    if quot is None:
+        raise ValueError("non-exact polynomial division")
     return BigradedPoly(p.table, quot)
 
 

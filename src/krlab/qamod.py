@@ -7,7 +7,10 @@ time: fixing the Z2-degree, the homological degree and the x-degree leaves a
 finitely generated graded Q[a]-module, and homogeneity forces every matrix
 entry to be a single monomial c a^e.  Smith reduction with the least
 a-exponent as pivot therefore never leaves the monomial world, and kernels,
-images and subquotients come out as explicit graded pieces.
+images and subquotients come out as explicit graded pieces.  smith is the
+package's one matrix elimination: a rational matrix is a SliceMatrix of
+a-degree 0, and the a = 0 and a = 1 oracles here and moy.gdim take their
+ranks and kernels from it too.
 
 The complex itself is infinite in the x-direction (marks act freely), so
 computations run inside an x-degree window.  The window is widened internally
@@ -103,7 +106,6 @@ from math import comb
 from operator import add
 
 from .cube import ChainComplexOfMF
-from .mf import kernel, rank
 from .poly import KIND_A, KIND_MARK, ExpansionBudgetError, InvariantError, exact, monomials
 from .skein import ATOM_ALPHA, Laurent, SkeinValue, atom_xi1
 
@@ -1376,30 +1378,21 @@ def _mod_a_dimensions(red: _Reduced, lo: int, hi: int) -> dict:
         for ja, count in Counter(labels).items():
             bases[(eps, i, ja, k)] = count
 
-    ranks: dict[tuple[int, int, int, int], int] = {}
+    # with a killed, d1 keeps the a-degree, so its Smith reduction never
+    # mixes the a-degree blocks: each block's rank is the number of pivots
+    # whose column carries its label
+    ranks: Counter = Counter()
     for key, cells in red.d1.items():
         eps, i, k = key
         labels = red.slices[key]
-        by_j: dict[int, dict[int, dict[int, Fraction]]] = {}
         tgt_labels = red.slices[(eps, i + 1, k)]
-        tgt_index: dict[int, dict[int, int]] = {}
-        for pos, ja in enumerate(tgt_labels):
-            sub = tgt_index.setdefault(ja, {})
-            sub[pos] = len(sub)
-        src_index: dict[int, dict[int, int]] = {}
-        for pos, ja in enumerate(labels):
-            sub = src_index.setdefault(ja, {})
-            sub[pos] = len(sub)
-        for (r, c), (coeff, exp) in cells.items():
+        for (r, c), (_coeff, exp) in cells.items():
             if exp:
                 raise InvariantError("a-power survives modulo a")
-            ja = labels[c]
-            if tgt_labels[r] != ja:
+            if tgt_labels[r] != labels[c]:
                 raise InvariantError("a-degree drift modulo a")
-            by_j.setdefault(ja, {}).setdefault(c, {})[tgt_index[ja][r]] = coeff
-        for ja, cols in by_j.items():
-            mat = [cols.get(c, {}) for c in sorted(cols)]
-            ranks[(eps, i, ja, k)] = rank(mat)
+        for _, c, _ in smith(SliceMatrix(tuple(labels), tuple(tgt_labels), 0, cells)).pivots:
+            ranks[(eps, i, labels[c], k)] += 1
 
     out: dict[tuple[int, int, int, int], int] = {}
     for (eps, i, ja, k), count in bases.items():
@@ -1431,58 +1424,41 @@ def a_one_dimensions(C: ChainComplexOfMF, x_window=None) -> dict:
 
 
 def _a_one_dimensions(red: _Reduced, lo: int, hi: int) -> dict:
-    """a_one_dimensions of one reduced class."""
-    n = red.n
+    """a_one_dimensions of one reduced class, each map a rational matrix: its
+    cells at a = 1, as a SliceMatrix of a-degree 0."""
+    n, slices = red.n, red.slices
 
-    def out_cols(key) -> list[dict[int, Fraction]]:
-        cols: list[dict[int, Fraction]] = [{} for _ in red.slices[key]]
-        for (r, c), (coeff, _exp) in red.d0.get(key, {}).items():
-            cols[c][r] = coeff
-        return cols
+    def at_one(cells: dict, tgt, src) -> SliceMatrix:
+        rows, cols = len(slices.get(tgt, ())), len(slices.get(src, ()))
+        return SliceMatrix((0,) * cols, (0,) * rows, 0, {rc: (c, 0) for rc, (c, _) in cells.items()})
 
-    def image_cols(key) -> list[dict[int, Fraction]]:
+    def d0_into(key) -> SliceMatrix:
         eps, i, k = key
-        cells = red.d0.get(((eps + 1) % 2, i, k - n - 1), {})
-        cols: dict[int, dict[int, Fraction]] = {}
-        for (r, c), (coeff, _exp) in cells.items():
-            cols.setdefault(c, {})[r] = coeff
-        return list(cols.values())
-
-    def push(key, combos) -> list[dict[int, Fraction]]:
-        """Images of kernel combinations under the degree-one differential."""
-        d1cols: dict[int, dict[int, Fraction]] = {}
-        for (r, c), (coeff, _exp) in red.d1.get(key, {}).items():
-            d1cols.setdefault(c, {})[r] = coeff
-        out = []
-        for combo in combos:
-            w: dict[int, Fraction] = {}
-            for c, v in combo.items():
-                for r, mc in d1cols.get(c, {}).items():
-                    s = w.get(r, 0) + mc * v
-                    if s:
-                        w[r] = s
-                    else:
-                        w.pop(r, None)
-            if w:
-                out.append(w)
-        return out
+        src = ((eps + 1) % 2, i, k - n - 1)
+        return at_one(red.d0.get(src, {}), key, src)
 
     kernels = {}
-    images = {}
-    for key in red.slices:
-        if key[2] > hi:
+    rank_ib = {}
+    for key in slices:
+        eps, i, k = key
+        if k > hi:
             continue
-        kernels[key] = kernel(out_cols(key))
-        images[key] = image_cols(key)
-    rank_ib = {key: rank(ib) for key, ib in images.items()}
+        out_map = at_one(red.d0.get(key, {}), ((eps + 1) % 2, i, k + n + 1), key)
+        kernels[key] = smith(out_map).kernel_basis()
+        rank_ib[key] = len(smith(d0_into(key)).pivots)
 
     phibar = {}
     for key, kb in kernels.items():
         eps, i, k = key
         nxt = (eps, i + 1, k)
-        moved = push(key, kb)
+        d1: MonoMat = {}
+        for (r, c), (coeff, _exp) in red.d1.get(key, {}).items():
+            d1.setdefault(c, {})[r] = (coeff, 0)
+        moved = [w for w in (_cols_apply(d1, vec) for vec, _ in kb) if w]
         if moved:
-            phibar[key] = rank(moved + images.get(nxt, [])) - rank_ib.get(nxt, 0)
+            cells = {(r, c): mono for c, w in enumerate(moved) for r, mono in w.items()}
+            pushed = SliceMatrix((0,) * len(moved), (0,) * len(slices[nxt]), 0, cells)
+            phibar[key] = len(smith(_hstack(pushed, d0_into(nxt))).pivots) - rank_ib.get(nxt, 0)
 
     out: dict[tuple[int, int, int], int] = {}
     for key, kb in kernels.items():

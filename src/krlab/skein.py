@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .braid import BraidWord, _order_key, markov_search, simplify, word_text
-from .poly import Coefficient, exact
+from .poly import Coefficient, divide_terms, exact
 
 SKEIN_BUDGET = 10**4  # default search budget of a skein evaluation
 MAX_BUDGET = 10**6
@@ -172,10 +172,7 @@ def divide_exact(num: Laurent, den: Laurent) -> Laurent | None:
 
     Both are first shifted to least exponent 0 in alpha and in xi.  The
     shifted den then has no monomial factor, so Laurent divisibility is
-    polynomial divisibility, decided by greedy reduction in lexicographic
-    term order: a leading term that den's leading term does not divide
-    shows that den does not divide num.  The remainder is one dict,
-    reduced in place.
+    polynomial divisibility, which poly.divide_terms decides.
     """
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -183,29 +180,14 @@ def divide_exact(num: Laurent, den: Laurent) -> Laurent | None:
         return Laurent.zero()
     na, nx = num.min_alpha(), num.min_xi()
     da, dx = den.min_alpha(), den.min_xi()
-    rest = {(a - na, x - nx): c for (a, x), c in num.terms.items()}
-    divisor = sorted(((a - da, x - dx), c) for (a, x), c in den.terms.items())
-    (ga, gx), gc = divisor.pop()
-    quotient: dict[tuple[int, int], Coefficient] = {}
-    while rest:
-        lead = max(rest)
-        fa, fx = lead
-        if fa < ga or fx < gx:
-            return None
-        fc = rest.pop(lead)
-        qc, r = divmod(fc, gc)
-        if r:
-            qc = Fraction(fc, gc)  # not integral, so already exact's normal form
-        qa, qx = fa - ga, fx - gx
-        quotient[(qa + na - da, qx + nx - dx)] = qc
-        for (a, x), c in divisor:
-            key = (a + qa, x + qx)
-            s = rest.get(key, 0) - qc * c
-            if s:
-                rest[key] = s if type(s) is int else exact(s)
-            else:
-                del rest[key]
-    return Laurent(quotient)
+    quot = divide_terms(
+        {(a - na, x - nx): c for (a, x), c in num.terms.items()},
+        {(a - da, x - dx): c for (a, x), c in den.terms.items()},
+    )
+    if quot is None:
+        return None
+    sa, sx = na - da, nx - dx
+    return Laurent({(a + sa, x + sx): c for (a, x), c in quot.items()})
 
 
 def _truncated_product(

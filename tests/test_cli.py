@@ -291,18 +291,21 @@ class TestSizeRefusals:
     N = "n = 100000 is over the cap of 100"
 
     @pytest.mark.parametrize("args, message", [
-        (["homology", "--braid", "16", "--xwindow", "2"], CUBE.format(262144)),
+        (["homology", "--braid", "16", "--xwindow", "2"], CUBE.format("2^18")),
         (["homology", "--braid", "1 2 1 2 1 2 1 2 1 2 1 2", "--xwindow", "2"],
-         CUBE.format(33554432)),
+         CUBE.format("2^25")),
         (["homology", "--braid", "1 1", "--n", "64", "--xwindow", "2"],
-         "the resolution cube needs 32 Koszul generators, over the cap of 8"),
+         "the resolution cube needs 2^5 Koszul generators, over the cap of 8"),
         (["homology", "--braid", "1", "--n", "100000"], N),
         (["skein", "--braid", "1", "--n", "100000"], N),
         (["both", "--braid", "1", "--n", "100000"], N),
         (["gdim", "--graph", "circle", "--n", "100000"], N),
         (["verify", "--n", "100000"], N),
+        # 2^100000001 in decimal passes Python's limit on int-to-str digits
+        (["homology", "--braid", "1", "--strands", "100000000"], CUBE.format("2^100000001")),
+        (["both", "--braid", "1", "--strands", "100000000"], CUBE.format("2^100000001")),
     ], ids=["cube-s16", "cube-12-letters", "cube-n64", "n-homology", "n-skein", "n-both",
-            "n-gdim", "n-verify"])
+            "n-gdim", "n-verify", "cube-huge-homology", "cube-huge-both"])
     def test_refused_at_once_in_one_line(self, runner, args, message):
         start = time.perf_counter()
         res = run(runner, *args)

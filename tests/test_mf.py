@@ -1,4 +1,4 @@
-"""Matrix factorization layer: Koszul builds, exclusion, kernel, gdim."""
+"""Matrix factorization layer: Koszul builds, exclusion, smith over Q, gdim."""
 
 from fractions import Fraction
 
@@ -14,9 +14,8 @@ from krlab.poly import (
     VariableTable,
     monomials,
 )
-from krlab import mf
+from krlab import moy
 from krlab.mf import (
-    GdimSeries,
     KoszulSpec,
     MatrixFactorization,
     compose,
@@ -25,12 +24,11 @@ from krlab.mf import (
     exclude_variable,
     exclusion_reduction,
     find_exclusion,
-    gdim,
-    kernel,
     koszul,
-    rank,
     tensor,
 )
+from krlab.moy import GdimSeries, gdim
+from krlab.qamod import SliceMatrix, smith
 
 
 def marks_table(*names: str) -> VariableTable:
@@ -96,7 +94,7 @@ class TestKoszulConstruction:
         table = M.table
         a, x, y = (var(table, nm) for nm in "axy")
         assert M.potential == a * (x ** (n + 1) - y ** (n + 1))
-        assert M.rank() == 2
+        assert len(M.basis0 + M.basis1) == 2
 
     def test_arc_entry_degrees(self):
         M = koszul(arc_spec(2))
@@ -414,22 +412,32 @@ class TestKernel:
         {0: 1, 1: -3, 2: Fraction(5, 2), 3: -7},
     ]
 
+    def matrix(self) -> SliceMatrix:
+        """COLS as a rational matrix: a SliceMatrix of a-degree 0."""
+        cells = {(r, c): (v, 0) for c, col in enumerate(self.COLS) for r, v in col.items()}
+        return SliceMatrix((0,) * len(self.COLS), (0,) * 4, 0, cells)
+
     def test_combinations_send_the_columns_to_zero(self):
-        combos = kernel(self.COLS)
+        combos = smith(self.matrix()).kernel_basis()
         assert combos
-        for combo in combos:
+        for combo, degree in combos:
+            assert degree == 0
             image: dict[int, Fraction] = {}
-            for j, c in combo.items():
-                assert isinstance(c, Fraction)
+            for j, (c, e) in combo.items():
+                assert e == 0
                 for r, v in self.COLS[j].items():
                     image[r] = image.get(r, 0) + c * v
             assert not any(image.values())
 
     def test_kernel_size_plus_rank_is_the_column_count(self):
         before = [dict(col) for col in self.COLS]
-        assert len(kernel(self.COLS)) + 4 == len(self.COLS)
-        assert rank(self.COLS) == 4
+        M = self.matrix()
+        entries = dict(M.entries)
+        reduced = smith(M)
+        assert len(reduced.kernel_basis()) + 4 == len(self.COLS)
+        assert len(reduced.pivots) == 4
         assert self.COLS == before
+        assert M.entries == entries
 
 
 class TestGdim:
@@ -459,20 +467,20 @@ class TestGdim:
 
     def test_count_stops_past_its_cap(self):
         # a count past the cap costs about the cap, whatever the total
-        assert mf._count_up_to((2, 4), 10**12, 1000) == 1001
+        assert moy._count_up_to((2, 4), 10**12, 1000) == 1001
         for weights in [(), (2,), (2, 4), (4, 2, 6)]:
             for total in range(-1, 30):
                 full = sum(len(monomials(weights, t)) for t in range(total + 1))
-                assert mf._count_up_to(weights, total, 10**6) == full
-                assert mf._count_up_to(weights, total, 5) == min(full, 6)
+                assert moy._count_up_to(weights, total, 10**6) == full
+                assert moy._count_up_to(weights, total, 5) == min(full, 6)
 
     def test_a_truncation_over_the_cap_is_refused(self, monkeypatch):
         # arc_spec(2) with y killed: x survives, and up to x-degree 10 + n + 1
         # the generators at x-degrees 0 and -1 meet 7 and 8 of its powers
         M = koszul(arc_spec(2))
-        monkeypatch.setattr(mf, "MAX_SLICE_BASIS", 15)
+        monkeypatch.setattr(moy, "MAX_SLICE_BASIS", 15)
         assert gdim(M, x_truncation=10, kill=["a", "y"]).terms == {(0, 0, 0): 1}
-        monkeypatch.setattr(mf, "MAX_SLICE_BASIS", 14)
+        monkeypatch.setattr(moy, "MAX_SLICE_BASIS", 14)
         with pytest.raises(ExpansionBudgetError, match="more than 14 slice basis elements"):
             gdim(M, x_truncation=10, kill=["a", "y"])
 

@@ -52,7 +52,7 @@ def xi_mul(terms, *dks):
 class TestCircle:
     def test_rank_and_zero_potential(self):
         M = graph_factorization(builtin_graph("circle"), 2)
-        assert M.rank() == 2
+        assert len(M.basis0 + M.basis1) == 2
         assert M.potential.is_zero()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -147,7 +147,7 @@ class TestWideEdge:
     def test_generator_degrees_and_gdim(self, n):
         g = builtin_graph("wide-edge")
         M = graph_factorization(g, n)
-        assert M.rank() == 4
+        assert len(M.basis0 + M.basis1) == 4
         degrees = sorted(M.basis0 + M.basis1)
         assert degrees == sorted(
             [(0, 0), (-1, 1 - n), (-1, 3 - n), (-2, 4 - 2 * n)]
@@ -209,7 +209,7 @@ class TestCrossingResolutions:
     def test_two_arcs(self, n):
         g = builtin_graph("crossing-gamma0")
         M = graph_factorization(g, n)
-        assert M.rank() == 4
+        assert len(M.basis0 + M.basis1) == 4
         t = M.table
         a = BigradedPoly.variable(t, "a")
         x1, y1, x2, y2 = (BigradedPoly.variable(t, nm) for nm in ("x1", "y1", "x2", "y2"))
@@ -226,7 +226,7 @@ class TestCrossingResolutions:
         assert len(spec.rows) == 2
         assert "W.e1" not in spec.table and "W.e2" not in spec.table
         M = graph_factorization(g, n)
-        assert M.rank() == 4
+        assert len(M.basis0 + M.basis1) == 4
         t = M.table
         a = BigradedPoly.variable(t, "a")
         x1, y1, x2, y2 = (BigradedPoly.variable(t, nm) for nm in ("x1", "y1", "x2", "y2"))

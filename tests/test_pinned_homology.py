@@ -1,15 +1,22 @@
-"""Output pinned byte for byte on the short 3-strand words.
+"""Output pinned byte for byte.
 
 The sha256 of each `homology --strands 3 --xwindow 10 --format json` stdout
-is committed in pins/homology_short_words.json, which also pins `1 1` at
-n = 16 and `1 1 1` at n = 8, where the exponents of the cube's products are
-largest, and that of each
+on the short 3-strand words is committed in pins/homology_short_words.json,
+which also pins `1 1` at n = 16 and `1 1 1` at n = 8, where the exponents of
+the cube's products are largest, and that of each
 `both --strands 3 --format json` stdout, whose window search grows one
 expansion, in pins/both_short_words.json, which also pins `both` on two
-4-crossing knots at n = 1; regenerate one with
+4-crossing knots at n = 1.  The graded dimension of every builtin graph,
+`gdim --graph G --n n --format json` at n = 1 and 2, which rests on the
+exact ranks of its slices, is pinned in pins/gdim_builtin_graphs.json, and
+the skein value of the unlinks `skein --braid '' --strands m --format json`
+at m = 10 and 25, whose stripping divides out many atoms, in
+pins/skein_unlinks.json.  Regenerate one with
 
     PYTHONPATH=src python tests/test_pinned_homology.py homology > tests/pins/homology_short_words.json
     PYTHONPATH=src python tests/test_pinned_homology.py both > tests/pins/both_short_words.json
+    PYTHONPATH=src python tests/test_pinned_homology.py gdim > tests/pins/gdim_builtin_graphs.json
+    PYTHONPATH=src python tests/test_pinned_homology.py skein > tests/pins/skein_unlinks.json
 
 only when a change to the answers is intended.
 """
@@ -23,22 +30,49 @@ import pytest
 from click.testing import CliRunner
 
 from krlab import cli
+from krlab.moy import BUILTIN_GRAPHS
 from test_cube import reduced_words
 
 PINS = Path(__file__).resolve().parent / "pins"
-# the options of each pinned command beyond the word, the strands and n
-OPTIONS = {"homology": ["--xwindow", "10"], "both": []}
+PIN_FILES = {
+    "homology": "homology_short_words.json",
+    "both": "both_short_words.json",
+    "gdim": "gdim_builtin_graphs.json",
+    "skein": "skein_unlinks.json",
+}
 
 
-def digest(command: str, word: str, n: int) -> str:
-    res = CliRunner().invoke(cli.main, [command, "--braid", word, "--strands", "3",
-                                        "--n", str(n), *OPTIONS[command], "--format", "json"])
+def argv(command: str, subject, n: int) -> list[str]:
+    """The pinned command line: subject is a braid word on 3 strands for
+    homology and both, a builtin graph for gdim, and the strand count of
+    the unlink for skein."""
+    if command == "gdim":
+        args = ["--graph", subject]
+    elif command == "skein":
+        args = ["--braid", "", "--strands", str(subject)]
+    else:
+        args = ["--braid", subject, "--strands", "3"]
+        if command == "homology":
+            args += ["--xwindow", "10"]
+    return [command, *args, "--n", str(n), "--format", "json"]
+
+
+def key(command: str, subject, n: int) -> str:
+    if command == "gdim":
+        return f"{subject} n={n}"
+    if command == "skein":
+        return f"strands={subject} n={n}"
+    return f"[{subject}] n={n}"
+
+
+def digest(command: str, subject, n: int) -> str:
+    res = CliRunner().invoke(cli.main, argv(command, subject, n))
     assert res.exit_code == 0, res.output
     return hashlib.sha256(res.stdout.encode()).hexdigest()
 
 
-def pinned(command: str, word: str, n: int) -> str:
-    return json.loads((PINS / f"{command}_short_words.json").read_text())[f"[{word}] n={n}"]
+def pinned(command: str, subject, n: int) -> str:
+    return json.loads((PINS / PIN_FILES[command]).read_text())[key(command, subject, n)]
 
 
 # the 17 freely reduced words of length <= 2 on 3 strands
@@ -49,6 +83,8 @@ CASES = [(word, n) for n in (1, 2) for word in reduced_words(3, 2)]
 PINNED = {
     "homology": CASES + [("1 1", 16), ("1 1 1", 8)],
     "both": CASES + [("1 -2 1 -2", 1), ("-1 -2 -1 -2", 1)],
+    "gdim": [(graph, n) for n in (1, 2) for graph in BUILTIN_GRAPHS],
+    "skein": [(10, 1), (25, 1)],
 }
 
 
@@ -66,6 +102,19 @@ def test_both_output_is_pinned(word, n):
     assert digest("both", word, n) == pinned("both", word, n)
 
 
+@pytest.mark.parametrize("graph,n", PINNED["gdim"],
+                         ids=[f"{g}-n{n}" for g, n in PINNED["gdim"]])
+def test_gdim_output_is_pinned(graph, n):
+    assert digest("gdim", graph, n) == pinned("gdim", graph, n)
+
+
+@pytest.mark.parametrize("strands,n", PINNED["skein"],
+                         ids=[f"strands{m}-n{n}" for m, n in PINNED["skein"]])
+def test_skein_output_is_pinned(strands, n):
+    assert digest("skein", strands, n) == pinned("skein", strands, n)
+
+
 if __name__ == "__main__":
-    print(json.dumps({f"[{w}] n={n}": digest(sys.argv[1], w, n) for w, n in PINNED[sys.argv[1]]},
+    command = sys.argv[1]
+    print(json.dumps({key(command, s, n): digest(command, s, n) for s, n in PINNED[command]},
                      indent=1))

@@ -22,6 +22,8 @@ from krlab.poly import (
     power_sum_in_elementary,
     substitute,
 )
+from krlab.skein import Laurent
+from krlab.skein import divide_exact as laurent_divide_exact
 
 T = VariableTable.build(
     [("a", "a"), ("x1", "mark"), ("x2", "mark"), ("x3", "mark"), ("y", "mark")]
@@ -102,6 +104,28 @@ class TestDivideExact:
         if r is not None:
             with pytest.raises(ValueError, match="non-exact"):
                 divide_exact(p + r, d)
+
+    # one draw of p, q and a remainder term, for both division wrappers
+    TWO = VariableTable.build([("x", "mark"), ("y", "mark")])
+    TERMS = st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]),
+        max_size=5,
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(TERMS, TERMS.filter(lambda t: len(t) >= 2),
+           st.tuples(st.integers(0, 6), st.integers(0, 6)))
+    def test_both_wrappers_divide_alike(self, p_terms, q_terms, key):
+        p, q = BigradedPoly(self.TWO, p_terms), BigradedPoly(self.TWO, q_terms)
+        lp, lq = Laurent(p_terms), Laurent(q_terms)
+        assert divide_exact(p * q, q) == p
+        assert laurent_divide_exact(lp * lq, lq) == lp
+        # q has two terms or more, so it divides no nonzero monomial
+        r = BigradedPoly(self.TWO, {key: 1})
+        with pytest.raises(ValueError, match="non-exact"):
+            divide_exact(p * q + r, q)
+        assert laurent_divide_exact(lp * lq + Laurent({key: 1}), lq) is None
 
     def test_difference_quotient_roundtrip(self):
         # p_{2,3} at two alphabets, differenced in E1 and divided by E1-E1'
@@ -374,6 +398,24 @@ class TestHomogeneity:
             return
         q = divide_exact(p * r, r)
         assert q == p
+
+
+# every module of the package, by name
+MODULES = sorted(path.stem for path in Path(krlab.__file__).parent.glob("*.py")
+                 if path.stem != "__init__")
+
+
+class TestImportOrder:
+    @pytest.mark.parametrize("module", MODULES)
+    def test_imports_first_in_a_fresh_interpreter(self, module):
+        # an import cycle may show only when one of its modules is imported
+        # first, so each module starts its own interpreter
+        src = str(Path(krlab.__file__).resolve().parents[1])
+        res = subprocess.run(
+            [sys.executable, "-c", f"import krlab.{module}"], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
 
 
 class TestInvariantChecks:

@@ -744,13 +744,24 @@ class TestModA:
                     assert chi_m == chi_u - chi_s
 
 
+# the a = 1 oracle's cases: three at the default window, and the 17 freely
+# reduced words of length <= 2 on 3 strands at n = 1 and 2 at width 10
+A_ONE_CASES = [("", 1, 2, None), ("-1", 2, 1, None), ("1 1", 2, 1, None)] + [
+    (word, 3, n, 10) for n in (1, 2) for word in reduced_words(3, 2)
+]
+
+
 class TestAOne:
-    @pytest.mark.parametrize("text,strands,n", [("", 1, 2), ("-1", 2, 1), ("1 1", 2, 1)])
-    def test_matches_free_counts(self, text, strands, n):
+    @pytest.mark.parametrize(
+        "text,strands,n,x_window",
+        A_ONE_CASES,
+        ids=["-".join(str(v) for v in case if v is not None) for case in A_ONE_CASES],
+    )
+    def test_matches_free_counts(self, text, strands, n, x_window):
         C = build_complex(parse(text, strands), n)
-        module = two_stage_homology(C)
+        module = two_stage_homology(C, x_window)
         free = {key: len(sl.free) for key, sl in module.slices.items() if sl.free}
-        assert a_one_dimensions(C) == free
+        assert a_one_dimensions(C, x_window) == free
 
     def test_torsion_towers_vanish(self):
         # the negative unknot table is all torsion in the even sector
