@@ -1,16 +1,23 @@
 """Command-line surface: homology tables, skein values, graph dimensions.
 
-Exit codes separate the failure families: 1 for input that does not parse
-(including windows the pipelines refuse), 2 for an exhausted budget (the
-skein recursion's budget, the x-window search of `both` and `verify`
-passing qamod.AUTO_WIDTH_STEPS * (n + 1), a resolution cube of more than
-cube.MAX_CUBE_GENERATORS // n^2 Koszul generators, a window whose expansion
-would pass qamod.EXPANSION_BUDGET bytes at qamod.VECTOR_BYTES a basis vector,
-counted in closed form before any is built, a gdim truncation whose slices
-would pass moy.MAX_SLICE_BASIS elements, or an n above MAX_N, which is
-refused before any work), 3 for a failed cross-check, 4 for a broken
-internal invariant, 5 for running out of memory.  Each failure prints one
-line on stderr.  JSON documents carry a stable "schema":
+Every failure ends in _Main.invoke, which prints one line on stderr and
+exits with its family's code:
+
+1. ValueError: input that does not parse, including windows the pipelines
+   refuse.
+2. poly.BudgetError: a size cap or search budget would be passed.  The
+   raisers are an n above MAX_N, refused before any work; a resolution cube
+   of more than cube.MAX_CUBE_GENERATORS // n^2 Koszul generators; a window
+   whose expansion would pass qamod.EXPANSION_BUDGET bytes, counted in
+   closed form before any is built; the x-window search of `both` and
+   `verify` passing qamod.AUTO_WIDTH_STEPS * (n + 1); a gdim truncation
+   whose slices would pass moy.MAX_SLICE_BASIS elements; and the skein
+   recursion's square search passing skein.MAX_BUDGET.
+4. poly.InvariantError: a broken internal invariant.
+5. MemoryError: the process ran out of memory.
+
+Exit 3 is a verdict, not a failure: a `both` cross-check that mismatches or
+a `verify` check that fails.  JSON documents carry a stable "schema":
 "krlab/1" tag, slices sorted by (eps, i, x), so output is reproducible and
 round-trips through module_from_json.
 """
@@ -26,26 +33,16 @@ import click
 from .braid import BraidWord, parse
 from .cube import build_complex
 from .moy import BUILTIN_GRAPHS, builtin_graph, graph_gdim, parse_graph
-from .poly import InvariantError
+from .poly import BudgetError, InvariantError
 from .qamod import (
-    ExpansionBudgetError,
     GradedQaModule,
     SliceModule,
     Tail,
-    WindowBudgetError,
     adaptive_homology,
     euler_characteristic,
     two_stage_homology,
 )
-from .skein import (
-    SKEIN_BUDGET,
-    SkeinBudgetError,
-    SkeinValue,
-    evaluate,
-    series_expand,
-    skein_residual,
-    unlink_value,
-)
+from .skein import SkeinValue, evaluate, series_expand, skein_residual, unlink_value
 
 SERIES_CAP = 12  # default alpha and xi caps of a printed skein series
 # Largest potential exponent a command accepts.  On a 2-vCPU host,
@@ -55,17 +52,11 @@ SERIES_CAP = 12  # default alpha and xi caps of a printed skein series
 MAX_N = 100
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(message, err=True)
-    sys.exit(code)
-
-
-def _check_inputs(n: int, **values: int) -> None:
-    for name, value in {"n": n, **values}.items():
-        if value < 1:
-            _fail(1, f"{name} must be at least 1")
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if n > MAX_N:
-        _fail(2, f"n = {n} is over the cap of {MAX_N}")
+        raise BudgetError(f"n = {n} is over the cap of {MAX_N}")
 
 
 def _braid(text: str, strands: int | None) -> BraidWord:
@@ -73,14 +64,7 @@ def _braid(text: str, strands: int | None) -> BraidWord:
     try:
         return parse(cleaned, strands)
     except ValueError as exc:
-        _fail(1, f"braid parse error: {exc}")
-
-
-def _homology(word: BraidWord, n: int, width: int) -> GradedQaModule:
-    try:
-        return two_stage_homology(build_complex(word, n), x_window=width)
-    except ValueError as exc:
-        _fail(1, str(exc))
+        raise ValueError(f"braid parse error: {exc}") from exc
 
 
 def _decategorified(
@@ -88,25 +72,12 @@ def _decategorified(
 ) -> tuple[GradedQaModule, SkeinValue]:
     """The module at the given width, or at the least confirmed width when
     width is None, with its Euler characteristic."""
-    if width is not None:
-        mod = _homology(word, n, width)
-        try:
-            return mod, euler_characteristic(mod)
-        except ValueError as exc:
-            _fail(1, str(exc))
-    try:
+    if width is None:
         return adaptive_homology(
             build_complex(word, n), two_stage_homology, euler_characteristic
         )
-    except WindowBudgetError as exc:
-        _fail(2, str(exc))
-
-
-def _skein(word: BraidWord, n: int, budget: int) -> SkeinValue:
-    try:
-        return evaluate(word, n, budget)
-    except SkeinBudgetError as exc:
-        _fail(2, str(exc))
+    mod = two_stage_homology(build_complex(word, n), x_window=width)
+    return mod, euler_characteristic(mod)
 
 
 def module_json(m: GradedQaModule) -> dict:
@@ -184,12 +155,16 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ExpansionBudgetError as exc:
-            _fail(2, str(exc))
+        except ValueError as exc:
+            code, message = 1, str(exc)
+        except BudgetError as exc:
+            code, message = 2, str(exc)
         except InvariantError as exc:
-            _fail(4, f"internal invariant violated: {exc}")
+            code, message = 4, f"internal invariant violated: {exc}"
         except MemoryError:
-            _fail(5, "out of memory: the computation needs more than this process may use")
+            code, message = 5, "out of memory: the computation needs more than this process may use"
+        click.echo(message, err=True)
+        sys.exit(code)
 
 
 @click.group(cls=_Main)
@@ -205,9 +180,9 @@ def main() -> None:
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def homology(braid_text, strands, n, xwindow, fmt):
     """Two-stage homology of a closed braid, as slices plus tails."""
-    _check_inputs(n=n)
+    _check_n(n)
     word = _braid(braid_text, strands)
-    mod = _homology(word, n, xwindow)
+    mod = two_stage_homology(build_complex(word, n), x_window=xwindow)
     doc = json.dumps(module_json(mod))
     if fmt == "table":
         click.echo(mod.pretty())
@@ -222,13 +197,12 @@ def homology(braid_text, strands, n, xwindow, fmt):
 @click.option("--n", "n", type=int, default=1, show_default=True)
 @click.option("--alpha-max", type=int, default=SERIES_CAP, show_default=True)
 @click.option("--xi-max", type=int, default=SERIES_CAP, show_default=True)
-@click.option("--budget", type=int, default=SKEIN_BUDGET, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
-def skein(braid_text, strands, n, alpha_max, xi_max, budget, fmt):
+def skein(braid_text, strands, n, alpha_max, xi_max, fmt):
     """Skein-recursion value of a closed braid, exact plus truncated series."""
-    _check_inputs(n=n, budget=budget)
+    _check_n(n)
     word = _braid(braid_text, strands)
-    value = _skein(word, n, budget)
+    value = evaluate(word, n)
     if fmt == "table":
         _print_skein(value, alpha_max, xi_max)
     else:
@@ -242,14 +216,13 @@ def skein(braid_text, strands, n, alpha_max, xi_max, budget, fmt):
 @click.option("--xwindow", type=int, default=None, help=_AUTO_WINDOW_HELP)
 @click.option("--alpha-max", type=int, default=SERIES_CAP, show_default=True)
 @click.option("--xi-max", type=int, default=SERIES_CAP, show_default=True)
-@click.option("--budget", type=int, default=SKEIN_BUDGET, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
-def both(braid_text, strands, n, xwindow, alpha_max, xi_max, budget, fmt):
+def both(braid_text, strands, n, xwindow, alpha_max, xi_max, fmt):
     """Run both pipelines and report whether they agree."""
-    _check_inputs(n=n, budget=budget)
+    _check_n(n)
     word = _braid(braid_text, strands)
     mod, chi = _decategorified(word, n, xwindow)
-    value = _skein(word, n, budget)
+    value = evaluate(word, n)
     verdict = "MATCH" if chi == value else "MISMATCH"
     if fmt == "table":
         click.echo(mod.pretty())
@@ -273,21 +246,21 @@ def both(braid_text, strands, n, xwindow, alpha_max, xi_max, budget, fmt):
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def gdim(graph_spec, n, xwindow, fmt):
     """Graded dimension series of a trivalent graph's factorization."""
-    _check_inputs(n=n)
+    _check_n(n)
     if xwindow < 0:
-        _fail(1, "x-degree truncation must be non-negative")
+        raise ValueError("x-degree truncation must be non-negative")
     if graph_spec in BUILTIN_GRAPHS:
         graph = builtin_graph(graph_spec)
     else:
         path = Path(graph_spec)
         if not path.exists():
-            _fail(1, f"no builtin graph or file named {graph_spec!r}")
+            raise ValueError(f"no builtin graph or file named {graph_spec!r}")
         try:
             graph = parse_graph(path.read_text())
         except OSError as exc:
-            _fail(1, f"cannot read graph file {graph_spec!r}: {exc.strerror}")
+            raise ValueError(f"cannot read graph file {graph_spec!r}: {exc.strerror}") from exc
         except ValueError as exc:
-            _fail(1, f"graph parse error: {exc}")
+            raise ValueError(f"graph parse error: {exc}") from exc
     series = graph_gdim(graph, n, xwindow)
     if fmt == "table":
         click.echo(series.pretty())
@@ -301,7 +274,7 @@ def gdim(graph_spec, n, xwindow, fmt):
         }))
 
 
-def _verify_checks(n: int, xwindow: int | None, budget: int):
+def _verify_checks(n: int, xwindow: int | None):
     def unknot_table():
         mod, _ = _decategorified(parse("", 1), n, xwindow)
         lo, hi = mod.window
@@ -326,20 +299,20 @@ def _verify_checks(n: int, xwindow: int | None, budget: int):
 
     def unlink_values():
         for m in (1, 2):
-            if evaluate(parse("", m), n, budget) != unlink_value(m, n):
+            if evaluate(parse("", m), n) != unlink_value(m, n):
                 return False, f"the {m}-component unlink misses its closed form"
         return True, ""
 
     def residuals():
         for text, strands, pos in [("1 1", 2, 1), ("1 -2", 3, 2), ("2 1 2", 3, 3)]:
-            if not skein_residual(parse(text, strands), pos, n, budget).is_zero:
+            if not skein_residual(parse(text, strands), pos, n).is_zero:
                 return False, f"skein relation leaves a residual on {text!r}"
         return True, ""
 
     def euler_cross_check():
         for text, strands in [("", 1), ("1", 2), ("-1", 2)]:
             _, chi = _decategorified(parse(text, strands), n, xwindow)
-            if chi != evaluate(parse(text, strands), n, budget):
+            if chi != evaluate(parse(text, strands), n):
                 return False, f"euler characteristic disagrees with the skein value on {text!r}"
         return True, ""
 
@@ -356,16 +329,12 @@ def _verify_checks(n: int, xwindow: int | None, budget: int):
 @main.command()
 @click.option("--n", "n", type=int, default=1, show_default=True)
 @click.option("--xwindow", type=int, default=None, help=_AUTO_WINDOW_HELP)
-@click.option("--budget", type=int, default=SKEIN_BUDGET, show_default=True)
-def verify(n, xwindow, budget):
+def verify(n, xwindow):
     """Run the built-in consistency sweep and report one line per check."""
-    _check_inputs(n=n, budget=budget)
+    _check_n(n)
     failures = 0
-    for name, check in _verify_checks(n, xwindow, budget):
-        try:
-            ok, detail = check()
-        except SkeinBudgetError as exc:
-            _fail(2, str(exc))
+    for name, check in _verify_checks(n, xwindow):
+        ok, detail = check()
         if ok:
             click.echo(f"ok   {name}")
         else:

@@ -59,7 +59,7 @@ from .poly import (
     KIND_A,
     KIND_MARK,
     BigradedPoly,
-    ExpansionBudgetError,
+    BudgetError,
     InvariantError,
     VariableTable,
     substitute,
@@ -495,7 +495,7 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
     bits = 2 * c + pieces
     cap = MAX_CUBE_GENERATORS // (n * n)
     if bits >= cap.bit_length():
-        raise ExpansionBudgetError(
+        raise BudgetError(
             f"the resolution cube needs 2^{bits} Koszul generators, over the cap of {cap}"
         )
     gaps = max(c, 1)

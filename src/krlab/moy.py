@@ -40,8 +40,8 @@ from .poly import (
     KIND_MARK,
     KIND_SYM,
     BigradedPoly,
+    BudgetError,
     Coefficient,
-    ExpansionBudgetError,
     InvariantError,
     VariableTable,
     monomials,
@@ -384,7 +384,7 @@ def gdim(
     variables alive and the homology is taken over them, slice by slice.
     The variable a must always be killed so that each slice is finite
     dimensional.  A truncation whose slices hold more than MAX_SLICE_BASIS
-    elements in all raises ExpansionBudgetError before any is enumerated.
+    elements in all raises BudgetError before any is enumerated.
     """
     names = M.table.names()
     kill_set = set(names) if kill is None else set(kill)
@@ -439,7 +439,7 @@ def gdim(
     for _, gx in bases[0] + bases[1]:
         size += _count_up_to(weights, x_top + M.n + 1 - gx, MAX_SLICE_BASIS - size)
         if size > MAX_SLICE_BASIS:
-            raise ExpansionBudgetError(
+            raise BudgetError(
                 f"graded dimension to x-degree {x_truncation} needs more than "
                 f"{MAX_SLICE_BASIS} slice basis elements, the cap"
             )

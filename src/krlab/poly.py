@@ -36,8 +36,8 @@ class InvariantError(AssertionError):
     """An internal consistency check failed; unlike assert, never stripped by -O."""
 
 
-class ExpansionBudgetError(RuntimeError):
-    """A computation would enumerate more basis vectors than its budget allows."""
+class BudgetError(RuntimeError):
+    """A computation would pass one of its size caps or search budgets."""
 
 
 Coefficient = int | Fraction

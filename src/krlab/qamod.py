@@ -106,7 +106,7 @@ from math import comb
 from operator import add
 
 from .cube import ChainComplexOfMF
-from .poly import KIND_A, KIND_MARK, ExpansionBudgetError, InvariantError, exact, monomials
+from .poly import KIND_A, KIND_MARK, BudgetError, InvariantError, exact, monomials
 from .skein import ATOM_ALPHA, Laurent, SkeinValue, atom_xi1
 
 Mono = tuple[Fraction, int]  # coefficient, a-exponent
@@ -703,7 +703,7 @@ class _Expansion:
             return
         size = expansion_size(self.C, top)
         if size * VECTOR_BYTES > EXPANSION_BUDGET:
-            raise ExpansionBudgetError(
+            raise BudgetError(
                 f"x-window width {top - self.n - 1 - self.x_min} needs an expansion "
                 f"of {size} basis vectors, about {size * VECTOR_BYTES >> 20} MiB, "
                 f"over the budget of {EXPANSION_BUDGET >> 20} MiB"
@@ -1288,11 +1288,6 @@ def euler_characteristic(M: GradedQaModule) -> SkeinValue:
 AUTO_WIDTH_STEPS = 20
 
 
-class WindowBudgetError(RuntimeError):
-    """No x-window width up to AUTO_WIDTH_STEPS * (n + 1) decategorifies with
-    confirmation."""
-
-
 def adaptive_homology(
     C: ChainComplexOfMF,
     homology=two_stage_homology,
@@ -1307,8 +1302,8 @@ def adaptive_homology(
     guards against a window that decategorifies to the wrong value: one with
     no content, or one whose tail fit holds only by coincidence.  Widths run
     2, 4, 6, ...; past AUTO_WIDTH_STEPS * (n + 1), which grows with n as the
-    widths needed do, the search raises WindowBudgetError, and a width whose
-    expansion passes EXPANSION_BUDGET ends it with ExpansionBudgetError.
+    widths needed do, the search raises BudgetError, as does a width whose
+    expansion would pass EXPANSION_BUDGET.
     homology and euler are the two functions it calls, so a caller may pass
     in its own references to them.
 
@@ -1328,7 +1323,7 @@ def adaptive_homology(
         if prev is not None and _confirms(*prev, mod, value):
             return prev
         prev = (mod, value)
-    raise WindowBudgetError(
+    raise BudgetError(
         f"x-window search exhausted: no width up to {max_width} has an "
         "euler characteristic confirmed at the next width"
     )

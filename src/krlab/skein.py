@@ -26,22 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .braid import BraidWord, _order_key, markov_search, simplify, word_text
-from .poly import Coefficient, divide_terms, exact
+from .poly import BudgetError, Coefficient, divide_terms, exact
 
-SKEIN_BUDGET = 10**4  # default search budget of a skein evaluation
+SKEIN_BUDGET = 10**4  # the square search's first budget, doubled up to MAX_BUDGET
 MAX_BUDGET = 10**6
-
-
-class SkeinBudgetError(RuntimeError):
-    """A positive word exposed no square within the search budget."""
-
-    def __init__(self, word: BraidWord, budget: int):
-        super().__init__(
-            f"irreducible positive word within budget: {word_text(word)!r} "
-            f"on {word.strands} strands, budget {budget}"
-        )
-        self.word = word
-        self.budget = budget
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +510,7 @@ def _cyclic_square(w: BraidWord) -> tuple[BraidWord, BraidWord] | None:
     return None
 
 
-def _positive_split(w: BraidWord, budget: int) -> tuple[BraidWord, BraidWord] | BraidWord:
+def _positive_split(w: BraidWord) -> tuple[BraidWord, BraidWord] | BraidWord:
     """Find a square to split in some transverse representative of w.
 
     Returns either the split pair or a strictly better representative to
@@ -531,7 +519,7 @@ def _positive_split(w: BraidWord, budget: int) -> tuple[BraidWord, BraidWord] | 
     pair = _cyclic_square(w)
     if pair is not None:
         return pair
-    b = budget
+    b = SKEIN_BUDGET
     while True:
         result = markov_search(w, b)
         best = result[0]
@@ -544,22 +532,23 @@ def _positive_split(w: BraidWord, budget: int) -> tuple[BraidWord, BraidWord] | 
             if pair is not None:
                 return pair
         if result.complete or b >= MAX_BUDGET:
-            raise SkeinBudgetError(w, b)
+            raise BudgetError(
+                f"irreducible positive word within budget: {word_text(w)!r} "
+                f"on {w.strands} strands, budget {b}"
+            )
         b = min(b * 2, MAX_BUDGET)
 
 
-def evaluate(w: BraidWord, n: int, budget: int = SKEIN_BUDGET) -> SkeinValue:
+def evaluate(w: BraidWord, n: int) -> SkeinValue:
     """Invariant of the closure of w, by memoized skein recursion."""
     if not isinstance(w, BraidWord):
         raise TypeError(f"expected a BraidWord, got {type(w).__name__}")
     if n < 1:
         raise ValueError(f"potential exponent must be at least 1, got {n}")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    return _evaluate(w, n, budget)
+    return _evaluate(w, n)
 
 
-def _evaluate(w: BraidWord, n: int, budget: int) -> SkeinValue:
+def _evaluate(w: BraidWord, n: int) -> SkeinValue:
     w = simplify(w)
     key = (w.strands, w.letters, n)
     cached = _memo.get(key)
@@ -577,21 +566,21 @@ def _evaluate(w: BraidWord, n: int, budget: int) -> SkeinValue:
                 w.strands, letters[:neg] + ((i, 1),) + letters[neg + 1 :]
             )
             deleted = BraidWord(w.strands, letters[:neg] + letters[neg + 1 :])
-            smoothing = _evaluate(deleted, n, budget).scaled(1, -1, -n) * smoothing_factor
-            value = _evaluate(flipped, n, budget).scaled(1, -2, -2 * n) - smoothing.times_tau()
+            smoothing = _evaluate(deleted, n).scaled(1, -1, -n) * smoothing_factor
+            value = _evaluate(flipped, n).scaled(1, -2, -2 * n) - smoothing.times_tau()
         else:
-            found = _positive_split(w, budget)
+            found = _positive_split(w)
             if isinstance(found, BraidWord):
-                value = _evaluate(found, n, budget)
+                value = _evaluate(found, n)
             else:
                 uv, usv = found
-                smoothing = _evaluate(usv, n, budget).scaled(1, 1, n) * smoothing_factor
-                value = _evaluate(uv, n, budget).scaled(1, 2, 2 * n) + smoothing.times_tau()
+                smoothing = _evaluate(usv, n).scaled(1, 1, n) * smoothing_factor
+                value = _evaluate(uv, n).scaled(1, 2, 2 * n) + smoothing.times_tau()
     _memo[key] = value
     return value
 
 
-def skein_residual(w: BraidWord, p: int, n: int, budget: int = SKEIN_BUDGET) -> SkeinValue:
+def skein_residual(w: BraidWord, p: int, n: int) -> SkeinValue:
     """alpha^-1 xi^-n P(positive at p) - alpha xi^n P(negative at p)
     - tau (xi^-1 - xi) P(deleted at p); identically zero.  p is 1-based."""
     if not 1 <= p <= len(w.letters):
@@ -602,7 +591,7 @@ def skein_residual(w: BraidWord, p: int, n: int, budget: int = SKEIN_BUDGET) -> 
     neg = BraidWord(w.strands, head + ((i, -1),) + tail)
     smooth = BraidWord(w.strands, head + tail)
     return (
-        evaluate(pos, n, budget).scaled(1, -1, -n)
-        - evaluate(neg, n, budget).scaled(1, 1, n)
-        - (evaluate(smooth, n, budget) * SkeinValue.tau_free(n, _SMOOTHING)).times_tau()
+        evaluate(pos, n).scaled(1, -1, -n)
+        - evaluate(neg, n).scaled(1, 1, n)
+        - (evaluate(smooth, n) * SkeinValue.tau_free(n, _SMOOTHING)).times_tau()
     )

@@ -1,5 +1,6 @@
 """Command surface: output shapes, JSON round-trips, exit code families."""
 
+import ast
 import json
 import os
 import subprocess
@@ -14,9 +15,9 @@ import krlab
 from krlab import cli, qamod
 from krlab.braid import parse
 from krlab.cube import ChainComplexOfMF, build_complex
-from krlab.poly import InvariantError
+from krlab.poly import BudgetError, InvariantError
 from krlab.qamod import two_stage_homology
-from krlab.skein import SkeinBudgetError, evaluate, unlink_value
+from krlab.skein import evaluate, unlink_value
 
 
 @pytest.fixture()
@@ -137,8 +138,8 @@ class TestSkeinCommand:
         assert all(len(row) == 4 for row in doc["series"])
 
     def test_budget_exhaustion_exits_two(self, runner, monkeypatch):
-        def explode(word, n, budget):
-            raise SkeinBudgetError(word, budget)
+        def explode(word, n):
+            raise BudgetError("irreducible positive word within budget")
 
         monkeypatch.setattr(cli, "evaluate", explode)
         res = run(runner, "skein", "--braid", "1", "--strands", "2")
@@ -198,7 +199,7 @@ class TestBothCommand:
 
     def test_mismatch_exits_three(self, runner, monkeypatch):
         monkeypatch.setattr(
-            cli, "evaluate", lambda word, n, budget: unlink_value(2, n)
+            cli, "evaluate", lambda word, n: unlink_value(2, n)
         )
         res = run(runner, "both", "--braid", "", "--strands", "1")
         assert res.exit_code == 3
@@ -269,16 +270,6 @@ class TestParseErrors:
     def test_strand_count_too_small(self, runner):
         res = run(runner, "skein", "--braid", "2", "--strands", "2")
         assert res.exit_code == 1
-
-    @pytest.mark.parametrize("command", [
-        ["skein", "--braid", "1 1"],
-        ["both", "--braid", "1 1"],
-        ["verify"],
-    ])
-    def test_budget_below_one(self, runner, command):
-        res = run(runner, *command, "--budget", "0")
-        assert_one_line_failure(res, 1)
-        assert "budget must be at least 1" in res.stderr
 
     def test_graph_path_is_a_directory(self, runner, tmp_path):
         res = run(runner, "gdim", "--graph", str(tmp_path))
@@ -354,3 +345,88 @@ class TestVerifyCommand:
         assert_one_line_failure(res, 1)
         assert "widen the window" in res.stderr
         assert "FAIL" not in res.stdout
+
+
+class TestFailureFamilies:
+    """Each failure family ends in one stderr line and its own exit code,
+    whichever command it comes out of."""
+
+    FAMILIES = [
+        (lambda: ValueError("x"), 1, "x"),
+        (lambda: BudgetError("x"), 2, "x"),
+        (lambda: InvariantError("x"), 4, "internal invariant violated: x"),
+        (MemoryError, 5, "out of memory: the computation needs more than this process may use"),
+    ]
+    ENTRIES = [
+        ("evaluate", ["skein", "--braid", "1"]),
+        ("build_complex", ["homology", "--braid", "1"]),
+        ("build_complex", ["both", "--braid", "1"]),
+        ("build_complex", ["verify"]),
+        ("graph_gdim", ["gdim", "--graph", "circle"]),
+    ]
+
+    @pytest.mark.parametrize("make, code, line", FAMILIES, ids=["value", "budget", "invariant", "memory"])
+    @pytest.mark.parametrize("entry, args", ENTRIES, ids=["skein", "homology", "both", "verify", "gdim"])
+    def test_one_line_and_the_family_code(self, runner, monkeypatch, make, code, line, entry, args):
+        def explode(*_args, **_kwargs):
+            raise make()
+
+        monkeypatch.setattr(cli, entry, explode)
+        res = run(runner, *args)
+        assert_one_line_failure(res, code)
+        assert res.stderr == line + "\n"
+
+    @staticmethod
+    def failure_writers(source):
+        """Line numbers, outside _Main.invoke, of each sys.exit call whose
+        argument is not the literal 3 and of each echo with err=True."""
+        tree = ast.parse(source)
+        exempt = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "_Main":
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "invoke":
+                        exempt |= {id(sub) for sub in ast.walk(item)}
+        found = []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in exempt:
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "exit":
+                verdict = (
+                    len(node.args) == 1
+                    and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value == 3
+                )
+                if not verdict:
+                    found.append(node.lineno)
+            elif name == "echo" and any(
+                kw.arg == "err" and not (isinstance(kw.value, ast.Constant) and not kw.value.value)
+                for kw in node.keywords
+            ):
+                found.append(node.lineno)
+        return found
+
+    def test_invoke_is_the_one_writer_of_failures(self):
+        assert self.failure_writers(Path(cli.__file__).read_text()) == []
+
+    def test_failure_writer_scan_flags(self):
+        source = (
+            "import sys, click\n"
+            "class _Main(click.Group):\n"
+            "    def invoke(self, ctx):\n"
+            "        click.echo('x', err=True)\n"
+            "        sys.exit(2)\n"
+            "def verdict():\n"
+            "    click.echo('MISMATCH')\n"
+            "    click.echo('quiet', err=False)\n"
+            "    sys.exit(3)\n"
+            "def fail():\n"
+            "    click.echo('x', err=True)\n"
+            "    sys.exit(1)\n"
+            "def other():\n"
+            "    exit(code)\n"
+            "    sys.exit()\n"
+        )
+        assert self.failure_writers(source) == [11, 12, 14, 15]

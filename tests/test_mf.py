@@ -9,7 +9,7 @@ from krlab.poly import (
     KIND_A,
     KIND_MARK,
     BigradedPoly,
-    ExpansionBudgetError,
+    BudgetError,
     InvariantError,
     VariableTable,
     monomials,
@@ -481,7 +481,7 @@ class TestGdim:
         monkeypatch.setattr(moy, "MAX_SLICE_BASIS", 15)
         assert gdim(M, x_truncation=10, kill=["a", "y"]).terms == {(0, 0, 0): 1}
         monkeypatch.setattr(moy, "MAX_SLICE_BASIS", 14)
-        with pytest.raises(ExpansionBudgetError, match="more than 14 slice basis elements"):
+        with pytest.raises(BudgetError, match="more than 14 slice basis elements"):
             gdim(M, x_truncation=10, kill=["a", "y"])
 
 

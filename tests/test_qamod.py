@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from krlab import cli, qamod
 from krlab.braid import parse
 from krlab.cube import build_complex
-from krlab.poly import KIND_MARK, BigradedPoly, InvariantError
+from krlab.poly import KIND_MARK, BigradedPoly, BudgetError, InvariantError
 from krlab.qamod import (
-    ExpansionBudgetError,
     GradedQaModule,
     SliceMatrix,
     SliceModule,
@@ -660,7 +659,7 @@ class TestCollectorPause:
         C = build_complex(parse("1 1", 2), 1)
 
         def refused():
-            with pytest.raises(ExpansionBudgetError):
+            with pytest.raises(BudgetError):
                 two_stage_homology(C, 4)
 
         assert self.run_with_collector(enabled, refused) == enabled

@@ -320,8 +320,6 @@ class TestEvaluate:
             evaluate("1 1", 1)
         with pytest.raises(ValueError):
             evaluate(parse("1"), 0)
-        with pytest.raises(ValueError):
-            evaluate(parse("1"), 1, budget=0)
 
     def test_trefoil_components_differ_from_unknot(self):
         assert evaluate(parse("1 1 1"), 1) != unlink_value(1, 1)
