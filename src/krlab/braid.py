@@ -8,6 +8,14 @@ braid relation s_i s_j s_i = s_j s_i s_j for |i-j| = 1, far commutation for
 letter is removed together with its strand).  Negative destabilization does
 not exist here and trivial top strands are never dropped.
 
+canonical() and markov_search work on packed words: a str with one
+character per letter, (i, s) packed as chr(64 + 2i + (s > 0)).  A letter's
+inverse flips the low bit of its code, and string order is the order of the
+(i, s) tuples, so free reduction, the least rotation and the search's sort
+read the same on packed words as on letter tuples.  Only the words a search
+returns are unpacked.  A braid on more than MAX_SEARCH_STRANDS strands has
+codes past the last character and is refused with BudgetError.
+
 markov_search and simplify keep no record of the moves they make.  replay()
 applies a list of Moves, validating each one, so a reference search in the
 tests reaches every word through listed moves only and certifies that
@@ -17,8 +25,12 @@ markov_search and simplify find the same words.
 from __future__ import annotations
 
 import re
+import sys
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
+
+from .poly import BudgetError
 
 MOVE_KINDS = frozenset(
     {"free-cancel", "rotate", "conjugate", "braid-relation", "far-commute", "destabilize"}
@@ -150,43 +162,70 @@ def replay(w: BraidWord, moves: list[Move]) -> BraidWord:
 
 
 # ---------------------------------------------------------------------------
-# Canonical form
+# Packed words and canonical form
 
 
-def _least_rotation(letters: list[tuple[int, int]]) -> int:
-    """The first r whose rotation letters[r:] + letters[:r] is least.
-
-    A least rotation starts at a least letter, so only those starts are
-    compared, and only when there are several.
-    """
-    first = min(letters)
-    if letters.count(first) == 1:
-        return letters.index(first)
-    starts = [k for k, letter in enumerate(letters) if letter == first]
-    n = len(letters)
-    doubled = letters + letters
-    return min(starts, key=lambda k: doubled[k : k + n])
+# The most strands a packed word can hold: its largest code, chr(63 + 2m),
+# must be a character.
+MAX_SEARCH_STRANDS = (sys.maxunicode - 63) // 2
 
 
-def _canonical_letters(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Freely reduce, cancelling each pair as it meets the reduced prefix,
-    then rotate to the least rotation."""
-    out: list[tuple[int, int]] = []
-    for letter in letters:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
+def _pack(w: BraidWord) -> str:
+    if w.strands > MAX_SEARCH_STRANDS:
+        raise BudgetError(
+            f"{w.strands} strands is over the {MAX_SEARCH_STRANDS} a Markov search can hold"
+        )
+    return "".join([chr(64 + 2 * i + (s > 0)) for i, s in w.letters])
+
+
+class _Letters(dict):
+    """Packed character to letter, decoding each character once."""
+
+    def __missing__(self, c: str) -> tuple[int, int]:
+        code = ord(c)
+        letter = self[c] = ((code - 64) >> 1, (code & 1) * 2 - 1)
+        return letter
+
+
+def _unpack(words: Iterable[tuple[int, str]]) -> list[BraidWord]:
+    """BraidWords from (strands, packed word) pairs.  They share one tuple
+    per letter, which keeps a large search's result small."""
+    letters = _Letters()
+    return [BraidWord(m, tuple(map(letters.__getitem__, word))) for m, word in words]
+
+
+def _reduced(word: str) -> str:
+    """Freely reduce, cancelling each pair as it meets the reduced prefix."""
+    out: list[str] = []
+    for c in word:
+        if out and ord(out[-1]) == ord(c) ^ 1:
             out.pop()
         else:
-            out.append(letter)
-    if len(out) > 1:
-        r = _least_rotation(out)
-        if r:
-            out = out[r:] + out[:r]
-    return out
+            out.append(c)
+    return "".join(out)
+
+
+def _least_rotation(word: str) -> str:
+    """The least cyclic rotation.  It starts at a least letter, so only those
+    starts are compared, and only when there are several."""
+    if len(word) < 2:
+        return word
+    first = min(word)
+    if word.count(first) == 1:
+        before, _, after = word.partition(first)
+        return first + after + before
+    n = len(word)
+    doubled = word + word
+    return min(doubled[k : k + n] for k in range(n) if word[k] == first)
+
+
+def _canonical(word: str) -> str:
+    return _least_rotation(_reduced(word))
 
 
 def canonical(w: BraidWord) -> BraidWord:
     """Freely reduce, then take the lexicographically least cyclic rotation."""
-    return BraidWord(w.strands, tuple(_canonical_letters(list(w.letters))))
+    return _unpack([(w.strands, _canonical(_pack(w)))])[0]
 
 
 def _order_key(w: BraidWord) -> tuple:
@@ -200,37 +239,6 @@ def _order_key(w: BraidWord) -> tuple:
 # Letters a search's intermediate words may grow by: enough for the
 # conjugation chains that expose a destabilizable top generator.
 MARKOV_SLACK = 4
-
-
-def _neighbors(word: BraidWord):
-    """Single transverse moves from a word, as (letters, strands).
-
-    Rotation-sensitive moves are offered at cyclic position 0 of every
-    rotation, which covers all cyclic sites exactly once.
-    """
-    m = word.strands
-    letters = list(word.letters)
-    n = len(letters)
-    for r in range(max(n, 1)):
-        base = letters[r:] + letters[:r]
-        for k in range(1, m):
-            for s in (1, -1):
-                yield [(k, -s), *base, (k, s)], m
-        if n >= 2:
-            a, b = base[0], base[1]
-            if a[0] == b[0] and a[1] == -b[1]:
-                yield base[2:], m
-            if abs(a[0] - b[0]) >= 2:
-                yield [b, a, *base[2:]], m
-        if n >= 3:
-            a, b, c = base[0], base[1], base[2]
-            if a == c and a[1] == b[1] and abs(a[0] - b[0]) == 1:
-                yield [(b[0], a[1]), a, (b[0], a[1]), *base[3:]], m
-    if m >= 2:
-        top = [p for p, (i, _) in enumerate(letters) if i == m - 1]
-        if len(top) == 1 and letters[top[0]][1] == 1:
-            p = top[0]
-            yield letters[:p] + letters[p + 1 :], m - 1
 
 
 class SearchResult(list):
@@ -255,27 +263,125 @@ def markov_search(w: BraidWord, budget: int) -> SearchResult:
     Intermediate words longer than w by more than MARKOV_SLACK letters are
     pruned; that makes the explored component finite at the cost of
     reachability.
+
+    Order.  A node's neighbours come in a fixed order: for each rotation
+    base of the node in turn, the conjugations x^-1 base x by x = s1, s1^-1,
+    s2, s2^-1, ...; then cancelling, far-commuting and braid-relating the
+    first letters of base; and after all rotations the positive
+    destabilization.  A canonical form joins the queue when it is first met,
+    so a search cut by its budget returns the words this order reaches.
+    Every shortcut below skips only a neighbour whose canonical form was
+    offered before, and offering a form again changes nothing, so the words,
+    complete and expansions are those of canonicalising every neighbour.
+
+    End cases.  Free reduction commutes with conjugation, so x^-1 base x has
+    the canonical form of x^-1 R x, R being base freely reduced.  If R
+    starts with x and ends with x^-1, both ends cancel, leaving R without
+    them.  If one end cancels, the result is a rotation of R.  If neither
+    does, x^-1 R x is reduced and has |R| + 2 letters, so it is pruned on
+    its length before it is built.  Each is only least-rotated.
+
+    Cyclically reduced nodes.  Each rotation of such a node is its own R,
+    and its one-end cases are rotations of the node itself.  Any other node
+    is the least rotation of a freely reduced word F whose ends cancel d
+    letters deep; a rotation of F reduces only at its seam, at most d
+    letters each way, so R is sliced from F with no reduction loop.
+
+    Met strings.  Conjugating by every x gives the same words for every node
+    that reduces to the same R, so a per-search set, one per strand count,
+    keeps the R of nodes that are not cyclically reduced, and an R met
+    again is not conjugated again.  Another such set keeps the raw words
+    left by free cancellation and destabilization, which repeat across
+    nodes in the same way, and skips one met again before reducing it.
+    Far-commuted and braid-related words almost never repeat, so they are
+    canonicalised without a set.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    start = canonical(w)
+    start = _canonical(_pack(w))
     longest = len(w.letters) + MARKOV_SLACK
-    nodes: dict[tuple, BraidWord] = {(start.strands, start.letters): start}
-    queue: deque[BraidWord] = deque([start])
+    found: dict[int, set[str]] = {w.strands: {start}}
+    met: dict[int, set[str]] = {}
+    conjugated: dict[int, set[str]] = {}
+    conjugators: dict[int, list[tuple[str, str]]] = {}
+    queue: deque[tuple[int, str]] = deque([(w.strands, start)])
     expansions = 0
+
+    def offer(m: int, word: str) -> None:
+        if len(word) <= longest:
+            group = found.setdefault(m, set())
+            if word not in group:
+                group.add(word)
+                queue.append((m, word))
+
+    def offer_raw(m: int, raw: str) -> None:
+        seen = met.setdefault(m, set())
+        if raw not in seen:
+            seen.add(raw)
+            offer(m, _canonical(raw))
+
+    def conjugate(m: int, R: str, near: str) -> None:
+        """Offer x^-1 R x for every letter x in order; near is the canonical
+        form of the cases where an end cancels."""
+        if len(R) + 2 > longest:
+            offer(m, near)
+            return
+        head, tail = R[0], chr(ord(R[-1]) ^ 1)
+        group = found[m]
+        for inv, x in conjugators[m]:
+            word = near if x == head or x == tail else _least_rotation(inv + R + x)
+            if word not in group:
+                group.add(word)
+                queue.append((m, word))
+
     while queue and expansions < budget:
-        node = queue.popleft()
+        m, node = queue.popleft()
         expansions += 1
-        for cand, strands in _neighbors(node):
-            letters = _canonical_letters(cand)
-            if len(letters) > longest:
-                continue
-            key = (strands, tuple(letters))
-            if key not in nodes:
-                nodes[key] = found = BraidWord(strands, key[1])
-                queue.append(found)
-    words = sorted(nodes.values(), key=_order_key)
-    return SearchResult(words, not queue, expansions)
+        n = len(node)
+        if m not in conjugators:
+            # (x^-1, x) for x = s1, s1^-1, s2, s2^-1, ...
+            conjugators[m] = [(chr(c), chr(c ^ 1)) for c in range(66, 64 + 2 * m)]
+        codes = [ord(c) for c in node]
+        # A node is the least rotation of a freely reduced word, so at most one
+        # of its cyclically adjacent pairs, node[p - 1] node[p], cancels.
+        p = next((j for j in range(n) if codes[j - 1] ^ 1 == codes[j]), None)
+        if p is not None:
+            # cut there, F is freely reduced and its first d letters cancel
+            # against its last d; a rotation of F reduces at that junction
+            F = node[p:] + node[:p]
+            d = 1
+            while ord(F[d]) ^ 1 == ord(F[n - 1 - d]):
+                d += 1
+            done = conjugated.setdefault(m, set())
+        for r in range(n):
+            base = node[r:] + node[:r]
+            if p is None:
+                conjugate(m, base, node)
+            else:
+                t = (r - p) % n
+                k = min(d, t, n - t)
+                R = F[t : n - k] + F[k:t]
+                if R not in done:
+                    done.add(R)
+                    both = ord(R[0]) ^ 1 == ord(R[-1])
+                    conjugate(m, R, _least_rotation(R[1:-1] if both else R))
+            if n >= 2:
+                a, b = codes[r], codes[(r + 1) % n]
+                if a ^ 1 == b:
+                    offer_raw(m, base[2:])
+                if abs((a >> 1) - (b >> 1)) >= 2:
+                    offer(m, _canonical(base[1] + base[0] + base[2:]))
+                if (n >= 3 and base[2] == base[0] and a & 1 == b & 1
+                        and abs((a >> 1) - (b >> 1)) == 1):
+                    offer(m, _canonical(base[1] + base[0] + base[1] + base[3:]))
+        if m >= 2:
+            top = chr(63 + 2 * m)
+            if chr(62 + 2 * m) not in node and node.count(top) == 1:
+                offer_raw(m - 1, node.replace(top, ""))
+    met.clear()  # freed before the result is unpacked, to lower the peak
+    conjugated.clear()
+    words = sorted((m, len(word), word) for m, group in found.items() for word in group)
+    return SearchResult(_unpack((m, word) for m, _, word in words), not queue, expansions)
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,26 @@ def atom_poly(key: tuple, tau: int) -> Laurent:
     return Laurent({(la, lx): 1, (la + ra, lx + rx): -c})
 
 
+def atom_divides(num: Laurent, key: tuple, tau: int) -> bool:
+    """Whether the atom divides num, in one pass over its terms.
+
+    The atom's lead is a unit, so this asks whether 1 - c u divides num,
+    with u the ratio's monomial and c = +-1.  The exponents split into lines
+    e0 + k u, and num is a sum over the lines of e0 times a Laurent
+    polynomial in u; 1 - c u divides it exactly when it divides each of
+    those, that is when each vanishes at u = 1/c = c, i.e. when each line's
+    coefficients, weighted c^k, sum to zero.  k counts steps from a point of
+    the line fixed by floor division, so equal lines get equal e0.
+    """
+    _, (c, ra, rx) = atom_parts(key, tau)
+    sums: dict[tuple[int, int], Coefficient] = {}
+    for (a, x), coeff in num.terms.items():
+        k = a // ra if ra else x // rx
+        line = (a - k * ra, x - k * rx)
+        sums[line] = sums.get(line, 0) + (-coeff if c == -1 and k % 2 else coeff)
+    return not any(sums.values())
+
+
 def _den_poly(den: Counter, tau: int) -> Laurent:
     out = Laurent.one()
     for key, mult in sorted(den.items()):
@@ -265,15 +285,15 @@ class RationalFunction:
             object.__setattr__(self, "den", Counter())
 
     def stripped(self) -> "RationalFunction":
-        """Cancel denominator atoms that divide the numerator exactly."""
+        """Cancel denominator atoms that divide the numerator exactly; only
+        an atom that atom_divides admits is divided out."""
         num, den = self.num, Counter(self.den)
         changed = True
         while changed and den:
             changed = False
             for key in list(den):
-                q = divide_exact(num, atom_poly(key, self.tau))
-                if q is not None:
-                    num = q
+                if atom_divides(num, key, self.tau):
+                    num = divide_exact(num, atom_poly(key, self.tau))
                     den[key] -= 1
                     if not den[key]:
                         del den[key]

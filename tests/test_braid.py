@@ -10,6 +10,7 @@ from krlab import braid
 from krlab.braid import (
     DEFAULT_BUDGET,
     MARKOV_SLACK,
+    MAX_SEARCH_STRANDS,
     MOVE_KINDS,
     BraidWord,
     Move,
@@ -20,6 +21,7 @@ from krlab.braid import (
     simplify,
     word_text,
 )
+from krlab.poly import BudgetError
 from test_cube import reduced_words
 
 
@@ -91,6 +93,12 @@ class TestCanonical:
 
     def test_lex_least_rotation(self):
         assert canonical(parse("2 1 2")).letters == ((1, 1), (2, 1), (2, 1))
+
+    def test_packing_limit(self):
+        top = BraidWord(MAX_SEARCH_STRANDS, ((MAX_SEARCH_STRANDS - 1, 1),))
+        assert canonical(top) == top
+        with pytest.raises(BudgetError, match="a Markov search can hold"):
+            canonical(BraidWord(MAX_SEARCH_STRANDS + 1, ()))
 
     def test_idempotent(self):
         once = canonical(parse("2 -1 2 2"))
@@ -235,6 +243,22 @@ class TestMarkovSearch:
             assert (list(res), res.complete, res.expansions) == (nodes, complete, expansions), w
             completes.add(complete)
         assert completes == {True, False}
+
+    # start words whose canonical forms are not cyclically reduced, and words
+    # on 4 and 5 strands, where more conjugators fill the queue
+    ORDER_WORDS = [("1 2 -1", 3), ("-2 1 2", 3), ("2 1 3 -2", 4), ("-3 1 2 3", 4),
+                   ("1 -4 2 4", 5), ("2 4 1 -3 -2", 5)]
+
+    @pytest.mark.parametrize("budget", [1, 7, 60])
+    @pytest.mark.parametrize("text,strands", ORDER_WORDS,
+                             ids=[f"[{t}]-{m}" for t, m in ORDER_WORDS])
+    def test_matches_the_oracle_in_discovery_order(self, text, strands, budget):
+        # a cut search returns the words its order of first meetings reached
+        w = parse(text, strands)
+        res = markov_search(w, budget)
+        nodes, complete, expansions, _ = oracle_search(w, budget)
+        assert (list(res), res.complete, res.expansions) == (nodes, complete, expansions)
+        assert not complete or budget == 60
 
     def test_oracle_logs_replay_every_move_kind(self):
         w = parse("1 3 -1 2", strands=4)

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import krlab
 from krlab import cli, qamod
-from krlab.braid import parse
+from krlab.braid import MAX_SEARCH_STRANDS, parse
 from krlab.cube import ChainComplexOfMF, build_complex
 from krlab.poly import BudgetError, InvariantError
 from krlab.qamod import two_stage_homology
@@ -136,6 +136,11 @@ class TestSkeinCommand:
         assert doc["schema"] == "krlab/1"
         assert doc["value"]["tau=+1"]
         assert all(len(row) == 4 for row in doc["series"])
+
+    def test_strands_past_the_packing_exit_two(self, runner):
+        res = run(runner, "skein", "--braid", "", "--strands", str(MAX_SEARCH_STRANDS + 1))
+        assert_one_line_failure(res, 2)
+        assert "a Markov search can hold" in res.stderr
 
     def test_budget_exhaustion_exits_two(self, runner, monkeypatch):
         def explode(word, n):

@@ -11,12 +11,16 @@ expansion, in pins/both_short_words.json, which also pins `both` on two
 exact ranks of its slices, is pinned in pins/gdim_builtin_graphs.json, and
 the skein value of the unlinks `skein --braid '' --strands m --format json`
 at m = 10 and 25, whose stripping divides out many atoms, in
-pins/skein_unlinks.json.  Regenerate one with
+pins/skein_values.json.  That file also pins `skein --braid '1 2 1'` on 6 and
+8 strands, whose square searches run out of budget: which words such a
+search returns depends on the order in which it meets them, so these pins
+hold `markov_search`'s discovery order as well as its answers.  Regenerate
+one with
 
     PYTHONPATH=src python tests/test_pinned_homology.py homology > tests/pins/homology_short_words.json
     PYTHONPATH=src python tests/test_pinned_homology.py both > tests/pins/both_short_words.json
     PYTHONPATH=src python tests/test_pinned_homology.py gdim > tests/pins/gdim_builtin_graphs.json
-    PYTHONPATH=src python tests/test_pinned_homology.py skein > tests/pins/skein_unlinks.json
+    PYTHONPATH=src python tests/test_pinned_homology.py skein > tests/pins/skein_values.json
 
 only when a change to the answers is intended.
 """
@@ -38,18 +42,19 @@ PIN_FILES = {
     "homology": "homology_short_words.json",
     "both": "both_short_words.json",
     "gdim": "gdim_builtin_graphs.json",
-    "skein": "skein_unlinks.json",
+    "skein": "skein_values.json",
 }
 
 
 def argv(command: str, subject, n: int) -> list[str]:
     """The pinned command line: subject is a braid word on 3 strands for
-    homology and both, a builtin graph for gdim, and the strand count of
-    the unlink for skein."""
+    homology and both, a builtin graph for gdim, and a (braid word, strand
+    count) pair for skein."""
     if command == "gdim":
         args = ["--graph", subject]
     elif command == "skein":
-        args = ["--braid", "", "--strands", str(subject)]
+        word, strands = subject
+        args = ["--braid", word, "--strands", str(strands)]
     else:
         args = ["--braid", subject, "--strands", "3"]
         if command == "homology":
@@ -61,7 +66,8 @@ def key(command: str, subject, n: int) -> str:
     if command == "gdim":
         return f"{subject} n={n}"
     if command == "skein":
-        return f"strands={subject} n={n}"
+        word, strands = subject
+        return f"[{word}] strands={strands} n={n}" if word else f"strands={strands} n={n}"
     return f"[{subject}] n={n}"
 
 
@@ -84,7 +90,7 @@ PINNED = {
     "homology": CASES + [("1 1", 16), ("1 1 1", 8)],
     "both": CASES + [("1 -2 1 -2", 1), ("-1 -2 -1 -2", 1)],
     "gdim": [(graph, n) for n in (1, 2) for graph in BUILTIN_GRAPHS],
-    "skein": [(10, 1), (25, 1)],
+    "skein": [(("", 10), 1), (("", 25), 1), (("1 2 1", 6), 1), (("1 2 1", 8), 1)],
 }
 
 
@@ -108,10 +114,11 @@ def test_gdim_output_is_pinned(graph, n):
     assert digest("gdim", graph, n) == pinned("gdim", graph, n)
 
 
-@pytest.mark.parametrize("strands,n", PINNED["skein"],
-                         ids=[f"strands{m}-n{n}" for m, n in PINNED["skein"]])
-def test_skein_output_is_pinned(strands, n):
-    assert digest("skein", strands, n) == pinned("skein", strands, n)
+@pytest.mark.parametrize("subject,n", PINNED["skein"],
+                         ids=[f"[{w}]-strands{m}-n{n}" if w else f"strands{m}-n{n}"
+                              for (w, m), n in PINNED["skein"]])
+def test_skein_output_is_pinned(subject, n):
+    assert digest("skein", subject, n) == pinned("skein", subject, n)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from krlab.skein import (
     Laurent,
     RationalFunction,
     SkeinValue,
+    atom_divides,
     atom_poly,
     atom_unit,
     atom_xi1,
@@ -192,6 +193,13 @@ class TestRationalFunction:
             frac(1, Laurent.one()) + frac(-1, Laurent.one())
         with pytest.raises(ValueError):
             RationalFunction(0, Laurent.one(), Counter())
+
+    @settings(max_examples=200, deadline=None)
+    @given(laurents(), laurents(), atoms, st.sampled_from([1, -1]))
+    def test_atom_divides_agrees_with_divide_exact(self, q, r, key, tau):
+        atom = atom_poly(key, tau)
+        for num in (atom * q, atom * q + r):
+            assert atom_divides(num, key, tau) == (divide_exact(num, atom) is not None)
 
     def test_stripped(self):
         d = atom_poly(ATOM_ALPHA, 1)
