@@ -11,10 +11,9 @@ exits with its family's code:
    whose expansion would pass qamod.EXPANSION_BUDGET bytes, counted in
    closed form before any is built; the x-window search of `both` and
    `verify` passing qamod.AUTO_WIDTH_STEPS * (n + 1); a gdim truncation
-   whose slices would pass moy.MAX_SLICE_BASIS elements; the skein
-   recursion's square search passing skein.MAX_BUDGET; and a skein braid on
-   more than braid.MAX_SEARCH_STRANDS strands, which its searches cannot
-   pack.
+   whose slices would pass moy.MAX_SLICE_BASIS elements; a skein braid on
+   more than skein.MAX_SKEIN_STRANDS strands, refused before any work; and
+   the skein recursion's square search passing skein.MAX_BUDGET.
 4. poly.InvariantError: a broken internal invariant.
 5. MemoryError: the process ran out of memory.
 

@@ -65,9 +65,6 @@ from .poly import (
     substitute,
 )
 
-POSITIVE = "positive"
-NEGATIVE = "negative"
-
 MatPair = tuple[Matrix, Matrix]  # parity-preserving map, one matrix per parity
 
 
@@ -129,7 +126,6 @@ class CrossingModel:
     bases; their composites equal s Id exactly.
     """
 
-    kind: str
     n: int
     table: VariableTable
     marks: tuple[str, str, str, str]  # (x1, y1, y2, x2)
@@ -164,24 +160,14 @@ def chi_diagonal(
     return mats
 
 
-def crossing_model(
-    kind: str, marks, n: int, table: VariableTable | None = None
-) -> CrossingModel:
+def crossing_model(marks, n: int) -> CrossingModel:
     """Local models and chi maps for one crossing on four distinct marks."""
-    if kind not in (POSITIVE, NEGATIVE):
-        raise ValueError(f"unknown crossing kind {kind!r}")
     marks = tuple(marks)
     if len(marks) != 4 or len(set(marks)) != 4:
         raise ValueError("crossing_model needs four distinct marks")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if table is None:
-        table = VariableTable.build(
-            [("a", KIND_A)] + [(nm, KIND_MARK) for nm in marks]
-        )
-    for nm in marks:
-        if nm not in table:
-            raise ValueError(f"mark {nm} missing from the table")
+    table = VariableTable.build([("a", KIND_A)] + [(nm, KIND_MARK) for nm in marks])
     f_row, g0_row, g1_row, s = _crossing_rows(table, n, marks)
     gamma0 = koszul(KoszulSpec(table, n, (f_row, g0_row)))
     gamma1 = koszul(KoszulSpec(table, n, (f_row, g1_row))).shifted(0, -1)
@@ -207,9 +193,7 @@ def crossing_model(
             raise InvariantError("chi^1 chi^0 != s Id")
         if compose(chi0[par], chi1[par]) != s_id:
             raise InvariantError("chi^0 chi^1 != s Id")
-    return CrossingModel(
-        kind, n, table, marks, f_row, g0_row, g1_row, s, gamma0, gamma1, chi0, chi1
-    )
+    return CrossingModel(n, table, marks, f_row, g0_row, g1_row, s, gamma0, gamma1, chi0, chi1)
 
 
 # ---------------------------------------------------------------------------
@@ -217,23 +201,12 @@ def crossing_model(
 
 # A node (gap, position) is the point of the closed diagram at the given
 # strand position in the gap above crossing number gap (cyclically).  An arc
-# is a maximal run of nodes not interrupted by a crossing; each arc carries an
-# ordered chain of marks, one by default.
+# is a maximal run of nodes not interrupted by a crossing; arc k carries the
+# one mark x<k>, numbered in the order the arcs' first nodes appear.
 
 
-@dataclass(frozen=True)
-class _Arc:
-    circle: bool
-    marks: tuple[str, ...]
-
-    def bottom(self) -> str:
-        return self.marks[0]
-
-    def top(self) -> str:
-        return self.marks[-1]
-
-
-def _closure_arcs(word: BraidWord, extra_marks) -> tuple[list[_Arc], dict]:
+def _closure_arcs(word: BraidWord) -> tuple[list[bool], dict[tuple[int, int], int]]:
+    """Whether each arc is a free circle, and the arc of each node."""
     m = word.strands
     gaps = max(len(word.letters), 1)
     # node (g, p) continues the arc of (g - 1, p) unless crossing g cuts p, so
@@ -243,33 +216,19 @@ def _closure_arcs(word: BraidWord, extra_marks) -> tuple[list[_Arc], dict]:
         cuts[i].append(t)
         cuts[i + 1].append(t)
 
-    def arc_key(g: int, p: int) -> tuple[int, int | None]:
-        # the position and the cut the arc starts at; None for a free circle
-        at = cuts[p]
-        return (p, at[bisect_right(at, g) - 1] if at else None)
-
-    extra_count: dict[tuple[int, int | None], int] = {}
-    for node in extra_marks:
-        g, p = int(node[0]), int(node[1])
-        if not (0 <= g < gaps and 1 <= p <= m):
-            raise ValueError(f"no such point on the closed diagram: {(g, p)}")
-        key = arc_key(g, p)
-        extra_count[key] = extra_count.get(key, 0) + 1
-
-    arcs: list[_Arc] = []
+    circles: list[bool] = []
     node_arc: dict[tuple[int, int], int] = {}
     seen: dict[tuple[int, int | None], int] = {}
     for g in range(gaps):
         for p in range(1, m + 1):
-            key = arc_key(g, p)
+            at = cuts[p]
+            # the position and the cut the arc starts at; None for a free circle
+            key = (p, at[bisect_right(at, g) - 1] if at else None)
             if key not in seen:
-                idx = seen[key] = len(arcs)
-                names = [f"x{idx}"]
-                for k in range(extra_count.get(key, 0)):
-                    names.append(f"x{idx}" + chr(ord("b") + k))
-                arcs.append(_Arc(not cuts[p], tuple(names)))
+                seen[key] = len(circles)
+                circles.append(not at)
             node_arc[(g, p)] = seen[key]
-    return arcs, node_arc
+    return circles, node_arc
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +407,6 @@ def _transport_block(
 # Building the cube of a closed braid
 
 
-def _subdivision_row(table, n, upper: str, lower: str):
-    """Row of the 2-valent vertex between consecutive marks of one arc."""
-    a = BigradedPoly.variable(table, "a")
-    up = BigradedPoly.variable(table, upper)
-    lo = BigradedPoly.variable(table, lower)
-    h = _difference_quotient(table, [up], [lo], 1, n)
-    return (a * h, up - lo)
-
-
 # Koszul generators a resolution cube may hold over all its vertices at n = 1;
 # the cap at n is MAX_CUBE_GENERATORS // n^2, checked before any row is built,
 # since the entries' polynomials grow with n.  Builds on a 2-vCPU host at
@@ -468,15 +418,14 @@ def _subdivision_row(table, n, upper: str, lower: str):
 MAX_CUBE_GENERATORS = 1 << 15
 
 
-def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
+def build_complex(word: BraidWord, n: int) -> ChainComplexOfMF:
     """Chain complex of the closure of a braid word, reduced uniformly.
 
-    Marks are assigned one per arc of the closure (extra_marks lists
-    (gap, position) points whose arcs receive one additional mark each).
-    Marks are then excluded through the state-independent rows only, so
-    every cube vertex stays a Koszul factorization over the same retained
-    ring Q[a, surviving marks] and d_chi remains strictly well defined;
-    ChainComplexOfMF.excluded drops each vertex's own marks afterwards.
+    Each arc of the closure carries one mark.  Marks are then excluded
+    through the state-independent rows only, so every cube vertex stays a
+    Koszul factorization over the same retained ring Q[a, surviving marks]
+    and d_chi remains strictly well defined; ChainComplexOfMF.excluded
+    drops each vertex's own marks afterwards.
     """
     if not isinstance(word, BraidWord):
         raise TypeError("build_complex expects a closed braid word")
@@ -499,24 +448,18 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
             f"the resolution cube needs 2^{bits} Koszul generators, over the cap of {cap}"
         )
     gaps = max(c, 1)
-    arcs, node_arc = _closure_arcs(word, extra_marks)
-
-    names: list[str] = []
-    for arc in arcs:
-        names.extend(arc.marks)
+    circles, node_arc = _closure_arcs(word)
+    names = [f"x{k}" for k in range(len(circles))]
     table = VariableTable.build([("a", KIND_A)] + [(nm, KIND_MARK) for nm in names])
 
-    # state-independent rows: every crossing's F row, then the subdivision
-    # rows chaining the marks of each arc (cyclically for free circles)
+    # state-independent rows: every crossing's F row, then the row of each
+    # free circle's mark, which is its own 2-valent vertex
     shared: list[tuple[BigradedPoly, BigradedPoly]] = []
     crossings = []
     for t, (i, sign) in enumerate(word.letters):
         below = (t - 1) % gaps
-        corner_names = (
-            arcs[node_arc[(t, i)]].bottom(),
-            arcs[node_arc[(t, i + 1)]].bottom(),
-            arcs[node_arc[(below, i)]].top(),
-            arcs[node_arc[(below, i + 1)]].top(),
+        corner_names = tuple(
+            names[node_arc[node]] for node in ((t, i), (t, i + 1), (below, i), (below, i + 1))
         )
         f_row, g0_row, g1_row, s = _crossing_rows(table, n, corner_names)
         shared.append(f_row)
@@ -529,16 +472,10 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
             by_state = [g0_row, g1_row]
             dx_by_state = (-n + 1, -n - 1)
         crossings.append({"sign": sign, "g": by_state, "s": s, "dx": dx_by_state})
-    for arc in arcs:
-        k = len(arc.marks)
-        if arc.circle:
-            for j in range(k):
-                shared.append(
-                    _subdivision_row(table, n, arc.marks[(j + 1) % k], arc.marks[j])
-                )
-        else:
-            for j in range(k - 1):
-                shared.append(_subdivision_row(table, n, arc.marks[j + 1], arc.marks[j]))
+    a, zero = BigradedPoly.variable(table, "a"), BigradedPoly.zero(table)
+    for nm, circle in zip(names, circles):
+        if circle:
+            shared.append(((n + 1) * a * BigradedPoly.variable(table, nm) ** n, zero))
 
     # uniform mark exclusion: only the state-independent rows are eligible,
     # so the same substitution applies in all 2^c vertices
@@ -559,6 +496,8 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
 
     summands: dict[int, list[Summand]] = {}
     positions: dict[tuple[int, ...], tuple[int, int]] = {}
+    # product yields the states in lexicographic order, so each degree's
+    # list is built in state order and a part's position is its index now
     for state in itertools.product((0, 1), repeat=c):
         rows = list(shared) + [cr["g"][b] for cr, b in zip(crossings, state)]
         dx = sum(cr["dx"][b] for cr, b in zip(crossings, state))
@@ -571,11 +510,9 @@ def build_complex(word: BraidWord, n: int, extra_marks=()) -> ChainComplexOfMF:
         if find_constant_entry(mf) is not None:
             raise InvariantError("contractible summand in a cube vertex")
         deg = sum(base + b for base, b in zip(bases, state))
-        summands.setdefault(deg, []).append(Summand(state, mf, spec, shift))
-    for deg in summands:
-        summands[deg].sort(key=lambda part: part.state)
-        for pos, part in enumerate(summands[deg]):
-            positions[part.state] = (deg, pos)
+        parts = summands.setdefault(deg, [])
+        positions[state] = (deg, len(parts))
+        parts.append(Summand(state, mf, spec, shift))
 
     blocks: dict[tuple[int, int, int], MatPair] = {}
     for state in itertools.product((0, 1), repeat=c):

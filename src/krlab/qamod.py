@@ -107,7 +107,7 @@ from operator import add
 
 from .cube import ChainComplexOfMF
 from .poly import KIND_A, KIND_MARK, BudgetError, InvariantError, exact, monomials
-from .skein import ATOM_ALPHA, Laurent, SkeinValue, atom_xi1
+from .skein import ATOM_ALPHA, Laurent, SkeinValue, atom_xin
 
 Mono = tuple[Fraction, int]  # coefficient, a-exponent
 Vec = dict[int, Mono]
@@ -201,7 +201,8 @@ def _hstack(a: SliceMatrix, b: SliceMatrix) -> SliceMatrix:
 class SmithResult:
     """Diagonalization M . col_t = row_t_inv . D by graded row/column operations.
 
-    pivots lists (row, col, exponent) in selection order; exponents are
+    source and target are M's labels; M's entries are not kept.  pivots
+    lists (row, col, exponent) in selection order; exponents are
     non-decreasing, giving the divisibility chain a^{d1} | a^{d2} | ...
     The two transforms are invertible with monomial entries and stored
     column-major (col -> row -> monomial): at each pivot (r0, c0, e),
@@ -216,7 +217,8 @@ class SmithResult:
       lives on r0 and on the rows not yet pivoted then.
     """
 
-    matrix: SliceMatrix
+    source: tuple[int, ...]
+    target: tuple[int, ...]
     pivots: list[tuple[int, int, int]]
     row_t_inv: MonoMat
     col_t: MonoMat
@@ -225,14 +227,15 @@ class SmithResult:
     def _kernel_positions(self) -> dict[int, int]:
         if self._ker_pos is None:
             pivot_cols = {c for _, c, _ in self.pivots}
-            cols = [c for c in range(len(self.matrix.source)) if c not in pivot_cols]
+            cols = [c for c in range(len(self.source)) if c not in pivot_cols]
             self._ker_pos = {c: i for i, c in enumerate(cols)}
         return self._ker_pos
 
     def kernel_basis(self) -> list[tuple[Vec, int]]:
-        """Free basis of ker M: (vector over the source, its a-degree)."""
-        col_t, source = self.col_t, self.matrix.source
-        return [(dict(col_t[c]), source[c]) for c in self._kernel_positions()]
+        """Free basis of ker M: (vector over the source, its a-degree).  The
+        vectors are col_t's own columns, not copies."""
+        col_t, source = self.col_t, self.source
+        return [(col_t[c], source[c]) for c in self._kernel_positions()]
 
     def image_basis(self) -> list[tuple[Vec, int]]:
         """Free basis of im M: (vector over the target, its a-degree)."""
@@ -240,7 +243,7 @@ class SmithResult:
         for r0, _, e in self.pivots:
             col = self.row_t_inv[r0]
             vec = {r: (coeff, exp + e) for r, (coeff, exp) in col.items()}
-            out.append((vec, self.matrix.target[r0] + 2 * e))
+            out.append((vec, self.target[r0] + 2 * e))
         return out
 
     def kernel_coords(self, vec: Vec) -> Vec:
@@ -386,7 +389,7 @@ def smith(M: SliceMatrix) -> SmithResult:
         if row or col:
             raise InvariantError("pivot row or column not cleared")
         pivots.append((r0, c0, pe))
-    return SmithResult(M, pivots, row_t_inv, col_t)
+    return SmithResult(M.source, M.target, pivots, row_t_inv, col_t)
 
 
 # ---------------------------------------------------------------------------
@@ -980,8 +983,7 @@ class _Stage1:
     """Kernel basis and image presentation of one slice of the first stage."""
 
     labels: tuple[int, ...]  # a-degrees of the kernel basis
-    vecs: list[Vec]  # kernel basis over the slice basis
-    out_smith: SmithResult
+    out_smith: SmithResult  # its kernel basis is the slice's
     presentation: SliceMatrix  # columns: incoming image in kernel coordinates
 
 
@@ -1100,9 +1102,7 @@ def _class_homology(part: _ClassExpansion, red: _Reduced, hi: int) -> dict:
         src = tuple(red.slices[key])
         tgt = tuple(red.slices.get(((eps + 1) % 2, i, k + n + 1), ()))
         sm = smith(SliceMatrix(src, tgt, 1, red.d0.get(key, {})))
-        kb = sm.kernel_basis()
-        kb_labels = tuple(lab for _, lab in kb)
-        kb_vecs = [vec for vec, _ in kb]
+        kb_labels = tuple(lab for _, lab in sm.kernel_basis())
         incoming = stage1.get(((eps + 1) % 2, i, k - n - 1))
         cells = {}
         img_labels = []
@@ -1114,7 +1114,7 @@ def _class_homology(part: _ClassExpansion, red: _Reduced, hi: int) -> dict:
                 for r, mono in coords.items():
                     cells[(r, col)] = mono
         pres = SliceMatrix(tuple(img_labels), kb_labels, 0, cells)
-        stage1[key] = _Stage1(kb_labels, kb_vecs, sm, pres)
+        stage1[key] = _Stage1(kb_labels, sm, pres)
 
     def phi(key) -> SliceMatrix:
         """Induced map of kernel bases one homological degree up."""
@@ -1126,7 +1126,7 @@ def _class_homology(part: _ClassExpansion, red: _Reduced, hi: int) -> dict:
         d1cols: MonoMat = {}
         for (r, c), mono in red.d1.get(key, {}).items():
             d1cols.setdefault(c, {})[r] = mono
-        for c, vec in enumerate(st.vecs):
+        for c, (vec, _) in enumerate(st.out_smith.kernel_basis()):
             w = _cols_apply(d1cols, vec)
             if not w:
                 continue
@@ -1276,7 +1276,7 @@ def euler_characteristic(M: GradedQaModule) -> SkeinValue:
                     num = num + Laurent.monomial(
                         sign * cj, t + 2 * e, tail.start + j - 1
                     )
-                term = SkeinValue.tau_free(n, num, Counter({atom_xi1(): j + 1}))
+                term = SkeinValue.tau_free(n, num, Counter({atom_xin(1): j + 1}))
                 total = total + (term.times_tau() if tail.eps else term)
     return total.stripped()
 

@@ -97,8 +97,13 @@ class TestCanonical:
     def test_packing_limit(self):
         top = BraidWord(MAX_SEARCH_STRANDS, ((MAX_SEARCH_STRANDS - 1, 1),))
         assert canonical(top) == top
-        with pytest.raises(BudgetError, match="a Markov search can hold"):
-            canonical(BraidWord(MAX_SEARCH_STRANDS + 1, ()))
+
+    def test_strands_past_the_packing_are_refused(self):
+        # skein.evaluate refuses such a count first; the searches guard their own input
+        past = BraidWord(MAX_SEARCH_STRANDS + 1, ())
+        for search in (canonical, lambda w: markov_search(w, 10)):
+            with pytest.raises(BudgetError, match="a Markov search can hold"):
+                search(past)
 
     def test_idempotent(self):
         once = canonical(parse("2 -1 2 2"))

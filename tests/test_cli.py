@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import krlab
 from krlab import cli, qamod
-from krlab.braid import MAX_SEARCH_STRANDS, parse
+from krlab.braid import parse
 from krlab.cube import ChainComplexOfMF, build_complex
 from krlab.poly import BudgetError, InvariantError
 from krlab.qamod import two_stage_homology
@@ -136,11 +136,6 @@ class TestSkeinCommand:
         assert doc["schema"] == "krlab/1"
         assert doc["value"]["tau=+1"]
         assert all(len(row) == 4 for row in doc["series"])
-
-    def test_strands_past_the_packing_exit_two(self, runner):
-        res = run(runner, "skein", "--braid", "", "--strands", str(MAX_SEARCH_STRANDS + 1))
-        assert_one_line_failure(res, 2)
-        assert "a Markov search can hold" in res.stderr
 
     def test_budget_exhaustion_exits_two(self, runner, monkeypatch):
         def explode(word, n):
@@ -300,8 +295,9 @@ class TestSizeRefusals:
         # 2^100000001 in decimal passes Python's limit on int-to-str digits
         (["homology", "--braid", "1", "--strands", "100000000"], CUBE.format("2^100000001")),
         (["both", "--braid", "1", "--strands", "100000000"], CUBE.format("2^100000001")),
+        (["skein", "--braid", "", "--strands", "101"], "101 strands is over the skein cap of 100"),
     ], ids=["cube-s16", "cube-12-letters", "cube-n64", "n-homology", "n-skein", "n-both",
-            "n-gdim", "n-verify", "cube-huge-homology", "cube-huge-both"])
+            "n-gdim", "n-verify", "cube-huge-homology", "cube-huge-both", "skein-strands"])
     def test_refused_at_once_in_one_line(self, runner, args, message):
         start = time.perf_counter()
         res = run(runner, *args)

@@ -1,7 +1,6 @@
 """Crossing resolution cubes over closed braids."""
 
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,15 +11,13 @@ from krlab.cube import (
     ChainComplexOfMF,
     ExcludedVertex,
     Summand,
-    _Arc,
     _closure_arcs,
     _crossing_rows,
     build_complex,
     check_even_morphism,
     crossing_model,
 )
-from krlab.mf import ChainVector, KoszulSpec, MatrixFactorization, exclude_all, koszul
-from krlab.moy import gdim
+from krlab.mf import ChainVector, KoszulSpec, MatrixFactorization, compose, exclude_all, koszul
 from krlab.poly import (
     KIND_A,
     KIND_MARK,
@@ -55,7 +52,7 @@ def mf_equal(M: MatrixFactorization, M2: MatrixFactorization) -> bool:
 class TestCrossingModel:
     def test_rows_for_n_one(self):
         # U1 = X1 + Y1 and U2 = -2 when the potential exponent is 2
-        model = crossing_model("positive", ("p", "q", "r", "t"), 1)
+        model = crossing_model(("p", "q", "r", "t"), 1)
         table = model.table
         a, p, q, r, t = (var(table, nm) for nm in "apqrt")
         s = t - p
@@ -67,37 +64,42 @@ class TestCrossingModel:
     @pytest.mark.parametrize("kind", ["positive", "negative"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_model_builds_and_verifies(self, kind, n):
-        # composites, degrees and commutation are asserted inside
-        model = crossing_model(kind, ("p", "q", "r", "t"), n)
+        # composites, degrees and commutation are asserted inside; the cube
+        # edge of a positive crossing is chi^1 (wide to oriented), of a
+        # negative one chi^0 (oriented to wide)
+        model = crossing_model(("p", "q", "r", "t"), n)
         assert len(model.gamma0.basis0 + model.gamma0.basis1) == 4
         assert len(model.gamma1.basis0 + model.gamma1.basis1) == 4
+        if kind == "positive":
+            src, tgt, edge, back = model.gamma1, model.gamma0, model.chi1, model.chi0
+        else:
+            src, tgt, edge, back = model.gamma0, model.gamma1, model.chi0, model.chi1
+        check_even_morphism(src, tgt, edge, 0, 1)
+        s_id = {(i, i): model.s for i in range(2)}
+        assert all(compose(back[par], edge[par]) == s_id for par in (0, 1))
 
     def test_gamma1_carries_internal_shift(self):
-        model = crossing_model("positive", ("p", "q", "r", "t"), 2)
+        model = crossing_model(("p", "q", "r", "t"), 2)
         raw = koszul(KoszulSpec(model.table, 2, (model.f_row, model.g1_row)))
         assert model.gamma1.basis0 == [(a, x - 1) for a, x in raw.basis0]
 
     def test_degenerate_marks_rejected(self):
         with pytest.raises(ValueError):
-            crossing_model("positive", ("p", "q", "p", "t"), 2)
+            crossing_model(("p", "q", "p", "t"), 2)
         with pytest.raises(ValueError):
-            crossing_model("positive", ("p", "q", "r"), 2)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            crossing_model("sideways", ("p", "q", "r", "t"), 2)
+            crossing_model(("p", "q", "r"), 2)
 
     def test_nonpositive_exponent_rejected(self):
         with pytest.raises(ValueError):
-            crossing_model("positive", ("p", "q", "r", "t"), 0)
+            crossing_model(("p", "q", "r", "t"), 0)
 
     def test_morphism_checker_rejects_wrong_degree(self):
-        model = crossing_model("positive", ("p", "q", "r", "t"), 2)
+        model = crossing_model(("p", "q", "r", "t"), 2)
         with pytest.raises(AssertionError):
             check_even_morphism(model.gamma1, model.gamma0, model.chi1, 0, 3)
 
     def test_morphism_checker_rejects_swapped_pattern(self):
-        model = crossing_model("positive", ("p", "q", "r", "t"), 2)
+        model = crossing_model(("p", "q", "r", "t"), 2)
         with pytest.raises(AssertionError):
             check_even_morphism(model.gamma1, model.gamma0, model.chi0, 0, 1)
 
@@ -208,16 +210,12 @@ class TestCubeShape:
         with pytest.raises(ValueError):
             build_complex(parse("1", 2), 0)
 
-    def test_rejects_unknown_extra_mark_point(self):
-        with pytest.raises(ValueError):
-            build_complex(parse("1", 2), 1, extra_marks=[(7, 1)])
-
     @pytest.mark.parametrize("text, strands, pieces", [
         ("", 3, 3), ("1", 2, 1), ("1 1", 2, 1), ("2", 4, 3), ("1 3", 4, 2), ("1 -2 1", 3, 1),
     ])
     def test_one_shared_row_per_piece(self, text, strands, pieces):
         # the size the cube cap counts before any row is built
-        C = build_complex(parse(text, strands), 1, extra_marks=[(0, 1)])
+        C = build_complex(parse(text, strands), 1)
         c = len(parse(text, strands).letters)
         assert all(len(s.spec.rows) == c + pieces for ss in C.summands.values() for s in ss)
 
@@ -227,7 +225,7 @@ class TestCubeShape:
             build_complex(parse("1 1", 2), 1)
 
 
-def closure_arcs_by_union_find(word: BraidWord, extra_marks):
+def closure_arcs_by_union_find(word: BraidWord):
     """Oracle for cube._closure_arcs: join each node (g, p) to (g - 1, p)
     unless crossing g cuts position p, then number the classes in the order
     their first node appears."""
@@ -251,51 +249,28 @@ def closure_arcs_by_union_find(word: BraidWord, extra_marks):
             if (c and p in touched[g]) or below == g:
                 continue
             parent[find((below, p))] = find((g, p))
-    extra_count = {}
-    for node in extra_marks:
-        node = (int(node[0]), int(node[1]))
-        if node not in parent:
-            raise ValueError(f"no such point on the closed diagram: {node}")
-        root = find(node)
-        extra_count[root] = extra_count.get(root, 0) + 1
-    arcs, node_arc, seen = [], {}, {}
+    circles, node_arc, seen = [], {}, {}
     for g in range(gaps):
         for p in range(1, m + 1):
             root = find((g, p))
             if root not in seen:
-                idx = seen[root] = len(arcs)
-                circle = c == 0 or all(p not in cut for cut in touched)
-                names = [f"x{idx}"] + [
-                    f"x{idx}" + chr(ord("b") + k) for k in range(extra_count.get(root, 0))
-                ]
-                arcs.append(_Arc(circle, tuple(names)))
+                seen[root] = len(circles)
+                circles.append(c == 0 or all(p not in cut for cut in touched))
             node_arc[(g, p)] = seen[root]
-    return arcs, node_arc
+    return circles, node_arc
 
 
 class TestClosureArcs:
     @pytest.mark.parametrize("strands", [1, 2, 3, 4])
     def test_walk_equals_the_union_find(self, strands):
-        rng = random.Random(strands)
         letters = [(i, sign) for i in range(1, strands) for sign in (1, -1)]
         cases = 0
         for length in range(5):
             for word in itertools.product(letters, repeat=length):
                 word = BraidWord(strands, word)
-                nodes = [(g, p) for g in range(max(length, 1)) for p in range(1, strands + 1)]
-                for k in range(4):
-                    extras = [rng.choice(nodes) for _ in range(k)]
-                    got = _closure_arcs(word, extras)
-                    assert got == closure_arcs_by_union_find(word, extras)
-                    cases += 1
-        assert cases == 4 * sum((2 * strands - 2) ** k for k in range(5))
-
-    @pytest.mark.parametrize("node", [(2, 1), (-1, 1), (0, 0), (0, 3), (1, 3)])
-    def test_a_point_off_the_diagram_is_rejected(self, node):
-        word = parse("1 -1", 2)
-        for arcs in (_closure_arcs, closure_arcs_by_union_find):
-            with pytest.raises(ValueError, match="no such point on the closed diagram"):
-                arcs(word, [(0, 1), node])
+                assert _closure_arcs(word) == closure_arcs_by_union_find(word)
+                cases += 1
+        assert cases == sum((2 * strands - 2) ** k for k in range(5))
 
 
 class TestVerify:
@@ -364,30 +339,6 @@ class TestVerify:
             ChainComplexOfMF(table, 1, summands, blocks)
 
 
-class TestMarkingIndependence:
-    @pytest.mark.parametrize(
-        "text, strands, extras",
-        [
-            ("", 1, [(0, 1)]),
-            ("", 1, [(0, 1), (0, 1)]),
-            ("1", 2, [(0, 1)]),
-            ("1", 2, [(0, 1), (0, 2)]),
-            ("-1", 2, [(0, 2)]),
-            ("1 -1", 2, [(0, 1), (1, 2)]),
-        ],
-    )
-    def test_killed_gdim_is_marking_independent(self, text, strands, extras):
-        base = build_complex(parse(text, strands), 1)
-        marked = build_complex(parse(text, strands), 1, extra_marks=extras)
-        assert sorted(base.summands) == sorted(marked.summands)
-        for i in sorted(base.summands):
-            b, m = base.terms[i], marked.terms[i]
-            assert len(b.basis0 + b.basis1) == len(m.basis0 + m.basis1)
-            g0 = gdim(base.terms[i], 10)
-            g1 = gdim(marked.terms[i], 10)
-            assert g0.same_series(g1)
-
-
 @st.composite
 def braid_words(draw):
     strands = draw(st.integers(min_value=2, max_value=3))
@@ -425,6 +376,29 @@ def reduced_words(strands: int, max_length: int) -> list[str]:
 
 
 SHORT_CUBES = [(w, s, n) for s in (2, 3) for w in reduced_words(s, 3) for n in (1, 2)]
+
+
+
+class TestStateOrder:
+    def test_summands_and_blocks_follow_the_state_order(self):
+        # each degree lists its vertices in state order, and every block is
+        # keyed by the positions of its two states in those lists
+        corpus = [(w, s) for s in (2, 3) for w in reduced_words(s, 3)] + [("1 -2 1 -2", 3)]
+        for text, strands in corpus:
+            C = build_complex(parse(text, strands), 1)
+            position = {}
+            for i, parts in C.summands.items():
+                states = [part.state for part in parts]
+                assert states == sorted(states)
+                position |= {state: (i, pos) for pos, state in enumerate(states)}
+            assert len(position) == 2 ** len(parse(text, strands).letters)
+            keys = set()
+            for state, (i, si) in position.items():
+                for t in (t for t, b in enumerate(state) if not b):
+                    j, ti = position[state[:t] + (1,) + state[t + 1:]]
+                    assert j == i + 1
+                    keys.add((i, ti, si))
+            assert C.blocks.keys() == keys
 
 
 def chain(maps, vec: ChainVector) -> ChainVector:

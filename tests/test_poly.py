@@ -644,6 +644,93 @@ class TestInvariantChecks:
             "<lambda>.y", "default_only.b", "method.item", "star.kwargs", "unread.b"
         ]
 
+    # Defaulted parameters that no call in the package passes, kept for the
+    # tests or for an indirect caller; one reason each.
+    DEFAULTS_KEPT = {
+        "simplify.budget": "braid: the Hypothesis property tests bound the reference search at 250",
+        "two_stage_homology.expansion":
+            "qamod: adaptive_homology passes it through its homology parameter",
+    }
+
+    @staticmethod
+    def unpassed_defaults(sources):
+        """(file, "function.parameter") of each defaulted parameter of a
+        function that some call in the sources names but none passes, by
+        position or by keyword.  Calls match by name, __init__ through its
+        class's name; a call with *args or **kwargs passes everything of
+        its kind, and a function no call names is left to the unread scan."""
+        trees = {name: ast.parse(text) for name, text in sources.items()}
+        calls: dict[str, list[tuple[float, set]]] = {}
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                    keywords = {kw.arg for kw in node.keywords}
+                    calls.setdefault(callee, []).append(
+                        (float("inf") if starred else len(node.args), keywords)
+                    )
+
+        def defaulted(node):
+            """(parameter, position in a call or None) of each default."""
+            args = node.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            first = len(positional) - len(args.defaults)
+            for pos, arg in enumerate(positional[first:], first):
+                yield arg.arg, pos - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield arg.arg, None
+
+        found = []
+        for name, tree in trees.items():
+            owners = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                            owners[item] = node.name
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                owner = owners.get(node, node.name)
+                reach = calls.get(owner, [])
+                found += [
+                    (name, f"{owner}.{param}")
+                    for param, pos in defaulted(node)
+                    if reach and not any(
+                        (pos is not None and pos < npos) or param in kws or None in kws
+                        for npos, kws in reach
+                    )
+                ]
+        return found
+
+    def test_every_default_is_passed_somewhere(self):
+        root = Path(krlab.__file__).parent
+        sources = {path.name: path.read_text() for path in sorted(root.glob("*.py"))}
+        found = self.unpassed_defaults(sources)
+        assert [f"{f} {name}" for f, name in found if name not in self.DEFAULTS_KEPT] == []
+        assert sorted({name for _, name in found}) == sorted(self.DEFAULTS_KEPT)
+
+    def test_unpassed_default_scan_flags(self):
+        source = (
+            "def f(a, b=1, c=2, *, d=3, e=4): return a\n"
+            "f(0, 1, e=5)\n"
+            "def spread(a=1, b=2): return a\n"
+            "spread(*[0])\n"
+            "def keywords(a=1, b=2): return a\n"
+            "keywords(**{})\n"
+            "def uncalled(a=1): return a\n"
+            "class Box:\n"
+            "    def __init__(self, size=1, kind=0): self.size = size\n"
+            "    def method(self, x=0, y=0): return x\n"
+            "Box(3).method(1)\n"
+        )
+        found = sorted(name for _, name in self.unpassed_defaults({"m.py": source}))
+        assert found == ["Box.kind", "f.c", "f.d", "method.y"]
+
     def test_unread_scan_flags(self):
         source = (
             "import click\n"

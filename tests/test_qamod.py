@@ -37,8 +37,8 @@ from krlab.skein import SkeinValue, evaluate, unlink_value
 from test_cube import reduced_words
 
 
-def homology(text, strands, n, window=None, **kw):
-    return two_stage_homology(build_complex(parse(text, strands), n, **kw), x_window=window)
+def homology(text, strands, n, window=None):
+    return two_stage_homology(build_complex(parse(text, strands), n), x_window=window)
 
 
 def apply_cells(cells, vec):
@@ -277,12 +277,6 @@ class TestInvariance:
         assert cancelled.slices == unlink.slices
         assert cancelled.tails == unlink.tails
 
-    def test_extra_marks_do_not_change_the_answer(self):
-        base = homology("", 1, 1)
-        marked = homology("", 1, 1, extra_marks=[(0, 1)])
-        assert marked.slices == base.slices
-        assert marked.tails == base.tails
-
 class TestHopfLink:
     def test_torsion_multiplicity_grows_linearly(self):
         m = homology("1 1", 2, 1)
@@ -446,21 +440,20 @@ class TestGrowingExpansion:
             two_stage_homology(C, 4, _Expansion(build_complex(parse("1 1", 2), 1)))
 
     @pytest.mark.parametrize(
-        "text,strands,n,extra",
+        "text,strands,n",
         [
-            pytest.param("1 -1", 2, 1, (), id="1 -1-2-1"),
-            pytest.param("1 1 1", 2, 2, (), id="1 1 1-2-2"),
-            # extra marks that the vertices' own exclusions then remove
-            pytest.param("1 1 1", 2, 1, ((0, 1), (1, 2)), id="1 1 1-2-1-extra-marks"),
+            pytest.param("1 -1", 2, 1, id="1 -1-2-1"),
+            pytest.param("1 1 1", 2, 2, id="1 1 1-2-2"),
+            pytest.param("1 1 1", 2, 1, id="1 1 1-2-1"),
         ],
     )
-    def test_the_closed_form_counts_the_basis(self, text, strands, n, extra):
+    def test_the_closed_form_counts_the_basis(self, text, strands, n):
         # every class, grown and fresh, creates exactly its own closed form,
-        # each generator's monomials counted in its own vertex's marks
-        C = build_complex(parse(text, strands), n, extra)
+        # each generator's monomials counted in its own vertex's marks, and
+        # the vertices differ in how many marks they keep
+        C = build_complex(parse(text, strands), n)
         grown = _Expansion(C)
-        if extra:
-            assert len(set(grown.marks)) > 1
+        assert len(set(grown.marks)) > 1
         for top in (-4, 0, 3, 8):
             for cls in grown.classes:
                 _reduce_complex(C, top, grown.part(cls))

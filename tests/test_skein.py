@@ -16,7 +16,6 @@ from krlab.skein import (
     atom_divides,
     atom_poly,
     atom_unit,
-    atom_xi1,
     atom_xin,
     divide_exact,
     evaluate,
@@ -40,7 +39,7 @@ def mod_a_unlink(m, n):
     def build(tau):
         base = Laurent({(0, 0): Fraction(1), (-1, 1 - n): Fraction(tau)})
         return RationalFunction(
-            tau, (base**m).scaled(1, 0, -m), Counter({atom_xi1(): m})
+            tau, (base**m).scaled(1, 0, -m), Counter({atom_xin(1): m})
         )
 
     return pair_value(n, build)
@@ -92,13 +91,13 @@ def laurents(min_size=0):
 
 
 atoms = st.sampled_from(
-    [ATOM_ALPHA, atom_xi1(), atom_xin(2), atom_xin(3), atom_unit(1), atom_unit(2)]
+    [ATOM_ALPHA, atom_xin(1), atom_xin(2), atom_xin(3), atom_unit(1), atom_unit(2)]
 )
 
 
 def bracket(n):
     return pair_value(
-        n, lambda tau: frac(tau, atom_poly(atom_xin(n), tau), atom_xi1())
+        n, lambda tau: frac(tau, atom_poly(atom_xin(n), tau), atom_xin(1))
     )
 
 
@@ -215,7 +214,7 @@ class TestRationalFunction:
     def test_series_quantum_integer(self):
         # [3] = xi^-2 + 1 + xi^2
         n = 3
-        v = frac(1, atom_poly(atom_xin(n), 1), atom_xi1())
+        v = frac(1, atom_poly(atom_xin(n), 1), atom_xin(1))
         assert v.series(0, 10) == Laurent({(0, -2): 1, (0, 0): 1, (0, 2): 1})
 
     def test_series_unit_atom(self):
@@ -248,8 +247,8 @@ class TestUnlinkValue:
     def test_unknot_closed_form(self, n):
         # tau a^-1 ([n]/(1-a^2) + xi^n/(xi^-1 - xi))
         def build(tau):
-            head = frac(tau, atom_poly(atom_xin(n), tau), atom_xi1(), ATOM_ALPHA)
-            tail = frac(tau, Laurent.monomial(1, 0, n), atom_xi1())
+            head = frac(tau, atom_poly(atom_xin(n), tau), atom_xin(1), ATOM_ALPHA)
+            tail = frac(tau, Laurent.monomial(1, 0, n), atom_xin(1))
             return (head + tail).scaled(tau, -1, 0)
 
         assert unlink_value(1, n) == pair_value(n, build)
@@ -258,7 +257,7 @@ class TestUnlinkValue:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_recursion(self, m, n):
         def xi_n_over(tau):
-            return frac(tau, Laurent.monomial(1, 0, n), atom_xi1())
+            return frac(tau, Laurent.monomial(1, 0, n), atom_xin(1))
 
         rhs = (
             bracket(n) * unlink_value(m - 1, n)
@@ -302,7 +301,7 @@ class TestEvaluate:
     def test_hopf_link_by_hand(self):
         n = 1
         smoothing = pair_value(
-            n, lambda tau: frac(tau, atom_poly(atom_xi1(), tau))
+            n, lambda tau: frac(tau, atom_poly(atom_xin(1), tau))
         )
         want = unlink_value(2, n).scaled(1, 2, 2 * n) + (
             unlink_value(1, n).scaled(1, 1, n) * smoothing
