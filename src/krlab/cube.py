@@ -95,11 +95,15 @@ def check_even_morphism(
     dx: int,
 ) -> None:
     """Assert mats is a parity-preserving chain map of degree (0, da, dx)."""
+    # each entry object's bidegree once, compared at every position it holds
+    degrees: dict[int, tuple[int, int] | None] = {}
     for par in (0, 1):
         sbasis = src.basis(par)
         tbasis = tgt.basis(par)
         for (ti, si), p in mats[par].items():
-            deg = p.bidegree()
+            if id(p) not in degrees:
+                degrees[id(p)] = p.bidegree()
+            deg = degrees[id(p)]
             if deg is None:
                 continue
             sa, sx = sbasis[si]
@@ -361,39 +365,53 @@ class ChainComplexOfMF:
                 vertices.setdefault(i, []).append(
                     ExcludedVertex(mf, exclusion_substitution(steps), reductions)
                 )
-        blocks = {
-            (i, ti, si): _transport_block(
-                mats, vertices[i][si], vertices[i + 1][ti], self.summands[i][si].shift[2]
-            )
-            for (i, ti, si), mats in self.blocks.items()
-        }
+        lifts: dict[tuple[int, int], tuple[list[ChainVector], list[ChainVector]]] = {}
+        blocks = {}
+        for (i, ti, si), mats in self.blocks.items():
+            flip = self.summands[i][si].shift[2]
+            if (i, si) not in lifts:
+                lifts[(i, si)] = _lift_columns(vertices[i][si], flip)
+            blocks[(i, ti, si)] = _transport_block(mats, lifts[(i, si)], vertices[i + 1][ti], flip)
         return ExcludedCube(vertices, blocks)
 
 
-def _apply_even(mats: MatPair, vec: ChainVector, flip: int) -> ChainVector:
-    """An even map on a vector over Koszul bases whose parities an odd flip
-    swaps against the factorization's."""
-    out: ChainVector = {}
-    for (kpar, idx), coeff in vec.items():
-        for (ti, si), p in mats[(kpar + flip) % 2].items():
-            if si == idx:
-                _vec_add(out, (kpar, ti), p * coeff)
-    return out
-
-
-def _transport_block(
-    mats: MatPair, src: ExcludedVertex, tgt: ExcludedVertex, flip: int
-) -> MatPair:
-    """pi_tgt . mats . iota_src through the two vertices' chains of exclusions."""
-    out: MatPair = ({}, {})
+def _lift_columns(src: ExcludedVertex, flip: int) -> tuple[list[ChainVector], list[ChainVector]]:
+    """iota_src of each basis vector of src.mf, per parity, through the
+    vertex's chain of exclusions; an odd flip swaps the Koszul parity of
+    basis(par).  A vertex's columns are lifted once for all its blocks."""
     one = BigradedPoly.one(src.mf.table)
+    lifts: tuple[list[ChainVector], list[ChainVector]] = ([], [])
     for par in (0, 1):
         kpar = (par + flip) % 2
         for j in range(len(src.mf.basis(par))):
             vec: ChainVector = {(kpar, j): one}
             for red in reversed(src.reductions):
                 vec = red.iota(vec)
-            vec = _apply_even(mats, vec, flip)
+            lifts[par].append(vec)
+    return lifts
+
+
+def _transport_block(
+    mats: MatPair,
+    lifts: tuple[list[ChainVector], list[ChainVector]],
+    tgt: ExcludedVertex,
+    flip: int,
+) -> MatPair:
+    """pi_tgt . mats . iota_src through the two vertices' chains of
+    exclusions, given the source's lifted columns (_lift_columns)."""
+    # each parity's entries by source column, in their order in mats
+    by_source: tuple[dict[int, list], dict[int, list]] = ({}, {})
+    for par in (0, 1):
+        for (ti, si), p in mats[par].items():
+            by_source[par].setdefault(si, []).append((ti, p))
+    out: MatPair = ({}, {})
+    for par in (0, 1):
+        kpar = (par + flip) % 2
+        for j, lifted in enumerate(lifts[par]):
+            vec: ChainVector = {}
+            for (kp, idx), coeff in lifted.items():
+                for ti, p in by_source[(kp + flip) % 2].get(idx, ()):
+                    _vec_add(vec, (kp, ti), p * coeff)
             for red in tgt.reductions:
                 vec = red.pi(vec)
             for (kpar2, ti), p in vec.items():
@@ -410,11 +428,11 @@ def _transport_block(
 # Koszul generators a resolution cube may hold over all its vertices at n = 1;
 # the cap at n is MAX_CUBE_GENERATORS // n^2, checked before any row is built,
 # since the entries' polynomials grow with n.  Builds on a 2-vCPU host at
-# n = 1: 2^14 (s_12 on 13 strands) 0.7 s and 65 MB; 2^15 (s_13) 1.6 s and
-# 135 MB, and 1 1 1 1 1 1 1 4.9 s and 94 MB; 2^16 (s_14) 3.6 s and 276 MB.
-# At the cap for n > 1: 1 1 at n = 32 3.4 s, 1 1 1 at n = 16 3.2 s,
-# 1 -2 1 -2 at n = 8 1.3 s, 1 1 1 1 1 at n = 4 0.9 s; past it 1 1 at n = 48
-# takes 21 s and 1 1 1 at n = 24 21 s.
+# n = 1: 2^14 (s_12 on 13 strands) 0.8 s and 62 MB; 2^15 (s_13) 1.8 s and
+# 115 MB, and 1 1 1 1 1 1 1 3.4 s and 94 MB; 2^16 (s_14) 4.6 s and 222 MB.
+# At the cap for n > 1: 1 1 at n = 32 2.4 s, 1 1 1 at n = 16 0.6 s,
+# 1 -2 1 -2 at n = 8 0.2 s, 1 1 1 1 1 at n = 4 0.2 s; past it 1 1 at n = 48
+# takes 28 s and 1 1 1 at n = 24 3.5 s.
 MAX_CUBE_GENERATORS = 1 << 15
 
 

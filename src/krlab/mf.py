@@ -11,8 +11,15 @@ one per row of a KoszulSpec, with the signed Leibniz rule governing the
 tensor differential.  Every identity the checks multiply out (d^2 = w here,
 chi commuting with the differentials and d_chi^2 = 0 in cube) is a signed sum
 of sparse polynomial matrix products, taken by the one product kernel,
-compose_sum.  It packs each exponent tuple into one int, in fields wide
-enough for twice the largest exponent, so a product of two monomials is one
+compose_sum.  It evaluates each such sum exactly, by content pairs: every
+entry is a sign times a content class shared with its negative and with
+every equal polynomial, and since the ring is commutative and the product
+bilinear, each output entry is a sum over unordered pairs of classes of an
+integer net coefficient times their product.  Only pairs whose coefficient
+is nonzero are multiplied, so the pairs that cancel, as most do in a
+closed diagram's checks, cost no product (compose_sum gives the argument).
+A product packs each exponent tuple into one int, in fields wide enough
+for twice the largest exponent, so a product of two monomials is one
 integer addition that cannot carry; exponents are never negative.  The module
 also provides the one simplification the pipelines use (exclusion of a
 variable through a unit-linear row) and the symmetric difference quotient
@@ -374,17 +381,23 @@ class MatrixFactorization:
         wdeg = w.bidegree()
         if wdeg is not None and wdeg != (2, 2 * self.n + 2):
             raise InvariantError(f"potential degree {wdeg}")
-        self._verify_entry_degrees(self.d0, self.basis0, self.basis1)
-        self._verify_entry_degrees(self.d1, self.basis1, self.basis0)
+        # d0 and d1 share entry objects (a Koszul matrix uses about 4 per
+        # row at every mask): each object's bidegree is computed once, and
+        # compared at every position it holds
+        degrees: dict[int, tuple[int, int] | None] = {}
+        self._verify_entry_degrees(self.d0, self.basis0, self.basis1, degrees)
+        self._verify_entry_degrees(self.d1, self.basis1, self.basis0, degrees)
         self._verify_square(self.d1, self.d0, len(self.basis0))
         self._verify_square(self.d0, self.d1, len(self.basis1))
 
-    def _verify_entry_degrees(self, d: Matrix, src, tgt) -> None:
+    def _verify_entry_degrees(self, d: Matrix, src, tgt, degrees) -> None:
         for (i, j), p in d.items():
             sj, sx = src[j]
             tj, tx = tgt[i]
             want = (1 + sj - tj, self.n + 1 + sx - tx)
-            got = p.bidegree()
+            if id(p) not in degrees:
+                degrees[id(p)] = p.bidegree()
+            got = degrees[id(p)]
             if got is not None and got != want:
                 raise InvariantError(f"entry degree {got}, expected {want}")
 
@@ -416,77 +429,149 @@ def compose_sum(triples: Sequence[tuple[int, Matrix, Matrix]]) -> Matrix:
     (sign, second, first) triples, each sign 1 or -1, with every zero entry
     dropped.
 
-    The one matrix product loop of the package.  Each distinct exponent tuple of
-    the operands is packed into one int, its exponents side by side in
-    fields of (2 * the largest exponent).bit_length() bits, so the product
-    of two monomials is one integer addition: a field of a sum holds at most
-    twice the largest exponent, which fits its width, and never carries into
-    the next.  A negative exponent would borrow from its neighbour instead,
-    so one raises InvariantError; a polynomial's exponents are never
-    negative.  Each entry polynomial is packed once per call, found by id,
-    which stays unique while the caller holds the matrices.  The products
-    of one output entry are summed term by term in one dict, and one
-    polynomial is built per nonzero entry, its exponents unpacked in the
-    order they first occur.  Every entry of every operand must share one
-    variable table (ValueError otherwise).
+    The one matrix product loop of the package.  It multiplies each distinct
+    pair of entry contents once, and only when the pair survives:
+
+    - Each entry is sign * P for one content class P: the term set scaled so
+      that the coefficient at its least exponent tuple is positive.  So p,
+      -p and every polynomial equal to either share one class, found per
+      call by id, which stays unique while the caller holds the matrices.
+    - Output entry (i, j) is the sum of sign * q * p over its paths.  The
+      ring is commutative, so q * p = p * q, and the product is bilinear, so
+      the sum is the sum over unordered pairs {Q, P} of classes of an
+      integer net coefficient times Q * P.  A pair netting to 0 adds
+      nothing, so it is never multiplied: a Koszul entry's e_i e_j - e_j e_i,
+      or a chi map commuting with a differential, cancels here exactly.
+    - Each surviving pair is multiplied once per call, and each distinct
+      output sum (pairs with their coefficients) is built once, so equal
+      output entries may share one polynomial.
+
+    Products are taken on packed exponents: each exponent tuple is packed
+    into one int, its exponents side by side in fields of (2 * the largest
+    exponent).bit_length() bits, so the product of two monomials is one
+    integer addition: a field of a sum holds at most twice the largest
+    exponent, which fits its width, and never carries into the next.  A
+    negative exponent would borrow from its neighbour instead, so one
+    raises InvariantError; a polynomial's exponents are never negative.
+    Every entry of every operand must share one variable table (ValueError
+    otherwise).  Both checks examine every operand, including those whose
+    products cancel.
     """
     table = None
-    packed: dict[int, list] = {}
-    exponents: dict[tuple[int, ...], int] = {}
-    for _, second, first in triples:
-        for mat in (second, first):
-            for p in mat.values():
-                if id(p) in packed:
-                    continue
-                if table is None:
-                    table = p.table
-                elif p.table is not table and p.table != table:
-                    raise ValueError("mismatched variable tables")
-                packed[id(p)] = p.terms
-                exponents.update(dict.fromkeys(p.terms))
-    flat = [k for e in exponents for k in e]
+    classes: dict[frozenset, int] = {}
+    # per entry id: (class, sign); a zero entry, rare, is classified at each use
+    class_of: dict[int, tuple[int, int]] = {}
+
+    def classify(p: BigradedPoly) -> tuple[int, int] | None:
+        nonlocal table
+        if table is None:
+            table = p.table
+        elif p.table is not table and p.table != table:
+            raise ValueError("mismatched variable tables")
+        terms = p.terms
+        if not terms:
+            return None
+        if terms[min(terms)] > 0:
+            sgn, key = 1, frozenset(terms.items())
+        else:
+            sgn, key = -1, frozenset((e, -c) for e, c in terms.items())
+        cls = classes.get(key)
+        if cls is None:
+            cls = classes[key] = len(classes)
+        got = class_of[id(p)] = (cls, sgn)
+        return got
+
+    # per output column and row, the net coefficient of each pair {lo, hi}
+    # of classes, keyed lo * bound + hi; there are fewer classes than entries
+    bound = 1 + sum(len(second) + len(first) for _, second, first in triples)
+    sums: dict[int, dict[int, dict[int, int]]] = {}
+    for sign, second, first in triples:
+        by_col: dict[int, list[tuple[int, int, int]]] = {}
+        for (i, j), q in second.items():
+            cq = class_of.get(id(q)) or classify(q)
+            if cq is not None:
+                by_col.setdefault(j, []).append((i, cq[0], sign * cq[1]))
+        for (mid, j), p in first.items():
+            cp = class_of.get(id(p)) or classify(p)
+            paths = by_col.get(mid)
+            if cp is None or paths is None:
+                continue
+            kp, sp = cp
+            col = sums.get(j)
+            if col is None:
+                col = sums[j] = {}
+            for i, kq, sq in paths:
+                pair = kq * bound + kp if kq < kp else kp * bound + kq
+                acc = col.get(i)
+                if acc is None:
+                    col[i] = {pair: sq * sp}
+                else:
+                    acc[pair] = acc.get(pair, 0) + sq * sp
+    # both checks have now seen every operand, cancelling or not
+    reps = list(classes)
+    flat = [k for rep in reps for e, _ in rep for k in e]
     if min(flat, default=0) < 0:
         raise InvariantError("a negative exponent in a product")
     width = (2 * max(flat, default=0)).bit_length()
     shifts = [width * i for i in range(len(table) if table is not None else 0)]
-    for e in exponents:
-        exponents[e] = sum(k << s for k, s in zip(e, shifts))
-    for key, terms in packed.items():
-        packed[key] = [(exponents[e], c) for e, c in terms.items()]
-    negated: dict[int, list] = {}
-    sums: dict[Entry, dict[int, Coefficient]] = {}
-    for sign, second, first in triples:
-        by_col: dict[int, list[tuple[int, list]]] = {}
-        for (i, j), q in second.items():
-            qterms = packed[id(q)]
-            if sign < 0:
-                if id(q) not in negated:
-                    negated[id(q)] = [(e, -c) for e, c in qterms]
-                qterms = negated[id(q)]
-            by_col.setdefault(j, []).append((i, qterms))
-        for (mid, j), p in first.items():
-            pterms = packed[id(p)]
-            for i, qterms in by_col.get(mid, ()):
-                acc = sums.get((i, j))
-                if acc is None:
-                    acc = sums[(i, j)] = {}
-                for e1, c1 in qterms:
-                    for e2, c2 in pterms:
-                        e = e1 + e2
-                        acc[e] = acc.get(e, 0) + c1 * c2
-    decoded = {code: e for e, code in exponents.items()}
+    codes: dict[tuple[int, ...], int] = {}
+    packed: dict[int, list[tuple[int, Coefficient]]] = {}
+    products: dict[int, dict[int, Coefficient]] = {}
+    built: dict[frozenset, BigradedPoly | None] = {}
+
+    def pack(cls: int) -> list[tuple[int, Coefficient]]:
+        got = packed.get(cls)
+        if got is None:
+            got = packed[cls] = []
+            for e, c in reps[cls]:
+                code = codes.get(e)
+                if code is None:
+                    code = codes[e] = sum(k << s for k, s in zip(e, shifts))
+                got.append((code, c))
+        return got
+
+    def product(pair: int) -> dict[int, Coefficient]:
+        lo, hi = divmod(pair, bound)
+        prod: dict[int, Coefficient] = {}
+        pterms = pack(hi)
+        for e1, c1 in pack(lo):
+            for e2, c2 in pterms:
+                e = e1 + e2
+                prod[e] = prod.get(e, 0) + c1 * c2
+        return prod
+
     mask = (1 << width) - 1
-    out: Matrix = {}
-    for key, acc in sums.items():
+    decoded: dict[int, tuple[int, ...]] = {}
+
+    def build(net: frozenset) -> BigradedPoly | None:
+        total: dict[int, Coefficient] = {}
+        for pair, c in net:
+            prod = products.get(pair)
+            if prod is None:
+                prod = products[pair] = product(pair)
+            for e, v in prod.items():
+                total[e] = total.get(e, 0) + c * v
         terms = {}
-        for code, c in acc.items():
-            if c:
+        for code, v in total.items():
+            if v:
                 e = decoded.get(code)
                 if e is None:
                     e = decoded[code] = tuple(code >> s & mask for s in shifts)
-                terms[e] = c
-        if terms:
-            out[key] = BigradedPoly(table, terms)
+                terms[e] = v
+        return BigradedPoly(table, terms) if terms else None
+
+    out: Matrix = {}
+    for j, col in sums.items():
+        for i, acc in col.items():
+            if not any(acc.values()):
+                continue
+            net = frozenset((pair, c) for pair, c in acc.items() if c)
+            if net in built:
+                poly = built[net]
+            else:
+                poly = built[net] = build(net)
+            if poly is not None:
+                out[(i, j)] = poly
     return out
 
 

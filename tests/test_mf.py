@@ -225,6 +225,49 @@ def sparse_matrices(draw):
     return out
 
 
+class Tally(int):
+    """An int coefficient that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        Tally.products += 1
+        return int(self) * (int(other) if isinstance(other, int) else other)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Tally(-int(self))
+
+
+def tallied(p: BigradedPoly) -> BigradedPoly:
+    """A new object equal to p (integral coefficients) whose coefficients
+    are Tally; set after construction, which would make them plain ints."""
+    out = BigradedPoly(p.table, {})
+    out.terms = {e: Tally(c) for e, c in p.terms.items()}
+    return out
+
+
+@st.composite
+def pooled_triples(draw):
+    """Signed triples whose entries come from a small pool of polynomials,
+    each present as itself, its negative, and distinct objects with equal
+    terms, one of them in reversed term order."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(
+            st.sampled_from(EXPONENTS), st.sampled_from(COEFFICIENTS), min_size=1, max_size=3
+        ))
+        p = BigradedPoly(COMPOSE_TABLE, terms)
+        pool += [p, -p, -(-p), BigradedPoly(COMPOSE_TABLE, dict(reversed(p.terms.items())))]
+    matrices = st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), st.sampled_from(pool), max_size=6
+    )
+    return draw(st.lists(
+        st.tuples(st.sampled_from([1, -1]), matrices, matrices), min_size=1, max_size=4
+    ))
+
+
 class TestCompose:
     @settings(max_examples=150, deadline=None)
     @given(sparse_matrices(), sparse_matrices())
@@ -265,6 +308,54 @@ class TestCompose:
         # the same entry objects as second and as first operands, under both signs
         triples = [(1, second, first), (-1, first, second)]
         assert compose_sum(triples) == reference_compose_sum(triples) != {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(pooled_triples())
+    def test_shared_pool_matches_the_signed_sum_of_products(self, triples):
+        assert compose_sum(triples) == reference_compose_sum(triples)
+
+    def test_equal_contents_cancel_without_a_product(self):
+        x, y = var(COMPOSE_TABLE, "x"), var(COMPOSE_TABLE, "y")
+        r, p, same, negated = tallied(y), tallied(x + y), tallied(x + y), tallied(-x - y)
+        Tally.products = 0
+        # distinct objects with equal terms, and p against its negative
+        for sign, other in ((-1, same), (1, negated)):
+            triples = [(1, {(0, 0): r}, {(0, 0): p}), (sign, {(0, 0): r}, {(0, 0): other})]
+            assert compose_sum(triples) == {}
+        # r p - p r, the shape of a Koszul off-diagonal entry, in one product
+        assert compose({(0, 0): r, (0, 1): same}, {(0, 0): p, (1, 0): -r}) == {}
+        assert Tally.products == 0
+        # one coefficient apart, the two products are taken and do not cancel
+        differs = tallied(x + y * 2)
+        triples = [(1, {(0, 0): r}, {(0, 0): p}), (-1, {(0, 0): r}, {(0, 0): differs})]
+        got = compose_sum(triples)
+        assert Tally.products > 0
+        assert got == reference_compose_sum(triples) == {(0, 0): -(y * y)}
+
+    def test_a_pair_nets_within_each_output_entry(self):
+        x, y = var(COMPOSE_TABLE, "x"), var(COMPOSE_TABLE, "y")
+        q, p = x + y, x - y
+        # the pair {q, p} with +1 at (0, 0) and -1 at (1, 0): no entry cancels
+        got = compose({(0, 0): q, (1, 0): -q}, {(0, 0): p})
+        assert got == {(0, 0): q * p, (1, 0): -(q * p)}
+
+    def test_checks_reach_operands_whose_products_cancel(self):
+        x = var(COMPOSE_TABLE, "x")
+        inverse = BigradedPoly(COMPOSE_TABLE, {(0, -1, 0): 1})
+        cancelling = [(1, {(0, 0): inverse}, {(0, 0): x}), (-1, {(0, 0): inverse}, {(0, 0): x})]
+        with pytest.raises(InvariantError, match="negative exponent"):
+            compose_sum(cancelling)
+        z = var(marks_table("x", "z"), "z")
+        with pytest.raises(ValueError, match="mismatched variable tables"):
+            compose_sum([(1, {(0, 0): x}, {(0, 0): z}), (-1, {(0, 0): x}, {(0, 0): z})])
+
+    def test_flipped_leibniz_sign_breaks_off_the_diagonal(self):
+        # the flipped entry's partner in d1 is zero, so the diagonal holds
+        # and only the pair that used to cancel shows the fault
+        M, key, _ = TestVerifyMutations.two_row()
+        M.d0[key] = -M.d0[key]
+        with pytest.raises(InvariantError, match="d\\^2 off-diagonal"):
+            M.verify()
 
     @pytest.mark.parametrize("k", [1, 7, 8, 15, 16])
     def test_exponents_fill_a_field_exactly(self, k):
