@@ -428,11 +428,12 @@ def _transport_block(
 # Koszul generators a resolution cube may hold over all its vertices at n = 1;
 # the cap at n is MAX_CUBE_GENERATORS // n^2, checked before any row is built,
 # since the entries' polynomials grow with n.  Builds on a 2-vCPU host at
-# n = 1: 2^14 (s_12 on 13 strands) 0.8 s and 62 MB; 2^15 (s_13) 1.8 s and
-# 115 MB, and 1 1 1 1 1 1 1 3.4 s and 94 MB; 2^16 (s_14) 4.6 s and 222 MB.
-# At the cap for n > 1: 1 1 at n = 32 2.4 s, 1 1 1 at n = 16 0.6 s,
+# n = 1: 2^14 (s_12 on 13 strands) 0.9 s and 62 MB; 2^15 (s_13) 2.0 s and
+# 115 MB, and 1 1 1 1 1 1 1 3.2 s and 94 MB; 2^16 (s_14) 4.5 s and 220 MB.
+# At the cap for n > 1: 1 1 at n = 32 0.8 s, 1 1 1 at n = 16 0.3 s,
 # 1 -2 1 -2 at n = 8 0.2 s, 1 1 1 1 1 at n = 4 0.2 s; past it 1 1 at n = 48
-# takes 28 s and 1 1 1 at n = 24 3.5 s.
+# takes 4.0 s and 1 1 1 at n = 24 1.3 s.  The homology after a build past
+# the cap was not measured, so the cap stays where it was set.
 MAX_CUBE_GENERATORS = 1 << 15
 
 

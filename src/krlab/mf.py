@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .poly import (
@@ -44,8 +43,8 @@ from .poly import (
     Variable,
     VariableTable,
     divide_exact,
-    exact,
     power_sum_in_elementary,
+    quotient,
     substitute,
 )
 
@@ -170,7 +169,7 @@ def linear_unit_solve(entry: BigradedPoly, var: str) -> tuple[Coefficient, Bigra
     if not u:
         return None
     rest = entry.coefficient_of(var, 0)
-    p = rest * (Fraction(-1) / u)
+    p = rest * quotient(-1, u)
     return u, p
 
 
@@ -274,7 +273,7 @@ def exclusion_reduction(step: ExclusionStep) -> Reduction:
     big, small = spec.table, after.table
     sub = {var: step.image}
     v_minus_p = BigradedPoly.variable(big, var) - cast(step.image, big)
-    scale = exact(Fraction(-1) / step.unit)
+    scale = quotient(-1, step.unit)
     # per kept row and per bit value, the entry less its image, over var - image
     rho = {
         i: tuple(

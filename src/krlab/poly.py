@@ -8,7 +8,8 @@ generators] graded by a pair (a-degree, x-degree):
 where E_k is the k-th elementary symmetric generator of a colored-edge
 alphabet.  Polynomials are stored sparsely as exponent-vector ->
 coefficient maps.  Coefficients are exact rationals throughout, never
-floats: an int when integral and a Fraction otherwise (see exact).  The
+floats: an int when integral and a Fraction otherwise (see exact), and
+every coefficient division in the package goes through quotient.  The
 Koszul rows of the potential a x^(N+1) have integer coefficients, and
 keeping them as int spares the cube build Fraction's arithmetic.
 A polynomial is written out in graded lexicographic term order.  The
@@ -54,6 +55,22 @@ def exact(c: object) -> Coefficient:
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     raise TypeError(f"exact coefficients are int or Fraction, not {type(c).__name__}")
+
+
+def quotient(num: Coefficient, den: Coefficient) -> Coefficient:
+    """num / den in exact's normal form: an int when den divides num, a
+    Fraction otherwise.  The package's one coefficient division; a zero den
+    raises ZeroDivisionError and a float operand TypeError.
+
+    Two ints take one divmod, so an integral quotient never builds a
+    Fraction at all.
+    """
+    if type(num) is int and type(den) is int:
+        q, r = divmod(num, den)
+        if not r:
+            return q
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 @dataclass(frozen=True)
@@ -362,10 +379,7 @@ def divide_terms(
         qe = tuple(map(sub, re, lead_e))
         if lead_e and min(qe) < 0:  # lead_e is () only in a ring with no variable
             return None
-        qc, r = divmod(rc, lead_c)
-        if r:
-            qc = Fraction(rc, lead_c)  # not integral, so already exact's normal form
-        quot[qe] = qc
+        qc = quot[qe] = quotient(rc, lead_c)
         for e, c in tail:
             key = tuple(map(add, qe, e))
             left = rem.get(key, 0) - qc * c
@@ -414,8 +428,9 @@ def substitute(
             keep.append((i, target.index(v.name)))
     width = len(target)
     out: dict[tuple[int, ...], Coefficient] = {}
-    # cache powers per variable to keep repeated exponents cheap
-    powers: list[dict[int, dict]] = [dict() for _ in images]
+    # powers[v][k] is img_v^k, built upward from the highest power held, so
+    # each new power is the last one times the image, often a short form
+    powers: list[list[BigradedPoly]] = [[img] for _, img in images]
     for e, c in p.terms.items():
         base = [0] * width
         for i, j in keep:
@@ -425,11 +440,11 @@ def substitute(
             k = e[i]
             if not k:
                 continue
-            if k not in cache:
-                cache[k] = (img ** k).terms
+            while len(cache) < k:
+                cache.append(cache[-1] * img)
             product: dict[tuple[int, ...], Coefficient] = {}
             for e1, c1 in partial.items():
-                for e2, c2 in cache[k].items():
+                for e2, c2 in cache[k - 1].terms.items():
                     key = tuple(map(add, e1, e2))
                     product[key] = product.get(key, 0) + c1 * c2
             partial = product

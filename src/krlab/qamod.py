@@ -101,15 +101,23 @@ import gc
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from operator import add
 
 from .cube import ChainComplexOfMF
-from .poly import KIND_A, KIND_MARK, BudgetError, InvariantError, exact, monomials
+from .poly import (
+    KIND_A,
+    KIND_MARK,
+    BudgetError,
+    Coefficient,
+    InvariantError,
+    exact,
+    monomials,
+    quotient,
+)
 from .skein import ATOM_ALPHA, Laurent, SkeinValue, atom_xin
 
-Mono = tuple[Fraction, int]  # coefficient, a-exponent
+Mono = tuple[Coefficient, int]  # coefficient, a-exponent
 Vec = dict[int, Mono]
 MonoMat = dict[int, dict[int, Mono]]  # column -> row -> monomial
 
@@ -117,7 +125,7 @@ MonoMat = dict[int, dict[int, Mono]]  # column -> row -> monomial
 # ---------------------------------------------------------------------------
 # Monomial vectors and matrices
 
-def _vec_accumulate(vec: Vec, idx: int, coeff: Fraction, exp: int) -> None:
+def _vec_accumulate(vec: Vec, idx: int, coeff: Coefficient, exp: int) -> None:
     cur = vec.get(idx)
     if cur is None:
         vec[idx] = (coeff, exp)
@@ -278,7 +286,7 @@ class SmithResult:
             if exp < e:
                 raise InvariantError("vector is not in the image")
             if pc != 1:
-                coeff = exact(Fraction(coeff) / pc)
+                coeff = quotient(coeff, pc)
             out[t] = (coeff, exp - e)
             for r, (gc, ge) in col.items():
                 if r != r0:
@@ -300,7 +308,11 @@ def smith(M: SliceMatrix) -> SmithResult:
     has grown since is pushed back with its current cost while the heap's
     least exponent is still its own, and taken as the pivot otherwise (the
     cost only orders cells of one exponent).  The pivot is cleared from its
-    column by row operations and from its row by column operations.  Any
+    column by row operations and from its row by column operations.  No row
+    is ever scaled: the pivot keeps its coefficient pc, and each operation
+    divides once, its multiplier being quotient(-dc, pc) for the entry dc it
+    clears.  So an integer matrix stays integral wherever pc divides, and a
+    Fraction is made only where it does not.  Any
     cell of the least exponent pe is a valid pivot: every other cell of the
     matrix has exponent de >= pe, so every multiplier a^(de - pe) has a
     non-negative exponent, one pass per pivot suffices, and the recorded
@@ -329,7 +341,7 @@ def smith(M: SliceMatrix) -> SmithResult:
     col_t: MonoMat = {i: {i: one} for i in range(len(M.source))}
     pivots: list[tuple[int, int, int]] = []
 
-    def set_cell(r: int, c: int, coeff: Fraction, exp: int) -> None:
+    def set_cell(r: int, c: int, coeff: Coefficient, exp: int) -> None:
         row = by_row.setdefault(r, {})
         cur = row.get(c)
         if cur is None:
@@ -360,23 +372,18 @@ def smith(M: SliceMatrix) -> SmithResult:
             continue
         row_t_inv[r0] = {r: (dc, de - pe) for r, (dc, de) in by_col[c0].items()}
         pc = got[0]
-        if pc != 1:
-            u = -1 if pc == -1 else Fraction(1) / pc
-            row = by_row[r0] = {c: (cc * u, ce) for c, (cc, ce) in by_row[r0].items()}
-            for c, mono in row.items():
-                by_col[c][r0] = mono
         # clear the pivot column by row operations
         pivot_row = by_row[r0]
         for r in [r for r in by_col[c0] if r != r0]:
             dc, de = by_row[r][c0]
-            mc, me = -dc, de - pe
+            mc, me = quotient(-dc, pc), de - pe
             for c, (gc, ge) in pivot_row.items():
                 set_cell(r, c, gc if mc == 1 else (-gc if mc == -1 else mc * gc), me + ge)
         # the column is now clear; clear the pivot row by column operations
         pivot_col, kernel_step = by_col[c0], col_t[c0]
         for c in [c for c in pivot_row if c != c0]:
             dc, de = pivot_row[c]
-            mc, me = -dc, de - pe
+            mc, me = quotient(-dc, pc), de - pe
             for r, (gc, ge) in pivot_col.items():
                 set_cell(r, c, gc if mc == 1 else (-gc if mc == -1 else mc * gc), me + ge)
             acc = col_t[c]
@@ -859,7 +866,7 @@ class _ClassExpansion:
             for s in [s for s in rows[t0] if s != s0]:
                 row = out[s]
                 dc = row[t0]
-                factor = -dc if pivot == 1 else dc if pivot == -1 else exact(-Fraction(dc) / pivot)
+                factor = -dc if pivot == 1 else dc if pivot == -1 else quotient(-dc, pivot)
                 same = info_i[s] == i0
                 for t, gc in (both if same else flat):
                     coeff = gc if factor == 1 else (-gc if factor == -1 else factor * gc)

@@ -15,18 +15,19 @@ crossingless closures, whose value is the closed-form unlink evaluation.
 
 Coefficients are exact: int or Fraction via `poly.exact`, an int whenever
 the value is integral, and a float is refused.  Every value the recursion
-builds has integer coefficients; a Fraction arises only from an inexact
-division or from halving in series_expand.
+builds has integer coefficients.  Every division goes through
+`poly.quotient`, so a Fraction arises only where a quotient is not
+integral: an inexact division in `divide_terms`, or a halving in
+series_expand of an odd sum.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .braid import BraidWord, _order_key, markov_search, simplify, word_text
-from .poly import BudgetError, Coefficient, divide_terms, exact
+from .poly import BudgetError, Coefficient, divide_terms, exact, quotient
 
 SKEIN_BUDGET = 10**4  # the square search's first budget, doubled up to MAX_BUDGET
 MAX_BUDGET = 10**6
@@ -474,7 +475,7 @@ def series_expand(v: SkeinValue, alpha_max: int, xi_max: int) -> dict:
     for key in sorted(set(p.terms) | set(m.terms)):
         cp = p.terms.get(key, 0)
         cm = m.terms.get(key, 0)
-        out[key] = (exact(Fraction(cp + cm, 2)), exact(Fraction(cp - cm, 2)))
+        out[key] = (quotient(cp + cm, 2), quotient(cp - cm, 2))
     return out
 
 

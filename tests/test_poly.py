@@ -20,6 +20,7 @@ from krlab.poly import (
     exact,
     monomials,
     power_sum_in_elementary,
+    quotient,
     substitute,
 )
 from krlab.skein import Laurent
@@ -213,6 +214,53 @@ class TestCoefficientTypes:
             0.5 * v("x1")
         with pytest.raises(TypeError):
             v("x1") * 0.0
+
+
+class TestQuotient:
+    @pytest.mark.parametrize(
+        "num, den, expected",
+        [
+            (6, 3, 2),
+            (7, 2, Fraction(7, 2)),
+            (0, 5, 0),
+            (-6, 3, -2),
+            (6, -3, -2),
+            (-6, -3, 2),
+            (-7, 2, Fraction(-7, 2)),
+            (7, -2, Fraction(-7, 2)),
+            (-1, -2, Fraction(1, 2)),
+            (Fraction(3, 2), Fraction(1, 2), 3),
+            (Fraction(-4, 3), Fraction(2, 3), -2),
+            (Fraction(4, 2), 2, 1),
+            (3, Fraction(3, 4), 4),
+            (Fraction(1, 2), 3, Fraction(1, 6)),
+            (1, Fraction(2, 3), Fraction(3, 2)),
+        ],
+    )
+    def test_exact_normal_form(self, num, den, expected):
+        got = quotient(num, den)
+        assert got == expected
+        assert type(got) is type(expected)
+
+    @pytest.mark.parametrize("num", [0, 1, -3, Fraction(1, 2)])
+    @pytest.mark.parametrize("den", [0, Fraction(0)])
+    def test_zero_denominator_raises(self, num, den):
+        with pytest.raises(ZeroDivisionError):
+            quotient(num, den)
+
+    @pytest.mark.parametrize("num, den", [(1.0, 2), (1, 2.0), (0.5, 0.5)])
+    def test_float_operand_rejected(self, num, den):
+        with pytest.raises(TypeError):
+            quotient(num, den)
+
+    @given(
+        st.one_of(st.integers(-50, 50), st.fractions(max_denominator=12)),
+        st.one_of(st.integers(-50, 50), st.fractions(max_denominator=12)).filter(bool),
+    )
+    def test_times_the_denominator_is_the_numerator(self, num, den):
+        got = quotient(num, den)
+        assert got * den == num
+        assert exact(got) == got and type(exact(got)) is type(got)
 
 
 def raw_elementary(alphabet):
@@ -507,6 +555,51 @@ class TestInvariantChecks:
     )
     def test_exactness_scan_flags(self, line, flagged):
         assert bool(list(self.inexact_nodes(ast.parse(line)))) == flagged
+
+    @staticmethod
+    def divisions(tree, allowed=()):
+        """Each true division and each two-argument Fraction(...) call outside
+        the functions named in allowed."""
+        exempt = {
+            id(sub)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in allowed
+            for sub in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                yield node
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction"
+                and len(node.args) + len(node.keywords) == 2
+            ):
+                yield node
+
+    def test_every_coefficient_division_is_quotient(self):
+        # one division, so an integral quotient is an int wherever it is made
+        root = Path(krlab.__file__).parent
+        found = []
+        for path in sorted(root.glob("*.py")):
+            allowed = ("quotient",) if path.name == "poly.py" else ()
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{node.lineno}" for node in self.divisions(tree, allowed)]
+        assert found == []
+
+    def test_division_scan_flags(self):
+        source = (
+            "def quotient(n, d): return Fraction(n, d)\n"
+            "def half(x): return x / 2\n"
+            "def third(x): x /= 3; return Fraction(x, 3)\n"
+            "one = Fraction(1) + Fraction('1/2') + Fraction(numerator=1, denominator=2)\n"
+            "floor = 7 // 2\n"
+        )
+        found = [node.lineno for node in self.divisions(ast.parse(source), ("quotient",))]
+        assert sorted(found) == [2, 3, 3, 4]
+        assert sorted(node.lineno for node in self.divisions(ast.parse(source))) == [1, 2, 3, 3, 4]
 
     def test_no_unused_imports(self):
         # every name an import binds in the package and its tests is read

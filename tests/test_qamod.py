@@ -1,6 +1,7 @@
 """Two-stage homology: graded Smith reduction, decompositions, tails, euler."""
 
 import gc
+import heapq
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -18,12 +19,14 @@ from krlab.poly import KIND_MARK, BigradedPoly, BudgetError, InvariantError
 from krlab.qamod import (
     GradedQaModule,
     SliceMatrix,
+    SmithResult,
     SliceModule,
     Tail,
     _ClassExpansion,
     _Expansion,
     _class_of,
     _reduce_complex,
+    _vec_accumulate,
     a_one_dimensions,
     adaptive_homology,
     euler_characteristic,
@@ -60,6 +63,88 @@ def apply_cells(cells, vec):
             else:
                 del out[r]
     return out
+
+
+def reference_smith(M):
+    """smith as it was before it stopped scaling pivot rows: each pivot row
+    is multiplied by 1/pc first, so every multiplier is a plain negation.
+    The kernel must give the same pivots and transforms, as values in Q."""
+    by_row, by_col = {}, {}
+    for (r, c), mono in M.entries.items():
+        by_row.setdefault(r, {})[c] = mono
+        by_col.setdefault(c, {})[r] = mono
+
+    def cost(r, c):
+        return (len(by_row[r]) - 1) * (len(by_col[c]) - 1)
+
+    heap = [(mono[1], cost(r, c), r, c) for (r, c), mono in M.entries.items()]
+    heapq.heapify(heap)
+    one = (1, 0)
+    row_t_inv = {}
+    col_t = {i: {i: one} for i in range(len(M.source))}
+    pivots = []
+
+    def set_cell(r, c, coeff, exp):
+        row = by_row.setdefault(r, {})
+        cur = row.get(c)
+        if cur is None:
+            mono = (coeff, exp)
+            row[c] = mono
+            by_col.setdefault(c, {})[r] = mono
+            heapq.heappush(heap, (exp, cost(r, c), r, c))
+            return
+        if cur[1] != exp:
+            raise InvariantError("graded collision in smith")
+        s = cur[0] + coeff
+        if s:
+            mono = (s, exp)
+            row[c] = mono
+            by_col[c][r] = mono
+        else:
+            del row[c]
+            del by_col[c][r]
+
+    while heap:
+        pe, pushed, r0, c0 = heapq.heappop(heap)
+        got = by_row.get(r0, {}).get(c0)
+        if got is None:
+            continue
+        now = cost(r0, c0)
+        if now > pushed and heap and heap[0][0] == pe:
+            heapq.heappush(heap, (pe, now, r0, c0))
+            continue
+        row_t_inv[r0] = {r: (dc, de - pe) for r, (dc, de) in by_col[c0].items()}
+        pc = got[0]
+        if pc != 1:
+            u = -1 if pc == -1 else Fraction(1) / pc
+            row = by_row[r0] = {c: (cc * u, ce) for c, (cc, ce) in by_row[r0].items()}
+            for c, mono in row.items():
+                by_col[c][r0] = mono
+        # clear the pivot column by row operations
+        pivot_row = by_row[r0]
+        for r in [r for r in by_col[c0] if r != r0]:
+            dc, de = by_row[r][c0]
+            mc, me = -dc, de - pe
+            for c, (gc, ge) in pivot_row.items():
+                set_cell(r, c, gc if mc == 1 else (-gc if mc == -1 else mc * gc), me + ge)
+        # the column is now clear; clear the pivot row by column operations
+        pivot_col, kernel_step = by_col[c0], col_t[c0]
+        for c in [c for c in pivot_row if c != c0]:
+            dc, de = pivot_row[c]
+            mc, me = -dc, de - pe
+            for r, (gc, ge) in pivot_col.items():
+                set_cell(r, c, gc if mc == 1 else (-gc if mc == -1 else mc * gc), me + ge)
+            acc = col_t[c]
+            for r, (gc, ge) in kernel_step.items():
+                _vec_accumulate(acc, r, gc if mc == 1 else (-gc if mc == -1 else mc * gc), me + ge)
+        row = by_row.pop(r0)
+        del row[c0]
+        col = by_col.pop(c0)
+        del col[r0]
+        if row or col:
+            raise InvariantError("pivot row or column not cleared")
+        pivots.append((r0, c0, pe))
+    return SmithResult(M.source, M.target, pivots, row_t_inv, col_t)
 
 
 class TestSliceMatrix:
@@ -116,8 +201,12 @@ class TestSmith:
         assert [e for _, _, e in s.pivots] == [1, 2]
         self.check_transforms(m, s)
 
+    COEFFICIENTS = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+    # integers that often divide one another, so most pivots are not units
+    DIVIDING_COEFFICIENTS = (0, 0, 1, -1, 2, -2, 3, 4, -6, Fraction(1, 2), Fraction(4, 3))
+
     @staticmethod
-    def draw_matrix(data, nr, nc):
+    def draw_matrix(data, nr, nc, coefficients=COEFFICIENTS):
         """A random graded nr x nc slice matrix."""
         target = tuple(data.draw(st.lists(
             st.sampled_from([0, 2, 4]), min_size=nr, max_size=nr)))
@@ -129,8 +218,7 @@ class TestSmith:
                 exp = (source[c] - target[r]) // 2
                 if exp < 0:
                     continue
-                coeff = data.draw(st.sampled_from(
-                    [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]))
+                coeff = data.draw(st.sampled_from(coefficients))
                 if coeff:
                     entries[(r, c)] = (coeff, exp)
         return SliceMatrix(source, target, 0, entries)
@@ -162,6 +250,32 @@ class TestSmith:
             coords = s.image_coords(vec)
             assert all(exp >= 0 for _, exp in coords.values())
             assert apply_cells(image, coords) == vec
+
+    @given(st.data(), st.integers(1, 6), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_the_pivots_and_transforms_of_scaled_pivot_rows(self, data, nr, nc):
+        # one division per operation makes the same values in Q as scaling
+        # each pivot row first, so the same pivots and the same transforms
+        m = self.draw_matrix(data, nr, nc, self.DIVIDING_COEFFICIENTS)
+        s, ref = smith(m), reference_smith(m)
+        assert s.pivots == ref.pivots
+        assert s.row_t_inv == ref.row_t_inv
+        assert s.col_t == ref.col_t
+
+    def test_pivots_that_divide_keep_the_transforms_integral(self):
+        # each pivot is 2 and divides what is left of its row and column, so
+        # every multiplier is an int; scaling a pivot row by 1/2 made Fractions
+        rows = [[2, 2, 4], [2, 4, 6], [4, 6, 12]]
+        m = SliceMatrix((0, 0, 0), (0, 0, 0), 0, {
+            (r, c): (v, 0) for r, row in enumerate(rows) for c, v in enumerate(row)
+        })
+        s = smith(m)
+        assert [s.row_t_inv[r0][r0] for r0, _, _ in s.pivots] == [(2, 0)] * 3
+        coefficients = [
+            c for mat in (s.row_t_inv, s.col_t) for col in mat.values() for c, _ in col.values()
+        ]
+        assert all(type(c) is int for c in coefficients)
+        self.check_transforms(m, s)
 
     def test_arrowhead_is_pivoted_without_fill(self):
         # a unit diagonal with a dense row 0 and column 0, all exponents 0:
