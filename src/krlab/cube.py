@@ -46,6 +46,7 @@ from .mf import (
     Reduction,
     _difference_quotient,
     _vec_add,
+    check_entry_degrees,
     compose,
     compose_sum,
     exclude_all,
@@ -95,22 +96,7 @@ def check_even_morphism(
     dx: int,
 ) -> None:
     """Assert mats is a parity-preserving chain map of degree (0, da, dx)."""
-    # each entry object's bidegree once, compared at every position it holds
-    degrees: dict[int, tuple[int, int] | None] = {}
-    for par in (0, 1):
-        sbasis = src.basis(par)
-        tbasis = tgt.basis(par)
-        for (ti, si), p in mats[par].items():
-            if id(p) not in degrees:
-                degrees[id(p)] = p.bidegree()
-            deg = degrees[id(p)]
-            if deg is None:
-                continue
-            sa, sx = sbasis[si]
-            ta, tx = tbasis[ti]
-            want = (da + sa - ta, dx + sx - tx)
-            if deg != want:
-                raise InvariantError(f"morphism entry degree {deg}, expected {want}")
+    check_entry_degrees([(mats[par], src.basis(par), tgt.basis(par)) for par in (0, 1)], da, dx)
     # tgt.d . mats == mats' . src.d exactly when their difference sums to
     # no entry, since compose_sum is exact and drops the zero entries
     for par in (0, 1):
@@ -284,10 +270,10 @@ class ChainComplexOfMF:
     checks what joins the vertices: zero potential at every vertex, each
     block an even morphism of degree 0, and d_chi^2 = 0.  terms holds each
     degree's vertices as one block-diagonal factorization, assembled without
-    a further check.  Nothing in the package reads terms, but the benchmark
-    observer in perfbench/layers.py counts cube.rank from it, so it stays
-    until that observer reads summands instead.  excluded is the same cube
-    on each vertex's own smaller ring, built on first use.
+    a further check on first use.  Nothing in the package reads terms, but
+    the benchmark observer in perfbench/layers.py counts cube.rank from it,
+    so it stays until that observer reads summands instead.  excluded is the
+    same cube on each vertex's own smaller ring, built on first use.
     """
 
     def __init__(self, table, n, summands, blocks):
@@ -297,10 +283,11 @@ class ChainComplexOfMF:
             i: list(parts) for i, parts in sorted(summands.items()) if parts
         }
         self.blocks: dict[tuple[int, int, int], MatPair] = dict(blocks)
-        self.terms: dict[int, MatrixFactorization] = {
-            i: self._direct_sum(parts) for i, parts in self.summands.items()
-        }
         self.verify()
+
+    @cached_property
+    def terms(self) -> dict[int, MatrixFactorization]:
+        return {i: self._direct_sum(parts) for i, parts in self.summands.items()}
 
     def _direct_sum(self, parts: list[Summand]) -> MatrixFactorization:
         basis0: list[tuple[int, int]] = []

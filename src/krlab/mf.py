@@ -338,6 +338,26 @@ def exclusion_reduction(step: ExclusionStep) -> Reduction:
 # Matrix factorizations
 
 
+def check_entry_degrees(
+    blocks: Iterable[tuple[Matrix, Sequence, Sequence]], da: int, dx: int
+) -> None:
+    """Check that each entry of every (matrix, source basis, target basis) in
+    blocks, from (sa, sx) to (ta, tx), is zero or of bidegree (da + sa - ta,
+    dx + sx - tx).  Blocks share entry objects (a Koszul matrix uses about 4
+    per row at every mask), so each object's bidegree is computed once."""
+    degrees: dict[int, tuple[int, int] | None] = {}
+    for d, src, tgt in blocks:
+        for (i, j), p in d.items():
+            if id(p) not in degrees:
+                degrees[id(p)] = p.bidegree()
+            got = degrees[id(p)]
+            sa, sx = src[j]
+            ta, tx = tgt[i]
+            want = (da + sa - ta, dx + sx - tx)
+            if got is not None and got != want:
+                raise InvariantError(f"entry degree {got}, expected {want}")
+
+
 class MatrixFactorization:
     """Finite rank matrix factorization with explicit bases and differentials.
 
@@ -380,25 +400,10 @@ class MatrixFactorization:
         wdeg = w.bidegree()
         if wdeg is not None and wdeg != (2, 2 * self.n + 2):
             raise InvariantError(f"potential degree {wdeg}")
-        # d0 and d1 share entry objects (a Koszul matrix uses about 4 per
-        # row at every mask): each object's bidegree is computed once, and
-        # compared at every position it holds
-        degrees: dict[int, tuple[int, int] | None] = {}
-        self._verify_entry_degrees(self.d0, self.basis0, self.basis1, degrees)
-        self._verify_entry_degrees(self.d1, self.basis1, self.basis0, degrees)
+        blocks = ((self.d0, self.basis0, self.basis1), (self.d1, self.basis1, self.basis0))
+        check_entry_degrees(blocks, 1, self.n + 1)
         self._verify_square(self.d1, self.d0, len(self.basis0))
         self._verify_square(self.d0, self.d1, len(self.basis1))
-
-    def _verify_entry_degrees(self, d: Matrix, src, tgt, degrees) -> None:
-        for (i, j), p in d.items():
-            sj, sx = src[j]
-            tj, tx = tgt[i]
-            want = (1 + sj - tj, self.n + 1 + sx - tx)
-            if id(p) not in degrees:
-                degrees[id(p)] = p.bidegree()
-            got = degrees[id(p)]
-            if got is not None and got != want:
-                raise InvariantError(f"entry degree {got}, expected {want}")
 
     def _verify_square(self, second: Matrix, first: Matrix, size: int) -> None:
         prod = compose(second, first)

@@ -426,8 +426,7 @@ def gdim(
                 if row is None:
                     raise InvariantError("image outside enumerated slice")
                 entries[(row, col)] = entries.get((row, col), 0) + c
-        cells = {rc: (c, 0) for rc, c in entries.items()}
-        return len(smith(SliceMatrix((0,) * len(src), (0,) * len(tgt), 0, cells)).pivots)
+        return len(smith(SliceMatrix((0,) * len(src), (0,) * len(tgt), 0, entries)).pivots)
 
     a_values = sorted({a for a, _ in bases[0]} | {a for a, _ in bases[1]})
     x_min = min((x for _, x in bases[0] + bases[1]), default=0)

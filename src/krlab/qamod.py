@@ -33,10 +33,14 @@ exactly the slack the second-stage subquotient construction absorbs.  A
 zig-zag through a pivot adds the jumps of its two ends, so an entry of jump
 two or more only ever produces more of them; they are never created.
 
-A cell of the expansion holds only its coefficient: an entry between
-elements of a-degrees ja_s and ja_t has a-exponent e, 2e = same + ja_s -
-ja_t, same being 1 if they share a homological degree, else 0, as
-_Expansion checks per raw entry.  Through a unit s0 -> t0 (same 1, e 0:
+Every graded cell of the package holds only its coefficient, and reads
+its a-exponent from the labels: a graded vector is a (vec, label) pair
+whose entry at an index of a-degree d has exponent (label - d) / 2, a
+SliceMatrix entry at (r, c) has 2e = shift + source[c] - target[r], and
+an entry of the expansion between elements of a-degrees ja_s and ja_t has
+2e = same + ja_s - ja_t, same being 1 if they share a homological degree,
+else 0.  _Expansion checks this per raw entry, the one place an exponent
+arrives from outside the labels.  Through a unit s0 -> t0 (same 1, e 0:
 ja_t0 = ja_s0 + 1) a zig-zag gives s -> t the exponent e(s, t0) + e(s0, t),
 twice which is same(s, t0) + same(s0, t) - 1 + ja_s - ja_t, and the first
 three terms make same(s, t) but on the dropped ones of jump two.  So
@@ -117,39 +121,33 @@ from .poly import (
 )
 from .skein import ATOM_ALPHA, Laurent, SkeinValue, atom_xin
 
-Mono = tuple[Coefficient, int]  # coefficient, a-exponent
-Vec = dict[int, Mono]
-MonoMat = dict[int, dict[int, Mono]]  # column -> row -> monomial
+Vec = dict[int, Coefficient]  # index -> coefficient; the label gives each exponent
 
 
 # ---------------------------------------------------------------------------
-# Monomial vectors and matrices
+# Graded vectors and matrices
 
-def _vec_accumulate(vec: Vec, idx: int, coeff: Coefficient, exp: int) -> None:
+def _vec_accumulate(vec: Vec, idx: int, coeff: Coefficient) -> None:
     cur = vec.get(idx)
     if cur is None:
-        vec[idx] = (coeff, exp)
+        vec[idx] = coeff
         return
-    c0, e0 = cur
-    if e0 != exp:
-        raise InvariantError("inhomogeneous accumulation")
-    s = c0 + coeff
+    s = cur + coeff
     if s:
-        vec[idx] = (s, exp)
+        vec[idx] = s
     else:
         del vec[idx]
 
 
-def _cols_apply(cols_mat: MonoMat, vec: Vec) -> Vec:
-    """Apply a column-major matrix (col -> row -> monomial) to a vector."""
+def _cols_apply(cols_mat: dict[int, Vec], vec: Vec) -> Vec:
+    """Apply a column-major matrix (col -> row -> coefficient) to a vector."""
     out: Vec = {}
-    for c, (cv, ce) in vec.items():
+    for c, cv in vec.items():
         col = cols_mat.get(c)
         if not col:
             continue
-        for r, (mc, me) in col.items():
-            term = cv if mc == 1 else (-cv if mc == -1 else mc * cv)
-            _vec_accumulate(out, r, term, me + ce)
+        for r, mc in col.items():
+            _vec_accumulate(out, r, cv if mc == 1 else (-cv if mc == -1 else mc * cv))
     return out
 
 
@@ -163,8 +161,9 @@ class SliceMatrix:
 
     source and target list the a-degrees of the generators, shift is the
     a-degree of the map.  Homogeneity forces every entry to be one monomial
-    c a^e with 2e = shift + source[col] - target[row], so entries are stored
-    as (coefficient, exponent) pairs keyed by (row, col).
+    c a^e with 2e = shift + source[col] - target[row], so entries hold the
+    coefficient c alone, keyed by (row, col); the labels give e.  Column c
+    is a graded vector of label source[c] + shift.
     """
 
     source: tuple[int, ...]
@@ -174,25 +173,27 @@ class SliceMatrix:
 
     def __post_init__(self) -> None:
         clean = {}
-        for (r, c), (coeff, exp) in self.entries.items():
+        source, target, shift = self.source, self.target, self.shift
+        for (r, c), coeff in self.entries.items():
             coeff = exact(coeff)
             if not coeff:
                 continue
-            if not (0 <= r < len(self.target)) or not (0 <= c < len(self.source)):
+            if not (0 <= r < len(target)) or not (0 <= c < len(source)):
                 raise ValueError(f"entry {(r, c)} outside the matrix")
-            if exp < 0:
+            twice = shift + source[c] - target[r]
+            if twice < 0:
                 raise ValueError(f"negative a-exponent at {(r, c)}")
-            if 2 * exp != self.shift + self.source[c] - self.target[r]:
+            if twice % 2:
                 raise ValueError(f"entry at {(r, c)} breaks the grading")
-            clean[(r, c)] = (coeff, exp)
+            clean[(r, c)] = coeff
         object.__setattr__(self, "entries", clean)
 
     def columns(self) -> list[tuple[Vec, int]]:
-        """Each column as a vector over the target, with its source a-degree."""
+        """Each column as a vector over the target, with its label."""
         cols: list[Vec] = [{} for _ in self.source]
-        for (r, c), mono in self.entries.items():
-            cols[c][r] = mono
-        return list(zip(cols, self.source))
+        for (r, c), coeff in self.entries.items():
+            cols[c][r] = coeff
+        return [(col, s + self.shift) for col, s in zip(cols, self.source)]
 
 
 def _hstack(a: SliceMatrix, b: SliceMatrix) -> SliceMatrix:
@@ -200,8 +201,8 @@ def _hstack(a: SliceMatrix, b: SliceMatrix) -> SliceMatrix:
         raise ValueError("hstack needs matching targets and shifts")
     entries = dict(a.entries)
     off = len(a.source)
-    for (r, c), mono in b.entries.items():
-        entries[(r, c + off)] = mono
+    for (r, c), coeff in b.entries.items():
+        entries[(r, c + off)] = coeff
     return SliceMatrix(a.source + b.source, a.target, a.shift, entries)
 
 
@@ -213,7 +214,7 @@ class SmithResult:
     lists (row, col, exponent) in selection order; exponents are
     non-decreasing, giving the divisibility chain a^{d1} | a^{d2} | ...
     The two transforms are invertible with monomial entries and stored
-    column-major (col -> row -> monomial): at each pivot (r0, c0, e),
+    column-major (col -> row -> coefficient): at each pivot (r0, c0, e),
     M . col_t[:, c0] = a^e row_t_inv[:, r0], and M . col_t[:, c] = 0 at every
     other column c.  So the non-pivot columns of col_t are the kernel basis
     and the pivot columns of row_t_inv, the only ones it holds, scaled by a^e
@@ -223,13 +224,18 @@ class SmithResult:
       column c of col_t is 1 at c and otherwise lives on pivot columns;
     - the row_t_inv column at pivot r0 is final once r0 is pivoted, and it
       lives on r0 and on the rows not yet pivoted then.
+
+    The transforms hold coefficients only: column c of col_t is a graded
+    vector of label source[c], each column operation adding a^((source[c] -
+    source[c0]) / 2) times column c0, and the row_t_inv column at r0, the
+    pivot column over a^e, one of label target[r0].
     """
 
     source: tuple[int, ...]
     target: tuple[int, ...]
     pivots: list[tuple[int, int, int]]
-    row_t_inv: MonoMat
-    col_t: MonoMat
+    row_t_inv: dict[int, Vec]
+    col_t: dict[int, Vec]
     _ker_pos: dict | None = None
 
     def _kernel_positions(self) -> dict[int, int]:
@@ -240,57 +246,54 @@ class SmithResult:
         return self._ker_pos
 
     def kernel_basis(self) -> list[tuple[Vec, int]]:
-        """Free basis of ker M: (vector over the source, its a-degree).  The
+        """Free basis of ker M: (vector over the source, its label).  The
         vectors are col_t's own columns, not copies."""
         col_t, source = self.col_t, self.source
         return [(col_t[c], source[c]) for c in self._kernel_positions()]
 
     def image_basis(self) -> list[tuple[Vec, int]]:
-        """Free basis of im M: (vector over the target, its a-degree)."""
-        out = []
-        for r0, _, e in self.pivots:
-            col = self.row_t_inv[r0]
-            vec = {r: (coeff, exp + e) for r, (coeff, exp) in col.items()}
-            out.append((vec, self.target[r0] + 2 * e))
-        return out
+        """Free basis of im M: (vector over the target, its label).  The
+        vectors are row_t_inv's own columns, of labels target[r0] + 2e."""
+        row_t_inv, target = self.row_t_inv, self.target
+        return [(row_t_inv[r0], target[r0] + 2 * e) for r0, _, e in self.pivots]
 
     def kernel_coords(self, vec: Vec) -> Vec:
-        """Coordinates of a kernel element in the kernel basis: its entries at
-        the non-pivot columns, checked by a zero residual."""
+        """Coordinates of a kernel element in the kernel basis, of its label:
+        its entries at the non-pivot columns, checked by a zero residual."""
         pos = self._kernel_positions()
         rest = dict(vec)
         out: Vec = {}
-        for c, (vc, ve) in vec.items():
+        for c, vc in vec.items():
             t = pos.get(c)
             if t is None:
                 continue
-            out[t] = (vc, ve)
-            for r, (gc, ge) in self.col_t[c].items():
-                _vec_accumulate(rest, r, -gc * vc, ge + ve)
+            out[t] = vc
+            for r, gc in self.col_t[c].items():
+                _vec_accumulate(rest, r, -gc * vc)
         if rest:
             raise InvariantError("vector is not in the kernel")
         return out
 
-    def image_coords(self, vec: Vec) -> Vec:
-        """Coordinates of an image element in the image basis, by forward
-        substitution in pivot order, checked by a zero residual."""
+    def image_coords(self, vec: Vec, label: int) -> Vec:
+        """Coordinates of an image element of the given label in the image
+        basis, of that label: forward substitution in pivot order, checked by
+        a zero residual."""
         rest = dict(vec)
         out: Vec = {}
         for t, (r0, _, e) in enumerate(self.pivots):
-            got = rest.pop(r0, None)
-            if got is None:
+            coeff = rest.pop(r0, None)
+            if coeff is None:
                 continue
-            col = self.row_t_inv[r0]
-            pc = col[r0][0]
-            coeff, exp = got
-            if exp < e:
+            if label - self.target[r0] < 2 * e:
                 raise InvariantError("vector is not in the image")
+            col = self.row_t_inv[r0]
+            pc = col[r0]
             if pc != 1:
                 coeff = quotient(coeff, pc)
-            out[t] = (coeff, exp - e)
-            for r, (gc, ge) in col.items():
+            out[t] = coeff
+            for r, gc in col.items():
                 if r != r0:
-                    _vec_accumulate(rest, r, -gc * coeff, ge + exp)
+                    _vec_accumulate(rest, r, -gc * coeff)
         if rest:
             raise InvariantError("vector is not in the image")
         return out
@@ -303,92 +306,85 @@ def smith(M: SliceMatrix) -> SmithResult:
     only actual nonzeros, and pivot candidates sit in a heap keyed by
     (exponent, cost, row, col), where cost is the Markowitz count
     (|row| - 1)(|col| - 1) of the cell when it was pushed, the bound on the
-    fill its elimination makes.  A cell's exponent never changes, so a
-    popped cell no longer present is discarded; a present one whose cost
-    has grown since is pushed back with its current cost while the heap's
-    least exponent is still its own, and taken as the pivot otherwise (the
-    cost only orders cells of one exponent).  The pivot is cleared from its
-    column by row operations and from its row by column operations.  No row
-    is ever scaled: the pivot keeps its coefficient pc, and each operation
-    divides once, its multiplier being quotient(-dc, pc) for the entry dc it
-    clears.  So an integer matrix stays integral wherever pc divides, and a
-    Fraction is made only where it does not.  Any
-    cell of the least exponent pe is a valid pivot: every other cell of the
-    matrix has exponent de >= pe, so every multiplier a^(de - pe) has a
-    non-negative exponent, one pass per pivot suffices, and the recorded
-    diagonal exponents come out non-decreasing.  The tie-break among those
-    cells decides only the fill, hence the speed, and which basis the
-    transforms give.
+    fill its elimination makes.  A cell's exponent is read from the labels
+    when it is pushed and never changes, so a popped cell no longer present
+    is discarded; a present one whose cost has grown since is pushed back
+    with its current cost while the heap's least exponent is still its own,
+    and taken as the pivot otherwise (the cost only orders cells of one
+    exponent).  The pivot is cleared from its column by row operations and
+    from its row by column operations.  No row is ever scaled: the pivot
+    keeps its coefficient pc, and each operation divides once, its
+    multiplier being quotient(-dc, pc) for the entry dc it clears.  So an
+    integer matrix stays integral wherever pc divides, and a Fraction is
+    made only where it does not.  Any cell of the least exponent pe is a
+    valid pivot: every other cell of the matrix has exponent de >= pe, so
+    every multiplier a^(de - pe) has a non-negative exponent, one pass per
+    pivot suffices, and the recorded diagonal exponents come out
+    non-decreasing.  The tie-break among those cells decides only the fill,
+    hence the speed, and which basis the transforms give.
 
     Only col_t and row_t_inv are tracked (see SmithResult).  Row operations
     add multiples of row r0 to the rows not yet pivoted, whose row_t_inv
     columns stay identity columns; so the row_t_inv column at r0 is the
     pivot column over a^e, read before they run.
     """
-    by_row: dict[int, dict[int, Mono]] = {}
-    by_col: dict[int, dict[int, Mono]] = {}
-    for (r, c), mono in M.entries.items():
-        by_row.setdefault(r, {})[c] = mono
-        by_col.setdefault(c, {})[r] = mono
+    source, target, shift = M.source, M.target, M.shift
+    by_row: dict[int, Vec] = {}
+    by_col: dict[int, Vec] = {}
+    for (r, c), coeff in M.entries.items():
+        by_row.setdefault(r, {})[c] = coeff
+        by_col.setdefault(c, {})[r] = coeff
 
     def cost(r: int, c: int) -> int:
         return (len(by_row[r]) - 1) * (len(by_col[c]) - 1)
 
-    heap = [(mono[1], cost(r, c), r, c) for (r, c), mono in M.entries.items()]
+    heap = [((shift + source[c] - target[r]) >> 1, cost(r, c), r, c) for r, c in M.entries]
     heapq.heapify(heap)
-    one = (1, 0)
-    row_t_inv: MonoMat = {}
-    col_t: MonoMat = {i: {i: one} for i in range(len(M.source))}
+    row_t_inv: dict[int, Vec] = {}
+    col_t: dict[int, Vec] = {i: {i: 1} for i in range(len(source))}
     pivots: list[tuple[int, int, int]] = []
 
-    def set_cell(r: int, c: int, coeff: Coefficient, exp: int) -> None:
+    def set_cell(r: int, c: int, coeff: Coefficient) -> None:
         row = by_row.setdefault(r, {})
         cur = row.get(c)
         if cur is None:
-            mono = (coeff, exp)
-            row[c] = mono
-            by_col.setdefault(c, {})[r] = mono
-            heapq.heappush(heap, (exp, cost(r, c), r, c))
+            row[c] = coeff
+            by_col.setdefault(c, {})[r] = coeff
+            heapq.heappush(heap, ((shift + source[c] - target[r]) >> 1, cost(r, c), r, c))
             return
-        if cur[1] != exp:
-            raise InvariantError("graded collision in smith")
-        s = cur[0] + coeff
+        s = cur + coeff
         if s:
-            mono = (s, exp)
-            row[c] = mono
-            by_col[c][r] = mono
+            row[c] = s
+            by_col[c][r] = s
         else:
             del row[c]
             del by_col[c][r]
 
     while heap:
         pe, pushed, r0, c0 = heapq.heappop(heap)
-        got = by_row.get(r0, {}).get(c0)
-        if got is None:
+        pc = by_row.get(r0, {}).get(c0)
+        if pc is None:
             continue
         now = cost(r0, c0)
         if now > pushed and heap and heap[0][0] == pe:
             heapq.heappush(heap, (pe, now, r0, c0))
             continue
-        row_t_inv[r0] = {r: (dc, de - pe) for r, (dc, de) in by_col[c0].items()}
-        pc = got[0]
+        row_t_inv[r0] = dict(by_col[c0])
         # clear the pivot column by row operations
         pivot_row = by_row[r0]
         for r in [r for r in by_col[c0] if r != r0]:
-            dc, de = by_row[r][c0]
-            mc, me = quotient(-dc, pc), de - pe
-            for c, (gc, ge) in pivot_row.items():
-                set_cell(r, c, gc if mc == 1 else (-gc if mc == -1 else mc * gc), me + ge)
+            mc = quotient(-by_row[r][c0], pc)
+            for c, gc in pivot_row.items():
+                set_cell(r, c, gc if mc == 1 else (-gc if mc == -1 else mc * gc))
         # the column is now clear; clear the pivot row by column operations
         pivot_col, kernel_step = by_col[c0], col_t[c0]
         for c in [c for c in pivot_row if c != c0]:
-            dc, de = pivot_row[c]
-            mc, me = quotient(-dc, pc), de - pe
-            for r, (gc, ge) in pivot_col.items():
-                set_cell(r, c, gc if mc == 1 else (-gc if mc == -1 else mc * gc), me + ge)
+            mc = quotient(-pivot_row[c], pc)
+            for r, gc in pivot_col.items():
+                set_cell(r, c, gc if mc == 1 else (-gc if mc == -1 else mc * gc))
             acc = col_t[c]
-            for r, (gc, ge) in kernel_step.items():
-                _vec_accumulate(acc, r, gc if mc == 1 else (-gc if mc == -1 else mc * gc), me + ge)
+            for r, gc in kernel_step.items():
+                _vec_accumulate(acc, r, gc if mc == 1 else (-gc if mc == -1 else mc * gc))
         row = by_row.pop(r0)
         del row[c0]
         col = by_col.pop(c0)
@@ -396,7 +392,7 @@ def smith(M: SliceMatrix) -> SmithResult:
         if row or col:
             raise InvariantError("pivot row or column not cleared")
         pivots.append((r0, c0, pe))
-    return SmithResult(M.source, M.target, pivots, row_t_inv, col_t)
+    return SmithResult(source, target, pivots, row_t_inv, col_t)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +491,8 @@ _TAIL_REPEATS = 3
 class _Reduced:
     n: int
     slices: dict  # (eps, i, k) -> list of generator a-degrees
-    d0: dict  # (eps, i, k) -> {(row, col): Mono} into (eps+1, i, k+n+1)
-    d1: dict  # (eps, i, k) -> {(row, col): Mono} into (eps, i+1, k)
+    d0: dict  # (eps, i, k) -> {(row, col): coefficient} into (eps+1, i, k+n+1)
+    d1: dict  # (eps, i, k) -> {(row, col): coefficient} into (eps, i+1, k)
 
 
 # The expansion's budget, and its cost per basis vector: the most peak RSS
@@ -899,8 +895,8 @@ class _ClassExpansion:
 
     def reduced(self) -> _Reduced:
         """The surviving slice bases above x = final, whose two-stage results
-        are not kept yet, and the two components out of them, each cell with
-        its a-exponent from the grading."""
+        are not kept yet, and the two components out of them, each cell
+        holding its coefficient (the labels give its a-exponent)."""
         n, final = self.knot.n, self.final
         info_eps, info_i, info_k, info_ja = self.info_eps, self.info_i, self.info_k, self.info_ja
         out = self.out
@@ -930,11 +926,11 @@ class _ClassExpansion:
                         raise InvariantError("unit entry survived the reduction")
                     if tkey != ((eps + 1) % 2, i, k + n + 1):
                         raise InvariantError("slice slope broken")
-                    d0.setdefault(key, {})[(tpos, pos)] = (c, (1 + ja - info_ja[t]) // 2)
+                    d0.setdefault(key, {})[(tpos, pos)] = c
                 elif di == 1:
                     if tkey != (eps, i + 1, k):
                         raise InvariantError("slice slope broken")
-                    d1.setdefault(key, {})[(tpos, pos)] = (c, (ja - info_ja[t]) // 2)
+                    d1.setdefault(key, {})[(tpos, pos)] = c
                 elif di < 0:
                     raise InvariantError("backwards correction")
                 else:
@@ -1118,8 +1114,8 @@ def _class_homology(part: _ClassExpansion, red: _Reduced, hi: int) -> dict:
                 coords = sm.kernel_coords(vec)
                 col = len(img_labels)
                 img_labels.append(lab)
-                for r, mono in coords.items():
-                    cells[(r, col)] = mono
+                for r, coeff in coords.items():
+                    cells[(r, col)] = coeff
         pres = SliceMatrix(tuple(img_labels), kb_labels, 0, cells)
         stage1[key] = _Stage1(kb_labels, sm, pres)
 
@@ -1130,17 +1126,17 @@ def _class_homology(part: _ClassExpansion, red: _Reduced, hi: int) -> dict:
         tgt = stage1.get((eps, i + 1, k))
         tgt_labels = tgt.labels if tgt is not None else ()
         cells = {}
-        d1cols: MonoMat = {}
-        for (r, c), mono in red.d1.get(key, {}).items():
-            d1cols.setdefault(c, {})[r] = mono
+        d1cols: dict[int, Vec] = {}
+        for (r, c), coeff in red.d1.get(key, {}).items():
+            d1cols.setdefault(c, {})[r] = coeff
         for c, (vec, _) in enumerate(st.out_smith.kernel_basis()):
             w = _cols_apply(d1cols, vec)
             if not w:
                 continue
             if tgt is None:
                 raise InvariantError("induced map into an empty slice")
-            for r, mono in tgt.out_smith.kernel_coords(w).items():
-                cells[(r, c)] = mono
+            for r, coeff in tgt.out_smith.kernel_coords(w).items():
+                cells[(r, c)] = coeff
         return SliceMatrix(st.labels, tgt_labels, 0, cells)
 
     for key in stage1:
@@ -1175,9 +1171,9 @@ def _stage2(key, stage1: dict, phis: dict) -> SliceModule | None:
     for vec, lab in smith(aug).kernel_basis():
         g = len(glabels)
         glabels.append(lab)
-        for idx, mono in vec.items():
+        for idx, coeff in vec.items():
             if idx < nkb:
-                gcells[(idx, g)] = mono
+                gcells[(idx, g)] = coeff
     gs = smith(SliceMatrix(tuple(glabels), st.labels, 0, gcells))
     zbasis = gs.image_basis()
     if not zbasis:
@@ -1185,7 +1181,9 @@ def _stage2(key, stage1: dict, phis: dict) -> SliceModule | None:
     # relations: the incoming induced map and the first-stage image
     rel_cols: list[tuple[Vec, int]] = []
     prev = phis.get((eps, i - 1, k))
-    if prev is not None and prev.target == st.labels:
+    if prev is not None:  # kept or recomputed with this key, as they share k
+        if prev.target != st.labels:
+            raise InvariantError("incoming induced map misses the kernel basis")
         rel_cols += prev.columns()
     rel_cols += st.presentation.columns()
     rcells = {}
@@ -1193,8 +1191,8 @@ def _stage2(key, stage1: dict, phis: dict) -> SliceModule | None:
     for vec, lab in rel_cols:
         col = len(rlabels)
         rlabels.append(lab)
-        for t, mono in gs.image_coords(vec).items():
-            rcells[(t, col)] = mono
+        for t, coeff in gs.image_coords(vec, lab).items():
+            rcells[(t, col)] = coeff
     zlabels = tuple(lab for _, lab in zbasis)
     rs = smith(SliceMatrix(tuple(rlabels), zlabels, 0, rcells))
     torsion = sorted((e, zlabels[r]) for r, _, e in rs.pivots if e >= 1)
@@ -1388,11 +1386,8 @@ def _mod_a_dimensions(red: _Reduced, lo: int, hi: int) -> dict:
         eps, i, k = key
         labels = red.slices[key]
         tgt_labels = red.slices[(eps, i + 1, k)]
-        for (r, c), (_coeff, exp) in cells.items():
-            if exp:
-                raise InvariantError("a-power survives modulo a")
-            if tgt_labels[r] != labels[c]:
-                raise InvariantError("a-degree drift modulo a")
+        if any(tgt_labels[r] != labels[c] for r, c in cells):
+            raise InvariantError("a-power survives modulo a")
         for _, c, _ in smith(SliceMatrix(tuple(labels), tuple(tgt_labels), 0, cells)).pivots:
             ranks[(eps, i, labels[c], k)] += 1
 
@@ -1432,7 +1427,7 @@ def _a_one_dimensions(red: _Reduced, lo: int, hi: int) -> dict:
 
     def at_one(cells: dict, tgt, src) -> SliceMatrix:
         rows, cols = len(slices.get(tgt, ())), len(slices.get(src, ()))
-        return SliceMatrix((0,) * cols, (0,) * rows, 0, {rc: (c, 0) for rc, (c, _) in cells.items()})
+        return SliceMatrix((0,) * cols, (0,) * rows, 0, cells)
 
     def d0_into(key) -> SliceMatrix:
         eps, i, k = key
@@ -1453,12 +1448,12 @@ def _a_one_dimensions(red: _Reduced, lo: int, hi: int) -> dict:
     for key, kb in kernels.items():
         eps, i, k = key
         nxt = (eps, i + 1, k)
-        d1: MonoMat = {}
-        for (r, c), (coeff, _exp) in red.d1.get(key, {}).items():
-            d1.setdefault(c, {})[r] = (coeff, 0)
+        d1: dict[int, Vec] = {}
+        for (r, c), coeff in red.d1.get(key, {}).items():
+            d1.setdefault(c, {})[r] = coeff
         moved = [w for w in (_cols_apply(d1, vec) for vec, _ in kb) if w]
         if moved:
-            cells = {(r, c): mono for c, w in enumerate(moved) for r, mono in w.items()}
+            cells = {(r, c): coeff for c, w in enumerate(moved) for r, coeff in w.items()}
             pushed = SliceMatrix((0,) * len(moved), (0,) * len(slices[nxt]), 0, cells)
             phibar[key] = len(smith(_hstack(pushed, d0_into(nxt))).pivots) - rank_ib.get(nxt, 0)
 

@@ -505,17 +505,18 @@ class TestKernel:
 
     def matrix(self) -> SliceMatrix:
         """COLS as a rational matrix: a SliceMatrix of a-degree 0."""
-        cells = {(r, c): (v, 0) for c, col in enumerate(self.COLS) for r, v in col.items()}
+        cells = {(r, c): v for c, col in enumerate(self.COLS) for r, v in col.items()}
         return SliceMatrix((0,) * len(self.COLS), (0,) * 4, 0, cells)
 
     def test_combinations_send_the_columns_to_zero(self):
         combos = smith(self.matrix()).kernel_basis()
         assert combos
         for combo, degree in combos:
+            # of label 0 over generators of a-degree 0: every exponent is 0
             assert degree == 0
             image: dict[int, Fraction] = {}
-            for j, (c, e) in combo.items():
-                assert e == 0
+            for j, c in combo.items():
+                assert type(c) in (int, Fraction)
                 for r, v in self.COLS[j].items():
                     image[r] = image.get(r, 0) + c * v
             assert not any(image.values())

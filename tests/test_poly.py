@@ -493,10 +493,10 @@ class TestInvariantChecks:
         probe = (
             "from krlab.poly import InvariantError\n"
             "from krlab.qamod import SliceMatrix, smith\n"
-            "s = smith(SliceMatrix((1,), (0,), 1, {(0, 0): (1, 1)}))\n"
-            "for coords in (s.kernel_coords, s.image_coords):\n"
+            "s = smith(SliceMatrix((1,), (0,), 1, {(0, 0): 1}))\n"
+            "for coords in (s.kernel_coords, lambda vec: s.image_coords(vec, 0)):\n"
             "    try:\n"
-            "        coords({0: (1, 0)})\n"
+            "        coords({0: 1})\n"
             "    except InvariantError:\n"
             "        print('raised')\n"
         )

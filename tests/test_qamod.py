@@ -26,7 +26,8 @@ from krlab.qamod import (
     _Expansion,
     _class_of,
     _reduce_complex,
-    _vec_accumulate,
+    _Reduced,
+    _mod_a_dimensions,
     a_one_dimensions,
     adaptive_homology,
     euler_characteristic,
@@ -44,40 +45,69 @@ def homology(text, strands, n, window=None):
     return two_stage_homology(build_complex(parse(text, strands), n), x_window=window)
 
 
+def lift(vec, label, degrees):
+    """A graded vector as monomials (coefficient, exponent): its entry at an
+    index of a-degree d has exponent (label - d) / 2, a natural number."""
+    out = {}
+    for idx, coeff in vec.items():
+        assert type(coeff) in (int, Fraction)
+        twice = label - degrees[idx]
+        assert twice >= 0 and twice % 2 == 0
+        out[idx] = (coeff, twice // 2)
+    return out
+
+
+def lift_matrix(m):
+    """A SliceMatrix's entries as monomials, each exponent from the labels."""
+    out = {}
+    for (r, c), coeff in m.entries.items():
+        assert type(coeff) in (int, Fraction)
+        out[(r, c)] = (coeff, (m.shift + m.source[c] - m.target[r]) // 2)
+    return out
+
+
+def accumulate(vec, idx, coeff, exp):
+    """Add a monomial to a vector of monomials, which must stay homogeneous."""
+    cur = vec.get(idx)
+    if cur is None:
+        vec[idx] = (coeff, exp)
+        return
+    assert cur[1] == exp
+    s = cur[0] + coeff
+    if s:
+        vec[idx] = (s, exp)
+    else:
+        del vec[idx]
+
+
 def apply_cells(cells, vec):
-    """Matrix given as (row, col) -> monomial, applied to a sparse vector."""
+    """Matrix given as (row, col) -> monomial, applied to a sparse vector of
+    monomials; the sums must stay homogeneous."""
     out = {}
     for (r, c), (mc, me) in cells.items():
         got = vec.get(c)
         if got is None:
             continue
-        coeff, exp = mc * got[0], me + got[1]
-        cur = out.get(r)
-        if cur is None:
-            out[r] = (coeff, exp)
-        else:
-            assert cur[1] == exp
-            s = cur[0] + coeff
-            if s:
-                out[r] = (s, exp)
-            else:
-                del out[r]
+        accumulate(out, r, mc * got[0], me + got[1])
     return out
 
 
 def reference_smith(M):
-    """smith as it was before it stopped scaling pivot rows: each pivot row
-    is multiplied by 1/pc first, so every multiplier is a plain negation.
-    The kernel must give the same pivots and transforms, as values in Q."""
+    """smith as it was before it stopped scaling pivot rows, and while every
+    cell held a (coefficient, exponent) pair: each pivot row is multiplied by
+    1/pc first, so every multiplier is a plain negation.  The kernel must
+    give the same pivots and the same transform coefficients, as values in
+    Q; the transforms here hold pairs."""
+    entries = lift_matrix(M)
     by_row, by_col = {}, {}
-    for (r, c), mono in M.entries.items():
+    for (r, c), mono in entries.items():
         by_row.setdefault(r, {})[c] = mono
         by_col.setdefault(c, {})[r] = mono
 
     def cost(r, c):
         return (len(by_row[r]) - 1) * (len(by_col[c]) - 1)
 
-    heap = [(mono[1], cost(r, c), r, c) for (r, c), mono in M.entries.items()]
+    heap = [(mono[1], cost(r, c), r, c) for (r, c), mono in entries.items()]
     heapq.heapify(heap)
     one = (1, 0)
     row_t_inv = {}
@@ -136,7 +166,7 @@ def reference_smith(M):
                 set_cell(r, c, gc if mc == 1 else (-gc if mc == -1 else mc * gc), me + ge)
             acc = col_t[c]
             for r, (gc, ge) in kernel_step.items():
-                _vec_accumulate(acc, r, gc if mc == 1 else (-gc if mc == -1 else mc * gc), me + ge)
+                accumulate(acc, r, gc if mc == 1 else (-gc if mc == -1 else mc * gc), me + ge)
         row = by_row.pop(r0)
         del row[c0]
         col = by_col.pop(c0)
@@ -150,22 +180,31 @@ def reference_smith(M):
 class TestSliceMatrix:
     def test_entry_breaking_the_grading_is_rejected(self):
         with pytest.raises(ValueError, match="breaks the grading"):
-            SliceMatrix((0,), (0,), 0, {(0, 0): (Fraction(1), 1)})
+            SliceMatrix((1,), (0,), 0, {(0, 0): Fraction(1)})
 
     def test_negative_exponent_is_rejected(self):
         with pytest.raises(ValueError, match="negative a-exponent"):
-            SliceMatrix((0,), (2,), 0, {(0, 0): (Fraction(1), -1)})
+            SliceMatrix((0,), (2,), 0, {(0, 0): Fraction(1)})
 
     def test_out_of_range_entry_is_rejected(self):
         with pytest.raises(ValueError, match="outside the matrix"):
-            SliceMatrix((0,), (0,), 0, {(1, 0): (Fraction(1), 0)})
+            SliceMatrix((0,), (0,), 0, {(1, 0): Fraction(1)})
+
+    def test_a_coefficient_exponent_pair_is_rejected(self):
+        # a caller still writing (coefficient, exponent) cells fails loudly
+        with pytest.raises(TypeError, match="exact coefficients"):
+            SliceMatrix((0,), (0,), 0, {(0, 0): (Fraction(1), 0)})
+
+    def test_columns_carry_the_shift_in_their_labels(self):
+        m = SliceMatrix((0, 2), (1, 1), 1, {(0, 0): 1, (1, 1): Fraction(3, 2)})
+        assert m.columns() == [({0: 1}, 1), ({1: Fraction(3, 2)}, 3)]
 
 
 class TestSmith:
     def test_already_diagonal(self):
         m = SliceMatrix(
             (2, 4), (0, 0), 0,
-            {(0, 0): (Fraction(1), 1), (1, 1): (Fraction(1), 2)},
+            {(0, 0): Fraction(1), (1, 1): Fraction(1)},
         )
         s = smith(m)
         assert [e for _, _, e in s.pivots] == [1, 2]
@@ -174,28 +213,30 @@ class TestSmith:
     def test_zero_matrix_has_free_cokernel(self):
         s = smith(SliceMatrix((0,), (), 0, {}))
         assert s.pivots == []
-        assert s.kernel_basis() == [({0: (1, 0)}, 0)]
+        assert s.kernel_basis() == [({0: 1}, 0)]
 
     @staticmethod
     def check_transforms(m, s):
-        """The oracle on the two kept transforms and their support facts."""
+        """The oracle on the two kept transforms and their support facts, in
+        monomials whose exponents are read from the labels."""
+        entries = lift_matrix(m)
         pivot_cols = [c0 for _, c0, _ in s.pivots]
         pivot_rows = [r0 for r0, _, _ in s.pivots]
         for t, (r0, c0, e) in enumerate(s.pivots):
-            col = s.row_t_inv[r0]
+            col = lift(s.row_t_inv[r0], m.target[r0], m.target)
             expected = {r: (coeff, exp + e) for r, (coeff, exp) in col.items()}
-            assert apply_cells(m.entries, s.col_t[c0]) == expected
+            assert apply_cells(entries, lift(s.col_t[c0], m.source[c0], m.source)) == expected
             # final once r0 is pivoted: on r0 and the rows not yet pivoted then
             assert set(col) - {r0} <= set(range(len(m.target))) - set(pivot_rows[: t + 1])
         for c in sorted(set(range(len(m.source))) - set(pivot_cols)):
-            assert apply_cells(m.entries, s.col_t[c]) == {}
-            assert s.col_t[c][c] == (1, 0)
+            assert apply_cells(entries, lift(s.col_t[c], m.source[c], m.source)) == {}
+            assert s.col_t[c][c] == 1
             assert set(s.col_t[c]) - {c} <= set(pivot_cols)
 
     def test_upper_triangular(self):
         m = SliceMatrix(
             (2, 2), (0, -2), 0,
-            {(0, 0): (Fraction(1), 1), (0, 1): (Fraction(1), 1), (1, 1): (Fraction(1), 2)},
+            {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(1)},
         )
         s = smith(m)
         assert [e for _, _, e in s.pivots] == [1, 2]
@@ -207,21 +248,21 @@ class TestSmith:
 
     @staticmethod
     def draw_matrix(data, nr, nc, coefficients=COEFFICIENTS):
-        """A random graded nr x nc slice matrix."""
-        target = tuple(data.draw(st.lists(
+        """A random graded nr x nc slice matrix of shift 0 or 1."""
+        shift = data.draw(st.sampled_from([0, 1]))
+        target = tuple(shift + t for t in data.draw(st.lists(
             st.sampled_from([0, 2, 4]), min_size=nr, max_size=nr)))
         source = tuple(data.draw(st.lists(
             st.sampled_from([0, 2, 4, 6]), min_size=nc, max_size=nc)))
         entries = {}
         for r in range(nr):
             for c in range(nc):
-                exp = (source[c] - target[r]) // 2
-                if exp < 0:
+                if shift + source[c] < target[r]:
                     continue
                 coeff = data.draw(st.sampled_from(coefficients))
                 if coeff:
-                    entries[(r, c)] = (coeff, exp)
-        return SliceMatrix(source, target, 0, entries)
+                    entries[(r, c)] = coeff
+        return SliceMatrix(source, target, shift, entries)
 
     @given(
         st.data(),
@@ -236,43 +277,52 @@ class TestSmith:
         self.check_transforms(m, s)
         diag = [e for _, _, e in s.pivots]
         assert diag == sorted(diag)  # divisibility chain a^d1 | a^d2 | ...
-        for vec, _ in s.kernel_basis():
-            assert apply_cells(m.entries, vec) == {}
+        for vec, lab in s.kernel_basis():
+            assert apply_cells(lift_matrix(m), lift(vec, lab, m.source)) == {}
         for t, (vec, _) in enumerate(s.kernel_basis()):
-            assert s.kernel_coords(vec) == {t: (1, 0)}
-        for t, (vec, _) in enumerate(s.image_basis()):
-            assert s.image_coords(vec) == {t: (1, 0)}
+            assert s.kernel_coords(vec) == {t: 1}
+        for t, (vec, lab) in enumerate(s.image_basis()):
+            assert s.image_coords(vec, lab) == {t: 1}
         # every column of M is an image element, rebuilt from its coordinates
-        image = {
-            (r, t): mono for t, (vec, _) in enumerate(s.image_basis()) for r, mono in vec.items()
-        }
-        for vec, _ in m.columns():
-            coords = s.image_coords(vec)
-            assert all(exp >= 0 for _, exp in coords.values())
-            assert apply_cells(image, coords) == vec
+        # (lift asserts each coordinate's exponent is a natural number)
+        basis = s.image_basis()
+        labels = tuple(lab for _, lab in basis)
+        image = SliceMatrix(labels, m.target, 0, {
+            (r, t): coeff for t, (vec, _) in enumerate(basis) for r, coeff in vec.items()
+        })
+        for vec, lab in m.columns():
+            coords = lift(s.image_coords(vec, lab), lab, labels)
+            assert apply_cells(lift_matrix(image), coords) == lift(vec, lab, m.target)
 
     @given(st.data(), st.integers(1, 6), st.integers(1, 6))
     @settings(max_examples=200, deadline=None)
     def test_the_pivots_and_transforms_of_scaled_pivot_rows(self, data, nr, nc):
         # one division per operation makes the same values in Q as scaling
-        # each pivot row first, so the same pivots and the same transforms
+        # each pivot row first, so the same pivots and the same transforms;
+        # and each exponent the reference stores is the one the labels give
         m = self.draw_matrix(data, nr, nc, self.DIVIDING_COEFFICIENTS)
         s, ref = smith(m), reference_smith(m)
         assert s.pivots == ref.pivots
-        assert s.row_t_inv == ref.row_t_inv
-        assert s.col_t == ref.col_t
+        for mat, ref_mat in ((s.row_t_inv, ref.row_t_inv), (s.col_t, ref.col_t)):
+            assert mat == {
+                j: {r: c for r, (c, _) in col.items()} for j, col in ref_mat.items()
+            }
+        for r0, col in ref.row_t_inv.items():
+            assert col == lift(s.row_t_inv[r0], m.target[r0], m.target)
+        for c, col in ref.col_t.items():
+            assert col == lift(s.col_t[c], m.source[c], m.source)
 
     def test_pivots_that_divide_keep_the_transforms_integral(self):
         # each pivot is 2 and divides what is left of its row and column, so
         # every multiplier is an int; scaling a pivot row by 1/2 made Fractions
         rows = [[2, 2, 4], [2, 4, 6], [4, 6, 12]]
         m = SliceMatrix((0, 0, 0), (0, 0, 0), 0, {
-            (r, c): (v, 0) for r, row in enumerate(rows) for c, v in enumerate(row)
+            (r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)
         })
         s = smith(m)
-        assert [s.row_t_inv[r0][r0] for r0, _, _ in s.pivots] == [(2, 0)] * 3
+        assert [s.row_t_inv[r0][r0] for r0, _, _ in s.pivots] == [2] * 3
         coefficients = [
-            c for mat in (s.row_t_inv, s.col_t) for col in mat.values() for c, _ in col.values()
+            c for mat in (s.row_t_inv, s.col_t) for col in mat.values() for c in col.values()
         ]
         assert all(type(c) is int for c in coefficients)
         self.check_transforms(m, s)
@@ -282,10 +332,10 @@ class TestSmith:
         # pivoting (0, 0) first would fill the whole matrix, so the least
         # Markowitz cost takes the diagonal first and (0, 0) last
         k = 40
-        entries = {(i, i): (Fraction(1), 0) for i in range(1, k)}
-        entries[(0, 0)] = (Fraction(2 * k), 0)
+        entries = {(i, i): Fraction(1) for i in range(1, k)}
+        entries[(0, 0)] = Fraction(2 * k)
         for i in range(1, k):
-            entries[(0, i)] = entries[(i, 0)] = (Fraction(1), 0)
+            entries[(0, i)] = entries[(i, 0)] = Fraction(1)
         m = SliceMatrix((0,) * k, (0,) * k, 0, entries)
         s = smith(m)
         assert s.pivots[-1] == (0, 0, 0)
@@ -301,32 +351,48 @@ class TestSmith:
         rows = data.draw(st.permutations(range(nr)))
         cols = data.draw(st.permutations(range(nc)))
         p = SliceMatrix(
-            tuple(m.source[c] for c in cols), tuple(m.target[r] for r in rows), 0,
-            {(rows.index(r), cols.index(c)): mono for (r, c), mono in m.entries.items()},
+            tuple(m.source[c] for c in cols), tuple(m.target[r] for r in rows), m.shift,
+            {(rows.index(r), cols.index(c)): coeff for (r, c), coeff in m.entries.items()},
         )
         s, sp = smith(m), smith(p)
         self.check_transforms(p, sp)
         assert [e for _, _, e in sp.pivots] == [e for _, _, e in s.pivots]
         assert len(sp.kernel_basis()) == len(s.kernel_basis())
 
+    def test_the_image_basis_is_row_t_inv_itself(self):
+        m = SliceMatrix((2, 4), (0, 2), 0, {(0, 0): 2, (1, 0): 3, (1, 1): 1})
+        s = smith(m)
+        basis = s.image_basis()
+        assert [lab for _, lab in basis] == [m.target[r0] + 2 * e for r0, _, e in s.pivots]
+        assert all(vec is s.row_t_inv[r0] for (vec, _), (r0, _, _) in zip(basis, s.pivots))
+
     def test_kernel_coords_rejects_outside_vectors(self):
-        m = SliceMatrix((0,), (0,), 1, {})
-        m = SliceMatrix((1,), (0,), 1, {(0, 0): (Fraction(1), 1)})
+        m = SliceMatrix((1,), (0,), 1, {(0, 0): Fraction(1)})
         s = smith(m)
         with pytest.raises(AssertionError, match="not in the kernel"):
-            s.kernel_coords({0: (1, 0)})
+            s.kernel_coords({0: 1})
 
     def test_image_coords_rejects_outside_vectors(self):
-        s = smith(SliceMatrix((2,), (0, 0), 0, {(0, 0): (Fraction(1), 1)}))
+        s = smith(SliceMatrix((2,), (0, 0), 0, {(0, 0): Fraction(1)}))
         with pytest.raises(InvariantError, match="not in the image"):
-            s.image_coords({1: (1, 0)})
+            s.image_coords({1: 1}, 0)
 
     def test_image_coords_rejects_a_negative_power(self):
         # e0 = a^-1 (a e0) would need a coefficient outside Q[a]
-        s = smith(SliceMatrix((1,), (-1,), 0, {(0, 0): (Fraction(1), 1)}))
-        assert s.image_coords({0: (3, 1)}) == {0: (3, 0)}
+        s = smith(SliceMatrix((1,), (-1,), 0, {(0, 0): Fraction(1)}))
+        assert s.image_coords({0: 3}, 1) == {0: 3}
         with pytest.raises(InvariantError, match="not in the image"):
-            s.image_coords({0: (1, 0)})
+            s.image_coords({0: 1}, -1)
+
+    def test_image_coords_rejects_a_label_below_its_pivot(self):
+        # the pivot is 2 a^2 at row 0: 6 e0 of label 4 is 3 (2 a^2 e0), but
+        # of label 2 it would need a^-1
+        s = smith(SliceMatrix((4,), (0,), 0, {(0, 0): 2}))
+        assert s.pivots == [(0, 0, 2)]
+        assert s.image_coords({0: 6}, 4) == {0: 3}
+        assert s.image_coords({0: 6}, 6) == {0: 3}
+        with pytest.raises(InvariantError, match="not in the image"):
+            s.image_coords({0: 6}, 2)
 
 
 def unknot_table(n, window):
@@ -857,6 +923,18 @@ A_ONE_CASES = [("", 1, 2, None), ("-1", 2, 1, None), ("1 1", 2, 1, None)] + [
 ]
 
 
+class TestModAChecks:
+    def test_a_d1_cell_between_labels_is_an_a_power(self):
+        # with a killed, a d1 cell from label 2 to label 0 would be a c a
+        red = _Reduced(1, {(0, 0, 0): [2], (0, 1, 0): [0]}, {}, {(0, 0, 0): {(0, 0): 1}})
+        with pytest.raises(InvariantError, match="a-power survives modulo a"):
+            _mod_a_dimensions(red, 0, 0)
+
+    def test_a_d1_cell_within_a_label_is_counted(self):
+        red = _Reduced(1, {(0, 0, 0): [2, 0], (0, 1, 0): [0]}, {}, {(0, 0, 0): {(0, 1): 1}})
+        assert _mod_a_dimensions(red, 0, 0) == {(0, 0, 2, 0): 1}
+
+
 class TestAOne:
     @pytest.mark.parametrize(
         "text,strands,n,x_window",
@@ -889,10 +967,13 @@ def induced_squares(text: str, n: int, monkeypatch) -> dict[tuple, list[bool]]:
         if nxt is not None:
             composites[key] = []
             for c in range(len(step.source)):
-                vec = apply_cells(nxt.entries, apply_cells(step.entries, {c: (1, 0)}))
+                unit = {c: (1, 0)}
+                vec = apply_cells(lift_matrix(nxt), apply_cells(lift_matrix(step), unit))
                 if vec:
                     pres = stage1[(eps, i + 2, k)].presentation
-                    smith(pres).image_coords(vec)  # raises unless in the image
+                    coeffs = {r: coeff for r, (coeff, _) in vec.items()}
+                    # raises unless in the image; phi keeps the label
+                    smith(pres).image_coords(coeffs, step.source[c])
                 composites[key].append(bool(vec))
         return real(key, stage1, phis)
 
@@ -916,3 +997,25 @@ class TestTransportedSquare:
         composites = induced_squares("1 1", 1, monkeypatch)
         assert len(composites) == 24
         assert {key for key, cols in composites.items() if any(cols)} == {(1, -2, 8), (1, -2, 10)}
+
+
+class TestStage2:
+    def test_an_incoming_map_into_other_labels_raises(self, monkeypatch):
+        # phi of (eps, i - 1, k) targets the kernel basis of (eps, i, k); one
+        # aimed at other labels must not be dropped from the relations
+        real = qamod._stage2
+        seen = []
+
+        def mismatched(key, stage1, phis):
+            eps, i, k = key
+            prev = phis.get((eps, i - 1, k))
+            if prev is not None:
+                seen.append(key)
+                wrong = SliceMatrix(prev.source, prev.target + (0,), 0, prev.entries)
+                phis = {**phis, (eps, i - 1, k): wrong}
+            return real(key, stage1, phis)
+
+        monkeypatch.setattr(qamod, "_stage2", mismatched)
+        with pytest.raises(InvariantError, match="incoming induced map"):
+            homology("1 1", 2, 1, 6)
+        assert seen
