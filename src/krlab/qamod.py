@@ -97,6 +97,27 @@ from (eps + 1, i, k - n - 1), and phi and stage two, which read
 (eps, i +- 1, k).  The elements of one generator at mark degree d lie in one
 class, and those at d and d + n + 1 in the same one, so a generator meets a
 class at one residue of d mod n + 1, if at all.
+
+Stage two is the homology of (E1, phi*): E1 = H(C, d0) is a graded
+Q[a]-module at each key, and phi*, the map d1 induces on it, squares to
+zero there.  phi* keeps eps and k, so each column (eps, k), taken across i,
+is a complex of its own, and stage two runs one column at a time.  A Smith
+reduction of each key's presentation splits E1 there into cyclic summands
+Q[a]/(a^e){t}, e >= 1 since no unit survives in d0, and Q[a]{s}.  A map
+into Q[a]/(a^f) sees only the a-exponents below f, so phi* between the
+summands keeps just the entries of exponent below their target's order.
+An entry of exponent 0 between two summands of one order is an
+isomorphism g -> h, and Gaussian elimination of an isomorphism is a
+homotopy equivalence of complexes in any additive category: g and h leave
+with the maps into g and out of h, and each u -> v gains -phi(g -> v)
+phi(g -> h)^-1 phi(u -> h).  That correction is a composite of module maps
+into v, so it too is reduced modulo v's order.  The homology of (E1, phi*)
+is unchanged, and what is left goes to the subquotient construction.  A
+column at x <= hi - n - 1 is complete: its keys' stage one reads only
+final elements and entries, and the cancellation never leaves the column,
+so its results stay final.  Only its modules are kept, and stage one's
+reductions at the n + 1 x-degrees below the next column, whose images the
+next keys' presentations read.
 """
 
 from __future__ import annotations
@@ -237,6 +258,7 @@ class SmithResult:
     row_t_inv: dict[int, Vec]
     col_t: dict[int, Vec]
     _ker_pos: dict | None = None
+    _pivot_pos: dict | None = None
 
     def _kernel_positions(self) -> dict[int, int]:
         if self._ker_pos is None:
@@ -244,6 +266,11 @@ class SmithResult:
             cols = [c for c in range(len(self.source)) if c not in pivot_cols]
             self._ker_pos = {c: i for i, c in enumerate(cols)}
         return self._ker_pos
+
+    def _pivot_positions(self) -> dict[int, int]:
+        if self._pivot_pos is None:
+            self._pivot_pos = {r0: t for t, (r0, _, _) in enumerate(self.pivots)}
+        return self._pivot_pos
 
     def kernel_basis(self) -> list[tuple[Vec, int]]:
         """Free basis of ker M: (vector over the source, its label).  The
@@ -274,28 +301,46 @@ class SmithResult:
             raise InvariantError("vector is not in the kernel")
         return out
 
-    def image_coords(self, vec: Vec, label: int) -> Vec:
-        """Coordinates of an image element of the given label in the image
-        basis, of that label: forward substitution in pivot order, checked by
-        a zero residual."""
+    def row_coords(self, vec: Vec) -> Vec:
+        """Coordinates of a vector over the target, keyed by row, in the basis
+        of the row_t_inv column at each pivot row and the unit vector at every
+        other row.  By the second support fact the basis is triangular in
+        pivot order, so forward substitution in that order gives the pivot
+        rows' coordinates, and what is left on the other rows is theirs."""
+        pos = self._pivot_positions()
         rest = dict(vec)
+        todo = [pos[r] for r in rest if r in pos]
+        heapq.heapify(todo)
         out: Vec = {}
-        for t, (r0, _, e) in enumerate(self.pivots):
+        while todo:
+            r0 = self.pivots[heapq.heappop(todo)][0]
             coeff = rest.pop(r0, None)
             if coeff is None:
                 continue
-            if label - self.target[r0] < 2 * e:
-                raise InvariantError("vector is not in the image")
             col = self.row_t_inv[r0]
             pc = col[r0]
             if pc != 1:
                 coeff = quotient(coeff, pc)
-            out[t] = coeff
+            out[r0] = coeff
             for r, gc in col.items():
                 if r != r0:
+                    if r not in rest and r in pos:
+                        heapq.heappush(todo, pos[r])
                     _vec_accumulate(rest, r, -gc * coeff)
-        if rest:
-            raise InvariantError("vector is not in the image")
+        out.update(rest)
+        return out
+
+    def image_coords(self, vec: Vec, label: int) -> Vec:
+        """Coordinates of an image element of the given label in the image
+        basis, of that label: its row coordinates, checked to lie on pivot
+        rows only, each of an exponent at least its pivot's."""
+        pos = self._pivot_positions()
+        out: Vec = {}
+        for r, coeff in self.row_coords(vec).items():
+            t = pos.get(r)
+            if t is None or label - self.target[r] < 2 * self.pivots[t][2]:
+                raise InvariantError("vector is not in the image")
+            out[t] = coeff
         return out
 
 
@@ -729,9 +774,11 @@ class _ClassExpansion:
     list order never decides the pivots.  Growing from top T to T' creates
     the elements at x in (T, T'] and the entries into them, and eliminates
     the unit entries then present as a fresh expansion would (module
-    docstring).  stage1, phis and modules hold the two-stage results of the
-    keys at x <= final, which no growth changes.  After a MemoryError every
-    class of the expansion is emptied and must not be used again.
+    docstring).  modules holds the two-stage results of the keys at x <=
+    final, which no growth changes, and kernels the stage-one Smith
+    reductions at the n + 1 x-degrees up to final, whose images a wider
+    window's presentations read.  After a MemoryError every class of the
+    expansion is emptied and must not be used again.
     """
 
     def __init__(self, knot: _Expansion, cls: tuple[int, int]) -> None:
@@ -748,8 +795,7 @@ class _ClassExpansion:
         self.out: list[dict | None] = []  # None once eliminated
         self.rows: list[list[int] | None] = []
         self.final = knot.x_min - 1
-        self.stage1: dict = {}
-        self.phis: dict = {}
+        self.kernels: dict = {}
         self.modules: dict = {}
 
     def grow(self, top: int) -> None:
@@ -983,11 +1029,11 @@ def _by_class(C: ChainComplexOfMF, top: int, fn, expansion=None, kill_a=False) -
 
 @dataclass
 class _Stage1:
-    """Kernel basis and image presentation of one slice of the first stage."""
+    """One slice of E1 = H(C, d0), presented: free generators of the given
+    a-degrees modulo the columns of presentation."""
 
-    labels: tuple[int, ...]  # a-degrees of the kernel basis
-    out_smith: SmithResult  # its kernel basis is the slice's
-    presentation: SliceMatrix  # columns: incoming image in kernel coordinates
+    labels: tuple[int, ...]
+    presentation: SliceMatrix  # target: labels
 
 
 def _resolve_window(C: ChainComplexOfMF, x_window, n: int) -> tuple[int, int, int]:
@@ -1092,71 +1138,236 @@ def two_stage_homology(
 
 def _class_homology(part: _ClassExpansion, red: _Reduced, hi: int) -> dict:
     """The nonzero two-stage slices of one reduced class at x <= hi; the results
-    of keys at x <= hi - n - 1 are kept on the class."""
+    of keys at x <= hi - n - 1 are kept on the class.
+
+    Stage one at each key reduces d0 out of it: its kernel basis spans the
+    cycles, and the incoming image, in those coordinates, presents E1 there.
+    phi* applies d1 to the kernel basis and writes the result in the next
+    key's kernel coordinates.  Stage two then runs one column (eps, k) at a
+    time (_column_homology)."""
     n = red.n
-    stage1: dict[tuple[int, int, int], _Stage1] = part.stage1
-    phis: dict[tuple[int, int, int], SliceMatrix] = part.phis
+    kernels: dict[tuple[int, int, int], SmithResult] = part.kernels
     modules: dict[tuple[int, int, int], SliceModule | None] = part.modules
+    columns: dict[tuple[int, int], dict] = {}
 
     for key in sorted(red.slices, key=lambda key: (key[2], key[0], key[1])):
         eps, i, k = key
-        if k > hi or key in stage1:
+        if k > hi:
             continue
         src = tuple(red.slices[key])
         tgt = tuple(red.slices.get(((eps + 1) % 2, i, k + n + 1), ()))
-        sm = smith(SliceMatrix(src, tgt, 1, red.d0.get(key, {})))
+        sm = kernels[key] = smith(SliceMatrix(src, tgt, 1, red.d0.get(key, {})))
         kb_labels = tuple(lab for _, lab in sm.kernel_basis())
-        incoming = stage1.get(((eps + 1) % 2, i, k - n - 1))
+        incoming = kernels.get(((eps + 1) % 2, i, k - n - 1))
         cells = {}
         img_labels = []
         if incoming is not None:
-            for vec, lab in incoming.out_smith.image_basis():
+            for vec, lab in incoming.image_basis():
                 coords = sm.kernel_coords(vec)
                 col = len(img_labels)
                 img_labels.append(lab)
                 for r, coeff in coords.items():
                     cells[(r, col)] = coeff
-        pres = SliceMatrix(tuple(img_labels), kb_labels, 0, cells)
-        stage1[key] = _Stage1(kb_labels, sm, pres)
+        columns.setdefault((eps, k), {})[key] = SliceMatrix(tuple(img_labels), kb_labels, 0, cells)
 
-    def phi(key) -> SliceMatrix:
+    def phi(key, presentations: dict) -> SliceMatrix:
         """Induced map of kernel bases one homological degree up."""
         eps, i, k = key
-        st = stage1[key]
-        tgt = stage1.get((eps, i + 1, k))
-        tgt_labels = tgt.labels if tgt is not None else ()
+        nxt = (eps, i + 1, k)
+        tgt = kernels.get(nxt)
         cells = {}
         d1cols: dict[int, Vec] = {}
         for (r, c), coeff in red.d1.get(key, {}).items():
             d1cols.setdefault(c, {})[r] = coeff
-        for c, (vec, _) in enumerate(st.out_smith.kernel_basis()):
+        for c, (vec, _) in enumerate(kernels[key].kernel_basis()):
             w = _cols_apply(d1cols, vec)
             if not w:
                 continue
             if tgt is None:
                 raise InvariantError("induced map into an empty slice")
-            for r, coeff in tgt.out_smith.kernel_coords(w).items():
+            for r, coeff in tgt.kernel_coords(w).items():
                 cells[(r, c)] = coeff
-        return SliceMatrix(st.labels, tgt_labels, 0, cells)
+        tgt_labels = presentations[nxt].target if tgt is not None else ()
+        return SliceMatrix(presentations[key].target, tgt_labels, 0, cells)
 
-    for key in stage1:
-        if key not in phis:
-            phis[key] = phi(key)
-
-    for key in sorted(stage1):
-        if key not in modules:
-            modules[key] = _stage2(key, stage1, phis)
+    for presentations in columns.values():
+        phis = {key: phi(key, presentations) for key in presentations}
+        modules.update(_column_homology(presentations, phis))
 
     out = {key: sm for key, sm in modules.items() if sm is not None}
-    part.final = hi - n - 1
-    for done in (stage1, phis, modules):
-        for key in [key for key in done if key[2] > part.final]:
-            del done[key]
+    part.final = final = hi - n - 1
+    for key in [key for key in modules if key[2] > final]:
+        del modules[key]
+    for key in [key for key in kernels if not final - n - 1 < key[2] <= final]:
+        del kernels[key]
     return out
 
 
+def _column_homology(presentations: dict, phis: dict) -> dict:
+    """Stage two on one column (eps, k): the module at each of its keys, or
+    None where it is zero.  presentations[key] presents E1 at key over its
+    kernel basis, and phis[key] is phi* from that basis to the next key's.
+
+    Each key's presentation is Smith-reduced once, which splits E1 there
+    into cyclic summands, one per row: Q[a]/(a^e){label} at a pivot row of
+    exponent e, on its row_t_inv column, and Q[a]{label} at every other row,
+    on the unit vector (SmithResult.row_coords).  phi* is written between
+    the summands, each entry dropped where its exponent reaches its
+    target's order; a torsion summand has no entry into a free one.  Every
+    entry of exponent 0 between summands of one order is an isomorphism,
+    and these are cancelled in Markowitz order (module docstring).  What
+    is left has a diagonal presentation, and goes to _stage2 at each key
+    that still has an entry of phi* in or out."""
+    keys = sorted(presentations)
+    first: dict[tuple[int, int, int], int] = {}
+    labels: list[int] = []
+    orders: list[int | None] = []  # None: free
+    reductions = {}
+    for key in keys:
+        pres = presentations[key]
+        ps = reductions[key] = smith(pres)
+        first[key] = len(labels)
+        order: list[int | None] = [None] * len(pres.target)
+        for r0, _, e in ps.pivots:
+            if not e:
+                raise InvariantError("a unit relation survives in E1")
+            order[r0] = e
+        labels += pres.target
+        orders += order
+
+    # phi* between the summands: out[s] maps each target of s to the
+    # coefficient, ins[t] lists the sources into t, each once
+    out: list[dict | None] = [{} for _ in labels]
+    ins: list[list[int] | None] = [[] for _ in labels]
+    for key in keys:
+        if not phis[key].entries:
+            continue
+        eps, i, k = key
+        nxt = (eps, i + 1, k)
+        cols: dict[int, Vec] = {}
+        for (r, c), coeff in phis[key].entries.items():
+            cols.setdefault(c, {})[r] = coeff
+        ps, s0, t0 = reductions[key], first[key], first[nxt]
+        for row in range(len(presentations[key].target)):
+            s = s0 + row
+            image = _cols_apply(cols, ps.row_t_inv.get(row) or {row: 1})
+            for r, coeff in reductions[nxt].row_coords(image).items():
+                t = t0 + r
+                if orders[t] is None:
+                    if orders[s] is not None:
+                        raise InvariantError("a torsion summand maps to a free one")
+                elif (labels[s] - labels[t]) >> 1 >= orders[t]:
+                    continue
+                out[s][t] = coeff
+                ins[t].append(s)
+
+    def cost(s: int, t: int) -> int:
+        return (len(out[s]) - 1) * (len(ins[t]) - 1)
+
+    def iso(s: int, t: int) -> bool:
+        return labels[s] == labels[t] and orders[s] == orders[t]
+
+    heap = [(cost(s, t), s, t) for s, row in enumerate(out) for t in row if iso(s, t)]
+    heapq.heapify(heap)
+    while heap:
+        pushed, g, h = heapq.heappop(heap)
+        if out[g] is None or h not in out[g]:
+            continue
+        now = cost(g, h)
+        if now > pushed and heap:
+            heapq.heappush(heap, (now, g, h))
+            continue
+        fresh = []
+        for u in ins[h]:
+            if u == g:
+                continue
+            row = out[u]
+            for v, coeff in _correction(out, labels, orders, g, h, u):
+                cur = row.get(v)
+                if cur is None:
+                    row[v] = coeff
+                    ins[v].append(u)
+                    if iso(u, v):
+                        fresh.append((u, v))
+                else:
+                    c = cur + coeff
+                    if c:
+                        row[v] = c
+                    else:
+                        del row[v]
+                        ins[v].remove(u)
+        for u in ins[g]:
+            del out[u][g]
+        for v in out[h]:
+            ins[v].remove(h)
+        for v in out[g]:
+            if v != h:
+                ins[v].remove(g)
+        for u in ins[h]:
+            if u != g:
+                del out[u][h]
+        out[g] = out[h] = ins[g] = ins[h] = None
+        for u, v in fresh:
+            heapq.heappush(heap, (cost(u, v), u, v))
+
+    # the remainder, each key's surviving summands in row order
+    alive = {
+        key: [s for s in range(s0, s0 + len(presentations[key].target)) if out[s] is not None]
+        for key, s0 in first.items()
+    }
+    rest: dict[tuple[int, int, int], _Stage1] = {}
+    for key, nodes in alive.items():
+        torsion = [(p, s) for p, s in enumerate(nodes) if orders[s] is not None]
+        rest[key] = _Stage1(
+            tuple(labels[s] for s in nodes),
+            SliceMatrix(
+                tuple(labels[s] + 2 * orders[s] for _, s in torsion),
+                tuple(labels[s] for s in nodes),
+                0,
+                {(p, c): 1 for c, (p, _) in enumerate(torsion)},
+            ),
+        )
+    rest_phis = {}
+    for key, nodes in alive.items():
+        eps, i, k = key
+        nxt = (eps, i + 1, k)
+        pos = {s: p for p, s in enumerate(alive.get(nxt, ()))}
+        cells = {(pos[t], c): coeff for c, s in enumerate(nodes) for t, coeff in out[s].items()}
+        rest_phis[key] = SliceMatrix(rest[key].labels, rest[nxt].labels if nxt in rest else (), 0, cells)
+
+    modules = {}
+    for key, nodes in alive.items():
+        eps, i, k = key
+        prev = rest_phis.get((eps, i - 1, k))
+        if rest_phis[key].entries or (prev is not None and prev.entries):
+            modules[key] = _stage2(key, rest, rest_phis)
+            continue
+        free = sorted(labels[s] for s in nodes if orders[s] is None)
+        torsion = sorted((orders[s], labels[s]) for s in nodes if orders[s] is not None)
+        modules[key] = SliceModule(tuple(free), tuple(torsion)) if nodes else None
+    return modules
+
+
+def _correction(out: list, labels: list, orders: list, g: int, h: int, u: int) -> list:
+    """What cancelling g -> h adds to the entries out of u, a source of h:
+    -phi(g -> v) phi(g -> h)^-1 phi(u -> h) at each other target v of g whose
+    order its exponent stays below (module docstring)."""
+    factor = quotient(-out[u][h], out[g][h])
+    return [
+        (v, factor * gc)
+        for v, gc in out[g].items()
+        if v != h and (orders[v] is None or (labels[u] - labels[v]) >> 1 < orders[v])
+    ]
+
+
 def _stage2(key, stage1: dict, phis: dict) -> SliceModule | None:
-    """The second-stage subquotient at one key, or None when it is zero."""
+    """The second-stage subquotient at one key, or None when it is zero.
+
+    stage1 presents E1 at each key of a column and phis holds phi* between
+    them; _column_homology passes what its cancellation leaves, whose
+    presentations are diagonal.  The cycles are {x : phi(x) lies in the
+    next key's presentation image}, and the relations the incoming phi* and
+    the key's own presentation."""
     eps, i, k = key
     st = stage1[key]
     if not st.labels:
@@ -1181,7 +1392,7 @@ def _stage2(key, stage1: dict, phis: dict) -> SliceModule | None:
     # relations: the incoming induced map and the first-stage image
     rel_cols: list[tuple[Vec, int]] = []
     prev = phis.get((eps, i - 1, k))
-    if prev is not None:  # kept or recomputed with this key, as they share k
+    if prev is not None:
         if prev.target != st.labels:
             raise InvariantError("incoming induced map misses the kernel basis")
         rel_cols += prev.columns()

@@ -39,6 +39,7 @@ from krlab.qamod import (
 )
 from krlab.skein import SkeinValue, evaluate, unlink_value
 from test_cube import reduced_words
+from test_pinned_homology import digest, pinned
 
 
 def homology(text, strands, n, window=None):
@@ -956,28 +957,31 @@ class TestAOne:
 def induced_squares(text: str, n: int, monkeypatch) -> dict[tuple, list[bool]]:
     """Run two_stage_homology at width 10 on a 3-strand word, checking that
     each phi(i + 1) phi(i) lands in the image of the first stage, where
-    _stage2 takes its quotient; for each key (eps, i, x) with a next map,
-    whether each composite column is nonzero."""
+    stage two takes its quotient; for each key (eps, i, x) with a next map,
+    whether each composite column is nonzero.  The maps and presentations
+    are those of the stage-one kernel bases, before any cancellation."""
     composites = {}
-    real = qamod._stage2
+    real = qamod._column_homology
 
-    def checked(key, stage1, phis):
-        eps, i, k = key
-        step, nxt = phis[key], phis.get((eps, i + 1, k))
-        if nxt is not None:
+    def checked(presentations, phis):
+        for key, step in phis.items():
+            eps, i, k = key
+            nxt = phis.get((eps, i + 1, k))
+            if nxt is None:
+                continue
             composites[key] = []
             for c in range(len(step.source)):
                 unit = {c: (1, 0)}
                 vec = apply_cells(lift_matrix(nxt), apply_cells(lift_matrix(step), unit))
                 if vec:
-                    pres = stage1[(eps, i + 2, k)].presentation
+                    pres = presentations[(eps, i + 2, k)]
                     coeffs = {r: coeff for r, (coeff, _) in vec.items()}
                     # raises unless in the image; phi keeps the label
                     smith(pres).image_coords(coeffs, step.source[c])
                 composites[key].append(bool(vec))
-        return real(key, stage1, phis)
+        return real(presentations, phis)
 
-    monkeypatch.setattr(qamod, "_stage2", checked)
+    monkeypatch.setattr(qamod, "_column_homology", checked)
     two_stage_homology(build_complex(parse(text, 3), n), 10)
     return composites
 
@@ -1001,8 +1005,9 @@ class TestTransportedSquare:
 
 class TestStage2:
     def test_an_incoming_map_into_other_labels_raises(self, monkeypatch):
-        # phi of (eps, i - 1, k) targets the kernel basis of (eps, i, k); one
-        # aimed at other labels must not be dropped from the relations
+        # phi of (eps, i - 1, k) targets the generators of (eps, i, k); one
+        # aimed at other labels must not be dropped from the relations.  The
+        # cancellation leaves such a pair of maps on -1 -1 -1, not on 1 1
         real = qamod._stage2
         seen = []
 
@@ -1017,5 +1022,24 @@ class TestStage2:
 
         monkeypatch.setattr(qamod, "_stage2", mismatched)
         with pytest.raises(InvariantError, match="incoming induced map"):
-            homology("1 1", 2, 1, 6)
+            homology("-1 -1 -1", 2, 1, 6)
         assert seen
+
+    def test_the_corpus_meets_a_nonzero_correction(self, monkeypatch):
+        # so the cancellation's corrections are exercised: cancelling an
+        # isomorphism here adds to an entry of phi* that stays
+        real = qamod._correction
+        made = []
+
+        def spy(*args):
+            got = real(*args)
+            made.extend(got)
+            return got
+
+        monkeypatch.setattr(qamod, "_correction", spy)
+        homology("1 1", 3, 1, 10)
+        assert made
+
+    def test_dropping_the_corrections_changes_a_pinned_module(self, monkeypatch):
+        monkeypatch.setattr(qamod, "_correction", lambda *args: [])
+        assert digest("homology", "1 1", 1) != pinned("homology", "1 1", 1)
