@@ -115,9 +115,9 @@ into v, so it too is reduced modulo v's order.  The homology of (E1, phi*)
 is unchanged, and what is left goes to the subquotient construction.  A
 column at x <= hi - n - 1 is complete: its keys' stage one reads only
 final elements and entries, and the cancellation never leaves the column,
-so its results stay final.  Only its modules are kept, and stage one's
-reductions at the n + 1 x-degrees below the next column, whose images the
-next keys' presentations read.
+so its results stay final.  A wider window reads only its modules and
+stage one's reductions at the n + 1 x-degrees up to hi - n - 1, whose
+images present E1 at the keys just above; those are what the class keeps.
 """
 
 from __future__ import annotations
@@ -1027,15 +1027,6 @@ def _by_class(C: ChainComplexOfMF, top: int, fn, expansion=None, kill_a=False) -
 # Two-stage homology
 
 
-@dataclass
-class _Stage1:
-    """One slice of E1 = H(C, d0), presented: free generators of the given
-    a-degrees modulo the columns of presentation."""
-
-    labels: tuple[int, ...]
-    presentation: SliceMatrix  # target: labels
-
-
 def _resolve_window(C: ChainComplexOfMF, x_window, n: int) -> tuple[int, int, int]:
     summands = [part for parts in C.summands.values() for part in parts]
     degrees = (gx for part in summands for par in (0, 1) for _, gx in part.mf.basis(par))
@@ -1315,17 +1306,14 @@ def _column_homology(presentations: dict, phis: dict) -> dict:
         key: [s for s in range(s0, s0 + len(presentations[key].target)) if out[s] is not None]
         for key, s0 in first.items()
     }
-    rest: dict[tuple[int, int, int], _Stage1] = {}
+    rest = {}
     for key, nodes in alive.items():
         torsion = [(p, s) for p, s in enumerate(nodes) if orders[s] is not None]
-        rest[key] = _Stage1(
+        rest[key] = SliceMatrix(
+            tuple(labels[s] + 2 * orders[s] for _, s in torsion),
             tuple(labels[s] for s in nodes),
-            SliceMatrix(
-                tuple(labels[s] + 2 * orders[s] for _, s in torsion),
-                tuple(labels[s] for s in nodes),
-                0,
-                {(p, c): 1 for c, (p, _) in enumerate(torsion)},
-            ),
+            0,
+            {(p, c): 1 for c, (p, _) in enumerate(torsion)},
         )
     rest_phis = {}
     for key, nodes in alive.items():
@@ -1333,7 +1321,7 @@ def _column_homology(presentations: dict, phis: dict) -> dict:
         nxt = (eps, i + 1, k)
         pos = {s: p for p, s in enumerate(alive.get(nxt, ()))}
         cells = {(pos[t], c): coeff for c, s in enumerate(nodes) for t, coeff in out[s].items()}
-        rest_phis[key] = SliceMatrix(rest[key].labels, rest[nxt].labels if nxt in rest else (), 0, cells)
+        rest_phis[key] = SliceMatrix(rest[key].target, rest[nxt].target if nxt in rest else (), 0, cells)
 
     modules = {}
     for key, nodes in alive.items():
@@ -1360,32 +1348,34 @@ def _correction(out: list, labels: list, orders: list, g: int, h: int, u: int) -
     ]
 
 
-def _stage2(key, stage1: dict, phis: dict) -> SliceModule | None:
+def _stage2(key, presentations: dict, phis: dict) -> SliceModule | None:
     """The second-stage subquotient at one key, or None when it is zero.
 
-    stage1 presents E1 at each key of a column and phis holds phi* between
-    them; _column_homology passes what its cancellation leaves, whose
-    presentations are diagonal.  The cycles are {x : phi(x) lies in the
-    next key's presentation image}, and the relations the incoming phi* and
-    the key's own presentation."""
+    presentations[key] presents E1 at each key of a column, its columns the
+    relations among free generators of its target's labels, and phis holds
+    phi* between those generators; _column_homology passes what its
+    cancellation leaves, whose presentations are diagonal.  The cycles are
+    {x : phi(x) lies in the next key's relations}, and the relations the
+    incoming phi* and the key's own presentation."""
     eps, i, k = key
-    st = stage1[key]
-    if not st.labels:
+    pres = presentations[key]
+    labels = pres.target
+    if not labels:
         return None
     step = phis[key]
-    nxt = stage1.get((eps, i + 1, k))
-    aug = _hstack(step, nxt.presentation) if nxt is not None else step
+    nxt = presentations.get((eps, i + 1, k))
+    aug = _hstack(step, nxt) if nxt is not None else step
     # free generators of {x : phi(x) lies in the incoming image}
     gcells = {}
     glabels = []
-    nkb = len(st.labels)
+    nkb = len(labels)
     for vec, lab in smith(aug).kernel_basis():
         g = len(glabels)
         glabels.append(lab)
         for idx, coeff in vec.items():
             if idx < nkb:
                 gcells[(idx, g)] = coeff
-    gs = smith(SliceMatrix(tuple(glabels), st.labels, 0, gcells))
+    gs = smith(SliceMatrix(tuple(glabels), labels, 0, gcells))
     zbasis = gs.image_basis()
     if not zbasis:
         return None
@@ -1393,10 +1383,10 @@ def _stage2(key, stage1: dict, phis: dict) -> SliceModule | None:
     rel_cols: list[tuple[Vec, int]] = []
     prev = phis.get((eps, i - 1, k))
     if prev is not None:
-        if prev.target != st.labels:
+        if prev.target != labels:
             raise InvariantError("incoming induced map misses the kernel basis")
         rel_cols += prev.columns()
-    rel_cols += st.presentation.columns()
+    rel_cols += pres.columns()
     rcells = {}
     rlabels = []
     for vec, lab in rel_cols:

@@ -1011,14 +1011,14 @@ class TestStage2:
         real = qamod._stage2
         seen = []
 
-        def mismatched(key, stage1, phis):
+        def mismatched(key, presentations, phis):
             eps, i, k = key
             prev = phis.get((eps, i - 1, k))
             if prev is not None:
                 seen.append(key)
                 wrong = SliceMatrix(prev.source, prev.target + (0,), 0, prev.entries)
                 phis = {**phis, (eps, i - 1, k): wrong}
-            return real(key, stage1, phis)
+            return real(key, presentations, phis)
 
         monkeypatch.setattr(qamod, "_stage2", mismatched)
         with pytest.raises(InvariantError, match="incoming induced map"):
