@@ -91,10 +91,10 @@ def khovanov(word: str, strands: int) -> Counter:
             sign = -1 if sum(v[:j]) % 2 else 1
             near = {comp[v][x] for x in crossings[j][1:]}
             after = {comp[w][x] for x in crossings[j][1:]}
-            kept = [state[comp[v][x]] for x in range(arcs)]
+            # each circle away from crossing j keeps its label
             base = [0] * (max(comp[w]) + 1)
             for x in range(arcs):
-                base[comp[w][x]] = kept[x]
+                base[comp[w][x]] = state[comp[v][x]]
             if len(near) == 2:  # merge: v+ v+ -> v+, v+ v- -> v-, v- v- -> 0
                 labels = [state[c] for c in near]
                 if labels == [-1, -1]:
@@ -162,11 +162,11 @@ def components(word: str, strands: int) -> int:
     return count
 
 
-# every braid whose `both` at n = 2 takes about a second or less, knots and links
-FAST = [("", 1), ("1", 2), ("-1", 2), ("1 1", 2), ("-1 -1", 2), ("1 -1", 2),
-        ("1 1 1", 2), ("-1 -1 -1", 2), ("1 2", 3), ("1 -2", 3), ("1 2 1", 3),
-        ("1 1 -2", 3)]
-# each of these takes 8 to 15 s at n = 2
+# every braid whose `both` at n = 2 takes about a second or less, knots and
+# links, then three that take 8 to 15 s
+CASES = [("", 1), ("1", 2), ("-1", 2), ("1 1", 2), ("-1 -1", 2), ("1 -1", 2),
+         ("1 1 1", 2), ("-1 -1 -1", 2), ("1 2", 3), ("1 -2", 3), ("1 2 1", 3),
+         ("1 1 -2", 3)]
 SLOW = [("1 -2 1 -2", 3), ("1 1 1 1", 2), ("-1 -1 -1 -1", 2)]
 
 
@@ -174,18 +174,16 @@ def ids(cases):
     return [f"[{w}]-{m}" for w, m in cases]
 
 
-@pytest.mark.parametrize("word,strands", FAST, ids=ids(FAST))
+@pytest.mark.parametrize(
+    "word,strands",
+    CASES + [pytest.param(*case, marks=pytest.mark.slow) for case in SLOW],
+    ids=ids(CASES + SLOW),
+)
 def test_the_free_part_at_n_2_is_khovanov_homology(word, strands):
     assert free_summands(word, strands, 2) == khovanov(word, strands)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("word,strands", SLOW, ids=ids(SLOW))
-def test_the_free_part_at_n_2_is_khovanov_homology_slow(word, strands):
-    assert free_summands(word, strands, 2) == khovanov(word, strands)
-
-
-KNOTS = [(w, m) for w, m in FAST if components(w, m) == 1] + [("1 -2 1 -2", 3)]
+KNOTS = [(w, m) for w, m in CASES if components(w, m) == 1] + [("1 -2 1 -2", 3)]
 
 
 @pytest.mark.parametrize("word,strands", KNOTS, ids=ids(KNOTS))
