@@ -1006,8 +1006,8 @@ class TestTransportedSquare:
 class TestStage2:
     def test_an_incoming_map_into_other_labels_raises(self, monkeypatch):
         # phi of (eps, i - 1, k) targets the generators of (eps, i, k); one
-        # aimed at other labels must not be dropped from the relations.  The
-        # cancellation leaves such a pair of maps on -1 -1 -1, not on 1 1
+        # aimed at other labels must not be dropped from the relations.  On
+        # -1 -1 -1 the cancellation leaves a key with an incoming phi*
         real = qamod._stage2
         seen = []
 
@@ -1027,7 +1027,7 @@ class TestStage2:
 
     def test_the_corpus_meets_a_nonzero_correction(self, monkeypatch):
         # so the cancellation's corrections are exercised: cancelling an
-        # isomorphism here adds to an entry of phi* that stays
+        # isomorphism here changes an entry of phi* between two other summands
         real = qamod._correction
         made = []
 
