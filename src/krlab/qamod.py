@@ -71,20 +71,25 @@ top is still a quotient complex.
 The expansion grows with the window instead of being rebuilt.  An entry
 of homological jump j raises the x-degree by exactly (1 - j)(n + 1): a
 vertex entry by n + 1, a chi' entry by 0, and a zig-zag by the sum of
-its ends less its pivot.  Raising the top from T to T' adds the basis
-elements above T and the entries into them; nothing new enters at or below
-T.  Gaussian elimination only corrects rows into its target, so an
-elimination made below T would need replaying onto the new entries only if
-its source had one, that is, sat at x >= T - n; a unit entry of an
-expansion at top T leaves x <= T - n - 1, so there is nothing to log or
-replay.  The new entries from old sources are the raw ones of the
-surviving sources (an eliminated old source was a pivot target, whose
-outgoing entries the elimination dropped), and the unit entries then
-present are eliminated as before, each into an element above T.
-After a reduction at top hi + n + 1 the slices at x <= hi are final: no
-later growth removes an element at x <= hi or changes an entry between two
-of them.  The stage-one and stage-two results at x <= hi - n - 1 read only
-such elements and entries, so they are final too and are kept.
+its ends less its pivot.  Raising the top from T to T' adds the elements
+above T and the raw entries into them from the surviving sources.  A unit
+eliminated before left x <= T - n - 1, which has no entry above T, so no
+elimination is replayed.  The units then present are eliminated, each
+into an element above T (_extend checks this), so out of x > T - n - 1,
+and the zig-zags correct only sources into that element.  So after a
+reduction at top hi + n + 1, a later growth changes one thing at x <= hi:
+the entries u -> s0 into an eliminated s0 of the top slab (hi, hi + n + 1]
+leave with it.  That row of d0 was redundant: every vertex has potential
+0, so d0^2 = 0, and its (u, t0) entry gives c d0(u -> s0) = -sum over
+s' != s0 of d0(u -> s') d0(s' -> t0), c the unit, so it is a
+Q[a]-combination of the rows left.  Hence the kernel of d0 out of each
+x <= hi, E1 there and phi* (d1 between elements at x <= hi) are final once
+hi is reported, and each key's stage one, phi* and module are computed
+once, at the first hi reaching it.  The class keeps those modules, and
+stage one's reductions in (hi - n - 1, hi], whose image bases present E1
+at the keys above; they live on the top slab, so a wider window drops
+their rows of the elements eliminated since, a projection injective on
+the image, as the dropped coordinates are combinations of the kept ones.
 
 The expanded complex is a direct sum of subcomplexes, one for each class
 (k mod (n + 1), (eps + k div (n + 1)) mod 2) of the slices (eps, i, k), and
@@ -112,12 +117,9 @@ homotopy equivalence of complexes in any additive category: g and h leave
 with the maps into g and out of h, and each u -> v gains -phi(g -> v)
 phi(g -> h)^-1 phi(u -> h).  That correction is a composite of module maps
 into v, so it too is reduced modulo v's order.  The homology of (E1, phi*)
-is unchanged, and what is left goes to the subquotient construction.  A
-column at x <= hi - n - 1 is complete: its keys' stage one reads only
-final elements and entries, and the cancellation never leaves the column,
-so its results stay final.  A wider window reads only its modules and
-stage one's reductions at the n + 1 x-degrees up to hi - n - 1, whose
-images present E1 at the keys just above; those are what the class keeps.
+is unchanged, and what is left goes to the subquotient construction.  The
+cancellation never leaves a column, so its modules are final with its
+keys' stage one and phi*.
 """
 
 from __future__ import annotations
@@ -538,6 +540,7 @@ class _Reduced:
     slices: dict  # (eps, i, k) -> list of generator a-degrees
     d0: dict  # (eps, i, k) -> {(row, col): coefficient} into (eps+1, i, k+n+1)
     d1: dict  # (eps, i, k) -> {(row, col): coefficient} into (eps, i+1, k)
+    idents: dict  # (eps, i, k) -> the expansion elements at its rows, in order
 
 
 # The expansion's budget, and its cost per basis vector: the most peak RSS
@@ -774,11 +777,12 @@ class _ClassExpansion:
     list order never decides the pivots.  Growing from top T to T' creates
     the elements at x in (T, T'] and the entries into them, and eliminates
     the unit entries then present as a fresh expansion would (module
-    docstring).  modules holds the two-stage results of the keys at x <=
-    final, which no growth changes, and kernels the stage-one Smith
-    reductions at the n + 1 x-degrees up to final, whose images a wider
-    window's presentations read.  After a MemoryError every class of the
-    expansion is emptied and must not be used again.
+    docstring).  final is the last hi reported: modules holds the two-stage
+    result of every key at x <= final, which no growth changes, and kernels
+    the stage-one Smith reductions at the n + 1 x-degrees up to final, each
+    with its target's elements then, whose images a wider window reads.
+    After a MemoryError every class of the expansion is emptied and must
+    not be used again.
     """
 
     def __init__(self, knot: _Expansion, cls: tuple[int, int]) -> None:
@@ -940,10 +944,11 @@ class _ClassExpansion:
                 heapq.heappush(heap, ((len(out[s]) - 1) * (len(rows[t]) - 1), s, t))
 
     def reduced(self) -> _Reduced:
-        """The surviving slice bases above x = final, whose two-stage results
-        are not kept yet, and the two components out of them, each cell
-        holding its coefficient (the labels give its a-exponent)."""
-        n, final = self.knot.n, self.final
+        """The surviving slice bases above x = final, each key's elements in
+        row order, and the two components out of the keys at x <= top - n - 1,
+        each cell holding its coefficient (the labels give its a-exponent);
+        every entry above final, the top slab's too, is checked."""
+        n, final, last = self.knot.n, self.final, self.top - self.knot.n - 1
         info_eps, info_i, info_k, info_ja = self.info_eps, self.info_i, self.info_k, self.info_ja
         out = self.out
         members: dict[tuple[int, int, int], list[int]] = {}
@@ -972,16 +977,17 @@ class _ClassExpansion:
                         raise InvariantError("unit entry survived the reduction")
                     if tkey != ((eps + 1) % 2, i, k + n + 1):
                         raise InvariantError("slice slope broken")
-                    d0.setdefault(key, {})[(tpos, pos)] = c
+                    d0.setdefault(key, {})[(tpos, pos)] = c  # none out of the top slab
                 elif di == 1:
                     if tkey != (eps, i + 1, k):
                         raise InvariantError("slice slope broken")
-                    d1.setdefault(key, {})[(tpos, pos)] = c
+                    if k <= last:
+                        d1.setdefault(key, {})[(tpos, pos)] = c
                 elif di < 0:
                     raise InvariantError("backwards correction")
                 else:
                     raise InvariantError("correction of homological jump two or more")
-        return _Reduced(n, labels, d0, d1)
+        return _Reduced(n, labels, d0, d1, members)
 
 
 def _reduce_complex(C: ChainComplexOfMF, top: int, expansion: _ClassExpansion) -> _Reduced:
@@ -1114,8 +1120,8 @@ def two_stage_homology(
     through both stages on its own (see _by_class), and the slices of all
     classes are merged before the tails are detected.  A narrower top than
     a given expansion's classes have is refused.  Results of keys at x <=
-    hi - n - 1 are final (module docstring); they are kept on the class,
-    and a wider computation on it reuses them.
+    hi are final (module docstring); they are kept on the class, and a
+    wider window computes only the keys above, as a fresh one computes all.
     """
     if not isinstance(C, ChainComplexOfMF):
         raise TypeError("two_stage_homology expects a complex of factorizations")
@@ -1128,16 +1134,16 @@ def two_stage_homology(
 
 
 def _class_homology(part: _ClassExpansion, red: _Reduced, hi: int) -> dict:
-    """The nonzero two-stage slices of one reduced class at x <= hi; the results
-    of keys at x <= hi - n - 1 are kept on the class.
+    """The nonzero two-stage slices of one reduced class at x <= hi, each key
+    computed once, at the first hi that reaches it, and kept on the class.
 
     Stage one at each key reduces d0 out of it: its kernel basis spans the
-    cycles, and the incoming image, in those coordinates, presents E1 there.
-    phi* applies d1 to the kernel basis and writes the result in the next
-    key's kernel coordinates.  Stage two then runs one column (eps, k) at a
-    time (_column_homology)."""
+    cycles, and the incoming image, re-indexed if reduced at an earlier
+    width, presents E1 there in those coordinates.  phi* applies d1 to the
+    kernel basis and writes the result in the next key's kernel coordinates.
+    Stage two then runs one column (eps, k) at a time (_column_homology)."""
     n = red.n
-    kernels: dict[tuple[int, int, int], SmithResult] = part.kernels
+    kernels: dict[tuple[int, int, int], tuple[SmithResult, list[int]]] = part.kernels
     modules: dict[tuple[int, int, int], SliceModule | None] = part.modules
     columns: dict[tuple[int, int], dict] = {}
 
@@ -1146,14 +1152,19 @@ def _class_homology(part: _ClassExpansion, red: _Reduced, hi: int) -> dict:
         if k > hi:
             continue
         src = tuple(red.slices[key])
-        tgt = tuple(red.slices.get(((eps + 1) % 2, i, k + n + 1), ()))
-        sm = kernels[key] = smith(SliceMatrix(src, tgt, 1, red.d0.get(key, {})))
+        tkey = ((eps + 1) % 2, i, k + n + 1)
+        sm = smith(SliceMatrix(src, tuple(red.slices.get(tkey, ())), 1, red.d0.get(key, {})))
+        kernels[key] = sm, red.idents.get(tkey, [])
         kb_labels = tuple(lab for _, lab in sm.kernel_basis())
-        incoming = kernels.get(((eps + 1) % 2, i, k - n - 1))
+        incoming, rows = kernels.get(((eps + 1) % 2, i, k - n - 1), (None, None))
         cells = {}
         img_labels = []
         if incoming is not None:
+            now = red.idents[key]
+            where = None if rows == now else {ident: r for r, ident in enumerate(now)}
             for vec, lab in incoming.image_basis():
+                if where is not None:
+                    vec = {where[rows[r]]: c for r, c in vec.items() if rows[r] in where}
                 coords = sm.kernel_coords(vec)
                 col = len(img_labels)
                 img_labels.append(lab)
@@ -1165,12 +1176,12 @@ def _class_homology(part: _ClassExpansion, red: _Reduced, hi: int) -> dict:
         """Induced map of kernel bases one homological degree up."""
         eps, i, k = key
         nxt = (eps, i + 1, k)
-        tgt = kernels.get(nxt)
+        tgt = kernels[nxt][0] if nxt in kernels else None
         cells = {}
         d1cols: dict[int, Vec] = {}
         for (r, c), coeff in red.d1.get(key, {}).items():
             d1cols.setdefault(c, {})[r] = coeff
-        for c, (vec, _) in enumerate(kernels[key].kernel_basis()):
+        for c, (vec, _) in enumerate(kernels[key][0].kernel_basis()):
             w = _cols_apply(d1cols, vec)
             if not w:
                 continue
@@ -1185,13 +1196,10 @@ def _class_homology(part: _ClassExpansion, red: _Reduced, hi: int) -> dict:
         phis = {key: phi(key, presentations) for key in presentations}
         modules.update(_column_homology(presentations, phis))
 
-    out = {key: sm for key, sm in modules.items() if sm is not None}
-    part.final = final = hi - n - 1
-    for key in [key for key in modules if key[2] > final]:
-        del modules[key]
-    for key in [key for key in kernels if not final - n - 1 < key[2] <= final]:
+    part.final = hi
+    for key in [key for key in kernels if key[2] <= hi - n - 1]:
         del kernels[key]
-    return out
+    return {key: sm for key, sm in modules.items() if sm is not None}
 
 
 def _column_homology(presentations: dict, phis: dict) -> dict:
@@ -1514,7 +1522,7 @@ def adaptive_homology(
     in its own references to them.
 
     Every width is computed on one expansion of C, as homology(C, w,
-    expansion), which grows its classes and keeps their final results.
+    expansion), which grows its classes and computes each key only once.
     """
     expansion = _Expansion(C)
     prev = None

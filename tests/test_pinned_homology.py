@@ -121,6 +121,20 @@ def test_skein_output_is_pinned(subject, n):
     assert digest("skein", subject, n) == pinned("skein", subject, n)
 
 
+# stdout sha256 of `both --braid "1 -2 1 -2" --n 2 --format json`, the
+# figure-eight at n = 2, which takes seconds; the sl(2) oracle sees only its
+# free part
+FIGURE_EIGHT_N2 = "e2dc85cb22432370ab37d28bda10461e5a2895e255fb5c3d650bf070c387125a"
+
+
+@pytest.mark.slow
+def test_the_figure_eight_at_n_2_is_pinned():
+    argv = ["both", "--braid", "1 -2 1 -2", "--n", "2", "--format", "json"]
+    res = CliRunner().invoke(cli.main, argv)
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == FIGURE_EIGHT_N2
+
+
 if __name__ == "__main__":
     command = sys.argv[1]
     print(json.dumps({key(command, s, n): digest(command, s, n) for s, n in PINNED[command]},

@@ -4,6 +4,7 @@ import gc
 import heapq
 import tracemalloc
 import weakref
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -448,6 +449,20 @@ class TestNegativeUnknot:
         assert euler_characteristic(m) == evaluate(parse("-1", 2), n)
 
 
+def rotation_classes(words: list[str]) -> list[list[str]]:
+    """The words grouped by rotation, each group in the words' order."""
+    groups: dict[tuple, list[str]] = {}
+    for word in words:
+        letters = word.split()
+        key = min(tuple(letters[j:] + letters[:j]) for j in range(len(letters) or 1))
+        groups.setdefault(key, []).append(word)
+    return list(groups.values())
+
+
+ROTATION_CLASSES = rotation_classes(reduced_words(3, 3))
+SHARED_ROTATIONS = [words for words in ROTATION_CLASSES if len(words) > 1]
+
+
 class TestInvariance:
     def test_reidemeister_two_cancels(self):
         # compare up to one top x = 14; the crossing pair shifts the least
@@ -457,6 +472,21 @@ class TestInvariance:
         assert (cancelled.window, unlink.window) == ((-2, 14), (0, 14))
         assert cancelled.slices == unlink.slices
         assert cancelled.tails == unlink.tails
+
+    @pytest.mark.parametrize("words", SHARED_ROTATIONS, ids=" | ".join)
+    def test_rotations_agree(self, words):
+        # a rotation of the word conjugates the braid by one letter
+        first, *rest = [homology(word, 3, 1, 8) for word in words]
+        for word, mod in zip(words[1:], rest):
+            assert mod.window == first.window, word
+            assert (mod.slices, mod.tails) == (first.slices, first.tails), word
+
+    def test_the_rotation_corpus_is_whole(self):
+        # every reduced word of length <= 3 on 3 strands is grouped, and 32
+        # of the 53 share a rotation class with another
+        assert sum(len(words) for words in ROTATION_CLASSES) == 53
+        assert sum(len(words) for words in SHARED_ROTATIONS) == 32
+
 
 class TestHopfLink:
     def test_torsion_multiplicity_grows_linearly(self):
@@ -642,6 +672,120 @@ class TestGrowingExpansion:
                 _reduce_complex(C, top, fresh)
                 assert len(grown.part(cls).out) == len(fresh.out) \
                     == expansion_size(C, top, cls)
+
+
+def grow(text: str, strands: int, n: int, widest: int) -> _Expansion:
+    """One expansion grown width by width, 2 to widest, through both stages."""
+    C = build_complex(parse(text, strands), n)
+    expansion = _Expansion(C)
+    for width in range(2, widest + 1, 2):
+        two_stage_homology(C, width, expansion)
+    return expansion
+
+
+class TestEachKeyOnce:
+    """A grown expansion reduces each key once, at the first width whose hi
+    reaches it, and carries stage one's images at the top forward."""
+
+    @pytest.mark.parametrize("text,strands,n", [
+        ("1 1", 2, 1), ("1 1", 2, 2), ("1 -1", 2, 1), ("1 1 1", 2, 2), ("2 1 2", 3, 1),
+    ])
+    def test_a_search_reduces_each_key_and_column_once(self, text, strands, n, monkeypatch):
+        real_class, real_column, real_smith = (
+            qamod._class_homology, qamod._column_homology, qamod.smith
+        )
+        current, keys, columns, stage_one = [], set(), [], []
+
+        def class_homology(part, red, hi):
+            current[:] = [part.cls]
+            keys.update((part.cls, key) for key in red.slices if key[2] <= hi)
+            return real_class(part, red, hi)
+
+        def column_homology(presentations, phis):
+            (column,) = {(eps, k) for eps, _, k in presentations}
+            columns.append((current[0], column))
+            return real_column(presentations, phis)
+
+        def counted_smith(M):
+            if M.shift == 1:  # stage one reduces d0, of a-degree 1
+                stage_one.append(current[0])
+            return real_smith(M)
+
+        monkeypatch.setattr(qamod, "_class_homology", class_homology)
+        monkeypatch.setattr(qamod, "_column_homology", column_homology)
+        monkeypatch.setattr(qamod, "smith", counted_smith)
+        mod, _ = adaptive_homology(build_complex(parse(text, strands), n))
+        assert mod.window[1] - mod.window[0] >= 6  # three widths or more
+        assert Counter(stage_one) == Counter(cls for cls, _ in keys)
+        assert sorted(columns) == sorted({(cls, (eps, k)) for cls, (eps, _, k) in keys})
+
+    def test_growth_reindexes_kept_images(self, monkeypatch):
+        # the target rows of a kept image lose their elements eliminated
+        # since, and gain none; here 8 images lose 108 rows in all
+        real = qamod._class_homology
+        lost = []
+
+        def class_homology(part, red, hi):
+            for (eps, i, k), (sm, rows) in part.kernels.items():
+                now = red.idents.get(((eps + 1) % 2, i, k + red.n + 1))
+                if now is not None and now != rows:
+                    assert set(now) < set(rows)
+                    gone = set(rows) - set(now)
+                    assert all(part.out[ident] is None for ident in gone)
+                    lost.append(len(gone))
+            return real(part, red, hi)
+
+        monkeypatch.setattr(qamod, "_class_homology", class_homology)
+        grow("1 1", 2, 1, 10)
+        assert (len(lost), sum(lost)) == (8, 108)
+
+    def test_images_left_on_eliminated_rows_miss_the_kernel(self, monkeypatch):
+        # with every kept target taken as unchanged, the images keep their old
+        # rows, and the residual check of the kernel coordinates refuses them
+        class Unchanged(list):
+            def __eq__(self, other):
+                return True
+
+            def __ne__(self, other):
+                return False
+
+        real = _ClassExpansion.reduced
+
+        def reduced(self):
+            red = real(self)
+            red.idents = {key: Unchanged(ids) for key, ids in red.idents.items()}
+            return red
+
+        monkeypatch.setattr(_ClassExpansion, "reduced", reduced)
+        with pytest.raises(InvariantError, match="vector is not in the kernel"):
+            grow("1 1", 2, 1, 10)
+
+    @pytest.mark.parametrize("jump,message", [
+        (2, "correction of homological jump two or more"), (-1, "backwards correction"),
+    ])
+    def test_the_checks_see_the_top_slab(self, jump, message):
+        # a cell out of the top slab, whose components no stage reads, is
+        # still checked
+        expansion = grow("1 1", 2, 1, 6)
+        n = expansion.n
+        for part in expansion.parts.values():
+            alive = [
+                s for s, row in enumerate(part.out)
+                if row is not None and part.info_k[s] > part.final
+            ]
+            slab = [s for s in alive if part.info_k[s] > part.top - n - 1]
+            pair = next(
+                ((s, t) for s in slab for t in alive if part.info_i[t] == part.info_i[s] + jump),
+                None,
+            )
+            if pair is not None:
+                break
+        s, t = pair
+        part.reduced()  # clean before the injection
+        part.out[s][t] = 1
+        part.rows[t].append(s)
+        with pytest.raises(InvariantError, match=message):
+            part.reduced()
 
 
 class TestClasses:
@@ -927,12 +1071,12 @@ A_ONE_CASES = [("", 1, 2, None), ("-1", 2, 1, None), ("1 1", 2, 1, None)] + [
 class TestModAChecks:
     def test_a_d1_cell_between_labels_is_an_a_power(self):
         # with a killed, a d1 cell from label 2 to label 0 would be a c a
-        red = _Reduced(1, {(0, 0, 0): [2], (0, 1, 0): [0]}, {}, {(0, 0, 0): {(0, 0): 1}})
+        red = _Reduced(1, {(0, 0, 0): [2], (0, 1, 0): [0]}, {}, {(0, 0, 0): {(0, 0): 1}}, {})
         with pytest.raises(InvariantError, match="a-power survives modulo a"):
             _mod_a_dimensions(red, 0, 0)
 
     def test_a_d1_cell_within_a_label_is_counted(self):
-        red = _Reduced(1, {(0, 0, 0): [2, 0], (0, 1, 0): [0]}, {}, {(0, 0, 0): {(0, 1): 1}})
+        red = _Reduced(1, {(0, 0, 0): [2, 0], (0, 1, 0): [0]}, {}, {(0, 0, 0): {(0, 1): 1}}, {})
         assert _mod_a_dimensions(red, 0, 0) == {(0, 0, 2, 0): 1}
 
 
