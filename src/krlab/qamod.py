@@ -117,9 +117,18 @@ homotopy equivalence of complexes in any additive category: g and h leave
 with the maps into g and out of h, and each u -> v gains -phi(g -> v)
 phi(g -> h)^-1 phi(u -> h).  That correction is a composite of module maps
 into v, so it too is reduced modulo v's order.  The homology of (E1, phi*)
-is unchanged, and what is left goes to the subquotient construction.  The
-cancellation never leaves a column, so its modules are final with its
-keys' stage one and phi*.
+is unchanged.  The cancellation never leaves a column, so its modules are
+final with its keys' stage one and phi*.
+
+What is left is read off the summand graph itself.  At a key with summands
+e_s, the cycles are the x in their free span with phi(x) in the next key's
+relations R, spanned by a^f e_t over its torsion summands Q[a]/(a^f){t}:
+the kernel of [phi | R], whose projection to the e_s is injective, as the
+columns of R are independent.  So a basis of that kernel is a basis of the
+cycles.  A boundary, phi of a summand of the key before or a relation
+a^e e_s of the key, is a cycle; phi of it lies in R, and putting its
+negative in R's coordinates lifts the boundary into the kernel.  Smith
+reduction of the lifted boundaries in the kernel basis gives the module.
 """
 
 from __future__ import annotations
@@ -127,7 +136,7 @@ from __future__ import annotations
 import gc
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from operator import add
 
@@ -211,13 +220,6 @@ class SliceMatrix:
             clean[(r, c)] = coeff
         object.__setattr__(self, "entries", clean)
 
-    def columns(self) -> list[tuple[Vec, int]]:
-        """Each column as a vector over the target, with its label."""
-        cols: list[Vec] = [{} for _ in self.source]
-        for (r, c), coeff in self.entries.items():
-            cols[c][r] = coeff
-        return [(col, s + self.shift) for col, s in zip(cols, self.source)]
-
 
 def _hstack(a: SliceMatrix, b: SliceMatrix) -> SliceMatrix:
     if a.target != b.target or a.shift != b.shift:
@@ -259,8 +261,8 @@ class SmithResult:
     pivots: list[tuple[int, int, int]]
     row_t_inv: dict[int, Vec]
     col_t: dict[int, Vec]
-    _ker_pos: dict | None = None
-    _pivot_pos: dict | None = None
+    _ker_pos: dict | None = field(default=None, init=False, repr=False)
+    _pivot_pos: dict | None = field(default=None, init=False, repr=False)
 
     def _kernel_positions(self) -> dict[int, int]:
         if self._ker_pos is None:
@@ -330,19 +332,6 @@ class SmithResult:
                         heapq.heappush(todo, pos[r])
                     _vec_accumulate(rest, r, -gc * coeff)
         out.update(rest)
-        return out
-
-    def image_coords(self, vec: Vec, label: int) -> Vec:
-        """Coordinates of an image element of the given label in the image
-        basis, of that label: its row coordinates, checked to lie on pivot
-        rows only, each of an exponent at least its pivot's."""
-        pos = self._pivot_positions()
-        out: Vec = {}
-        for r, coeff in self.row_coords(vec).items():
-            t = pos.get(r)
-            if t is None or label - self.target[r] < 2 * self.pivots[t][2]:
-                raise InvariantError("vector is not in the image")
-            out[t] = coeff
         return out
 
 
@@ -1172,12 +1161,13 @@ def _class_homology(part: _ClassExpansion, red: _Reduced, hi: int) -> dict:
                     cells[(r, col)] = coeff
         columns.setdefault((eps, k), {})[key] = SliceMatrix(tuple(img_labels), kb_labels, 0, cells)
 
-    def phi(key, presentations: dict) -> SliceMatrix:
-        """Induced map of kernel bases one homological degree up."""
+    def phi(key) -> dict[int, Vec]:
+        """Induced map of kernel bases one homological degree up: each kernel
+        column it moves, in the next key's kernel coordinates."""
         eps, i, k = key
         nxt = (eps, i + 1, k)
         tgt = kernels[nxt][0] if nxt in kernels else None
-        cells = {}
+        cols: dict[int, Vec] = {}
         d1cols: dict[int, Vec] = {}
         for (r, c), coeff in red.d1.get(key, {}).items():
             d1cols.setdefault(c, {})[r] = coeff
@@ -1187,14 +1177,11 @@ def _class_homology(part: _ClassExpansion, red: _Reduced, hi: int) -> dict:
                 continue
             if tgt is None:
                 raise InvariantError("induced map into an empty slice")
-            for r, coeff in tgt.kernel_coords(w).items():
-                cells[(r, c)] = coeff
-        tgt_labels = presentations[nxt].target if tgt is not None else ()
-        return SliceMatrix(presentations[key].target, tgt_labels, 0, cells)
+            cols[c] = tgt.kernel_coords(w)
+        return cols
 
     for presentations in columns.values():
-        phis = {key: phi(key, presentations) for key in presentations}
-        modules.update(_column_homology(presentations, phis))
+        modules.update(_column_homology(presentations, {key: phi(key) for key in presentations}))
 
     part.final = hi
     for key in [key for key in kernels if key[2] <= hi - n - 1]:
@@ -1205,18 +1192,20 @@ def _class_homology(part: _ClassExpansion, red: _Reduced, hi: int) -> dict:
 def _column_homology(presentations: dict, phis: dict) -> dict:
     """Stage two on one column (eps, k): the module at each of its keys, or
     None where it is zero.  presentations[key] presents E1 at key over its
-    kernel basis, and phis[key] is phi* from that basis to the next key's.
+    kernel basis, and phis[key] is phi* from that basis to the next key's:
+    each column it moves, in the next key's kernel coordinates.
 
     Each key's presentation is Smith-reduced once, which splits E1 there
     into cyclic summands, one per row: Q[a]/(a^e){label} at a pivot row of
     exponent e, on its row_t_inv column, and Q[a]{label} at every other row,
     on the unit vector (SmithResult.row_coords).  phi* is written between
-    the summands, each entry dropped where its exponent reaches its
-    target's order; a torsion summand has no entry into a free one.  Every
-    entry of exponent 0 between summands of one order is an isomorphism,
-    and these are cancelled in Markowitz order (module docstring).  What
-    is left has a diagonal presentation, and goes to _stage2 at each key
-    that still has an entry of phi* in or out."""
+    the summands, each entry checked to keep the a-degree and dropped where
+    its exponent reaches its target's order; a torsion summand has no entry
+    into a free one.  Every entry of exponent 0 between summands of one
+    order is an isomorphism, and these are cancelled in Markowitz order
+    (module docstring).  The summand graph left, labels, orders and phi*
+    as out and ins, goes to _stage2 at each key that still has an entry of
+    phi* in or out; every other key's module is its summands."""
     keys = sorted(presentations)
     first: dict[tuple[int, int, int], int] = {}
     labels: list[int] = []
@@ -1239,23 +1228,24 @@ def _column_homology(presentations: dict, phis: dict) -> dict:
     out: list[dict | None] = [{} for _ in labels]
     ins: list[list[int] | None] = [[] for _ in labels]
     for key in keys:
-        if not phis[key].entries:
+        cols = phis[key]
+        if not cols:
             continue
         eps, i, k = key
         nxt = (eps, i + 1, k)
-        cols: dict[int, Vec] = {}
-        for (r, c), coeff in phis[key].entries.items():
-            cols.setdefault(c, {})[r] = coeff
         ps, s0, t0 = reductions[key], first[key], first[nxt]
         for row in range(len(presentations[key].target)):
             s = s0 + row
             image = _cols_apply(cols, ps.row_t_inv.get(row) or {row: 1})
             for r, coeff in reductions[nxt].row_coords(image).items():
                 t = t0 + r
+                twice = labels[s] - labels[t]
+                if twice < 0 or twice % 2:
+                    raise InvariantError("phi* breaks the grading")
                 if orders[t] is None:
                     if orders[s] is not None:
                         raise InvariantError("a torsion summand maps to a free one")
-                elif (labels[s] - labels[t]) >> 1 >= orders[t]:
+                elif twice >> 1 >= orders[t]:
                     continue
                 out[s][t] = coeff
                 ins[t].append(s)
@@ -1314,29 +1304,12 @@ def _column_homology(presentations: dict, phis: dict) -> dict:
         key: [s for s in range(s0, s0 + len(presentations[key].target)) if out[s] is not None]
         for key, s0 in first.items()
     }
-    rest = {}
-    for key, nodes in alive.items():
-        torsion = [(p, s) for p, s in enumerate(nodes) if orders[s] is not None]
-        rest[key] = SliceMatrix(
-            tuple(labels[s] + 2 * orders[s] for _, s in torsion),
-            tuple(labels[s] for s in nodes),
-            0,
-            {(p, c): 1 for c, (p, _) in enumerate(torsion)},
-        )
-    rest_phis = {}
-    for key, nodes in alive.items():
-        eps, i, k = key
-        nxt = (eps, i + 1, k)
-        pos = {s: p for p, s in enumerate(alive.get(nxt, ()))}
-        cells = {(pos[t], c): coeff for c, s in enumerate(nodes) for t, coeff in out[s].items()}
-        rest_phis[key] = SliceMatrix(rest[key].target, rest[nxt].target if nxt in rest else (), 0, cells)
-
     modules = {}
     for key, nodes in alive.items():
         eps, i, k = key
-        prev = rest_phis.get((eps, i - 1, k))
-        if rest_phis[key].entries or (prev is not None and prev.entries):
-            modules[key] = _stage2(key, rest, rest_phis)
+        if any(out[s] or ins[s] for s in nodes):
+            nxt = alive.get((eps, i + 1, k), [])
+            modules[key] = _stage2(nodes, nxt, labels, orders, out, ins)
             continue
         free = sorted(labels[s] for s in nodes if orders[s] is None)
         torsion = sorted((orders[s], labels[s]) for s in nodes if orders[s] is not None)
@@ -1356,54 +1329,47 @@ def _correction(out: list, labels: list, orders: list, g: int, h: int, u: int) -
     ]
 
 
-def _stage2(key, presentations: dict, phis: dict) -> SliceModule | None:
+def _stage2(
+    nodes: list[int], nxt: list[int], labels: list, orders: list, out: list, ins: list
+) -> SliceModule | None:
     """The second-stage subquotient at one key, or None when it is zero.
 
-    presentations[key] presents E1 at each key of a column, its columns the
-    relations among free generators of its target's labels, and phis holds
-    phi* between those generators; _column_homology passes what its
-    cancellation leaves, whose presentations are diagonal.  The cycles are
-    {x : phi(x) lies in the next key's relations}, and the relations the
-    incoming phi* and the key's own presentation."""
-    eps, i, k = key
-    pres = presentations[key]
-    labels = pres.target
-    if not labels:
-        return None
-    step = phis[key]
-    nxt = presentations.get((eps, i + 1, k))
-    aug = _hstack(step, nxt) if nxt is not None else step
-    # free generators of {x : phi(x) lies in the incoming image}
-    gcells = {}
-    glabels = []
-    nkb = len(labels)
-    for vec, lab in smith(aug).kernel_basis():
-        g = len(glabels)
-        glabels.append(lab)
-        for idx, coeff in vec.items():
-            if idx < nkb:
-                gcells[(idx, g)] = coeff
-    gs = smith(SliceMatrix(tuple(glabels), labels, 0, gcells))
-    zbasis = gs.image_basis()
-    if not zbasis:
-        return None
-    # relations: the incoming induced map and the first-stage image
-    rel_cols: list[tuple[Vec, int]] = []
-    prev = phis.get((eps, i - 1, k))
-    if prev is not None:
-        if prev.target != labels:
-            raise InvariantError("incoming induced map misses the kernel basis")
-        rel_cols += prev.columns()
-    rel_cols += pres.columns()
-    rcells = {}
-    rlabels = []
-    for vec, lab in rel_cols:
-        col = len(rlabels)
-        rlabels.append(lab)
-        for t, coeff in gs.image_coords(vec, lab).items():
-            rcells[(t, col)] = coeff
-    zlabels = tuple(lab for _, lab in zbasis)
-    rs = smith(SliceMatrix(tuple(rlabels), zlabels, 0, rcells))
+    nodes and nxt are the summands _column_homology's cancellation leaves
+    at the key and at the next one, each Q[a]/(a^order){label} or free where
+    its order is None, and out and ins hold phi* between them.  The cycles
+    are the kernel of [phi | a^order e_t over nxt's torsion summands t];
+    its projection to nodes is injective, as the relation columns are
+    independent, so the kernel basis is a basis of the cycles.  Each
+    boundary, an incoming column of phi* or a^order e_s at a torsion node
+    s, is lifted into the kernel with -phi of it on the relation columns,
+    which it must not leave: no entry into a free summand, none of an
+    exponent below its target's order.  A Smith reduction of the lifted
+    boundaries' kernel coordinates gives the module."""
+    pos = {s: p for p, s in enumerate(nodes)}
+    row = {t: r for r, t in enumerate(nxt)}
+    rel = {t: len(nodes) + j for j, t in enumerate(t for t in nxt if orders[t] is not None)}
+    step = {p: out[s] for p, s in enumerate(nodes)}
+    cells = {(row[t], p): coeff for p, col in step.items() for t, coeff in col.items()}
+    cells.update({(row[t], c): 1 for t, c in rel.items()})
+    source = [labels[s] for s in nodes] + [labels[t] + 2 * orders[t] for t in rel]
+    cycles = smith(SliceMatrix(tuple(source), tuple(labels[t] for t in nxt), 0, cells))
+    zlabels = tuple(lab for _, lab in cycles.kernel_basis())
+    # boundaries: the incoming phi* and the key's own relations
+    bounds = [
+        ({pos[s]: coeff for s, coeff in out[u].items()}, labels[u])
+        for u in sorted({u for s in nodes for u in ins[s]})
+    ]
+    bounds += [({pos[s]: 1}, labels[s] + 2 * orders[s]) for s in nodes if orders[s] is not None]
+    bcells = {}
+    for col, (vec, lab) in enumerate(bounds):
+        lifted = dict(vec)
+        for t, coeff in _cols_apply(step, vec).items():
+            if orders[t] is None or lab - labels[t] < 2 * orders[t]:
+                raise InvariantError("a boundary's image leaves the next key's relations")
+            lifted[rel[t]] = -coeff
+        for r, coeff in cycles.kernel_coords(lifted).items():
+            bcells[(r, col)] = coeff
+    rs = smith(SliceMatrix(tuple(lab for _, lab in bounds), zlabels, 0, bcells))
     torsion = sorted((e, zlabels[r]) for r, _, e in rs.pivots if e >= 1)
     pivot_rows = {r for r, _, _ in rs.pivots}
     free = sorted(lab for r, lab in enumerate(zlabels) if r not in pivot_rows)

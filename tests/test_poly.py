@@ -489,12 +489,18 @@ class TestInvariantChecks:
 
     def test_checks_still_raise_under_optimisation(self):
         # the same checks as TestSmith's rejected kernel and image vectors,
-        # under python -O
+        # under python -O; the image check is the tests' own, on row_coords
         probe = (
             "from krlab.poly import InvariantError\n"
             "from krlab.qamod import SliceMatrix, smith\n"
             "s = smith(SliceMatrix((1,), (0,), 1, {(0, 0): 1}))\n"
-            "for coords in (s.kernel_coords, lambda vec: s.image_coords(vec, 0)):\n"
+            "def image_coords(vec, label):\n"
+            "    pos = {r0: t for t, (r0, _, _) in enumerate(s.pivots)}\n"
+            "    for r in s.row_coords(vec):\n"
+            "        t = pos.get(r)\n"
+            "        if t is None or label - s.target[r] < 2 * s.pivots[t][2]:\n"
+            "            raise InvariantError('vector is not in the image')\n"
+            "for coords in (s.kernel_coords, lambda vec: image_coords(vec, 0)):\n"
             "    try:\n"
             "        coords({0: 1})\n"
             "    except InvariantError:\n"

@@ -179,6 +179,20 @@ def reference_smith(M):
     return SmithResult(M.source, M.target, pivots, row_t_inv, col_t)
 
 
+def image_coords(s, vec, label):
+    """Coordinates of an image element of the given label in the image basis
+    of the Smith reduction s, of that label: its row coordinates, checked to
+    lie on pivot rows only, each of an exponent at least its pivot's."""
+    pos = {r0: t for t, (r0, _, _) in enumerate(s.pivots)}
+    out = {}
+    for r, coeff in s.row_coords(vec).items():
+        t = pos.get(r)
+        if t is None or label - s.target[r] < 2 * s.pivots[t][2]:
+            raise InvariantError("vector is not in the image")
+        out[t] = coeff
+    return out
+
+
 class TestSliceMatrix:
     def test_entry_breaking_the_grading_is_rejected(self):
         with pytest.raises(ValueError, match="breaks the grading"):
@@ -196,10 +210,6 @@ class TestSliceMatrix:
         # a caller still writing (coefficient, exponent) cells fails loudly
         with pytest.raises(TypeError, match="exact coefficients"):
             SliceMatrix((0,), (0,), 0, {(0, 0): (Fraction(1), 0)})
-
-    def test_columns_carry_the_shift_in_their_labels(self):
-        m = SliceMatrix((0, 2), (1, 1), 1, {(0, 0): 1, (1, 1): Fraction(3, 2)})
-        assert m.columns() == [({0: 1}, 1), ({1: Fraction(3, 2)}, 3)]
 
 
 class TestSmith:
@@ -284,7 +294,7 @@ class TestSmith:
         for t, (vec, _) in enumerate(s.kernel_basis()):
             assert s.kernel_coords(vec) == {t: 1}
         for t, (vec, lab) in enumerate(s.image_basis()):
-            assert s.image_coords(vec, lab) == {t: 1}
+            assert image_coords(s, vec, lab) == {t: 1}
         # every column of M is an image element, rebuilt from its coordinates
         # (lift asserts each coordinate's exponent is a natural number)
         basis = s.image_basis()
@@ -292,8 +302,10 @@ class TestSmith:
         image = SliceMatrix(labels, m.target, 0, {
             (r, t): coeff for t, (vec, _) in enumerate(basis) for r, coeff in vec.items()
         })
-        for vec, lab in m.columns():
-            coords = lift(s.image_coords(vec, lab), lab, labels)
+        for c, source in enumerate(m.source):
+            vec = {r: coeff for (r, col), coeff in m.entries.items() if col == c}
+            lab = source + m.shift
+            coords = lift(image_coords(s, vec, lab), lab, labels)
             assert apply_cells(lift_matrix(image), coords) == lift(vec, lab, m.target)
 
     @given(st.data(), st.integers(1, 6), st.integers(1, 6))
@@ -377,24 +389,24 @@ class TestSmith:
     def test_image_coords_rejects_outside_vectors(self):
         s = smith(SliceMatrix((2,), (0, 0), 0, {(0, 0): Fraction(1)}))
         with pytest.raises(InvariantError, match="not in the image"):
-            s.image_coords({1: 1}, 0)
+            image_coords(s, {1: 1}, 0)
 
     def test_image_coords_rejects_a_negative_power(self):
         # e0 = a^-1 (a e0) would need a coefficient outside Q[a]
         s = smith(SliceMatrix((1,), (-1,), 0, {(0, 0): Fraction(1)}))
-        assert s.image_coords({0: 3}, 1) == {0: 3}
+        assert image_coords(s, {0: 3}, 1) == {0: 3}
         with pytest.raises(InvariantError, match="not in the image"):
-            s.image_coords({0: 1}, -1)
+            image_coords(s, {0: 1}, -1)
 
     def test_image_coords_rejects_a_label_below_its_pivot(self):
         # the pivot is 2 a^2 at row 0: 6 e0 of label 4 is 3 (2 a^2 e0), but
         # of label 2 it would need a^-1
         s = smith(SliceMatrix((4,), (0,), 0, {(0, 0): 2}))
         assert s.pivots == [(0, 0, 2)]
-        assert s.image_coords({0: 6}, 4) == {0: 3}
-        assert s.image_coords({0: 6}, 6) == {0: 3}
+        assert image_coords(s, {0: 6}, 4) == {0: 3}
+        assert image_coords(s, {0: 6}, 6) == {0: 3}
         with pytest.raises(InvariantError, match="not in the image"):
-            s.image_coords({0: 6}, 2)
+            image_coords(s, {0: 6}, 2)
 
 
 def unknot_table(n, window):
@@ -1108,20 +1120,33 @@ def induced_squares(text: str, n: int, monkeypatch) -> dict[tuple, list[bool]]:
     real = qamod._column_homology
 
     def checked(presentations, phis):
-        for key, step in phis.items():
+        def cells(key):
+            """phis[key] as monomial cells, each exponent read from the kernel
+            labels (lift asserts it is a natural number)."""
             eps, i, k = key
-            nxt = phis.get((eps, i + 1, k))
-            if nxt is None:
+            if not phis[key]:
+                return {}
+            source, target = presentations[key].target, presentations[(eps, i + 1, k)].target
+            return {
+                (r, c): mono
+                for c, col in phis[key].items()
+                for r, mono in lift(col, source[c], target).items()
+            }
+
+        for key in phis:
+            eps, i, k = key
+            if (eps, i + 1, k) not in phis:
                 continue
+            step, after = cells(key), cells((eps, i + 1, k))
+            source = presentations[key].target
             composites[key] = []
-            for c in range(len(step.source)):
-                unit = {c: (1, 0)}
-                vec = apply_cells(lift_matrix(nxt), apply_cells(lift_matrix(step), unit))
+            for c in range(len(source)):
+                vec = apply_cells(after, apply_cells(step, {c: (1, 0)}))
                 if vec:
                     pres = presentations[(eps, i + 2, k)]
                     coeffs = {r: coeff for r, (coeff, _) in vec.items()}
                     # raises unless in the image; phi keeps the label
-                    smith(pres).image_coords(coeffs, step.source[c])
+                    image_coords(smith(pres), coeffs, source[c])
                 composites[key].append(bool(vec))
         return real(presentations, phis)
 
@@ -1148,24 +1173,97 @@ class TestTransportedSquare:
 
 
 class TestStage2:
-    def test_an_incoming_map_into_other_labels_raises(self, monkeypatch):
-        # phi of (eps, i - 1, k) targets the generators of (eps, i, k); one
-        # aimed at other labels must not be dropped from the relations.  On
-        # -1 -1 -1 the cancellation leaves a key with an incoming phi*
+    # cases whose cancellation leaves phi* for _stage2, at the adaptive window
+    REACHES = [("-1 -1", 3, 1), ("-1 -2", 3, 1), ("1 1 1", 2, 2), ("-1 -1 -1", 2, 1)]
+
+    def test_a_map_between_torsion_summands(self):
+        """Q[a]/(a^2){L} -> Q[a]/(a^2){L - 2}, e0 -> a e1.  At i = 0 the cycles
+        are the x with a x in (a^2), so x in (a): Q[a] a e0, of label L + 2,
+        and the relation a^2 e0 = a (a e0) leaves Q[a]/(a){L + 2}.  At i = 1
+        every x is a cycle, Q[a] e1 of label L - 2, and the boundary a e1 and
+        the relation a^2 e1 leave Q[a]/(a){L - 2}."""
+        L = 3
+        labels, orders, out, ins = [L, L - 2], [2, 2], [{1: 1}, {}], [[], [0]]
+        assert qamod._stage2([0], [1], labels, orders, out, ins) == SliceModule((), ((1, L + 2),))
+        assert qamod._stage2([1], [], labels, orders, out, ins) == SliceModule((), ((1, L - 2),))
+
+    def test_a_map_between_free_summands(self):
+        """Q[a]{0} -> Q[a]{-2}, e0 -> a e1.  At i = 0 multiplication by a is
+        injective, so there are no cycles.  At i = 1 the cycles are Q[a] e1,
+        of label -2, and the boundary a e1 leaves Q[a]/(a){-2}."""
+        labels, orders, out, ins = [0, -2], [None, None], [{1: 1}, {}], [[], [0]]
+        assert qamod._stage2([0], [1], labels, orders, out, ins) is None
+        assert qamod._stage2([1], [], labels, orders, out, ins) == SliceModule((), ((1, -2),))
+
+    def test_two_smith_reductions_per_call(self, monkeypatch):
+        # one for the cycles, one for the boundaries in their coordinates
+        real_stage2, real_smith = qamod._stage2, qamod.smith
+        counts, inside = [], []
+
+        def stage2(*args):
+            inside.append(0)
+            got = real_stage2(*args)
+            counts.append(inside.pop())
+            return got
+
+        def counted(M):
+            if inside:
+                inside[-1] += 1
+            return real_smith(M)
+
+        monkeypatch.setattr(qamod, "_stage2", stage2)
+        monkeypatch.setattr(qamod, "smith", counted)
+        for text, strands, n in self.REACHES:
+            before = len(counts)
+            adaptive_homology(build_complex(parse(text, strands), n))
+            assert len(counts) > before
+        assert set(counts) == {2}
+
+    @pytest.mark.parametrize("shift", [1, 2])
+    def test_phi_breaking_the_grading_raises(self, shift, monkeypatch):
+        # phi* keeps the a-degree, so each entry s -> t has the exponent
+        # (labels[s] - labels[t]) / 2, a natural number.  Raising every label
+        # at odd i by 1 makes each exponent in or out a half; by 2, it takes
+        # an entry of exponent 0 into odd i to -1
+        real = qamod._column_homology
+
+        def shifted(presentations, phis):
+            moved = {
+                key: SliceMatrix(
+                    tuple(lab + shift for lab in pres.source),
+                    tuple(lab + shift for lab in pres.target),
+                    0,
+                    pres.entries,
+                ) if key[1] % 2 else pres
+                for key, pres in presentations.items()
+            }
+            return real(moved, phis)
+
+        monkeypatch.setattr(qamod, "_column_homology", shifted)
+        with pytest.raises(InvariantError, match=r"phi\* breaks the grading"):
+            homology("1 1", 2, 1, 6)
+
+    @pytest.mark.parametrize("target", ["free", "higher order"])
+    def test_a_boundary_leaving_the_relations_raises(self, target, monkeypatch):
+        # every source of phi* left becomes Q[a]/(a), so its relation a e_s
+        # is a boundary whose image, a phi(e_s), must lie in the next key's
+        # relations; with the targets free, or of an order above that image's
+        # exponent, it does not
         real = qamod._stage2
         seen = []
 
-        def mismatched(key, presentations, phis):
-            eps, i, k = key
-            prev = phis.get((eps, i - 1, k))
-            if prev is not None:
-                seen.append(key)
-                wrong = SliceMatrix(prev.source, prev.target + (0,), 0, prev.entries)
-                phis = {**phis, (eps, i - 1, k): wrong}
-            return real(key, presentations, phis)
+        def mutated(nodes, nxt, labels, orders, out, ins):
+            orders = list(orders)
+            for s in nodes:
+                if out[s]:
+                    seen.append(s)
+                    orders[s] = 1
+            for t in nxt:
+                orders[t] = None if target == "free" else 9
+            return real(nodes, nxt, labels, orders, out, ins)
 
-        monkeypatch.setattr(qamod, "_stage2", mismatched)
-        with pytest.raises(InvariantError, match="incoming induced map"):
+        monkeypatch.setattr(qamod, "_stage2", mutated)
+        with pytest.raises(InvariantError, match="leaves the next key's relations"):
             homology("-1 -1 -1", 2, 1, 6)
         assert seen
 
