@@ -13,9 +13,10 @@ every coefficient division in the package goes through quotient.  The
 Koszul rows of the potential a x^(N+1) have integer coefficients, and
 keeping them as int spares the cube build Fraction's arithmetic.
 A polynomial is written out in graded lexicographic term order.  The
-one exact polynomial division, divide_terms, reduces by leading terms in
-lexicographic order; divide_exact here and skein.divide_exact on Laurent
-polynomials both call it.
+one general exact polynomial division, divide_terms, reduces by leading
+terms in lexicographic order; divide_exact wraps it for mf.  The skein's
+Laurent polynomials are only ever divided by its denominator atoms, along
+their lines (skein.divide_by_atom).
 """
 
 from __future__ import annotations

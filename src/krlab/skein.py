@@ -15,10 +15,10 @@ crossingless closures, whose value is the closed-form unlink evaluation.
 
 Coefficients are exact: int or Fraction via `poly.exact`, an int whenever
 the value is integral, and a float is refused.  Every value the recursion
-builds has integer coefficients.  Every division goes through
-`poly.quotient`, so a Fraction arises only where a quotient is not
-integral: an inexact division in `divide_terms`, or a halving in
-series_expand of an odd sum.
+builds has integer coefficients.  Dividing by a denominator atom only adds
+(see Denominator atoms), and the one coefficient division, series_expand's
+halving, goes through `poly.quotient`; so a Fraction arises only there, from
+an odd sum, or from a Fraction the caller passed in.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .braid import BraidWord, _order_key, markov_search, simplify, word_text
-from .poly import BudgetError, Coefficient, divide_terms, exact, quotient
+from .poly import BudgetError, Coefficient, exact, quotient
 
 SKEIN_BUDGET = 10**4  # the square search's first budget, doubled up to MAX_BUDGET
 MAX_BUDGET = 10**6
 # Most strands evaluate accepts.  The unlink's closed form alone grows
-# steeply with the strand count: on a 2-vCPU host `skein --braid ''` at
-# n = 1 takes 3.1 s on 80 strands, 6.5 s on 100 and 12.2 s on 120.
+# steeply with the strand count and with n: on a 2-vCPU host `skein --braid
+# ''` takes 3.3 s on 80 strands and 6.4 s on 100 at n = 1, and on 100
+# strands 13.1 s at n = 2 and 80 s at n = 10.
 MAX_SKEIN_STRANDS = 100
 
 
@@ -127,12 +128,6 @@ class Laurent:
         c0 = exact(coeff)
         return Laurent({(a + da, x + dx): c * c0 for (a, x), c in self.terms.items()})
 
-    def min_alpha(self) -> int | None:
-        return min((a for a, _ in self.terms), default=None)
-
-    def min_xi(self) -> int | None:
-        return min((x for _, x in self.terms), default=None)
-
     def __repr__(self) -> str:
         return f"Laurent({self.pretty()})"
 
@@ -160,54 +155,25 @@ class Laurent:
         return text.replace("+ -", "- ")
 
 
-def divide_exact(num: Laurent, den: Laurent) -> Laurent | None:
-    """num / den when the division is exact, else None.
-
-    Both are first shifted to least exponent 0 in alpha and in xi.  The
-    shifted den then has no monomial factor, so Laurent divisibility is
-    polynomial divisibility, which poly.divide_terms decides.
-    """
-    if den.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero:
-        return Laurent.zero()
-    na, nx = num.min_alpha(), num.min_xi()
-    da, dx = den.min_alpha(), den.min_xi()
-    quot = divide_terms(
-        {(a - na, x - nx): c for (a, x), c in num.terms.items()},
-        {(a - da, x - dx): c for (a, x), c in den.terms.items()},
-    )
-    if quot is None:
-        return None
-    sa, sx = na - da, nx - dx
-    return Laurent({(a + sa, x + sx): c for (a, x), c in quot.items()})
-
-
-def _truncated_product(
-    p: Laurent, q: Laurent, alpha_max: int, xi_max: int | None = None
-) -> Laurent:
-    """p * q without the terms above alpha_max, or above xi_max when given."""
-    out: dict[tuple[int, int], Coefficient] = {}
-    get = out.get
-    right = list(q.terms.items())
-    for (a1, x1), c1 in p.terms.items():
-        a_room = alpha_max - a1
-        x_room = None if xi_max is None else xi_max - x1
-        for (a2, x2), c2 in right:
-            if a2 > a_room or (x_room is not None and x2 > x_room):
-                continue
-            key = (a1 + a2, x1 + x2)
-            out[key] = get(key, 0) + c1 * c2
-    return Laurent(out)
-
-
 # ---------------------------------------------------------------------------
 # Denominator atoms
 #
-# Every denominator produced by the recursion is a product of these four
-# factors.  Each is lead * (1 - ratio) with lead a monic monomial, so its
-# inverse is lead^-1 * sum ratio^i, a power series with exponents bounded
-# below because every ratio raises alpha or xi.
+# Every denominator produced by the recursion is a product of these
+# factors.  Each is lead * (1 - c u) with lead a monic monomial, u the
+# ratio's monomial and c = +-1, and every ratio raises alpha or xi.
+#
+# Dividing by an atom is dividing by 1 - c u and shifting by lead^-1, a unit.
+# The exponents split into lines e0 + k u, and p is a sum over the lines of
+# e0 times a Laurent polynomial sum p_k u^k; so q (1 - c u) = p holds line by
+# line, where it reads p_k = q_k - c q_(k-1).  Up each line from its least k,
+# then, q_k = p_k + c q_(k-1).  The division is exact when this running sum,
+# taken to the line's greatest k, ends at 0 there: that last value is
+# +-p(u = c), and c = 1/c.  Carried on past that k, the same sum is p times
+# the inverse sum c^i u^i, the power series of p / (1 - c u), whose
+# exponents are bounded below; on a line it runs until the exponent in the
+# ratio's direction passes that direction's cap.  k counts steps from a
+# point of the line fixed by floor division, so equal lines get equal e0.
+# The sum only adds and flips signs, so integral coefficients stay ints.
 
 ATOM_ALPHA = ("alpha",)  # 1 - alpha^2
 
@@ -240,24 +206,46 @@ def atom_poly(key: tuple, tau: int) -> Laurent:
     return Laurent({(la, lx): 1, (la + ra, lx + rx): -c})
 
 
-def atom_divides(num: Laurent, key: tuple, tau: int) -> bool:
-    """Whether the atom divides num, in one pass over its terms.
+def divide_by_atom(
+    num: Laurent, key: tuple, tau: int, caps: tuple[int, int] | None = None
+) -> Laurent | None:
+    """num / atom by the running sum up each line (see Denominator atoms).
 
-    The atom's lead is a unit, so this asks whether 1 - c u divides num,
-    with u the ratio's monomial and c = +-1.  The exponents split into lines
-    e0 + k u, and num is a sum over the lines of e0 times a Laurent
-    polynomial in u; 1 - c u divides it exactly when it divides each of
-    those, that is when each vanishes at u = 1/c = c, i.e. when each line's
-    coefficients, weighted c^k, sum to zero.  k counts steps from a point of
-    the line fixed by floor division, so equal lines get equal e0.
+    Exact mode, caps None: the quotient, or None when a line leaves a
+    remainder.  Series mode, caps (alpha_max, xi_max): the power series of
+    num / atom, each line run to the cap in the ratio's direction, and a
+    line whose fixed exponent is past its cap dropped; an exponent the ratio
+    lowers is not capped.  A term past a cap is dropped for good, so an atom
+    that lowers an exponent must be divided before the others, as `series`
+    does.  ValueError on an unknown atom.
     """
-    _, (c, ra, rx) = atom_parts(key, tau)
-    sums: dict[tuple[int, int], Coefficient] = {}
+    (la, lx), (c, ra, rx) = atom_parts(key, tau)
+    lines: dict[tuple[int, int], dict[int, Coefficient]] = {}
     for (a, x), coeff in num.terms.items():
         k = a // ra if ra else x // rx
-        line = (a - k * ra, x - k * rx)
-        sums[line] = sums.get(line, 0) + (-coeff if c == -1 and k % 2 else coeff)
-    return not any(sums.values())
+        base = (a - k * ra - la, x - k * rx - lx)
+        line = lines.get(base)
+        if line is None:
+            line = lines[base] = {}
+        line[k] = coeff
+    out: dict[tuple[int, int], Coefficient] = {}
+    for (a0, x0), line in lines.items():
+        if caps is None:
+            top = max(line) - 1
+        else:
+            alpha_max, xi_max = caps
+            if (not ra and a0 > alpha_max) or (not rx and x0 > xi_max):
+                continue
+            top = (alpha_max - a0) // ra if ra else (xi_max - x0) // rx
+        get = line.get
+        q = 0
+        for k in range(min(line), top + 1):
+            q = get(k, 0) + c * q
+            if q:
+                out[(a0 + k * ra, x0 + k * rx)] = q
+        if caps is None and line[top + 1] + c * q:
+            return None
+    return Laurent(out)
 
 
 def _den_poly(den: Counter, tau: int) -> Laurent:
@@ -286,15 +274,16 @@ class RationalFunction:
             object.__setattr__(self, "den", Counter())
 
     def stripped(self) -> "RationalFunction":
-        """Cancel denominator atoms that divide the numerator exactly; only
-        an atom that atom_divides admits is divided out."""
+        """Cancel denominator atoms while one divides the numerator exactly,
+        each by one exact-mode `divide_by_atom`."""
         num, den = self.num, Counter(self.den)
         changed = True
         while changed and den:
             changed = False
             for key in list(den):
-                if atom_divides(num, key, self.tau):
-                    num = divide_exact(num, atom_poly(key, self.tau))
+                quot = divide_by_atom(num, key, self.tau)
+                if quot is not None:
+                    num = quot
                     den[key] -= 1
                     if not den[key]:
                         del den[key]
@@ -351,30 +340,20 @@ class RationalFunction:
 
     def series(self, alpha_max: int, xi_max: int) -> Laurent:
         """Exact expansion keeping alpha-exponents <= alpha_max and
-        xi-exponents <= xi_max; exponents are bounded below throughout.
+        xi-exponents <= xi_max: the numerator divided in series mode by each
+        atom factor in turn (`divide_by_atom`); ValueError on an unknown atom.
 
-        Each atom lead * (1 - ratio) (`atom_parts`) is inverted as lead^-1 *
-        sum ratio^i, with as many terms as the caps can use given the least
-        exponent of the product so far; ValueError on an unknown atom."""
+        The unit atoms' ratios lower xi while raising alpha, so they go first,
+        where the alpha cap alone bounds their lines.  Every later ratio
+        raises alpha or xi and lowers neither, nor does any lead's inverse,
+        so the xi cap holds from then on."""
+        factors = sorted(
+            (atom_parts(key, self.tau)[1][2] >= 0, key, mult) for key, mult in self.den.items()
+        )
         out = self.num
-        # the unit atom's ratio lowers xi while raising alpha, so expand it
-        # first with an alpha cap, leaving the pure-xi atoms a stable xi floor
-        parts = [(*atom_parts(key, self.tau), mult) for key, mult in sorted(self.den.items())]
-        parts.sort(key=lambda part: part[1][2] >= 0)  # the ratio's xi exponent
-        for (la, lx), (c, ra, rx), mult in parts:
+        for _, key, mult in factors:
             for _ in range(mult):
-                if out.is_zero:
-                    return Laurent.zero()
-                if ra:
-                    steps = (alpha_max - out.min_alpha() + la) // ra
-                else:
-                    steps = (xi_max - out.min_xi() + lx) // rx
-                inv = Laurent(
-                    {(ra * i - la, rx * i - lx): c**i for i in range(max(steps, 0) + 1)}
-                )
-                # once the xi-lowering ratios are done every factor raises both
-                # exponents, so both caps hold from then on
-                out = _truncated_product(out, inv, alpha_max, xi_max if rx >= 0 else None)
+                out = divide_by_atom(out, key, self.tau, (alpha_max, xi_max))
         return Laurent(
             {(a, x): c for (a, x), c in out.terms.items() if a <= alpha_max and x <= xi_max}
         )

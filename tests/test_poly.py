@@ -23,8 +23,6 @@ from krlab.poly import (
     quotient,
     substitute,
 )
-from krlab.skein import Laurent
-from krlab.skein import divide_exact as laurent_divide_exact
 
 T = VariableTable.build(
     [("a", "a"), ("x1", "mark"), ("x2", "mark"), ("x3", "mark"), ("y", "mark")]
@@ -106,7 +104,7 @@ class TestDivideExact:
             with pytest.raises(ValueError, match="non-exact"):
                 divide_exact(p + r, d)
 
-    # one draw of p, q and a remainder term, for both division wrappers
+    # one draw of p, q and a remainder term
     TWO = VariableTable.build([("x", "mark"), ("y", "mark")])
     TERMS = st.dictionaries(
         st.tuples(st.integers(0, 4), st.integers(0, 4)),
@@ -117,16 +115,13 @@ class TestDivideExact:
     @settings(max_examples=150, deadline=None)
     @given(TERMS, TERMS.filter(lambda t: len(t) >= 2),
            st.tuples(st.integers(0, 6), st.integers(0, 6)))
-    def test_both_wrappers_divide_alike(self, p_terms, q_terms, key):
+    def test_divide_exact_refuses_a_monomial_remainder(self, p_terms, q_terms, key):
         p, q = BigradedPoly(self.TWO, p_terms), BigradedPoly(self.TWO, q_terms)
-        lp, lq = Laurent(p_terms), Laurent(q_terms)
         assert divide_exact(p * q, q) == p
-        assert laurent_divide_exact(lp * lq, lq) == lp
         # q has two terms or more, so it divides no nonzero monomial
         r = BigradedPoly(self.TWO, {key: 1})
         with pytest.raises(ValueError, match="non-exact"):
             divide_exact(p * q + r, q)
-        assert laurent_divide_exact(lp * lq + Laurent({key: 1}), lq) is None
 
     def test_difference_quotient_roundtrip(self):
         # p_{2,3} at two alphabets, differenced in E1 and divided by E1-E1'
@@ -606,6 +601,42 @@ class TestInvariantChecks:
         found = [node.lineno for node in self.divisions(ast.parse(source), ("quotient",))]
         assert sorted(found) == [2, 3, 3, 4]
         assert sorted(node.lineno for node in self.divisions(ast.parse(source))) == [1, 2, 3, 3, 4]
+
+    @staticmethod
+    def polynomial_divisions(tree):
+        """Each import, load or attribute of the name divide_terms."""
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if any(alias.name == "divide_terms" for alias in node.names):
+                    yield node
+            elif isinstance(node, ast.Name) and node.id == "divide_terms":
+                yield node
+            elif isinstance(node, ast.Attribute) and node.attr == "divide_terms":
+                yield node
+
+    def test_every_polynomial_division_is_in_poly(self):
+        # poly.divide_terms is the one general polynomial division, for poly
+        # and mf through poly.divide_exact; skein divides by its atoms alone
+        root = Path(krlab.__file__).parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(root.glob("*.py"))
+            if path.name != "poly.py"
+            for node in self.polynomial_divisions(ast.parse(path.read_text()))
+        ]
+        assert found == []
+
+    def test_polynomial_division_scan_flags(self):
+        source = (
+            "from .poly import BudgetError, divide_terms\n"
+            "q = divide_terms(p, d)\n"
+            "r = poly.divide_terms(p, d)\n"
+            "f = divide_terms\n"
+            "s = divide_exact(p, d) + my_divide_terms(p, d)\n"
+            "t = 'divide_terms'\n"
+        )
+        found = {node.lineno for node in self.polynomial_divisions(ast.parse(source))}
+        assert sorted(found) == [1, 2, 3, 4]
 
     def test_no_unused_imports(self):
         # every name an import binds in the package and its tests is read

@@ -8,16 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krlab.braid import BraidWord, markov_search, parse
+from krlab.poly import divide_terms
 from krlab.skein import (
     ATOM_ALPHA,
     Laurent,
     RationalFunction,
     SkeinValue,
-    atom_divides,
+    atom_parts,
     atom_poly,
     atom_unit,
     atom_xin,
-    divide_exact,
+    divide_by_atom,
     evaluate,
     series_expand,
     skein_residual,
@@ -45,6 +46,11 @@ def mod_a_unlink(m, n):
     return pair_value(n, build)
 
 
+def least(p, i):
+    """The least alpha (i = 0) or xi (i = 1) exponent of p, None when p is zero."""
+    return min((e[i] for e in p.terms), default=None)
+
+
 def untruncated_series(rf, alpha_max, xi_max):
     """RationalFunction.series as first written: whole products of the
     truncated inverses, trimmed only at the end."""
@@ -54,7 +60,7 @@ def untruncated_series(rf, alpha_max, xi_max):
             continue
         n = key[1]
         for _ in range(mult):
-            lo = out.min_alpha()
+            lo = least(out, 0)
             if lo is None:
                 return Laurent.zero()
             steps = max(alpha_max - lo, 0)
@@ -62,7 +68,7 @@ def untruncated_series(rf, alpha_max, xi_max):
     for key, mult in sorted(rf.den.items()):
         if key == ATOM_ALPHA:
             for _ in range(mult):
-                lo = out.min_alpha()
+                lo = least(out, 0)
                 if lo is None:
                     return Laurent.zero()
                 half = max((alpha_max - lo) // 2, 0)
@@ -70,7 +76,7 @@ def untruncated_series(rf, alpha_max, xi_max):
         elif key[0] == "xi":
             n = key[1]
             for _ in range(mult):
-                lo = out.min_xi()
+                lo = least(out, 1)
                 if lo is None:
                     return Laurent.zero()
                 reps = max((xi_max - lo - n) // (2 * n) + 1, 0)
@@ -93,6 +99,32 @@ def laurents(min_size=0):
 atoms = st.sampled_from(
     [ATOM_ALPHA, atom_xin(1), atom_xin(2), atom_xin(3), atom_unit(1), atom_unit(2)]
 )
+# every atom kind at both values of tau
+EVERY_ATOM = [
+    (key, tau)
+    for key in (ATOM_ALPHA, *map(atom_xin, (1, 2, 3)), *map(atom_unit, (1, 2, 3)))
+    for tau in (1, -1)
+]
+
+
+def divided_by_terms(num, key, tau):
+    """num / atom by poly.divide_terms, or None when it finds a remainder.
+
+    Both are shifted to least exponent 0 in alpha and in xi; the shifted atom
+    has no monomial factor, so Laurent divisibility is polynomial
+    divisibility."""
+    if num.is_zero:
+        return Laurent.zero()
+    den = atom_poly(key, tau)
+    na, nx = least(num, 0), least(num, 1)
+    da, dx = least(den, 0), least(den, 1)
+    quot = divide_terms(
+        {(a - na, x - nx): c for (a, x), c in num.terms.items()},
+        {(a - da, x - dx): c for (a, x), c in den.terms.items()},
+    )
+    if quot is None:
+        return None
+    return Laurent({(a + na - da, x + nx - dx): c for (a, x), c in quot.items()})
 
 
 def bracket(n):
@@ -129,13 +161,14 @@ class TestLaurent:
     def test_divide_exact(self):
         d = atom_poly(ATOM_ALPHA, 1)
         q = Laurent({(0, 0): 1, (2, 0): 1})
-        assert divide_exact(d * q, d) == q
-        assert divide_exact(Laurent.monomial(1), d) is None
-        assert divide_exact(d.scaled(1, -1, 0) + Laurent.monomial(1, 0, 1), d) is None
-        assert divide_exact(Laurent({(0, 0): 1, (0, 2): 1}), Laurent({(0, 0): 1, (0, 1): 1})) is None
-        assert divide_exact(Laurent.zero(), d) == Laurent.zero()
-        with pytest.raises(ZeroDivisionError):
-            divide_exact(q, Laurent.zero())
+        assert divide_by_atom(d * q, ATOM_ALPHA, 1) == q
+        assert divide_by_atom(Laurent.monomial(1), ATOM_ALPHA, 1) is None
+        assert divide_by_atom(d.scaled(1, -1, 0) + Laurent.monomial(1, 0, 1), ATOM_ALPHA, 1) is None
+        # 1 + q^2 is no multiple of q^-1 - q: its line sums to 2 at q^2 = 1
+        assert divide_by_atom(Laurent({(0, 0): 1, (0, 2): 1}), atom_xin(1), 1) is None
+        assert divide_by_atom(Laurent.zero(), ATOM_ALPHA, 1) == Laurent.zero()
+        with pytest.raises(ValueError, match="unknown denominator atom"):
+            divide_by_atom(q, ("bogus",), 1)
 
     def test_floats_are_refused(self):
         with pytest.raises(TypeError):
@@ -152,25 +185,29 @@ class TestLaurent:
         assert type((p * p).terms[(1, 0)]) is int
         assert all(type(c) is int for c in unlink_value(2, 2).plus.num.terms.values())
 
-    @settings(max_examples=200, deadline=None)
-    @given(laurents(), laurents(min_size=1))
-    def test_divide_exact_recovers_the_factor(self, p, q):
-        assert divide_exact(p * q, q) == p
+    @settings(max_examples=60, deadline=None)
+    @given(laurents())
+    def test_divide_exact_recovers_the_factor(self, q):
+        for key, tau in EVERY_ATOM:
+            assert divide_by_atom(atom_poly(key, tau) * q, key, tau) == q
 
-    @settings(max_examples=200, deadline=None)
-    @given(laurents(), laurents(min_size=2), exponent_pairs, coefficients)
-    def test_divide_exact_refuses_a_remainder(self, p, q, key, c):
-        # q has two terms or more, so it divides no nonzero monomial
-        assert divide_exact(p * q + Laurent({key: c}), q) is None
+    @settings(max_examples=60, deadline=None)
+    @given(laurents(), exponent_pairs, coefficients)
+    def test_divide_exact_refuses_a_remainder(self, q, exp, c):
+        # an atom has two terms, so it divides no nonzero monomial
+        for key, tau in EVERY_ATOM:
+            assert divide_by_atom(atom_poly(key, tau) * q + Laurent({exp: c}), key, tau) is None
 
     def test_divide_exact_long_quotient(self):
-        # 1 - q^80 = (1 - q^2)(1 + q^2 + ... + q^78), a quotient of 40 terms
+        # 1 - q^80 = (q^-1 - q) q (1 + q^2 + ... + q^78), a quotient of 40 terms
         num = Laurent({(0, 0): 1, (0, 80): -1})
-        den = Laurent({(0, 0): 1, (0, 2): -1})
-        q = Laurent({(0, 2 * k): 1 for k in range(40)})
-        assert divide_exact(num, den) == q
-        # monomial factors on either side only shift the quotient
-        assert divide_exact(num.scaled(1, -3, 5), den.scaled(1, 2, -1)) == q.scaled(1, -5, 6)
+        q = Laurent({(0, 2 * k + 1): 1 for k in range(40)})
+        shifted = num.scaled(1, -3, 5)
+        for tau in (1, -1):
+            assert divide_by_atom(num, atom_xin(1), tau) == q
+            # a monomial factor of the numerator only shifts the quotient
+            assert divide_by_atom(shifted, atom_xin(1), tau) == q.scaled(1, -3, 5)
+            assert divide_by_atom(shifted + Laurent.monomial(1, 0, 4), atom_xin(1), tau) is None
 
 
 class TestRationalFunction:
@@ -193,12 +230,13 @@ class TestRationalFunction:
         with pytest.raises(ValueError):
             RationalFunction(0, Laurent.one(), Counter())
 
-    @settings(max_examples=200, deadline=None)
-    @given(laurents(), laurents(), atoms, st.sampled_from([1, -1]))
-    def test_atom_divides_agrees_with_divide_exact(self, q, r, key, tau):
-        atom = atom_poly(key, tau)
-        for num in (atom * q, atom * q + r):
-            assert atom_divides(num, key, tau) == (divide_exact(num, atom) is not None)
+    @settings(max_examples=60, deadline=None)
+    @given(laurents(), laurents())
+    def test_divide_exact_agrees_with_divide_terms(self, q, r):
+        for key, tau in EVERY_ATOM:
+            atom = atom_poly(key, tau)
+            for num in (atom * q, atom * q + r):
+                assert divide_by_atom(num, key, tau) == divided_by_terms(num, key, tau)
 
     def test_stripped(self):
         d = atom_poly(ATOM_ALPHA, 1)
@@ -221,6 +259,33 @@ class TestRationalFunction:
         v = frac(1, Laurent.one(), atom_unit(1))
         got = v.series(2, 4)
         assert got == Laurent({(0, 0): 1, (1, -2): -1, (2, -4): 1})
+
+    def test_series_caps_xi_only_after_the_unit_atoms(self):
+        # q^10 / (1 + tau a q^-2): the terms above the xi cap come down past it
+        # only as the unit atom's sum runs, so the xi cap must not cut first
+        for tau in (1, -1):
+            rf = frac(tau, Laurent.monomial(1, 0, 10), atom_unit(1))
+            got = rf.series(5, 4)
+            assert got == Laurent({(3, 4): -tau, (4, 2): 1, (5, 0): -tau})
+            assert got == untruncated_series(rf, 5, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(laurents(), st.integers(-2, 8), st.integers(-4, 8))
+    def test_series_mode_inverts_the_atom(self, q, alpha_max, xi_max):
+        # the series of q / atom times the atom is q again, below the caps
+        # less the atom's own reach; a unit atom's ratio lowers xi, so only
+        # alpha is capped there
+        for key, tau in EVERY_ATOM:
+            (la, lx), (_, _, rx) = atom_parts(key, tau)
+            back = divide_by_atom(q, key, tau, (alpha_max, xi_max)) * atom_poly(key, tau)
+
+            def low(t):
+                a, x = t
+                return a <= alpha_max + la and (rx < 0 or x <= xi_max + lx)
+
+            assert {t: c for t, c in back.terms.items() if low(t)} == {
+                t: c for t, c in q.terms.items() if low(t)
+            }
 
     def test_series_rejects_an_unknown_atom(self):
         with pytest.raises(ValueError, match="unknown denominator atom"):
