@@ -21,17 +21,17 @@ back into the reported slices.  An eventually constant period-2 torsion
 pattern near the top of the window is detected and reported as a tail, which
 the decategorification sums in closed form.
 
-Before any Smith reduction, the complex is shrunk by eliminating the
+Before any Smith reduction, _cancel shrinks the complex by eliminating the
 differential entries that are nonzero rationals (a-exponent zero) within a
-fixed homological degree.  Such an elimination is a homotopy equivalence
-compatible with the homological filtration, so the two-stage homology is
-unchanged, and it also produces the corrected degree-one component used in
-the second stage.  Correction terms of homological jump two and higher are
-discarded: they never enter the two-stage answer.  The jump-one component
-squares to zero only up to boundaries of the jump-zero component, which is
-exactly the slack the second-stage subquotient construction absorbs.  A
-zig-zag through a pivot adds the jumps of its two ends, so an entry of jump
-two or more only ever produces more of them; they are never created.
+fixed homological degree.  The elimination keeps the homological
+filtration, so the two-stage homology is unchanged, and it also produces
+the corrected degree-one component used in the second stage.  Correction
+terms of homological jump two and higher are discarded: they never enter
+the two-stage answer.  The jump-one component squares to zero only up to
+boundaries of the jump-zero component, which is exactly the slack the
+second-stage subquotient construction absorbs.  A zig-zag through a pivot
+adds the jumps of its two ends, so an entry of jump two or more only ever
+produces more of them; they are never created.
 
 Every graded cell of the package holds only its coefficient, and reads
 its a-exponent from the labels: a graded vector is a (vec, label) pair
@@ -112,13 +112,11 @@ Q[a]/(a^e){t}, e >= 1 since no unit survives in d0, and Q[a]{s}.  A map
 into Q[a]/(a^f) sees only the a-exponents below f, so phi* between the
 summands keeps just the entries of exponent below their target's order.
 An entry of exponent 0 between two summands of one order is an
-isomorphism g -> h, and Gaussian elimination of an isomorphism is a
-homotopy equivalence of complexes in any additive category: g and h leave
-with the maps into g and out of h, and each u -> v gains -phi(g -> v)
-phi(g -> h)^-1 phi(u -> h).  That correction is a composite of module maps
-into v, so it too is reduced modulo v's order.  The homology of (E1, phi*)
-is unchanged.  The cancellation never leaves a column, so its modules are
-final with its keys' stage one and phi*.
+isomorphism, which _cancel eliminates.  Each correction it makes is a
+composite of module maps into its target v, so it too is reduced modulo
+v's order, and the homology of (E1, phi*) is unchanged.  The cancellation
+never leaves a column, so its modules are final with its keys' stage one
+and phi*.
 
 What is left is read off the summand graph itself.  At a key with summands
 e_s, the cycles are the x in their free span with phi(x) in the next key's
@@ -137,6 +135,7 @@ import gc
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
 from operator import add
 
@@ -429,6 +428,77 @@ def smith(M: SliceMatrix) -> SmithResult:
             raise InvariantError("pivot row or column not cleared")
         pivots.append((r0, c0, pe))
     return SmithResult(source, target, pivots, row_t_inv, col_t)
+
+
+# ---------------------------------------------------------------------------
+# Cancellation of isomorphisms
+
+
+def _cancel(out: list, ins: list, heap: list, targets, candidate) -> None:
+    """Gaussian elimination of the isomorphism cells of a complex, in place.
+
+    out[s] maps each target of s to the cell's coefficient and ins[t] lists
+    the sources with a cell into t, each once, so Markowitz costs are exact;
+    heap holds the candidate cells (s, t) on entry.  Eliminating an
+    isomorphism g -> h is a homotopy equivalence of complexes in any
+    additive category (Bar-Natan, arXiv:math/0606318): g and h leave with
+    the maps into g and out of h, and each u -> v gains the zig-zag
+    -phi(g -> v) phi(g -> h)^-1 phi(u -> h).  targets(g, h) returns the rule
+    that gives, for each source u of h, the cells (v, phi(g -> v)) whose
+    zig-zag the caller keeps, and candidate(u, v) says whether a cell the
+    zig-zags make is an isomorphism too.  The candidates are taken cheapest first, at the cost
+    (|out[s]| - 1)(|ins[t]| - 1) of the fill they make, one whose cost grew
+    since its push is pushed again, and a candidate made by a step is pushed
+    after it, at its cost then, so list order never decides the pivots.
+    Each eliminated element's containers are set to None.
+    """
+
+    def cost(s: int, t: int) -> int:
+        return (len(out[s]) - 1) * (len(ins[t]) - 1)
+
+    for j, (s, t) in enumerate(heap):
+        heap[j] = (cost(s, t), s, t)
+    heapq.heapify(heap)
+    while heap:
+        pushed, s0, t0 = heapq.heappop(heap)
+        pivot = None if out[s0] is None else out[s0].get(t0)
+        if pivot is None:
+            continue
+        now = cost(s0, t0)
+        if now > pushed and heap:
+            heapq.heappush(heap, (now, s0, t0))
+            continue
+        fill = targets(s0, t0)
+        fresh = []
+        for s in ins[t0]:
+            if s == s0:
+                continue
+            row = out[s]
+            dc = row[t0]
+            factor = -dc if pivot == 1 else dc if pivot == -1 else quotient(-dc, pivot)
+            for t, gc in fill(s):
+                coeff = gc if factor == 1 else (-gc if factor == -1 else factor * gc)
+                cur = row.get(t)
+                if cur is None:
+                    row[t] = coeff
+                    ins[t].append(s)
+                    if candidate(s, t):
+                        fresh.append((s, t))
+                else:
+                    c = cur + coeff
+                    if c:
+                        row[t] = c
+                    else:
+                        del row[t]
+                        ins[t].remove(s)
+        for e in (s0, t0):
+            for s in ins[e]:
+                del out[s][e]
+            for t in out[e]:
+                ins[t].remove(e)
+        out[s0] = out[t0] = ins[s0] = ins[t0] = None
+        for s, t in fresh:
+            heapq.heappush(heap, (cost(s, t), s, t))
 
 
 # ---------------------------------------------------------------------------
@@ -759,19 +829,16 @@ class _ClassExpansion:
     eliminated, grown in place by raising the top.
 
     Basis elements are (generator, mark monomial) pairs, numbered in the
-    order they are created.  out[s] maps each target of s to the cell's
-    coefficient (the module docstring gives its exponent); rows[t] lists the
-    sources with a cell into t, each once, so Markowitz costs are exact.  A
-    unit cell made by a pivot step is pushed after it, at its cost then, so
-    list order never decides the pivots.  Growing from top T to T' creates
-    the elements at x in (T, T'] and the entries into them, and eliminates
-    the unit entries then present as a fresh expansion would (module
-    docstring).  final is the last hi reported: modules holds the two-stage
-    result of every key at x <= final, which no growth changes, and kernels
-    the stage-one Smith reductions at the n + 1 x-degrees up to final, each
-    with its target's elements then, whose images a wider window reads.
-    After a MemoryError every class of the expansion is emptied and must
-    not be used again.
+    order they are created.  out and rows are _cancel's out and ins, each
+    cell holding its coefficient (the module docstring gives its exponent).
+    Growing from top T to T' creates the elements at x in (T, T'] and the
+    entries into them, and eliminates the unit entries then present as a
+    fresh expansion would (module docstring).  final is the last hi
+    reported: modules holds the two-stage result of every key at x <= final,
+    which no growth changes, and kernels the stage-one Smith reductions at
+    the n + 1 x-degrees up to final, each with its target's elements then,
+    whose images a wider window reads.  After a MemoryError every class of
+    the expansion is emptied and must not be used again.
     """
 
     def __init__(self, knot: _Expansion, cls: tuple[int, int]) -> None:
@@ -802,7 +869,7 @@ class _ClassExpansion:
             return
         knot = self.knot
         knot.admit(top)
-        heap: list[tuple[int, int, int]] = []
+        heap: list = []  # the unit cells, then _cancel's heap
         try:
             self._extend(old, top, expansion_size(knot.C, top, self.cls), heap)
         except MemoryError:
@@ -846,7 +913,6 @@ class _ClassExpansion:
         # sources above old - j.  (g, m) goes to image(m) times the entry,
         # summed per target; one source element meets one target through one
         # entry, so a second write is a fault.
-        units: list[tuple[int, int]] = []
         for entries, start, nm, src, (_, i, _, gx) in zip(knot.entries, starts, marks, index, gens):
             if start is None:
                 continue
@@ -873,23 +939,9 @@ class _ClassExpansion:
                             row[tid] = c
                             rows[tid].append(sid)
                             if unit:
-                                units.append((sid, tid))
-        # the unit entries, each with its Markowitz cost
-        heap.extend(((len(out[s]) - 1) * (len(rows[t]) - 1), s, t) for s, t in units)
-        heapq.heapify(heap)
-        del units
+                                heap.append((sid, tid))
 
-        while heap:
-            cost, s0, t0 = heapq.heappop(heap)
-            if out[s0] is None:
-                continue
-            pivot = out[s0].get(t0)
-            if pivot is None:
-                continue
-            now = (len(out[s0]) - 1) * (len(rows[t0]) - 1)
-            if now > cost and heap:
-                heapq.heappush(heap, (now, s0, t0))
-                continue
+        def targets(s0: int, t0: int):
             if t0 < first:
                 raise InvariantError("growth eliminates an element at or below the old top")
             # the zig-zag s -> t0 <- s0 -> t adds the jumps of its two ends;
@@ -897,40 +949,12 @@ class _ClassExpansion:
             i0 = info_i[s0]
             flat = [(t, g) for t, g in out[s0].items() if t != t0 and info_i[t] == i0]
             both = flat + [(t, g) for t, g in out[s0].items() if info_i[t] != i0]
-            fresh = []
-            for s in [s for s in rows[t0] if s != s0]:
-                row = out[s]
-                dc = row[t0]
-                factor = -dc if pivot == 1 else dc if pivot == -1 else quotient(-dc, pivot)
-                same = info_i[s] == i0
-                for t, gc in (both if same else flat):
-                    coeff = gc if factor == 1 else (-gc if factor == -1 else factor * gc)
-                    cur = row.get(t)
-                    if cur is None:
-                        row[t] = coeff
-                        sources = rows[t]
-                        sources.append(s)
-                        if same and info_i[t] == i0 and info_ja[t] == info_ja[s] + 1:
-                            fresh.append((s, t))
-                    else:
-                        c = cur + coeff
-                        if c:
-                            row[t] = c
-                        else:
-                            del row[t]
-                            rows[t].remove(s)
-            for s in rows[t0]:
-                del out[s][t0]
-            for t in out[s0]:
-                rows[t].remove(s0)
-            for t in out[t0]:
-                rows[t].remove(t0)
-            for u in rows[s0]:
-                del out[u][s0]
-            # the pair leaves the complex, and its containers with it
-            out[s0] = out[t0] = rows[s0] = rows[t0] = None
-            for s, t in fresh:
-                heapq.heappush(heap, ((len(out[s]) - 1) * (len(rows[t]) - 1), s, t))
+            return lambda s: both if info_i[s] == i0 else flat
+
+        def is_unit(s: int, t: int) -> bool:
+            return info_i[s] == info_i[t] and info_ja[t] == info_ja[s] + 1
+
+        _cancel(out, rows, heap, targets, is_unit)
 
     def reduced(self) -> _Reduced:
         """The surviving slice bases above x = final, each key's elements in
@@ -1202,8 +1226,8 @@ def _column_homology(presentations: dict, phis: dict) -> dict:
     the summands, each entry checked to keep the a-degree and dropped where
     its exponent reaches its target's order; a torsion summand has no entry
     into a free one.  Every entry of exponent 0 between summands of one
-    order is an isomorphism, and these are cancelled in Markowitz order
-    (module docstring).  The summand graph left, labels, orders and phi*
+    order is an isomorphism, and _cancel eliminates these (module
+    docstring).  The summand graph left, labels, orders and phi*
     as out and ins, goes to _stage2 at each key that still has an entry of
     phi* in or out; every other key's module is its summands."""
     keys = sorted(presentations)
@@ -1223,8 +1247,7 @@ def _column_homology(presentations: dict, phis: dict) -> dict:
         labels += pres.target
         orders += order
 
-    # phi* between the summands: out[s] maps each target of s to the
-    # coefficient, ins[t] lists the sources into t, each once
+    # phi* between the summands, as _cancel's out and ins
     out: list[dict | None] = [{} for _ in labels]
     ins: list[list[int] | None] = [[] for _ in labels]
     for key in keys:
@@ -1250,54 +1273,11 @@ def _column_homology(presentations: dict, phis: dict) -> dict:
                 out[s][t] = coeff
                 ins[t].append(s)
 
-    def cost(s: int, t: int) -> int:
-        return (len(out[s]) - 1) * (len(ins[t]) - 1)
-
     def iso(s: int, t: int) -> bool:
         return labels[s] == labels[t] and orders[s] == orders[t]
 
-    heap = [(cost(s, t), s, t) for s, row in enumerate(out) for t in row if iso(s, t)]
-    heapq.heapify(heap)
-    while heap:
-        pushed, g, h = heapq.heappop(heap)
-        if out[g] is None or h not in out[g]:
-            continue
-        now = cost(g, h)
-        if now > pushed and heap:
-            heapq.heappush(heap, (now, g, h))
-            continue
-        fresh = []
-        for u in ins[h]:
-            if u == g:
-                continue
-            row = out[u]
-            for v, coeff in _correction(out, labels, orders, g, h, u):
-                cur = row.get(v)
-                if cur is None:
-                    row[v] = coeff
-                    ins[v].append(u)
-                    if iso(u, v):
-                        fresh.append((u, v))
-                else:
-                    c = cur + coeff
-                    if c:
-                        row[v] = c
-                    else:
-                        del row[v]
-                        ins[v].remove(u)
-        for u in ins[g]:
-            del out[u][g]
-        for v in out[h]:
-            ins[v].remove(h)
-        for v in out[g]:
-            if v != h:
-                ins[v].remove(g)
-        for u in ins[h]:
-            if u != g:
-                del out[u][h]
-        out[g] = out[h] = ins[g] = ins[h] = None
-        for u, v in fresh:
-            heapq.heappush(heap, (cost(u, v), u, v))
+    isos = [(s, t) for s, row in enumerate(out) for t in row if iso(s, t)]
+    _cancel(out, ins, isos, lambda g, h: partial(_correction, out, labels, orders, g, h), iso)
 
     # the remainder, each key's surviving summands in row order
     alive = {
@@ -1318,12 +1298,11 @@ def _column_homology(presentations: dict, phis: dict) -> dict:
 
 
 def _correction(out: list, labels: list, orders: list, g: int, h: int, u: int) -> list:
-    """What cancelling g -> h adds to the entries out of u, a source of h:
-    -phi(g -> v) phi(g -> h)^-1 phi(u -> h) at each other target v of g whose
-    order its exponent stays below (module docstring)."""
-    factor = quotient(-out[u][h], out[g][h])
+    """The cells (v, phi(g -> v)) whose zig-zag cancelling g -> h adds to
+    the entries out of u, a source of h: each other target v of g whose
+    order the exponent of u -> v stays below (module docstring)."""
     return [
-        (v, factor * gc)
+        (v, gc)
         for v, gc in out[g].items()
         if v != h and (orders[v] is None or (labels[u] - labels[v]) >> 1 < orders[v])
     ]

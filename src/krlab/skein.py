@@ -275,12 +275,15 @@ class RationalFunction:
 
     def stripped(self) -> "RationalFunction":
         """Cancel denominator atoms while one divides the numerator exactly,
-        each by one exact-mode `divide_by_atom`."""
+        each by one exact-mode `divide_by_atom`.  An atom that refused N
+        refuses every later numerator N/b too, as a | N/b gives a | N, so it
+        is not tried again."""
         num, den = self.num, Counter(self.den)
+        refused = set()
         changed = True
         while changed and den:
             changed = False
-            for key in list(den):
+            for key in [key for key in den if key not in refused]:
                 quot = divide_by_atom(num, key, self.tau)
                 if quot is not None:
                     num = quot
@@ -288,6 +291,8 @@ class RationalFunction:
                     if not den[key]:
                         del den[key]
                     changed = True
+                else:
+                    refused.add(key)
         return RationalFunction(self.tau, num, den)
 
     def _match(self, other: "RationalFunction") -> tuple[Laurent, Laurent, Counter]:

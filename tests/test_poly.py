@@ -638,6 +638,61 @@ class TestInvariantChecks:
         found = {node.lineno for node in self.polynomial_divisions(ast.parse(source))}
         assert sorted(found) == [1, 2, 3, 4]
 
+    @staticmethod
+    def heap_pops(tree):
+        """(qualified name of the enclosing top-level function or method, line)
+        of each heappop call; <module> outside any function."""
+        owners = []
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                owners.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                owners += [
+                    (f"{node.name}.{sub.name}", sub)
+                    for sub in node.body
+                    if isinstance(sub, ast.FunctionDef)
+                ]
+        owner = {id(sub): name for name, node in owners for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "heappop":
+                    yield owner.get(id(node), "<module>"), node.lineno
+
+    def test_every_heap_pop_is_in_an_elimination_kernel(self):
+        # one Markowitz loop each: Smith reduction, its row coordinates, the
+        # cancellation of isomorphisms and the polynomial division
+        root = Path(krlab.__file__).parent
+        found = {
+            f"{path.name} {name}"
+            for path in sorted(root.glob("*.py"))
+            for name, _ in self.heap_pops(ast.parse(path.read_text()))
+        }
+        assert found == {
+            "poly.py divide_terms",
+            "qamod.py SmithResult.row_coords",
+            "qamod.py _cancel",
+            "qamod.py smith",
+        }
+
+    def test_heap_pop_scan_flags(self):
+        source = (
+            "import heapq\n"
+            "def _cancel(h):\n"
+            "    return heapq.heappop(h)\n"
+            "def _extend(h):\n"
+            "    while h:\n"
+            "        heapq.heappop(h)\n"
+            "class Smith:\n"
+            "    def row_coords(self, h):\n"
+            "        return heappop(h)\n"
+            "top = heappop([1]) + heappush([], 1)\n"
+        )
+        assert sorted(self.heap_pops(ast.parse(source))) == [
+            ("<module>", 10), ("Smith.row_coords", 9), ("_cancel", 3), ("_extend", 6)
+        ]
+
     def test_no_unused_imports(self):
         # every name an import binds in the package and its tests is read
         root = Path(krlab.__file__).parent

@@ -1285,3 +1285,32 @@ class TestStage2:
     def test_dropping_the_corrections_changes_a_pinned_module(self, monkeypatch):
         monkeypatch.setattr(qamod, "_correction", lambda *args: [])
         assert digest("homology", "1 1", 1) != pinned("homology", "1 1", 1)
+
+
+class TestCancel:
+    def test_a_hand_built_graph(self):
+        # 0 -> 1 is cancelled first: its zig-zag through 2 -> 1 cancels the
+        # cell 2 -> 3 to zero and makes the candidate 2 -> 4, which is then
+        # cancelled, with a non-unit pivot, against 5 -> 4
+        out = [{1: 1, 3: 1, 4: 2}, {}, {1: 1, 3: 1, 6: 1}, {}, {}, {4: 3}, {}]
+        ins = [[], [0, 2], [], [0, 2], [0, 5], [], [2]]
+        made = []
+
+        def targets(g, h):
+            return lambda u: [(v, c) for v, c in out[g].items() if v != h]
+
+        def candidate(s, t):
+            made.append((s, t))
+            return t == 4
+
+        qamod._cancel(out, ins, [(0, 1)], targets, candidate)
+        assert made == [(2, 4), (5, 6)]
+        assert out == [None, None, None, {}, None, {6: Fraction(3, 2)}, {}]
+        # each survivor lists the survivors with a cell into it, each once
+        into = [[] for _ in out]
+        for s, row in enumerate(out):
+            for t in row or ():
+                into[t].append(s)
+        assert [sources and sorted(sources) for sources in ins] == [
+            into[t] if row is not None else None for t, row in enumerate(out)
+        ]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krlab import skein
 from krlab.braid import BraidWord, markov_search, parse
 from krlab.poly import divide_terms
 from krlab.skein import (
@@ -243,6 +244,23 @@ class TestRationalFunction:
         v = frac(1, d * d, ATOM_ALPHA).stripped()
         assert not v.den
         assert v.num == d
+
+    def test_stripped_tries_no_atom_after_it_refused(self, monkeypatch):
+        # a | N/b gives a | N, so an atom that refused a numerator refuses
+        # every later one of the same call
+        tried = []
+
+        def spy(num, key, tau, caps=None):
+            got = divide_by_atom(num, key, tau, caps)
+            tried.append((key, got is None))
+            return got
+
+        monkeypatch.setattr(skein, "divide_by_atom", spy)
+        alpha, xi, unit = ATOM_ALPHA, atom_xin(1), atom_unit(1)
+        v = frac(1, atom_poly(alpha, 1) * atom_poly(xi, 1), alpha, alpha, xi, unit).stripped()
+        assert v.num == Laurent.one()
+        assert v.den == Counter({alpha: 1, unit: 1})
+        assert tried == [(alpha, False), (xi, False), (unit, True), (alpha, True)]
 
     def test_series_geometric(self):
         one_over = frac(1, Laurent.one(), ATOM_ALPHA)
