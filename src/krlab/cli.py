@@ -19,8 +19,9 @@ exits with its family's code:
 
 Exit 3 is a verdict, not a failure: a `both` cross-check that mismatches or
 a `verify` check that fails.  JSON documents carry a stable "schema":
-"krlab/1" tag, slices sorted by (eps, i, x), so output is reproducible and
-round-trips through module_from_json.
+"krlab/1" tag, slices sorted by (eps, i, x) and tails by (eps, i, start),
+so output is reproducible and holds the whole module: reading it back gives
+the module printed.
 """
 
 from __future__ import annotations
@@ -108,22 +109,6 @@ def module_json(m: GradedQaModule) -> dict:
         "slices": slices,
         "tail": tails,
     }
-
-
-def module_from_json(doc: dict) -> GradedQaModule:
-    if doc.get("schema") != "krlab/1":
-        raise ValueError("unknown document schema")
-    slices = {}
-    for s in doc["slices"]:
-        slices[(s["eps"], s["i"], s["x"])] = SliceModule(
-            tuple(s["free"]), tuple((l, t) for l, t in s["torsion"])
-        )
-    tails = tuple(
-        Tail(t["eps"], t["i"], t["start"],
-             tuple((l, s, tuple(c)) for l, s, c in t["families"]))
-        for t in doc["tail"]
-    )
-    return GradedQaModule(doc["n"], tuple(doc["window"]), slices, tails)
 
 
 def _skein_json(v: SkeinValue, n: int, alpha_max: int, xi_max: int) -> dict:

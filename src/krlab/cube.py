@@ -47,7 +47,6 @@ from .mf import (
     _difference_quotient,
     _vec_add,
     check_entry_degrees,
-    compose,
     compose_sum,
     exclude_all,
     exclusion_reduction,
@@ -107,30 +106,8 @@ def check_even_morphism(
             raise InvariantError("morphism does not commute with the differentials")
 
 
-@dataclass(frozen=True)
-class CrossingModel:
-    """Both resolutions of one crossing with the explicit chi maps between them.
-
-    gamma1 carries the wide resolution's {0,-1} shift.  chi0: gamma0 -> gamma1
-    and chi1: gamma1 -> gamma0 are (mat0, mat1) pairs over the rank-4 Koszul
-    bases; their composites equal s Id exactly.
-    """
-
-    n: int
-    table: VariableTable
-    marks: tuple[str, str, str, str]  # (x1, y1, y2, x2)
-    f_row: tuple[BigradedPoly, BigradedPoly]
-    g0_row: tuple[BigradedPoly, BigradedPoly]
-    g1_row: tuple[BigradedPoly, BigradedPoly]
-    s: BigradedPoly
-    gamma0: MatrixFactorization
-    gamma1: MatrixFactorization
-    chi0: MatPair
-    chi1: MatPair
-
-
 def chi_diagonal(
-    masks_by_parity, flip: int, gbit: int, s: BigradedPoly, s_bit: int, sign: int = 1
+    masks_by_parity, flip: int, gbit: int, s: BigradedPoly, s_bit: int, sign: int
 ) -> MatPair:
     """Diagonal chi map on a Koszul subset basis, one matrix per parity.
 
@@ -148,42 +125,6 @@ def chi_diagonal(
             if not entry.is_zero():
                 mats[par][(idx, idx)] = entry
     return mats
-
-
-def crossing_model(marks, n: int) -> CrossingModel:
-    """Local models and chi maps for one crossing on four distinct marks."""
-    marks = tuple(marks)
-    if len(marks) != 4 or len(set(marks)) != 4:
-        raise ValueError("crossing_model needs four distinct marks")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    table = VariableTable.build([("a", KIND_A)] + [(nm, KIND_MARK) for nm in marks])
-    f_row, g0_row, g1_row, s = _crossing_rows(table, n, marks)
-    gamma0 = koszul(KoszulSpec(table, n, (f_row, g0_row)))
-    gamma1 = koszul(KoszulSpec(table, n, (f_row, g1_row))).shifted(0, -1)
-
-    a = BigradedPoly.variable(table, "a")
-    w = BigradedPoly.zero(table)
-    for nm, sign in zip(marks, (1, 1, -1, -1)):
-        v = BigradedPoly.variable(table, nm)
-        w = w + (v ** (n + 1) if sign > 0 else -(v ** (n + 1)))
-    w = a * w
-    if gamma0.potential != w or gamma1.potential != w:
-        raise InvariantError("crossing potential")
-
-    # rows (F, G): the G row is bit 1 of the two-row masks
-    masks = koszul_masks(2)
-    chi1 = chi_diagonal(masks, 0, 1, s, 1)
-    chi0 = chi_diagonal(masks, 0, 1, s, 0)
-    check_even_morphism(gamma1, gamma0, chi1, 0, 1)
-    check_even_morphism(gamma0, gamma1, chi0, 0, 1)
-    s_id = {(i, i): s for i in range(2)}
-    for par in (0, 1):
-        if compose(chi1[par], chi0[par]) != s_id:
-            raise InvariantError("chi^1 chi^0 != s Id")
-        if compose(chi0[par], chi1[par]) != s_id:
-            raise InvariantError("chi^0 chi^1 != s Id")
-    return CrossingModel(n, table, marks, f_row, g0_row, g1_row, s, gamma0, gamma1, chi0, chi1)
 
 
 # ---------------------------------------------------------------------------

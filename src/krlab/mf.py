@@ -31,7 +31,6 @@ composite substitution (exclusion_substitution).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -629,54 +628,6 @@ def koszul(spec: KoszulSpec) -> MatrixFactorization:
                 continue
             d[(index[mask ^ (1 << i)], src)] = entry
     return MatrixFactorization(spec.table, spec.n, spec.potential(), basis0, basis1, d0, d1)
-
-
-def tensor(M: MatrixFactorization, M2: MatrixFactorization) -> MatrixFactorization:
-    """Tensor product with the signed Leibniz rule; potentials add."""
-    if M.table != M2.table or M.n != M2.n:
-        raise ValueError("tensor factors over different rings")
-    table = M.table
-    # basis0: M0 x M2_0 then M1 x M2_1 ; basis1: M1 x M2_0 then M0 x M2_1
-    pairs0 = [(0, i, 0, j) for i in range(len(M.basis0)) for j in range(len(M2.basis0))]
-    pairs0 += [(1, i, 1, j) for i in range(len(M.basis1)) for j in range(len(M2.basis1))]
-    pairs1 = [(1, i, 0, j) for i in range(len(M.basis1)) for j in range(len(M2.basis0))]
-    pairs1 += [(0, i, 1, j) for i in range(len(M.basis0)) for j in range(len(M2.basis1))]
-    loc = {}
-    for pos, key in enumerate(pairs0):
-        loc[key] = (0, pos)
-    for pos, key in enumerate(pairs1):
-        loc[key] = (1, pos)
-
-    def deg(key):
-        e1, i, e2, j = key
-        a1, x1 = M.basis(e1)[i]
-        a2, x2 = M2.basis(e2)[j]
-        return (a1 + a2, x1 + x2)
-
-    basis0 = [deg(k) for k in pairs0]
-    basis1 = [deg(k) for k in pairs1]
-    d0: Matrix = {}
-    d1: Matrix = {}
-
-    def add(src_key, tgt_key, p):
-        se, si = loc[src_key]
-        te, ti = loc[tgt_key]
-        if te != (se + 1) % 2:
-            raise InvariantError("tensor differential preserves parity")
-        mat = d0 if se == 0 else d1
-        cur = mat.get((ti, si))
-        mat[(ti, si)] = p if cur is None else cur + p
-
-    for src_key in itertools.chain(pairs0, pairs1):
-        e1, i, e2, j = src_key
-        for (ti, si), p in M.differential(e1).items():
-            if si == i:
-                add(src_key, ((e1 + 1) % 2, ti, e2, j), p)
-        sign = 1 if e1 == 0 else -1
-        for (tj, sj), p in M2.differential(e2).items():
-            if sj == j:
-                add(src_key, (e1, i, (e2 + 1) % 2, tj), p if sign == 1 else -p)
-    return MatrixFactorization(table, M.n, M.potential + M2.potential, basis0, basis1, d0, d1)
 
 
 def find_constant_entry(M: MatrixFactorization) -> tuple[int, int, int] | None:

@@ -520,21 +520,6 @@ def graph_gdim(graph: MoyGraph, n: int, x_truncation: int) -> GdimSeries:
     return gdim(M, x_truncation, kill=kill)
 
 
-def with_extra_mark(graph: MoyGraph, edge_id: str, alph: str) -> MoyGraph:
-    """Insert one more marked point at the far end of an edge's mark list."""
-    graph.edge(edge_id)
-    marks = []
-    inserted = False
-    for mid, name in graph.marks:
-        marks.append((mid, name))
-        if mid == edge_id and not inserted:
-            inserted = True
-            marks.append((edge_id, alph))
-    g = MoyGraph(graph.vertices, graph.edges, tuple(marks))
-    g.validate()
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Named graphs
 

@@ -9,7 +9,7 @@ entry to be a single monomial c a^e.  Smith reduction with the least
 a-exponent as pivot therefore never leaves the monomial world, and kernels,
 images and subquotients come out as explicit graded pieces.  smith is the
 package's one matrix elimination: a rational matrix is a SliceMatrix of
-a-degree 0, and the a = 0 and a = 1 oracles here and moy.gdim take their
+a-degree 0, and moy.gdim and the tests' a = 0 and a = 1 oracles take their
 ranks and kernels from it too.
 
 The complex itself is infinite in the x-direction (marks act freely), so
@@ -218,16 +218,6 @@ class SliceMatrix:
                 raise ValueError(f"entry at {(r, c)} breaks the grading")
             clean[(r, c)] = coeff
         object.__setattr__(self, "entries", clean)
-
-
-def _hstack(a: SliceMatrix, b: SliceMatrix) -> SliceMatrix:
-    if a.target != b.target or a.shift != b.shift:
-        raise ValueError("hstack needs matching targets and shifts")
-    entries = dict(a.entries)
-    off = len(a.source)
-    for (r, c), coeff in b.entries.items():
-        entries[(r, c + off)] = coeff
-    return SliceMatrix(a.source + b.source, a.target, a.shift, entries)
 
 
 @dataclass
@@ -517,14 +507,6 @@ class SliceModule:
     free: tuple[int, ...]
     torsion: tuple[tuple[int, int], ...]
 
-    def q_dimension(self, j: int) -> int:
-        """Dimension over Q of the a-degree-j piece."""
-        dim = sum(1 for s in self.free if s <= j and (j - s) % 2 == 0)
-        dim += sum(
-            1 for l, t in self.torsion if t <= j < t + 2 * l and (j - t) % 2 == 0
-        )
-        return dim
-
 
 @dataclass(frozen=True)
 class Tail:
@@ -555,10 +537,6 @@ class GradedQaModule:
     window: tuple[int, int]
     slices: dict
     tails: tuple[Tail, ...]
-
-    def q_dimension(self, eps: int, i: int, j: int, k: int) -> int:
-        got = self.slices.get((eps, i, k))
-        return got.q_dimension(j) if got is not None else 0
 
     def pretty(self) -> str:
         if not self.slices:
@@ -700,7 +678,7 @@ class _Expansion:
     part(cls) creates a class on first use and keeps it (see _by_class).
     """
 
-    def __init__(self, C: ChainComplexOfMF, kill_a: bool = False) -> None:
+    def __init__(self, C: ChainComplexOfMF) -> None:
         for v in C.table.variables:
             if v.kind not in (KIND_A, KIND_MARK):
                 raise ValueError("complex ring must be Q[a, marks]")
@@ -732,8 +710,6 @@ class _Expansion:
             exps, terms = set(), []
             for e, coeff in poly.terms.items():
                 ae = e[a_pos]
-                if kill_a and ae:
-                    continue
                 mt = tuple(e[p] for p in mark_pos)
                 if self.gens[gt][3] + 2 * sum(mt) - self.gens[gs][3] != jump:
                     raise InvariantError("expansion entry off the x-slope")
@@ -1017,7 +993,7 @@ def _reduce_complex(C: ChainComplexOfMF, top: int, expansion: _ClassExpansion) -
     return expansion.reduced()
 
 
-def _by_class(C: ChainComplexOfMF, top: int, fn, expansion=None, kill_a=False) -> dict:
+def _by_class(C: ChainComplexOfMF, top: int, fn, expansion=None) -> dict:
     """The union of fn(part, reduced) over the classes of the expansion of C
     to x-degree top, reduced one at a time.
 
@@ -1030,7 +1006,7 @@ def _by_class(C: ChainComplexOfMF, top: int, fn, expansion=None, kill_a=False) -
     collecting = gc.isenabled()
     gc.disable()
     try:
-        knot = _Expansion(C, kill_a) if expansion is None else expansion
+        knot = _Expansion(C) if expansion is None else expansion
         out: dict = {}
         for cls in knot.classes:
             part = _ClassExpansion(knot, cls) if expansion is None else knot.part(cls)
@@ -1358,25 +1334,7 @@ def _stage2(
 
 
 # ---------------------------------------------------------------------------
-# Specialization and decategorification
-
-
-def specialize(M: GradedQaModule, at: str) -> dict:
-    """Per-slice generator counts after setting a to 1 or to 0.
-
-    At a = 1 torsion dies and each free summand contributes one dimension;
-    at a = 0 every summand contributes its generator.
-    """
-    if at not in ("a=1", "a=0"):
-        raise ValueError(f"unknown specialization {at!r}")
-    out = {}
-    for key, sm in M.slices.items():
-        count = len(sm.free)
-        if at == "a=0":
-            count += len(sm.torsion)
-        if count:
-            out[key] = count
-    return out
+# Decategorification
 
 
 def euler_characteristic(M: GradedQaModule) -> SkeinValue:
@@ -1497,129 +1455,3 @@ def _confirms(
         and narrow.tails == wide.tails
         and {key: sm for key, sm in wide.slices.items() if key[2] <= top} == narrow.slices
     )
-
-
-# ---------------------------------------------------------------------------
-# Homology with the a-action killed
-
-
-def mod_a_homology(C: ChainComplexOfMF, x_window=None) -> dict:
-    """Two-stage homology of the complex with a set to zero.
-
-    Killing a makes every slice a finite Q-vector space graded additionally
-    by the generator a-degree, and the first-stage differential reduces to
-    zero after the unit eliminations, so only the ranks of the induced even
-    differential remain.  Returns (eps, i, j, k) -> dimension.
-    """
-    if not isinstance(C, ChainComplexOfMF):
-        raise TypeError("mod_a_homology expects a complex of factorizations")
-    n = C.n
-    lo, hi, _ = _resolve_window(C, x_window, n)
-    return _by_class(
-        C, hi + n + 1, lambda _, red: _mod_a_dimensions(red, lo, hi), kill_a=True
-    )
-
-
-def _mod_a_dimensions(red: _Reduced, lo: int, hi: int) -> dict:
-    """mod_a_homology of one reduced class of the complex with a killed."""
-    for key, cells in red.d0.items():
-        if cells:
-            raise InvariantError("first-stage differential survives modulo a")
-
-    # count each slice's generators by a-degree
-    bases: dict[tuple[int, int, int, int], int] = {}
-    for (eps, i, k), labels in red.slices.items():
-        for ja, count in Counter(labels).items():
-            bases[(eps, i, ja, k)] = count
-
-    # with a killed, d1 keeps the a-degree, so its Smith reduction never
-    # mixes the a-degree blocks: each block's rank is the number of pivots
-    # whose column carries its label
-    ranks: Counter = Counter()
-    for key, cells in red.d1.items():
-        eps, i, k = key
-        labels = red.slices[key]
-        tgt_labels = red.slices[(eps, i + 1, k)]
-        if any(tgt_labels[r] != labels[c] for r, c in cells):
-            raise InvariantError("a-power survives modulo a")
-        for _, c, _ in smith(SliceMatrix(tuple(labels), tuple(tgt_labels), 0, cells)).pivots:
-            ranks[(eps, i, labels[c], k)] += 1
-
-    out: dict[tuple[int, int, int, int], int] = {}
-    for (eps, i, ja, k), count in bases.items():
-        if not (lo <= k <= hi):
-            continue
-        dim = count - ranks.get((eps, i, ja, k), 0) - ranks.get((eps, i - 1, ja, k), 0)
-        if dim < 0:
-            raise InvariantError("negative slice dimension")
-        if dim:
-            out[(eps, i, ja, k)] = dim
-    return out
-
-
-def a_one_dimensions(C: ChainComplexOfMF, x_window=None) -> dict:
-    """Per-slice dimensions of the two-stage homology with a set to one.
-
-    Setting a to one keeps the (eps, i, x) slicing (a has x-degree zero) but
-    forgets the module structure, so each slice reduces to plain rank
-    arithmetic over Q: the kernel of the outgoing first-stage differential
-    modulo the incoming image, then the map the degree-one differential
-    induces on those subquotients.  Free-summand counts of the graded answer
-    must match these dimensions, since torsion dies at a = 1.
-    """
-    if not isinstance(C, ChainComplexOfMF):
-        raise TypeError("a_one_dimensions expects a complex of factorizations")
-    n = C.n
-    lo, hi, _ = _resolve_window(C, x_window, n)
-    return _by_class(C, hi + n + 1, lambda _, red: _a_one_dimensions(red, lo, hi))
-
-
-def _a_one_dimensions(red: _Reduced, lo: int, hi: int) -> dict:
-    """a_one_dimensions of one reduced class, each map a rational matrix: its
-    cells at a = 1, as a SliceMatrix of a-degree 0."""
-    n, slices = red.n, red.slices
-
-    def at_one(cells: dict, tgt, src) -> SliceMatrix:
-        rows, cols = len(slices.get(tgt, ())), len(slices.get(src, ()))
-        return SliceMatrix((0,) * cols, (0,) * rows, 0, cells)
-
-    def d0_into(key) -> SliceMatrix:
-        eps, i, k = key
-        src = ((eps + 1) % 2, i, k - n - 1)
-        return at_one(red.d0.get(src, {}), key, src)
-
-    kernels = {}
-    rank_ib = {}
-    for key in slices:
-        eps, i, k = key
-        if k > hi:
-            continue
-        out_map = at_one(red.d0.get(key, {}), ((eps + 1) % 2, i, k + n + 1), key)
-        kernels[key] = smith(out_map).kernel_basis()
-        rank_ib[key] = len(smith(d0_into(key)).pivots)
-
-    phibar = {}
-    for key, kb in kernels.items():
-        eps, i, k = key
-        nxt = (eps, i + 1, k)
-        d1: dict[int, Vec] = {}
-        for (r, c), coeff in red.d1.get(key, {}).items():
-            d1.setdefault(c, {})[r] = coeff
-        moved = [w for w in (_cols_apply(d1, vec) for vec, _ in kb) if w]
-        if moved:
-            cells = {(r, c): coeff for c, w in enumerate(moved) for r, coeff in w.items()}
-            pushed = SliceMatrix((0,) * len(moved), (0,) * len(slices[nxt]), 0, cells)
-            phibar[key] = len(smith(_hstack(pushed, d0_into(nxt))).pivots) - rank_ib.get(nxt, 0)
-
-    out: dict[tuple[int, int, int], int] = {}
-    for key, kb in kernels.items():
-        eps, i, k = key
-        if not (lo <= k <= hi):
-            continue
-        h1 = len(kb) - rank_ib.get(key, 0)
-        dim = h1 - phibar.get(key, 0) - phibar.get((eps, i - 1, k), 0)
-        if dim < 0:
-            raise InvariantError("negative slice dimension")
-        if dim:
-            out[key] = dim
-    return out

@@ -1,6 +1,13 @@
-"""Braid words: parsing, canonical forms, transverse moves, bounded search."""
+"""Braid words: parsing, canonical forms, transverse moves, bounded search.
+
+markov_search and simplify keep no record of the moves they make.  replay()
+applies a list of Moves, validating each one, so the reference search here
+reaches every word through listed moves only and certifies that
+markov_search and simplify find the same words.
+"""
 
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -11,18 +18,84 @@ from krlab.braid import (
     DEFAULT_BUDGET,
     MARKOV_SLACK,
     MAX_SEARCH_STRANDS,
-    MOVE_KINDS,
     BraidWord,
-    Move,
     canonical,
     markov_search,
     parse,
-    replay,
     simplify,
     word_text,
 )
 from krlab.poly import BudgetError
 from test_cube import reduced_words
+
+
+MOVE_KINDS = frozenset(
+    {"free-cancel", "rotate", "conjugate", "braid-relation", "far-commute", "destabilize"}
+)
+
+
+@dataclass(frozen=True)
+class Move:
+    """One of MOVE_KINDS at a position of the word it is applied to; no text
+    format of its own.  "rotate" at r conjugates by the first r letters;
+    "conjugate" stores the signed generator index in the position field."""
+
+    kind: str
+    position: int
+
+
+def replay(w: BraidWord, moves: list[Move]) -> BraidWord:
+    """Apply a move log, validating every step; raises on any illegal move."""
+    m = w.strands
+    letters = list(w.letters)
+    for mv in moves:
+        n = len(letters)
+        p = mv.position
+        if mv.kind == "free-cancel":
+            if not (0 <= p < n - 1):
+                raise ValueError(f"free-cancel {p}: no adjacent pair there")
+            (i1, s1), (i2, s2) = letters[p], letters[p + 1]
+            if i1 != i2 or s1 != -s2:
+                raise ValueError(f"free-cancel {p}: letters are not inverse")
+            del letters[p : p + 2]
+        elif mv.kind == "rotate":
+            if not (0 <= p < max(n, 1)):
+                raise ValueError(f"rotate {p}: out of range")
+            letters = letters[p:] + letters[:p]
+        elif mv.kind == "conjugate":
+            k, s = abs(p), (1 if p > 0 else -1)
+            if not (1 <= k <= m - 1):
+                raise ValueError(f"conjugate {p}: generator out of range")
+            letters = [(k, -s)] + letters + [(k, s)]
+        elif mv.kind == "braid-relation":
+            if not (0 <= p < n - 2):
+                raise ValueError(f"braid-relation {p}: needs three letters")
+            (a, sa), (b, sb), (c, sc) = letters[p : p + 3]
+            if not (a == c and sa == sb == sc and abs(a - b) == 1):
+                raise ValueError(f"braid-relation {p}: pattern mismatch")
+            letters[p : p + 3] = [(b, sa), (a, sa), (b, sa)]
+        elif mv.kind == "far-commute":
+            if not (0 <= p < n - 1):
+                raise ValueError(f"far-commute {p}: needs two letters")
+            x, y = letters[p], letters[p + 1]
+            if abs(x[0] - y[0]) < 2:
+                raise ValueError(f"far-commute {p}: indices too close")
+            letters[p], letters[p + 1] = y, x
+        elif mv.kind == "destabilize":
+            if m < 2:
+                raise ValueError("destabilize: no strand to remove")
+            if not (0 <= p < n):
+                raise ValueError(f"destabilize {p}: out of range")
+            i, s = letters[p]
+            if i != m - 1 or s != 1:
+                raise ValueError(f"destabilize {p}: letter is not a positive top letter")
+            if any(q != p and i2 == m - 1 for q, (i2, _) in enumerate(letters)):
+                raise ValueError("destabilize: top generator occurs more than once")
+            del letters[p]
+            m -= 1
+        else:
+            raise ValueError(f"unknown move kind {mv.kind!r}")
+    return BraidWord(m, tuple(letters))
 
 
 class TestParse:

@@ -16,13 +16,30 @@ from krlab import cli, qamod
 from krlab.braid import parse
 from krlab.cube import ChainComplexOfMF, build_complex
 from krlab.poly import BudgetError, InvariantError
-from krlab.qamod import two_stage_homology
+from krlab.qamod import GradedQaModule, SliceModule, Tail, two_stage_homology
 from krlab.skein import evaluate, unlink_value
 
 
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def module_from_json(doc: dict) -> GradedQaModule:
+    """The module a krlab/1 document was written from."""
+    if doc.get("schema") != "krlab/1":
+        raise ValueError("unknown document schema")
+    slices = {}
+    for s in doc["slices"]:
+        slices[(s["eps"], s["i"], s["x"])] = SliceModule(
+            tuple(s["free"]), tuple((l, t) for l, t in s["torsion"])
+        )
+    tails = tuple(
+        Tail(t["eps"], t["i"], t["start"],
+             tuple((l, s, tuple(c)) for l, s, c in t["families"]))
+        for t in doc["tail"]
+    )
+    return GradedQaModule(doc["n"], tuple(doc["window"]), slices, tails)
 
 
 def run(runner, *args):
@@ -46,7 +63,7 @@ class TestHomologyCommand:
         doc = json.loads(res.output.splitlines()[-1])
         assert doc["schema"] == "krlab/1"
         expected = two_stage_homology(build_complex(parse("", 1), 2), x_window=10)
-        assert cli.module_from_json(doc) == expected
+        assert module_from_json(doc) == expected
 
     def test_json_round_trip(self, runner):
         res = run(runner, "homology", "--braid", "1 1", "--strands", "2",
@@ -54,7 +71,7 @@ class TestHomologyCommand:
         assert res.exit_code == 0
         doc = json.loads(res.output)
         expected = two_stage_homology(build_complex(parse("1 1", 2), 1), x_window=20)
-        assert cli.module_from_json(doc) == expected
+        assert module_from_json(doc) == expected
         keys = [(s["eps"], s["i"], s["x"]) for s in doc["slices"]]
         assert keys == sorted(keys)
 

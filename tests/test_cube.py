@@ -1,6 +1,7 @@
 """Crossing resolution cubes over closed braids."""
 
 import itertools
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,14 +11,23 @@ from krlab.braid import BraidWord, parse
 from krlab.cube import (
     ChainComplexOfMF,
     ExcludedVertex,
+    MatPair,
     Summand,
     _closure_arcs,
     _crossing_rows,
     build_complex,
     check_even_morphism,
-    crossing_model,
+    chi_diagonal,
 )
-from krlab.mf import ChainVector, KoszulSpec, MatrixFactorization, compose, exclude_all, koszul
+from krlab.mf import (
+    ChainVector,
+    KoszulSpec,
+    MatrixFactorization,
+    compose,
+    exclude_all,
+    koszul,
+    koszul_masks,
+)
 from krlab.poly import (
     KIND_A,
     KIND_MARK,
@@ -47,6 +57,64 @@ def mf_equal(M: MatrixFactorization, M2: MatrixFactorization) -> bool:
         and M.d0 == M2.d0
         and M.d1 == M2.d1
     )
+
+
+@dataclass(frozen=True)
+class CrossingModel:
+    """Both resolutions of one crossing with the explicit chi maps between them.
+
+    gamma1 carries the wide resolution's {0,-1} shift.  chi0: gamma0 -> gamma1
+    and chi1: gamma1 -> gamma0 are (mat0, mat1) pairs over the rank-4 Koszul
+    bases; their composites equal s Id exactly.
+    """
+
+    n: int
+    table: VariableTable
+    marks: tuple[str, str, str, str]  # (x1, y1, y2, x2)
+    f_row: tuple[BigradedPoly, BigradedPoly]
+    g0_row: tuple[BigradedPoly, BigradedPoly]
+    g1_row: tuple[BigradedPoly, BigradedPoly]
+    s: BigradedPoly
+    gamma0: MatrixFactorization
+    gamma1: MatrixFactorization
+    chi0: MatPair
+    chi1: MatPair
+
+
+def crossing_model(marks, n: int) -> CrossingModel:
+    """Local models and chi maps for one crossing on four distinct marks."""
+    marks = tuple(marks)
+    if len(marks) != 4 or len(set(marks)) != 4:
+        raise ValueError("crossing_model needs four distinct marks")
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    table = VariableTable.build([("a", KIND_A)] + [(nm, KIND_MARK) for nm in marks])
+    f_row, g0_row, g1_row, s = _crossing_rows(table, n, marks)
+    gamma0 = koszul(KoszulSpec(table, n, (f_row, g0_row)))
+    gamma1 = koszul(KoszulSpec(table, n, (f_row, g1_row))).shifted(0, -1)
+
+    a = BigradedPoly.variable(table, "a")
+    w = BigradedPoly.zero(table)
+    for nm, sign in zip(marks, (1, 1, -1, -1)):
+        v = BigradedPoly.variable(table, nm)
+        w = w + (v ** (n + 1) if sign > 0 else -(v ** (n + 1)))
+    w = a * w
+    if gamma0.potential != w or gamma1.potential != w:
+        raise InvariantError("crossing potential")
+
+    # rows (F, G): the G row is bit 1 of the two-row masks
+    masks = koszul_masks(2)
+    chi1 = chi_diagonal(masks, 0, 1, s, 1, 1)
+    chi0 = chi_diagonal(masks, 0, 1, s, 0, 1)
+    check_even_morphism(gamma1, gamma0, chi1, 0, 1)
+    check_even_morphism(gamma0, gamma1, chi0, 0, 1)
+    s_id = {(i, i): s for i in range(2)}
+    for par in (0, 1):
+        if compose(chi1[par], chi0[par]) != s_id:
+            raise InvariantError("chi^1 chi^0 != s Id")
+        if compose(chi0[par], chi1[par]) != s_id:
+            raise InvariantError("chi^0 chi^1 != s Id")
+    return CrossingModel(n, table, marks, f_row, g0_row, g1_row, s, gamma0, gamma1, chi0, chi1)
 
 
 class TestCrossingModel:

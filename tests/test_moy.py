@@ -5,6 +5,7 @@ import pytest
 from krlab.mf import find_constant_entry
 from krlab.moy import (
     BUILTIN_GRAPHS,
+    MoyGraph,
     MoyVertex,
     build_graph,
     builtin_graph,
@@ -14,7 +15,6 @@ from krlab.moy import (
     reduced_graph_spec,
     vertex_factorization,
     vertex_shift,
-    with_extra_mark,
 )
 from krlab.poly import (
     KIND_A,
@@ -24,6 +24,21 @@ from krlab.poly import (
     VariableTable,
     power_sum_in_elementary,
 )
+
+
+def with_extra_mark(graph: MoyGraph, edge_id: str, alph: str) -> MoyGraph:
+    """Insert one more marked point at the far end of an edge's mark list."""
+    graph.edge(edge_id)
+    marks = []
+    inserted = False
+    for mid, name in graph.marks:
+        marks.append((mid, name))
+        if mid == edge_id and not inserted:
+            inserted = True
+            marks.append((edge_id, alph))
+    g = MoyGraph(graph.vertices, graph.edges, tuple(marks))
+    g.validate()
+    return g
 
 
 def one_plus_a(n, *ks):

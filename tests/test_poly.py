@@ -711,19 +711,9 @@ class TestInvariantChecks:
                 found += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
         assert found == []
 
-    # Definitions the package never reads, kept because the tests use them as
-    # oracles or as API; one reason each.
+    # Definitions the package never reads: the click hook alone.
     UNREAD_KEPT = {
-        "module_from_json": "cli: reads a JSON document back; the round-trip tests",
-        "crossing_model": "cube: one crossing's checked local model and chi maps",
-        "tensor": "mf: the oracle the Koszul builds are compared with",
-        "with_extra_mark": "moy: an extra mark must leave the graded dimension as it is",
-        "specialize": "qamod: a module at a = 0 or a = 1, checked against the oracles",
-        "mod_a_homology": "qamod: the independent a = 0 oracle",
-        "a_one_dimensions": "qamod: the independent a = 1 oracle",
-        "q_dimension": "qamod: one graded piece's dimension, read by the exact-sequence test",
         "invoke": "cli: the click.Group hook that click itself calls",
-        "replay": "braid: the tests' reference search reaches its words only through it",
     }
 
     @staticmethod
