@@ -8,9 +8,9 @@ finitely generated graded Q[a]-module, and homogeneity forces every matrix
 entry to be a single monomial c a^e.  Smith reduction with the least
 a-exponent as pivot therefore never leaves the monomial world, and kernels,
 images and subquotients come out as explicit graded pieces.  smith is the
-package's one matrix elimination: a rational matrix is a SliceMatrix of
-a-degree 0, and moy.gdim and the tests' a = 0 and a = 1 oracles take their
-ranks and kernels from it too.
+package's one matrix reduction, and it runs on _cancel: a rational matrix is
+a SliceMatrix of a-degree 0, and moy.gdim and the tests' a = 0 and a = 1
+oracles take their ranks and kernels from it too.
 
 The complex itself is infinite in the x-direction (marks act freely), so
 computations run inside an x-degree window.  The window is widened internally
@@ -21,13 +21,19 @@ back into the reported slices.  An eventually constant period-2 torsion
 pattern near the top of the window is detected and reported as a tail, which
 the decategorification sums in closed form.
 
-Before any Smith reduction, _cancel shrinks the complex by eliminating the
+_cancel is the package's one Markowitz elimination kernel.  It takes one
+pivot cell at a time, the least class first and then the least fill, adds
+multiples of the pivot's line to every other line through the pivot and
+drops the pivot's row and column; its callers say which cells are pivots
+and which fill they keep.  smith runs it on a matrix's rows and columns.
+Before any Smith reduction, it shrinks the complex by eliminating the
 differential entries that are nonzero rationals (a-exponent zero) within a
-fixed homological degree.  The elimination keeps the homological
-filtration, so the two-stage homology is unchanged, and it also produces
-the corrected degree-one component used in the second stage.  Correction
-terms of homological jump two and higher are discarded: they never enter
-the two-stage answer.  The jump-one component squares to zero only up to
+fixed homological degree, and stage two runs it on E1's isomorphisms.
+That elimination of units keeps the homological filtration, so the
+two-stage homology is unchanged, and it also produces the corrected
+degree-one component used in the second stage.  Correction terms of
+homological jump two and higher are discarded: they never enter the
+two-stage answer.  The jump-one component squares to zero only up to
 boundaries of the jump-zero component, which is exactly the slack the
 second-stage subquotient construction absorbs.  A zig-zag through a pivot
 adds the jumps of its two ends, so an entry of jump two or more only ever
@@ -327,140 +333,124 @@ class SmithResult:
 def smith(M: SliceMatrix) -> SmithResult:
     """Graded Smith reduction: the least a-exponent first, then the least fill.
 
-    Entries live in row- and column-indexed form so each operation touches
-    only actual nonzeros, and pivot candidates sit in a heap keyed by
-    (exponent, cost, row, col), where cost is the Markowitz count
-    (|row| - 1)(|col| - 1) of the cell when it was pushed, the bound on the
-    fill its elimination makes.  A cell's exponent is read from the labels
-    when it is pushed and never changes, so a popped cell no longer present
-    is discarded; a present one whose cost has grown since is pushed back
-    with its current cost while the heap's least exponent is still its own,
-    and taken as the pivot otherwise (the cost only orders cells of one
-    exponent).  The pivot is cleared from its column by row operations and
-    from its row by column operations.  No row is ever scaled: the pivot
-    keeps its coefficient pc, and each operation divides once, its
-    multiplier being quotient(-dc, pc) for the entry dc it clears.  So an
-    integer matrix stays integral wherever pc divides, and a Fraction is
-    made only where it does not.  Any cell of the least exponent pe is a
-    valid pivot: every other cell of the matrix has exponent de >= pe, so
-    every multiplier a^(de - pe) has a non-negative exponent, one pass per
-    pivot suffices, and the recorded diagonal exponents come out
-    non-decreasing.  The tie-break among those cells decides only the fill,
-    hence the speed, and which basis the transforms give.
+    A Smith step is a step of _cancel, which argues it: the rows are its
+    sources 0 .. |target| - 1 and the columns its targets after them, and
+    every cell is a candidate whose class is its exponent, read from the
+    labels.  The tie-break among the cells of the least exponent decides
+    only the fill, hence the speed, and which basis the transforms give.  A
+    pivot's fill is its whole row, pivot cell included, so each other row's
+    cell in the pivot column cancels to zero.  No row is ever scaled: each
+    operation divides once, its multiplier being quotient(-dc, pc) for the
+    entry dc it clears and the pivot pc, so an integer matrix stays
+    integral wherever pc divides, and a Fraction is made only where it does
+    not.
 
-    Only col_t and row_t_inv are tracked (see SmithResult).  Row operations
-    add multiples of row r0 to the rows not yet pivoted, whose row_t_inv
-    columns stay identity columns; so the row_t_inv column at r0 is the
-    pivot column over a^e, read before they run.
+    Only col_t and row_t_inv are tracked (see SmithResult), both as each
+    pivot is taken.  The row operations add multiples of row r0 to the rows
+    not yet pivoted, whose row_t_inv columns stay identity columns; so the
+    row_t_inv column at r0 is the pivot column over a^e, read before they
+    run.  After them the pivot cell is alone in its column, so the column
+    operations that clear its row change only col_t: each adds quotient(-g,
+    pc) times col_t's pivot column to col_t's column of the row's cell g.  A
+    row has no sources and a column no targets, and a row or column with no
+    entry never gains one: these share the empty tuple as their container.
     """
     source, target, shift = M.source, M.target, M.shift
-    by_row: dict[int, Vec] = {}
-    by_col: dict[int, Vec] = {}
+    nr = len(target)
+    out: list = [()] * (nr + len(source))
+    ins = out[:]
+    heap = []
     for (r, c), coeff in M.entries.items():
-        by_row.setdefault(r, {})[c] = coeff
-        by_col.setdefault(c, {})[r] = coeff
-
-    def cost(r: int, c: int) -> int:
-        return (len(by_row[r]) - 1) * (len(by_col[c]) - 1)
-
-    heap = [((shift + source[c] - target[r]) >> 1, cost(r, c), r, c) for r, c in M.entries]
-    heapq.heapify(heap)
+        t = nr + c
+        if not out[r]:
+            out[r] = {}
+        if not ins[t]:
+            ins[t] = []
+        out[r][t] = coeff
+        ins[t].append(r)
+        heap.append(((shift + source[c] - target[r]) >> 1, r, t))
     row_t_inv: dict[int, Vec] = {}
     col_t: dict[int, Vec] = {i: {i: 1} for i in range(len(source))}
     pivots: list[tuple[int, int, int]] = []
 
-    def set_cell(r: int, c: int, coeff: Coefficient) -> None:
-        row = by_row.setdefault(r, {})
-        cur = row.get(c)
-        if cur is None:
-            row[c] = coeff
-            by_col.setdefault(c, {})[r] = coeff
-            heapq.heappush(heap, ((shift + source[c] - target[r]) >> 1, cost(r, c), r, c))
-            return
-        s = cur + coeff
-        if s:
-            row[c] = s
-            by_col[c][r] = s
-        else:
-            del row[c]
-            del by_col[c][r]
+    def targets(r0: int, t0: int):
+        c0 = t0 - nr
+        pivots.append((r0, c0, (shift + source[c0] - target[r0]) >> 1))
+        row_t_inv[r0] = {r: out[r][t0] for r in ins[t0]}
+        pivot_row, kernel_step = out[r0], col_t[c0]
+        pc = pivot_row[t0]
+        for t, g in pivot_row.items():
+            if t != t0:
+                mc = quotient(-g, pc)
+                acc = col_t[t - nr]
+                for r, gc in kernel_step.items():
+                    _vec_accumulate(acc, r, gc if mc == 1 else (-gc if mc == -1 else mc * gc))
+        fill = list(pivot_row.items())
+        return lambda _u: fill
 
-    while heap:
-        pe, pushed, r0, c0 = heapq.heappop(heap)
-        pc = by_row.get(r0, {}).get(c0)
-        if pc is None:
-            continue
-        now = cost(r0, c0)
-        if now > pushed and heap and heap[0][0] == pe:
-            heapq.heappush(heap, (pe, now, r0, c0))
-            continue
-        row_t_inv[r0] = dict(by_col[c0])
-        # clear the pivot column by row operations
-        pivot_row = by_row[r0]
-        for r in [r for r in by_col[c0] if r != r0]:
-            mc = quotient(-by_row[r][c0], pc)
-            for c, gc in pivot_row.items():
-                set_cell(r, c, gc if mc == 1 else (-gc if mc == -1 else mc * gc))
-        # the column is now clear; clear the pivot row by column operations
-        pivot_col, kernel_step = by_col[c0], col_t[c0]
-        for c in [c for c in pivot_row if c != c0]:
-            mc = quotient(-pivot_row[c], pc)
-            for r, gc in pivot_col.items():
-                set_cell(r, c, gc if mc == 1 else (-gc if mc == -1 else mc * gc))
-            acc = col_t[c]
-            for r, gc in kernel_step.items():
-                _vec_accumulate(acc, r, gc if mc == 1 else (-gc if mc == -1 else mc * gc))
-        row = by_row.pop(r0)
-        del row[c0]
-        col = by_col.pop(c0)
-        del col[r0]
-        if row or col:
-            raise InvariantError("pivot row or column not cleared")
-        pivots.append((r0, c0, pe))
+    def candidate(r: int, t: int) -> int:
+        return (shift + source[t - nr] - target[r]) >> 1
+
+    _cancel(out, ins, heap, targets, candidate)
     return SmithResult(source, target, pivots, row_t_inv, col_t)
 
 
 # ---------------------------------------------------------------------------
-# Cancellation of isomorphisms
+# The elimination kernel
 
 
 def _cancel(out: list, ins: list, heap: list, targets, candidate) -> None:
-    """Gaussian elimination of the isomorphism cells of a complex, in place.
+    """Markowitz elimination of pivot cells of a sparse matrix, in place.
 
     out[s] maps each target of s to the cell's coefficient and ins[t] lists
     the sources with a cell into t, each once, so Markowitz costs are exact;
-    heap holds the candidate cells (s, t) on entry.  Eliminating an
-    isomorphism g -> h is a homotopy equivalence of complexes in any
-    additive category (Bar-Natan, arXiv:math/0606318): g and h leave with
-    the maps into g and out of h, and each u -> v gains the zig-zag
-    -phi(g -> v) phi(g -> h)^-1 phi(u -> h).  targets(g, h) returns the rule
-    that gives, for each source u of h, the cells (v, phi(g -> v)) whose
-    zig-zag the caller keeps, and candidate(u, v) says whether a cell the
-    zig-zags make is an isomorphism too.  The candidates are taken cheapest first, at the cost
-    (|out[s]| - 1)(|ins[t]| - 1) of the fill they make, one whose cost grew
-    since its push is pushed again, and a candidate made by a step is pushed
-    after it, at its cost then, so list order never decides the pivots.
-    Each eliminated element's containers are set to None.
+    heap holds the candidate cells (class, s, t) on entry.  A step at the
+    pivot g -> h of coefficient p takes the Schur complement of that one
+    cell: each other source u of h gains -phi(u -> h) p^-1 phi(g -> v) at
+    each cell (v, phi(g -> v)) of targets(g, h)(u), and g and h leave with
+    all their cells.
+
+    - In a complex whose elements are numbered once, with an isomorphism as
+      pivot, this is Gaussian elimination, a homotopy equivalence of
+      complexes in any additive category (Bar-Natan, arXiv:math/0606318):
+      the fill is the zig-zags u -> h <- g -> v that the caller keeps.
+    - In smith's numbering, rows then columns, it is a Smith step: row
+      operations clear the pivot column, and the pivot row leaves with it.
+      It is exact over Q[a] because the class is the pivot's a-exponent,
+      the least one left: each multiplier a^(e(u -> h) - e(g -> h)) has a
+      non-negative exponent, and no cell the fill makes falls below the
+      pivot's class, so the pivots' exponents come out non-decreasing.
+
+    candidate(u, v) gives the class of a cell the fill makes, or None if it
+    is no candidate.  Candidates are taken least class first, then
+    cheapest, at the cost (|out[s]| - 1)(|ins[t]| - 1) of the fill they
+    make, each pushed when it is made, at its cost then; one whose cost
+    grew since its push is pushed again while the heap's least class is
+    still its own.  The heap orders them by one int, class * span + cost,
+    span = |out|^2 being above every cost, so an entry is no larger than
+    a class-blind one.  Each eliminated element's containers are set to
+    None.
     """
 
     def cost(s: int, t: int) -> int:
         return (len(out[s]) - 1) * (len(ins[t]) - 1)
 
-    for j, (s, t) in enumerate(heap):
-        heap[j] = (cost(s, t), s, t)
+    span = len(out) ** 2  # above every cost
+    for j, (cls, s, t) in enumerate(heap):
+        heap[j] = (cls * span + cost(s, t), s, t)
     heapq.heapify(heap)
     while heap:
-        pushed, s0, t0 = heapq.heappop(heap)
+        key, s0, t0 = heapq.heappop(heap)
         pivot = None if out[s0] is None else out[s0].get(t0)
         if pivot is None:
             continue
+        cls, pushed = divmod(key, span)
         now = cost(s0, t0)
-        if now > pushed and heap:
-            heapq.heappush(heap, (now, s0, t0))
+        if now > pushed and heap and heap[0][0] // span == cls:
+            heapq.heappush(heap, (key + now - pushed, s0, t0))
             continue
         fill = targets(s0, t0)
-        fresh = []
-        for s in ins[t0]:
+        for s in ins[t0][:]:
             if s == s0:
                 continue
             row = out[s]
@@ -472,8 +462,9 @@ def _cancel(out: list, ins: list, heap: list, targets, candidate) -> None:
                 if cur is None:
                     row[t] = coeff
                     ins[t].append(s)
-                    if candidate(s, t):
-                        fresh.append((s, t))
+                    cls = candidate(s, t)
+                    if cls is not None:
+                        heapq.heappush(heap, (cls * span + cost(s, t), s, t))
                 else:
                     c = cur + coeff
                     if c:
@@ -487,8 +478,6 @@ def _cancel(out: list, ins: list, heap: list, targets, candidate) -> None:
             for t in out[e]:
                 ins[t].remove(e)
         out[s0] = out[t0] = ins[s0] = ins[t0] = None
-        for s, t in fresh:
-            heapq.heappush(heap, (cost(s, t), s, t))
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +904,7 @@ class _ClassExpansion:
                             row[tid] = c
                             rows[tid].append(sid)
                             if unit:
-                                heap.append((sid, tid))
+                                heap.append((0, sid, tid))
 
         def targets(s0: int, t0: int):
             if t0 < first:
@@ -927,8 +916,8 @@ class _ClassExpansion:
             both = flat + [(t, g) for t, g in out[s0].items() if info_i[t] != i0]
             return lambda s: both if info_i[s] == i0 else flat
 
-        def is_unit(s: int, t: int) -> bool:
-            return info_i[s] == info_i[t] and info_ja[t] == info_ja[s] + 1
+        def is_unit(s: int, t: int) -> int | None:
+            return 0 if info_i[s] == info_i[t] and info_ja[t] == info_ja[s] + 1 else None
 
         _cancel(out, rows, heap, targets, is_unit)
 
@@ -1249,10 +1238,10 @@ def _column_homology(presentations: dict, phis: dict) -> dict:
                 out[s][t] = coeff
                 ins[t].append(s)
 
-    def iso(s: int, t: int) -> bool:
-        return labels[s] == labels[t] and orders[s] == orders[t]
+    def iso(s: int, t: int) -> int | None:
+        return 0 if labels[s] == labels[t] and orders[s] == orders[t] else None
 
-    isos = [(s, t) for s, row in enumerate(out) for t in row if iso(s, t)]
+    isos = [(0, s, t) for s, row in enumerate(out) for t in row if iso(s, t) is not None]
     _cancel(out, ins, isos, lambda g, h: partial(_correction, out, labels, orders, g, h), iso)
 
     # the remainder, each key's surviving summands in row order

@@ -224,6 +224,33 @@ class TestSmith:
         assert s.pivots == []
         assert s.kernel_basis() == [({0: 1}, 0)]
 
+    def test_an_empty_row_and_an_empty_column(self):
+        # row 1 and column 1 hold no entry and never gain one
+        m = SliceMatrix((0, 0), (0, 0), 0, {(0, 0): 1})
+        s = smith(m)
+        assert s.pivots == [(0, 0, 0)]
+        assert s.kernel_basis() == [({1: 1}, 0)]
+        self.check_transforms(m, s)
+
+    def test_a_fill_cell_is_pushed_at_its_cost_when_made(self):
+        # pivoting (0, 0) makes the cell (1, 1) while row 0 still counts in
+        # column 1: pushed then, at cost 1, it loses the exponent-1 tie to
+        # (1, 2) at cost 0; pushed after the step, at cost 0, it would win
+        m = SliceMatrix((0, 2, 2), (0, 0), 0, {(0, 0): 1, (0, 1): -1, (1, 0): 1, (1, 2): 1})
+        s = smith(m)
+        assert s.pivots == reference_smith(m).pivots == [(0, 0, 0), (1, 2, 1)]
+        self.check_transforms(m, s)
+
+    def test_a_cell_whose_cost_grew_is_pushed_again(self):
+        # pivoting (0, 0) makes (2, 1) at cost 0, then (2, 2), which raises
+        # it to 1: pushed again, it ties (1, 1) at cost 1 and loses on the row
+        m = SliceMatrix((2, 2, 2), (2, 0, 0), 0, {
+            (0, 0): 2, (0, 1): -1, (0, 2): -2, (1, 1): 3, (1, 2): 3, (2, 0): -2,
+        })
+        s = smith(m)
+        assert s.pivots == reference_smith(m).pivots == [(0, 0, 0), (1, 1, 1), (2, 2, 1)]
+        self.check_transforms(m, s)
+
     @staticmethod
     def check_transforms(m, s):
         """The oracle on the two kept transforms and their support facts, in
@@ -1467,9 +1494,9 @@ class TestCancel:
 
         def candidate(s, t):
             made.append((s, t))
-            return t == 4
+            return 0 if t == 4 else None
 
-        qamod._cancel(out, ins, [(0, 1)], targets, candidate)
+        qamod._cancel(out, ins, [(0, 0, 1)], targets, candidate)
         assert made == [(2, 4), (5, 6)]
         assert out == [None, None, None, {}, None, {6: Fraction(3, 2)}, {}]
         # each survivor lists the survivors with a cell into it, each once
