@@ -426,28 +426,33 @@ def _cancel(out: list, ins: list, heap: list, targets, candidate) -> None:
     cheapest, at the cost (|out[s]| - 1)(|ins[t]| - 1) of the fill they
     make, each pushed when it is made, at its cost then; one whose cost
     grew since its push is pushed again while the heap's least class is
-    still its own.  The heap orders them by one int, class * span + cost,
-    span = |out|^2 being above every cost, so an entry is no larger than
-    a class-blind one.  Each eliminated element's containers are set to
-    None.
+    still its own.  Each heap entry is one int, (class * span + cost) *
+    cell + s * size + t, with size = |out| and span = cell = size^2 above
+    every cost and every s * size + t, so the ints order as the triples
+    (class * span + cost, s, t) and ties fall to the least s, then t.  Each
+    eliminated element's containers are set to None.
     """
 
     def cost(s: int, t: int) -> int:
         return (len(out[s]) - 1) * (len(ins[t]) - 1)
 
-    span = len(out) ** 2  # above every cost
+    size = len(out)
+    cell = size * size  # above every s * size + t
+    span = cell  # above every cost
     for j, (cls, s, t) in enumerate(heap):
-        heap[j] = (cls * span + cost(s, t), s, t)
+        heap[j] = (cls * span + cost(s, t)) * cell + s * size + t
     heapq.heapify(heap)
     while heap:
-        key, s0, t0 = heapq.heappop(heap)
+        key = heapq.heappop(heap)
+        rank, st = divmod(key, cell)
+        s0, t0 = divmod(st, size)
         pivot = None if out[s0] is None else out[s0].get(t0)
         if pivot is None:
             continue
-        cls, pushed = divmod(key, span)
+        cls, pushed = divmod(rank, span)
         now = cost(s0, t0)
-        if now > pushed and heap and heap[0][0] // span == cls:
-            heapq.heappush(heap, (key + now - pushed, s0, t0))
+        if now > pushed and heap and heap[0] // cell // span == cls:
+            heapq.heappush(heap, key + (now - pushed) * cell)
             continue
         fill = targets(s0, t0)
         for s in ins[t0][:]:
@@ -464,7 +469,7 @@ def _cancel(out: list, ins: list, heap: list, targets, candidate) -> None:
                     ins[t].append(s)
                     cls = candidate(s, t)
                     if cls is not None:
-                        heapq.heappush(heap, (cls * span + cost(s, t), s, t))
+                        heapq.heappush(heap, (cls * span + cost(s, t)) * cell + s * size + t)
                 else:
                     c = cur + coeff
                     if c:
@@ -665,6 +670,13 @@ class _Expansion:
     and the target ring's monomial 1, and the id is None where the two rings
     share their marks in order, as a vertex differential's always do.
     part(cls) creates a class on first use and keeps it (see _by_class).
+
+    monos(marks, d) lists the monomials of degree d in that many marks, in
+    the order of poly.monomials, and positions[marks] gives each monomial
+    met so far its position in that list, filled as monos fills its cache.
+    shifted(marks, d, mt) gives, for each m of monos(marks, d) in order,
+    the position of m + mt in monos(marks, d + |mt|): where an entry that
+    multiplies by mt sends a run of elements into the target's run.
     """
 
     def __init__(self, C: ChainComplexOfMF) -> None:
@@ -742,6 +754,8 @@ class _Expansion:
         ]
         self.parts: dict[tuple[int, int], _ClassExpansion] = {}
         self._monos: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        self.positions: dict[int, dict[tuple[int, ...], int]] = {}
+        self._shifts: dict[tuple[int, int, tuple[int, ...]], list[int]] = {}
         self.admitted: int | None = None  # the widest top admitted
         self._reserve = bytes(_RESERVE)  # calloc'd: its pages are never touched
 
@@ -749,6 +763,17 @@ class _Expansion:
         got = self._monos.get((marks, degree))
         if got is None:
             got = self._monos[(marks, degree)] = monomials((1,) * marks, degree)
+            self.positions.setdefault(marks, {}).update(zip(got, range(len(got))))
+        return got
+
+    def shifted(self, marks: int, degree: int, mt: tuple[int, ...]) -> list[int]:
+        key = (marks, degree, mt)
+        got = self._shifts.get(key)
+        if got is None:
+            self.monos(marks, degree + sum(mt))  # fills the positions of each m + mt
+            pos = self.positions[marks]
+            got = [pos[tuple(map(add, m, mt))] for m in self.monos(marks, degree)]
+            self._shifts[key] = got
         return got
 
     def image(self, img: int, m: tuple[int, ...]) -> list[tuple[tuple[int, ...], object]]:
@@ -794,16 +819,21 @@ class _ClassExpansion:
     eliminated, grown in place by raising the top.
 
     Basis elements are (generator, mark monomial) pairs, numbered in the
-    order they are created.  out and rows are _cancel's out and ins, each
-    cell holding its coefficient (the module docstring gives its exponent).
+    order they are created, in runs per (generator, mark degree): the
+    elements of g at degree d are made together in monomial order
+    (knot.monos), so the one of monomial m has the id runs[g][d] plus m's
+    position (knot.positions).  ids holds each id once, and every cell
+    refers to that int.  out and rows are _cancel's out and ins, each cell
+    holding its coefficient (the module docstring gives its exponent).
     Growing from top T to T' creates the elements at x in (T, T'] and the
     entries into them, and eliminates the unit entries then present as a
-    fresh expansion would (module docstring).  final is the last hi
-    reported: modules holds the two-stage result of every key at x <= final,
-    which no growth changes, and kernels the stage-one Smith reductions at
-    the n + 1 x-degrees up to final, each with its target's elements then,
-    whose images a wider window reads.  After a MemoryError every class of
-    the expansion is emptied and must not be used again.
+    fresh expansion would (module docstring); growths lists each growth's
+    top and first id.  final is the last hi reported: modules holds the
+    two-stage result of every key at x <= final, which no growth changes,
+    and kernels the stage-one Smith reductions at the n + 1 x-degrees up to
+    final, each with its target's elements then, whose images a wider
+    window reads.  After a MemoryError every class of the expansion is
+    emptied and must not be used again.
     """
 
     def __init__(self, knot: _Expansion, cls: tuple[int, int]) -> None:
@@ -812,7 +842,9 @@ class _ClassExpansion:
         self.top: int | None = None
         # per generator, the least mark degree of its elements in this class
         self.starts = [starts.get(cls) for starts in knot.starts]
-        self.index: list[dict[tuple[int, ...], int]] = [{} for _ in knot.gens]
+        self.runs: list[dict[int, int]] = [{} for _ in knot.gens]
+        self.ids: list[int] = []
+        self.growths: list[tuple[int, int]] = []
         self.info_eps: list[int] = []
         self.info_i: list[int] = []
         self.info_k: list[int] = []
@@ -852,49 +884,74 @@ class _ClassExpansion:
     def _extend(self, old: int | None, top: int, size: int, heap: list) -> None:
         knot = self.knot
         step = knot.n + 1
-        gens, monos, marks = knot.gens, knot.monos, knot.marks
+        gens, monos, marks, shifted = knot.gens, knot.monos, knot.marks, knot.shifted
         info_eps, info_i, info_k, info_ja = self.info_eps, self.info_i, self.info_k, self.info_ja
-        out, rows, index, starts = self.out, self.rows, self.index, self.starts
-        first = len(info_i)
-        for ids, start, nm, (eps, i, ga, gx) in zip(index, starts, marks, gens):
+        out, rows, runs, starts, ids = self.out, self.rows, self.runs, self.starts, self.ids
+        first = len(ids)
+        for run, start, nm, (eps, i, ga, gx) in zip(runs, starts, marks, gens):
             if start is None:
                 continue
             d_lo = 0 if old is None else max(0, (old - gx) // 2 + 1)
             for d in range(d_lo + (start - d_lo) % step, (top - gx) // 2 + 1, step):
-                k = gx + 2 * d
-                for m in monos(nm, d):
-                    ids[m] = len(info_i)
-                    info_eps.append(eps)
-                    info_i.append(i)
-                    info_k.append(k)
-                    info_ja.append(ga)
+                run[d] = len(info_i)
+                count = len(monos(nm, d))
+                info_eps += [eps] * count
+                info_i += [i] * count
+                info_k += [gx + 2 * d] * count
+                info_ja += [ga] * count
         if len(info_i) != size:
             raise InvariantError("expansion size differs from its closed form")
+        self.growths.append((top, first))
+        ids.extend(range(first, size))
         out.extend({} for _ in range(size - first))
         rows.extend([] for _ in range(size - first))
 
         # entries into the new elements from the surviving sources in this
         # class (module docstring); an entry of x-jump j reaches them from the
-        # sources above old - j.  (g, m) goes to image(m) times the entry,
-        # summed per target; one source element meets one target through one
-        # entry, so a second write is a fault.
-        for entries, start, nm, src, (_, i, _, gx) in zip(knot.entries, starts, marks, index, gens):
+        # sources above old - j.  (g, m) goes to image(m) times the entry, so
+        # each term c m' sends the run of g at degree d into the run of the
+        # target at d + |m'|.  One source element meets one target through
+        # one entry, so a second write is a fault.
+        for entries, start, nm, run, (_, i, _, gx) in zip(knot.entries, starts, marks, runs, gens):
             if start is None:
                 continue
             for gt, img, ae, terms, jump in entries:
-                tgt = index[gt]
+                into = runs[gt]
                 unit = not ae and gens[gt][1] == i
                 d_lo = 0 if old is None else max(0, (old - gx - jump) // 2 + 1)
                 for d in range(d_lo + (start - d_lo) % step, (top - gx - jump) // 2 + 1, step):
-                    for m in monos(nm, d):
-                        sid = src[m]
+                    ms = monos(nm, d)
+                    sources = ids[run[d]:run[d] + len(ms)]
+                    if img is None:
+                        # m goes to m + m' at the position shifted gives; the
+                        # terms' m' differ, so their targets do: nothing to sum
+                        blocks = []
+                        for coeff, mt in terms:
+                            base = into[d + sum(mt)]
+                            blocks.append(([ids[base + q] for q in shifted(nm, d, mt)], coeff))
+                        for p, sid in enumerate(sources):
+                            row = out[sid]
+                            if row is None:
+                                continue
+                            for tids, coeff in blocks:
+                                tid = tids[p]
+                                if tid in row:
+                                    raise InvariantError("second write to an expansion cell")
+                                row[tid] = coeff
+                                rows[tid].append(sid)
+                                if unit:
+                                    heap.append((0, sid, tid))
+                        continue
+                    at = knot.positions[marks[gt]]
+                    bases = [(coeff, mt, into[d + sum(mt)]) for coeff, mt in terms]
+                    for sid, m in zip(sources, ms):
                         row = out[sid]
                         if row is None:
                             continue
                         acc: dict[int, object] = {}
-                        for mw, cw in [(m, 1)] if img is None else knot.image(img, m):
-                            for coeff, mt in terms:
-                                tid = tgt[tuple(map(add, mw, mt))]
+                        for mw, cw in knot.image(img, m):
+                            for coeff, mt, base in bases:
+                                tid = ids[base + at[tuple(map(add, mw, mt))]]
                                 acc[tid] = acc.get(tid, 0) + cw * coeff
                         for tid, c in acc.items():
                             if not c:
@@ -929,8 +986,12 @@ class _ClassExpansion:
         n, final, last = self.knot.n, self.final, self.top - self.knot.n - 1
         info_eps, info_i, info_k, info_ja = self.info_eps, self.info_i, self.info_k, self.info_ja
         out = self.out
+        # a growth to top T makes only x in (its old top, T], so every
+        # element above final comes from a growth whose top passed final
+        begin = next((first for grown, first in self.growths if grown > final), len(out))
         members: dict[tuple[int, int, int], list[int]] = {}
-        for ident, row in enumerate(out):
+        for ident in self.ids[begin:]:
+            row = out[ident]
             if row is not None and info_k[ident] > final:
                 key = (info_eps[ident], info_i[ident], info_k[ident])
                 members.setdefault(key, []).append(ident)

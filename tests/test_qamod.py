@@ -7,6 +7,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from operator import add
 
 import pytest
 from click.testing import CliRunner
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from krlab import cli, qamod
 from krlab.braid import parse
 from krlab.cube import ChainComplexOfMF, build_complex
-from krlab.poly import KIND_MARK, BigradedPoly, BudgetError, InvariantError
+from krlab.poly import KIND_MARK, BigradedPoly, BudgetError, InvariantError, monomials
 from krlab.qamod import (
     GradedQaModule,
     SliceMatrix,
@@ -249,6 +250,14 @@ class TestSmith:
         })
         s = smith(m)
         assert s.pivots == reference_smith(m).pivots == [(0, 0, 0), (1, 1, 1), (2, 2, 1)]
+        self.check_transforms(m, s)
+
+    def test_a_tie_falls_to_the_least_row_then_column(self):
+        # both cells have exponent 0 and cost 0: the one in row 0 goes first,
+        # though its column comes after the other's
+        m = SliceMatrix((0, 0), (0, 0), 0, {(0, 1): 1, (1, 0): 1})
+        s = smith(m)
+        assert s.pivots == reference_smith(m).pivots == [(0, 1, 0), (1, 0, 0)]
         self.check_transforms(m, s)
 
     @staticmethod
@@ -881,6 +890,67 @@ class TestClasses:
         assert all(ref() is None for ref in made)
 
 
+class TestNumbering:
+    """A generator's elements at mark degree d are one run of ids, in the
+    order of poly.monomials, and every raw entry is written through that
+    numbering.  Both are checked against lists and lookups built here."""
+
+    @pytest.mark.parametrize(
+        "text,strands,n,tops",
+        [("1 1 1", 2, 2, (0, 3, 7, 12, 17)), ("1 -2 1 -2", 3, 1, (-1, 2, 5, 8))],
+    )
+    def test_raw_cells_land_where_the_monomials_say(self, text, strands, n, tops, monkeypatch):
+        # no unit is eliminated, so every raw cell stays where it was written
+        monkeypatch.setattr(qamod, "_cancel", lambda *_: None)
+        knot = _Expansion(build_complex(parse(text, strands), n))
+        for top in tops:
+            for cls in knot.classes:
+                part = knot.part(cls)
+                part.grow(top)
+                info = (part.info_eps, part.info_i, part.info_k, part.info_ja)
+                where = {}  # (generator, monomial) -> id
+                for g, ((eps, i, ga, gx), marks, run) in enumerate(
+                    zip(knot.gens, knot.marks, part.runs)
+                ):
+                    degrees = [
+                        d for d in range((top - gx) // 2 + 1)
+                        if _class_of(n, eps, gx + 2 * d) == cls
+                    ]
+                    assert sorted(run) == degrees
+                    for d in degrees:
+                        for pos, m in enumerate(monomials((1,) * marks, d)):
+                            ident = run[d] + pos
+                            assert [col[ident] for col in info] == [eps, i, gx + 2 * d, ga]
+                            where[(g, m)] = ident
+                assert sorted(where.values()) == list(range(len(part.out))) == part.ids
+                cells = [{} for _ in part.out]
+                for (g, m), s in where.items():
+                    for gt, img, _, terms, _ in knot.entries[g]:
+                        for mw, cw in [(m, 1)] if img is None else knot.image(img, m):
+                            for coeff, mt in terms:
+                                t = where.get((gt, tuple(map(add, mw, mt))))
+                                if t is not None:  # None above the top
+                                    cells[s][t] = cells[s].get(t, 0) + cw * coeff
+                assert part.out == [{t: c for t, c in row.items() if c} for row in cells]
+                into = [[] for _ in part.out]
+                for s, row in enumerate(part.out):
+                    for t in row:
+                        into[t].append(s)
+                assert [sorted(sources) for sources in part.rows] == into
+
+    @pytest.mark.parametrize("marks", [1, 3, 5])
+    def test_shifted_looks_m_plus_mt_up(self, marks):
+        knot = _Expansion(build_complex(parse("1 1", 2), 1))
+        for d in range(6):
+            ms = monomials((1,) * marks, d)
+            for j in range(4):
+                for mt in monomials((1,) * marks, j):
+                    within = monomials((1,) * marks, d + j)
+                    expected = [within.index(tuple(map(add, m, mt))) for m in ms]
+                    assert knot.shifted(marks, d, mt) == expected
+            assert [knot.positions[marks][m] for m in ms] == list(range(len(ms)))
+
+
 def mark_of(table) -> str:
     return next(v.name for v in table.variables if v.kind == KIND_MARK)
 
@@ -911,6 +981,18 @@ def second_write(knot):
     knot.entries[:] = [entries * 2 for entries in knot.entries]
 
 
+def second_vertex_write(knot):
+    # each vertex entry twice: the check of the writes by position alone
+    knot.entries[:] = [entries + [e for e in entries if e[4]] for entries in knot.entries]
+
+
+def second_image_write(knot):
+    # each chi' entry through an images id twice: the check of the summed writes alone
+    knot.entries[:] = [
+        entries + [e for e in entries if e[1] is not None] for entries in knot.entries
+    ]
+
+
 def extra_mark(knot):
     # every generator's elements counted in one mark more than its vertex has
     knot.marks[:] = [marks + 1 for marks in knot.marks]
@@ -938,6 +1020,10 @@ class TestExpansionChecks:
         "two-a-exponents": (two_a_exponents, unchanged, "inhomogeneous expansion entry"),
         "off-a-grading": (off_grading, unchanged, "expansion entry off the a-grading"),
         "second-write": (unchanged, second_write, "second write to an expansion cell"),
+        "second-vertex-write": (
+            unchanged, second_vertex_write, "second write to an expansion cell"
+        ),
+        "second-image-write": (unchanged, second_image_write, "second write to an expansion cell"),
         "extra-mark": (unchanged, extra_mark, "expansion size differs from its closed form"),
         "nonlinear-image": (nonlinear_image, unchanged, "an excluded mark's image is not linear"),
     }
