@@ -314,9 +314,10 @@ def markov_search(w: BraidWord, budget: int) -> SearchResult:
 DEFAULT_BUDGET = 2000
 
 
-def simplify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> BraidWord:
+def simplify(w: BraidWord) -> BraidWord:
     """Best reachable word (fewest strands, then shortest, then lex),
-    iterated to a fixpoint, hence idempotent.
+    iterated to a fixpoint, hence idempotent.  Each search may expand
+    DEFAULT_BUDGET words.
 
     A complete search from current that finds a best word no longer than
     current is already the fixpoint, so best is returned without searching
@@ -328,7 +329,7 @@ def simplify(w: BraidWord, budget: int = DEFAULT_BUDGET) -> BraidWord:
     """
     current = canonical(w)
     while True:
-        found = markov_search(current, budget)
+        found = markov_search(current, DEFAULT_BUDGET)
         best = found[0]
         if _order_key(best) >= _order_key(current):
             return current

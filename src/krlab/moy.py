@@ -17,6 +17,11 @@ pieces over the shared marks, then reduced: internal marks are excluded
 through linear rows.  Its graded dimension (gdim) kills a and the chosen
 variables and takes the homology slice by slice over Q, each slice's ranks
 the pivot counts of qamod.smith on a SliceMatrix of a-degree 0.
+
+A graph is its edges and marks alone: each vertex's incident edges are read
+off the edges' ends.  The graph-file format (parse_graph) still accepts
+vertex lines 'v <id>', and only checks that each names a vertex some edge
+ends at.
 """
 
 from __future__ import annotations
@@ -56,12 +61,41 @@ _NAME = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 
 @dataclass(frozen=True)
 class MoyGraph:
-    """vertices: (id, in-edge ids, out-edge ids); edges: (id, color, from, to);
-    marks: (edge-id, alphabet name), listed in order along each edge."""
+    """edges: (id, color, from, to), with '_' for a boundary end; marks:
+    (edge-id, alphabet name), listed in order along each edge.  The vertices
+    are the ends the edges name other than '_' (vertices()).  Checked when
+    made."""
 
-    vertices: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...]
     edges: tuple[tuple[str, int, str, str], ...]
     marks: tuple[tuple[str, str], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "edges", tuple(self.edges))
+        object.__setattr__(self, "marks", tuple(self.marks))
+        eids = [e[0] for e in self.edges]
+        if len(set(eids)) != len(eids):
+            raise ValueError("duplicate edge id")
+        for eid, color, _, _ in self.edges:
+            if color not in (1, 2, 3):
+                raise ValueError(f"edge {eid}: color {color} not in 1..3")
+        # a vertex has an edge, of color >= 1, so a balanced one has valence >= 2
+        for vid, ins, outs in self.vertices():
+            flow_in = sum(self.edge(e)[1] for e in ins)
+            flow_out = sum(self.edge(e)[1] for e in outs)
+            if flow_in != flow_out:
+                raise ValueError(f"vertex {vid}: color flow {flow_in} != {flow_out}")
+        seen_alphabets = set()
+        for mid, alph in self.marks:
+            if mid not in eids:
+                raise ValueError(f"mark on unknown edge {mid}")
+            if not _NAME.match(alph) or alph == "a":
+                raise ValueError(f"bad alphabet name {alph!r}")
+            if alph in seen_alphabets:
+                raise ValueError(f"alphabet {alph} used twice")
+            seen_alphabets.add(alph)
+        for eid in eids:
+            if not self.edge_marks(eid):
+                raise ValueError(f"edge {eid} has no mark")
 
     def edge(self, eid: str) -> tuple[str, int, str, str]:
         for e in self.edges:
@@ -75,47 +109,19 @@ class MoyGraph:
     def is_closed(self) -> bool:
         return all(frm != BOUNDARY and to != BOUNDARY for _, _, frm, to in self.edges)
 
-    def validate(self) -> None:
-        ids = [v[0] for v in self.vertices]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate vertex id")
-        eids = [e[0] for e in self.edges]
-        if len(set(eids)) != len(eids):
-            raise ValueError("duplicate edge id")
-        by_vertex_in: dict[str, list[str]] = {i: [] for i in ids}
-        by_vertex_out: dict[str, list[str]] = {i: [] for i in ids}
-        for eid, color, frm, to in self.edges:
-            if color not in (1, 2, 3):
-                raise ValueError(f"edge {eid}: color {color} not in 1..3")
-            if frm != BOUNDARY:
-                if frm not in by_vertex_out:
-                    raise ValueError(f"edge {eid}: unknown vertex {frm}")
-                by_vertex_out[frm].append(eid)
-            if to != BOUNDARY:
-                if to not in by_vertex_in:
-                    raise ValueError(f"edge {eid}: unknown vertex {to}")
-                by_vertex_in[to].append(eid)
-        for vid, ins, outs in self.vertices:
-            if sorted(ins) != sorted(by_vertex_in[vid]) or sorted(outs) != sorted(by_vertex_out[vid]):
-                raise ValueError(f"vertex {vid}: incident edge lists inconsistent")
-            flow_in = sum(self.edge(e)[1] for e in ins)
-            flow_out = sum(self.edge(e)[1] for e in outs)
-            if flow_in != flow_out:
-                raise ValueError(f"vertex {vid}: color flow {flow_in} != {flow_out}")
-            if len(ins) + len(outs) < 2:
-                raise ValueError(f"vertex {vid}: valence < 2 (use '{BOUNDARY}' for end points)")
-        seen_alphabets = set()
-        for mid, alph in self.marks:
-            if mid not in set(eids):
-                raise ValueError(f"mark on unknown edge {mid}")
-            if not _NAME.match(alph) or alph == "a":
-                raise ValueError(f"bad alphabet name {alph!r}")
-            if alph in seen_alphabets:
-                raise ValueError(f"alphabet {alph} used twice")
-            seen_alphabets.add(alph)
-        for eid in eids:
-            if not self.edge_marks(eid):
-                raise ValueError(f"edge {eid} has no mark")
+    def vertices(self) -> list[tuple[str, tuple[str, ...], tuple[str, ...]]]:
+        """(id, in-edge ids, out-edge ids) of each vertex, in order of first
+        appearance among the edges' ends."""
+        ids = dict.fromkeys(end for _, _, frm, to in self.edges for end in (frm, to))
+        ids.pop(BOUNDARY, None)
+        return [
+            (
+                vid,
+                tuple(e[0] for e in self.edges if e[3] == vid),
+                tuple(e[0] for e in self.edges if e[2] == vid),
+            )
+            for vid in ids
+        ]
 
     # ring structure -------------------------------------------------------
 
@@ -123,7 +129,8 @@ class MoyGraph:
         entries: list = [("a", KIND_A)]
         for mid, alph in self.marks:
             color = self.edge(mid)[1]
-            entries.extend(_mark_entries(alph, color))
+            for k, nm in enumerate(mark_variables(alph, color), 1):
+                entries.append((nm, KIND_MARK) if color == 1 else (nm, KIND_SYM, k))
         return VariableTable.build(entries)
 
     def boundary(self) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
@@ -156,7 +163,7 @@ class MoyGraph:
     def pieces(self) -> list["MoyVertex"]:
         """Internal vertices plus the formal 2-valent ones between marks."""
         out: list[MoyVertex] = []
-        for vid, ins, outs in self.vertices:
+        for vid, ins, outs in self.vertices():
             in_alph = tuple((self.edge_marks(e)[-1], self.edge(e)[1]) for e in ins)
             out_alph = tuple((self.edge_marks(e)[0], self.edge(e)[1]) for e in outs)
             out.append(MoyVertex(vid, in_alph, out_alph))
@@ -167,12 +174,6 @@ class MoyGraph:
                     MoyVertex(f"{eid}.{i}", ((ms[i], color),), ((ms[i + 1], color),))
                 )
         return out
-
-
-def _mark_entries(alph: str, color: int):
-    if color == 1:
-        return [(alph, KIND_MARK)]
-    return [(f"{alph}.e{k}", KIND_SYM, k) for k in range(1, color + 1)]
 
 
 def mark_variables(alph: str, color: int) -> list[str]:
@@ -186,25 +187,6 @@ class MoyVertex:
     id: str
     in_alphabets: tuple[tuple[str, int], ...]
     out_alphabets: tuple[tuple[str, int], ...]
-
-
-def build_graph(
-    edges: list[tuple[str, int, str, str]], marks: list[tuple[str, str]]
-) -> MoyGraph:
-    """Derive the vertex list from edge endpoints and validate."""
-    ids: list[str] = []
-    for _, _, frm, to in edges:
-        for end in (frm, to):
-            if end != BOUNDARY and end not in ids:
-                ids.append(end)
-    vertices = []
-    for vid in ids:
-        ins = tuple(e[0] for e in edges if e[3] == vid)
-        outs = tuple(e[0] for e in edges if e[2] == vid)
-        vertices.append((vid, ins, outs))
-    g = MoyGraph(tuple(vertices), tuple(edges), tuple(marks))
-    g.validate()
-    return g
 
 
 def parse_graph(text: str) -> MoyGraph:
@@ -230,8 +212,8 @@ def parse_graph(text: str) -> MoyGraph:
                 raise ValueError(f"unrecognized line {lineno}: {raw.strip()!r}")
         except ValueError as exc:
             raise ValueError(f"graph syntax error at line {lineno}: {exc}") from None
-    g = build_graph(edges, marks)
-    derived = {v[0] for v in g.vertices}
+    g = MoyGraph(edges, marks)
+    derived = {vid for vid, _, _ in g.vertices()}
     for vid in declared:
         if vid not in derived:
             raise ValueError(f"declared vertex {vid} has no incident edge")
@@ -480,7 +462,6 @@ def graph_potential(graph: MoyGraph, n: int, table: VariableTable) -> BigradedPo
 
 def reduced_graph_spec(graph: MoyGraph, n: int) -> tuple[KoszulSpec, tuple[int, int]]:
     """Concatenated vertex rows with internal marks excluded where linear."""
-    graph.validate()
     table = graph.table()
     rows: list = []
     sa = sx = 0
@@ -532,12 +513,12 @@ def builtin_graph(name: str) -> MoyGraph:
 
 
 def _circle() -> MoyGraph:
-    return build_graph([("c", 1, "V", "V")], [("c", "x")])
+    return MoyGraph([("c", 1, "V", "V")], [("c", "x")])
 
 
 def _wide_edge() -> MoyGraph:
     # plain 2-colored edge, entrance Y at the bottom, exit X at the top
-    return build_graph([("e", 2, BOUNDARY, BOUNDARY)], [("e", "Y"), ("e", "X")])
+    return MoyGraph([("e", 2, BOUNDARY, BOUNDARY)], [("e", "Y"), ("e", "X")])
 
 
 def _theta_split() -> MoyGraph:
@@ -549,7 +530,7 @@ def _theta_split() -> MoyGraph:
         ("t", 2, "M", BOUNDARY),
     ]
     marks = [("b", "Y"), ("l", "x5"), ("r", "x6"), ("t", "X")]
-    return build_graph(edges, marks)
+    return MoyGraph(edges, marks)
 
 
 def _r3_gamma() -> MoyGraph:
@@ -574,13 +555,13 @@ def _r3_gamma() -> MoyGraph:
         ("g2", "x8"),
         ("lt", "X"),
     ]
-    return build_graph(edges, marks)
+    return MoyGraph(edges, marks)
 
 
 def _r3_gamma0() -> MoyGraph:
     edges = [("l", 2, BOUNDARY, BOUNDARY), ("r", 1, BOUNDARY, BOUNDARY)]
     marks = [("l", "Y"), ("l", "X"), ("r", "x6"), ("r", "x3")]
-    return build_graph(edges, marks)
+    return MoyGraph(edges, marks)
 
 
 def _r3_gamma1() -> MoyGraph:
@@ -592,13 +573,13 @@ def _r3_gamma1() -> MoyGraph:
         ("tr", 1, "S", BOUNDARY),
     ]
     marks = [("bl", "Y"), ("br", "x6"), ("mid", "V"), ("tl", "X"), ("tr", "x3")]
-    return build_graph(edges, marks)
+    return MoyGraph(edges, marks)
 
 
 def _crossing_gamma0() -> MoyGraph:
     edges = [("l", 1, BOUNDARY, BOUNDARY), ("r", 1, BOUNDARY, BOUNDARY)]
     marks = [("l", "y2"), ("l", "x1"), ("r", "x2"), ("r", "y1")]
-    return build_graph(edges, marks)
+    return MoyGraph(edges, marks)
 
 
 def _crossing_gamma1() -> MoyGraph:
@@ -610,7 +591,7 @@ def _crossing_gamma1() -> MoyGraph:
         ("tr", 1, "s", BOUNDARY),
     ]
     marks = [("bl", "y2"), ("br", "x2"), ("mid", "W"), ("tl", "x1"), ("tr", "y1")]
-    return build_graph(edges, marks)
+    return MoyGraph(edges, marks)
 
 
 BUILTIN_GRAPHS = {

@@ -695,7 +695,7 @@ class _Expansion:
             first.setdefault((i, v, par), len(self.gens))
             self.gens.append((par, i, ga, gx))
             self.marks.append(marks)
-        self.x_min = _resolve_window(C, None, n)[0]
+        self.x_min = _resolve_window(C, 0, n)[0]
         self.starts = [_class_starts(n, eps, gx) for eps, _, _, gx in self.gens]
         self.classes = sorted({cls for starts in self.starts for cls in starts})
         self.entries: list[list[tuple[int, int | None, int, list, int]]] = [
@@ -845,7 +845,6 @@ class _ClassExpansion:
         self.runs: list[dict[int, int]] = [{} for _ in knot.gens]
         self.ids: list[int] = []
         self.growths: list[tuple[int, int]] = []
-        self.info_eps: list[int] = []
         self.info_i: list[int] = []
         self.info_k: list[int] = []
         self.info_ja: list[int] = []
@@ -885,17 +884,16 @@ class _ClassExpansion:
         knot = self.knot
         step = knot.n + 1
         gens, monos, marks, shifted = knot.gens, knot.monos, knot.marks, knot.shifted
-        info_eps, info_i, info_k, info_ja = self.info_eps, self.info_i, self.info_k, self.info_ja
+        info_i, info_k, info_ja = self.info_i, self.info_k, self.info_ja
         out, rows, runs, starts, ids = self.out, self.rows, self.runs, self.starts, self.ids
         first = len(ids)
-        for run, start, nm, (eps, i, ga, gx) in zip(runs, starts, marks, gens):
+        for run, start, nm, (_, i, ga, gx) in zip(runs, starts, marks, gens):
             if start is None:
                 continue
             d_lo = 0 if old is None else max(0, (old - gx) // 2 + 1)
             for d in range(d_lo + (start - d_lo) % step, (top - gx) // 2 + 1, step):
                 run[d] = len(info_i)
                 count = len(monos(nm, d))
-                info_eps += [eps] * count
                 info_i += [i] * count
                 info_k += [gx + 2 * d] * count
                 info_ja += [ga] * count
@@ -942,6 +940,7 @@ class _ClassExpansion:
                                 if unit:
                                     heap.append((0, sid, tid))
                         continue
+                    # an images id marks a chi' entry, which raises i: never a unit
                     at = knot.positions[marks[gt]]
                     bases = [(coeff, mt, into[d + sum(mt)]) for coeff, mt in terms]
                     for sid, m in zip(sources, ms):
@@ -960,8 +959,6 @@ class _ClassExpansion:
                                 raise InvariantError("second write to an expansion cell")
                             row[tid] = c
                             rows[tid].append(sid)
-                            if unit:
-                                heap.append((0, sid, tid))
 
         def targets(s0: int, t0: int):
             if t0 < first:
@@ -984,7 +981,8 @@ class _ClassExpansion:
         each cell holding its coefficient (the labels give its a-exponent);
         every entry above final, the top slab's too, is checked."""
         n, final, last = self.knot.n, self.final, self.top - self.knot.n - 1
-        info_eps, info_i, info_k, info_ja = self.info_eps, self.info_i, self.info_k, self.info_ja
+        info_i, info_k, info_ja = self.info_i, self.info_k, self.info_ja
+        step, parity = n + 1, self.cls[1]
         out = self.out
         # a growth to top T makes only x in (its old top, T], so every
         # element above final comes from a growth whose top passed final
@@ -992,8 +990,10 @@ class _ClassExpansion:
         members: dict[tuple[int, int, int], list[int]] = {}
         for ident in self.ids[begin:]:
             row = out[ident]
-            if row is not None and info_k[ident] > final:
-                key = (info_eps[ident], info_i[ident], info_k[ident])
+            k = info_k[ident]
+            if row is not None and k > final:
+                # the class (k mod (n + 1), (eps + k div (n + 1)) mod 2) and k fix eps
+                key = ((parity - k // step) % 2, info_i[ident], k)
                 members.setdefault(key, []).append(ident)
         position: dict[int, tuple[tuple[int, int, int], int]] = {}
         labels: dict[tuple[int, int, int], list[int]] = {}
@@ -1076,8 +1076,6 @@ def _resolve_window(C: ChainComplexOfMF, x_window, n: int) -> tuple[int, int, in
     summands = [part for parts in C.summands.values() for part in parts]
     degrees = (gx for part in summands for par in (0, 1) for _, gx in part.mf.basis(par))
     x_min = min(degrees, default=0)
-    if x_window is None:
-        return x_min, x_min + 20, x_min
     if x_window < 0:
         raise ValueError("window width must be non-negative")
     return x_min, x_min + x_window, x_min
@@ -1145,15 +1143,14 @@ def _detect_tails(slices: dict, window: tuple[int, int]) -> tuple[Tail, ...]:
 
 
 def two_stage_homology(
-    C: ChainComplexOfMF, x_window=None, expansion: _Expansion | None = None
+    C: ChainComplexOfMF, x_window: int, expansion: _Expansion | None = None
 ) -> GradedQaModule:
     """Homology of the matrix-factorization differential, then of the induced
     even differential, decomposed into free and torsion Q[a]-summands.
 
-    The window defaults to [x_min, x_min + 20] where x_min is the least
-    generator x-degree; an integer window is a width anchored at x_min.  The
-    search for the least width that decategorifies is adaptive_homology,
-    below.
+    The window [x_min, x_min + x_window] is a width anchored at x_min, the
+    least generator x-degree.  The search for the least width that
+    decategorifies is adaptive_homology, below.
 
     Each class of the expansion of C is taken to the top hi + n + 1 and
     through both stages on its own (see _by_class), and the slices of all

@@ -433,26 +433,34 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(words)
     def test_simplify_idempotent(self, w):
-        s = simplify(w, budget=250)
-        assert simplify(s, budget=250) == s
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(braid, "DEFAULT_BUDGET", 250)
+            s = simplify(w)
+            assert simplify(s) == s
 
     @settings(max_examples=40, deadline=None)
     @given(words)
     def test_writhe_tracks_strand_reductions(self, w):
-        s = simplify(w, budget=250)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(braid, "DEFAULT_BUDGET", 250)
+            s = simplify(w)
         assert w.writhe - (w.strands - s.strands) == s.writhe
 
     @settings(max_examples=40, deadline=None)
     @given(words)
     def test_logs_replay_and_use_listed_moves_only(self, w):
         s, log = oracle_simplify(w, 250)
-        assert simplify(w, budget=250) == s == replay(w, log)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(braid, "DEFAULT_BUDGET", 250)
+            assert simplify(w) == s == replay(w, log)
         assert {m.kind for m in log} <= MOVE_KINDS
 
     @settings(max_examples=40, deadline=None)
     @given(words)
     def test_simplified_word_is_canonical(self, w):
-        s = simplify(w, budget=250)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(braid, "DEFAULT_BUDGET", 250)
+            s = simplify(w)
         assert canonical(s) == s
 
     @settings(max_examples=30, deadline=None)

@@ -7,7 +7,6 @@ from krlab.moy import (
     BUILTIN_GRAPHS,
     MoyGraph,
     MoyVertex,
-    build_graph,
     builtin_graph,
     graph_factorization,
     graph_gdim,
@@ -36,9 +35,7 @@ def with_extra_mark(graph: MoyGraph, edge_id: str, alph: str) -> MoyGraph:
         if mid == edge_id and not inserted:
             inserted = True
             marks.append((edge_id, alph))
-    g = MoyGraph(graph.vertices, graph.edges, tuple(marks))
-    g.validate()
-    return g
+    return MoyGraph(graph.edges, marks)
 
 
 def one_plus_a(n, *ks):
@@ -264,35 +261,49 @@ class TestMarkingIndependence:
 class TestGraphValidation:
     def test_color_flow_must_balance(self):
         with pytest.raises(ValueError, match="color flow"):
-            build_graph(
+            MoyGraph(
                 [("b", 2, "_", "V"), ("t", 1, "V", "_")],
                 [("b", "Y"), ("t", "x")],
             )
 
     def test_every_edge_needs_a_mark(self):
         with pytest.raises(ValueError, match="no mark"):
-            build_graph([("c", 1, "V", "V")], [])
+            MoyGraph([("c", 1, "V", "V")], [])
 
     def test_alphabet_names_unique(self):
         with pytest.raises(ValueError, match="used twice"):
-            build_graph(
+            MoyGraph(
                 [("l", 1, "_", "_"), ("r", 1, "_", "_")],
                 [("l", "x"), ("r", "x")],
             )
 
     def test_reserved_and_malformed_names(self):
         with pytest.raises(ValueError, match="bad alphabet name"):
-            build_graph([("c", 1, "V", "V")], [("c", "a")])
+            MoyGraph([("c", 1, "V", "V")], [("c", "a")])
         with pytest.raises(ValueError, match="bad alphabet name"):
-            build_graph([("c", 1, "V", "V")], [("c", "1x")])
+            MoyGraph([("c", 1, "V", "V")], [("c", "1x")])
 
     def test_colors_outside_range(self):
         with pytest.raises(ValueError, match="color 4"):
-            build_graph([("c", 4, "V", "V")], [("c", "x")])
+            MoyGraph([("c", 4, "V", "V")], [("c", "x")])
+
+    def test_edge_ids_unique(self):
+        with pytest.raises(ValueError, match="duplicate edge id"):
+            MoyGraph([("c", 1, "V", "V"), ("c", 1, "W", "W")], [("c", "x")])
+
+    def test_vertices_in_order_of_first_appearance(self):
+        assert builtin_graph("r3-gamma").vertices() == [
+            ("A", ("lb",), ("lm", "g1")),
+            ("D", ("lm", "g2"), ("lt",)),
+            ("B", ("g1", "rb"), ("rm",)),
+            ("C", ("rm",), ("rt", "g2")),
+        ]
+        assert builtin_graph("circle").vertices() == [("V", ("c",), ("c",))]
+        assert builtin_graph("wide-edge").vertices() == []
 
     def test_mark_on_unknown_edge(self):
         with pytest.raises(ValueError, match="unknown edge"):
-            build_graph([("c", 1, "V", "V")], [("c", "x"), ("d", "y")])
+            MoyGraph([("c", 1, "V", "V")], [("c", "x"), ("d", "y")])
 
     def test_unknown_builtin(self):
         with pytest.raises(ValueError, match="unknown builtin"):
@@ -339,8 +350,7 @@ class TestParser:
 class TestBuiltinCatalog:
     def test_names_all_load(self):
         for name in BUILTIN_GRAPHS:
-            g = builtin_graph(name)
-            g.validate()
+            builtin_graph(name)  # a MoyGraph checks itself when made
 
     def test_closed_flag(self):
         assert builtin_graph("circle").is_closed()

@@ -758,6 +758,87 @@ class TestInvariantChecks:
         assert [f"{f} {name}" for f, name in found if name not in self.UNREAD_KEPT] == []
         assert sorted({name for _, name in found}) == sorted(self.UNREAD_KEPT)
 
+    # Attributes the package stores but never reads; one reason each.
+    UNREAD_FIELDS_KEPT = {
+        "SearchResult.expansions": "braid: only the benchmark's search observer reads it",
+        "_Expansion._reserve": "qamod: held only so that a MemoryError can free it",
+        "Summand.state": "cube: the tests check the cube layout against it",
+    }
+
+    @staticmethod
+    def unread_fields(sources):
+        """(file, "class.attribute") of each attribute a class stores, as an
+        annotated name in its body (dataclass and NamedTuple fields) or as
+        self.<name> = in its __init__, that no attribute load in the sources
+        names."""
+        trees = {name: ast.parse(text) for name, text in sources.items()}
+        loaded = {
+            node.attr
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        found = []
+        for name, tree in trees.items():
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                stored = [
+                    item.target.id
+                    for item in cls.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+                stored += [
+                    node.attr
+                    for item in cls.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                    for node in ast.walk(item)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ]
+                found += [
+                    (name, f"{cls.name}.{attr}")
+                    for attr in dict.fromkeys(stored)
+                    if attr not in loaded
+                ]
+        return found
+
+    def test_every_field_is_read(self):
+        root = Path(krlab.__file__).parent
+        sources = {path.name: path.read_text() for path in sorted(root.glob("*.py"))}
+        found = self.unread_fields(sources)
+        assert [f"{f} {name}" for f, name in found if name not in self.UNREAD_FIELDS_KEPT] == []
+        assert sorted({name for _, name in found}) == sorted(self.UNREAD_FIELDS_KEPT)
+
+    def test_unread_field_scan_flags(self):
+        source = (
+            "from dataclasses import dataclass\n"
+            "from typing import NamedTuple\n"
+            "@dataclass\n"
+            "class Point:\n"
+            "    x: int\n"
+            "    y: int\n"
+            "    LIMIT = 3\n"
+            "class Pair(NamedTuple):\n"
+            "    left: int\n"
+            "    right: int\n"
+            "class Box:\n"
+            "    def __init__(self, size):\n"
+            "        self.size = self.spare = size\n"
+            "        self.kind: int = 0\n"
+            "        other.width = size\n"
+            "    def grow(self):\n"
+            "        self.later = 1\n"
+            "        return self.size\n"
+            "def read(p, q):\n"
+            "    p.y = 0\n"
+            "    return p.x + q.left\n"
+        )
+        found = sorted(name for _, name in self.unread_fields({"m.py": source}))
+        assert found == ["Box.kind", "Box.spare", "Pair.right", "Point.y"]
+
     # Parameters the package never reads, kept for their callers; one reason each.
     UNREAD_PARAMETERS_KEPT = {
         "_resolve_window.n": "qamod: the benchmark's tests call it positionally with n",
@@ -822,7 +903,6 @@ class TestInvariantChecks:
     # Defaulted parameters that no call in the package passes, kept for the
     # tests or for an indirect caller; one reason each.
     DEFAULTS_KEPT = {
-        "simplify.budget": "braid: the Hypothesis property tests bound the reference search at 250",
         "two_stage_homology.expansion":
             "qamod: adaptive_homology passes it through its homology parameter",
     }

@@ -41,7 +41,7 @@ from test_cube import reduced_words
 from test_pinned_homology import digest, pinned
 
 
-def homology(text, strands, n, window=None):
+def homology(text, strands, n, window):
     return two_stage_homology(build_complex(parse(text, strands), n), x_window=window)
 
 
@@ -457,18 +457,18 @@ def unknot_table(n, window):
 class TestUnknot:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_closed_form(self, n):
-        m = homology("", 1, n)
+        m = homology("", 1, n, 20)
         assert m.window == (-n + 1, -n + 21)
         assert m.slices == unknot_table(n, m.window)
         assert m.tails == (Tail(1, 0, n + 1, ((1, -1, (1,)),)),)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_euler_is_the_unknot_skein_value(self, n):
-        assert euler_characteristic(homology("", 1, n)) == unlink_value(1, n)
+        assert euler_characteristic(homology("", 1, n, 20)) == unlink_value(1, n)
 
     def test_positive_stabilization_is_invisible(self):
-        base = homology("", 1, 1)
-        stab = homology("1", 2, 1)
+        base = homology("", 1, 1, 20)
+        stab = homology("1", 2, 1, 20)
         assert stab.slices == base.slices
         assert stab.tails == base.tails
 
@@ -476,7 +476,7 @@ class TestUnknot:
 class TestNegativeUnknot:
     @pytest.mark.parametrize("n", [1, 2])
     def test_closed_form(self, n):
-        m = homology("-1", 2, n)
+        m = homology("-1", 2, n, 20)
         lo, hi = m.window
         expect = {}
         for l in range(n):
@@ -490,7 +490,7 @@ class TestNegativeUnknot:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_euler_matches_the_skein_route(self, n):
-        m = homology("-1", 2, n)
+        m = homology("-1", 2, n, 20)
         assert euler_characteristic(m) == evaluate(parse("-1", 2), n)
 
 
@@ -526,6 +526,33 @@ class TestInvariance:
             assert mod.window == first.window, word
             assert (mod.slices, mod.tails) == (first.slices, first.tails), word
 
+    # 3-strand words whose stabilizations by sigma_3 on 4 strands are checked
+    STABILIZED = ["1", "1 1", "1 2", "-1 2", "1 -2", "-1 -2 -1"]
+
+    @pytest.mark.parametrize("word", STABILIZED)
+    def test_positive_stabilization_agrees(self, word):
+        base = homology(word, 3, 1, 10)
+        stab = homology(word + " 3", 4, 1, 10)
+        assert stab.window == base.window
+        assert (stab.slices, stab.tails) == (base.slices, base.tails)
+
+    @pytest.mark.parametrize("word", STABILIZED)
+    def test_negative_stabilization_changes_the_slices(self, word):
+        # sigma_3^-1 lowers the least generator degree by two; the slices
+        # differ even at the x-degrees both windows cover
+        base = homology(word, 3, 1, 10)
+        neg = homology(word + " -3", 4, 1, 10)
+        lo, hi = base.window[0], neg.window[1]
+
+        def shared(mod):
+            return {key: sl for key, sl in mod.slices.items() if lo <= key[2] <= hi}
+
+        assert shared(neg) != shared(base)
+
+    @pytest.mark.parametrize("left, right", [("1 2 1", "2 1 2"), ("-1 -2 -1", "-2 -1 -2")])
+    def test_braid_relation_agrees(self, left, right):
+        assert homology(left, 3, 1, 10) == homology(right, 3, 1, 10)
+
     def test_the_rotation_corpus_is_whole(self):
         # every reduced word of length <= 3 on 3 strands is grouped, and 32
         # of the 53 share a rotation class with another
@@ -535,7 +562,7 @@ class TestInvariance:
 
 class TestHopfLink:
     def test_torsion_multiplicity_grows_linearly(self):
-        m = homology("1 1", 2, 1)
+        m = homology("1 1", 2, 1, 20)
         assert m.slices[(0, -2, 8)] == SliceModule((), ((1, 0),) * 3)
         assert m.slices[(1, -2, 8)] == SliceModule((), ((1, 1),) * 3)
         assert m.slices[(0, 0, 0)] == SliceModule((0,), ())
@@ -543,14 +570,14 @@ class TestHopfLink:
         assert Tail(1, -2, 2, ((1, 1, (0, 1)),)) in m.tails
 
     def test_euler_matches_the_skein_route(self):
-        m = homology("1 1", 2, 1)
+        m = homology("1 1", 2, 1, 20)
         assert euler_characteristic(m) == evaluate(parse("1 1", 2), 1)
 
 
 class TestUnlinks:
     @pytest.mark.parametrize("m_comp", [2, 3])
     def test_euler_is_the_unlink_value(self, m_comp):
-        mod = homology("", m_comp, 1)
+        mod = homology("", m_comp, 1, 20)
         assert euler_characteristic(mod) == unlink_value(m_comp, 1)
 
 
@@ -569,7 +596,7 @@ class TestWindows:
 
     def test_non_complex_input_is_rejected(self):
         with pytest.raises(TypeError):
-            two_stage_homology(42)
+            two_stage_homology(42, 20)
 
 
 class TestAdaptiveWindow:
@@ -907,7 +934,7 @@ class TestNumbering:
             for cls in knot.classes:
                 part = knot.part(cls)
                 part.grow(top)
-                info = (part.info_eps, part.info_i, part.info_k, part.info_ja)
+                info = (part.info_i, part.info_k, part.info_ja)
                 where = {}  # (generator, monomial) -> id
                 for g, ((eps, i, ga, gx), marks, run) in enumerate(
                     zip(knot.gens, knot.marks, part.runs)
@@ -920,7 +947,7 @@ class TestNumbering:
                     for d in degrees:
                         for pos, m in enumerate(monomials((1,) * marks, d)):
                             ident = run[d] + pos
-                            assert [col[ident] for col in info] == [eps, i, gx + 2 * d, ga]
+                            assert [col[ident] for col in info] == [i, gx + 2 * d, ga]
                             where[(g, m)] = ident
                 assert sorted(where.values()) == list(range(len(part.out))) == part.ids
                 cells = [{} for _ in part.out]
@@ -1097,7 +1124,7 @@ def specialize(M: GradedQaModule, at: str) -> dict:
     return out
 
 
-def mod_a_homology(C: ChainComplexOfMF, x_window=None) -> dict:
+def mod_a_homology(C: ChainComplexOfMF, x_window: int) -> dict:
     """Two-stage homology of the complex with a set to zero.
 
     Killing a makes every slice a finite Q-vector space graded additionally
@@ -1155,7 +1182,7 @@ def _mod_a_dimensions(red: _Reduced, lo: int, hi: int) -> dict:
     return out
 
 
-def a_one_dimensions(C: ChainComplexOfMF, x_window=None) -> dict:
+def a_one_dimensions(C: ChainComplexOfMF, x_window: int) -> dict:
     """Per-slice dimensions of the two-stage homology with a set to one.
 
     Setting a to one keeps the (eps, i, x) slicing (a has x-degree zero) but
@@ -1298,30 +1325,30 @@ class TestSliceModule:
         assert [q_dimension(m, 0, 0, j, 0) for j in (-3, -1, 1, 3, 5, 7)] == [0, 1, 1, 2, 2, 1]
 
     def test_pretty_mentions_torsion(self):
-        m = homology("", 1, 1)
+        m = homology("", 1, 1, 20)
         text = m.pretty()
         assert "Q[a]/(a" in text and "Q[a]{-1}" in text
 
 
 class TestSpecialize:
     def test_a_one_keeps_only_free_summands(self):
-        m = homology("", 1, 2)
+        m = homology("", 1, 2, 20)
         assert specialize(m, "a=1") == {(1, 0, -1): 1, (1, 0, 1): 1}
 
     def test_a_zero_counts_every_generator(self):
-        m = homology("", 1, 1)
+        m = homology("", 1, 1, 20)
         at0 = specialize(m, "a=0")
         assert at0[(1, 0, 0)] == 1 and at0[(1, 0, 2)] == 1
 
     def test_unknown_specialization_is_rejected(self):
         with pytest.raises(ValueError, match="unknown specialization"):
-            specialize(homology("", 1, 1), "a=2")
+            specialize(homology("", 1, 1, 20), "a=2")
 
 
 class TestModA:
     @pytest.mark.parametrize("n", [1, 2])
     def test_unknot_is_two_towers(self, n):
-        sh = mod_a_homology(build_complex(parse("", 1), n))
+        sh = mod_a_homology(build_complex(parse("", 1), n), 20)
         for (eps, i, j, k), d in sh.items():
             assert d == 1 and i == 0
             assert (eps, j) in ((0, 0), (1, -1))
@@ -1334,9 +1361,9 @@ class TestModA:
         # long exact sequence of the pair: per (eps, j, k) the euler
         # characteristics of H(U-), H(U){-2,0} and the killed homology
         # of U shifted the same way must cancel
-        minus = homology("-1", 2, 1)
-        full = homology("", 1, 1)
-        killed = mod_a_homology(build_complex(parse("", 1), 1))
+        minus = homology("-1", 2, 1, 20)
+        full = homology("", 1, 1, 20)
+        killed = mod_a_homology(build_complex(parse("", 1), 1), 20)
         for eps in (0, 1):
             for j in range(-8, 9):
                 for k in range(-2, 17):
@@ -1352,9 +1379,10 @@ class TestModA:
                     assert chi_m == chi_u - chi_s
 
 
-# the a = 1 oracle's cases: three at the default window, and the 17 freely
-# reduced words of length <= 2 on 3 strands at n = 1 and 2 at width 10
-A_ONE_CASES = [("", 1, 2, None), ("-1", 2, 1, None), ("1 1", 2, 1, None)] + [
+# the a = 1 oracle's cases: three at width 20, the CLI's default, whose ids
+# leave it out, and the 17 freely reduced words of length <= 2 on 3 strands
+# at n = 1 and 2 at width 10
+A_ONE_CASES = [("", 1, 2, 20), ("-1", 2, 1, 20), ("1 1", 2, 1, 20)] + [
     (word, 3, n, 10) for n in (1, 2) for word in reduced_words(3, 2)
 ]
 
@@ -1375,7 +1403,7 @@ class TestAOne:
     @pytest.mark.parametrize(
         "text,strands,n,x_window",
         A_ONE_CASES,
-        ids=["-".join(str(v) for v in case if v is not None) for case in A_ONE_CASES],
+        ids=["-".join(map(str, case[: 3 if case[3] == 20 else 4])) for case in A_ONE_CASES],
     )
     def test_matches_free_counts(self, text, strands, n, x_window):
         C = build_complex(parse(text, strands), n)
@@ -1385,7 +1413,7 @@ class TestAOne:
 
     def test_torsion_towers_vanish(self):
         # the negative unknot table is all torsion in the even sector
-        dims = a_one_dimensions(build_complex(parse("-1", 2), 1))
+        dims = a_one_dimensions(build_complex(parse("-1", 2), 1), 20)
         assert all(eps == 1 and i == 0 for eps, i, _ in dims)
 
 
